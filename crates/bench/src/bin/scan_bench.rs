@@ -1,28 +1,24 @@
 //! Scan-path benchmark: vectorized vs. reference scan kernels, serial
-//! vs. parallel brick scans, shard-merge vs. brick-funnel partial
-//! aggregation, cold vs. warm caches, on identical data and queries —
+//! vs. parallel shard scans, cold vs. warm caches, on identical data
+//! and queries —
 //! the fig5-style workload shape (many small appended batches, so
 //! epochs vectors grow long and visibility materialization competes
 //! with the residual scan).
 //!
 //! Emits `BENCH_scan.json` (override with `AOSI_BENCH_OUT`) with one
-//! cell per measured combination plus the derived speedups. The
-//! `merge` axis compares [`cubrick::MergePath`] variants on the
-//! parallel cold point: `shard` folds brick partials into per-shard
-//! [`cubrick::AggState`] tables merged once at the coordinator,
-//! `funnel` ships every brick's partial through the coordinator
-//! thread (the pre-shard-merge baseline). The `aggwarm` cache level
-//! measures the snapshot-keyed aggregate cache: brick partials
-//! replayed without touching visibility or columns at all.
+//! cell per measured combination plus the derived speedups. Serial
+//! cells run the one executor with `ScanConfig::sequential` set (each
+//! shard joined before the next is submitted); parallel cells overlap
+//! the shards. The `aggwarm` cache level measures the snapshot-keyed
+//! aggregate cache: brick partials replayed without touching
+//! visibility or columns at all.
 //! `AOSI_BENCH_ENFORCE=1` turns the sanity bounds into an exit code:
 //! the parallel cold path must not be more than 2x slower than the
-//! serial cold path, the vectorized kernel must beat the
+//! serial cold path, and the vectorized kernel must beat the
 //! row-at-a-time reference kernel on pure scan time by at least
 //! `AOSI_BENCH_MIN_KERNEL` (default 1.5; the committed paper-scale
 //! run clears 3x — the smoke default absorbs noisy shared runners
-//! and tiny smoke workloads), and shard-merge must not lose to the
-//! funnel by more than `AOSI_BENCH_MIN_MERGE` (default 0.9 — i.e.
-//! within 10% — the committed run shows it winning).
+//! and tiny smoke workloads).
 //!
 //! Knobs: `AOSI_BATCHES` (epochs-vector length driver), `AOSI_BATCH`
 //! (rows per batch), `AOSI_QUERIES` (timed repetitions per cell),
@@ -33,8 +29,8 @@ use std::time::Instant;
 use aosi::Snapshot;
 use columnar::{Row, Value};
 use cubrick::{
-    AggFn, Aggregation, CubeSchema, DimFilter, Dimension, Engine, MergePath, Metric, Query,
-    ScanConfig, ScanKernel,
+    AggFn, Aggregation, CubeSchema, DimFilter, Dimension, Engine, Metric, Query, ScanConfig,
+    ScanKernel,
 };
 
 const CUBE: &str = "scanbench";
@@ -97,7 +93,6 @@ struct Cell {
     kernel: &'static str,
     mode: &'static str,
     cache: &'static str,
-    merge: &'static str,
     total_ns: u128,
     mean_ns: u128,
     p50_ns: u128,
@@ -133,7 +128,6 @@ fn run_cell(
     kernel: &'static str,
     mode: &'static str,
     cache: &'static str,
-    merge: &'static str,
     config: ScanConfig,
     batches: usize,
     rows_per_batch: usize,
@@ -242,7 +236,6 @@ fn run_cell(
         kernel,
         mode,
         cache,
-        merge,
         total_ns: total,
         mean_ns: total / latencies.len() as u128,
         p50_ns: latencies[latencies.len() / 2],
@@ -260,7 +253,7 @@ fn run_cell(
 
 fn cell_json(c: &Cell) -> String {
     format!(
-        "    {{\"kernel\": \"{}\", \"mode\": \"{}\", \"cache\": \"{}\", \"merge\": \"{}\", \
+        "    {{\"kernel\": \"{}\", \"mode\": \"{}\", \"cache\": \"{}\", \
          \"queries\": {}, \
          \"total_ns\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \
          \"vis_cache_hits\": {}, \"vis_cache_misses\": {}, \
@@ -270,7 +263,6 @@ fn cell_json(c: &Cell) -> String {
         c.kernel,
         c.mode,
         c.cache,
-        c.merge,
         c.queries,
         c.total_ns,
         c.mean_ns,
@@ -310,27 +302,19 @@ fn main() {
     // so warm bricks replay cached partials without touching columns
     // at all. The data is static during timing, so warm cells are
     // pure cache-hit runs. Kernel-speedup cells run once per scan
-    // kernel on identical data; the merge and aggwarm comparison
-    // cells are vectorized-only (the reference kernel adds nothing to
-    // those axes).
+    // kernel on identical data; the aggwarm cell is vectorized-only
+    // (the reference kernel adds nothing to that axis).
     let vis_warm_only = |base: ScanConfig| ScanConfig {
         agg_cache_capacity: 0,
         ..base
     };
-    let base_configs: [(&'static str, &'static str, &'static str, ScanConfig, bool); 6] = [
-        (
-            "serial",
-            "cold",
-            "shard",
-            ScanConfig::sequential_uncached(),
-            true,
-        ),
+    let base_configs: [(&'static str, &'static str, ScanConfig, bool); 5] = [
+        ("serial", "cold", ScanConfig::sequential_uncached(), true),
         (
             "serial",
             "warm",
-            "shard",
             vis_warm_only(ScanConfig {
-                parallel_threshold: usize::MAX,
+                sequential: true,
                 cache_capacity: 4096,
                 ..ScanConfig::default()
             }),
@@ -339,9 +323,7 @@ fn main() {
         (
             "parallel",
             "cold",
-            "shard",
             ScanConfig {
-                parallel_threshold: 1,
                 cache_capacity: 0,
                 agg_cache_capacity: 0,
                 ..ScanConfig::default()
@@ -350,28 +332,13 @@ fn main() {
         ),
         (
             "parallel",
-            "cold",
-            "funnel",
-            ScanConfig {
-                parallel_threshold: 1,
-                cache_capacity: 0,
-                agg_cache_capacity: 0,
-                merge: MergePath::Funnel,
-                ..ScanConfig::default()
-            },
-            false,
-        ),
-        (
-            "parallel",
             "warm",
-            "shard",
             vis_warm_only(ScanConfig::parallel_cached(4096)),
             true,
         ),
         (
             "parallel",
             "aggwarm",
-            "shard",
             ScanConfig::parallel_cached(4096),
             false,
         ),
@@ -383,7 +350,7 @@ fn main() {
 
     let mut cells = Vec::new();
     for (kernel_name, kernel) in kernels {
-        for (mode, cache, merge, base, both_kernels) in &base_configs {
+        for (mode, cache, base, both_kernels) in &base_configs {
             if kernel == ScanKernel::RowAtATime && !both_kernels {
                 continue;
             }
@@ -392,7 +359,6 @@ fn main() {
                 kernel_name,
                 mode,
                 cache,
-                merge,
                 config,
                 batches,
                 rows_per_batch,
@@ -403,15 +369,14 @@ fn main() {
     }
 
     println!(
-        "\nkernel      mode      cache    merge   mean(us)   p50(us)    vis(us)    scan(us)   scanp50(us)  hits    agghits"
+        "\nkernel      mode      cache    mean(us)   p50(us)    vis(us)    scan(us)   scanp50(us)  hits    agghits"
     );
     for c in &cells {
         println!(
-            "{:<12}{:<10}{:<9}{:<8}{:<11.1}{:<11.1}{:<11.1}{:<11.1}{:<13.1}{:<8}{}",
+            "{:<12}{:<10}{:<9}{:<11.1}{:<11.1}{:<11.1}{:<11.1}{:<13.1}{:<8}{}",
             c.kernel,
             c.mode,
             c.cache,
-            c.merge,
             c.mean_ns as f64 / 1e3,
             c.p50_ns as f64 / 1e3,
             c.visibility_build_ns as f64 / 1e3 / c.queries as f64,
@@ -422,30 +387,21 @@ fn main() {
         );
     }
 
-    let cell_of = |kernel: &str, mode: &str, cache: &str, merge: &str| {
+    let cell_of = |kernel: &str, mode: &str, cache: &str| {
         cells
             .iter()
-            .find(|c| c.kernel == kernel && c.mode == mode && c.cache == cache && c.merge == merge)
+            .find(|c| c.kernel == kernel && c.mode == mode && c.cache == cache)
             .expect("cell exists")
     };
-    let mean_of = |kernel: &str, mode: &str, cache: &str, merge: &str| {
-        cell_of(kernel, mode, cache, merge).mean_ns as f64
-    };
-    let parallel_warm_speedup = mean_of("vectorized", "serial", "cold", "shard")
-        / mean_of("vectorized", "parallel", "warm", "shard");
-    let parallel_cold_speedup = mean_of("vectorized", "serial", "cold", "shard")
-        / mean_of("vectorized", "parallel", "cold", "shard");
-    let warm_cache_speedup = mean_of("vectorized", "serial", "cold", "shard")
-        / mean_of("vectorized", "serial", "warm", "shard");
-    // Shard merge vs. the brick funnel, parallel cold, identical data:
-    // how much the per-shard AggState fold buys over shipping every
-    // brick partial through the coordinator.
-    let merge_speedup = mean_of("vectorized", "parallel", "cold", "funnel")
-        / mean_of("vectorized", "parallel", "cold", "shard");
+    let mean_of =
+        |kernel: &str, mode: &str, cache: &str| cell_of(kernel, mode, cache).mean_ns as f64;
+    let serial_cold = mean_of("vectorized", "serial", "cold");
+    let parallel_warm_speedup = serial_cold / mean_of("vectorized", "parallel", "warm");
+    let parallel_cold_speedup = serial_cold / mean_of("vectorized", "parallel", "cold");
+    let warm_cache_speedup = serial_cold / mean_of("vectorized", "serial", "warm");
     // The aggregate cache on top of everything: warm partial replay
     // vs. the cold serial baseline.
-    let agg_cache_speedup = mean_of("vectorized", "serial", "cold", "shard")
-        / mean_of("vectorized", "parallel", "aggwarm", "shard");
+    let agg_cache_speedup = serial_cold / mean_of("vectorized", "parallel", "aggwarm");
     // The kernel speedup compares pure scan time (visibility build
     // excluded — it is kernel-independent) on the serial warm point,
     // where the cache removes visibility-build noise from the
@@ -454,17 +410,15 @@ fn main() {
     // preemption or frequency ramp landing inside a sub-millisecond
     // cell distorts the sum by integer factors, while the median of
     // 40 reps of a deterministic scan is stable.
-    let scan_of =
-        |kernel: &str| cell_of(kernel, "serial", "warm", "shard").scan_p50_battery_ns as f64;
+    let scan_of = |kernel: &str| cell_of(kernel, "serial", "warm").scan_p50_battery_ns as f64;
     let kernel_speedup = scan_of("reference") / scan_of("vectorized");
-    let kernel_mean_speedup = mean_of("reference", "serial", "warm", "shard")
-        / mean_of("vectorized", "serial", "warm", "shard");
+    let kernel_mean_speedup =
+        mean_of("reference", "serial", "warm") / mean_of("vectorized", "serial", "warm");
     println!("\nspeedup vs serial cold (vectorized):");
     println!("  parallel warm: {parallel_warm_speedup:.2}x");
     println!("  parallel cold: {parallel_cold_speedup:.2}x");
     println!("  serial warm (vis cache only): {warm_cache_speedup:.2}x");
     println!("  parallel aggwarm (aggregate cache): {agg_cache_speedup:.2}x");
-    println!("\nshard merge vs brick funnel (parallel cold): {merge_speedup:.2}x");
     println!("\nvectorized kernel vs reference (serial warm):");
     println!("  scan_ns: {kernel_speedup:.2}x");
     println!("  end-to-end mean: {kernel_mean_speedup:.2}x");
@@ -477,7 +431,6 @@ fn main() {
          \"parallel_cold\": {parallel_cold_speedup:.4}, \
          \"serial_warm\": {warm_cache_speedup:.4}, \
          \"parallel_aggwarm\": {agg_cache_speedup:.4}}},\n  \
-         \"merge_speedup\": {merge_speedup:.4},\n  \
          \"kernel_speedup\": {{\"scan_ns\": {kernel_speedup:.4}, \
          \"mean_ns\": {kernel_mean_speedup:.4}}}\n}}\n",
         cells.iter().map(cell_json).collect::<Vec<_>>().join(",\n")
@@ -491,7 +444,6 @@ fn main() {
         // runners), and the vectorized kernel must beat the reference
         // kernel on pure scan time.
         let min_kernel = bench::env_f64("AOSI_BENCH_MIN_KERNEL", 1.5);
-        let min_merge = bench::env_f64("AOSI_BENCH_MIN_MERGE", 0.9);
         if parallel_cold_speedup < 0.5 {
             eprintln!(
                 "ENFORCE FAILED: parallel cold is {:.2}x slower than serial cold",
@@ -506,15 +458,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        if merge_speedup < min_merge {
-            eprintln!(
-                "ENFORCE FAILED: shard merge vs funnel speedup {merge_speedup:.2}x \
-                 is below the {min_merge:.2}x bound"
-            );
-            std::process::exit(1);
-        }
         println!("enforce: parallel cold within 2x of serial cold — ok");
         println!("enforce: vectorized kernel >= {min_kernel:.2}x reference on scan_ns — ok");
-        println!("enforce: shard merge >= {min_merge:.2}x funnel on parallel cold mean — ok");
     }
 }

@@ -615,8 +615,10 @@ impl DistributedEngine {
                     let mine: HashSet<u64> = assigned.remove(&node).unwrap_or_default();
                     let known = Arc::clone(&known);
                     scope.spawn(move || {
-                        let allow = |bid: u64| mine.contains(&bid) || !known.contains(&bid);
-                        engine.execute_partial_filtered(&cube, &resolved, snapshot, &allow)
+                        // Evaluated on the engine's shard threads, so
+                        // the predicate owns its sets.
+                        let allow = move |bid: u64| mine.contains(&bid) || !known.contains(&bid);
+                        engine.execute_partial_filtered(&cube, &resolved, snapshot, Arc::new(allow))
                     })
                 })
                 .collect();

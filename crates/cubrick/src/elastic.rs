@@ -29,6 +29,7 @@
 //! lose a brick nor duplicate its ownership.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use cluster::{Fate, MsgKind, NodeId};
 
@@ -424,12 +425,11 @@ impl DistributedEngine {
         };
         let mut out = Vec::with_capacity(pairs.len());
         for (bid, node) in pairs {
-            let allow = |b: u64| b == bid;
             let partial = self.engine(node).execute_partial_filtered(
                 &cube,
                 &resolved,
                 Some(snapshot.clone()),
-                &allow,
+                Arc::new(move |b: u64| b == bid),
             )?;
             let result = QueryResult::finalize(&cube, &resolved, partial);
             out.push((bid, node, fingerprint(&result)));

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use aosi::{
     CacheStats, Epoch, Snapshot, SnapshotCache, Txn, TxnManager, TxnPartitionIndex, VisibilityCache,
 };
-use columnar::{Bitmap, Row};
+use columnar::Row;
 use obs::{Counter, Histogram, ReportBuilder};
 use parking_lot::RwLock;
 
@@ -40,7 +40,8 @@ use crate::ingest::{parse_rows, ParsedBatch};
 use crate::query::{
     AggQueryShape, CachedAgg, PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel,
 };
-use crate::shard::ShardPool;
+use crate::scan::{BrickFilter, ScanFailure, ShardScan, ShardScanOutcome};
+use crate::shard::{ShardPool, TaskHandle};
 use crate::tier::{BrickStore, TierEnforcement, TierStats, TieredStore};
 
 /// Partition key the engine caches visibility artifacts under. Brick
@@ -55,32 +56,13 @@ pub(crate) type BrickKey = (Arc<str>, u64);
 /// brick's visibility build *and* its scan.
 pub(crate) type AggCache = SnapshotCache<BrickKey, Arc<AggQueryShape>, CachedAgg>;
 
-/// How a parallel scan's per-brick partials reach the coordinator
-/// (see [`ScanConfig::merge`]).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum MergePath {
-    /// One task per involved shard: each shard folds its own bricks
-    /// (ascending bid) into a local partial, and the coordinator
-    /// merges one result per shard in shard order. Merge work scales
-    /// with shards, not bricks — the default.
-    #[default]
-    Shard,
-    /// One task per brick, all partials funneled to the coordinator
-    /// and merged there in submission order. Kept as a comparison
-    /// point (`scan_bench` measures the difference) and for workloads
-    /// with few, huge bricks per shard.
-    Funnel,
-}
-
 /// How the engine runs brick scans (see [`Engine::with_scan_config`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ScanConfig {
-    /// Dispatch parallel scan tasks when a query matches at least
-    /// this many bricks after pruning; below the threshold the
-    /// engine falls back to the sequential per-shard walk (the
-    /// per-task dispatch overhead is not worth it for tiny scans).
-    /// `usize::MAX` disables the parallel path entirely.
-    pub parallel_threshold: usize,
+    /// Join each shard's scan before submitting the next one, so at
+    /// most one brick is scanned at a time. The differential-testing
+    /// reference runs this way; everything else overlaps the shards.
+    pub sequential: bool,
     /// Visibility-cache capacity in artifacts; `0` disables caching.
     pub cache_capacity: usize,
     /// Aggregate-cache capacity in cached brick partials; `0`
@@ -92,19 +74,15 @@ pub struct ScanConfig {
     /// ([`ScanKernel::Vectorized`] unless diffing against the
     /// row-at-a-time reference).
     pub kernel: ScanKernel,
-    /// How parallel partials merge ([`MergePath::Shard`] unless
-    /// measuring the funnel).
-    pub merge: MergePath,
 }
 
 impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
-            parallel_threshold: 2,
+            sequential: false,
             cache_capacity: 4096,
             agg_cache_capacity: 1024,
             kernel: ScanKernel::Vectorized,
-            merge: MergePath::Shard,
         }
     }
 }
@@ -116,24 +94,21 @@ impl ScanConfig {
     /// engine's own configuration.
     pub fn sequential_uncached() -> Self {
         ScanConfig {
-            parallel_threshold: usize::MAX,
+            sequential: true,
             cache_capacity: 0,
             agg_cache_capacity: 0,
             kernel: ScanKernel::RowAtATime,
-            merge: MergePath::Shard,
         }
     }
 
-    /// Always-parallel with the given cache capacity for both caches
-    /// (benches and stress tests use this to force the interesting
-    /// path).
+    /// The default executor with the given capacity for both caches
+    /// (benches and stress tests size the caches to their workload).
     pub fn parallel_cached(cache_capacity: usize) -> Self {
         ScanConfig {
-            parallel_threshold: 1,
+            sequential: false,
             cache_capacity,
             agg_cache_capacity: cache_capacity,
             kernel: ScanKernel::Vectorized,
-            merge: MergePath::Shard,
         }
     }
 }
@@ -239,11 +214,11 @@ struct EngineMetrics {
     load_nanos: Histogram,
     visibility_build_nanos: Counter,
     scan_nanos: Counter,
-    /// Queries routed down the parallel per-brick scan path.
+    /// Queries whose shard scans overlapped.
     parallel_queries: Counter,
-    /// Queries that took the sequential per-shard walk.
+    /// Queries run with [`ScanConfig::sequential`] set.
     sequential_queries: Counter,
-    /// Wall time of individual brick-scan tasks (both paths).
+    /// Wall time of individual brick scans.
     scan_task_nanos: Histogram,
 }
 
@@ -323,8 +298,8 @@ impl Engine {
         self.tier.as_ref()
     }
 
-    /// Reconfigures how scans run (parallel threshold, cache
-    /// capacities, merge path). Choose before serving queries:
+    /// Reconfigures how scans run (sequential mode, cache
+    /// capacities, kernel). Choose before serving queries:
     /// swapping the config replaces both caches.
     pub fn with_scan_config(mut self, config: ScanConfig) -> Self {
         self.scan_config = config;
@@ -1068,8 +1043,6 @@ impl Engine {
             ScanConfig::sequential_uncached(),
             None,
             None,
-            None,
-            None,
         )?;
         Ok(QueryResult::finalize(&cube, &resolved, merged))
     }
@@ -1098,8 +1071,6 @@ impl Engine {
             &resolved,
             Some(snapshot.clone()),
             self.scan_config,
-            self.vis_cache.clone(),
-            self.agg_cache.clone(),
             None,
             Some(&mut forward),
         )?;
@@ -1150,108 +1121,15 @@ impl Engine {
     ) -> Result<Vec<PartialResult>, CubrickError> {
         let cube = self.cube(cube)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let cube_key: Arc<str> = Arc::from(cube.name());
-        let shape = Arc::new(AggQueryShape::of(&resolved, self.scan_config.kernel));
-        let mut per_shard_bids: Vec<Vec<u64>> = self.shards.map_shards(|_| {
-            let name = cube.name().to_owned();
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                bricks
-                    .get(&name)
-                    .map(|m| {
-                        let mut bids: Vec<u64> = m.keys().copied().collect();
-                        bids.sort_unstable();
-                        bids
-                    })
-                    .unwrap_or_default()
-            })
-        });
-        if let Some(tier) = &self.tier {
-            let mut resort = false;
-            for bid in tier.spilled_bids(cube.name()) {
-                let shard = self.shards.shard_of(bid);
-                if !per_shard_bids[shard].contains(&bid) {
-                    per_shard_bids[shard].push(bid);
-                    resort = true;
-                }
-            }
-            if resort {
-                for bids in &mut per_shard_bids {
-                    bids.sort_unstable();
-                }
-            }
-        }
+        let config = self.scan_config;
+        let scan = self.shard_scan(&cube, &resolved, Some(snapshot.clone()), config, None);
         let mut out = Vec::new();
-        for (shard, bids) in per_shard_bids.into_iter().enumerate() {
-            let targets: Vec<u64> = bids
-                .into_iter()
-                .filter(|&bid| resolved.brick_can_match(&cube, bid))
-                .collect();
-            if targets.is_empty() {
-                continue;
-            }
-            let task_cube = cube.clone();
-            let resolved = resolved.clone();
-            let snapshot = snapshot.clone();
-            let cache = self.vis_cache.clone();
-            let agg_cache = self.agg_cache.clone();
-            let cube_key = Arc::clone(&cube_key);
-            let shape = Arc::clone(&shape);
-            let kernel = self.scan_config.kernel;
-            let tier = self.tier.clone();
-            let handle = self.shards.submit_handle(shard, move |bricks| {
-                let mut partials = Vec::new();
-                for &bid in &targets {
-                    let key: BrickKey = (Arc::clone(&cube_key), bid);
-                    match tier_prepare_brick(
-                        tier.as_ref(),
-                        &task_cube,
-                        bid,
-                        &key,
-                        Some(&snapshot),
-                        agg_cache.as_deref(),
-                        &shape,
-                        bricks,
-                    ) {
-                        Ok(TierPrepared::Resident) | Ok(TierPrepared::Reloaded) => {}
-                        Ok(TierPrepared::Served(served)) => {
-                            partials.push(served);
-                            continue;
-                        }
-                        Err(reason) => return Err((bid, reason)),
-                    }
-                    let Some(brick) = bricks.get(task_cube.name()).and_then(|m| m.get(&bid)) else {
-                        continue;
-                    };
-                    partials.push(scan_one_brick(
-                        brick,
-                        &resolved,
-                        Some(&snapshot),
-                        cache.as_deref(),
-                        agg_cache.as_deref(),
-                        &key,
-                        &shape,
-                        kernel,
-                    ));
-                }
-                Ok(partials)
-            });
-            match handle.join() {
-                Ok(Ok(partials)) => out.extend(partials),
-                Ok(Err((bid, reason))) => {
-                    return Err(CubrickError::TierReloadFailed {
-                        cube: cube.name().to_owned(),
-                        bid,
-                        reason,
-                    });
-                }
-                Err(_) => {
-                    return Err(CubrickError::ScanTaskPanicked {
-                        cube: cube.name().to_owned(),
-                        bid: None,
-                    });
-                }
-            }
-        }
+        self.scan_shards(
+            scan,
+            config.sequential,
+            Vec::push,
+            |partials: Vec<PartialResult>, _| out.extend(partials),
+        )?;
         Ok(out)
     }
 
@@ -1298,16 +1176,7 @@ impl Engine {
         resolved: &ResolvedQuery,
         snapshot: Option<Snapshot>,
     ) -> Result<PartialResult, CubrickError> {
-        self.execute_partial_with(
-            cube,
-            resolved,
-            snapshot,
-            self.scan_config,
-            self.vis_cache.clone(),
-            self.agg_cache.clone(),
-            None,
-            None,
-        )
+        self.execute_partial_with(cube, resolved, snapshot, self.scan_config, None, None)
     }
 
     /// [`Engine::execute_partial`] restricted to bricks `allowed`
@@ -1319,443 +1188,151 @@ impl Engine {
         cube: &Cube,
         resolved: &ResolvedQuery,
         snapshot: Option<Snapshot>,
-        allowed: &dyn Fn(u64) -> bool,
+        allowed: BrickFilter,
     ) -> Result<PartialResult, CubrickError> {
-        self.execute_partial_with(
-            cube,
-            resolved,
-            snapshot,
-            self.scan_config,
-            self.vis_cache.clone(),
-            self.agg_cache.clone(),
-            Some(allowed),
-            None,
-        )
+        let config = self.scan_config;
+        self.execute_partial_with(cube, resolved, snapshot, config, Some(allowed), None)
     }
 
-    /// The scan executor behind every query path.
-    ///
-    /// Every path works from one deterministic work list — each
-    /// shard's bids sorted ascending, pruned at the caller — and
-    /// every path merges partials in that order: shard ascending,
-    /// brick ascending within the shard. The default
-    /// [`MergePath::Shard`] runs one task per involved shard (each
-    /// folds its own bricks locally, the coordinator merges the shard
-    /// partials in shard order), [`MergePath::Funnel`] funnels one
-    /// task per brick through the coordinator, and the sequential
-    /// fallback joins each shard task before submitting the next. All
-    /// three fold the exact same sequence of brick partials, so every
-    /// execution is byte-identical (aggregate sums over the
-    /// workload's integer-valued floats are exact and
-    /// order-independent; the deterministic order removes even the
-    /// merge-order variable).
+    /// The coordinator behind every merged query path: one
+    /// [`ShardScan`] per shard, each shard folding its own bricks
+    /// (ascending bid) into a local partial, the shard partials merged
+    /// here in shard order. Every execution therefore folds the exact
+    /// same sequence of brick partials and is byte-identical
+    /// (aggregate sums over the workload's integer-valued floats are
+    /// exact and order-independent; the deterministic order removes
+    /// even the merge-order variable). `config.sequential` only
+    /// decides whether the shards overlap.
     ///
     /// `progress`, when supplied, observes the merged-so-far partial
-    /// after each coordinator-side merge — the progressive query
-    /// protocol's refinement stream.
-    ///
-    /// Bricks created *after* enumeration are safe to miss: a brick
-    /// can only appear via a flush whose transaction either committed
-    /// before the snapshot was taken (its bricks already existed) or
-    /// is excluded by the snapshot's epoch/deps, so the rows such a
-    /// brick holds are invisible to `snapshot` anyway. RU scans have
-    /// no snapshot and are best-effort by definition.
-    #[allow(clippy::too_many_arguments)]
+    /// after each shard that had bricks to scan — the progressive
+    /// query protocol's refinement stream.
     fn execute_partial_with(
         &self,
         cube: &Cube,
         resolved: &ResolvedQuery,
         snapshot: Option<Snapshot>,
         config: ScanConfig,
-        cache: Option<Arc<VisibilityCache<BrickKey>>>,
-        agg_cache: Option<Arc<AggCache>>,
-        allowed: Option<&dyn Fn(u64) -> bool>,
+        allowed: Option<BrickFilter>,
         mut progress: Option<&mut dyn FnMut(&PartialResult)>,
     ) -> Result<PartialResult, CubrickError> {
-        let shape = Arc::new(AggQueryShape::of(resolved, config.kernel));
-        let cube_key: Arc<str> = Arc::from(cube.name());
-        let mut per_shard_bids: Vec<Vec<u64>> = self.shards.map_shards(|_| {
-            let name = cube.name().to_owned();
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                bricks
-                    .get(&name)
-                    .map(|m| {
-                        let mut bids: Vec<u64> = m.keys().copied().collect();
-                        bids.sort_unstable();
-                        bids
-                    })
-                    .unwrap_or_default()
-            })
-        });
-        // Evicted bricks are still part of the cube: union them into
-        // the work list so the scan tasks fault them in (or serve them
-        // from a warm aggregate partial) behind the scan gate.
-        if let Some(tier) = &self.tier {
-            let mut resort = false;
-            for bid in tier.spilled_bids(cube.name()) {
-                let shard = self.shards.shard_of(bid);
-                if !per_shard_bids[shard].contains(&bid) {
-                    per_shard_bids[shard].push(bid);
-                    resort = true;
-                }
-            }
-            if resort {
-                for bids in &mut per_shard_bids {
-                    bids.sort_unstable();
-                }
-            }
-        }
-        let mut pruned = 0u64;
-        let mut per_shard_targets: Vec<Vec<u64>> = Vec::with_capacity(per_shard_bids.len());
-        for bids in per_shard_bids {
-            let mut targets = Vec::with_capacity(bids.len());
-            for bid in bids {
-                // Bricks the read router assigned to another replica
-                // are someone else's to scan — not "pruned" (the
-                // cluster still reads them, just elsewhere).
-                if let Some(allowed) = allowed {
-                    if !allowed(bid) {
-                        continue;
-                    }
-                }
-                if resolved.brick_can_match(cube, bid) {
-                    targets.push(bid);
-                } else {
-                    pruned += 1;
-                }
-            }
-            per_shard_targets.push(targets);
-        }
-        let total_targets: usize = per_shard_targets.iter().map(Vec::len).sum();
-
-        let mut merged = PartialResult::default();
-        merged.stats.bricks_pruned = pruned;
-
-        if total_targets >= config.parallel_threshold && config.merge == MergePath::Shard {
-            // Default parallel path: one task per *involved shard*.
-            // Each task folds its own bricks (sorted ascending) into a
-            // single local partial, so the coordinator merges one
-            // partial per shard instead of funneling every brick's
-            // group table through a single thread. Per-brick
-            // `catch_unwind` keeps panic attribution exact: the task
-            // reports which brick blew up, the shard thread survives,
-            // and the query fails with the same typed error the
-            // funnel path produces.
-            self.metrics.parallel_queries.inc();
-            let mut handles = Vec::new();
-            for (shard, targets) in per_shard_targets.iter().enumerate() {
-                if targets.is_empty() {
-                    continue;
-                }
-                merged.stats.parallel_tasks += 1;
-                let task_cube = cube.clone();
-                let resolved = resolved.clone();
-                let snapshot = snapshot.clone();
-                let cache = cache.clone();
-                let agg_cache = agg_cache.clone();
-                let cube_key = Arc::clone(&cube_key);
-                let shape = Arc::clone(&shape);
-                let kernel = config.kernel;
-                let targets = targets.clone();
-                let panic_injected: Vec<u64> = {
-                    let set = self.panic_bids.read();
-                    targets
-                        .iter()
-                        .copied()
-                        .filter(|b| set.contains(b))
-                        .collect()
-                };
-                let tier = self.tier.clone();
-                let handle = self.shards.submit_handle(shard, move |bricks| {
-                    let mut partial = PartialResult::default();
-                    let mut task_nanos = Vec::new();
-                    for &bid in &targets {
-                        let key: BrickKey = (Arc::clone(&cube_key), bid);
-                        match tier_prepare_brick(
-                            tier.as_ref(),
-                            &task_cube,
-                            bid,
-                            &key,
-                            snapshot.as_ref(),
-                            agg_cache.as_deref(),
-                            &shape,
-                            bricks,
-                        ) {
-                            Ok(TierPrepared::Resident) => {}
-                            Ok(TierPrepared::Reloaded) => partial.stats.tier_reloads += 1,
-                            Ok(TierPrepared::Served(served)) => {
-                                partial.merge(served);
-                                continue;
-                            }
-                            Err(reason) => return Err((bid, Some(reason))),
-                        }
-                        let Some(brick) = bricks.get(task_cube.name()).and_then(|m| m.get(&bid))
-                        else {
-                            // Dropped between enumeration and scan
-                            // (DDL): nothing to see.
-                            continue;
-                        };
-                        let started = Instant::now();
-                        let scanned =
-                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                if panic_injected.contains(&bid) {
-                                    panic!("injected scan panic for brick {bid}");
-                                }
-                                scan_one_brick(
-                                    brick,
-                                    &resolved,
-                                    snapshot.as_ref(),
-                                    cache.as_deref(),
-                                    agg_cache.as_deref(),
-                                    &key,
-                                    &shape,
-                                    kernel,
-                                )
-                            }))
-                            .map_err(|_| (bid, None))?;
-                        task_nanos.push(started.elapsed().as_nanos() as u64);
-                        partial.merge(scanned);
-                    }
-                    Ok((partial, task_nanos))
-                });
-                handles.push(handle);
-            }
-            // Join in shard order: a panicking brick (or a failed
-            // tier reload) fails the whole query with a typed error —
-            // never a partial result.
-            for handle in handles {
-                match handle.join() {
-                    Ok(Ok((partial, nanos))) => {
-                        for n in nanos {
-                            self.metrics.scan_task_nanos.record(n);
-                        }
-                        merged.merge(partial);
-                        if let Some(observe) = progress.as_mut() {
-                            observe(&merged);
-                        }
-                    }
-                    Ok(Err((bid, None))) => {
-                        return Err(CubrickError::ScanTaskPanicked {
-                            cube: cube.name().to_owned(),
-                            bid: Some(bid),
-                        });
-                    }
-                    Ok(Err((bid, Some(reason)))) => {
-                        return Err(CubrickError::TierReloadFailed {
-                            cube: cube.name().to_owned(),
-                            bid,
-                            reason,
-                        });
-                    }
-                    Err(_) => {
-                        return Err(CubrickError::ScanTaskPanicked {
-                            cube: cube.name().to_owned(),
-                            bid: None,
-                        });
-                    }
-                }
-            }
-        } else if total_targets >= config.parallel_threshold {
-            // Funnel path (`MergePath::Funnel`): one task per brick,
-            // every brick partial merged by the coordinator thread.
-            // Kept as the pre-shard-merge baseline the bench suite
-            // compares against.
-            self.metrics.parallel_queries.inc();
-            merged.stats.parallel_tasks = total_targets as u64;
-            let mut handles = Vec::with_capacity(total_targets);
-            for targets in &per_shard_targets {
-                for &bid in targets {
-                    let cube = cube.clone();
-                    let resolved = resolved.clone();
-                    let snapshot = snapshot.clone();
-                    let cache = cache.clone();
-                    let agg_cache = agg_cache.clone();
-                    let key: BrickKey = (Arc::clone(&cube_key), bid);
-                    let shape = Arc::clone(&shape);
-                    let kernel = config.kernel;
-                    let panic_injected = self.panic_bids.read().contains(&bid);
-                    let tier = self.tier.clone();
-                    let handle =
-                        self.shards
-                            .submit_handle(self.shards.shard_of(bid), move |bricks| {
-                                if panic_injected {
-                                    panic!("injected scan panic for brick {bid}");
-                                }
-                                let reloaded = match tier_prepare_brick(
-                                    tier.as_ref(),
-                                    &cube,
-                                    bid,
-                                    &key,
-                                    snapshot.as_ref(),
-                                    agg_cache.as_deref(),
-                                    &shape,
-                                    bricks,
-                                )? {
-                                    TierPrepared::Served(served) => return Ok((served, 0u64)),
-                                    TierPrepared::Resident => false,
-                                    TierPrepared::Reloaded => true,
-                                };
-                                let Some(brick) = bricks.get(cube.name()).and_then(|m| m.get(&bid))
-                                else {
-                                    // Dropped between enumeration and
-                                    // scan (DDL): nothing to see.
-                                    return Ok((PartialResult::default(), 0u64));
-                                };
-                                let started = Instant::now();
-                                let mut partial = scan_one_brick(
-                                    brick,
-                                    &resolved,
-                                    snapshot.as_ref(),
-                                    cache.as_deref(),
-                                    agg_cache.as_deref(),
-                                    &key,
-                                    &shape,
-                                    kernel,
-                                );
-                                if reloaded {
-                                    partial.stats.tier_reloads = 1;
-                                }
-                                Ok((partial, started.elapsed().as_nanos() as u64))
-                            });
-                    handles.push((bid, handle));
-                }
-            }
-            // Join in submission order: a panicking task (or failed
-            // tier reload) fails the whole query with a typed error —
-            // never a partial result.
-            for (bid, handle) in handles {
-                match handle.join() {
-                    Ok(Ok((partial, task_nanos))) => {
-                        self.metrics.scan_task_nanos.record(task_nanos);
-                        merged.merge(partial);
-                        if let Some(observe) = progress.as_mut() {
-                            observe(&merged);
-                        }
-                    }
-                    Ok(Err(reason)) => {
-                        return Err(CubrickError::TierReloadFailed {
-                            cube: cube.name().to_owned(),
-                            bid,
-                            reason,
-                        });
-                    }
-                    Err(_) => {
-                        return Err(CubrickError::ScanTaskPanicked {
-                            cube: cube.name().to_owned(),
-                            bid: Some(bid),
-                        });
-                    }
-                }
-            }
-        } else {
-            // Sequential fallback: one task per involved shard walks
-            // its own bids in sorted order, and each task is joined
-            // before the next is submitted — no concurrency at all.
-            // Below the threshold the query touches so few bricks
-            // that waking every shard thread costs more than it buys;
-            // this is also the reference executor's semantics
-            // (`query_at_reference`), so "sequential" genuinely means
-            // one brick scan at a time.
+        let scan = self.shard_scan(cube, resolved, snapshot, config, allowed);
+        if config.sequential {
             self.metrics.sequential_queries.inc();
-            for (shard, targets) in per_shard_targets.into_iter().enumerate() {
-                if targets.is_empty() {
-                    continue;
-                }
-                let task_cube = cube.clone();
-                let resolved = resolved.clone();
-                let snapshot = snapshot.clone();
-                let cache = cache.clone();
-                let agg_cache = agg_cache.clone();
-                let cube_key = Arc::clone(&cube_key);
-                let shape = Arc::clone(&shape);
-                let kernel = config.kernel;
-                let panic_injected: Vec<u64> = {
-                    let set = self.panic_bids.read();
-                    targets
-                        .iter()
-                        .copied()
-                        .filter(|b| set.contains(b))
-                        .collect()
-                };
-                let tier = self.tier.clone();
-                let handle = self.shards.submit_handle(shard, move |bricks| {
-                    let mut partial = PartialResult::default();
-                    let mut task_nanos = Vec::new();
-                    for &bid in &targets {
-                        if panic_injected.contains(&bid) {
-                            panic!("injected scan panic for brick {bid}");
-                        }
-                        let key: BrickKey = (Arc::clone(&cube_key), bid);
-                        match tier_prepare_brick(
-                            tier.as_ref(),
-                            &task_cube,
-                            bid,
-                            &key,
-                            snapshot.as_ref(),
-                            agg_cache.as_deref(),
-                            &shape,
-                            bricks,
-                        ) {
-                            Ok(TierPrepared::Resident) => {}
-                            Ok(TierPrepared::Reloaded) => partial.stats.tier_reloads += 1,
-                            Ok(TierPrepared::Served(served)) => {
-                                partial.merge(served);
-                                continue;
-                            }
-                            Err(reason) => return Err((bid, reason)),
-                        }
-                        let Some(brick) = bricks.get(task_cube.name()).and_then(|m| m.get(&bid))
-                        else {
-                            continue;
-                        };
-                        let started = Instant::now();
-                        let scanned = scan_one_brick(
-                            brick,
-                            &resolved,
-                            snapshot.as_ref(),
-                            cache.as_deref(),
-                            agg_cache.as_deref(),
-                            &key,
-                            &shape,
-                            kernel,
-                        );
-                        task_nanos.push(started.elapsed().as_nanos() as u64);
-                        partial.merge(scanned);
-                    }
-                    Ok((partial, task_nanos))
-                });
-                match handle.join() {
-                    Ok(Ok((partial, nanos))) => {
-                        for n in nanos {
-                            self.metrics.scan_task_nanos.record(n);
-                        }
-                        merged.merge(partial);
-                        if let Some(observe) = progress.as_mut() {
-                            observe(&merged);
-                        }
-                    }
-                    Ok(Err((bid, reason))) => {
-                        return Err(CubrickError::TierReloadFailed {
-                            cube: cube.name().to_owned(),
-                            bid,
-                            reason,
-                        });
-                    }
-                    Err(_) => {
-                        return Err(CubrickError::ScanTaskPanicked {
-                            cube: cube.name().to_owned(),
-                            bid: None,
-                        });
-                    }
-                }
-            }
+        } else {
+            self.metrics.parallel_queries.inc();
         }
-
+        let mut merged = PartialResult::default();
+        self.scan_shards(
+            scan,
+            config.sequential,
+            PartialResult::merge,
+            |partial: PartialResult, outcome| {
+                merged.stats.bricks_pruned += outcome.pruned;
+                if outcome.bricks == 0 {
+                    return;
+                }
+                merged.stats.parallel_tasks += u64::from(!config.sequential);
+                merged.merge(partial);
+                if let Some(observe) = progress.as_mut() {
+                    observe(&merged);
+                }
+            },
+        )?;
         self.metrics
             .visibility_build_nanos
             .add(merged.stats.visibility_build_nanos);
         self.metrics.scan_nanos.add(merged.stats.scan_nanos);
         Ok(merged)
+    }
+
+    /// Builds the per-query scan request. A cache takes part when
+    /// `config` gives it capacity, so the reference configuration
+    /// bypasses both whatever the engine itself runs with.
+    fn shard_scan(
+        &self,
+        cube: &Cube,
+        resolved: &ResolvedQuery,
+        snapshot: Option<Snapshot>,
+        config: ScanConfig,
+        allowed: Option<BrickFilter>,
+    ) -> ShardScan {
+        ShardScan {
+            cube: cube.clone(),
+            cube_key: Arc::from(cube.name()),
+            resolved: resolved.clone(),
+            snapshot,
+            shape: Arc::new(AggQueryShape::of(resolved, config.kernel)),
+            kernel: config.kernel,
+            vis_cache: self.vis_cache.clone().filter(|_| config.cache_capacity > 0),
+            agg_cache: self
+                .agg_cache
+                .clone()
+                .filter(|_| config.agg_cache_capacity > 0),
+            tier: self.tier.clone(),
+            allowed,
+            panic_bids: self.panic_bids.read().clone(),
+            num_shards: self.shards.num_shards(),
+        }
+    }
+
+    /// Submits `scan` to every shard and joins in shard order, handing
+    /// `on_shard` each shard's accumulator (its brick partials folded
+    /// by `absorb`, ascending bid) and outcome. `sequential` joins
+    /// each shard before submitting the next; otherwise all shards
+    /// run at once. A panicking brick or a failed tier reload fails
+    /// the whole query with a typed error — never a partial result.
+    fn scan_shards<A: Default + Send + 'static>(
+        &self,
+        scan: ShardScan,
+        sequential: bool,
+        absorb: fn(&mut A, PartialResult),
+        mut on_shard: impl FnMut(A, &ShardScanOutcome),
+    ) -> Result<(), CubrickError> {
+        type Joined<A> = Result<(A, ShardScanOutcome), (u64, ScanFailure)>;
+        let scan = Arc::new(scan);
+        let mut join = |handle: TaskHandle<Joined<A>>| {
+            let cube = || scan.cube.name().to_owned();
+            match handle.join() {
+                Ok(Ok((acc, outcome))) => {
+                    for &nanos in &outcome.scan_task_nanos {
+                        self.metrics.scan_task_nanos.record(nanos);
+                    }
+                    on_shard(acc, &outcome);
+                    Ok(())
+                }
+                Ok(Err((bid, ScanFailure::Panicked))) => Err(CubrickError::ScanTaskPanicked {
+                    cube: cube(),
+                    bid: Some(bid),
+                }),
+                Ok(Err((bid, ScanFailure::TierReload(reason)))) => {
+                    Err(CubrickError::TierReloadFailed {
+                        cube: cube(),
+                        bid,
+                        reason,
+                    })
+                }
+                Err(_) => Err(CubrickError::ScanTaskPanicked {
+                    cube: cube(),
+                    bid: None,
+                }),
+            }
+        };
+        let mut pending = Vec::new();
+        for shard in 0..self.shards.num_shards() {
+            let task = Arc::clone(&scan);
+            let handle = self.shards.submit_handle(shard, move |bricks| {
+                let mut acc = A::default();
+                let outcome = task.run(shard, bricks, |partial| absorb(&mut acc, partial))?;
+                Ok((acc, outcome))
+            });
+            if sequential {
+                join(handle)?;
+            } else {
+                pending.push(handle);
+            }
+        }
+        pending.into_iter().try_for_each(join)
     }
 
     /// Partition-level delete: marks every brick whose entire
@@ -2024,192 +1601,6 @@ fn invalidate_brick(
     if let Some(cache) = agg {
         cache.invalidate(key);
     }
-}
-
-/// What [`tier_prepare_brick`] decided about one work-list brick.
-enum TierPrepared {
-    /// Nothing tiered to do: the brick is resident (or gone entirely,
-    /// which the caller's own map lookup handles).
-    Resident,
-    /// The brick was evicted and has been faulted back in; scan it.
-    Reloaded,
-    /// The brick stays on disk: a warm aggregate-cache partial — keyed
-    /// on the retained epochs vector, whose generation eviction
-    /// preserved — answered for it.
-    Served(PartialResult),
-}
-
-/// Runs on the owning shard thread before a work-list brick is
-/// scanned, when tiered storage is on. Resident bricks get a recency
-/// touch (feeding eviction ranking); evicted bricks are either
-/// answered from the aggregate cache without touching disk or faulted
-/// back in behind the scan gate. `Err` carries the reload failure
-/// reason — the query must fail, a partial aggregate missing one
-/// brick's rows would be silently wrong.
-#[allow(clippy::too_many_arguments)]
-fn tier_prepare_brick(
-    tier: Option<&Arc<TieredStore>>,
-    cube: &Cube,
-    bid: u64,
-    key: &BrickKey,
-    snapshot: Option<&Snapshot>,
-    agg_cache: Option<&AggCache>,
-    shape: &Arc<AggQueryShape>,
-    bricks: &mut crate::shard::ShardBricks,
-) -> Result<TierPrepared, String> {
-    let Some(tier) = tier else {
-        return Ok(TierPrepared::Resident);
-    };
-    if bricks
-        .get(cube.name())
-        .is_some_and(|m| m.contains_key(&bid))
-    {
-        tier.touch(cube.name(), bid);
-        return Ok(TierPrepared::Resident);
-    }
-    if !tier.is_spilled(cube.name(), bid) {
-        // Dropped between enumeration and scan (DDL): the caller's
-        // map lookup skips it.
-        return Ok(TierPrepared::Resident);
-    }
-    if let (Some(agg_cache), Some(snap)) = (agg_cache, snapshot) {
-        if let Some(epochs) = tier.spilled_epochs(cube.name(), bid) {
-            if let Some(cached) = agg_cache.peek(key, &epochs, snap, Arc::clone(shape)) {
-                tier.note_cache_serve();
-                let mut partial = cached.replay();
-                partial.stats.tier_cache_serves = 1;
-                return Ok(TierPrepared::Served(partial));
-            }
-        }
-    }
-    tier.reload_into(cube, bid, bricks)
-        .map(|_| TierPrepared::Reloaded)
-}
-
-/// Scans one brick, consulting the aggregate cache first: a hit
-/// replays the brick's grouped [`crate::AggState`] table without
-/// touching the brick's columns (the visibility build is skipped
-/// too — the cached partial was keyed on the same generation +
-/// snapshot that a fresh build would use). Runs on the shard thread
-/// that owns the brick, which is what makes both cache probes
-/// race-free.
-///
-/// RU scans (no snapshot) bypass both caches — there is no snapshot
-/// to key on.
-#[allow(clippy::too_many_arguments)]
-fn scan_one_brick(
-    brick: &Brick,
-    resolved: &ResolvedQuery,
-    snapshot: Option<&Snapshot>,
-    cache: Option<&VisibilityCache<BrickKey>>,
-    agg_cache: Option<&AggCache>,
-    key: &BrickKey,
-    shape: &Arc<AggQueryShape>,
-    kernel: ScanKernel,
-) -> PartialResult {
-    let (Some(agg_cache), Some(snap)) = (agg_cache, snapshot) else {
-        return scan_one_brick_uncached(brick, resolved, snapshot, cache, key, kernel);
-    };
-    // On a miss the builder runs the real scan and hands the cache a
-    // scrubbed capture, keeping the full partial (live work counters
-    // included) for this query's own result.
-    let mut fresh: Option<PartialResult> = None;
-    let (cached, _hit) =
-        agg_cache.get_or_build(key, brick.epochs(), snap, Arc::clone(shape), || {
-            let scanned = scan_one_brick_uncached(brick, resolved, snapshot, cache, key, kernel);
-            let captured = CachedAgg::capture(&scanned);
-            fresh = Some(scanned);
-            captured
-        });
-    match fresh {
-        Some(mut scanned) => {
-            scanned.stats.agg_cache_misses = 1;
-            scanned
-        }
-        None => cached.replay(),
-    }
-}
-
-/// Scans one brick under an optional snapshot, consulting the
-/// visibility cache when one is configured. Runs on the shard thread
-/// that owns the brick, which is what makes the cache probe
-/// race-free: the brick cannot mutate underneath the lookup, and any
-/// insert lands before the shard applies a later mutation.
-///
-/// RU scans (no snapshot) bypass the cache — there is no snapshot to
-/// key on and the artifact is trivial.
-fn scan_one_brick_uncached(
-    brick: &Brick,
-    resolved: &ResolvedQuery,
-    snapshot: Option<&Snapshot>,
-    cache: Option<&VisibilityCache<BrickKey>>,
-    key: &BrickKey,
-    kernel: ScanKernel,
-) -> PartialResult {
-    let mut hits = 0u64;
-    let mut misses = 0u64;
-    let vis_started = Instant::now();
-    let mut scanned = if resolved.filters.is_empty() {
-        // Unfiltered scans never need a bitmap: walk the visible
-        // ranges (SI) or the whole brick (RU) directly.
-        let ranges: Arc<Vec<std::ops::Range<u64>>> = match snapshot {
-            Some(snap) => match cache {
-                Some(cache) => {
-                    let (ranges, hit) = cache.ranges(key, brick.epochs(), snap);
-                    if hit {
-                        hits = 1;
-                    } else {
-                        misses = 1;
-                    }
-                    ranges
-                }
-                None => Arc::new(brick.epochs().visible_ranges(snap)),
-            },
-            #[allow(clippy::single_range_in_vec_init)]
-            None => Arc::new(vec![0..brick.row_count()]),
-        };
-        let vis_nanos = vis_started.elapsed();
-        let scan_started = Instant::now();
-        let mut scanned = match kernel {
-            ScanKernel::Vectorized => {
-                crate::query::scan_brick_ranges_vectorized(brick, &ranges, resolved)
-            }
-            ScanKernel::RowAtATime => crate::query::scan_brick_ranges(brick, &ranges, resolved),
-        };
-        scanned.stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        scanned.stats.visibility_build_nanos = vis_nanos.as_nanos() as u64;
-        scanned
-    } else {
-        let visibility: Arc<Bitmap> = match snapshot {
-            Some(snap) => match cache {
-                Some(cache) => {
-                    let (bitmap, hit) = cache.bitmap(key, brick.epochs(), snap);
-                    if hit {
-                        hits = 1;
-                    } else {
-                        misses = 1;
-                    }
-                    bitmap
-                }
-                None => Arc::new(brick.visibility(snap)),
-            },
-            None => Arc::new(brick.all_rows()),
-        };
-        let vis_nanos = vis_started.elapsed();
-        let scan_started = Instant::now();
-        let mut scanned = match kernel {
-            ScanKernel::Vectorized => {
-                crate::query::scan_brick_shared_vectorized(brick, &visibility, resolved)
-            }
-            ScanKernel::RowAtATime => crate::query::scan_brick_shared(brick, &visibility, resolved),
-        };
-        scanned.stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-        scanned.stats.visibility_build_nanos = vis_nanos.as_nanos() as u64;
-        scanned
-    };
-    scanned.stats.vis_cache_hits = hits;
-    scanned.stats.vis_cache_misses = misses;
-    scanned
 }
 
 impl std::fmt::Debug for Engine {
@@ -2764,8 +2155,8 @@ mod tests {
     }
 
     fn spread_load(engine: &Engine) {
-        // Rows landing in several bricks so the parallel path engages
-        // (threshold 2), with repeats so epochs vectors grow.
+        // Rows landing in several bricks on every shard, with repeats
+        // so epochs vectors grow.
         for round in 0..4 {
             let rows: Vec<Row> = (0..16)
                 .map(|i| row(["us", "br", "mx", "de"][i % 4], i as i64, i as i64, 0.5))
@@ -2819,9 +2210,9 @@ mod tests {
     }
 
     #[test]
-    fn sequential_threshold_keeps_small_scans_off_the_pool() {
+    fn sequential_mode_joins_shards_one_at_a_time() {
         let engine = engine().with_scan_config(ScanConfig {
-            parallel_threshold: usize::MAX,
+            sequential: true,
             cache_capacity: 64,
             ..ScanConfig::default()
         });
@@ -2867,6 +2258,42 @@ mod tests {
         engine.clear_scan_panics_for_test();
         let sum = sum_likes(&engine, IsolationMode::Snapshot);
         assert_eq!(sum, 4.0 * (0..16).sum::<i64>() as f64);
+    }
+
+    /// Regression: the reference path (and the per-brick-partials
+    /// path) used to let a brick panic unwind the whole shard task,
+    /// reporting `bid: None` — or, for `query_brick_partials`, to
+    /// ignore the injection altogether.
+    #[test]
+    fn reference_path_attributes_the_panicking_brick() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let snapshot = Snapshot::committed(engine.manager().lce());
+        let bids = engine.brick_bids("events");
+        let poisoned = *bids.last().unwrap();
+        engine.inject_scan_panic_for_test(poisoned);
+        let reference = engine.query_at_reference("events", &query, &snapshot);
+        let partials = engine
+            .query_brick_partials("events", &query, &snapshot)
+            .map(|_| ());
+        for err in [reference.map(|_| ()).unwrap_err(), partials.unwrap_err()] {
+            match err {
+                CubrickError::ScanTaskPanicked { cube, bid } => {
+                    assert_eq!(cube, "events");
+                    assert_eq!(bid, Some(poisoned));
+                }
+                other => panic!("expected ScanTaskPanicked, got {other:?}"),
+            }
+        }
+        // The brick's panic never reached the pool: no shard task
+        // unwound, and the same engine answers again once cleared.
+        assert_eq!(engine.shards().panics_caught(), 0);
+        engine.clear_scan_panics_for_test();
+        let healed = engine
+            .query_at_reference("events", &query, &snapshot)
+            .unwrap();
+        assert_eq!(healed.scalar(), Some(4.0 * (0..16).sum::<i64>() as f64));
     }
 
     #[test]
@@ -2983,43 +2410,6 @@ mod tests {
     }
 
     #[test]
-    fn funnel_and_shard_merge_paths_are_bit_identical() {
-        let shard_engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
-        let funnel_engine = engine().with_scan_config(ScanConfig {
-            merge: MergePath::Funnel,
-            ..ScanConfig::parallel_cached(256)
-        });
-        spread_load(&shard_engine);
-        spread_load(&funnel_engine);
-        let queries = vec![
-            Query::aggregate(vec![
-                Aggregation::new(AggFn::Sum, "likes"),
-                Aggregation::new(AggFn::Avg, "score"),
-                Aggregation::new(AggFn::Count, "likes"),
-            ]),
-            Query::aggregate(vec![
-                Aggregation::new(AggFn::Min, "likes"),
-                Aggregation::new(AggFn::Max, "score"),
-            ])
-            .grouped_by("region")
-            .grouped_by("day"),
-        ];
-        for query in &queries {
-            let a = shard_engine
-                .query("events", query, IsolationMode::Snapshot)
-                .unwrap();
-            let b = funnel_engine
-                .query("events", query, IsolationMode::Snapshot)
-                .unwrap();
-            assert_rows_identical(&a, &b);
-            // Shard merge dispatches one task per involved shard;
-            // the funnel dispatches one per brick.
-            assert!(a.stats.parallel_tasks > 0);
-            assert!(b.stats.parallel_tasks >= a.stats.parallel_tasks);
-        }
-    }
-
-    #[test]
     fn brick_partials_roundtrip_through_finalize() {
         let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
         spread_load(&engine);
@@ -3119,6 +2509,39 @@ mod tests {
             tiered.tier_stats().unwrap().reloads > 0,
             "scans faulted the evicted bricks back in"
         );
+    }
+
+    /// Regression: `query_brick_partials` used to discard the
+    /// fault-in accounting, so a reloaded brick reported 0 reloads.
+    #[test]
+    fn brick_partials_account_for_tier_reloads() {
+        let tiered = tiered_engine(1); // evict every clean brick
+        let plain = engine();
+        spread_load(&tiered);
+        spread_load(&plain);
+        // LSE advance without a purge on either side: the evicted and
+        // the resident bricks keep identical epochs vectors.
+        for e in [&tiered, &plain] {
+            e.manager().advance_lse(e.manager().lce()).unwrap();
+        }
+        let evicted = tiered.enforce_tier_budget().evicted;
+        assert_eq!(evicted, tiered.brick_bids("events").len() as u64);
+        let query = Query::aggregate(vec![
+            Aggregation::new(AggFn::Sum, "likes"),
+            Aggregation::new(AggFn::Avg, "score"),
+        ])
+        .grouped_by("region");
+        let snapshot = Snapshot::committed(tiered.manager().lce());
+        let partials = tiered
+            .query_brick_partials("events", &query, &snapshot)
+            .unwrap();
+        let reloads: u64 = partials.iter().map(|p| p.stats.tier_reloads).sum();
+        assert_eq!(reloads, evicted);
+        let finalized = tiered
+            .finalize_partials("events", &query, partials)
+            .unwrap();
+        let direct = plain.query_at("events", &query, &snapshot).unwrap();
+        assert_rows_identical(&finalized, &direct);
     }
 
     #[test]

@@ -67,6 +67,7 @@ mod ingest;
 mod maintenance;
 mod persist;
 mod query;
+mod scan;
 mod shard;
 pub mod sql;
 mod tier;
@@ -79,8 +80,8 @@ pub use distributed::{DistributedEngine, DistributedLoadOutcome, ElasticConfig};
 #[doc(hidden)]
 pub use elastic::HandoffBreak;
 pub use engine::{
-    Engine, EngineMemory, EngineOpStats, IsolationMode, LoadOutcome, LoadStageTimings, MergePath,
-    PurgeStats, ScanConfig,
+    Engine, EngineMemory, EngineOpStats, IsolationMode, LoadOutcome, LoadStageTimings, PurgeStats,
+    ScanConfig,
 };
 pub use error::CubrickError;
 pub use ingest::{parse_rows, ParsedBatch, ParsedRecord};

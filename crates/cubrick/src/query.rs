@@ -253,10 +253,9 @@ pub struct QueryStats {
     pub vis_cache_hits: u64,
     /// Visibility artifacts the cache had to materialize.
     pub vis_cache_misses: u64,
-    /// Per-brick scan tasks dispatched through the parallel path
-    /// (0 means the query took the sequential per-shard walk). Under
-    /// the default shard-merge path this counts shard tasks; under
-    /// the funnel path it counts brick tasks.
+    /// Shards that had at least one brick to scan for this query and
+    /// ran overlapped (0 on a sequential execution, such as the
+    /// reference path).
     pub parallel_tasks: u64,
     /// Brick partials served straight from the aggregate cache (the
     /// scan and its visibility build were both skipped).

@@ -39,6 +39,12 @@ struct PoolMetrics {
     panics: Counter,
 }
 
+/// The shard owning `bid` in a pool of `num_shards` (callable from a
+/// shard thread, which must not hold the pool itself).
+pub(crate) fn shard_of(bid: u64, num_shards: usize) -> usize {
+    (bid % num_shards as u64) as usize
+}
+
 /// A pool of single-writer shard threads.
 ///
 /// Workers are panic-safe: a panicking task is caught, counted, and
@@ -103,7 +109,7 @@ impl ShardPool {
 
     /// The shard owning `bid`.
     pub fn shard_of(&self, bid: u64) -> usize {
-        (bid % self.senders.len() as u64) as usize
+        shard_of(bid, self.senders.len())
     }
 
     /// Enqueues `task` on `shard` without waiting (loads use this:
@@ -139,8 +145,8 @@ impl ShardPool {
     ///
     /// Handles joined in submission order yield deterministic merges
     /// regardless of which shard finishes first — this is how the
-    /// engine keeps parallel per-brick scans byte-identical to the
-    /// sequential path.
+    /// engine keeps overlapped shard scans byte-identical to the
+    /// sequential reference.
     pub fn submit_handle<R: Send + 'static>(
         &self,
         shard: usize,

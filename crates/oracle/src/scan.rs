@@ -5,10 +5,11 @@
 //! The AOSI-vs-MVCC oracle ([`crate::harness`]) establishes that the
 //! engine's *answers* are right. This layer establishes that the
 //! engine's *fast path* computes the same answers as its slow path:
-//! [`Engine::query_at`] (per-brick parallel fan-out plus the
-//! snapshot-keyed visibility cache) is diffed against
-//! [`Engine::query_at_reference`] (sequential shard walk, cache
-//! bypassed) at every committed checkpoint of a generated schedule,
+//! [`Engine::query_at`] (shards scanned in parallel, vectorized
+//! kernel, snapshot-keyed caches) is diffed against
+//! [`Engine::query_at_reference`] (the same executor one shard at a
+//! time, row-at-a-time kernel, caches bypassed) at every committed
+//! checkpoint of a generated schedule,
 //! at every open transaction's snapshot, and — at quiescence — at
 //! every epoch in the readable window `[LSE, LCE]`, twice, so the
 //! second pass is served from a warm cache and must still agree.
@@ -51,13 +52,12 @@ pub struct ScanReport {
     /// warm path was actually exercised, not just the cold path
     /// twice).
     pub cache_hits: u64,
-    /// Per-brick parallel scan tasks dispatched by the fast path.
+    /// Shards the default path scanned bricks on (overlapped).
     pub parallel_tasks: u64,
 }
 
-/// Builds the engine the scan oracle drives: oracle cube, parallel
-/// threshold 1 (every multi-brick query fans out), warm cache, plain
-/// dimension storage.
+/// Builds the engine the scan oracle drives: oracle cube, the default
+/// (overlapped) executor, warm caches, plain dimension storage.
 pub fn scan_engine() -> Engine {
     scan_engine_with(DimStorage::Plain)
 }

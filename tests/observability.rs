@@ -2,6 +2,7 @@
 //! shard pool, cluster network — shows up in one metrics report, and
 //! query results carry populated per-query statistics.
 
+use aosi_repro::aosi::Snapshot;
 use aosi_repro::cluster::SimulatedNetwork;
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
@@ -111,6 +112,62 @@ fn rows_scanned_excludes_rows_hidden_from_the_snapshot() {
         .unwrap();
     assert_eq!(dirty.scalar(), Some(140.0));
     assert_eq!(dirty.stats.rows_scanned, 140);
+}
+
+/// The `[shards] tasks` total from the engine's metrics report.
+fn shard_tasks(engine: &Engine) -> u64 {
+    let report = engine.metrics_report();
+    let shards = &report[report.find("[shards]").expect("[shards] section")..];
+    let line = shards
+        .lines()
+        .find_map(|l| l.trim().strip_prefix("tasks = "))
+        .expect("tasks line");
+    line.parse().expect("task count")
+}
+
+/// One query is one round trip per shard — enumeration, pruning and
+/// the scan all happen in the same shard task — however few bricks
+/// survive pruning.
+#[test]
+fn a_query_is_one_task_per_shard() {
+    let engine = Engine::new(4);
+    engine.create_cube(schema()).unwrap();
+    // Every (region range, day range) brick of the 4 x 8 grid.
+    let rows: Vec<_> = (0..256)
+        .map(|i| row(&format!("r{}", i % 8), i / 8, 1))
+        .collect();
+    engine.load("events", &rows, 0).unwrap();
+    let snapshot = Snapshot::committed(engine.manager().lce());
+    let one_brick = sum_query()
+        .filter(DimFilter::new("region", vec![Value::from("r0")]))
+        .filter(DimFilter::new("day", vec![Value::I64(3)]));
+    let one_day = sum_query().filter(DimFilter::new("day", vec![Value::I64(3)]));
+    // (query, bricks scanned, bricks pruned, shards with work)
+    let cases = [
+        (sum_query(), 32, 0, Some(4)),
+        (one_day, 4, 28, None),
+        (one_brick, 1, 31, Some(1)),
+    ];
+    for (query, scanned, pruned, busy_shards) in &cases {
+        let before = shard_tasks(&engine);
+        let result = engine.query_at("events", query, &snapshot).unwrap();
+        assert_eq!(shard_tasks(&engine) - before, 4, "one task per shard");
+        assert_eq!(result.stats.bricks_scanned, *scanned);
+        assert_eq!(result.stats.bricks_pruned, *pruned);
+        if let Some(busy) = busy_shards {
+            assert_eq!(result.stats.parallel_tasks, *busy);
+        }
+        assert!(result.stats.parallel_tasks >= 1);
+
+        let before = shard_tasks(&engine);
+        let reference = engine
+            .query_at_reference("events", query, &snapshot)
+            .unwrap();
+        assert_eq!(shard_tasks(&engine) - before, 4, "reference: same loop");
+        assert_eq!(reference.stats.parallel_tasks, 0);
+        assert_eq!(reference.stats.bricks_pruned, *pruned);
+        assert_eq!(reference.scalar(), result.scalar());
+    }
 }
 
 #[test]

@@ -202,7 +202,6 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         (
             "cold",
             ScanConfig {
-                parallel_threshold: 1,
                 cache_capacity: 0,
                 agg_cache_capacity: 0,
                 kernel: ScanKernel::Vectorized,
