@@ -176,7 +176,13 @@ impl<K: Eq + Hash + Clone, T: Eq + Hash + Clone, V: Clone> SnapshotCache<K, T, V
     /// cached value (the retained epochs vector supplies the
     /// generation key) instead of faulting the partition's data back
     /// in.
-    pub fn peek(&self, partition: &K, vector: &EpochsVector, snapshot: &Snapshot, tag: T) -> Option<V> {
+    pub fn peek(
+        &self,
+        partition: &K,
+        vector: &EpochsVector,
+        snapshot: &Snapshot,
+        tag: T,
+    ) -> Option<V> {
         let key = SlotKey::new(vector, snapshot, tag);
         self.probe(partition, &key)
     }
@@ -763,7 +769,11 @@ mod tests {
         let cache: SnapshotCache<&'static str, u8, u64> = SnapshotCache::new(64);
         let v = vector(&[(1, 3)]);
         let s = Snapshot::committed(1);
-        assert_eq!(cache.peek(&"p", &v, &s, 0), None, "cold probe builds nothing");
+        assert_eq!(
+            cache.peek(&"p", &v, &s, 0),
+            None,
+            "cold probe builds nothing"
+        );
         cache.get_or_build(&"p", &v, &s, 0, || 7);
         assert_eq!(cache.peek(&"p", &v, &s, 0), Some(7));
         assert_eq!(cache.peek(&"p", &v, &s, 1), None, "tag is part of the key");

@@ -38,9 +38,7 @@ use std::time::Instant;
 
 use cluster::ReplicationTracker;
 use columnar::{Row, Value};
-use cubrick::{
-    AggFn, Aggregation, CubeSchema, Dimension, Engine, IsolationMode, Metric, Query,
-};
+use cubrick::{AggFn, Aggregation, CubeSchema, Dimension, Engine, IsolationMode, Metric, Query};
 use wal::{recover_into, FlushController, TempWalDir, WalBrickStore};
 
 const CUBE: &str = "ingest";
@@ -144,8 +142,7 @@ fn main() {
     let wal_dir = base.path().join("wal");
     let tier_dir = base.path().join("tier");
     let store = WalBrickStore::open(&tier_dir).expect("snapshot store");
-    let engine =
-        Engine::new(shards).with_tiered_storage(Box::new(store), budget_bytes as usize);
+    let engine = Engine::new(shards).with_tiered_storage(Box::new(store), budget_bytes as usize);
     engine.create_cube(schema()).expect("cube");
     let mut ctl = FlushController::new(&wal_dir, 1).expect("flush controller");
     let tracker = ReplicationTracker::new(1);

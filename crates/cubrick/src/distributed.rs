@@ -901,9 +901,7 @@ mod tests {
             &[row("us", 0, 7)],
         );
         let node = d.primary(*batch.by_bid.keys().next().unwrap());
-        d.engine(node)
-            .flush_batch(&cube, txn.epoch, batch)
-            .unwrap();
+        d.engine(node).flush_batch(&cube, txn.epoch, batch).unwrap();
         assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 0.0);
         assert_eq!(total_likes(&d, 1, IsolationMode::ReadUncommitted), 7.0);
         d.protocol().commit(&txn).unwrap();

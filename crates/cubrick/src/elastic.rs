@@ -187,7 +187,11 @@ impl DistributedEngine {
                 install.remove(pos);
             }
         }
-        if self.engine(to).install_brick_runs(&cube, bid, install).is_err() {
+        if self
+            .engine(to)
+            .install_brick_runs(&cube, bid, install)
+            .is_err()
+        {
             // The destination could not fault its spilled copy back
             // in: nothing was installed, so unsubscribe and fail —
             // the source keeps the brick.

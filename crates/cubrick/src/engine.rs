@@ -447,8 +447,7 @@ impl Engine {
                 out
             })
         });
-        let resident: Vec<(String, u64, usize, Epoch)> =
-            per_shard.into_iter().flatten().collect();
+        let resident: Vec<(String, u64, usize, Epoch)> = per_shard.into_iter().flatten().collect();
         let resident_bytes: u64 = resident.iter().map(|r| r.2 as u64).sum();
         let mut outcome = TierEnforcement {
             resident_bytes_before: resident_bytes,
@@ -2572,7 +2571,10 @@ mod tests {
         // Advance the LSE without purging: purge rewrites epochs
         // vectors (a generation bump), which would invalidate the
         // warm partials this test wants served.
-        engine.manager().advance_lse(engine.manager().lce()).unwrap();
+        engine
+            .manager()
+            .advance_lse(engine.manager().lce())
+            .unwrap();
         engine.enforce_tier_budget();
         let before = engine.tier_stats().unwrap();
         assert!(before.spilled_bricks > 0);

@@ -379,7 +379,11 @@ impl TieredStore {
             resident_bytes: self.resident_bytes.get(),
             spilled_bricks: inner.spilled.len(),
             spilled_file_bytes: inner.spilled.values().map(|s| s.file_bytes).sum(),
-            spilled_resident_bytes: inner.spilled.values().map(|s| s.resident_bytes as u64).sum(),
+            spilled_resident_bytes: inner
+                .spilled
+                .values()
+                .map(|s| s.resident_bytes as u64)
+                .sum(),
             spills: self.spills.get(),
             reloads: self.reloads.get(),
             cache_serves: self.cache_serves.get(),

@@ -58,13 +58,16 @@ use aosi::{Snapshot, Txn};
 use cluster::ReplicationTracker;
 use columnar::Row;
 use cubrick::{Engine, ScanConfig};
-use wal::{is_power_cut, recover_into_with, FlushController, RecoverOptions, SimFs, WalBrickStore,
-    WalError, WalFs};
+use wal::{
+    is_power_cut, recover_into_with, FlushController, RecoverOptions, SimFs, WalBrickStore,
+    WalError, WalFs,
+};
 use workload::ops::{GenConfig, LogicalOp, Schedule, ORACLE_CUBE};
 
 use crate::checks::{build_query, diff, eval_rows, normalize, NUM_QUERIES};
-use crate::crash::{failure, sim_dir, splitmix64, stop_failure, sweep_recovered, Stop,
-    TortureFailure};
+use crate::crash::{
+    failure, sim_dir, splitmix64, stop_failure, sweep_recovered, Stop, TortureFailure,
+};
 use crate::harness::{day_filter, days_of, engine_with_cube};
 use crate::minimize::artifact_dir;
 use crate::reference::{CommittedOp, Replay};
@@ -712,10 +715,7 @@ pub fn run_tier_torture(
     // it poisons the census filesystem.
     if cfg.media_probes {
         let engine = census.engine;
-        let reload_failures_before = engine
-            .tier_stats()
-            .map(|s| s.reload_failures)
-            .unwrap_or(0);
+        let reload_failures_before = engine.tier_stats().map(|s| s.reload_failures).unwrap_or(0);
         // A flipped bit inside one snapshot.
         let files = census_fs.durable_files(&tier_dir());
         if let Some(victim) = files.first() {
@@ -740,10 +740,7 @@ pub fn run_tier_torture(
             }
         }
         if report.media_probes > 0 {
-            let failures = engine
-                .tier_stats()
-                .map(|s| s.reload_failures)
-                .unwrap_or(0);
+            let failures = engine.tier_stats().map(|s| s.reload_failures).unwrap_or(0);
             if failures <= reload_failures_before {
                 return Err(failure(
                     None,

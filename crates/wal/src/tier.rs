@@ -291,8 +291,8 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     }
     let schema = cube.schema();
     let name_len = reader.u16()? as usize;
-    let name = std::str::from_utf8(reader.take(name_len)?)
-        .map_err(|_| corrupt("cube name not utf-8"))?;
+    let name =
+        std::str::from_utf8(reader.take(name_len)?).map_err(|_| corrupt("cube name not utf-8"))?;
     if name != schema.name {
         return Err(TierError::Corrupt(format!(
             "snapshot belongs to cube {name:?}, wanted {:?}",
@@ -425,15 +425,21 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     }
 
     let epochs = EpochsVector::from_parts_with_generation(entries, rows, generation);
-    Ok(Brick::restore(schema, storage, dim_columns, metrics, epochs))
+    Ok(Brick::restore(
+        schema,
+        storage,
+        dim_columns,
+        metrics,
+        epochs,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::SimFs;
-    use cubrick::{CubeSchema, Dimension, Metric, ParsedRecord};
     use columnar::Value;
+    use cubrick::{CubeSchema, Dimension, Metric, ParsedRecord};
 
     fn cube() -> Cube {
         Cube::new(
