@@ -1,14 +1,15 @@
-//! Snapshot-keyed memoization of per-partition scan artifacts.
+//! Snapshot-keyed memoization of per-partition query results.
 //!
-//! Building visibility (epochs vector → bitmap or ranges) dominates
-//! repeated-snapshot query cost: the artifact is a pure function of
-//! the partition's entries and the snapshot's `(epoch, deps)` pair,
-//! so identical reads can share one materialization. The same
-//! argument covers anything else derived purely from a partition's
-//! content and a snapshot — Cubrick layers per-brick *aggregate*
-//! partials on the identical keying — so the machinery is a generic
-//! [`SnapshotCache`] and [`VisibilityCache`] is its oldest client.
-//! Each cached value is keyed on
+//! Anything derived purely from a partition's content and a snapshot
+//! is a pure function of the partition's entries and the snapshot's
+//! `(epoch, deps)` pair, so identical reads can share one
+//! materialization. Whether that pays depends on what is memoized:
+//! visibility itself does not — recomputing it from a handful of
+//! epochs-vector entries is cheaper than a probe under the mutex
+//! (the paper's point, Section III-C3), so scans derive it fresh every
+//! time — while a per-brick *aggregate* partial, which saves the whole
+//! scan, does. Cubrick's aggregate cache is the one client of the
+//! generic [`SnapshotCache`]. Each cached value is keyed on
 //!
 //! ```text
 //! (partition id, epochs-vector generation, snapshot epoch,
@@ -16,8 +17,7 @@
 //! ```
 //!
 //! where the *tag* is a client-chosen structural description of what
-//! the value is (artifact kind for visibility; resolved query shape
-//! for aggregates).
+//! the value is (the resolved query shape, for aggregates).
 //!
 //! The epochs-vector *generation* (see
 //! [`EpochsVector::generation`]) is the invalidation token: every
@@ -39,21 +39,18 @@
 //!
 //! Capacity is bounded with least-recently-used eviction. Lookups
 //! probe under a short mutex hold and compute outside the lock, so
-//! parallel per-brick scan tasks only contend on the probe/insert.
+//! parallel shard scan tasks only contend on the probe/insert.
 
 use std::collections::{BTreeSet, HashMap};
 use std::hash::Hash;
-use std::ops::Range;
 use std::sync::Arc;
 
-use columnar::Bitmap;
 use obs::{Counter, ReportBuilder};
 use parking_lot::Mutex;
 
 use crate::epoch::Epoch;
 use crate::epochs::EpochsVector;
 use crate::snapshot::Snapshot;
-use crate::visibility;
 
 /// Full structural key for one cached value within a partition's
 /// slot map: the invalidation token, the snapshot identity, and the
@@ -94,7 +91,7 @@ struct Inner<K, T, V> {
 }
 
 /// Point-in-time cache statistics, for tests and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from a cached value.
     pub hits: u64,
@@ -192,9 +189,9 @@ impl<K: Eq + Hash + Clone, T: Eq + Hash + Clone, V: Clone> SnapshotCache<K, T, V
     /// the latest probe", values near `0.0` mean long-cold, `None`
     /// means nothing is cached for the partition. Clock positions
     /// from different caches are not comparable, but these fractions
-    /// are — the engine's residency manager takes the max across the
-    /// visibility and aggregate caches so cache-warm bricks are
-    /// deprioritized for eviction.
+    /// are — the engine's residency manager takes the max of this and
+    /// its own scan clock so cache-warm bricks are deprioritized for
+    /// eviction.
     pub fn partition_recency(&self, partition: &K) -> Option<f64> {
         let inner = self.inner.lock();
         if inner.tick == 0 {
@@ -222,15 +219,6 @@ impl<K: Eq + Hash + Clone, T: Eq + Hash + Clone, V: Clone> SnapshotCache<K, T, V
         inner.len -= removed;
         self.invalidations.add(removed as u64);
         removed
-    }
-
-    /// Drops everything.
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock();
-        let removed = inner.len;
-        inner.partitions.clear();
-        inner.len = 0;
-        self.invalidations.add(removed as u64);
     }
 
     /// Live slots across all partitions.
@@ -362,145 +350,6 @@ impl<K: Eq + Hash + Clone, T: Eq + Hash + Clone, V: Clone> SnapshotCache<K, T, V
     }
 }
 
-/// Which artifact a visibility-cache slot holds. Bitmaps and ranges
-/// for the same `(generation, snapshot)` are distinct entries:
-/// queries with per-row filters need the bitmap while unfiltered
-/// scans take the range fast path, and the two are not
-/// interconvertible for free.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum ArtifactKind {
-    Bitmap,
-    Ranges,
-}
-
-#[derive(Clone)]
-enum Artifact {
-    Bitmap(Arc<Bitmap>),
-    Ranges(Arc<Vec<Range<u64>>>),
-}
-
-/// A bounded, snapshot-keyed cache of visibility artifacts, generic
-/// over the partition identifier `K` — a [`SnapshotCache`] tagged by
-/// artifact kind.
-pub struct VisibilityCache<K: Eq + Hash + Clone> {
-    cache: SnapshotCache<K, ArtifactKind, Artifact>,
-}
-
-impl<K: Eq + Hash + Clone> VisibilityCache<K> {
-    /// A cache holding at most `capacity` artifacts (clamped to ≥ 1).
-    pub fn new(capacity: usize) -> Self {
-        VisibilityCache {
-            cache: SnapshotCache::new(capacity),
-        }
-    }
-
-    /// The visibility bitmap for `snapshot` over `vector`, memoized.
-    ///
-    /// Returns the artifact and whether it was served from cache.
-    pub fn bitmap(
-        &self,
-        partition: &K,
-        vector: &EpochsVector,
-        snapshot: &Snapshot,
-    ) -> (Arc<Bitmap>, bool) {
-        let (artifact, hit) =
-            self.cache
-                .get_or_build(partition, vector, snapshot, ArtifactKind::Bitmap, || {
-                    Artifact::Bitmap(Arc::new(visibility::visible_bitmap(vector, snapshot)))
-                });
-        match artifact {
-            Artifact::Bitmap(b) => (b, hit),
-            Artifact::Ranges(_) => unreachable!("Bitmap tag only ever stores bitmaps"),
-        }
-    }
-
-    /// The visible ranges for `snapshot` over `vector`, memoized.
-    pub fn ranges(
-        &self,
-        partition: &K,
-        vector: &EpochsVector,
-        snapshot: &Snapshot,
-    ) -> (Arc<Vec<Range<u64>>>, bool) {
-        let (artifact, hit) =
-            self.cache
-                .get_or_build(partition, vector, snapshot, ArtifactKind::Ranges, || {
-                    Artifact::Ranges(Arc::new(visibility::visible_ranges(vector, snapshot)))
-                });
-        match artifact {
-            Artifact::Ranges(r) => (r, hit),
-            Artifact::Bitmap(_) => unreachable!("Ranges tag only ever stores ranges"),
-        }
-    }
-
-    /// Drops every artifact cached for `partition`, returning how many
-    /// slots were reclaimed.
-    pub fn invalidate(&self, partition: &K) -> usize {
-        self.cache.invalidate(partition)
-    }
-
-    /// How recently any of `partition`'s artifacts was used, as a
-    /// fraction of the cache's use clock (see
-    /// [`SnapshotCache::partition_recency`]).
-    pub fn partition_recency(&self, partition: &K) -> Option<f64> {
-        self.cache.partition_recency(partition)
-    }
-
-    /// Drops everything.
-    pub fn clear(&self) {
-        self.cache.clear()
-    }
-
-    /// Live slots across all partitions.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// `true` when nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// The LRU bound this cache was built with.
-    pub fn capacity(&self) -> usize {
-        self.cache.capacity()
-    }
-
-    /// Counters plus the live-slot count.
-    pub fn stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    /// Appends a `[section]` block with the cache counters to an obs
-    /// report.
-    pub fn report_as(&self, report: &mut ReportBuilder, section: &str) {
-        self.cache.report_as(report, section)
-    }
-
-    /// Corrupts every cached artifact in place — bitmaps are inverted,
-    /// range lists emptied — *without* touching generations or keys,
-    /// simulating the exact failure the generation token exists to
-    /// prevent. Test-only: exists so the scan-oracle meta-test can
-    /// prove the oracle detects a stale cache serving wrong bytes.
-    #[doc(hidden)]
-    pub fn corrupt_for_test(&self) {
-        self.cache
-            .corrupt_values_for_test(|artifact| match artifact {
-                Artifact::Bitmap(b) => {
-                    let mut inverted = Bitmap::new(b.len());
-                    for i in 0..b.len() {
-                        if !b.get(i) {
-                            inverted.set(i);
-                        }
-                    }
-                    *artifact = Artifact::Bitmap(Arc::new(inverted));
-                }
-                Artifact::Ranges(_) => {
-                    *artifact = Artifact::Ranges(Arc::new(Vec::new()));
-                }
-            });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -515,217 +364,130 @@ mod tests {
         v
     }
 
-    /// Warm both kinds for `partition` at `snapshot` and assert the
-    /// next lookups hit.
-    fn warm(
-        cache: &VisibilityCache<&'static str>,
+    /// The cache as `AggCache` instantiates it, with a stand-in value:
+    /// the snapshot's visible row count — like a brick partial, a pure
+    /// function of the vector's content and the snapshot.
+    type Cache = SnapshotCache<&'static str, u8, u64>;
+
+    fn lookup(
+        cache: &Cache,
         partition: &'static str,
         v: &EpochsVector,
         s: &Snapshot,
-    ) {
-        let (_, hit) = cache.bitmap(&partition, v, s);
-        assert!(!hit, "first bitmap lookup must miss");
-        let (_, hit) = cache.ranges(&partition, v, s);
-        assert!(!hit, "first ranges lookup must miss");
-        let (_, hit) = cache.bitmap(&partition, v, s);
-        assert!(hit, "warmed bitmap must hit");
-        let (_, hit) = cache.ranges(&partition, v, s);
-        assert!(hit, "warmed ranges must hit");
+    ) -> (u64, bool) {
+        cache.get_or_build(&partition, v, s, 0, || v.visible_rows(s))
     }
 
+    /// The generation-token proof, one row per mutation class: once a
+    /// partition mutates, the slots cached for its old content stop
+    /// being served — before any explicit invalidate — and stay
+    /// reclaimable, while an unaffected partition keeps hitting.
+    /// Rebuilds (rollback, purge) continue the generation counter, so
+    /// the replacement vector can never alias a slot cached for the
+    /// old entries.
     #[test]
-    fn hit_returns_the_same_artifact_bytes() {
-        let cache = VisibilityCache::new(64);
-        let v = vector(&[(1, 3), (2, 4)]);
-        let s = Snapshot::committed(2);
-        let (first, hit0) = cache.bitmap(&"p", &v, &s);
-        let (second, hit1) = cache.bitmap(&"p", &v, &s);
-        assert!(!hit0 && hit1);
-        assert!(Arc::ptr_eq(&first, &second), "hit shares the artifact");
-        assert_eq!(*first, v.visible_bitmap(&s), "artifact matches direct");
-        let (r, _) = cache.ranges(&"p", &v, &s);
-        assert_eq!(*r, v.visible_ranges(&s));
-    }
+    fn every_mutation_class_strands_the_affected_partitions_slots_only() {
+        type Mutation = fn(&mut EpochsVector);
+        let mut deleted_at_3 = vector(&[(1, 2), (2, 3)]);
+        deleted_at_3.mark_delete(3);
+        // (class, vector before, reader epoch, mutation, rows the
+        // reader sees afterwards)
+        let cases: [(&str, EpochsVector, Epoch, Mutation, u64); 5] = [
+            (
+                "append",
+                vector(&[(1, 4)]),
+                2,
+                |v| {
+                    v.append(2, 3);
+                },
+                7,
+            ),
+            (
+                "partition delete",
+                vector(&[(1, 4)]),
+                2,
+                |v| v.mark_delete(2),
+                0,
+            ),
+            (
+                "rollback",
+                vector(&[(1, 2), (3, 3)]),
+                3,
+                |v| *v = rollback_partition(v, 3).vector,
+                2,
+            ),
+            (
+                "purge applying a delete",
+                deleted_at_3,
+                4,
+                |v| *v = purge(v, 4).vector,
+                0,
+            ),
+            (
+                "purge merging entries, rows unchanged",
+                vector(&[(1, 2), (2, 2)]),
+                2,
+                |v| *v = purge(v, 2).vector,
+                4,
+            ),
+        ];
+        for (class, before, epoch, mutate, visible_after) in cases {
+            let cache = Cache::new(64);
+            let s = Snapshot::committed(epoch);
+            let bystander = vector(&[(1, 2)]);
+            for (partition, v) in [("a", &before), ("b", &bystander)] {
+                assert!(!lookup(&cache, partition, v, &s).1, "{class}: cold");
+                assert!(lookup(&cache, partition, v, &s).1, "{class}: warmed");
+            }
 
-    #[test]
-    fn distinct_snapshots_get_distinct_slots() {
-        let cache = VisibilityCache::new(64);
-        let v = vector(&[(1, 2), (3, 2)]);
-        let deps: BTreeSet<Epoch> = [3].into_iter().collect();
-        let with_dep = Snapshot::new(4, deps);
-        let without = Snapshot::committed(4);
-        let (a, _) = cache.bitmap(&"p", &v, &with_dep);
-        let (b, _) = cache.bitmap(&"p", &v, &without);
-        // Same epoch, different deps: structurally different keys and
-        // different bytes — a fingerprint scheme could collide here.
-        assert_ne!(*a, *b);
-        assert_eq!(cache.stats().misses, 2);
-    }
+            let mut after = before.clone();
+            mutate(&mut after);
+            assert!(
+                after.generation() > before.generation(),
+                "{class}: generation must move forward"
+            );
+            let (rows, hit) = lookup(&cache, "a", &after, &s);
+            assert!(!hit, "{class}: the stale slot must not be served");
+            assert_eq!(rows, visible_after, "{class}: recomputed value");
 
-    // One test per mutation class below: the affected partition's
-    // cached keys must stop being served (and be reclaimable), while
-    // an unaffected partition's warmed snapshots still hit.
-
-    #[test]
-    fn append_invalidates_affected_keys_only() {
-        let cache = VisibilityCache::new(64);
-        let mut a = vector(&[(1, 4)]);
-        let b = vector(&[(1, 2)]);
-        let s = Snapshot::committed(1);
-        warm(&cache, "a", &a, &s);
-        warm(&cache, "b", &b, &s);
-
-        // Mutation class: append. Generation moves, so the old slots
-        // are unreachable even before the explicit invalidate.
-        a.append(2, 3);
-        let (bm, hit) = cache.bitmap(&"a", &a, &s);
-        assert!(!hit, "post-append lookup must not serve the stale slot");
-        assert_eq!(*bm, a.visible_bitmap(&s), "recomputed artifact correct");
-
-        // Explicit invalidation reclaims a's slots (old gen + new gen).
-        assert_eq!(cache.invalidate(&"a"), 3);
-        // Unaffected partition still hits.
-        let (_, hit) = cache.bitmap(&"b", &b, &s);
-        assert!(hit, "unaffected partition must keep hitting");
-        let (_, hit) = cache.ranges(&"b", &b, &s);
-        assert!(hit);
-    }
-
-    #[test]
-    fn partition_delete_invalidates_affected_keys_only() {
-        let cache = VisibilityCache::new(64);
-        let mut a = vector(&[(1, 4)]);
-        let b = vector(&[(1, 2)]);
-        let s_old = Snapshot::committed(1);
-        warm(&cache, "a", &a, &s_old);
-        warm(&cache, "b", &b, &s_old);
-
-        // Mutation class: partition delete (marker push).
-        a.mark_delete(2);
-        assert_eq!(cache.invalidate(&"a"), 2);
-
-        // Old snapshot recomputes and still sees the rows (delete at
-        // epoch 2 is invisible at epoch 1); a snapshot past the delete
-        // sees nothing.
-        let (bm, hit) = cache.bitmap(&"a", &a, &s_old);
-        assert!(!hit);
-        assert_eq!(bm.count_ones(), 4);
-        let (bm2, _) = cache.bitmap(&"a", &a, &Snapshot::committed(2));
-        assert_eq!(bm2.count_ones(), 0);
-
-        let (_, hit) = cache.bitmap(&"b", &b, &s_old);
-        assert!(hit, "unaffected partition must keep hitting");
-    }
-
-    #[test]
-    fn rollback_invalidates_affected_keys_only() {
-        let cache = VisibilityCache::new(64);
-        let a = vector(&[(1, 2), (3, 3)]);
-        let b = vector(&[(1, 2)]);
-        let s = Snapshot::committed(3);
-        warm(&cache, "a", &a, &s);
-        warm(&cache, "b", &b, &s);
-
-        // Mutation class: rollback rebuild. The replacement vector
-        // continues the generation counter, so the stale slots keyed
-        // at the old generation can never be served for it.
-        let rolled = rollback_partition(&a, 3).vector;
-        assert!(rolled.generation() > a.generation());
-        let (bm, hit) = cache.bitmap(&"a", &rolled, &s);
-        assert!(!hit, "rebuilt vector must miss the stale slot");
-        assert_eq!(*bm, rolled.visible_bitmap(&s));
-        assert_eq!(bm.count_ones(), 2, "aborted epoch's rows are gone");
-
-        assert_eq!(cache.invalidate(&"a"), 3, "old-gen slots reclaimed");
-        let (_, hit) = cache.bitmap(&"b", &b, &s);
-        assert!(hit, "unaffected partition must keep hitting");
-    }
-
-    #[test]
-    fn purge_invalidates_affected_keys_only() {
-        let cache = VisibilityCache::new(64);
-        let mut a = vector(&[(1, 2), (2, 3)]);
-        a.mark_delete(3);
-        let b = vector(&[(1, 2)]);
-        let s = Snapshot::committed(4);
-        warm(&cache, "a", &a, &s);
-        warm(&cache, "b", &b, &s);
-
-        // Mutation class: purge / LSE advance past the delete.
-        let purged = purge(&a, 4).vector;
-        assert!(purged.generation() > a.generation());
-        assert_eq!(purged.row_count(), 0, "delete applied by purge");
-        let (bm, hit) = cache.bitmap(&"a", &purged, &s);
-        assert!(!hit, "purged vector must miss the stale slot");
-        assert_eq!(bm.len(), 0);
-
-        assert_eq!(cache.invalidate(&"a"), 3);
-        let (_, hit) = cache.ranges(&"b", &b, &s);
-        assert!(hit, "unaffected partition must keep hitting");
-    }
-
-    #[test]
-    fn generation_is_never_reused_across_a_rebuild() {
-        // The soundness property behind the key: after purge, a
-        // lookup keyed by the *new* vector can not collide with a slot
-        // cached for the old contents, even with no invalidate call.
-        let cache = VisibilityCache::new(64);
-        let mut v = vector(&[(1, 2)]);
-        v.append(2, 2);
-        let s = Snapshot::committed(2);
-        let (old_bm, _) = cache.bitmap(&"p", &v, &s);
-        assert_eq!(old_bm.count_ones(), 4);
-
-        let purged = purge(&v, 2).vector; // merges entries, rows stay
-        let (new_bm, hit) = cache.bitmap(&"p", &purged, &s);
-        assert!(!hit);
-        assert_eq!(*new_bm, purged.visible_bitmap(&s));
+            // Explicit invalidation reclaims the old-generation slot
+            // and the one just built.
+            assert_eq!(cache.invalidate(&"a"), 2, "{class}");
+            assert!(
+                lookup(&cache, "b", &bystander, &s).1,
+                "{class}: unaffected partition must keep hitting"
+            );
+        }
     }
 
     #[test]
     fn lru_evicts_the_coldest_slot_at_capacity() {
-        let cache = VisibilityCache::new(2);
+        let cache = Cache::new(2);
         let v = vector(&[(1, 2)]);
         let s1 = Snapshot::committed(1);
         let s2 = Snapshot::committed(2);
         let s3 = Snapshot::committed(3);
-        cache.bitmap(&"p", &v, &s1);
-        cache.bitmap(&"p", &v, &s2);
+        lookup(&cache, "p", &v, &s1);
+        lookup(&cache, "p", &v, &s2);
         // Touch s1 so s2 is the LRU victim.
-        let (_, hit) = cache.bitmap(&"p", &v, &s1);
-        assert!(hit);
-        cache.bitmap(&"p", &v, &s3);
+        assert!(lookup(&cache, "p", &v, &s1).1);
+        lookup(&cache, "p", &v, &s3);
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().evictions, 1);
-        let (_, hit) = cache.bitmap(&"p", &v, &s1);
-        assert!(hit, "recently used slot survives");
-        let (_, hit) = cache.bitmap(&"p", &v, &s2);
-        assert!(!hit, "cold slot was evicted");
-    }
-
-    #[test]
-    fn corrupt_for_test_poisons_cached_artifacts() {
-        let cache = VisibilityCache::new(64);
-        let v = vector(&[(1, 3)]);
-        let s = Snapshot::committed(1);
-        cache.bitmap(&"p", &v, &s);
-        cache.ranges(&"p", &v, &s);
-        cache.corrupt_for_test();
-        let (bm, hit) = cache.bitmap(&"p", &v, &s);
-        assert!(hit, "corruption must not evict — that is the point");
-        assert_ne!(*bm, v.visible_bitmap(&s));
-        let (r, hit) = cache.ranges(&"p", &v, &s);
-        assert!(hit);
-        assert!(r.is_empty());
+        assert!(
+            lookup(&cache, "p", &v, &s1).1,
+            "recently used slot survives"
+        );
+        assert!(!lookup(&cache, "p", &v, &s2).1, "cold slot was evicted");
     }
 
     #[test]
     fn stats_and_report() {
-        let cache: VisibilityCache<&'static str> = VisibilityCache::new(8);
+        let cache = Cache::new(8);
         let v = vector(&[(1, 1)]);
         let s = Snapshot::committed(1);
-        cache.bitmap(&"p", &v, &s);
-        cache.bitmap(&"p", &v, &s);
+        lookup(&cache, "p", &v, &s);
+        lookup(&cache, "p", &v, &s);
         cache.invalidate(&"p");
         let stats = cache.stats();
         assert_eq!(stats.hits, 1);
@@ -738,9 +500,6 @@ mod tests {
         assert!(text.contains("[cache]"));
         assert!(text.contains("hits"));
     }
-
-    // SnapshotCache-generic behavior, exercised with an arbitrary
-    // value type the visibility wrapper never stores.
 
     #[test]
     fn generic_cache_keys_on_the_client_tag_structurally() {
@@ -762,6 +521,16 @@ mod tests {
         assert!(!hit);
         assert_eq!(c, 20);
         assert_eq!(cache.len(), 2);
+        // Same epoch, different deps: structurally different keys and
+        // different values — a fingerprint scheme could collide here.
+        let v = vector(&[(1, 2), (3, 2)]);
+        let with_dep = Snapshot::new(4, [3].into_iter().collect());
+        let without = Snapshot::committed(4);
+        let tag = (0, vec![]);
+        let (a, _) = cache.get_or_build(&"q", &v, &with_dep, tag.clone(), || 2);
+        let (b, hit) = cache.get_or_build(&"q", &v, &without, tag, || 4);
+        assert!(!hit, "the deps set is part of the key");
+        assert_eq!((a, b), (2, 4));
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub struct EpochsVector {
     /// the same partition observing the same generation are guaranteed
     /// to observe the same entries, which is what makes the generation
     /// a sound cache-invalidation token for
-    /// [`VisibilityCache`](crate::VisibilityCache): entries are
+    /// [`SnapshotCache`](crate::SnapshotCache): entries are
     /// append-only between generation bumps, and rebuilds (purge,
     /// rollback) continue the counter rather than restarting it, so a
     /// generation value is never reused for different contents.
@@ -202,8 +202,8 @@ impl EpochsVector {
         visibility::visible_row_count(self, snapshot)
     }
 
-    /// The visible rows as disjoint ascending ranges (the scan fast
-    /// path when no per-row filtering is needed).
+    /// The visible rows as disjoint ascending ranges — what the
+    /// production scan kernel walks.
     pub fn visible_ranges(&self, snapshot: &Snapshot) -> Vec<std::ops::Range<u64>> {
         visibility::visible_ranges(self, snapshot)
     }

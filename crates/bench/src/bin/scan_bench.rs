@@ -1,17 +1,17 @@
 //! Scan-path benchmark: vectorized vs. reference scan kernels, serial
-//! vs. parallel shard scans, cold vs. warm caches, on identical data
-//! and queries —
-//! the fig5-style workload shape (many small appended batches, so
-//! epochs vectors grow long and visibility materialization competes
-//! with the residual scan).
+//! vs. parallel shard scans, aggregate cache off vs. warm, on
+//! identical data and queries — the fig5-style workload shape (many
+//! small appended batches, so epochs vectors grow long and deriving
+//! visibility competes with the residual scan).
 //!
 //! Emits `BENCH_scan.json` (override with `AOSI_BENCH_OUT`) with one
 //! cell per measured combination plus the derived speedups. Serial
 //! cells run the one executor with `ScanConfig::sequential` set (each
 //! shard joined before the next is submitted); parallel cells overlap
-//! the shards. The `aggwarm` cache level measures the snapshot-keyed
-//! aggregate cache: brick partials replayed without touching
-//! visibility or columns at all.
+//! the shards. Every scan derives visibility from the epochs vector
+//! (there is no visibility cache), so `cold` is the only uncached
+//! level; `aggwarm` measures the snapshot-keyed aggregate cache: brick
+//! partials replayed without touching visibility or columns at all.
 //! `AOSI_BENCH_ENFORCE=1` turns the sanity bounds into an exit code:
 //! the parallel cold path must not be more than 2x slower than the
 //! serial cold path, and the vectorized kernel must beat the
@@ -63,9 +63,8 @@ fn batch(id: usize, rows_per_batch: usize) -> Vec<Row> {
         .collect()
 }
 
-/// The timed battery: a filtered group-by (bitmap visibility path)
-/// and an unfiltered aggregate (visible-ranges path), so both cached
-/// artifact kinds are measured.
+/// The timed battery: a filtered group-by and an unfiltered
+/// aggregate.
 fn queries() -> Vec<Query> {
     vec![
         Query::aggregate(vec![
@@ -97,8 +96,6 @@ struct Cell {
     mean_ns: u128,
     p50_ns: u128,
     queries: usize,
-    cache_hits: u64,
-    cache_misses: u64,
     agg_cache_hits: u64,
     agg_cache_misses: u64,
     parallel_tasks: u64,
@@ -115,14 +112,11 @@ struct Cell {
 
 /// Builds an engine under `config`, loads the shared workload, and
 /// times the battery at a fixed set of pinned snapshots: the newest
-/// committed epoch plus two historical ones. Dashboards re-rendering
-/// at a pinned snapshot and time-travel audits are exactly the
-/// workload the snapshot-keyed cache targets — at a historical epoch
-/// most rows are invisible, so the visibility build (walking the
-/// whole epochs vector, materializing the bitmap) dominates the
-/// cheap residual scan. Warm cells (nonzero cache capacity) serve
-/// the timed pass from the visibility cache populated by the priming
-/// pass; cold cells run with the cache disabled.
+/// committed epoch plus two historical ones. At a historical epoch
+/// most rows are invisible, so deriving visibility (walking the whole
+/// epochs vector) weighs most against the cheap residual scan.
+/// `aggwarm` cells serve the timed pass from the aggregate cache
+/// populated by the priming pass; cold cells run with it disabled.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     kernel: &'static str,
@@ -144,7 +138,7 @@ fn run_cell(
     // Ingestion keeps running in the paper's production setting, so a
     // reader snapshot carries a substantial pending-transaction
     // exclusion set; every epochs-vector entry then pays a deps
-    // lookup during visibility materialization. Open (and hold) that
+    // lookup while visibility is derived. Open (and hold) that
     // many writers before taking the query snapshots.
     let pending = bench::env_usize("AOSI_PENDING", 256);
     let _open_txns: Vec<_> = (0..pending)
@@ -162,9 +156,8 @@ fn run_cell(
     // LCE rule. An open read-write transaction is the reader that
     // actually pays for pending writers — its snapshot epoch is its
     // own (above them all) and every pending epoch lands in deps,
-    // costing one set probe per epochs-vector entry during
-    // visibility materialization. That probe work, times the whole
-    // epoch history, times every query, is what the cache memoizes.
+    // costing one set probe per epochs-vector entry whenever
+    // visibility is derived.
     let reader_txn = engine.begin();
     let live = reader_txn.snapshot().clone();
     assert!(
@@ -174,8 +167,7 @@ fn run_cell(
     );
     // Historical snapshots: deps above their epoch are dropped by
     // construction (a snapshot cannot depend on the future), so these
-    // two time-travel reads are deps-free — there the cache saves the
-    // bitmap/range materialization itself.
+    // two time-travel reads are deps-free.
     let snapshots = [
         live.clone(),
         Snapshot::new(lce / 2, live.deps().clone()),
@@ -184,10 +176,9 @@ fn run_cell(
     let battery = queries();
     // One untimed priming pass for EVERY cell: it touches the column
     // data (equalizing first-touch memory effects across cells) and,
-    // in warm cells only, populates the visibility cache — cold cells
-    // run with the cache disabled, so for them this is purely a
-    // memory warm-up and every timed query still pays the full
-    // visibility build.
+    // in aggwarm cells only, populates the aggregate cache — cold
+    // cells run with it disabled, so for them this is purely a memory
+    // warm-up.
     for snapshot in &snapshots {
         for query in &battery {
             engine.query_at(CUBE, query, snapshot).expect("warm-up");
@@ -196,8 +187,6 @@ fn run_cell(
     let mut latencies: Vec<u128> = Vec::with_capacity(reps * battery.len() * snapshots.len());
     let slots = snapshots.len() * battery.len();
     let mut scan_samples: Vec<Vec<u64>> = vec![Vec::with_capacity(reps); slots];
-    let mut cache_hits = 0u64;
-    let mut cache_misses = 0u64;
     let mut agg_cache_hits = 0u64;
     let mut agg_cache_misses = 0u64;
     let mut parallel_tasks = 0u64;
@@ -211,8 +200,6 @@ fn run_cell(
                 let result = engine.query_at(CUBE, query, snapshot).expect("query");
                 latencies.push(started.elapsed().as_nanos());
                 scan_samples[si * battery.len() + qi].push(result.stats.scan_nanos);
-                cache_hits += result.stats.vis_cache_hits;
-                cache_misses += result.stats.vis_cache_misses;
                 agg_cache_hits += result.stats.agg_cache_hits;
                 agg_cache_misses += result.stats.agg_cache_misses;
                 parallel_tasks += result.stats.parallel_tasks;
@@ -240,8 +227,6 @@ fn run_cell(
         mean_ns: total / latencies.len() as u128,
         p50_ns: latencies[latencies.len() / 2],
         queries: latencies.len(),
-        cache_hits,
-        cache_misses,
         agg_cache_hits,
         agg_cache_misses,
         parallel_tasks,
@@ -256,7 +241,6 @@ fn cell_json(c: &Cell) -> String {
         "    {{\"kernel\": \"{}\", \"mode\": \"{}\", \"cache\": \"{}\", \
          \"queries\": {}, \
          \"total_ns\": {}, \"mean_ns\": {}, \"p50_ns\": {}, \
-         \"vis_cache_hits\": {}, \"vis_cache_misses\": {}, \
          \"agg_cache_hits\": {}, \"agg_cache_misses\": {}, \
          \"parallel_tasks\": {}, \"visibility_build_ns\": {}, \"scan_ns\": {}, \
          \"scan_p50_battery_ns\": {}}}",
@@ -267,8 +251,6 @@ fn cell_json(c: &Cell) -> String {
         c.total_ns,
         c.mean_ns,
         c.p50_ns,
-        c.cache_hits,
-        c.cache_misses,
         c.agg_cache_hits,
         c.agg_cache_misses,
         c.parallel_tasks,
@@ -286,7 +268,7 @@ fn main() {
     let out = std::env::var("AOSI_BENCH_OUT").unwrap_or_else(|_| "BENCH_scan.json".into());
     bench::banner(
         "Scan bench",
-        "vectorized vs reference kernels, serial vs parallel scans, cold vs warm cache",
+        "vectorized vs reference kernels, serial vs parallel scans, aggregate cache off vs warm",
         &[
             ("batches", batches.to_string()),
             ("rows per batch", rows_per_batch.to_string()),
@@ -296,46 +278,15 @@ fn main() {
         ],
     );
 
-    // Cold = caches disabled entirely (every query pays the full
-    // visibility build); warm = large *visibility* cache, aggregate
-    // cache off, one untimed priming pass; aggwarm = both caches on,
-    // so warm bricks replay cached partials without touching columns
-    // at all. The data is static during timing, so warm cells are
-    // pure cache-hit runs. Kernel-speedup cells run once per scan
-    // kernel on identical data; the aggwarm cell is vectorized-only
-    // (the reference kernel adds nothing to that axis).
-    let vis_warm_only = |base: ScanConfig| ScanConfig {
-        agg_cache_capacity: 0,
-        ..base
-    };
-    let base_configs: [(&'static str, &'static str, ScanConfig, bool); 5] = [
+    // Cold = aggregate cache off; aggwarm = aggregate cache on, one
+    // untimed priming pass, so bricks replay cached partials without
+    // touching columns at all (the data is static during timing).
+    // Kernel-speedup cells run once per scan kernel on identical
+    // data; the aggwarm cell is vectorized-only (the reference kernel
+    // adds nothing to that axis).
+    let base_configs: [(&'static str, &'static str, ScanConfig, bool); 3] = [
         ("serial", "cold", ScanConfig::sequential_uncached(), true),
-        (
-            "serial",
-            "warm",
-            vis_warm_only(ScanConfig {
-                sequential: true,
-                cache_capacity: 4096,
-                ..ScanConfig::default()
-            }),
-            true,
-        ),
-        (
-            "parallel",
-            "cold",
-            ScanConfig {
-                cache_capacity: 0,
-                agg_cache_capacity: 0,
-                ..ScanConfig::default()
-            },
-            true,
-        ),
-        (
-            "parallel",
-            "warm",
-            vis_warm_only(ScanConfig::parallel_cached(4096)),
-            true,
-        ),
+        ("parallel", "cold", ScanConfig::parallel_cached(0), true),
         (
             "parallel",
             "aggwarm",
@@ -369,11 +320,11 @@ fn main() {
     }
 
     println!(
-        "\nkernel      mode      cache    mean(us)   p50(us)    vis(us)    scan(us)   scanp50(us)  hits    agghits"
+        "\nkernel      mode      cache    mean(us)   p50(us)    vis(us)    scan(us)   scanp50(us)  agghits"
     );
     for c in &cells {
         println!(
-            "{:<12}{:<10}{:<9}{:<11.1}{:<11.1}{:<11.1}{:<11.1}{:<13.1}{:<8}{}",
+            "{:<12}{:<10}{:<9}{:<11.1}{:<11.1}{:<11.1}{:<11.1}{:<13.1}{}",
             c.kernel,
             c.mode,
             c.cache,
@@ -382,7 +333,6 @@ fn main() {
             c.visibility_build_ns as f64 / 1e3 / c.queries as f64,
             c.scan_ns as f64 / 1e3 / c.queries as f64,
             c.scan_p50_battery_ns as f64 / 1e3,
-            c.cache_hits,
             c.agg_cache_hits
         );
     }
@@ -396,30 +346,25 @@ fn main() {
     let mean_of =
         |kernel: &str, mode: &str, cache: &str| cell_of(kernel, mode, cache).mean_ns as f64;
     let serial_cold = mean_of("vectorized", "serial", "cold");
-    let parallel_warm_speedup = serial_cold / mean_of("vectorized", "parallel", "warm");
     let parallel_cold_speedup = serial_cold / mean_of("vectorized", "parallel", "cold");
-    let warm_cache_speedup = serial_cold / mean_of("vectorized", "serial", "warm");
     // The aggregate cache on top of everything: warm partial replay
     // vs. the cold serial baseline.
     let agg_cache_speedup = serial_cold / mean_of("vectorized", "parallel", "aggwarm");
-    // The kernel speedup compares pure scan time (visibility build
-    // excluded — it is kernel-independent) on the serial warm point,
-    // where the cache removes visibility-build noise from the
-    // measurement and no thread-pool scheduling jitter applies. It is
-    // computed over per-slot medians, not the raw sum: a single
-    // preemption or frequency ramp landing inside a sub-millisecond
-    // cell distorts the sum by integer factors, while the median of
-    // 40 reps of a deterministic scan is stable.
-    let scan_of = |kernel: &str| cell_of(kernel, "serial", "warm").scan_p50_battery_ns as f64;
+    // The kernel speedup compares pure scan time (`scan_nanos`
+    // excludes the visibility build) on the serial cells, where no
+    // thread-pool scheduling jitter applies. It is computed over
+    // per-slot medians, not the raw sum: a single preemption or
+    // frequency ramp landing inside a sub-millisecond cell distorts
+    // the sum by integer factors, while the median of 40 reps of a
+    // deterministic scan is stable.
+    let scan_of = |kernel: &str| cell_of(kernel, "serial", "cold").scan_p50_battery_ns as f64;
     let kernel_speedup = scan_of("reference") / scan_of("vectorized");
     let kernel_mean_speedup =
-        mean_of("reference", "serial", "warm") / mean_of("vectorized", "serial", "warm");
+        mean_of("reference", "serial", "cold") / mean_of("vectorized", "serial", "cold");
     println!("\nspeedup vs serial cold (vectorized):");
-    println!("  parallel warm: {parallel_warm_speedup:.2}x");
     println!("  parallel cold: {parallel_cold_speedup:.2}x");
-    println!("  serial warm (vis cache only): {warm_cache_speedup:.2}x");
     println!("  parallel aggwarm (aggregate cache): {agg_cache_speedup:.2}x");
-    println!("\nvectorized kernel vs reference (serial warm):");
+    println!("\nvectorized kernel vs reference (serial cold):");
     println!("  scan_ns: {kernel_speedup:.2}x");
     println!("  end-to-end mean: {kernel_mean_speedup:.2}x");
 
@@ -427,9 +372,7 @@ fn main() {
         "{{\n  \"bench\": \"scan\",\n  \"config\": {{\"batches\": {batches}, \
          \"rows_per_batch\": {rows_per_batch}, \"timed_reps\": {reps}, \
          \"shards\": {shards}}},\n  \"cells\": [\n{}\n  ],\n  \
-         \"speedup_vs_serial_cold\": {{\"parallel_warm\": {parallel_warm_speedup:.4}, \
-         \"parallel_cold\": {parallel_cold_speedup:.4}, \
-         \"serial_warm\": {warm_cache_speedup:.4}, \
+         \"speedup_vs_serial_cold\": {{\"parallel_cold\": {parallel_cold_speedup:.4}, \
          \"parallel_aggwarm\": {agg_cache_speedup:.4}}},\n  \
          \"kernel_speedup\": {{\"scan_ns\": {kernel_speedup:.4}, \
          \"mean_ns\": {kernel_mean_speedup:.4}}}\n}}\n",

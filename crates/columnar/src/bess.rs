@@ -351,7 +351,7 @@ mod tests {
         // its field table (8 bytes per dimension) is heap all the
         // same; heap_bytes used to report 0 here, undercounting every
         // bess brick by 8 B x dims.
-        let empty = BessVector::new(&vec![4u32; 40]);
+        let empty = BessVector::new(&[4u32; 40]);
         assert!(
             empty.heap_bytes() >= 40 * std::mem::size_of::<(u32, u32)>(),
             "field table uncounted: {}",

@@ -199,27 +199,6 @@ impl Bitmap {
         })
     }
 
-    /// Appends the index of every set bit to `out` (cleared first),
-    /// ascending — the bulk form of [`Bitmap::iter_ones`] scan kernels
-    /// use to materialize a whole selection vector at once.
-    pub fn collect_ones(&self, out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(self.count_ones());
-        self.ones_cursor().next_chunk(out, usize::MAX);
-    }
-
-    /// A resumable cursor over the set-bit indexes, yielding them in
-    /// ascending order one bounded chunk at a time. This is how scan
-    /// kernels turn a visibility bitmap into cache-resident selection
-    /// vectors without materializing all rows up front.
-    pub fn ones_cursor(&self) -> OnesCursor<'_> {
-        OnesCursor {
-            words: &self.words,
-            word_idx: 0,
-            current: self.words.first().copied().unwrap_or(0),
-        }
-    }
-
     /// Heap bytes used by the bitmap payload.
     pub fn heap_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
@@ -255,43 +234,6 @@ impl Bitmap {
 impl std::fmt::Debug for Bitmap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Bitmap({})", self.to_bit_string())
-    }
-}
-
-/// Chunked materializer over a bitmap's set bits (see
-/// [`Bitmap::ones_cursor`]). Bits beyond the bitmap's length are
-/// never set, so the cursor needs no length mask.
-pub struct OnesCursor<'a> {
-    words: &'a [u64],
-    word_idx: usize,
-    /// Unconsumed bits of `words[word_idx]`.
-    current: u64,
-}
-
-impl OnesCursor<'_> {
-    /// Fills `out` (cleared first) with up to `max` further set-bit
-    /// indexes, ascending. Returns the number produced; `0` means the
-    /// cursor is exhausted.
-    pub fn next_chunk(&mut self, out: &mut Vec<u32>, max: usize) -> usize {
-        out.clear();
-        if self.word_idx >= self.words.len() {
-            return 0;
-        }
-        loop {
-            let base = (self.word_idx * WORD_BITS) as u32;
-            while self.current != 0 {
-                if out.len() == max {
-                    return out.len();
-                }
-                out.push(base + self.current.trailing_zeros());
-                self.current &= self.current - 1;
-            }
-            self.word_idx += 1;
-            match self.words.get(self.word_idx) {
-                Some(&word) => self.current = word,
-                None => return out.len(),
-            }
-        }
     }
 }
 
@@ -463,48 +405,5 @@ mod tests {
         assert!(bm.is_empty());
         assert_eq!(bm.count_ones(), 0);
         assert_eq!(bm.iter_ones().count(), 0);
-        let mut out = vec![7u32];
-        bm.collect_ones(&mut out);
-        assert!(out.is_empty());
-        assert_eq!(bm.ones_cursor().next_chunk(&mut out, 8), 0);
-    }
-
-    #[test]
-    fn collect_ones_matches_iter_ones() {
-        for len in [0usize, 1, 63, 64, 65, 130, 300] {
-            let mut bm = Bitmap::new(len);
-            for i in (0..len).step_by(3) {
-                bm.set(i);
-            }
-            let expected: Vec<u32> = bm.iter_ones().map(|i| i as u32).collect();
-            let mut out = Vec::new();
-            bm.collect_ones(&mut out);
-            assert_eq!(out, expected, "len {len}");
-        }
-    }
-
-    #[test]
-    fn ones_cursor_chunks_resume_across_words() {
-        let mut bm = Bitmap::new(500);
-        for i in [0usize, 1, 62, 63, 64, 127, 128, 200, 300, 450, 499] {
-            bm.set(i);
-        }
-        let expected: Vec<u32> = bm.iter_ones().map(|i| i as u32).collect();
-        for chunk_size in [1usize, 2, 3, 5, 64, 1000] {
-            let mut cursor = bm.ones_cursor();
-            let mut chunk = Vec::new();
-            let mut all = Vec::new();
-            loop {
-                let n = cursor.next_chunk(&mut chunk, chunk_size);
-                if n == 0 {
-                    break;
-                }
-                assert!(n <= chunk_size);
-                all.extend_from_slice(&chunk);
-            }
-            assert_eq!(all, expected, "chunk size {chunk_size}");
-            // Exhausted cursors stay exhausted.
-            assert_eq!(cursor.next_chunk(&mut chunk, chunk_size), 0);
-        }
     }
 }

@@ -30,7 +30,7 @@ mod schema;
 mod value;
 
 pub use bess::BessVector;
-pub use bitmap::{Bitmap, OnesCursor};
+pub use bitmap::Bitmap;
 pub use column::Column;
 pub use dictionary::Dictionary;
 pub use schema::{ColumnType, Field, Schema};

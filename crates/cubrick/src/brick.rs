@@ -474,7 +474,7 @@ mod tests {
         let schema = CubeSchema::new(
             "wide",
             (0..6)
-                .map(|i| Dimension::int(&format!("d{i}"), 8, 2))
+                .map(|i| Dimension::int(format!("d{i}"), 8, 2))
                 .collect(),
             vec![Metric::int("m"), Metric::float("f")],
         )
@@ -573,7 +573,7 @@ mod tests {
         let schema = CubeSchema::new(
             "wide",
             (0..6)
-                .map(|i| Dimension::int(&format!("d{i}"), 8, 2))
+                .map(|i| Dimension::int(format!("d{i}"), 8, 2))
                 .collect(),
             vec![Metric::int("m")],
         )

@@ -25,9 +25,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aosi::{
-    CacheStats, Epoch, Snapshot, SnapshotCache, Txn, TxnManager, TxnPartitionIndex, VisibilityCache,
-};
+use aosi::{CacheStats, Epoch, Snapshot, SnapshotCache, Txn, TxnManager, TxnPartitionIndex};
 use columnar::Row;
 use obs::{Counter, Histogram, ReportBuilder};
 use parking_lot::RwLock;
@@ -44,16 +42,16 @@ use crate::scan::{BrickFilter, ScanFailure, ShardScan, ShardScanOutcome};
 use crate::shard::{ShardPool, TaskHandle};
 use crate::tier::{BrickStore, TierEnforcement, TierStats, TieredStore};
 
-/// Partition key the engine caches visibility artifacts under. Brick
+/// Partition key the engine caches brick partials under. Brick
 /// ids are only unique within a cube, so the cube name is part of the
 /// key; the `Arc<str>` keeps per-brick key construction down to a
 /// refcount bump on the hot path.
 pub(crate) type BrickKey = (Arc<str>, u64);
 
-/// The per-brick aggregate cache: the visibility cache's keying
-/// (generation + snapshot, see [`aosi::SnapshotCache`]) one level up,
-/// tagged by the query's structural scan shape. A hit skips the
-/// brick's visibility build *and* its scan.
+/// The per-brick aggregate cache: keyed on the brick's epochs-vector
+/// generation + the snapshot (see [`aosi::SnapshotCache`]), tagged by
+/// the query's structural scan shape. A hit skips the brick's
+/// visibility build *and* its scan.
 pub(crate) type AggCache = SnapshotCache<BrickKey, Arc<AggQueryShape>, CachedAgg>;
 
 /// How the engine runs brick scans (see [`Engine::with_scan_config`]).
@@ -63,8 +61,6 @@ pub struct ScanConfig {
     /// most one brick is scanned at a time. The differential-testing
     /// reference runs this way; everything else overlaps the shards.
     pub sequential: bool,
-    /// Visibility-cache capacity in artifacts; `0` disables caching.
-    pub cache_capacity: usize,
     /// Aggregate-cache capacity in cached brick partials; `0`
     /// disables it. Snapshot-isolated scans of unchanged bricks under
     /// a repeated query shape are then served without touching the
@@ -80,7 +76,6 @@ impl Default for ScanConfig {
     fn default() -> Self {
         ScanConfig {
             sequential: false,
-            cache_capacity: 4096,
             agg_cache_capacity: 1024,
             kernel: ScanKernel::Vectorized,
         }
@@ -89,25 +84,23 @@ impl Default for ScanConfig {
 
 impl ScanConfig {
     /// The differential-testing reference configuration: every scan
-    /// sequential, no caches, row-at-a-time kernel.
+    /// sequential, no cache, row-at-a-time kernel.
     /// [`Engine::query_at_reference`] uses this regardless of the
     /// engine's own configuration.
     pub fn sequential_uncached() -> Self {
         ScanConfig {
             sequential: true,
-            cache_capacity: 0,
             agg_cache_capacity: 0,
             kernel: ScanKernel::RowAtATime,
         }
     }
 
-    /// The default executor with the given capacity for both caches
-    /// (benches and stress tests size the caches to their workload).
-    pub fn parallel_cached(cache_capacity: usize) -> Self {
+    /// The default executor with the given aggregate-cache capacity
+    /// (benches and stress tests size the cache to their workload).
+    pub fn parallel_cached(agg_cache_capacity: usize) -> Self {
         ScanConfig {
             sequential: false,
-            cache_capacity,
-            agg_cache_capacity: cache_capacity,
+            agg_cache_capacity,
             kernel: ScanKernel::Vectorized,
         }
     }
@@ -241,7 +234,6 @@ pub struct Engine {
     dim_storage: DimStorage,
     rollback_index: Option<TxnPartitionIndex>,
     scan_config: ScanConfig,
-    vis_cache: Option<Arc<VisibilityCache<BrickKey>>>,
     agg_cache: Option<Arc<AggCache>>,
     /// Bids whose scan tasks panic on purpose (test injection only).
     panic_bids: RwLock<HashSet<u64>>,
@@ -268,7 +260,6 @@ impl Engine {
             dim_storage: DimStorage::Plain,
             rollback_index: None,
             scan_config,
-            vis_cache: Some(Arc::new(VisibilityCache::new(scan_config.cache_capacity))),
             agg_cache: Some(Arc::new(AggCache::new(scan_config.agg_cache_capacity))),
             panic_bids: RwLock::new(HashSet::new()),
             tier: None,
@@ -298,13 +289,11 @@ impl Engine {
         self.tier.as_ref()
     }
 
-    /// Reconfigures how scans run (sequential mode, cache
-    /// capacities, kernel). Choose before serving queries:
-    /// swapping the config replaces both caches.
+    /// Reconfigures how scans run (sequential mode, cache capacity,
+    /// kernel). Choose before serving queries: swapping the config
+    /// replaces the aggregate cache.
     pub fn with_scan_config(mut self, config: ScanConfig) -> Self {
         self.scan_config = config;
-        self.vis_cache = (config.cache_capacity > 0)
-            .then(|| Arc::new(VisibilityCache::new(config.cache_capacity)));
         self.agg_cache = (config.agg_cache_capacity > 0)
             .then(|| Arc::new(AggCache::new(config.agg_cache_capacity)));
         self
@@ -315,32 +304,20 @@ impl Engine {
         self.scan_config
     }
 
-    /// Visibility-cache statistics, when caching is enabled.
+    /// Shim: the visibility cache is gone (scans recompute visibility
+    /// from the epochs vector), but `aosi_bench/src/serving.rs` still
+    /// calls this and may not change in the same PR. Always all-zero;
+    /// delete it with the bench's three visibility-cache metrics in
+    /// the next `benchmark` PR (ROADMAP item 1).
+    #[doc(hidden)]
     pub fn visibility_cache_stats(&self) -> Option<CacheStats> {
-        self.vis_cache.as_ref().map(|cache| cache.stats())
+        Some(CacheStats::default())
     }
 
     /// Aggregate-cache statistics, when the aggregate cache is
     /// enabled.
     pub fn agg_cache_stats(&self) -> Option<CacheStats> {
         self.agg_cache.as_ref().map(|cache| cache.stats())
-    }
-
-    /// Corrupts every cached visibility artifact in place, simulating
-    /// a stale cache that serves wrong bytes. The aggregate cache
-    /// layered above it is emptied at the same time — warm brick
-    /// partials would otherwise replay without ever touching the
-    /// poisoned artifacts, making the corruption unreachable. Exists
-    /// solely so the scan-oracle meta-test can prove the oracle
-    /// detects it.
-    #[doc(hidden)]
-    pub fn corrupt_visibility_cache_for_test(&self) {
-        if let Some(cache) = &self.vis_cache {
-            cache.corrupt_for_test();
-        }
-        if let Some(cache) = &self.agg_cache {
-            cache.clear();
-        }
     }
 
     /// Corrupts every cached aggregate partial in place (counts and
@@ -417,8 +394,8 @@ impl Engine {
     /// or below the LSE, which makes them immutable and fully durable
     /// in the WAL (see [`crate::tier`]) — until the budget holds or
     /// candidates run out. Ranking takes the hottest signal across the
-    /// tier's own scan clock and both caches' recency clocks, so a
-    /// brick still answering queries from a warm cache keeps its
+    /// tier's own scan clock and the aggregate cache's recency clock,
+    /// so a brick still answering queries from a warm cache keeps its
     /// residency longer than one nobody asks about.
     ///
     /// Runs automatically after loads, commits, and LSE advances; a
@@ -462,9 +439,6 @@ impl Engine {
             .map(|(cube, bid, bytes, _)| {
                 let key: BrickKey = (Arc::from(cube.as_str()), bid);
                 let mut recency = tier.touch_recency(&cube, bid).unwrap_or(0.0);
-                if let Some(cache) = &self.vis_cache {
-                    recency = recency.max(cache.partition_recency(&key).unwrap_or(0.0));
-                }
                 if let Some(cache) = &self.agg_cache {
                     recency = recency.max(cache.partition_recency(&key).unwrap_or(0.0));
                 }
@@ -501,7 +475,7 @@ impl Engine {
     /// enumeration and this task running. Returns the bytes freed
     /// (`Ok(None)` when the brick vanished or turned ineligible,
     /// `Err` when the durable write failed and the brick stayed
-    /// resident). Cached artifacts are deliberately *not*
+    /// resident). Cached partials are deliberately *not*
     /// invalidated: they stay valid across the evict/reload cycle and
     /// can answer for the brick while it is cold.
     fn spill_brick(
@@ -598,9 +572,6 @@ impl Engine {
             .histogram("query_nanos", &self.metrics.query_nanos)
             .histogram("load_nanos", &self.metrics.load_nanos)
             .histogram("scan_task_nanos", &self.metrics.scan_task_nanos);
-        if let Some(cache) = &self.vis_cache {
-            cache.report_as(report, &format!("{prefix}engine.vis_cache"));
-        }
         if let Some(cache) = &self.agg_cache {
             cache.report_as(report, &format!("{prefix}engine.agg_cache"));
         }
@@ -684,22 +655,14 @@ impl Engine {
         });
         let cube_key: Arc<str> = Arc::from(name.as_str());
         for bid in dropped.into_iter().flatten() {
-            invalidate_brick(
-                &self.vis_cache,
-                &self.agg_cache,
-                &(Arc::clone(&cube_key), bid),
-            );
+            invalidate_brick(&self.agg_cache, &(Arc::clone(&cube_key), bid));
         }
         // Evicted bricks of the dropped cube: forget them and remove
         // their snapshots.
         if let Some(tier) = &self.tier {
             for bid in tier.spilled_bids(&name) {
                 tier.forget(&name, bid);
-                invalidate_brick(
-                    &self.vis_cache,
-                    &self.agg_cache,
-                    &(Arc::clone(&cube_key), bid),
-                );
+                invalidate_brick(&self.agg_cache, &(Arc::clone(&cube_key), bid));
             }
         }
         Ok(())
@@ -818,7 +781,6 @@ impl Engine {
             }
             let cube = cube.clone();
             let storage = self.dim_storage;
-            let cache = self.vis_cache.clone();
             let agg_cache = self.agg_cache.clone();
             let key: BrickKey = (Arc::clone(&cube_key), bid);
             self.shards.submit(shard, move |bricks| {
@@ -829,9 +791,9 @@ impl Engine {
                     .or_insert_with(|| Brick::with_storage(cube.schema(), storage));
                 brick.append(epoch, &records);
                 // Mutation class: append. Reclaim the brick's cached
-                // artifacts eagerly (the generation bump already made
+                // partials eagerly (the generation bump already made
                 // them unreachable).
-                invalidate_brick(&cache, &agg_cache, &key);
+                invalidate_brick(&agg_cache, &key);
             });
         }
         // Barrier only on the shards we touched.
@@ -900,7 +862,6 @@ impl Engine {
             }
             let mut removed = 0u64;
             for (shard, bids) in by_shard {
-                let cache = self.vis_cache.clone();
                 let agg_cache = self.agg_cache.clone();
                 removed += self.shards.submit_and_wait(shard, move |bricks| {
                     let mut removed = 0u64;
@@ -910,7 +871,6 @@ impl Engine {
                                 removed += brick.rollback(epoch);
                                 // Mutation class: rollback.
                                 invalidate_brick(
-                                    &cache,
                                     &agg_cache,
                                     &(Arc::from(cube_name.as_str()), *bid),
                                 );
@@ -923,7 +883,6 @@ impl Engine {
             return removed;
         }
         let removed = self.shards.map_shards(|_| {
-            let cache = self.vis_cache.clone();
             let agg_cache = self.agg_cache.clone();
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut removed = 0u64;
@@ -931,7 +890,7 @@ impl Engine {
                     for (&bid, brick) in cube_bricks.iter_mut() {
                         removed += brick.rollback(epoch);
                         // Mutation class: rollback.
-                        invalidate_brick(&cache, &agg_cache, &(Arc::from(cube_name.as_str()), bid));
+                        invalidate_brick(&agg_cache, &(Arc::from(cube_name.as_str()), bid));
                     }
                 }
                 removed
@@ -1024,9 +983,11 @@ impl Engine {
 
     /// Differential-testing reference: the same result as
     /// [`Engine::query_at`], but forced down the sequential scan path
-    /// with the visibility cache bypassed, regardless of the engine's
+    /// with the row-at-a-time kernel (over visibility bitmaps) and
+    /// the aggregate cache bypassed, regardless of the engine's
     /// configuration. The scan-oracle layer compares the default
-    /// (parallel + cached) path against this byte-for-byte.
+    /// (parallel + cached, vectorized over visible ranges) path
+    /// against this byte-for-byte.
     pub fn query_at_reference(
         &self,
         cube: &str,
@@ -1245,9 +1206,9 @@ impl Engine {
         Ok(merged)
     }
 
-    /// Builds the per-query scan request. A cache takes part when
-    /// `config` gives it capacity, so the reference configuration
-    /// bypasses both whatever the engine itself runs with.
+    /// Builds the per-query scan request. The aggregate cache takes
+    /// part when `config` gives it capacity, so the reference
+    /// configuration bypasses it whatever the engine itself runs with.
     fn shard_scan(
         &self,
         cube: &Cube,
@@ -1263,7 +1224,6 @@ impl Engine {
             snapshot,
             shape: Arc::new(AggQueryShape::of(resolved, config.kernel)),
             kernel: config.kernel,
-            vis_cache: self.vis_cache.clone().filter(|_| config.cache_capacity > 0),
             agg_cache: self
                 .agg_cache
                 .clone()
@@ -1395,7 +1355,6 @@ impl Engine {
         let marked = self.shards.map_shards(|_| {
             let cube = cube.clone();
             let resolved = resolved.clone();
-            let cache = self.vis_cache.clone();
             let agg_cache = self.agg_cache.clone();
             let cube_key = Arc::clone(&cube_key);
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
@@ -1414,7 +1373,7 @@ impl Engine {
                         brick.mark_delete(epoch);
                         marked += 1;
                         // Mutation class: partition delete.
-                        invalidate_brick(&cache, &agg_cache, &(Arc::clone(&cube_key), bid));
+                        invalidate_brick(&agg_cache, &(Arc::clone(&cube_key), bid));
                     }
                 }
                 marked
@@ -1429,7 +1388,6 @@ impl Engine {
         self.ops.purges.inc();
         let lse = self.manager.lse();
         let stats = self.shards.map_shards(|_| {
-            let cache = self.vis_cache.clone();
             let agg_cache = self.agg_cache.clone();
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut stats = PurgeStats::default();
@@ -1443,7 +1401,7 @@ impl Engine {
                         stats.entries_reclaimed += entries as u64;
                         stats.bricks_changed += 1;
                         // Mutation class: purge / LSE advance.
-                        invalidate_brick(&cache, &agg_cache, &(Arc::from(cube_name.as_str()), bid));
+                        invalidate_brick(&agg_cache, &(Arc::from(cube_name.as_str()), bid));
                     }
                 }
                 stats
@@ -1478,11 +1436,11 @@ impl Engine {
         stats
     }
 
-    /// Drops any cached visibility/aggregate artifacts for one brick
+    /// Drops any cached aggregate partials for one brick
     /// (crate-internal: the handoff install path mutates bricks
     /// outside the flush machinery).
     pub(crate) fn invalidate_brick_caches(&self, cube: &str, bid: u64) {
-        invalidate_brick(&self.vis_cache, &self.agg_cache, &(Arc::from(cube), bid));
+        invalidate_brick(&self.agg_cache, &(Arc::from(cube), bid));
     }
 
     /// Brick ids this node currently stores for `cube`, ascending.
@@ -1529,7 +1487,7 @@ impl Engine {
     }
 
     /// Removes one brick from its shard (rebalance retire / failed
-    /// handoff cleanup), invalidating its cached artifacts. Returns
+    /// handoff cleanup), invalidating its cached partials. Returns
     /// whether the brick existed. The caller owns read-safety: no
     /// query may be routed here for this brick anymore.
     pub(crate) fn remove_brick(&self, cube: &str, bid: u64) -> bool {
@@ -1546,7 +1504,7 @@ impl Engine {
             }
         });
         self.shards.submit_and_wait(shard, |_| ());
-        invalidate_brick(&self.vis_cache, &self.agg_cache, &(Arc::from(cube), bid));
+        invalidate_brick(&self.agg_cache, &(Arc::from(cube), bid));
         let spilled = self
             .tier
             .as_ref()
@@ -1584,19 +1542,11 @@ impl Engine {
     }
 }
 
-/// Drops every cached artifact for one brick — visibility *and*
-/// aggregate — after a mutation. Both caches key on the brick's
-/// generation counter, so anything left behind is unreachable anyway;
-/// this reclaims the memory eagerly and keeps the two caches'
-/// invalidation disciplines from drifting apart.
-fn invalidate_brick(
-    vis: &Option<Arc<VisibilityCache<BrickKey>>>,
-    agg: &Option<Arc<AggCache>>,
-    key: &BrickKey,
-) {
-    if let Some(cache) = vis {
-        cache.invalidate(key);
-    }
+/// Drops every cached aggregate partial for one brick after a
+/// mutation. The cache keys on the brick's generation counter, so
+/// anything left behind is unreachable anyway; this reclaims the
+/// memory eagerly, at every mutation site alike.
+fn invalidate_brick(agg: &Option<Arc<AggCache>>, key: &BrickKey) {
     if let Some(cache) = agg {
         cache.invalidate(key);
     }
@@ -2047,7 +1997,8 @@ mod tests {
                 0,
             )
             .unwrap();
-        // Unfiltered: the visible-ranges fast path on every brick.
+        // The default kernel walks the visible ranges of every brick,
+        // filtered or not: no bitmap is built.
         let unfiltered = engine
             .query(
                 "events",
@@ -2062,7 +2013,6 @@ mod tests {
         );
         assert_eq!(unfiltered.stats.bitmap_scans, 0);
         assert_eq!(unfiltered.stats.rows_visible, 3);
-        // Filtered: materialized visibility bitmaps.
         let filtered = engine
             .query(
                 "events",
@@ -2071,8 +2021,8 @@ mod tests {
                 IsolationMode::Snapshot,
             )
             .unwrap();
-        assert!(filtered.stats.bitmap_scans >= 1);
-        assert_eq!(filtered.stats.range_scans, 0);
+        assert_eq!(filtered.stats.range_scans, filtered.stats.bricks_scanned);
+        assert_eq!(filtered.stats.bitmap_scans, 0);
         assert!(
             filtered.stats.visibility_build_nanos + filtered.stats.scan_nanos > 0,
             "wall time must be recorded"
@@ -2196,14 +2146,12 @@ mod tests {
             assert_eq!(reference.stats.parallel_tasks, 0);
             assert_rows_identical(&fast, &reference);
             // Warm repeat: brick partials served straight from the
-            // aggregate cache (one level above visibility), still
-            // identical.
+            // aggregate cache, still identical.
             let warm = engine.query_at("events", query, &snapshot).unwrap();
             assert!(
                 warm.stats.agg_cache_hits > 0,
                 "warm run should hit the aggregate cache"
             );
-            assert_eq!(warm.stats.vis_cache_hits, 0);
             assert_rows_identical(&warm, &reference);
         }
     }
@@ -2212,7 +2160,6 @@ mod tests {
     fn sequential_mode_joins_shards_one_at_a_time() {
         let engine = engine().with_scan_config(ScanConfig {
             sequential: true,
-            cache_capacity: 64,
             ..ScanConfig::default()
         });
         spread_load(&engine);
@@ -2297,43 +2244,37 @@ mod tests {
 
     #[test]
     fn cache_stats_trace_hits_and_mutation_invalidation() {
-        // Aggregate cache off so the warm run actually re-probes the
-        // visibility cache (with it on, warm bricks replay cached
-        // partials and never reach the visibility layer).
-        let engine = engine().with_scan_config(ScanConfig {
-            agg_cache_capacity: 0,
-            ..ScanConfig::parallel_cached(256)
-        });
+        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
         spread_load(&engine);
         let filtered = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
             .filter(DimFilter::new("region", vec![Value::from("us")]));
         let snapshot = Snapshot::committed(engine.manager().lce());
         let cold = engine.query_at("events", &filtered, &snapshot).unwrap();
-        assert!(cold.stats.vis_cache_misses > 0);
-        assert_eq!(cold.stats.vis_cache_hits, 0);
+        assert!(cold.stats.agg_cache_misses > 0);
+        assert_eq!(cold.stats.agg_cache_hits, 0);
         let warm = engine.query_at("events", &filtered, &snapshot).unwrap();
-        assert_eq!(warm.stats.vis_cache_misses, 0);
-        assert_eq!(warm.stats.vis_cache_hits, cold.stats.vis_cache_misses);
-        let before = engine.visibility_cache_stats().unwrap();
+        assert_eq!(warm.stats.agg_cache_misses, 0);
+        assert_eq!(warm.stats.agg_cache_hits, cold.stats.agg_cache_misses);
+        let before = engine.agg_cache_stats().unwrap();
         assert!(before.hits > 0 && before.entries > 0);
-        // A load mutates bricks: their cached artifacts must go.
+        // A load mutates bricks: their cached partials must go.
         engine.load("events", &[row("us", 0, 1, 0.0)], 0).unwrap();
-        let after = engine.visibility_cache_stats().unwrap();
+        let after = engine.agg_cache_stats().unwrap();
         assert!(
             after.invalidations > before.invalidations,
-            "append must invalidate cached visibility"
+            "append must invalidate cached partials"
         );
         // Old snapshot still answers correctly after invalidation.
         let replay = engine.query_at("events", &filtered, &snapshot).unwrap();
         assert_rows_identical(&replay, &cold);
         let report = engine.metrics_report();
-        assert!(report.contains("vis_cache"), "{report}");
+        assert!(report.contains("agg_cache"), "{report}");
     }
 
     #[test]
     fn zero_capacity_scan_config_disables_the_cache() {
         let engine = engine().with_scan_config(ScanConfig::sequential_uncached());
-        assert!(engine.visibility_cache_stats().is_none());
+        assert!(engine.agg_cache_stats().is_none());
         spread_load(&engine);
         let result = engine
             .query(
@@ -2343,8 +2284,8 @@ mod tests {
                 IsolationMode::Snapshot,
             )
             .unwrap();
-        assert_eq!(result.stats.vis_cache_hits, 0);
-        assert_eq!(result.stats.vis_cache_misses, 0);
+        assert_eq!(result.stats.agg_cache_hits, 0);
+        assert_eq!(result.stats.agg_cache_misses, 0);
         assert_eq!(result.rows[0].1[0], 16.0);
     }
 

@@ -15,7 +15,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use columnar::{Bitmap, OnesCursor, Value};
+use columnar::{Bitmap, Value};
 
 use crate::agg::{self, AggState};
 use crate::brick::Brick;
@@ -237,22 +237,19 @@ pub struct QueryStats {
     pub rows_scanned: u64,
     /// Rows that survived visibility + filters.
     pub rows_visible: u64,
-    /// Bricks scanned through the unfiltered visible-ranges fast
-    /// path (no bitmap materialized).
+    /// Bricks the vectorized kernel scanned, straight off the
+    /// snapshot's visible ranges (no bitmap materialized).
     pub range_scans: u64,
-    /// Bricks scanned through a materialized visibility bitmap.
+    /// Bricks the row-at-a-time reference kernel scanned, through a
+    /// materialized visibility bitmap.
     pub bitmap_scans: u64,
-    /// Wall nanoseconds spent materializing visibility (bitmaps or
-    /// ranges), summed across bricks — parallel shard work can make
-    /// this exceed the query's elapsed time.
+    /// Wall nanoseconds spent deriving visibility (ranges or bitmap)
+    /// from the epochs vector, summed across bricks — parallel shard
+    /// work can make this exceed the query's elapsed time.
     pub visibility_build_nanos: u64,
     /// Wall nanoseconds spent scanning and aggregating, summed
     /// across bricks.
     pub scan_nanos: u64,
-    /// Visibility artifacts served from the engine's cache.
-    pub vis_cache_hits: u64,
-    /// Visibility artifacts the cache had to materialize.
-    pub vis_cache_misses: u64,
     /// Shards that had at least one brick to scan for this query and
     /// ran overlapped (0 on a sequential execution, such as the
     /// reference path).
@@ -280,8 +277,6 @@ impl QueryStats {
         self.bitmap_scans += other.bitmap_scans;
         self.visibility_build_nanos += other.visibility_build_nanos;
         self.scan_nanos += other.scan_nanos;
-        self.vis_cache_hits += other.vis_cache_hits;
-        self.vis_cache_misses += other.vis_cache_misses;
         self.parallel_tasks += other.parallel_tasks;
         self.agg_cache_hits += other.agg_cache_hits;
         self.agg_cache_misses += other.agg_cache_misses;
@@ -598,8 +593,8 @@ impl AggQueryShape {
 /// One brick's scanned partial, as stored in the aggregate cache.
 /// The stats keep what describes the brick's data (rows scanned,
 /// visibility path taken) and drop what describes the *work* of the
-/// original miss (wall nanoseconds, visibility-cache probes): a hit
-/// replays the former and did none of the latter.
+/// original miss (wall nanoseconds, cache probes): a hit replays the
+/// former and did none of the latter.
 #[derive(Clone, Debug)]
 pub(crate) struct CachedAgg {
     groups: HashMap<u64, Vec<AggState>>,
@@ -612,8 +607,6 @@ impl CachedAgg {
         let mut stats = partial.stats;
         stats.visibility_build_nanos = 0;
         stats.scan_nanos = 0;
-        stats.vis_cache_hits = 0;
-        stats.vis_cache_misses = 0;
         stats.agg_cache_hits = 0;
         stats.agg_cache_misses = 0;
         CachedAgg {
@@ -691,10 +684,9 @@ impl PartialResult {
 }
 
 /// Scans one brick row-at-a-time (the reference kernel): seeds from
-/// the (possibly cached, shared) `visibility` bitmap, applies the
-/// resolved filters while iterating — bits are never mutated, so one
-/// cached artifact serves many concurrent scans without cloning.
-/// Isolation bits are never widened: filters only drop rows.
+/// the `visibility` bitmap and applies the resolved filters while
+/// iterating. Isolation bits are never widened: filters only drop
+/// rows.
 pub(crate) fn scan_brick_shared(
     brick: &Brick,
     visibility: &Bitmap,
@@ -709,25 +701,6 @@ pub(crate) fn scan_brick_shared(
     });
     let mut result = accumulate(brick, rows, resolved, traversed);
     result.stats.bitmap_scans = 1;
-    result
-}
-
-/// The unfiltered-scan reference path: iterate the snapshot's visible
-/// ranges directly — no bitmap is ever materialized. Equivalent to
-/// [`scan_brick_shared`] with an unfiltered visibility bitmap (the
-/// ranges are proven bitmap-equivalent by property test in `aosi`).
-pub(crate) fn scan_brick_ranges(
-    brick: &Brick,
-    ranges: &[std::ops::Range<u64>],
-    resolved: &ResolvedQuery,
-) -> PartialResult {
-    debug_assert!(resolved.filters.is_empty(), "ranges path is unfiltered");
-    let traversed: u64 = ranges.iter().map(|r| r.end - r.start).sum();
-    let rows = ranges
-        .iter()
-        .flat_map(|r| (r.start as usize)..(r.end as usize));
-    let mut result = accumulate(brick, rows, resolved, traversed);
-    result.stats.range_scans = 1;
     result
 }
 
@@ -821,41 +794,36 @@ fn accumulate(
 /// overhead.
 const SCAN_CHUNK: usize = 2048;
 
-/// Where a vectorized scan draws its selection vectors from: a
-/// visibility bitmap (filtered scans) or the snapshot's visible
-/// ranges (unfiltered scans).
-enum Selection<'a> {
-    Bitmap(OnesCursor<'a>),
-    Ranges {
-        ranges: &'a [std::ops::Range<u64>],
-        idx: usize,
-        next: u64,
-    },
+/// Cuts a snapshot's visible ranges into the vectorized scan's
+/// selection vectors.
+struct Selection<'a> {
+    ranges: &'a [std::ops::Range<u64>],
+    /// The range being cut and the next row to take from it (`0`
+    /// until the range is entered).
+    idx: usize,
+    next: u64,
 }
 
 impl Selection<'_> {
     /// Fills `sel` (cleared first) with the next up-to-[`SCAN_CHUNK`]
     /// visible row ids, ascending; `false` once exhausted.
     fn next_chunk(&mut self, sel: &mut Vec<u32>) -> bool {
-        match self {
-            Selection::Bitmap(cursor) => cursor.next_chunk(sel, SCAN_CHUNK) > 0,
-            Selection::Ranges { ranges, idx, next } => {
-                sel.clear();
-                while sel.len() < SCAN_CHUNK {
-                    let Some(r) = ranges.get(*idx) else { break };
-                    let start = (*next).max(r.start);
-                    let take = (r.end - start).min((SCAN_CHUNK - sel.len()) as u64);
-                    sel.extend((start..start + take).map(|row| row as u32));
-                    if start + take == r.end {
-                        *idx += 1;
-                        *next = 0;
-                    } else {
-                        *next = start + take;
-                    }
-                }
-                !sel.is_empty()
+        sel.clear();
+        while sel.len() < SCAN_CHUNK {
+            let Some(r) = self.ranges.get(self.idx) else {
+                break;
+            };
+            let start = self.next.max(r.start);
+            let take = (r.end - start).min((SCAN_CHUNK - sel.len()) as u64);
+            sel.extend((start..start + take).map(|row| row as u32));
+            if start + take == r.end {
+                self.idx += 1;
+                self.next = 0;
+            } else {
+                self.next = start + take;
             }
         }
+        !sel.is_empty()
     }
 }
 
@@ -934,20 +902,27 @@ fn pack_keys(
 /// become a bounds-checked array update instead.
 const DENSE_GROUP_BITS: u32 = 12;
 
-/// The vectorized brick scan: chunked selection vectors, predicate
+/// The vectorized brick scan over a snapshot's visible `ranges` (no
+/// bitmap is ever materialized): chunked selection vectors, predicate
 /// compaction, fused per-column aggregation, and batch-packed group
 /// keys feeding a dense group table (small key spaces) or the
-/// run-cached hash probe (wide keys).
-fn vectorized_scan(
+/// run-cached hash probe (wide keys). Bit-identical to
+/// [`scan_brick_shared`] over the equivalent bitmap.
+pub(crate) fn scan_brick_ranges_vectorized(
     brick: &Brick,
-    mut selection: Selection<'_>,
-    traversed: u64,
+    ranges: &[std::ops::Range<u64>],
     resolved: &ResolvedQuery,
 ) -> PartialResult {
+    let mut selection = Selection {
+        ranges,
+        idx: 0,
+        next: 0,
+    };
     let mut result = PartialResult {
         stats: QueryStats {
             bricks_scanned: 1,
-            rows_scanned: traversed,
+            rows_scanned: ranges.iter().map(|r| r.end - r.start).sum(),
+            range_scans: 1,
             ..Default::default()
         },
         ..Default::default()
@@ -1100,45 +1075,6 @@ fn vectorized_scan(
             }
         }
     }
-    result
-}
-
-/// Vectorized twin of [`scan_brick_shared`].
-pub(crate) fn scan_brick_shared_vectorized(
-    brick: &Brick,
-    visibility: &Bitmap,
-    resolved: &ResolvedQuery,
-) -> PartialResult {
-    let traversed = visibility.count_ones() as u64;
-    let mut result = vectorized_scan(
-        brick,
-        Selection::Bitmap(visibility.ones_cursor()),
-        traversed,
-        resolved,
-    );
-    result.stats.bitmap_scans = 1;
-    result
-}
-
-/// Vectorized twin of [`scan_brick_ranges`].
-pub(crate) fn scan_brick_ranges_vectorized(
-    brick: &Brick,
-    ranges: &[std::ops::Range<u64>],
-    resolved: &ResolvedQuery,
-) -> PartialResult {
-    debug_assert!(resolved.filters.is_empty(), "ranges path is unfiltered");
-    let traversed: u64 = ranges.iter().map(|r| r.end - r.start).sum();
-    let mut result = vectorized_scan(
-        brick,
-        Selection::Ranges {
-            ranges,
-            idx: 0,
-            next: 0,
-        },
-        traversed,
-        resolved,
-    );
-    result.stats.range_scans = 1;
     result
 }
 
@@ -1544,7 +1480,7 @@ mod tests {
         assert_eq!(via_bitmap.stats.bitmap_scans, 1);
         assert_eq!(via_bitmap.stats.range_scans, 0);
         let ranges = brick.epochs().visible_ranges(&snap);
-        let mut via_ranges = scan_brick_ranges(&brick, &ranges, &r);
+        let mut via_ranges = scan_brick_ranges_vectorized(&brick, &ranges, &r);
         assert_eq!(via_ranges.stats.range_scans, 1);
         assert_eq!(via_ranges.stats.bitmap_scans, 0);
         via_ranges.merge(via_bitmap);
@@ -1615,28 +1551,63 @@ mod tests {
         }
     }
 
+    /// `n` deterministic records, varied by `seed`.
+    fn records(seed: i64, n: i64) -> Vec<ParsedRecord> {
+        (0..n)
+            .map(|k| {
+                let i = k + seed * 17;
+                ParsedRecord {
+                    bid: 0,
+                    coords: vec![(i % 3) as u32, (i % 8) as u32],
+                    metrics: vec![Value::I64(i * 3 - 40), Value::F64(i as f64 * 0.25 - 7.0)],
+                }
+            })
+            .collect()
+    }
+
+    fn encode_regions(cube: &Cube) {
+        let dict = cube.dictionaries()[0].as_ref().unwrap();
+        for region in ["us", "br", "mx"] {
+            dict.lock().encode(region);
+        }
+    }
+
     /// A brick big enough that selection vectors cross the
     /// `SCAN_CHUNK` boundary, with three epochs so a snapshot can
     /// leave a suffix invisible, built on either dimension layout.
     fn big_brick(cube: &Cube, storage: crate::brick::DimStorage) -> Brick {
-        let dict = cube.dictionaries()[0].as_ref().unwrap();
-        dict.lock().encode("us");
-        dict.lock().encode("br");
-        dict.lock().encode("mx");
+        encode_regions(cube);
         let mut brick = Brick::with_storage(cube.schema(), storage);
         for epoch in 1..=3u64 {
-            let recs: Vec<ParsedRecord> = (0..1500i64)
-                .map(|k| {
-                    let i = k + epoch as i64 * 17;
-                    ParsedRecord {
-                        bid: 0,
-                        coords: vec![(i % 3) as u32, (i % 8) as u32],
-                        metrics: vec![Value::I64(i * 3 - 40), Value::F64(i as f64 * 0.25 - 7.0)],
-                    }
-                })
-                .collect();
-            brick.append(epoch, &recs);
+            brick.append(epoch, &records(epoch as i64, 1500));
         }
+        brick
+    }
+
+    /// A brick whose history exercises every visibility rule at once:
+    ///
+    /// ```text
+    /// rows    0..1500  T1      1500..1800  T2      1800..2200  T4
+    ///         T4 deletes the partition at row 2200
+    ///      2200..2300  T4      2300..2800  T5      2800..5800  T6
+    /// ```
+    ///
+    /// A reader that sees T4's delete loses T1, T2 and T4's own rows
+    /// below the delete point but keeps T4's rows above it (the
+    /// dominant-delete cut falls inside T4's rows); with T5 in its
+    /// deps it skips 2300..2800, so its first selection chunk is
+    /// 2200..2300 plus the head of T6's run, which straddles the
+    /// `SCAN_CHUNK` boundary.
+    fn history_brick(cube: &Cube, storage: crate::brick::DimStorage) -> Brick {
+        encode_regions(cube);
+        let mut brick = Brick::with_storage(cube.schema(), storage);
+        brick.append(1, &records(1, 1500));
+        brick.append(2, &records(2, 300));
+        brick.append(4, &records(3, 400));
+        brick.mark_delete(4);
+        brick.append(4, &records(4, 100));
+        brick.append(5, &records(5, 500));
+        brick.append(6, &records(6, 3000));
         brick
     }
 
@@ -1678,81 +1649,69 @@ mod tests {
             Query::aggregate(vec![Aggregation::new(AggFn::Max, "score")])
                 .grouped_by("day")
                 .ordered_by(OrderBy::Dimension("day".into()), false),
+            Query::aggregate(vec![Aggregation::new(AggFn::Sum, "score")])
+                .grouped_by("region")
+                .grouped_by("day")
+                .ordered_by(OrderBy::Aggregation(0), true)
+                .limited(5),
         ]
     }
 
+    /// The kernel differential: the vectorized kernel over
+    /// `visible_ranges` against the row-at-a-time reference over
+    /// `visible_bitmap` — two independent visibility derivations and
+    /// two independent kernels — for the whole battery (filtered and
+    /// unfiltered), both dimension layouts, and snapshots on every
+    /// side of [`history_brick`]'s delete and deps-excluded epoch.
     #[test]
-    fn vectorized_bitmap_kernel_matches_reference_bit_for_bit() {
+    fn vectorized_ranges_kernel_matches_bitmap_reference_bit_for_bit() {
+        let snapshots = [
+            Snapshot::committed(3),
+            Snapshot::new(6, [5].into_iter().collect()),
+            Snapshot::committed(6),
+        ];
         for storage in [
             crate::brick::DimStorage::Plain,
             crate::brick::DimStorage::Bess,
         ] {
             let cube = cube();
-            let brick = big_brick(&cube, storage);
-            // Epoch 2 of 3: the last 1500 rows stay invisible, and the
-            // 3000 visible ones cross the SCAN_CHUNK boundary.
-            let vis = brick.visibility(&Snapshot::committed(2));
-            for (qi, q) in differential_battery().iter().enumerate() {
-                let r = resolved(&cube, q);
-                let reference = scan_brick_shared(&brick, &vis, &r);
-                let fast = scan_brick_shared_vectorized(&brick, &vis, &r);
-                assert_eq!(
-                    reference.stats.rows_scanned, fast.stats.rows_scanned,
-                    "query {qi} ({storage:?}): rows_scanned"
-                );
-                assert_eq!(
-                    reference.stats.rows_visible, fast.stats.rows_visible,
-                    "query {qi} ({storage:?}): rows_visible"
-                );
-                assert_bits_identical(
-                    &QueryResult::finalize(&cube, &r, reference),
-                    &QueryResult::finalize(&cube, &r, fast),
-                    &format!("query {qi} ({storage:?})"),
-                );
+            let brick = history_brick(&cube, storage);
+            for snap in &snapshots {
+                let vis = brick.visibility(snap);
+                let ranges = brick.epochs().visible_ranges(snap);
+                for (qi, q) in differential_battery().iter().enumerate() {
+                    let context = format!("query {qi} ({storage:?}, {snap:?})");
+                    let r = resolved(&cube, q);
+                    let reference = scan_brick_shared(&brick, &vis, &r);
+                    let fast = scan_brick_ranges_vectorized(&brick, &ranges, &r);
+                    assert_eq!(
+                        reference.stats.rows_scanned, fast.stats.rows_scanned,
+                        "{context}: rows_scanned"
+                    );
+                    assert_eq!(
+                        reference.stats.rows_visible, fast.stats.rows_visible,
+                        "{context}: rows_visible"
+                    );
+                    assert_bits_identical(
+                        &QueryResult::finalize(&cube, &r, reference),
+                        &QueryResult::finalize(&cube, &r, fast),
+                        &context,
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn vectorized_ranges_kernel_matches_reference_bit_for_bit() {
-        for storage in [
-            crate::brick::DimStorage::Plain,
-            crate::brick::DimStorage::Bess,
-        ] {
-            let cube = cube();
-            let brick = big_brick(&cube, storage);
-            let ranges = brick.epochs().visible_ranges(&Snapshot::committed(2));
-            // Filterless shapes only: the engine takes the ranges path
-            // exactly when no filters survive resolution.
-            let battery = [
-                Query::aggregate(vec![
-                    Aggregation::new(AggFn::Sum, "likes"),
-                    Aggregation::new(AggFn::Count, "likes"),
-                    Aggregation::new(AggFn::Avg, "score"),
-                    Aggregation::new(AggFn::Min, "score"),
-                    Aggregation::new(AggFn::Max, "likes"),
-                ]),
-                Query::aggregate(vec![Aggregation::new(AggFn::Sum, "score")])
-                    .grouped_by("region")
-                    .grouped_by("day")
-                    .ordered_by(OrderBy::Aggregation(0), true)
-                    .limited(5),
-            ];
-            for (qi, q) in battery.iter().enumerate() {
-                let r = resolved(&cube, q);
-                let reference = scan_brick_ranges(&brick, &ranges, &r);
-                let fast = scan_brick_ranges_vectorized(&brick, &ranges, &r);
-                assert_eq!(
-                    reference.stats.rows_scanned, fast.stats.rows_scanned,
-                    "query {qi} ({storage:?}): rows_scanned"
-                );
-                assert_bits_identical(
-                    &QueryResult::finalize(&cube, &r, reference),
-                    &QueryResult::finalize(&cube, &r, fast),
-                    &format!("query {qi} ({storage:?})"),
-                );
-            }
-        }
+        // The history is what the doc comment says it is.
+        let cube = cube();
+        let brick = history_brick(&cube, crate::brick::DimStorage::Plain);
+        assert_eq!(brick.epochs().visible_ranges(&snapshots[0]), vec![0..1800]);
+        assert_eq!(
+            brick.epochs().visible_ranges(&snapshots[1]),
+            vec![2200..2300, 2800..5800]
+        );
+        assert_eq!(
+            brick.epochs().visible_ranges(&snapshots[2]),
+            vec![2200..5800]
+        );
     }
 
     #[test]
@@ -1769,7 +1728,11 @@ mod tests {
         ])
         .grouped_by("region");
         let r = resolved(&cube, &q);
-        let reference = scan_brick_ranges(&brick, &ranges, &r);
+        let mut vis = Bitmap::new(brick.row_count() as usize);
+        for range in &ranges {
+            vis.set_range(range.start as usize, range.end as usize);
+        }
+        let reference = scan_brick_shared(&brick, &vis, &r);
         let fast = scan_brick_ranges_vectorized(&brick, &ranges, &r);
         assert_eq!(reference.stats.rows_scanned, expected_rows);
         assert_eq!(fast.stats.rows_scanned, expected_rows);
@@ -1799,10 +1762,17 @@ mod tests {
             Aggregation::new(AggFn::Avg, "score"),
         ]);
         let r = resolved(&cube, &q);
-        let vis = brick.visibility(&Snapshot::committed(1));
+        let snap = Snapshot::committed(1);
+        let ranges = brick.epochs().visible_ranges(&snap);
         let partials = [
-            ("reference", scan_brick_shared(&brick, &vis, &r)),
-            ("vectorized", scan_brick_shared_vectorized(&brick, &vis, &r)),
+            (
+                "reference",
+                scan_brick_shared(&brick, &brick.visibility(&snap), &r),
+            ),
+            (
+                "vectorized",
+                scan_brick_ranges_vectorized(&brick, &ranges, &r),
+            ),
         ];
         for (kernel, partial) in partials {
             let result = QueryResult::finalize(&cube, &r, partial);
@@ -1932,13 +1902,6 @@ mod tests {
         let ranges = brick.epochs().visible_ranges(&snap);
         assert_eq!(scan_brick_shared(&brick, &vis, &r).stats.rows_scanned, 3);
         assert_eq!(
-            scan_brick_shared_vectorized(&brick, &vis, &r)
-                .stats
-                .rows_scanned,
-            3
-        );
-        assert_eq!(scan_brick_ranges(&brick, &ranges, &r).stats.rows_scanned, 3);
-        assert_eq!(
             scan_brick_ranges_vectorized(&brick, &ranges, &r)
                 .stats
                 .rows_scanned,
@@ -2064,6 +2027,7 @@ mod tests {
             let cube = cube();
             let brick = big_brick(&cube, storage);
             let vis = brick.visibility(&Snapshot::committed(2));
+            let ranges = brick.epochs().visible_ranges(&Snapshot::committed(2));
             let cases: Vec<(CmpOp, f64)> = vec![
                 (CmpOp::Gt, 10_000.0),
                 (CmpOp::Ge, 0.0),
@@ -2090,7 +2054,10 @@ mod tests {
                     let naive = naive_group_having(&cube, &brick, &vis, &r);
                     for (kernel, partial) in [
                         ("reference", scan_brick_shared(&brick, &vis, &r)),
-                        ("vectorized", scan_brick_shared_vectorized(&brick, &vis, &r)),
+                        (
+                            "vectorized",
+                            scan_brick_ranges_vectorized(&brick, &ranges, &r),
+                        ),
                     ] {
                         let result = QueryResult::finalize(&cube, &r, partial);
                         let context =
@@ -2121,6 +2088,7 @@ mod tests {
         // finalize to NaN in every group.
         brick.replace_metric_for_test(1, Column::Str(vec![0, 1, 2]));
         let vis = brick.visibility(&Snapshot::committed(1));
+        let ranges = brick.epochs().visible_ranges(&Snapshot::committed(1));
         for op in [
             CmpOp::Eq,
             CmpOp::Ne,
@@ -2138,7 +2106,10 @@ mod tests {
             let r = resolved(&cube, &q);
             for (kernel, partial) in [
                 ("reference", scan_brick_shared(&brick, &vis, &r)),
-                ("vectorized", scan_brick_shared_vectorized(&brick, &vis, &r)),
+                (
+                    "vectorized",
+                    scan_brick_ranges_vectorized(&brick, &ranges, &r),
+                ),
             ] {
                 let result = QueryResult::finalize(&cube, &r, partial);
                 assert!(

@@ -21,8 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
-use aosi::{Snapshot, VisibilityCache};
-use columnar::Bitmap;
+use aosi::Snapshot;
 
 use crate::brick::Brick;
 use crate::cube::Cube;
@@ -47,7 +46,6 @@ pub(crate) struct ShardScan {
     pub(crate) snapshot: Option<Snapshot>,
     pub(crate) shape: Arc<AggQueryShape>,
     pub(crate) kernel: ScanKernel,
-    pub(crate) vis_cache: Option<Arc<VisibilityCache<BrickKey>>>,
     pub(crate) agg_cache: Option<Arc<AggCache>>,
     pub(crate) tier: Option<Arc<TieredStore>>,
     /// Bricks the filter rejects are another replica's to scan.
@@ -96,8 +94,8 @@ enum TierPrepared {
 impl ShardScan {
     /// Answers the request for `shard`'s bricks. Must run on that
     /// shard's thread: owning the bricks is what makes enumeration,
-    /// tier fault-in and both cache probes race-free. Brick partials
-    /// reach `sink` in ascending bid order.
+    /// tier fault-in and the aggregate-cache probe race-free. Brick
+    /// partials reach `sink` in ascending bid order.
     pub(crate) fn run(
         &self,
         shard: usize,
@@ -205,11 +203,11 @@ impl ShardScan {
     /// too — the cached partial was keyed on the same generation +
     /// snapshot that a fresh build would use).
     ///
-    /// RU scans (no snapshot) bypass both caches — there is no
-    /// snapshot to key on.
+    /// RU scans (no snapshot) bypass the cache — there is no snapshot
+    /// to key on.
     fn scan_one_brick(&self, brick: &Brick, key: &BrickKey) -> PartialResult {
         let (Some(agg_cache), Some(snap)) = (&self.agg_cache, &self.snapshot) else {
-            return self.scan_one_brick_uncached(brick, key);
+            return self.scan_one_brick_uncached(brick);
         };
         // On a miss the builder runs the real scan and hands the cache
         // a scrubbed capture, keeping the full partial (live work
@@ -217,7 +215,7 @@ impl ShardScan {
         let mut fresh: Option<PartialResult> = None;
         let (cached, _hit) =
             agg_cache.get_or_build(key, brick.epochs(), snap, Arc::clone(&self.shape), || {
-                let scanned = self.scan_one_brick_uncached(brick, key);
+                let scanned = self.scan_one_brick_uncached(brick);
                 let captured = CachedAgg::capture(&scanned);
                 fresh = Some(scanned);
                 captured
@@ -231,65 +229,37 @@ impl ShardScan {
         }
     }
 
-    /// Scans one brick under the request's snapshot, consulting the
-    /// visibility cache when one is configured: the brick cannot
-    /// mutate underneath the lookup, and any insert lands before the
-    /// shard applies a later mutation.
-    fn scan_one_brick_uncached(&self, brick: &Brick, key: &BrickKey) -> PartialResult {
+    /// Scans one brick under the request's snapshot. Each kernel has
+    /// exactly one visibility representation, recomputed per scan from
+    /// the brick's epochs vector: the vectorized kernel walks the
+    /// visible ranges (no bitmap is ever built), the row-at-a-time
+    /// reference walks the visibility bitmap — so every oracle
+    /// comparison is also a ranges-vs-bitmap differential. RU scans
+    /// (no snapshot) see every stored row.
+    fn scan_one_brick_uncached(&self, brick: &Brick) -> PartialResult {
         let resolved = &self.resolved;
-        let cache = self.vis_cache.as_deref();
-        let mut hit = None;
+        let snapshot = self.snapshot.as_ref();
         let vis_started = Instant::now();
-        let mut scanned = if resolved.filters.is_empty() {
-            // Unfiltered scans never need a bitmap: walk the visible
-            // ranges (SI) or the whole brick (RU) directly.
-            let ranges: Arc<Vec<std::ops::Range<u64>>> = match (&self.snapshot, cache) {
-                (Some(snap), Some(cache)) => {
-                    let (ranges, was_hit) = cache.ranges(key, brick.epochs(), snap);
-                    hit = Some(was_hit);
-                    ranges
-                }
-                (Some(snap), None) => Arc::new(brick.epochs().visible_ranges(snap)),
+        let scan_started;
+        let mut scanned = match self.kernel {
+            ScanKernel::Vectorized => {
                 #[allow(clippy::single_range_in_vec_init)]
-                (None, _) => Arc::new(vec![0..brick.row_count()]),
-            };
-            let vis_nanos = vis_started.elapsed().as_nanos() as u64;
-            let scan_started = Instant::now();
-            let mut scanned = match self.kernel {
-                ScanKernel::Vectorized => {
-                    crate::query::scan_brick_ranges_vectorized(brick, &ranges, resolved)
-                }
-                ScanKernel::RowAtATime => crate::query::scan_brick_ranges(brick, &ranges, resolved),
-            };
-            scanned.stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-            scanned.stats.visibility_build_nanos = vis_nanos;
-            scanned
-        } else {
-            let visibility: Arc<Bitmap> = match (&self.snapshot, cache) {
-                (Some(snap), Some(cache)) => {
-                    let (bitmap, was_hit) = cache.bitmap(key, brick.epochs(), snap);
-                    hit = Some(was_hit);
-                    bitmap
-                }
-                (Some(snap), None) => Arc::new(brick.visibility(snap)),
-                (None, _) => Arc::new(brick.all_rows()),
-            };
-            let vis_nanos = vis_started.elapsed().as_nanos() as u64;
-            let scan_started = Instant::now();
-            let mut scanned = match self.kernel {
-                ScanKernel::Vectorized => {
-                    crate::query::scan_brick_shared_vectorized(brick, &visibility, resolved)
-                }
-                ScanKernel::RowAtATime => {
-                    crate::query::scan_brick_shared(brick, &visibility, resolved)
-                }
-            };
-            scanned.stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
-            scanned.stats.visibility_build_nanos = vis_nanos;
-            scanned
+                let ranges = snapshot.map_or_else(
+                    || vec![0..brick.row_count()],
+                    |snap| brick.epochs().visible_ranges(snap),
+                );
+                scan_started = Instant::now();
+                crate::query::scan_brick_ranges_vectorized(brick, &ranges, resolved)
+            }
+            ScanKernel::RowAtATime => {
+                let visibility =
+                    snapshot.map_or_else(|| brick.all_rows(), |snap| brick.visibility(snap));
+                scan_started = Instant::now();
+                crate::query::scan_brick_shared(brick, &visibility, resolved)
+            }
         };
-        scanned.stats.vis_cache_hits = u64::from(hit == Some(true));
-        scanned.stats.vis_cache_misses = u64::from(hit == Some(false));
+        scanned.stats.visibility_build_nanos = (scan_started - vis_started).as_nanos() as u64;
+        scanned.stats.scan_nanos = scan_started.elapsed().as_nanos() as u64;
         scanned
     }
 }

@@ -26,12 +26,12 @@
 //!   power cut at any point during spill, eviction, or reload loses
 //!   nothing (`oracle::crash` pins this).
 //!
-//! ## Caches survive eviction
+//! ## Cached partials survive eviction
 //!
 //! The spill snapshot preserves the epochs vector's generation
 //! counter verbatim, and the registry retains a copy of the vector
-//! while the brick is cold. Visibility and aggregate cache entries
-//! are keyed on (generation, snapshot), so they remain *valid* across
+//! while the brick is cold. Aggregate cache entries are keyed on
+//! (generation, snapshot), so they remain *valid* across
 //! an evict/reload cycle — no invalidation happens on either edge —
 //! and a warm aggregate partial can even answer a query for a brick
 //! that is currently on disk, without faulting it in
@@ -251,8 +251,8 @@ impl TieredStore {
     /// clock (1.0 = the most recent touch in the engine, `None` =
     /// never touched). Comparable against
     /// [`aosi::SnapshotCache::partition_recency`], which uses the
-    /// same convention — the eviction ranking takes the max across
-    /// all three clocks.
+    /// same convention — the eviction ranking takes the max of the
+    /// two clocks.
     pub(crate) fn touch_recency(&self, cube: &str, bid: u64) -> Option<f64> {
         let inner = self.inner.lock();
         if inner.tick == 0 {

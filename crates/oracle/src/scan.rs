@@ -1,4 +1,4 @@
-//! Scan-path differential oracle: the parallel, visibility-cached
+//! Scan-path differential oracle: the parallel, aggregate-cached
 //! scan executor against the sequential uncached reference — same
 //! engine, same snapshot, byte-identical answers.
 //!
@@ -6,9 +6,11 @@
 //! engine's *answers* are right. This layer establishes that the
 //! engine's *fast path* computes the same answers as its slow path:
 //! [`Engine::query_at`] (shards scanned in parallel, vectorized
-//! kernel, snapshot-keyed caches) is diffed against
-//! [`Engine::query_at_reference`] (the same executor one shard at a
-//! time, row-at-a-time kernel, caches bypassed) at every committed
+//! kernel over `visible_ranges`, snapshot-keyed aggregate cache) is
+//! diffed against [`Engine::query_at_reference`] (the same executor
+//! one shard at a time, row-at-a-time kernel over `visible_bitmap`,
+//! cache bypassed) — two independent visibility derivations and two
+//! independent kernels — at every committed
 //! checkpoint of a generated schedule,
 //! at every open transaction's snapshot, and — at quiescence — at
 //! every epoch in the readable window `[LSE, LCE]`, twice, so the
@@ -21,10 +23,10 @@
 //! of merge order (see `crate::checks`); any byte difference is
 //! therefore a real visibility or merge bug, not float noise.
 //!
-//! The `tests/scan_oracle.rs` meta-test proves the oracle's teeth:
-//! it corrupts the cache through
-//! [`Engine::corrupt_visibility_cache_for_test`] and asserts
-//! [`compare_paths`] reports the divergence.
+//! The `tests/agg_oracle.rs` meta-tests prove [`compare_paths`]'
+//! teeth: they corrupt the aggregate cache through
+//! [`Engine::corrupt_agg_cache_for_test`] and assert the divergence
+//! is reported.
 
 use aosi::Snapshot;
 use cubrick::{AggFn, Aggregation, DimStorage, Engine, OrderBy, Query, QueryResult, ScanConfig};
@@ -37,7 +39,7 @@ use cubrick::DimFilter;
 use std::collections::BTreeSet;
 use workload::ops::{bucket_days, ORACLE_CUBE};
 
-/// Visibility-cache capacity for oracle engines: large enough that
+/// Aggregate-cache capacity for oracle engines: large enough that
 /// eviction never masks a staleness bug during a schedule.
 const CACHE_CAPACITY: usize = 4096;
 
@@ -48,7 +50,7 @@ pub struct ScanReport {
     pub ops_executed: usize,
     /// Fast-vs-reference query comparisons performed.
     pub comparisons: u64,
-    /// Visibility-cache hits observed across the run (> 0 proves the
+    /// Aggregate-cache hits observed across the run (> 0 proves the
     /// warm path was actually exercised, not just the cold path
     /// twice).
     pub cache_hits: u64,
@@ -57,7 +59,7 @@ pub struct ScanReport {
 }
 
 /// Builds the engine the scan oracle drives: oracle cube, the default
-/// (overlapped) executor, warm caches, plain dimension storage.
+/// (overlapped) executor, warm aggregate cache, plain dimension storage.
 pub fn scan_engine() -> Engine {
     scan_engine_with(DimStorage::Plain)
 }
@@ -380,11 +382,7 @@ pub fn run_scan_schedule_with(
         .query_at(ORACLE_CUBE, &build_query(0), &Snapshot::committed(lce))
         .map_err(|e| fail(None, format!("probe query failed: {e}")))?;
     state.parallel_tasks = probe.stats.parallel_tasks;
-    let cache_hits = state
-        .engine
-        .visibility_cache_stats()
-        .map(|s| s.hits)
-        .unwrap_or(0);
+    let cache_hits = state.engine.agg_cache_stats().map_or(0, |s| s.hits);
     Ok(ScanReport {
         ops_executed: schedule.ops.len(),
         comparisons: state.comparisons,

@@ -219,8 +219,7 @@ fn invalidation_heals_a_corrupted_agg_cache() {
     let snapshot = Snapshot::committed(engine.manager().lce());
     compare_paths(&engine, &snapshot, None, "warm-up").unwrap();
     engine.corrupt_agg_cache_for_test();
-    // Touch every loaded brick again: append invalidates their keys
-    // in both caches.
+    // Touch every loaded brick again: append invalidates their keys.
     engine.load(ORACLE_CUBE, &rows, 0).unwrap();
     compare_paths(&engine, &snapshot, None, "healed")
         .expect("invalidation must evict corrupted partials");

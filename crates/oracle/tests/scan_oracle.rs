@@ -1,20 +1,18 @@
 //! The scan-path oracle corpus: 100+ pinned seeded schedules, each
-//! proving the parallel + visibility-cached scan executor
-//! byte-identical to the sequential uncached reference at every
-//! committed snapshot — plus the meta-test that corrupts the cache
-//! and demands the oracle notice.
+//! proving the parallel + aggregate-cached scan executor (vectorized
+//! kernel over visible ranges) byte-identical to the sequential
+//! uncached reference (row-at-a-time kernel over visibility bitmaps)
+//! at every committed snapshot. The meta-tests that corrupt the cache
+//! and demand the comparator notice live in `agg_oracle.rs`.
 //!
-//! A red run here means the fast scan path (per-brick fan-out or a
-//! cached visibility artifact) disagreed with the slow path on the
-//! same engine state. Reproduce a failing seed with
+//! A red run here means the fast scan path (shard fan-out, the ranges
+//! kernel, or a cached brick partial) disagreed with the slow path on
+//! the same engine state. Reproduce a failing seed with
 //! `AOSI_SCAN_SEEDS=<seed> cargo test -p oracle --test scan_oracle`.
 
-use aosi::Snapshot;
-use columnar::Value;
 use cubrick::DimStorage;
-use oracle::checks::build_query;
-use oracle::scan::{compare_paths, run_scan_schedule_with, scan_engine};
-use workload::ops::{GenConfig, Schedule, ORACLE_CUBE};
+use oracle::scan::run_scan_schedule_with;
+use workload::ops::{GenConfig, Schedule};
 
 /// Shorter schedules than the MVCC oracle's default: each seed's
 /// work is doubled by the warm-cache sweep, and 100+ seeds must stay
@@ -64,7 +62,7 @@ fn scan_corpus_pinned_seeds() {
     }
     // Aggregate proofs-of-exercise: the corpus as a whole must have
     // hit the cache and fanned scans out, or the oracle is vacuous.
-    assert!(cache_hits > 0, "corpus never hit the visibility cache");
+    assert!(cache_hits > 0, "corpus never hit the aggregate cache");
     assert!(parallel_tasks > 0, "corpus never took the parallel path");
     eprintln!(
         "scan oracle: 104 seeds, {comparisons} comparisons, \
@@ -88,75 +86,4 @@ fn env_scan_seeds_replay() {
             report.comparisons
         );
     }
-}
-
-/// Meta-test: a deliberately stale cache entry MUST be caught. Warms
-/// the cache with the full battery (bitmap artifacts via the filtered
-/// queries, range artifacts via the unfiltered ones), corrupts every
-/// cached artifact in place without touching the keys — exactly what
-/// a missed invalidation looks like — and asserts the oracle's
-/// compare reports a divergence.
-#[test]
-fn stale_cache_entry_is_caught_by_the_oracle() {
-    let engine = scan_engine();
-    let rows: Vec<Vec<Value>> = (0..24)
-        .map(|i| {
-            vec![
-                Value::from(format!("r{}", i % 4).as_str()),
-                Value::from(i % 16),
-                Value::from(i),
-                Value::from(0.5),
-            ]
-        })
-        .collect();
-    engine.load(ORACLE_CUBE, &rows, 0).unwrap();
-    let snapshot = Snapshot::committed(engine.manager().lce());
-    // Clean warm-up: both paths agree and the cache is populated.
-    compare_paths(&engine, &snapshot, None, "warm-up").expect("clean engine must agree");
-    let stats = engine.visibility_cache_stats().unwrap();
-    assert!(stats.entries > 0, "warm-up left the cache empty");
-    // The injected bug: cached artifacts now lie about visibility.
-    engine.corrupt_visibility_cache_for_test();
-    let divergence = compare_paths(&engine, &snapshot, None, "stale")
-        .expect_err("oracle failed to catch a corrupted cache entry");
-    assert!(
-        divergence.detail.contains("differs from"),
-        "unexpected divergence shape: {divergence}"
-    );
-    // Sanity: the corruption really was served from the cache, not
-    // silently recomputed around.
-    let after = engine.visibility_cache_stats().unwrap();
-    assert!(after.hits > stats.hits, "corrupted entries were not read");
-}
-
-/// The meta-test's dual: after the same corruption, *invalidation*
-/// (here via a mutating load) must purge the poisoned entries so the
-/// engine returns to agreement — staleness cannot outlive the next
-/// mutation of the partition.
-#[test]
-fn invalidation_heals_a_corrupted_cache() {
-    let engine = scan_engine();
-    let rows: Vec<Vec<Value>> = (0..24)
-        .map(|i| {
-            vec![
-                Value::from(format!("r{}", i % 4).as_str()),
-                Value::from(i % 16),
-                Value::from(i),
-                Value::from(0.5),
-            ]
-        })
-        .collect();
-    engine.load(ORACLE_CUBE, &rows, 0).unwrap();
-    let snapshot = Snapshot::committed(engine.manager().lce());
-    compare_paths(&engine, &snapshot, None, "warm-up").unwrap();
-    engine.corrupt_visibility_cache_for_test();
-    // Touch every loaded brick again: append invalidates their keys.
-    engine.load(ORACLE_CUBE, &rows, 0).unwrap();
-    compare_paths(&engine, &snapshot, None, "healed")
-        .expect("invalidation must evict corrupted artifacts");
-    // And the old snapshot still answers with the pre-load rows.
-    let result = engine
-        .query_at(ORACLE_CUBE, &build_query(1), &snapshot)
-        .unwrap();
-    assert_eq!(result.rows[0].1[0], 24.0, "old snapshot must see 24 rows");
 }

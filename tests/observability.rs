@@ -37,7 +37,8 @@ fn query_results_carry_populated_stats_end_to_end() {
     let rows: Vec<_> = (0..100).map(|i| row("us", i % 32, 1)).collect();
     engine.load("events", &rows, 0).unwrap();
 
-    // Unfiltered scans take the contiguous-range path.
+    // The default kernel walks each brick's visible ranges, filtered
+    // or not: no scan builds a bitmap.
     let unfiltered = engine
         .query("events", &sum_query(), IsolationMode::Snapshot)
         .unwrap();
@@ -51,28 +52,37 @@ fn query_results_carry_populated_stats_end_to_end() {
     assert_eq!(unfiltered.stats.rows_scanned, 100);
     assert_eq!(unfiltered.stats.rows_visible, 100);
 
-    // Filtered scans materialise a bitmap per brick.
+    let day_3 = sum_query().filter(DimFilter::new("day", vec![Value::I64(3)]));
     let filtered = engine
-        .query(
-            "events",
-            &sum_query().filter(DimFilter::new("day", vec![Value::I64(3)])),
-            IsolationMode::Snapshot,
-        )
+        .query("events", &day_3, IsolationMode::Snapshot)
         .unwrap();
-    assert!(filtered.stats.bitmap_scans >= 1);
-    assert_eq!(filtered.stats.range_scans, 0);
+    assert!(filtered.stats.bricks_scanned >= 1);
+    assert_eq!(filtered.stats.range_scans, filtered.stats.bricks_scanned);
+    assert_eq!(filtered.stats.bitmap_scans, 0);
     assert!(filtered.stats.rows_visible < 100);
     assert!(
         filtered.stats.visibility_build_nanos + filtered.stats.scan_nanos > 0,
         "wall-clock phases must be measured"
     );
+
+    // The reference kernel is the mirror image: a visibility bitmap
+    // per brick, never the ranges.
+    let snapshot = Snapshot::committed(engine.manager().lce());
+    for query in [sum_query(), day_3] {
+        let reference = engine
+            .query_at_reference("events", &query, &snapshot)
+            .unwrap();
+        assert!(reference.stats.bricks_scanned >= 1);
+        assert_eq!(reference.stats.bitmap_scans, reference.stats.bricks_scanned);
+        assert_eq!(reference.stats.range_scans, 0);
+    }
 }
 
 /// Regression: `rows_scanned` counts the rows a scan actually
-/// traversed, not the brick's physical row count. On the unfiltered
-/// visible-ranges path an open transaction's uncommitted suffix is
-/// never walked — before the fix the stat still reported every
-/// stored row.
+/// traversed, not the brick's physical row count. An open
+/// transaction's uncommitted suffix lies outside the visible ranges
+/// and is never walked — before the fix the stat still reported
+/// every stored row.
 #[test]
 fn rows_scanned_excludes_rows_hidden_from_the_snapshot() {
     let engine = Engine::new(2);
@@ -85,16 +95,19 @@ fn rows_scanned_excludes_rows_hidden_from_the_snapshot() {
     let pending: Vec<_> = (0..40).map(|i| row("br", i % 32, 1)).collect();
     engine.append("events", &pending, &txn).unwrap();
 
-    // Unfiltered: ranges path. Only the 100 committed rows are walked.
+    // Unfiltered: only the 100 committed rows are walked.
     let unfiltered = engine
         .query("events", &sum_query(), IsolationMode::Snapshot)
         .unwrap();
     assert_eq!(unfiltered.scalar(), Some(100.0));
-    assert!(unfiltered.stats.range_scans >= 1);
+    assert_eq!(
+        unfiltered.stats.range_scans,
+        unfiltered.stats.bricks_scanned
+    );
     assert_eq!(unfiltered.stats.rows_scanned, 100);
     assert_eq!(unfiltered.stats.rows_visible, 100);
 
-    // Filtered: bitmap path. Same traversal accounting.
+    // Filtered: same path, same traversal accounting.
     let filtered = engine
         .query(
             "events",
@@ -102,7 +115,8 @@ fn rows_scanned_excludes_rows_hidden_from_the_snapshot() {
             IsolationMode::Snapshot,
         )
         .unwrap();
-    assert!(filtered.stats.bitmap_scans >= 1);
+    assert_eq!(filtered.stats.range_scans, filtered.stats.bricks_scanned);
+    assert_eq!(filtered.stats.bitmap_scans, 0);
     assert_eq!(filtered.stats.rows_scanned, 100);
     assert_eq!(filtered.stats.rows_visible, 100);
 

@@ -1,6 +1,6 @@
 //! Concurrency stress for the parallel + cached scan path: writers
 //! mutate (append / rollback / purge) while readers hammer repeated
-//! `query_as_of` epochs through the visibility cache, with the online
+//! `query_as_of` epochs through the aggregate cache, with the online
 //! SI checker riding along.
 //!
 //! What this proves, beyond the single-threaded scan oracle:
@@ -157,7 +157,7 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
     );
 
     // The cache must have been genuinely exercised.
-    let stats = engine.visibility_cache_stats().unwrap();
+    let stats = engine.agg_cache_stats().unwrap();
     assert!(
         stats.hits > 0,
         "no cache hits across the whole run: {stats:?}"
@@ -202,7 +202,6 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         (
             "cold",
             ScanConfig {
-                cache_capacity: 0,
                 agg_cache_capacity: 0,
                 kernel: ScanKernel::Vectorized,
                 ..ScanConfig::default()
@@ -240,7 +239,7 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         let in_txn = txn.snapshot().clone();
         compare_paths(&engine, &in_txn, None, &format!("bess {label} in-txn"))
             .unwrap_or_else(|d| panic!("bess {label} in-txn diverged: {d}"));
-        match engine.visibility_cache_stats() {
+        match engine.agg_cache_stats() {
             Some(stats) => {
                 assert_eq!(label, "warm");
                 assert!(stats.hits > 0, "warm run never hit the cache: {stats:?}");
