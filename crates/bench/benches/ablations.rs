@@ -7,7 +7,7 @@ use std::sync::Arc;
 use aosi::{Snapshot, TxnManager};
 use columnar::Value;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cubrick::{Brick, CubeSchema, Dimension, Metric, ParsedRecord, ShardPool};
+use cubrick::{Brick, CubeSchema, Dimension, Metric, RecordChunk, ShardPool};
 use mvcc_baseline::{LockManager, LockMode};
 use parking_lot::Mutex;
 
@@ -20,12 +20,12 @@ fn schema() -> CubeSchema {
     .unwrap()
 }
 
-fn record(i: u64) -> ParsedRecord {
-    ParsedRecord {
-        bid: i % 16,
-        coords: vec![(i % 64) as u32],
-        metrics: vec![Value::I64(i as i64)],
-    }
+/// One record as `RecordChunk::from_rows` takes it.
+type Rec = (Vec<u32>, Vec<Value>);
+
+/// Record `i` and the brick it is appended to.
+fn record(i: u64) -> (u64, Rec) {
+    (i % 16, (vec![(i % 64) as u32], vec![Value::I64(i as i64)]))
 }
 
 /// Ablation: bid-sharded single-writer queues (the paper's design)
@@ -54,11 +54,11 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                     scope.spawn(move || {
                         // Group 100 records per brick op, like the
                         // engine's per-bid flush batches.
-                        let mut by_bid: std::collections::HashMap<u64, Vec<ParsedRecord>> =
+                        let mut by_bid: std::collections::HashMap<u64, Vec<Rec>> =
                             std::collections::HashMap::new();
                         for i in 0..APPENDS_PER_THREAD {
-                            let rec = record(t * APPENDS_PER_THREAD + i);
-                            by_bid.entry(rec.bid).or_default().push(rec);
+                            let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
+                            by_bid.entry(bid).or_default().push(rec);
                             if i % 100 == 99 {
                                 for (bid, recs) in by_bid.drain() {
                                     let schema = schema.clone();
@@ -68,7 +68,7 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                                             .or_default()
                                             .entry(bid)
                                             .or_insert_with(|| Brick::new(&schema))
-                                            .append(1, &recs);
+                                            .append(1, &RecordChunk::from_rows(&recs));
                                     });
                                 }
                             }
@@ -91,14 +91,16 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                 for t in 0..THREADS {
                     let bricks = &bricks;
                     scope.spawn(move || {
-                        let mut by_bid: std::collections::HashMap<u64, Vec<ParsedRecord>> =
+                        let mut by_bid: std::collections::HashMap<u64, Vec<Rec>> =
                             std::collections::HashMap::new();
                         for i in 0..APPENDS_PER_THREAD {
-                            let rec = record(t * APPENDS_PER_THREAD + i);
-                            by_bid.entry(rec.bid).or_default().push(rec);
+                            let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
+                            by_bid.entry(bid).or_default().push(rec);
                             if i % 100 == 99 {
                                 for (bid, recs) in by_bid.drain() {
-                                    bricks[bid as usize].lock().append(1, &recs);
+                                    bricks[bid as usize]
+                                        .lock()
+                                        .append(1, &RecordChunk::from_rows(&recs));
                                 }
                             }
                         }
@@ -119,8 +121,7 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                     let schema = schema.clone();
                     scope.spawn(move || {
                         for i in 0..APPENDS_PER_THREAD {
-                            let rec = record(t * APPENDS_PER_THREAD + i);
-                            let bid = rec.bid;
+                            let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
                             let schema = schema.clone();
                             pool.submit(pool.shard_of(bid), move |bricks| {
                                 bricks
@@ -128,7 +129,7 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                                     .or_default()
                                     .entry(bid)
                                     .or_insert_with(|| Brick::new(&schema))
-                                    .append(1, &[rec]);
+                                    .append(1, &RecordChunk::from_rows(&[rec]));
                             });
                         }
                     });
@@ -150,8 +151,10 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                     let bricks = &bricks;
                     scope.spawn(move || {
                         for i in 0..APPENDS_PER_THREAD {
-                            let rec = record(t * APPENDS_PER_THREAD + i);
-                            bricks[rec.bid as usize].lock().append(1, &[rec]);
+                            let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
+                            bricks[bid as usize]
+                                .lock()
+                                .append(1, &RecordChunk::from_rows(&[rec]));
                         }
                     });
                 }
@@ -167,8 +170,8 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
 fn bench_lock_free_vs_2pl_scan(c: &mut Criterion) {
     const PARTITIONS: u64 = 64;
     let mut brick = Brick::new(&schema());
-    let records: Vec<ParsedRecord> = (0..10_000).map(record).collect();
-    brick.append(1, &records);
+    let records: Vec<Rec> = (0..10_000).map(|i| record(i).1).collect();
+    brick.append(1, &RecordChunk::from_rows(&records));
     let snapshot = Snapshot::committed(1);
 
     let mut group = c.benchmark_group("scan_locking_ablation");
@@ -247,19 +250,21 @@ fn bench_bess_vs_plain(c: &mut Criterion) {
         vec![Metric::int("m")],
     )
     .unwrap();
-    let records: Vec<ParsedRecord> = (0..100_000u64)
-        .map(|i| ParsedRecord {
-            bid: 0,
-            coords: vec![
-                (i % 8) as u32,
-                (i % 4) as u32,
-                (i % 64) as u32,
-                (i % 24) as u32,
-                (i % 256) as u32,
-            ],
-            metrics: vec![Value::I64(i as i64)],
+    let records: Vec<Rec> = (0..100_000u64)
+        .map(|i| {
+            (
+                vec![
+                    (i % 8) as u32,
+                    (i % 4) as u32,
+                    (i % 64) as u32,
+                    (i % 24) as u32,
+                    (i % 256) as u32,
+                ],
+                vec![Value::I64(i as i64)],
+            )
         })
         .collect();
+    let records = RecordChunk::from_rows(&records);
     let mut group = c.benchmark_group("dim_storage_ablation");
     for (name, storage) in [("plain", DimStorage::Plain), ("bess", DimStorage::Bess)] {
         let mut brick = Brick::with_storage(&schema, storage);

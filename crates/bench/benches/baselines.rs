@@ -130,11 +130,12 @@ fn bench_parse(c: &mut Criterion) {
 /// WAL codec throughput: encoding/decoding one flush round of 50k
 /// rows.
 fn bench_wal_codec(c: &mut Criterion) {
-    let records: Vec<cubrick::ParsedRecord> = (0..50_000u64)
-        .map(|i| cubrick::ParsedRecord {
-            bid: i % 64,
-            coords: vec![(i % 8) as u32, (i % 64) as u32],
-            metrics: vec![Value::I64(i as i64), Value::F64(0.25)],
+    let records: Vec<(Vec<u32>, Vec<Value>)> = (0..50_000u64)
+        .map(|i| {
+            (
+                vec![(i % 8) as u32, (i % 64) as u32],
+                vec![Value::I64(i as i64), Value::F64(0.25)],
+            )
         })
         .collect();
     let round = wal::FlushRound {
@@ -144,7 +145,10 @@ fn bench_wal_codec(c: &mut Criterion) {
         deltas: vec![cubrick::BrickDelta {
             cube: "t".into(),
             bid: 3,
-            runs: vec![cubrick::DeltaRun::Insert { epoch: 5, records }],
+            runs: vec![cubrick::DeltaRun::Insert {
+                epoch: 5,
+                records: cubrick::RecordChunk::from_rows(&records),
+            }],
         }],
     };
     let encoded = wal::codec::encode(&round);

@@ -8,9 +8,28 @@
 //! by purge and rollback (which rebuild partitions rather than mutate
 //! records in place).
 
+use std::ops::Range;
+
 use crate::bitmap::Bitmap;
 use crate::schema::ColumnType;
 use crate::value::Value;
+
+/// Appends `src` to `dst`, growing the capacity through exactly the
+/// sequence `src.len()` single `push` calls would (doubling, floor of
+/// four) — a bare `extend_from_slice` reserves `len + n` on a first
+/// overflow, which lands a vector filled in batches of `n` on an
+/// `n·2ᵏ` capacity sequence with more slack than pushes leave.
+pub fn extend_doubling<T: Copy>(dst: &mut Vec<T>, src: &[T]) {
+    let needed = dst.len() + src.len();
+    if needed > dst.capacity() {
+        let mut capacity = dst.capacity();
+        while capacity < needed {
+            capacity = (capacity * 2).max(4);
+        }
+        dst.reserve_exact(capacity - dst.len());
+    }
+    dst.extend_from_slice(src);
+}
 
 /// One attribute of a partition, stored as a contiguous vector.
 ///
@@ -180,6 +199,31 @@ impl Column {
         }
     }
 
+    /// Appends every row of `other`, with the capacity growth of
+    /// per-row pushes (see [`extend_doubling`]); returns `false`, and
+    /// appends nothing, on type mismatch.
+    pub fn extend_from_column(&mut self, other: &Column) -> bool {
+        match (self, other) {
+            (Column::I64(dst), Column::I64(src)) => extend_doubling(dst, src),
+            (Column::F64(dst), Column::F64(src)) => extend_doubling(dst, src),
+            (Column::Str(dst), Column::Str(src)) => extend_doubling(dst, src),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Copies the rows at `range` into a new column of the same type.
+    ///
+    /// # Panics
+    /// Panics if `range` reaches past the column's length.
+    pub fn slice(&self, range: Range<usize>) -> Column {
+        match self {
+            Column::I64(v) => Column::I64(v[range].to_vec()),
+            Column::F64(v) => Column::F64(v[range].to_vec()),
+            Column::Str(v) => Column::Str(v[range].to_vec()),
+        }
+    }
+
     /// Builds a new column keeping only the rows whose bit is set in
     /// `keep`. Used by purge (apply deletes) and rollback (drop an
     /// aborted transaction's rows) — both rebuild rather than mutate.
@@ -279,6 +323,36 @@ mod tests {
         assert!(!c.push_value(&Value::F64(1.0)));
         assert!(!c.push_value(&Value::Str("x".into())));
         assert_eq!(c.len(), 1);
+    }
+
+    #[test]
+    fn bulk_extend_grows_like_per_row_pushes() {
+        for (start_capacity, batch) in [(0usize, 39usize), (0, 1), (100, 39), (7, 250)] {
+            let mut pushed: Vec<i64> = Vec::with_capacity(start_capacity);
+            let mut extended = Column::I64(Vec::with_capacity(start_capacity));
+            for round in 0..40 {
+                let rows: Vec<i64> = (0..batch as i64).map(|i| i + round).collect();
+                for &v in &rows {
+                    pushed.push(v);
+                }
+                assert!(extended.extend_from_column(&Column::I64(rows)));
+                assert_eq!(
+                    extended.heap_bytes(),
+                    pushed.capacity() * 8,
+                    "start {start_capacity}, batch {batch}, round {round}"
+                );
+            }
+            assert_eq!(extended, Column::I64(pushed));
+        }
+    }
+
+    #[test]
+    fn extend_rejects_a_type_mismatch_and_slice_copies_a_range() {
+        let mut c = Column::I64(vec![1, 2, 3, 4]);
+        assert!(!c.extend_from_column(&Column::F64(vec![0.5])));
+        assert_eq!(c.len(), 4);
+        assert_eq!(c.slice(1..3), Column::I64(vec![2, 3]));
+        assert_eq!(c.slice(4..4), Column::I64(vec![]));
     }
 
     #[test]

@@ -31,7 +31,7 @@ mod value;
 
 pub use bess::BessVector;
 pub use bitmap::Bitmap;
-pub use column::Column;
+pub use column::{extend_doubling, Column};
 pub use dictionary::Dictionary;
 pub use schema::{ColumnType, Field, Schema};
 pub use value::{Row, Value};

@@ -6,11 +6,13 @@
 //! are typed columns. The only concurrency-control state is the AOSI
 //! epochs vector — no per-record timestamps anywhere.
 
-use aosi::{purge, rollback, Epoch, EpochsVector, Snapshot};
-use columnar::{BessVector, Bitmap, Column, ColumnType};
+use std::ops::Range;
 
-use crate::ddl::{CubeSchema, MetricType};
-use crate::ingest::ParsedRecord;
+use aosi::{purge, rollback, Epoch, EpochsVector, Snapshot};
+use columnar::{extend_doubling, BessVector, Bitmap, Column};
+
+use crate::ddl::CubeSchema;
+use crate::ingest::RecordChunk;
 
 /// How a brick stores its dimension coordinates.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -66,16 +68,7 @@ impl Brick {
         };
         Brick {
             dims,
-            metrics: schema
-                .metrics
-                .iter()
-                .map(|m| {
-                    Column::new(match m.metric_type {
-                        MetricType::I64 => ColumnType::I64,
-                        MetricType::F64 => ColumnType::F64,
-                    })
-                })
-                .collect(),
+            metrics: schema.metric_columns(),
             epochs: EpochsVector::new(),
         }
     }
@@ -92,10 +85,14 @@ impl Brick {
     /// for either layout — what the tier spill codec writes. Cold
     /// path: scans use [`Brick::dim_slice`] / [`Brick::gather_dim`].
     pub fn dim_coords(&self, dim: usize) -> Vec<u32> {
+        self.dim_range(dim, 0..self.row_count() as usize)
+    }
+
+    fn dim_range(&self, dim: usize, rows: Range<usize>) -> Vec<u32> {
         match &self.dims {
-            DimStore::Plain(dims) => dims[dim].clone(),
+            DimStore::Plain(dims) => dims[dim][rows].to_vec(),
             DimStore::Bess(bess) => {
-                let rows: Vec<u32> = (0..self.row_count() as u32).collect();
+                let rows: Vec<u32> = (rows.start as u32..rows.end as u32).collect();
                 let mut out = Vec::new();
                 bess.gather_dim(dim, &rows, &mut out);
                 out
@@ -141,13 +138,7 @@ impl Brick {
             DimStorage::Bess => {
                 let cards: Vec<u32> = schema.dimensions.iter().map(|d| d.cardinality).collect();
                 let mut bess = BessVector::new(&cards);
-                let mut coords = vec![0u32; dim_columns.len()];
-                for row in 0..rows as usize {
-                    for (d, col) in dim_columns.iter().enumerate() {
-                        coords[d] = col[row];
-                    }
-                    bess.push(&coords);
-                }
+                pack_columns(&mut bess, &dim_columns);
                 DimStore::Bess(bess)
             }
         };
@@ -158,30 +149,55 @@ impl Brick {
         }
     }
 
-    /// Appends parsed records on behalf of transaction `epoch`.
+    /// Appends a chunk of parsed records on behalf of transaction
+    /// `epoch`, column by column. Capacities grow as per-row pushes
+    /// would grow them (see [`extend_doubling`]), so a brick's
+    /// footprint does not depend on the batch size it was loaded in.
     ///
     /// Applied by the owning shard thread only, so the append is
     /// lock-free by construction (Section V-B).
-    pub fn append(&mut self, epoch: Epoch, records: &[ParsedRecord]) {
-        if records.is_empty() {
+    pub fn append(&mut self, epoch: Epoch, chunk: &RecordChunk) {
+        if chunk.is_empty() {
             return;
         }
-        let range = self.epochs.append(epoch, records.len() as u64);
-        debug_assert_eq!(range.end - range.start, records.len() as u64);
-        for rec in records {
-            debug_assert_eq!(rec.coords.len(), self.num_dims());
-            match &mut self.dims {
-                DimStore::Plain(dims) => {
-                    for (dim, &coord) in dims.iter_mut().zip(&rec.coords) {
-                        dim.push(coord);
-                    }
+        // Checked before anything is written: a chunk of another
+        // shape would leave the columns at different lengths.
+        let rows = chunk.len();
+        assert!(
+            chunk.coords.len() == self.num_dims()
+                && chunk.coords.iter().all(|c| c.len() == rows)
+                && chunk.metrics.iter().all(|m| m.len() == rows)
+                && chunk
+                    .metrics
+                    .iter()
+                    .map(Column::column_type)
+                    .eq(self.metrics.iter().map(Column::column_type)),
+            "chunk shape does not match the brick's schema"
+        );
+        let range = self.epochs.append(epoch, rows as u64);
+        debug_assert_eq!(range.end - range.start, rows as u64);
+        match &mut self.dims {
+            DimStore::Plain(dims) => {
+                for (dim, coords) in dims.iter_mut().zip(&chunk.coords) {
+                    extend_doubling(dim, coords);
                 }
-                DimStore::Bess(bess) => bess.push(&rec.coords),
             }
-            for (col, value) in self.metrics.iter_mut().zip(&rec.metrics) {
-                let ok = col.push_value(value);
-                debug_assert!(ok, "metric type mismatch survived parsing");
-            }
+            DimStore::Bess(bess) => pack_columns(bess, &chunk.coords),
+        }
+        for (col, values) in self.metrics.iter_mut().zip(&chunk.metrics) {
+            let extended = col.extend_from_column(values);
+            debug_assert!(extended, "types were checked above");
+        }
+    }
+
+    /// Copies the records at `rows` out as a chunk — what delta
+    /// export and the elastic handoff carry for one epochs-vector run.
+    pub fn chunk(&self, rows: Range<usize>) -> RecordChunk {
+        RecordChunk {
+            coords: (0..self.num_dims())
+                .map(|dim| self.dim_range(dim, rows.clone()))
+                .collect(),
+            metrics: self.metrics.iter().map(|m| m.slice(rows.clone())).collect(),
         }
     }
 
@@ -379,6 +395,18 @@ impl Brick {
     }
 }
 
+/// Packs per-dimension coordinate columns (of one length) onto `bess`,
+/// record by record.
+fn pack_columns(bess: &mut BessVector, columns: &[Vec<u32>]) {
+    let mut coords = vec![0u32; columns.len()];
+    for row in 0..columns.first().map_or(0, Vec::len) {
+        for (coord, column) in coords.iter_mut().zip(columns) {
+            *coord = column[row];
+        }
+        bess.push(&coords);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -394,18 +422,20 @@ mod tests {
         .unwrap()
     }
 
-    fn rec(coord: u32, m: i64, f: f64) -> ParsedRecord {
-        ParsedRecord {
-            bid: 0,
-            coords: vec![coord],
-            metrics: vec![Value::I64(m), Value::F64(f)],
-        }
+    type Rec = (Vec<u32>, Vec<Value>);
+
+    fn rec(coord: u32, m: i64, f: f64) -> Rec {
+        (vec![coord], vec![Value::I64(m), Value::F64(f)])
+    }
+
+    fn chunk(recs: &[Rec]) -> RecordChunk {
+        RecordChunk::from_rows(recs)
     }
 
     #[test]
     fn append_fills_all_columns() {
         let mut b = Brick::new(&schema());
-        b.append(1, &[rec(0, 10, 0.5), rec(1, 20, 1.5)]);
+        b.append(1, &chunk(&[rec(0, 10, 0.5), rec(1, 20, 1.5)]));
         assert_eq!(b.row_count(), 2);
         assert_eq!(b.dim_column(0), &[0, 1]);
         assert_eq!(b.metric_column(0).get_i64(1), Some(20));
@@ -415,8 +445,8 @@ mod tests {
     #[test]
     fn visibility_respects_snapshots() {
         let mut b = Brick::new(&schema());
-        b.append(1, &[rec(0, 1, 0.0)]);
-        b.append(3, &[rec(1, 2, 0.0)]);
+        b.append(1, &chunk(&[rec(0, 1, 0.0)]));
+        b.append(3, &chunk(&[rec(1, 2, 0.0)]));
         let bm = b.visibility(&Snapshot::committed(1));
         assert_eq!(bm.to_bit_string(), "10");
         let bm = b.visibility(&Snapshot::committed(3));
@@ -427,9 +457,9 @@ mod tests {
     #[test]
     fn purge_rebuilds_data_vectors() {
         let mut b = Brick::new(&schema());
-        b.append(1, &[rec(0, 1, 0.0), rec(1, 2, 0.0)]);
+        b.append(1, &chunk(&[rec(0, 1, 0.0), rec(1, 2, 0.0)]));
         b.mark_delete(2);
-        b.append(3, &[rec(2, 3, 0.0)]);
+        b.append(3, &chunk(&[rec(2, 3, 0.0)]));
         let (purged, _) = b.purge(3);
         assert_eq!(purged, 2);
         assert_eq!(b.row_count(), 1);
@@ -441,9 +471,9 @@ mod tests {
     #[test]
     fn rollback_rebuilds_data_vectors() {
         let mut b = Brick::new(&schema());
-        b.append(1, &[rec(0, 1, 0.0)]);
-        b.append(2, &[rec(1, 2, 0.0), rec(2, 3, 0.0)]);
-        b.append(1, &[rec(3, 4, 0.0)]);
+        b.append(1, &chunk(&[rec(0, 1, 0.0)]));
+        b.append(2, &chunk(&[rec(1, 2, 0.0), rec(2, 3, 0.0)]));
+        b.append(1, &chunk(&[rec(3, 4, 0.0)]));
         assert_eq!(b.rollback(2), 2);
         assert_eq!(b.row_count(), 2);
         assert_eq!(b.dim_column(0), &[0, 3]);
@@ -454,8 +484,8 @@ mod tests {
     #[test]
     fn memory_counts_payload_and_metadata_separately() {
         let mut b = Brick::new(&schema());
-        let recs: Vec<ParsedRecord> = (0..100).map(|i| rec(i % 8, i as i64, 0.0)).collect();
-        b.append(1, &recs);
+        let recs: Vec<Rec> = (0..100).map(|i| rec(i % 8, i as i64, 0.0)).collect();
+        b.append(1, &chunk(&recs));
         let m = b.memory();
         assert_eq!(m.rows, 100);
         // 100 x (4B dim + 8B + 8B metrics), capacities may round up.
@@ -480,16 +510,12 @@ mod tests {
         )
         .unwrap();
         let mut b = Brick::with_storage(&schema, DimStorage::Plain);
-        let recs: Vec<ParsedRecord> = (0..300)
-            .map(|i| ParsedRecord {
-                bid: 0,
-                coords: vec![i % 8; 6],
-                metrics: vec![Value::I64(i as i64), Value::F64(0.5)],
-            })
+        let recs: Vec<Rec> = (0..300)
+            .map(|i| (vec![i % 8; 6], vec![Value::I64(i as i64), Value::F64(0.5)]))
             .collect();
-        b.append(1, &recs);
+        b.append(1, &chunk(&recs));
         b.mark_delete(2);
-        b.append(3, &recs[..50]);
+        b.append(3, &chunk(&recs[..50]));
 
         // Walk the actual structures allocation by allocation.
         let DimStore::Plain(dims) = &b.dims else {
@@ -514,14 +540,14 @@ mod tests {
     #[test]
     fn restore_roundtrips_both_layouts_bit_identically() {
         let schema = schema();
-        let recs: Vec<ParsedRecord> = (0..200)
+        let recs: Vec<Rec> = (0..200)
             .map(|i| rec(i % 8, i as i64, i as f64 / 2.0))
             .collect();
         for storage in [DimStorage::Plain, DimStorage::Bess] {
             let mut original = Brick::with_storage(&schema, storage);
-            original.append(1, &recs[..120]);
+            original.append(1, &chunk(&recs[..120]));
             original.mark_delete(2);
-            original.append(3, &recs[120..]);
+            original.append(3, &chunk(&recs[120..]));
 
             let dims: Vec<Vec<u32>> = (0..original.num_dims())
                 .map(|d| original.dim_coords(d))
@@ -582,10 +608,55 @@ mod tests {
         assert!(b.memory().data_bytes >= 6 * std::mem::size_of::<Vec<u32>>());
     }
 
+    /// The growth rule: a brick filled in batches must land on the
+    /// capacities per-row pushes gave (power-of-two doubling), not on
+    /// a `39·2ᵏ` sequence. The expected bytes were recorded from the
+    /// push-filled brick of the commit before chunks existed.
+    #[test]
+    fn chunk_filled_brick_has_the_footprint_of_a_push_filled_one() {
+        for (storage, expected) in [(DimStorage::Plain, 81_944), (DimStorage::Bess, 67_592)] {
+            let mut b = Brick::with_storage(&schema(), storage);
+            for c in 0..100u32 {
+                let recs: Vec<Rec> = (0..39).map(|i| rec((c + i) % 8, i as i64, 0.5)).collect();
+                b.append(1 + u64::from(c), &chunk(&recs));
+            }
+            assert_eq!(b.row_count(), 3900);
+            assert_eq!(b.memory().data_bytes, expected, "{storage:?}");
+        }
+    }
+
+    #[test]
+    fn chunk_copies_a_run_back_out_of_either_layout() {
+        let first: Vec<Rec> = (0..70).map(|i| rec(i % 8, i as i64, 0.25)).collect();
+        let second: Vec<Rec> = (0..30).map(|i| rec(7 - i % 8, -(i as i64), 1.5)).collect();
+        for storage in [DimStorage::Plain, DimStorage::Bess] {
+            let mut b = Brick::with_storage(&schema(), storage);
+            b.append(1, &chunk(&first));
+            b.append(2, &chunk(&second));
+            assert_eq!(b.chunk(0..70), chunk(&first), "{storage:?}");
+            assert_eq!(b.chunk(70..100), chunk(&second), "{storage:?}");
+        }
+    }
+
+    #[test]
+    fn a_chunk_of_another_shape_is_refused_before_anything_is_written() {
+        let wrong_type = chunk(&[(vec![0], vec![Value::F64(0.5), Value::F64(0.5)])]);
+        let mut ragged = chunk(&[rec(0, 1, 0.5), rec(1, 2, 0.5)]);
+        ragged.metrics[1] = Column::F64(vec![0.5]);
+        for bad in [wrong_type, ragged] {
+            let mut b = Brick::new(&schema());
+            let refused = std::panic::catch_unwind(move || {
+                b.append(1, &bad);
+                b
+            });
+            assert!(refused.is_err(), "a malformed chunk must not be appended");
+        }
+    }
+
     #[test]
     fn empty_append_is_noop() {
         let mut b = Brick::new(&schema());
-        b.append(1, &[]);
+        b.append(1, &chunk(&[]));
         assert_eq!(b.row_count(), 0);
         assert!(b.epochs().is_empty());
     }
@@ -595,12 +666,12 @@ mod tests {
         let schema = schema();
         let mut plain = Brick::with_storage(&schema, DimStorage::Plain);
         let mut bess = Brick::with_storage(&schema, DimStorage::Bess);
-        let recs: Vec<ParsedRecord> = (0..200).map(|i| rec(i % 8, i as i64, 0.5)).collect();
+        let recs: Vec<Rec> = (0..200).map(|i| rec(i % 8, i as i64, 0.5)).collect();
         for b in [&mut plain, &mut bess] {
-            b.append(1, &recs[..100]);
-            b.append(2, &recs[100..150]);
+            b.append(1, &chunk(&recs[..100]));
+            b.append(2, &chunk(&recs[100..150]));
             b.mark_delete(3);
-            b.append(4, &recs[150..]);
+            b.append(4, &chunk(&recs[150..]));
         }
         assert_eq!(plain.row_count(), bess.row_count());
         for row in 0..plain.row_count() as usize {
@@ -634,9 +705,9 @@ mod tests {
         let schema = schema();
         let mut plain = Brick::with_storage(&schema, DimStorage::Plain);
         let mut bess = Brick::with_storage(&schema, DimStorage::Bess);
-        let recs: Vec<ParsedRecord> = (0..10_000).map(|i| rec(i % 8, 0, 0.0)).collect();
-        plain.append(1, &recs);
-        bess.append(1, &recs);
+        let recs: Vec<Rec> = (0..10_000).map(|i| rec(i % 8, 0, 0.0)).collect();
+        plain.append(1, &chunk(&recs));
+        bess.append(1, &chunk(&recs));
         let plain_dims = plain.memory().data_bytes - plain.metric_bytes_for_test();
         let bess_dims = bess.memory().data_bytes - bess.metric_bytes_for_test();
         assert!(
@@ -655,11 +726,11 @@ mod tests {
     #[test]
     fn dim_slice_and_gather_cover_both_layouts() {
         let schema = schema();
-        let recs: Vec<ParsedRecord> = (0..50).map(|i| rec(i % 8, i as i64, 0.0)).collect();
+        let recs: Vec<Rec> = (0..50).map(|i| rec(i % 8, i as i64, 0.0)).collect();
         let mut plain = Brick::with_storage(&schema, DimStorage::Plain);
         let mut bess = Brick::with_storage(&schema, DimStorage::Bess);
-        plain.append(1, &recs);
-        bess.append(1, &recs);
+        plain.append(1, &chunk(&recs));
+        bess.append(1, &chunk(&recs));
         assert!(bess.dim_slice(0).is_none(), "bess has no slices");
         let slice = plain.dim_slice(0).expect("plain exposes slices");
         assert_eq!(slice, plain.dim_column(0));

@@ -7,6 +7,8 @@
 //! of two, decides how many bits the dimension contributes to the
 //! brick id.
 
+use columnar::{Column, ColumnType};
+
 use crate::error::CubrickError;
 
 /// Physical type of a metric column.
@@ -174,6 +176,19 @@ impl CubeSchema {
     /// Position of metric `name` (within the metrics, not the row).
     pub fn metric_index(&self, name: &str) -> Option<usize> {
         self.metrics.iter().position(|m| m.name == name)
+    }
+
+    /// One empty typed column per metric, in declaration order.
+    pub(crate) fn metric_columns(&self) -> Vec<Column> {
+        self.metrics
+            .iter()
+            .map(|m| {
+                Column::new(match m.metric_type {
+                    MetricType::I64 => ColumnType::I64,
+                    MetricType::F64 => ColumnType::F64,
+                })
+            })
+            .collect()
     }
 
     /// Upper bound on the number of bricks this schema can

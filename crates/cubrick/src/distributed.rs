@@ -415,10 +415,13 @@ impl DistributedEngine {
                         bid,
                     });
                 }
-                for &node in &targets {
+                // `vec![x; n]` clones n - 1 times and moves `x` into the
+                // last slot: a single-replica brick's chunk is not copied.
+                let copies = vec![records; targets.len()];
+                for (&node, records) in targets.iter().zip(copies) {
                     let target = per_node.entry(node).or_default();
                     target.accepted += records.len();
-                    target.by_bid.insert(bid, records.clone());
+                    target.by_bid.insert(bid, records);
                 }
             }
         }
@@ -431,7 +434,7 @@ impl DistributedEngine {
                 let bytes: usize = node_batch
                     .by_bid
                     .values()
-                    .map(|recs| recs.len() * approx_record_bytes(&cube))
+                    .map(|chunk| chunk.len() * approx_record_bytes(&cube))
                     .sum();
                 if let Err(e) = self.protocol.forward_op(&txn, &[node], bytes) {
                     let _ = self.protocol.rollback(&txn);

@@ -406,53 +406,68 @@ impl Engine {
             return TierEnforcement::default();
         };
         let lse = self.manager.lse();
-        let per_shard: Vec<Vec<(String, u64, usize, Epoch)>> = self.shards.map_shards(|_| {
-            Box::new(|bricks: &mut crate::shard::ShardBricks| {
+        // Phase 1, after every load: two integers per shard — bytes
+        // resident, and bytes of clean-cold bricks — with no
+        // allocation, lock or sort.
+        let totals: Vec<(u64, u64)> = self.shards.map_shards(|_| {
+            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
+                let (mut resident, mut eligible) = (0u64, 0u64);
+                for brick in bricks.values().flat_map(HashMap::values) {
+                    let m = brick.memory();
+                    let bytes = (m.data_bytes + m.aosi_bytes) as u64;
+                    resident += bytes;
+                    if is_clean_cold(brick, lse) {
+                        eligible += bytes;
+                    }
+                }
+                (resident, eligible)
+            })
+        });
+        let resident_bytes: u64 = totals.iter().map(|t| t.0).sum();
+        let mut outcome = TierEnforcement {
+            resident_bytes_before: resident_bytes,
+            resident_bytes_after: resident_bytes,
+            eligible_bytes: totals.iter().map(|t| t.1).sum(),
+            ..TierEnforcement::default()
+        };
+        if resident_bytes <= tier.budget_bytes() as u64 || outcome.eligible_bytes == 0 {
+            tier.observe_resident_bytes(resident_bytes);
+            return outcome;
+        }
+        // Phase 2, only over budget: name the clean-cold candidates
+        // and rank them coldest-first.
+        let per_shard: Vec<Vec<(String, u64)>> = self.shards.map_shards(|_| {
+            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut out = Vec::new();
                 for (cube_name, cube_bricks) in bricks.iter() {
                     for (&bid, brick) in cube_bricks {
-                        let m = brick.memory();
-                        let newest = brick
-                            .epochs()
-                            .entries()
-                            .last()
-                            .map(|e| e.epoch())
-                            .unwrap_or(0);
-                        out.push((cube_name.clone(), bid, m.data_bytes + m.aosi_bytes, newest));
+                        if is_clean_cold(brick, lse) {
+                            out.push((cube_name.clone(), bid));
+                        }
                     }
                 }
                 out
             })
         });
-        let resident: Vec<(String, u64, usize, Epoch)> = per_shard.into_iter().flatten().collect();
-        let resident_bytes: u64 = resident.iter().map(|r| r.2 as u64).sum();
-        let mut outcome = TierEnforcement {
-            resident_bytes_before: resident_bytes,
-            resident_bytes_after: resident_bytes,
-            ..TierEnforcement::default()
-        };
-        // Rank clean-cold candidates coldest-first; empty bricks
-        // (newest epoch 0) are never worth a file.
-        let mut candidates: Vec<(f64, String, u64, usize)> = resident
+        let mut candidates: Vec<(f64, String, u64)> = per_shard
             .into_iter()
-            .filter(|&(_, _, _, newest)| newest != 0 && newest <= lse)
-            .map(|(cube, bid, bytes, _)| {
+            .flatten()
+            .map(|(cube, bid)| {
                 let key: BrickKey = (Arc::from(cube.as_str()), bid);
                 let mut recency = tier.touch_recency(&cube, bid).unwrap_or(0.0);
                 if let Some(cache) = &self.agg_cache {
                     recency = recency.max(cache.partition_recency(&key).unwrap_or(0.0));
                 }
-                (recency, cube, bid, bytes)
+                (recency, cube, bid)
             })
             .collect();
-        outcome.eligible_bytes = candidates.iter().map(|c| c.3 as u64).sum();
         candidates.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then_with(|| a.1.cmp(&b.1))
                 .then_with(|| a.2.cmp(&b.2))
         });
-        for (_, cube_name, bid, _) in candidates {
+        for (_, cube_name, bid) in candidates {
             if outcome.resident_bytes_after <= tier.budget_bytes() as u64 {
                 break;
             }
@@ -497,13 +512,7 @@ impl Engine {
             let Some(brick) = cube_bricks.get(&bid) else {
                 return Ok(None);
             };
-            let newest = brick
-                .epochs()
-                .entries()
-                .last()
-                .map(|e| e.epoch())
-                .unwrap_or(0);
-            if newest == 0 || newest > lse {
+            if !is_clean_cold(brick, lse) {
                 return Ok(None);
             }
             match tier.store().spill(&cube, bid, brick) {
@@ -784,15 +793,10 @@ impl Engine {
             let agg_cache = self.agg_cache.clone();
             let key: BrickKey = (Arc::clone(&cube_key), bid);
             self.shards.submit(shard, move |bricks| {
-                let brick = bricks
-                    .entry(cube.name().to_owned())
-                    .or_default()
-                    .entry(bid)
-                    .or_insert_with(|| Brick::with_storage(cube.schema(), storage));
-                brick.append(epoch, &records);
+                crate::shard::brick_mut(bricks, &cube, bid, storage).append(epoch, &records);
                 // Mutation class: append. Reclaim the brick's cached
                 // partials eagerly (the generation bump already made
-                // them unreachable).
+                // them unreachable); a no-op without a cache.
                 invalidate_brick(&agg_cache, &key);
             });
         }
@@ -1540,6 +1544,14 @@ impl Engine {
         total.mvcc_baseline_bytes = total.rows * 16;
         total
     }
+}
+
+/// Whether a brick may be spilled: its newest epoch is at or below
+/// the LSE, so it is immutable and fully durable in the WAL. Empty
+/// bricks (newest epoch 0) are never worth a file.
+fn is_clean_cold(brick: &Brick, lse: Epoch) -> bool {
+    let newest = brick.epochs().entries().last().map_or(0, |e| e.epoch());
+    newest != 0 && newest <= lse
 }
 
 /// Drops every cached aggregate partial for one brick after a

@@ -8,34 +8,88 @@
 //! coordinates the target bid … [is] computed."
 //!
 //! Parsing is a CPU-only step that can run on any node; the output is
-//! a batch of per-bid record groups ready to forward to the owning
-//! nodes/shards.
+//! one column-major [`RecordChunk`] per target brick, the only form in
+//! which records travel between layers (forward, append, delta
+//! export/import, handoff, WAL codec).
 
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use columnar::{Dictionary, Row, Value};
+use columnar::{Column, Dictionary, Row, Value};
 use parking_lot::Mutex;
 
 use crate::bid::BidLayout;
 use crate::ddl::{CubeSchema, MetricType};
 
-/// A validated, encoded record: coordinates plus metric payload.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ParsedRecord {
-    /// Target brick.
-    pub bid: u64,
-    /// One encoded coordinate per dimension.
-    pub coords: Vec<u32>,
-    /// Metric values, in schema order.
-    pub metrics: Vec<Value>,
+/// Validated, encoded records of one brick, column-major: record `i`
+/// is position `i` of every column. [`crate::Brick::append`] refuses
+/// a chunk whose columns disagree in length or type.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct RecordChunk {
+    /// One coordinate vector per dimension (every cube has one).
+    pub coords: Vec<Vec<u32>>,
+    /// One typed column per metric.
+    pub metrics: Vec<Column>,
+}
+
+impl RecordChunk {
+    /// Transposes `(coordinates, metrics)` records into a chunk — the
+    /// constructor tests and benches use to hand-build brick content.
+    /// Column count and metric types are taken from the first record.
+    ///
+    /// # Panics
+    /// Panics when a later record's shape or metric types differ, or
+    /// a metric is not numeric.
+    pub fn from_rows(rows: &[(Vec<u32>, Vec<Value>)]) -> Self {
+        let Some((coords, metrics)) = rows.first() else {
+            return RecordChunk::default();
+        };
+        let mut chunk = RecordChunk {
+            coords: vec![Vec::new(); coords.len()],
+            metrics: metrics
+                .iter()
+                .map(|value| match value {
+                    Value::I64(_) => Column::I64(Vec::new()),
+                    Value::F64(_) => Column::F64(Vec::new()),
+                    Value::Str(_) => panic!("metrics are numeric"),
+                })
+                .collect(),
+        };
+        for (coords, metrics) in rows {
+            assert_eq!(coords.len(), chunk.coords.len(), "ragged coordinates");
+            assert_eq!(metrics.len(), chunk.metrics.len(), "ragged metrics");
+            chunk.push(coords, metrics);
+        }
+        chunk
+    }
+
+    /// Appends one validated record.
+    fn push(&mut self, coords: &[u32], metrics: &[Value]) {
+        for (column, &coord) in self.coords.iter_mut().zip(coords) {
+            column.push(coord);
+        }
+        for (column, value) in self.metrics.iter_mut().zip(metrics) {
+            let pushed = column.push_value(value);
+            assert!(pushed, "metric type mismatch survived validation");
+        }
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.coords.first().map_or(0, Vec::len)
+    }
+
+    /// `true` when the chunk holds no record.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
 }
 
 /// The outcome of parsing one input buffer.
 #[derive(Debug, Default)]
 pub struct ParsedBatch {
-    /// Accepted records, grouped by target brick.
-    pub by_bid: HashMap<u64, Vec<ParsedRecord>>,
+    /// Accepted records, one chunk per target brick.
+    pub by_bid: HashMap<u64, RecordChunk>,
     /// Records accepted.
     pub accepted: usize,
     /// Records rejected (bad arity, type, cardinality).
@@ -65,21 +119,23 @@ pub fn parse_rows(
     debug_assert_eq!(dictionaries.len(), schema.dimensions.len());
     let mut batch = ParsedBatch::default();
     let num_dims = schema.dimensions.len();
+    // Per-batch scratch, reused by every row: the row's coordinates,
+    // and the dimensions whose string is unseen. Minting those ids is
+    // deferred until the whole row validates, so a record rejected by
+    // a later dimension or metric check never leaves a phantom entry
+    // in the shared dictionary (which would otherwise be persisted by
+    // every following flush round and permanently burn an id below
+    // the cardinality cap).
+    let mut coords = vec![0u32; num_dims];
+    let mut pending: Vec<usize> = Vec::new();
     'rows: for row in rows {
         if row.len() != schema.arity() {
             batch.rejected += 1;
             continue;
         }
-        let mut coords = Vec::with_capacity(num_dims);
-        // Dimensions whose string is unseen: minting their ids is
-        // deferred until the whole row validates, so a record rejected
-        // by a later dimension or metric check never leaves a phantom
-        // entry in the shared dictionary (which would otherwise be
-        // persisted by every following flush round and permanently
-        // burn an id below the cardinality cap).
-        let mut pending: Vec<usize> = Vec::new();
+        pending.clear();
         for (idx, dim) in schema.dimensions.iter().enumerate() {
-            let coord = match (&row[idx], &dictionaries[idx]) {
+            coords[idx] = match (&row[idx], &dictionaries[idx]) {
                 (Value::Str(s), Some(dict)) => {
                     let dict = dict.lock();
                     match dict.lookup(s) {
@@ -116,14 +172,11 @@ pub fn parse_rows(
                     continue 'rows;
                 }
             };
-            coords.push(coord);
         }
-        let mut metrics = Vec::with_capacity(schema.metrics.len());
-        for (metric, value) in schema.metrics.iter().zip(&row[num_dims..]) {
+        let metrics = &row[num_dims..];
+        for (metric, value) in schema.metrics.iter().zip(metrics) {
             match (metric.metric_type, value) {
-                (MetricType::I64, Value::I64(_)) | (MetricType::F64, Value::F64(_)) => {
-                    metrics.push(value.clone());
-                }
+                (MetricType::I64, Value::I64(_)) | (MetricType::F64, Value::F64(_)) => {}
                 _ => {
                     batch.rejected += 1;
                     continue 'rows;
@@ -154,12 +207,14 @@ pub fn parse_rows(
             }
             coords[idx] = id;
         }
-        let bid = layout.bid_for_coords(&coords);
-        batch.by_bid.entry(bid).or_default().push(ParsedRecord {
-            bid,
-            coords,
-            metrics,
-        });
+        batch
+            .by_bid
+            .entry(layout.bid_for_coords(&coords))
+            .or_insert_with(|| RecordChunk {
+                coords: vec![Vec::new(); num_dims],
+                metrics: schema.metric_columns(),
+            })
+            .push(&coords, metrics);
         batch.accepted += 1;
     }
     batch
@@ -206,7 +261,7 @@ mod tests {
         // us(0) day0 and br(1) day1 share region-range 0 / day-range 0;
         // us day5 lands in day-range 1.
         assert_eq!(batch.bricks_touched(), 2);
-        let total: usize = batch.by_bid.values().map(Vec::len).sum();
+        let total: usize = batch.by_bid.values().map(RecordChunk::len).sum();
         assert_eq!(total, 3);
     }
 
@@ -327,8 +382,8 @@ mod tests {
         ]];
         let b1 = parse_rows(&schema, &layout, &dicts, &rows1);
         let b2 = parse_rows(&schema, &layout, &dicts, &rows2);
-        let c1 = b1.by_bid.values().next().unwrap()[0].coords[0];
-        let c2 = b2.by_bid.values().next().unwrap()[0].coords[0];
+        let c1 = b1.by_bid.values().next().unwrap().coords[0][0];
+        let c2 = b2.by_bid.values().next().unwrap().coords[0][0];
         assert_eq!(c1, c2);
     }
 }

@@ -84,7 +84,7 @@ pub use engine::{
     ScanConfig,
 };
 pub use error::CubrickError;
-pub use ingest::{parse_rows, ParsedBatch, ParsedRecord};
+pub use ingest::{parse_rows, ParsedBatch, RecordChunk};
 pub use maintenance::PurgeDaemon;
 pub use persist::{BrickDelta, DeltaRun};
 pub use query::{

@@ -9,10 +9,11 @@
 //! recovery. Serialization itself lives in the `wal` crate.
 
 use aosi::Epoch;
-use columnar::Value;
 
+use crate::brick::Brick;
 use crate::engine::Engine;
-use crate::ingest::ParsedRecord;
+use crate::ingest::RecordChunk;
+use crate::shard::brick_mut;
 
 /// One run of a brick's epochs vector, with its row payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -21,8 +22,8 @@ pub enum DeltaRun {
     Insert {
         /// Appending transaction.
         epoch: Epoch,
-        /// The run's rows.
-        records: Vec<ParsedRecord>,
+        /// The run's rows, copied out of the brick's columns.
+        records: RecordChunk,
     },
     /// A partition-delete marker by `epoch`.
     Delete {
@@ -73,42 +74,7 @@ impl Engine {
                 let mut deltas = Vec::new();
                 for (cube_name, cube_bricks) in bricks.iter() {
                     for (&bid, brick) in cube_bricks {
-                        let mut runs = Vec::new();
-                        let mut start = 0u64;
-                        for entry in brick.epochs().entries() {
-                            if entry.is_delete() {
-                                if entry.epoch() > lse && entry.epoch() <= lse_prime {
-                                    runs.push(DeltaRun::Delete {
-                                        epoch: entry.epoch(),
-                                    });
-                                }
-                                continue;
-                            }
-                            let end = entry.end();
-                            if entry.epoch() > lse && entry.epoch() <= lse_prime {
-                                let records = (start..end)
-                                    .map(|row| {
-                                        let row = row as usize;
-                                        let coords = (0..brick_num_dims(brick))
-                                            .map(|d| brick.dim_value(d, row))
-                                            .collect();
-                                        let metrics = (0..brick_num_metrics(brick))
-                                            .map(|m| metric_value(brick, m, row))
-                                            .collect();
-                                        ParsedRecord {
-                                            bid,
-                                            coords,
-                                            metrics,
-                                        }
-                                    })
-                                    .collect();
-                                runs.push(DeltaRun::Insert {
-                                    epoch: entry.epoch(),
-                                    records,
-                                });
-                            }
-                            start = end;
-                        }
+                        let runs = brick_runs(brick, |epoch| epoch > lse && epoch <= lse_prime);
                         if !runs.is_empty() {
                             deltas.push(BrickDelta {
                                 cube: cube_name.clone(),
@@ -145,39 +111,7 @@ impl Engine {
                 panic!("injected export panic for brick {bid}");
             }
             let brick = bricks.get(&name).and_then(|m| m.get(&bid))?;
-            let mut runs = Vec::new();
-            let mut start = 0u64;
-            for entry in brick.epochs().entries() {
-                if entry.is_delete() {
-                    runs.push(DeltaRun::Delete {
-                        epoch: entry.epoch(),
-                    });
-                    continue;
-                }
-                let end = entry.end();
-                let records = (start..end)
-                    .map(|row| {
-                        let row = row as usize;
-                        let coords = (0..brick_num_dims(brick))
-                            .map(|d| brick.dim_value(d, row))
-                            .collect();
-                        let metrics = (0..brick_num_metrics(brick))
-                            .map(|m| metric_value(brick, m, row))
-                            .collect();
-                        ParsedRecord {
-                            bid,
-                            coords,
-                            metrics,
-                        }
-                    })
-                    .collect();
-                runs.push(DeltaRun::Insert {
-                    epoch: entry.epoch(),
-                    records,
-                });
-                start = end;
-            }
-            Some(runs)
+            Some(brick_runs(brick, |_| true))
         });
         match handle.join() {
             Ok(runs) => Ok(runs.unwrap_or_default()),
@@ -209,11 +143,7 @@ impl Engine {
         let cube = cube.clone();
         let storage = self.dim_storage();
         self.shards().submit(shard, move |bricks| {
-            let brick = bricks
-                .entry(cube.name().to_owned())
-                .or_default()
-                .entry(bid)
-                .or_insert_with(|| crate::brick::Brick::with_storage(cube.schema(), storage));
+            let brick = brick_mut(bricks, &cube, bid, storage);
             let existing: std::collections::HashSet<(Epoch, bool)> = brick
                 .epochs()
                 .entries()
@@ -264,11 +194,7 @@ impl Engine {
             let bid = delta.bid;
             let storage = self.dim_storage();
             self.shards().submit(shard, move |bricks| {
-                let brick = bricks
-                    .entry(cube.name().to_owned())
-                    .or_default()
-                    .entry(bid)
-                    .or_insert_with(|| crate::brick::Brick::with_storage(cube.schema(), storage));
+                let brick = brick_mut(bricks, &cube, bid, storage);
                 for run in delta.runs {
                     match run {
                         DeltaRun::Insert { epoch, records } => brick.append(epoch, &records),
@@ -282,21 +208,29 @@ impl Engine {
     }
 }
 
-fn brick_num_dims(brick: &crate::brick::Brick) -> usize {
-    brick.num_dims()
-}
-
-fn brick_num_metrics(brick: &crate::brick::Brick) -> usize {
-    brick.num_metrics()
-}
-
-fn metric_value(brick: &crate::brick::Brick, metric: usize, row: usize) -> Value {
-    let col = brick.metric_column(metric);
-    match col {
-        columnar::Column::I64(_) => Value::I64(col.get_i64(row).expect("row in range")),
-        columnar::Column::F64(_) => Value::F64(col.get_f64(row).expect("row in range")),
-        columnar::Column::Str(_) => unreachable!("metrics are numeric"),
+/// The brick's epochs-vector runs whose epoch passes `wanted`, in
+/// vector order, each insert run's rows sliced out of the columns.
+fn brick_runs(brick: &Brick, wanted: impl Fn(Epoch) -> bool) -> Vec<DeltaRun> {
+    let mut runs = Vec::new();
+    let mut start = 0usize;
+    for entry in brick.epochs().entries() {
+        let epoch = entry.epoch();
+        if entry.is_delete() {
+            if wanted(epoch) {
+                runs.push(DeltaRun::Delete { epoch });
+            }
+            continue;
+        }
+        let end = entry.end() as usize;
+        if wanted(epoch) {
+            runs.push(DeltaRun::Insert {
+                epoch,
+                records: brick.chunk(start..end),
+            });
+        }
+        start = end;
     }
+    runs
 }
 
 #[cfg(test)]
@@ -305,7 +239,7 @@ mod tests {
     use crate::ddl::{CubeSchema, Dimension, Metric};
     use crate::engine::IsolationMode;
     use crate::query::{AggFn, Aggregation, Query};
-    use columnar::Row;
+    use columnar::{Row, Value};
 
     fn engine() -> Engine {
         let engine = Engine::new(2);

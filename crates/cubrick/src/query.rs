@@ -1208,7 +1208,7 @@ impl QueryResult {
 mod tests {
     use super::*;
     use crate::ddl::{CubeSchema, Dimension, Metric};
-    use crate::ingest::ParsedRecord;
+    use crate::ingest::RecordChunk;
     use aosi::Snapshot;
     use columnar::Column;
 
@@ -1233,23 +1233,11 @@ mod tests {
         dict.lock().encode("br");
         let mut brick = Brick::new(cube.schema());
         let recs = vec![
-            ParsedRecord {
-                bid: 0,
-                coords: vec![0, 0],
-                metrics: vec![Value::I64(10), Value::F64(1.0)],
-            },
-            ParsedRecord {
-                bid: 0,
-                coords: vec![1, 1],
-                metrics: vec![Value::I64(20), Value::F64(2.0)],
-            },
-            ParsedRecord {
-                bid: 0,
-                coords: vec![0, 2],
-                metrics: vec![Value::I64(30), Value::F64(3.0)],
-            },
+            (vec![0, 0], vec![Value::I64(10), Value::F64(1.0)]),
+            (vec![1, 1], vec![Value::I64(20), Value::F64(2.0)]),
+            (vec![0, 2], vec![Value::I64(30), Value::F64(3.0)]),
         ];
-        brick.append(1, &recs);
+        brick.append(1, &RecordChunk::from_rows(&recs));
         brick
     }
 
@@ -1427,11 +1415,7 @@ mod tests {
         let mut brick = brick_with_data(&cube);
         brick.append(
             3,
-            &[ParsedRecord {
-                bid: 0,
-                coords: vec![0, 0],
-                metrics: vec![Value::I64(1000), Value::F64(0.0)],
-            }],
+            &RecordChunk::from_rows(&[(vec![0, 0], vec![Value::I64(1000), Value::F64(0.0)])]),
         );
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let r = resolved(&cube, &q);
@@ -1552,17 +1536,17 @@ mod tests {
     }
 
     /// `n` deterministic records, varied by `seed`.
-    fn records(seed: i64, n: i64) -> Vec<ParsedRecord> {
-        (0..n)
+    fn records(seed: i64, n: i64) -> RecordChunk {
+        let rows: Vec<_> = (0..n)
             .map(|k| {
                 let i = k + seed * 17;
-                ParsedRecord {
-                    bid: 0,
-                    coords: vec![(i % 3) as u32, (i % 8) as u32],
-                    metrics: vec![Value::I64(i * 3 - 40), Value::F64(i as f64 * 0.25 - 7.0)],
-                }
+                (
+                    vec![(i % 3) as u32, (i % 8) as u32],
+                    vec![Value::I64(i * 3 - 40), Value::F64(i as f64 * 0.25 - 7.0)],
+                )
             })
-            .collect()
+            .collect();
+        RecordChunk::from_rows(&rows)
     }
 
     fn encode_regions(cube: &Cube) {
@@ -1813,16 +1797,12 @@ mod tests {
         // everything under `partial_cmp(..).unwrap_or(Equal)`, and
         // the pre-sort BTreeMap order is by packed key).
         let scores = [f64::NAN, 5.0, 1.0];
-        let recs: Vec<ParsedRecord> = scores
+        let recs: Vec<(Vec<u32>, Vec<Value>)> = scores
             .iter()
             .enumerate()
-            .map(|(day, &score)| ParsedRecord {
-                bid: 0,
-                coords: vec![0, day as u32],
-                metrics: vec![Value::I64(1), Value::F64(score)],
-            })
+            .map(|(day, &score)| (vec![0, day as u32], vec![Value::I64(1), Value::F64(score)]))
             .collect();
-        brick.append(1, &recs);
+        brick.append(1, &RecordChunk::from_rows(&recs));
         for desc in [false, true] {
             let q = Query::aggregate(vec![Aggregation::new(AggFn::Avg, "score")])
                 .grouped_by("day")
@@ -1856,14 +1836,10 @@ mod tests {
         dict.lock().encode("us");
         let mut brick = Brick::new(cube.schema());
         // Four day groups, all with sum(likes) == 7 (tied).
-        let recs: Vec<ParsedRecord> = (0..4u32)
-            .map(|day| ParsedRecord {
-                bid: 0,
-                coords: vec![0, day],
-                metrics: vec![Value::I64(7), Value::F64(0.0)],
-            })
+        let recs: Vec<(Vec<u32>, Vec<Value>)> = (0..4u32)
+            .map(|day| (vec![0, day], vec![Value::I64(7), Value::F64(0.0)]))
             .collect();
-        brick.append(1, &recs);
+        brick.append(1, &RecordChunk::from_rows(&recs));
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
             .grouped_by("day")
             .ordered_by(OrderBy::Aggregation(0), true)
@@ -1888,11 +1864,7 @@ mod tests {
         let mut brick = brick_with_data(&cube);
         brick.append(
             3,
-            &[ParsedRecord {
-                bid: 0,
-                coords: vec![1, 4],
-                metrics: vec![Value::I64(999), Value::F64(9.9)],
-            }],
+            &RecordChunk::from_rows(&[(vec![1, 4], vec![Value::I64(999), Value::F64(9.9)])]),
         );
         assert_eq!(brick.row_count(), 4);
         let snap = Snapshot::committed(1);

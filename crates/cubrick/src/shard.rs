@@ -23,12 +23,34 @@ use std::thread::JoinHandle;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{Counter, ReportBuilder};
 
-use crate::brick::Brick;
+use crate::brick::{Brick, DimStorage};
+use crate::cube::Cube;
 
 /// The bricks owned by one shard thread: `cube name -> bid -> brick`.
 pub type ShardBricks = HashMap<String, HashMap<u64, Brick>>;
 
 type Task = Box<dyn FnOnce(&mut ShardBricks) + Send>;
+
+/// Brick `bid` of `cube` on this shard, materialized empty on first
+/// use — how every append path (load, recovery, handoff) finds its
+/// target.
+pub(crate) fn brick_mut<'a>(
+    bricks: &'a mut ShardBricks,
+    cube: &Cube,
+    bid: u64,
+    storage: DimStorage,
+) -> &'a mut Brick {
+    // `entry` would allocate the cube's name on every call; only a
+    // cube's first brick on a shard inserts.
+    if !bricks.contains_key(cube.name()) {
+        bricks.insert(cube.name().to_owned(), HashMap::new());
+    }
+    bricks
+        .get_mut(cube.name())
+        .expect("inserted above")
+        .entry(bid)
+        .or_insert_with(|| Brick::with_storage(cube.schema(), storage))
+}
 
 /// Per-pool lock-free counters (shared with the worker threads).
 #[derive(Debug)]
@@ -260,7 +282,7 @@ impl Drop for ShardPool {
 mod tests {
     use super::*;
     use crate::ddl::{CubeSchema, Dimension, Metric};
-    use crate::ingest::ParsedRecord;
+    use crate::ingest::RecordChunk;
     use columnar::Value;
 
     fn schema() -> CubeSchema {
@@ -302,11 +324,7 @@ mod tests {
                     .or_insert_with(|| Brick::new(&schema));
                 brick.append(
                     1,
-                    &[ParsedRecord {
-                        bid: 0,
-                        coords: vec![(i % 16) as u32],
-                        metrics: vec![Value::I64(i)],
-                    }],
+                    &RecordChunk::from_rows(&[(vec![(i % 16) as u32], vec![Value::I64(i)])]),
                 );
             });
         }

@@ -498,14 +498,10 @@ mod tests {
 
     fn brick(cube: &Cube, rows: usize) -> Brick {
         let mut b = Brick::new(cube.schema());
-        let records: Vec<crate::ingest::ParsedRecord> = (0..rows)
-            .map(|i| crate::ingest::ParsedRecord {
-                bid: 0,
-                coords: vec![(i % 16) as u32],
-                metrics: vec![columnar::Value::F64(i as f64)],
-            })
+        let records: Vec<(Vec<u32>, Vec<columnar::Value>)> = (0..rows)
+            .map(|i| (vec![(i % 16) as u32], vec![columnar::Value::F64(i as f64)]))
             .collect();
-        b.append(1, &records);
+        b.append(1, &crate::ingest::RecordChunk::from_rows(&records));
         b
     }
 

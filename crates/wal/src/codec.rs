@@ -18,6 +18,7 @@
 //!           dims u16, metrics u16, records u32
 //!           per record: dims x u32 coords,
 //!                       metrics x (tag u8: 0=i64 1=f64, payload 8B)
+//!           (a metric's tag is the same in every record of a run)
 //! dict deltas u32
 //!   per delta:
 //!     cube u16 length + utf-8, dim u16, first_id u32, entries u32,
@@ -26,6 +27,9 @@
 //! magic    "DONE"                         4 bytes
 //! ```
 //!
+//! Records are row-major here and column-major in memory
+//! ([`RecordChunk`]); encode and decode transpose in one pass.
+//!
 //! The trailing checksum + magic make a round self-certifying: a
 //! crash mid-write leaves a file without a valid footer, which
 //! recovery classifies as [`WalError::Incomplete`] and skips — the
@@ -33,8 +37,8 @@
 
 use aosi::Epoch;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use columnar::Value;
-use cubrick::{BrickDelta, DeltaRun, ParsedRecord};
+use columnar::Column;
+use cubrick::{BrickDelta, DeltaRun, RecordChunk};
 
 const HEADER_MAGIC: &[u8; 8] = b"CBRKWAL1";
 const FOOTER_MAGIC: &[u8; 4] = b"DONE";
@@ -131,28 +135,26 @@ pub fn encode(round: &FlushRound) -> Bytes {
                 DeltaRun::Delete { .. } => buf.put_u8(1),
                 DeltaRun::Insert { records, .. } => {
                     buf.put_u8(0);
-                    let dims = records.first().map_or(0, |r| r.coords.len());
-                    let metrics = records.first().map_or(0, |r| r.metrics.len());
-                    buf.put_u16_le(dims as u16);
-                    buf.put_u16_le(metrics as u16);
+                    let (coords, metrics) = (&records.coords, &records.metrics);
+                    buf.put_u16_le(coords.len() as u16);
+                    buf.put_u16_le(metrics.len() as u16);
                     buf.put_u32_le(records.len() as u32);
-                    for rec in records {
-                        debug_assert_eq!(rec.coords.len(), dims);
-                        debug_assert_eq!(rec.metrics.len(), metrics);
-                        for &c in &rec.coords {
-                            buf.put_u32_le(c);
+                    buf.reserve(records.len() * (coords.len() * 4 + metrics.len() * 9));
+                    for row in 0..records.len() {
+                        for dim in coords {
+                            buf.put_u32_le(dim[row]);
                         }
-                        for m in &rec.metrics {
-                            match m {
-                                Value::I64(v) => {
+                        for metric in metrics {
+                            match metric {
+                                Column::I64(v) => {
                                     buf.put_u8(0);
-                                    buf.put_i64_le(*v);
+                                    buf.put_i64_le(v[row]);
                                 }
-                                Value::F64(v) => {
+                                Column::F64(v) => {
                                     buf.put_u8(1);
-                                    buf.put_f64_le(*v);
+                                    buf.put_f64_le(v[row]);
                                 }
-                                Value::Str(_) => {
+                                Column::Str(_) => {
                                     unreachable!("metrics are numeric after parsing")
                                 }
                             }
@@ -208,6 +210,14 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
             self.buf = tail;
             Ok(head)
         }
+        /// A `u16`-length-prefixed utf-8 string.
+        fn string(&mut self, what: &str) -> Result<String, WalError> {
+            let len = u16::from_le_bytes(self.take(2)?.try_into().unwrap()) as usize;
+            match std::str::from_utf8(self.take(len)?) {
+                Ok(s) => Ok(s.to_owned()),
+                Err(_) => Err(WalError::Corrupt(format!("{what} not utf-8"))),
+            }
+        }
     }
     let mut reader = Reader { buf: body };
 
@@ -220,10 +230,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
 
     let mut deltas = Vec::with_capacity(num_deltas as usize);
     for _ in 0..num_deltas {
-        let cube_len = u16::from_le_bytes(reader.take(2)?.try_into().unwrap()) as usize;
-        let cube = std::str::from_utf8(reader.take(cube_len)?)
-            .map_err(|_| WalError::Corrupt("cube name not utf-8".into()))?
-            .to_owned();
+        let cube = reader.string("cube name")?;
         let bid = u64::from_le_bytes(reader.take(8)?.try_into().unwrap());
         let num_runs = u32::from_le_bytes(reader.take(4)?.try_into().unwrap());
         let mut runs = Vec::with_capacity(num_runs as usize);
@@ -235,32 +242,44 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
                     let dims = u16::from_le_bytes(reader.take(2)?.try_into().unwrap()) as usize;
                     let metrics = u16::from_le_bytes(reader.take(2)?.try_into().unwrap()) as usize;
                     let count = u32::from_le_bytes(reader.take(4)?.try_into().unwrap()) as usize;
-                    let mut records = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let mut coords = Vec::with_capacity(dims);
-                        for _ in 0..dims {
-                            coords.push(u32::from_le_bytes(reader.take(4)?.try_into().unwrap()));
+                    // Reserve for what the body can hold, not for
+                    // what a damaged count claims.
+                    let fits = count.min(reader.buf.len() / (dims * 4 + metrics * 9).max(1));
+                    let mut coords = vec![Vec::with_capacity(fits); dims];
+                    let mut columns: Vec<Column> = Vec::with_capacity(metrics);
+                    for row in 0..count {
+                        for dim in &mut coords {
+                            dim.push(u32::from_le_bytes(reader.take(4)?.try_into().unwrap()));
                         }
-                        let mut values = Vec::with_capacity(metrics);
-                        for _ in 0..metrics {
+                        for metric in 0..metrics {
                             let tag = reader.take(1)?[0];
-                            let payload = reader.take(8)?;
-                            values.push(match tag {
-                                0 => Value::I64(i64::from_le_bytes(payload.try_into().unwrap())),
-                                1 => Value::F64(f64::from_le_bytes(payload.try_into().unwrap())),
-                                t => {
+                            let payload: [u8; 8] = reader.take(8)?.try_into().unwrap();
+                            if row == 0 {
+                                columns.push(match tag {
+                                    0 => Column::I64(Vec::with_capacity(fits)),
+                                    1 => Column::F64(Vec::with_capacity(fits)),
+                                    t => {
+                                        return Err(WalError::Corrupt(format!(
+                                            "unknown metric tag {t}"
+                                        )))
+                                    }
+                                });
+                            }
+                            match (&mut columns[metric], tag) {
+                                (Column::I64(v), 0) => v.push(i64::from_le_bytes(payload)),
+                                (Column::F64(v), 1) => v.push(f64::from_le_bytes(payload)),
+                                (_, t) => {
                                     return Err(WalError::Corrupt(format!(
-                                        "unknown metric tag {t}"
+                                        "metric tag {t} differs from the run's first record"
                                     )))
                                 }
-                            });
+                            }
                         }
-                        records.push(ParsedRecord {
-                            bid,
-                            coords,
-                            metrics: values,
-                        });
                     }
+                    let records = RecordChunk {
+                        coords,
+                        metrics: columns,
+                    };
                     runs.push(DeltaRun::Insert { epoch, records });
                 }
                 k => return Err(WalError::Corrupt(format!("unknown run kind {k}"))),
@@ -271,21 +290,13 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
     let num_dicts = u32::from_le_bytes(reader.take(4)?.try_into().unwrap());
     let mut dictionaries = Vec::with_capacity(num_dicts as usize);
     for _ in 0..num_dicts {
-        let cube_len = u16::from_le_bytes(reader.take(2)?.try_into().unwrap()) as usize;
-        let cube = std::str::from_utf8(reader.take(cube_len)?)
-            .map_err(|_| WalError::Corrupt("cube name not utf-8".into()))?
-            .to_owned();
+        let cube = reader.string("cube name")?;
         let dim = u16::from_le_bytes(reader.take(2)?.try_into().unwrap());
         let first_id = u32::from_le_bytes(reader.take(4)?.try_into().unwrap());
         let count = u32::from_le_bytes(reader.take(4)?.try_into().unwrap()) as usize;
         let mut entries = Vec::with_capacity(count);
         for _ in 0..count {
-            let len = u16::from_le_bytes(reader.take(2)?.try_into().unwrap()) as usize;
-            entries.push(
-                std::str::from_utf8(reader.take(len)?)
-                    .map_err(|_| WalError::Corrupt("dictionary entry not utf-8".into()))?
-                    .to_owned(),
-            );
+            entries.push(reader.string("dictionary entry")?);
         }
         dictionaries.push(DictDelta {
             cube,
@@ -308,6 +319,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use columnar::Value;
 
     fn sample_round() -> FlushRound {
         FlushRound {
@@ -320,23 +332,15 @@ mod tests {
                     runs: vec![
                         DeltaRun::Insert {
                             epoch: 3,
-                            records: vec![
-                                ParsedRecord {
-                                    bid: 42,
-                                    coords: vec![1, 2],
-                                    metrics: vec![Value::I64(-5), Value::F64(2.5)],
-                                },
-                                ParsedRecord {
-                                    bid: 42,
-                                    coords: vec![3, 0],
-                                    metrics: vec![Value::I64(9), Value::F64(-0.5)],
-                                },
-                            ],
+                            records: RecordChunk::from_rows(&[
+                                (vec![1, 2], vec![Value::I64(-5), Value::F64(2.5)]),
+                                (vec![3, 0], vec![Value::I64(9), Value::F64(-0.5)]),
+                            ]),
                         },
                         DeltaRun::Delete { epoch: 5 },
                         DeltaRun::Insert {
                             epoch: 7,
-                            records: vec![],
+                            records: RecordChunk::default(),
                         },
                     ],
                 },
@@ -395,6 +399,29 @@ mod tests {
                 matches!(decode(&broken), Err(WalError::Corrupt(_))),
                 "flip at {idx} undetected"
             );
+        }
+    }
+
+    /// Columns are typed, so a metric whose tag changes between the
+    /// records of one run has nowhere to go; it is corrupt, not
+    /// silently dropped.
+    #[test]
+    fn a_metric_tag_that_changes_within_a_run_is_corrupt() {
+        let mut bytes = encode(&sample_round()).to_vec();
+        // First record of the first run: header 8 + lse 8 + lse' 8 +
+        // deltas 4 + cube 2+6 + bid 8 + runs 4 + epoch 8 + kind 1 +
+        // dims 2 + metrics 2 + records 4, then 2 coords; its first
+        // metric tag follows.
+        let first_tag = 8 + 8 + 8 + 4 + 8 + 8 + 4 + 8 + 1 + 2 + 2 + 4 + 8;
+        let stride = 2 * 4 + 2 * 9;
+        assert_eq!(bytes[first_tag], 0);
+        bytes[first_tag + stride] = 1;
+        let body = bytes.len() - 12;
+        let checksum = fnv1a(&bytes[..body]);
+        bytes[body..body + 8].copy_from_slice(&checksum.to_le_bytes());
+        match decode(&bytes) {
+            Err(WalError::Corrupt(msg)) => assert!(msg.contains("differs"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 

@@ -439,7 +439,7 @@ mod tests {
     use super::*;
     use crate::fault::SimFs;
     use columnar::Value;
-    use cubrick::{CubeSchema, Dimension, Metric, ParsedRecord};
+    use cubrick::{CubeSchema, Dimension, Metric, RecordChunk};
 
     fn cube() -> Cube {
         Cube::new(
@@ -463,27 +463,15 @@ mod tests {
         let mut brick = Brick::with_storage(cube.schema(), storage);
         brick.append(
             3,
-            &[
-                ParsedRecord {
-                    bid: 0,
-                    coords: vec![us, 1],
-                    metrics: vec![Value::I64(10), Value::F64(0.5)],
-                },
-                ParsedRecord {
-                    bid: 0,
-                    coords: vec![br, 2],
-                    metrics: vec![Value::I64(-4), Value::F64(2.25)],
-                },
-            ],
+            &RecordChunk::from_rows(&[
+                (vec![us, 1], vec![Value::I64(10), Value::F64(0.5)]),
+                (vec![br, 2], vec![Value::I64(-4), Value::F64(2.25)]),
+            ]),
         );
         brick.mark_delete(4);
         brick.append(
             5,
-            &[ParsedRecord {
-                bid: 0,
-                coords: vec![us, 3],
-                metrics: vec![Value::I64(7), Value::F64(-1.0)],
-            }],
+            &RecordChunk::from_rows(&[(vec![us, 3], vec![Value::I64(7), Value::F64(-1.0)])]),
         );
         brick
     }

@@ -146,11 +146,7 @@ fn shard_tasks(engine: &Engine) -> u64 {
 fn a_query_is_one_task_per_shard() {
     let engine = Engine::new(4);
     engine.create_cube(schema()).unwrap();
-    // Every (region range, day range) brick of the 4 x 8 grid.
-    let rows: Vec<_> = (0..256)
-        .map(|i| row(&format!("r{}", i % 8), i / 8, 1))
-        .collect();
-    engine.load("events", &rows, 0).unwrap();
+    engine.load("events", &grid_rows(), 0).unwrap();
     let snapshot = Snapshot::committed(engine.manager().lce());
     let one_brick = sum_query()
         .filter(DimFilter::new("region", vec![Value::from("r0")]))
@@ -182,6 +178,113 @@ fn a_query_is_one_task_per_shard() {
         assert_eq!(reference.stats.bricks_pruned, *pruned);
         assert_eq!(reference.scalar(), result.scalar());
     }
+}
+
+/// A 4-shard engine spilling to a store in a fresh temp directory.
+fn tiered_engine(tag: &str, budget_bytes: usize) -> (Engine, std::path::PathBuf) {
+    let dir = std::env::temp_dir().join(format!("obs-tier-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = aosi_repro::wal::WalBrickStore::open(&dir).unwrap();
+    let engine = Engine::new(4).with_tiered_storage(Box::new(store), budget_bytes);
+    engine.create_cube(schema()).unwrap();
+    (engine, dir)
+}
+
+/// Every (region range, day range) brick of the 4 x 8 grid.
+fn grid_rows() -> Vec<Vec<Value>> {
+    (0..256)
+        .map(|i| row(&format!("r{}", i % 8), i / 8, 1))
+        .collect()
+}
+
+fn resident_bytes(engine: &Engine) -> u64 {
+    let memory = engine.memory();
+    (memory.data_bytes + memory.aosi_bytes) as u64
+}
+
+/// The sweep after a load is one round trip per shard returning two
+/// integers; it names and ranks bricks only when the budget is
+/// exceeded and something is clean-cold. Counted in shard tasks: a
+/// load touching `b` bricks on `s` shards is `b` appends, `s`
+/// barriers and one sweep task on each of the four shards.
+#[test]
+fn a_load_under_budget_is_one_sweep_round_trip() {
+    let (engine, dir) = tiered_engine("under", 1 << 30);
+    let cube = engine.cube("events").unwrap();
+    // Loads of all 32 bricks, of one brick, and of two bricks.
+    let loads = [
+        grid_rows(),
+        vec![row("r0", 3, 1), row("r1", 2, 1)],
+        vec![row("r0", 3, 1), row("r6", 30, 1)],
+    ];
+    for rows in &loads {
+        let before = shard_tasks(&engine);
+        let outcome = engine.load("events", rows, 0).unwrap();
+        let shards: std::collections::BTreeSet<u64> = rows
+            .iter()
+            .map(|r| {
+                let region = cube.encode_filter_value(0, &r[0]).unwrap();
+                let day = cube.encode_filter_value(1, &r[1]).unwrap();
+                cube.layout().bid_for_coords(&[region, day]) % 4
+            })
+            .collect();
+        assert_eq!(
+            shard_tasks(&engine) - before,
+            (outcome.bricks_touched + shards.len() + 4) as u64,
+            "{} bricks on {} shards",
+            outcome.bricks_touched,
+            shards.len()
+        );
+    }
+    // Flushed through the LCE, every brick is clean-cold: the sweep
+    // reports all of it eligible and, under budget, stops there.
+    engine
+        .manager()
+        .advance_lse(engine.manager().lce())
+        .unwrap();
+    let before = shard_tasks(&engine);
+    let sweep = engine.enforce_tier_budget();
+    assert_eq!(shard_tasks(&engine) - before, 4, "phase one only");
+    assert_eq!(sweep.eligible_bytes, resident_bytes(&engine));
+    assert_eq!(sweep.resident_bytes_after, sweep.resident_bytes_before);
+    let stats = engine.tier_stats().unwrap();
+    assert_eq!((stats.spills, stats.reloads), (0, 0));
+    std::fs::remove_dir_all(dir).unwrap();
+}
+
+/// Over budget the ranking pass still runs — but only once there is
+/// something it could spill.
+#[test]
+fn a_sweep_over_budget_still_ranks_and_spills() {
+    let (engine, dir) = tiered_engine("over", 1);
+    // Nothing is flushed yet, so nothing is eligible: the sweep after
+    // the load cannot help and stays a single round trip.
+    let before = shard_tasks(&engine);
+    engine.load("events", &grid_rows(), 0).unwrap();
+    assert_eq!(shard_tasks(&engine) - before, 32 + 4 + 4);
+    assert_eq!(engine.tier_stats().unwrap().spills, 0);
+
+    engine
+        .manager()
+        .advance_lse(engine.manager().lce())
+        .unwrap();
+    let clean_cold = resident_bytes(&engine);
+    let before = shard_tasks(&engine);
+    let sweep = engine.enforce_tier_budget();
+    assert_eq!(sweep.eligible_bytes, clean_cold);
+    assert_eq!(sweep.resident_bytes_before, clean_cold);
+    assert_eq!((sweep.evicted, sweep.failed), (32, 0));
+    assert_eq!(sweep.resident_bytes_after, 0);
+    assert_eq!(
+        shard_tasks(&engine) - before,
+        4 + 4 + 32,
+        "totals, candidates, one spill per brick"
+    );
+    let total = engine
+        .query("events", &sum_query(), IsolationMode::Snapshot)
+        .unwrap();
+    assert_eq!(total.scalar(), Some(256.0), "spilled bricks reload");
+    std::fs::remove_dir_all(dir).unwrap();
 }
 
 #[test]
