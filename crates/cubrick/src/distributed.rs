@@ -444,23 +444,28 @@ impl DistributedEngine {
         }
         let forward = forward_started.elapsed();
 
-        // 3. Flush on every live replica.
+        // 3. Flush on every live replica. A failed flush (a panicking
+        // append) aborts the load: roll back and reclaim what landed.
         let flush_started = Instant::now();
-        std::thread::scope(|scope| {
-            for (node, node_batch) in per_node {
-                let engine = self.engine(node);
-                let cube = cube.clone();
-                let epoch = txn.epoch;
-                scope.spawn(move || {
-                    // Only a failed tier fault-in can error, and the
-                    // distributed nodes do not run tiered storage; if
-                    // that ever changes, crashing beats losing rows.
-                    engine
-                        .flush_batch(&cube, epoch, node_batch)
-                        .expect("distributed flush failed");
-                });
-            }
+        let nodes: Vec<NodeId> = per_node.keys().copied().collect();
+        let failed = std::thread::scope(|scope| {
+            let tasks: Vec<_> = per_node
+                .into_iter()
+                .map(|(node, node_batch)| {
+                    let (engine, cube, epoch) = (self.engine(node), cube.clone(), txn.epoch);
+                    scope.spawn(move || engine.flush_batch(&cube, epoch, node_batch, None))
+                })
+                .collect();
+            (tasks.into_iter()).find_map(|t| t.join().expect("flush thread completes").err())
         });
+        if let Some(e) = failed {
+            let _ = self.protocol.rollback(&txn);
+            for engine in nodes.into_iter().map(|node| self.engine(node)) {
+                engine.reclaim_epoch(txn.epoch);
+                engine.manager().clear_rolled_back(&[txn.epoch]);
+            }
+            return Err(e);
+        }
         let flush = flush_started.elapsed();
 
         self.protocol.commit(&txn)?;
@@ -904,7 +909,9 @@ mod tests {
             &[row("us", 0, 7)],
         );
         let node = d.primary(*batch.by_bid.keys().next().unwrap());
-        d.engine(node).flush_batch(&cube, txn.epoch, batch).unwrap();
+        d.engine(node)
+            .flush_batch(&cube, txn.epoch, batch, None)
+            .unwrap();
         assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 0.0);
         assert_eq!(total_likes(&d, 1, IsolationMode::ReadUncommitted), 7.0);
         d.protocol().commit(&txn).unwrap();

@@ -80,6 +80,14 @@ pub enum CubrickError {
         /// What the tier store reported.
         reason: String,
     },
+    /// Appending a batch's records to a brick panicked on its shard
+    /// thread (which survives). A load rolls its transaction back.
+    AppendFailed {
+        /// Cube the load targeted.
+        cube: String,
+        /// The brick whose append panicked.
+        bid: u64,
+    },
     /// A brick handoff (rebalance transfer) could not complete: the
     /// stream or its ack exhausted the retry budget. The source
     /// replica keeps the brick.
@@ -138,6 +146,9 @@ impl std::fmt::Display for CubrickError {
                 f,
                 "reload of spilled cube {cube:?} brick {bid} failed: {reason}"
             ),
+            CubrickError::AppendFailed { cube, bid } => {
+                write!(f, "append to cube {cube:?} brick {bid} panicked")
+            }
             CubrickError::HandoffFailed {
                 cube,
                 bid,

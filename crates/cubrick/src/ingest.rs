@@ -103,6 +103,38 @@ impl ParsedBatch {
     }
 }
 
+/// A direct-mapped per-batch memo: each key has exactly one slot, and
+/// its entry is found only there. A key whose slot holds another key
+/// takes the caller's exact path, so keys crafted to collide cost no
+/// more than no memo plus a slot check: there is no chain to flood,
+/// and a cheap fingerprint is safe.
+struct Memo<K, V>(Vec<Option<(K, V)>>);
+
+impl<K, V> Memo<K, V> {
+    /// About four slots per key the batch can hold, at most 256: a
+    /// larger table parsed no faster on any workload's batch shape
+    /// and is zeroed for every batch.
+    fn new(keys: usize) -> Self {
+        let len = keys.saturating_mul(4).clamp(2, 256).next_power_of_two();
+        Memo(std::iter::repeat_with(|| None).take(len).collect())
+    }
+
+    /// The slot of the key with `fingerprint`, whichever key holds it
+    /// now: the top bits of the Fibonacci-scrambled fingerprint.
+    fn slot(&mut self, fingerprint: u64) -> &mut Option<(K, V)> {
+        let scrambled = fingerprint.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let at = scrambled >> (64 - self.0.len().trailing_zeros());
+        &mut self.0[at as usize]
+    }
+}
+
+/// FNV-1a, a string's memo fingerprint.
+fn fnv1a(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
 /// Parses `rows` against `schema`, encoding string dimensions through
 /// the cube's shared `dictionaries` (one slot per dimension, `None`
 /// for integer dimensions).
@@ -128,6 +160,19 @@ pub fn parse_rows(
     // the cardinality cap).
     let mut coords = vec![0u32; num_dims];
     let mut pending: Vec<usize> = Vec::new();
+    // Per-batch memos. A string dimension's holds the ids resolved
+    // below its cardinality: a minted id never changes, so a hit
+    // skips the dictionary mutex. `open` holds the chunk of the first
+    // brick to claim each slot; a brick whose slot another holds keeps
+    // its chunk in `by_bid`, so no brick's rows are ever split.
+    let mut memos: Vec<_> = (schema.dimensions.iter())
+        .zip(dictionaries)
+        .map(|(dim, dict)| {
+            let keys = rows.len().min(dim.cardinality as usize);
+            dict.as_deref().map(|dict| (dict, Memo::new(keys)))
+        })
+        .collect();
+    let mut open: Memo<u64, RecordChunk> = Memo::new(rows.len());
     'rows: for row in rows {
         if row.len() != schema.arity() {
             batch.rejected += 1;
@@ -135,31 +180,38 @@ pub fn parse_rows(
         }
         pending.clear();
         for (idx, dim) in schema.dimensions.iter().enumerate() {
-            coords[idx] = match (&row[idx], &dictionaries[idx]) {
-                (Value::Str(s), Some(dict)) => {
-                    let dict = dict.lock();
-                    match dict.lookup(s) {
-                        // Ids beyond the declared cardinality are
-                        // rejected, matching the paper's "dimensional
-                        // cardinality" validation.
-                        Some(id) if id < dim.cardinality => id,
-                        Some(_) => {
-                            batch.rejected += 1;
-                            continue 'rows;
-                        }
-                        // Unseen: viable only while id capacity
-                        // remains; the mint itself waits for full-row
-                        // validation (placeholder coordinate for now).
-                        None if (dict.len() as u64) < u64::from(dim.cardinality) => {
-                            pending.push(idx);
-                            0
-                        }
-                        None => {
-                            batch.rejected += 1;
-                            continue 'rows;
+            coords[idx] = match (&row[idx], &mut memos[idx]) {
+                (Value::Str(s), Some((dict, memo))) => match memo.slot(fnv1a(s)) {
+                    Some((key, id)) if *key == s.as_str() => *id,
+                    slot => {
+                        let dict = dict.lock();
+                        match dict.lookup(s) {
+                            // Ids beyond the declared cardinality are
+                            // rejected, matching the paper's
+                            // "dimensional cardinality" validation.
+                            Some(id) if id < dim.cardinality => {
+                                *slot = Some((s.as_str(), id));
+                                id
+                            }
+                            Some(_) => {
+                                batch.rejected += 1;
+                                continue 'rows;
+                            }
+                            // Unseen: viable only while id capacity
+                            // remains; the mint itself waits for
+                            // full-row validation (placeholder
+                            // coordinate for now).
+                            None if (dict.len() as u64) < u64::from(dim.cardinality) => {
+                                pending.push(idx);
+                                0
+                            }
+                            None => {
+                                batch.rejected += 1;
+                                continue 'rows;
+                            }
                         }
                     }
-                }
+                },
                 (Value::I64(v), None) => {
                     if *v < 0 || *v >= dim.cardinality as i64 {
                         batch.rejected += 1;
@@ -189,10 +241,10 @@ pub fn parse_rows(
         for &idx in &pending {
             let dim = &schema.dimensions[idx];
             let s = row[idx].as_str().expect("pending dimensions hold strings");
-            let mut dict = dictionaries[idx]
-                .as_ref()
-                .expect("pending dimensions have dictionaries")
-                .lock();
+            let (dict, memo) = memos[idx]
+                .as_mut()
+                .expect("pending dimensions have dictionaries");
+            let mut dict = dict.lock();
             let id = match dict.lookup(s) {
                 Some(id) => id,
                 None if (dict.len() as u64) < u64::from(dim.cardinality) => dict.encode(s),
@@ -205,18 +257,23 @@ pub fn parse_rows(
                 batch.rejected += 1;
                 continue 'rows;
             }
+            *memo.slot(fnv1a(s)) = Some((s, id));
             coords[idx] = id;
         }
-        batch
-            .by_bid
-            .entry(layout.bid_for_coords(&coords))
-            .or_insert_with(|| RecordChunk {
-                coords: vec![Vec::new(); num_dims],
-                metrics: schema.metric_columns(),
-            })
-            .push(&coords, metrics);
+        let bid = layout.bid_for_coords(&coords);
+        let new_chunk = || RecordChunk {
+            coords: vec![Vec::new(); num_dims],
+            metrics: schema.metric_columns(),
+        };
+        let chunk = match open.slot(bid) {
+            Some((key, chunk)) if *key == bid => chunk,
+            Some(_) => batch.by_bid.entry(bid).or_insert_with(new_chunk),
+            slot @ None => &mut slot.insert((bid, new_chunk())).1,
+        };
+        chunk.push(&coords, metrics);
         batch.accepted += 1;
     }
+    batch.by_bid.extend(open.0.into_iter().flatten());
     batch
 }
 
@@ -363,6 +420,41 @@ mod tests {
         assert_eq!(dict.len(), 4, "dictionary holds exactly the cap");
         assert_eq!(dict.lookup("e"), None);
         assert_eq!(dict.lookup("f"), None);
+    }
+
+    /// Keys that share a slot evict each other and the slot names the
+    /// key it holds, so a lookup never answers with another key's
+    /// value: crafted collisions only cost misses.
+    #[test]
+    fn memo_collisions_miss_instead_of_answering_for_another_key() {
+        let mut memo: Memo<u64, u32> = Memo::new(8);
+        // Keys 1 and 2 with one fingerprint.
+        *memo.slot(7) = Some((1, 10));
+        assert_eq!(*memo.slot(7), Some((1, 10)));
+        *memo.slot(7) = Some((2, 20));
+        assert_eq!(*memo.slot(7), Some((2, 20)), "1 misses: its slot holds 2");
+    }
+
+    /// More bricks than the chunk table has slots: a brick whose slot
+    /// another brick holds keeps its chunk in `by_bid`, and every
+    /// brick still gets all its rows, in input order.
+    #[test]
+    fn bricks_beyond_the_chunk_table_keep_every_row_in_order() {
+        let schema = CubeSchema::new(
+            "t",
+            vec![Dimension::int("x", 1024, 1)],
+            vec![Metric::int("v")],
+        )
+        .unwrap();
+        let rows: Vec<Row> = (0..3i64)
+            .flat_map(|round| (0..600i64).map(move |x| vec![Value::from(x), Value::from(round)]))
+            .collect();
+        let batch = parse_rows(&schema, &BidLayout::new(&schema), &[None], &rows);
+        assert_eq!(batch.bricks_touched(), 600);
+        for (&bid, chunk) in &batch.by_bid {
+            assert_eq!(chunk.coords, vec![vec![bid as u32; 3]]);
+            assert_eq!(chunk.metrics, vec![Column::I64(vec![0, 1, 2])]);
+        }
     }
 
     #[test]

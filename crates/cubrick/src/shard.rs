@@ -134,8 +134,8 @@ impl ShardPool {
         shard_of(bid, self.senders.len())
     }
 
-    /// Enqueues `task` on `shard` without waiting (loads use this:
-    /// the flush step is asynchronous within a request).
+    /// Enqueues `task` on `shard` without waiting (recovery and
+    /// handoff installs queue their imports this way, then barrier).
     pub fn submit(&self, shard: usize, task: impl FnOnce(&mut ShardBricks) + Send + 'static) {
         self.senders[shard]
             .send(Box::new(task))
@@ -224,6 +224,11 @@ impl ShardPool {
     /// Task panics caught so far (fire-and-forget and waited).
     pub fn panics_caught(&self) -> u64 {
         self.metrics.panics.get()
+    }
+
+    /// Counts a panic a task caught itself, to name what failed.
+    pub(crate) fn count_panic(&self) {
+        self.metrics.panics.inc();
     }
 
     /// Writes the shard-pool report section: pool totals plus

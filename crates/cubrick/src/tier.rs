@@ -136,13 +136,49 @@ pub struct TierStats {
     pub reload_failures: u64,
 }
 
+/// A per-brick registry map, `cube -> bid -> V`: keyed by cube name
+/// first so a `(&str, u64)` lookup borrows instead of allocating.
+type ByBrick<V> = HashMap<String, HashMap<u64, V>>;
+
+/// `map`'s bricks of `cube`, created empty on first use (the name is
+/// allocated once per cube, not per call).
+fn cube_entry<'a, V>(map: &'a mut ByBrick<V>, cube: &str) -> &'a mut HashMap<u64, V> {
+    if !map.contains_key(cube) {
+        map.insert(cube.to_owned(), HashMap::new());
+    }
+    map.get_mut(cube).expect("inserted above")
+}
+
 struct TierInner {
-    /// Evicted bricks by (cube, bid).
-    spilled: HashMap<(String, u64), SpilledBrick>,
+    /// Evicted bricks.
+    spilled: ByBrick<SpilledBrick>,
     /// Last-scan tick per resident brick, for eviction ranking.
-    touches: HashMap<(String, u64), u64>,
+    touches: ByBrick<u64>,
     /// The touch clock.
     tick: u64,
+}
+
+impl TierInner {
+    fn spilled(&self, cube: &str, bid: u64) -> Option<&SpilledBrick> {
+        self.spilled.get(cube)?.get(&bid)
+    }
+
+    fn touch(&mut self, cube: &str, bid: u64) {
+        self.tick += 1;
+        let tick = self.tick;
+        cube_entry(&mut self.touches, cube).insert(bid, tick);
+    }
+
+    /// Drops `bid` of `cube` from both maps; returns whether it was
+    /// spilled.
+    fn forget(&mut self, cube: &str, bid: u64) -> bool {
+        if let Some(touches) = self.touches.get_mut(cube) {
+            touches.remove(&bid);
+        }
+        self.spilled
+            .get_mut(cube)
+            .is_some_and(|spilled| spilled.remove(&bid).is_some())
+    }
 }
 
 /// The engine's cold-tier state: one durable [`BrickStore`], the
@@ -193,10 +229,7 @@ impl TieredStore {
 
     /// Whether `bid` of `cube` is currently evicted.
     pub(crate) fn is_spilled(&self, cube: &str, bid: u64) -> bool {
-        self.inner
-            .lock()
-            .spilled
-            .contains_key(&(cube.to_owned(), bid))
+        self.inner.lock().spilled(cube, bid).is_some()
     }
 
     /// The retained epochs vector of an evicted brick (cache-serve
@@ -204,25 +237,23 @@ impl TieredStore {
     pub(crate) fn spilled_epochs(&self, cube: &str, bid: u64) -> Option<EpochsVector> {
         self.inner
             .lock()
-            .spilled
-            .get(&(cube.to_owned(), bid))
+            .spilled(cube, bid)
             .map(|s| s.epochs.clone())
     }
 
     /// Spilled bricks holding any run in `(lse, lse_prime]` — the
     /// retained epochs vectors answer this without touching disk.
     pub(crate) fn spilled_in_window(&self, lse: u64, lse_prime: u64) -> Vec<(String, u64)> {
-        self.inner
-            .lock()
-            .spilled
-            .iter()
-            .filter(|(_, s)| {
+        let inner = self.inner.lock();
+        (inner.spilled.iter())
+            .flat_map(|(cube, bricks)| bricks.iter().map(move |(&bid, s)| (cube, bid, s)))
+            .filter(|(_, _, s)| {
                 s.epochs
                     .entries()
                     .iter()
                     .any(|e| e.epoch() > lse && e.epoch() <= lse_prime)
             })
-            .map(|((cube, bid), _)| (cube.clone(), *bid))
+            .map(|(cube, bid, _)| (cube.clone(), bid))
             .collect()
     }
 
@@ -231,20 +262,16 @@ impl TieredStore {
         self.inner
             .lock()
             .spilled
-            .keys()
-            .filter(|(c, _)| c == cube)
-            .map(|&(_, bid)| bid)
-            .collect()
+            .get(cube)
+            .map(|spilled| spilled.keys().copied().collect())
+            .unwrap_or_default()
     }
 
     /// Bumps the touch clock for a resident brick (called from scan
     /// paths so eviction can rank bricks by how recently queries
     /// touched them).
     pub(crate) fn touch(&self, cube: &str, bid: u64) {
-        let mut inner = self.inner.lock();
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.touches.insert((cube.to_owned(), bid), tick);
+        self.inner.lock().touch(cube, bid);
     }
 
     /// How recently `bid` was scanned, as a fraction of the touch
@@ -260,7 +287,8 @@ impl TieredStore {
         }
         inner
             .touches
-            .get(&(cube.to_owned(), bid))
+            .get(cube)?
+            .get(&bid)
             .map(|&t| t as f64 / inner.tick as f64)
     }
 
@@ -287,9 +315,9 @@ impl TieredStore {
     ) {
         self.spills.inc();
         let mut inner = self.inner.lock();
-        inner.touches.remove(&(cube.to_owned(), bid));
-        inner.spilled.insert(
-            (cube.to_owned(), bid),
+        inner.forget(cube, bid);
+        cube_entry(&mut inner.spilled, cube).insert(
+            bid,
             SpilledBrick {
                 epochs,
                 file_bytes,
@@ -337,10 +365,8 @@ impl TieredStore {
                     .or_default()
                     .insert(bid, brick);
                 let mut inner = self.inner.lock();
-                inner.spilled.remove(&(cube.name().to_owned(), bid));
-                inner.tick += 1;
-                let tick = inner.tick;
-                inner.touches.insert((cube.name().to_owned(), bid), tick);
+                inner.forget(cube.name(), bid);
+                inner.touch(cube.name(), bid);
                 drop(inner);
                 let _ = self.store.discard(cube.name(), bid);
                 Ok(true)
@@ -355,11 +381,7 @@ impl TieredStore {
     /// Forgets an evicted brick and removes its snapshot (DDL drop /
     /// rebalance retire). Returns whether the registry held it.
     pub(crate) fn forget(&self, cube: &str, bid: u64) -> bool {
-        let existed = {
-            let mut inner = self.inner.lock();
-            inner.touches.remove(&(cube.to_owned(), bid));
-            inner.spilled.remove(&(cube.to_owned(), bid)).is_some()
-        };
+        let existed = self.inner.lock().forget(cube, bid);
         if existed {
             let _ = self.store.discard(cube, bid);
         }
@@ -374,16 +396,13 @@ impl TieredStore {
     /// Point-in-time statistics.
     pub fn stats(&self) -> TierStats {
         let inner = self.inner.lock();
+        let spilled = || inner.spilled.values().flat_map(HashMap::values);
         TierStats {
             budget_bytes: self.budget_bytes,
             resident_bytes: self.resident_bytes.get(),
-            spilled_bricks: inner.spilled.len(),
-            spilled_file_bytes: inner.spilled.values().map(|s| s.file_bytes).sum(),
-            spilled_resident_bytes: inner
-                .spilled
-                .values()
-                .map(|s| s.resident_bytes as u64)
-                .sum(),
+            spilled_bricks: spilled().count(),
+            spilled_file_bytes: spilled().map(|s| s.file_bytes).sum(),
+            spilled_resident_bytes: spilled().map(|s| s.resident_bytes as u64).sum(),
             spills: self.spills.get(),
             reloads: self.reloads.get(),
             cache_serves: self.cache_serves.get(),

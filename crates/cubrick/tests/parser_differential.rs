@@ -8,9 +8,12 @@
 //! rows, leave the same dictionaries behind (no phantom id from a row
 //! a later column rejected), keep the same per-brick row order, and
 //! the chunks appended to a plain and a bess brick must read back as
-//! the model's rows.
+//! the model's rows. Several batches share the dictionaries, so an id
+//! one batch's memo resolved must be the id the next batch sees.
+//!
+//! A second test races two parsers over shared unseen strings.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use columnar::{Row, Value};
 use cubrick::{
@@ -127,7 +130,7 @@ proptest! {
 
     #[test]
     fn parser_agrees_with_the_row_at_a_time_model(
-        batches in prop::collection::vec(prop::collection::vec(row_strategy(), 0..40), 1..4),
+        batches in prop::collection::vec(prop::collection::vec(row_strategy(), 0..40), 2..6),
     ) {
         let cube = cube();
         let schema = cube.schema();
@@ -157,6 +160,8 @@ proptest! {
             let batch = parse_rows(schema, cube.layout(), cube.dictionaries(), rows);
             prop_assert_eq!(batch.rejected, rejected);
             prop_assert_eq!(batch.accepted, rows.len() - rejected);
+            // The model never renumbers, so equal dictionaries after
+            // every batch mean every earlier id is unchanged.
             for (dict, model) in cube.dictionaries().iter().zip(&model_dicts) {
                 let entries = dict.as_ref().map(|d| d.lock().entries_from(0));
                 prop_assert_eq!(&entries, model);
@@ -196,5 +201,107 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Two parsers race over one cube's dictionaries with strings neither
+/// has seen, some of them only on rows that a later column rejects.
+/// Every row's `likes` is its global index, so each accepted record
+/// traces back to the row it came from.
+#[test]
+fn concurrent_parsers_mint_dense_unique_ids_without_phantoms() {
+    const BATCHES: usize = 40;
+    const ROWS: usize = 50;
+    let cube = Cube::new(
+        CubeSchema::new(
+            "t",
+            vec![
+                Dimension::string("region", 64, 8),
+                Dimension::int("day", 8, 4),
+                Dimension::string("app", 64, 8),
+            ],
+            vec![Metric::int("likes")],
+        )
+        .unwrap(),
+    );
+    // Row `id`: strings from pools both threads share, or — on a row
+    // whose day (after `region`) or metric (after both strings) is
+    // invalid — a string that only ever appears on rejected rows.
+    let make_row = |id: usize| -> (Row, bool) {
+        let x = id * 7 % 40;
+        let valid = !x.is_multiple_of(5);
+        let strings = if valid {
+            [format!("r{}", x % 30), format!("a{}", x % 20)]
+        } else {
+            [format!("ghost-r{x}"), format!("ghost-a{x}")]
+        };
+        let [region, app] = strings.map(Value::from);
+        let likes = id as i64;
+        let (day, likes) = match (valid, x % 2) {
+            (true, _) => (Value::I64((x % 8) as i64), Value::I64(likes)),
+            (false, 0) => (Value::I64(99), Value::I64(likes)),
+            (false, _) => (Value::I64(0), Value::F64(likes as f64)),
+        };
+        (vec![region, day, app, likes], valid)
+    };
+    let rows: Vec<(Row, bool)> = (0..2 * BATCHES * ROWS).map(make_row).collect();
+    let batches: Vec<(usize, cubrick::ParsedBatch)> = std::thread::scope(|scope| {
+        let workers: Vec<_> = rows
+            .chunks(BATCHES * ROWS)
+            .map(|half| {
+                let cube = &cube;
+                scope.spawn(move || {
+                    half.chunks(ROWS)
+                        .map(|batch| {
+                            let batch_rows: Vec<Row> =
+                                batch.iter().map(|(row, _)| row.clone()).collect();
+                            let valid = batch.iter().filter(|(_, valid)| *valid).count();
+                            let parsed = parse_rows(
+                                cube.schema(),
+                                cube.layout(),
+                                cube.dictionaries(),
+                                &batch_rows,
+                            );
+                            (valid, parsed)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap())
+            .collect()
+    });
+
+    let dicts = [0, 2].map(|dim| cube.dictionaries()[dim].as_ref().unwrap().lock().clone());
+    let mut accepted: [BTreeSet<String>; 2] = Default::default();
+    for (valid, batch) in &batches {
+        assert_eq!(batch.accepted, *valid);
+        for chunk in batch.by_bid.values() {
+            for record in 0..chunk.len() {
+                let id = chunk.metrics[0].get_i64(record).unwrap();
+                let (row, valid) = &rows[id as usize];
+                assert!(valid, "rejected row {id} was accepted");
+                for (slot, dim) in [0, 2].into_iter().enumerate() {
+                    let string = row[dim].as_str().unwrap();
+                    assert_eq!(
+                        dicts[slot].decode(chunk.coords[dim][record]),
+                        Some(string),
+                        "row {id}, dimension {dim}"
+                    );
+                    accepted[slot].insert(string.to_owned());
+                }
+            }
+        }
+    }
+    for (dict, accepted) in dicts.iter().zip(&accepted) {
+        let entries = dict.entries_from(0);
+        // Dense and unique: entry `i` looks up as id `i`.
+        for (id, entry) in entries.iter().enumerate() {
+            assert_eq!(dict.lookup(entry), Some(id as u32));
+        }
+        // No phantom: every entry came from an accepted row.
+        assert_eq!(&entries.into_iter().collect::<BTreeSet<_>>(), accepted);
     }
 }

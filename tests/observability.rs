@@ -202,38 +202,65 @@ fn resident_bytes(engine: &Engine) -> u64 {
     (memory.data_bytes + memory.aosi_bytes) as u64
 }
 
-/// The sweep after a load is one round trip per shard returning two
-/// integers; it names and ranks bricks only when the budget is
-/// exceeded and something is clean-cold. Counted in shard tasks: a
-/// load touching `b` bricks on `s` shards is `b` appends, `s`
-/// barriers and one sweep task on each of the four shards.
+/// The shards a load of `rows` touches on a 4-shard engine.
+fn shards_touched(engine: &Engine, rows: &[Vec<Value>]) -> usize {
+    let cube = engine.cube("events").unwrap();
+    rows.iter()
+        .map(|r| {
+            let region = cube.encode_filter_value(0, &r[0]).unwrap();
+            let day = cube.encode_filter_value(1, &r[1]).unwrap();
+            cube.layout().bid_for_coords(&[region, day]) % 4
+        })
+        .collect::<std::collections::BTreeSet<u64>>()
+        .len()
+}
+
+/// Loads of all 32 bricks, of one brick, and of two bricks.
+fn loads() -> [(Vec<Vec<Value>>, usize); 3] {
+    [
+        (grid_rows(), 32),
+        (vec![row("r0", 3, 1), row("r1", 2, 1)], 1),
+        (vec![row("r0", 3, 1), row("r6", 30, 1)], 2),
+    ]
+}
+
+/// A load is one append task per shard it touches, however many
+/// bricks that is — and nothing else on an untiered engine.
+#[test]
+fn a_load_is_one_task_per_touched_shard() {
+    let engine = Engine::new(4);
+    engine.create_cube(schema()).unwrap();
+    for (rows, bricks) in loads() {
+        let before = shard_tasks(&engine);
+        let outcome = engine.load("events", &rows, 0).unwrap();
+        assert_eq!(outcome.bricks_touched, bricks);
+        let shards = shards_touched(&engine, &rows);
+        assert_eq!(
+            shard_tasks(&engine) - before,
+            shards as u64,
+            "{bricks} bricks on {shards} shards"
+        );
+    }
+}
+
+/// The sweep after a load needs two integers per shard; it names and
+/// ranks bricks only when the budget is exceeded and something is
+/// clean-cold. The append task on a touched shard returns its shard's
+/// integers, so a load on the 4-shard tiered engine is exactly four
+/// shard tasks: one append task per touched shard and one sweep task
+/// per untouched one.
 #[test]
 fn a_load_under_budget_is_one_sweep_round_trip() {
     let (engine, dir) = tiered_engine("under", 1 << 30);
-    let cube = engine.cube("events").unwrap();
-    // Loads of all 32 bricks, of one brick, and of two bricks.
-    let loads = [
-        grid_rows(),
-        vec![row("r0", 3, 1), row("r1", 2, 1)],
-        vec![row("r0", 3, 1), row("r6", 30, 1)],
-    ];
-    for rows in &loads {
+    for (rows, bricks) in loads() {
         let before = shard_tasks(&engine);
-        let outcome = engine.load("events", rows, 0).unwrap();
-        let shards: std::collections::BTreeSet<u64> = rows
-            .iter()
-            .map(|r| {
-                let region = cube.encode_filter_value(0, &r[0]).unwrap();
-                let day = cube.encode_filter_value(1, &r[1]).unwrap();
-                cube.layout().bid_for_coords(&[region, day]) % 4
-            })
-            .collect();
+        let outcome = engine.load("events", &rows, 0).unwrap();
+        assert_eq!(outcome.bricks_touched, bricks);
         assert_eq!(
             shard_tasks(&engine) - before,
-            (outcome.bricks_touched + shards.len() + 4) as u64,
-            "{} bricks on {} shards",
-            outcome.bricks_touched,
-            shards.len()
+            4,
+            "{bricks} bricks on {} shards",
+            shards_touched(&engine, &rows)
         );
     }
     // Flushed through the LCE, every brick is clean-cold: the sweep
@@ -258,10 +285,10 @@ fn a_load_under_budget_is_one_sweep_round_trip() {
 fn a_sweep_over_budget_still_ranks_and_spills() {
     let (engine, dir) = tiered_engine("over", 1);
     // Nothing is flushed yet, so nothing is eligible: the sweep after
-    // the load cannot help and stays a single round trip.
+    // the load cannot help and needs no task beyond the four appends.
     let before = shard_tasks(&engine);
     engine.load("events", &grid_rows(), 0).unwrap();
-    assert_eq!(shard_tasks(&engine) - before, 32 + 4 + 4);
+    assert_eq!(shard_tasks(&engine) - before, 4);
     assert_eq!(engine.tier_stats().unwrap().spills, 0);
 
     engine
