@@ -32,12 +32,11 @@ pub struct EpochsVector {
     /// Monotonic mutation counter: bumped by every entry-visible
     /// mutation (append, delete marker, purge, rollback). Two reads of
     /// the same partition observing the same generation are guaranteed
-    /// to observe the same entries, which is what makes the generation
-    /// a sound cache-invalidation token for
-    /// [`SnapshotCache`](crate::SnapshotCache): entries are
-    /// append-only between generation bumps, and rebuilds (purge,
-    /// rollback) continue the counter rather than restarting it, so a
-    /// generation value is never reused for different contents.
+    /// to observe the same entries: entries are append-only between
+    /// generation bumps, and rebuilds (purge, rollback) continue the
+    /// counter rather than restarting it, so a generation value is
+    /// never reused for different contents. Tier spill snapshots
+    /// preserve it verbatim.
     generation: u64,
 }
 
@@ -84,8 +83,9 @@ impl EpochsVector {
     /// Rebuilds a vector from parts **including its exact mutation
     /// generation** — the reload half of tiered storage. A spilled
     /// partition's snapshot stores the generation alongside the
-    /// entries; restoring it verbatim keeps every cache slot keyed
-    /// before the eviction valid (the contents are bit-identical),
+    /// entries; restoring it verbatim keeps anything keyed on the
+    /// generation before the eviction valid (the contents are
+    /// bit-identical),
     /// and — because spill-eligible partitions are immutable-cold —
     /// no mutation can have advanced the counter in between, so the
     /// value can never alias different contents.
@@ -356,8 +356,8 @@ mod tests {
         assert_eq!(rebuilt, v);
         assert_eq!(rebuilt.generation(), v.generation());
         // Plain from_parts restarts the counter — the reload path must
-        // not use it, or cache keys minted before an eviction would
-        // alias a generation the rebuilt vector re-earns later.
+        // not use it, or a generation observed before an eviction
+        // would alias one the rebuilt vector re-earns later.
         assert_eq!(
             EpochsVector::from_parts(v.entries().to_vec(), v.row_count()).generation(),
             0

@@ -72,7 +72,7 @@ pub mod purge;
 pub mod rollback;
 pub mod visibility;
 
-pub use cache::{CacheStats, SnapshotCache};
+pub use cache::CacheStats;
 pub use clock::EpochClock;
 pub use epoch::{Epoch, EpochEntry, NO_EPOCH};
 pub use epochs::EpochsVector;

@@ -11,7 +11,9 @@
 //!   out of order parks the epoch until its predecessors finish
 //!   (Table I: `T3` committing before `T2` leaves LCE at 1).
 //! * Rollback: the epoch simply disappears from `pendingTxs`; parked
-//!   commits above it may then advance LCE.
+//!   commits above it may then advance LCE. A caller that must first
+//!   reclaim the aborted rows calls [`TxnManager::begin_rollback`],
+//!   which refuses any later commit but keeps the epoch pending.
 //! * RO begin: a [`Snapshot`] at LCE with an empty deps set; no clock
 //!   advancement, no `pendingTxs` traffic.
 //! * LSE: advances only up to LCE, never past an active reader
@@ -83,6 +85,9 @@ struct State {
     /// Epochs rolled back since the last purge cycle; partitions
     /// consult this to reclaim aborted rows.
     rolled_back: BTreeSet<Epoch>,
+    /// Pending epochs whose rollback has begun: still pending (the
+    /// LCE cannot pass them) but no longer committable.
+    rolling_back: BTreeSet<Epoch>,
     /// Active read snapshots (epoch -> count), for LSE gating.
     active_reads: BTreeMap<Epoch, usize>,
     /// Smallest dep of each pending RW transaction that has one
@@ -264,6 +269,22 @@ impl TxnManager {
         self.rollback_epoch(txn.epoch())
     }
 
+    /// Starts rolling a transaction back: from now on a commit of it
+    /// is refused, but its epoch stays in `pendingTxs` — so the LCE
+    /// cannot pass it — until [`TxnManager::rollback`] finishes it.
+    /// A caller reclaims the aborted rows in between, so no snapshot
+    /// at or below the LCE ever sees them.
+    pub fn begin_rollback(&self, txn: &Txn) -> Result<(), AosiError> {
+        if !txn.is_rw() {
+            return Err(AosiError::ReadOnlyTxn(txn.epoch()));
+        }
+        let mut st = self.inner.state.lock();
+        if !st.pending.contains(&txn.epoch()) || !st.rolling_back.insert(txn.epoch()) {
+            return Err(AosiError::TxnFinished(txn.epoch()));
+        }
+        Ok(())
+    }
+
     /// Registers a transaction begun on another node (from its begin
     /// broadcast) into the local pending set.
     pub fn register_remote(&self, epoch: Epoch) {
@@ -287,7 +308,7 @@ impl TxnManager {
 
     fn commit_epoch(&self, epoch: Epoch) -> Result<(), AosiError> {
         let mut st = self.inner.state.lock();
-        if !st.pending.remove(&epoch) {
+        if st.rolling_back.contains(&epoch) || !st.pending.remove(&epoch) {
             return Err(AosiError::TxnFinished(epoch));
         }
         st.pending_deps.remove(&epoch);
@@ -303,6 +324,7 @@ impl TxnManager {
             return Err(AosiError::TxnFinished(epoch));
         }
         st.pending_deps.remove(&epoch);
+        st.rolling_back.remove(&epoch);
         st.rolled_back.insert(epoch);
         st.rolled_back_count += 1;
         // The epoch vanishing may unblock parked commits above it.
@@ -584,6 +606,22 @@ mod tests {
         assert_eq!(mgr.rolled_back_epochs(), [1]);
         assert_eq!(mgr.state_of(1), Some(TxnState::RolledBack));
         assert_eq!(mgr.state_of(2), Some(TxnState::Committed));
+    }
+
+    #[test]
+    fn a_begun_rollback_holds_the_lce_and_refuses_commit() {
+        let mgr = TxnManager::single_node();
+        let t1 = mgr.begin_rw();
+        let t2 = mgr.begin_rw();
+        mgr.commit(&t2).unwrap();
+        mgr.begin_rollback(&t1).unwrap();
+        assert_eq!(mgr.lce(), 0, "T1 is still pending while it rolls back");
+        assert_eq!(mgr.state_of(1), Some(TxnState::Pending));
+        assert_eq!(mgr.commit(&t1), Err(AosiError::TxnFinished(1)));
+        assert_eq!(mgr.begin_rollback(&t1), Err(AosiError::TxnFinished(1)));
+        mgr.rollback(&t1).unwrap();
+        assert_eq!(mgr.lce(), 2, "finishing the rollback releases T2");
+        assert_eq!(mgr.begin_rollback(&t1), Err(AosiError::TxnFinished(1)));
     }
 
     #[test]

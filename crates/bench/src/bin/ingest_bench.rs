@@ -207,8 +207,8 @@ fn main() {
         workload::human_rate(baseline_rows_per_s),
     );
     println!(
-        "tier:     {} spills, {} reloads, {} cache serves, {} spilled bricks at end",
-        stats.spills, stats.reloads, stats.cache_serves, stats.spilled_bricks
+        "tier:     {} spills, {} reloads, {} spilled bricks at end",
+        stats.spills, stats.reloads, stats.spilled_bricks
     );
     println!(
         "resident: max {} after {} sweeps, budget {} ({ratio:.1}x dataset / budget)",
@@ -232,7 +232,7 @@ fn main() {
          \"dataset_bytes\": {dataset_bytes},\n  \"dataset_over_budget\": {ratio:.3},\n  \
          \"rows\": {total_rows},\n  \"elapsed_s\": {elapsed_s:.3},\n  \
          \"rows_per_s\": {rows_per_s:.0},\n  \"baseline_rows_per_s\": {baseline_rows_per_s:.0},\n  \
-         \"spills\": {},\n  \"reloads\": {},\n  \"cache_serves\": {},\n  \
+         \"spills\": {},\n  \"reloads\": {},\n  \
          \"spill_failures\": {},\n  \"reload_failures\": {},\n  \
          \"spilled_bricks_final\": {},\n  \"spilled_file_bytes\": {},\n  \
          \"max_resident_after_sweep\": {max_resident_after_sweep},\n  \
@@ -240,7 +240,6 @@ fn main() {
          \"recovered_rows\": {}\n}}\n",
         stats.spills,
         stats.reloads,
-        stats.cache_serves,
         stats.spill_failures,
         stats.reload_failures,
         stats.spilled_bricks,

@@ -10,7 +10,7 @@
 //! into chunks, merged in any order and association, finalizes
 //! bit-identically to a single sequential pass. That algebra is what
 //! legalizes per-brick partial aggregation inside shard tasks, the
-//! snapshot-keyed aggregate cache, progressive refinement streaming,
+//! per-shard snapshot memo, progressive refinement streaming,
 //! and the distributed per-node merge: they are all the same `merge`
 //! called at different levels. `oracle::agg` property-tests the laws
 //! on real engine-produced partials.

@@ -103,8 +103,7 @@ impl Brick {
     /// Reassembles a brick from a spilled snapshot: per-dimension
     /// coordinate columns, typed metric columns, and the epochs
     /// vector carrying its **original generation** (see
-    /// [`EpochsVector::from_parts_with_generation`]) so cache slots
-    /// keyed before the eviction stay valid. The result is
+    /// [`EpochsVector::from_parts_with_generation`]). The result is
     /// bit-identical to the spilled brick under every scan path: a
     /// plain layout adopts the columns directly, a bess layout
     /// repacks the same coordinates deterministically.
@@ -567,7 +566,7 @@ mod tests {
             assert_eq!(
                 restored.epochs().generation(),
                 original.epochs().generation(),
-                "reload must carry the cache-invalidation token verbatim"
+                "reload must carry the mutation generation verbatim"
             );
             for row in 0..original.row_count() as usize {
                 assert_eq!(restored.dim_value(0, row), original.dim_value(0, row));

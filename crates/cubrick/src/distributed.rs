@@ -459,10 +459,15 @@ impl DistributedEngine {
             (tasks.into_iter()).find_map(|t| t.join().expect("flush thread completes").err())
         });
         if let Some(e) = failed {
+            // Reclaim before the rollback broadcast: while the epoch is
+            // pending on every node, no node's LCE can pass it, so no
+            // settled snapshot ever sees the aborted rows.
+            for &node in &nodes {
+                self.engine(node).reclaim_epoch(txn.epoch);
+            }
             let _ = self.protocol.rollback(&txn);
-            for engine in nodes.into_iter().map(|node| self.engine(node)) {
-                engine.reclaim_epoch(txn.epoch);
-                engine.manager().clear_rolled_back(&[txn.epoch]);
+            for &node in &nodes {
+                self.engine(node).manager().clear_rolled_back(&[txn.epoch]);
             }
             return Err(e);
         }

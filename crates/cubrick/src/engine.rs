@@ -26,7 +26,7 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aosi::{CacheStats, Epoch, Snapshot, SnapshotCache, Txn, TxnManager, TxnPartitionIndex};
+use aosi::{CacheStats, Epoch, Snapshot, Txn, TxnManager, TxnPartitionIndex};
 use columnar::Row;
 use obs::{Counter, Histogram, ReportBuilder};
 use parking_lot::RwLock;
@@ -36,77 +36,39 @@ use crate::cube::{Cube, CubeMemory};
 use crate::ddl::CubeSchema;
 use crate::error::CubrickError;
 use crate::ingest::{parse_rows, ParsedBatch, RecordChunk};
-use crate::query::{
-    AggQueryShape, CachedAgg, PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel,
-};
+use crate::memo::{MemoKey, ShardMemos};
+use crate::query::{AggQueryShape, PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel};
 use crate::scan::{BrickFilter, ScanFailure, ShardScan, ShardScanOutcome};
 use crate::shard::{ShardPool, TaskHandle};
 use crate::tier::{BrickStore, TierEnforcement, TierStats, TieredStore};
-
-/// Partition key the engine caches brick partials under. Brick
-/// ids are only unique within a cube, so the cube name is part of the
-/// key; the `Arc<str>` keeps per-brick key construction down to a
-/// refcount bump on the hot path.
-pub(crate) type BrickKey = (Arc<str>, u64);
-
-/// The per-brick aggregate cache: keyed on the brick's epochs-vector
-/// generation + the snapshot (see [`aosi::SnapshotCache`]), tagged by
-/// the query's structural scan shape. A hit skips the brick's
-/// visibility build *and* its scan.
-pub(crate) type AggCache = SnapshotCache<BrickKey, Arc<AggQueryShape>, CachedAgg>;
 
 /// A shard's `(resident, clean-cold)` brick bytes: what phase 1 of
 /// the tier sweep sums.
 type ShardBytes = (u64, u64);
 
 /// How the engine runs brick scans (see [`Engine::with_scan_config`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanConfig {
     /// Join each shard's scan before submitting the next one, so at
-    /// most one brick is scanned at a time. The differential-testing
+    /// most one brick is scanned at a time, and read every brick
+    /// instead of the snapshot memo. The differential-testing
     /// reference runs this way; everything else overlaps the shards.
     pub sequential: bool,
-    /// Aggregate-cache capacity in cached brick partials; `0`
-    /// disables it. Snapshot-isolated scans of unchanged bricks under
-    /// a repeated query shape are then served without touching the
-    /// brick at all.
-    pub agg_cache_capacity: usize,
     /// Which scan/aggregate kernel brick scans run
     /// ([`ScanKernel::Vectorized`] unless diffing against the
     /// row-at-a-time reference).
     pub kernel: ScanKernel,
 }
 
-impl Default for ScanConfig {
-    fn default() -> Self {
-        ScanConfig {
-            sequential: false,
-            agg_cache_capacity: 1024,
-            kernel: ScanKernel::Vectorized,
-        }
-    }
-}
-
 impl ScanConfig {
     /// The differential-testing reference configuration: every scan
-    /// sequential, no cache, row-at-a-time kernel.
+    /// sequential (so no memo), row-at-a-time kernel.
     /// [`Engine::query_at_reference`] uses this regardless of the
     /// engine's own configuration.
     pub fn sequential_uncached() -> Self {
         ScanConfig {
             sequential: true,
-            agg_cache_capacity: 0,
             kernel: ScanKernel::RowAtATime,
-        }
-    }
-
-    /// The default executor with the given aggregate-cache capacity
-    /// (benches and stress tests size the cache to their workload).
-    pub fn parallel_cached(agg_cache_capacity: usize) -> Self {
-        ScanConfig {
-            sequential: false,
-            agg_cache_capacity,
-            kernel: ScanKernel::Vectorized,
         }
     }
 }
@@ -239,7 +201,8 @@ pub struct Engine {
     dim_storage: DimStorage,
     rollback_index: Option<TxnPartitionIndex>,
     scan_config: ScanConfig,
-    agg_cache: Option<Arc<AggCache>>,
+    /// Each shard's settled-snapshot answers.
+    memos: Arc<ShardMemos>,
     /// Bids whose scan tasks panic on purpose (test injection only).
     panic_bids: RwLock<HashSet<u64>>,
     /// Cold-tier residency manager, when tiered storage is enabled.
@@ -257,15 +220,14 @@ impl Engine {
     /// An engine wired to an existing transaction manager (one node
     /// of a cluster).
     pub fn with_manager(manager: TxnManager, num_shards: usize) -> Self {
-        let scan_config = ScanConfig::default();
         Engine {
             manager,
             cubes: RwLock::new(HashMap::new()),
             shards: Arc::new(ShardPool::new(num_shards)),
             dim_storage: DimStorage::Plain,
             rollback_index: None,
-            scan_config,
-            agg_cache: Some(Arc::new(AggCache::new(scan_config.agg_cache_capacity))),
+            scan_config: ScanConfig::default(),
+            memos: Arc::new(ShardMemos::new(num_shards)),
             panic_bids: RwLock::new(HashSet::new()),
             tier: None,
             ops: OpCounters::default(),
@@ -294,13 +256,9 @@ impl Engine {
         self.tier.as_ref()
     }
 
-    /// Reconfigures how scans run (sequential mode, cache capacity,
-    /// kernel). Choose before serving queries: swapping the config
-    /// replaces the aggregate cache.
+    /// Reconfigures how scans run (sequential mode, kernel).
     pub fn with_scan_config(mut self, config: ScanConfig) -> Self {
         self.scan_config = config;
-        self.agg_cache = (config.agg_cache_capacity > 0)
-            .then(|| Arc::new(AggCache::new(config.agg_cache_capacity)));
         self
     }
 
@@ -319,21 +277,20 @@ impl Engine {
         Some(CacheStats::default())
     }
 
-    /// Aggregate-cache statistics, when the aggregate cache is
-    /// enabled.
+    /// Snapshot-memo statistics summed over the shards: one lookup
+    /// per shard per query at a settled snapshot. Always `Some`; the
+    /// name and shape predate the memo.
     pub fn agg_cache_stats(&self) -> Option<CacheStats> {
-        self.agg_cache.as_ref().map(|cache| cache.stats())
+        Some(self.memos.stats())
     }
 
-    /// Corrupts every cached aggregate partial in place (counts and
-    /// sums nudged, keys untouched), simulating a stale aggregate
-    /// cache. Exists solely so the merge-oracle meta-test can prove
-    /// the differential layer detects it.
+    /// Corrupts every memoized shard answer in place (counts and sums
+    /// nudged, keys untouched), simulating a memo serving wrong bytes.
+    /// Exists solely so the oracle meta-test can prove the
+    /// differential layer detects it.
     #[doc(hidden)]
-    pub fn corrupt_agg_cache_for_test(&self) {
-        if let Some(cache) = &self.agg_cache {
-            cache.corrupt_values_for_test(CachedAgg::corrupt_for_test);
-        }
+    pub fn corrupt_memo_for_test(&self) {
+        self.memos.corrupt();
     }
 
     /// Makes every scan task for `bid` panic (test injection for the
@@ -398,10 +355,9 @@ impl Engine {
     /// tier budget, spill the coldest *clean* bricks — newest epoch at
     /// or below the LSE, which makes them immutable and fully durable
     /// in the WAL (see [`crate::tier`]) — until the budget holds or
-    /// candidates run out. Ranking takes the hottest signal across the
-    /// tier's own scan clock and the aggregate cache's recency clock,
-    /// so a brick still answering queries from a warm cache keeps its
-    /// residency longer than one nobody asks about.
+    /// candidates run out. Ranking follows the tier's scan clock, so a
+    /// brick queries keep reading stays resident longer than one
+    /// nobody asks about.
     ///
     /// Runs automatically after loads, commits, and LSE advances; a
     /// no-op without tiered storage. A failed spill leaves its brick
@@ -465,14 +421,7 @@ impl Engine {
         let mut candidates: Vec<(f64, String, u64)> = per_shard
             .into_iter()
             .flatten()
-            .map(|(cube, bid)| {
-                let key: BrickKey = (Arc::from(cube.as_str()), bid);
-                let mut recency = tier.touch_recency(&cube, bid).unwrap_or(0.0);
-                if let Some(cache) = &self.agg_cache {
-                    recency = recency.max(cache.partition_recency(&key).unwrap_or(0.0));
-                }
-                (recency, cube, bid)
-            })
+            .map(|(cube, bid)| (tier.touch_recency(&cube, bid).unwrap_or(0.0), cube, bid))
             .collect();
         candidates.sort_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -503,9 +452,8 @@ impl Engine {
     /// enumeration and this task running. Returns the bytes freed
     /// (`Ok(None)` when the brick vanished or turned ineligible,
     /// `Err` when the durable write failed and the brick stayed
-    /// resident). Cached partials are deliberately *not*
-    /// invalidated: they stay valid across the evict/reload cycle and
-    /// can answer for the brick while it is cold.
+    /// resident). The snapshot memo is left alone: a spill changes
+    /// where rows live, not which rows any snapshot sees.
     fn spill_brick(
         &self,
         tier: &Arc<TieredStore>,
@@ -594,9 +542,8 @@ impl Engine {
             .histogram("query_nanos", &self.metrics.query_nanos)
             .histogram("load_nanos", &self.metrics.load_nanos)
             .histogram("scan_task_nanos", &self.metrics.scan_task_nanos);
-        if let Some(cache) = &self.agg_cache {
-            cache.report_as(report, &format!("{prefix}engine.agg_cache"));
-        }
+        self.memos
+            .report_as(report, &format!("{prefix}engine.memo"));
         if let Some(tier) = &self.tier {
             tier.report_as(report, &format!("{prefix}storage.tier"));
         }
@@ -640,6 +587,12 @@ impl Engine {
         &self.shards
     }
 
+    /// The per-shard snapshot memos (crate-internal: imports clear
+    /// them inside their shard tasks).
+    pub(crate) fn memos(&self) -> &Arc<ShardMemos> {
+        &self.memos
+    }
+
     /// Creates a cube from a schema (local DDL).
     pub fn create_cube(&self, schema: CubeSchema) -> Result<Cube, CubrickError> {
         self.register_cube(Cube::new(schema))
@@ -657,36 +610,30 @@ impl Engine {
     }
 
     /// Drops a cube: unregisters its metadata and removes its bricks
-    /// from every shard. Data is reclaimed immediately (dropping a
-    /// cube is DDL, not a transactional delete — the paper's
-    /// transactional path for data removal is the partition delete).
+    /// and memoized answers from every shard. Data is reclaimed
+    /// immediately (dropping a cube is DDL, not a transactional delete
+    /// — the paper's transactional path for data removal is the
+    /// partition delete).
     pub fn drop_cube(&self, name: &str) -> Result<(), CubrickError> {
         let removed = self.cubes.write().remove(name);
         if removed.is_none() {
             return Err(CubrickError::UnknownCube(name.to_owned()));
         }
-        let name = name.to_owned();
-        let dropped: Vec<Vec<u64>> = self.shards.map_shards(|_| {
-            let name = name.clone();
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                bricks
-                    .remove(&name)
-                    .map(|b| b.keys().copied().collect())
-                    .unwrap_or_default()
-            })
-        });
-        let cube_key: Arc<str> = Arc::from(name.as_str());
-        for bid in dropped.into_iter().flatten() {
-            invalidate_brick(&self.agg_cache, &(Arc::clone(&cube_key), bid));
-        }
-        // Evicted bricks of the dropped cube: forget them and remove
-        // their snapshots.
+        // Evicted bricks first, so no scan can fault one back in after
+        // its shard let go of the cube.
         if let Some(tier) = &self.tier {
-            for bid in tier.spilled_bids(&name) {
-                tier.forget(&name, bid);
-                invalidate_brick(&self.agg_cache, &(Arc::clone(&cube_key), bid));
+            for bid in tier.spilled_bids(name) {
+                tier.forget(name, bid);
             }
         }
+        self.shards.map_shards(|shard| {
+            let name = name.to_owned();
+            let memos = Arc::clone(&self.memos);
+            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
+                bricks.remove(&name);
+                memos.shard(shard).forget_cube(&name);
+            })
+        });
         Ok(())
     }
 
@@ -808,7 +755,6 @@ impl Engine {
             }
             per_shard[self.shards.shard_of(bid)].push((bid, chunk));
         }
-        let cube_key: Arc<str> = Arc::from(cube.name());
         let tasks: Vec<_> = per_shard
             .into_iter()
             .enumerate()
@@ -816,9 +762,7 @@ impl Engine {
             .map(|(shard, mut chunks)| {
                 chunks.sort_unstable_by_key(|&(bid, _)| bid);
                 let cube = cube.clone();
-                let cube_key = Arc::clone(&cube_key);
                 let storage = self.dim_storage;
-                let agg_cache = self.agg_cache.clone();
                 let task = self.shards.submit_handle(shard, move |bricks| {
                     // By value, freeing each chunk after its append:
                     // holding all to the task's end measured ~5 MiB
@@ -829,11 +773,6 @@ impl Engine {
                                 .append(epoch, &chunk);
                         }))
                         .map_err(|_| bid)?;
-                        // Mutation class: append. Reclaim the brick's
-                        // cached partials eagerly (the generation bump
-                        // already made them unreachable); a no-op
-                        // without a cache.
-                        invalidate_brick(&agg_cache, &(Arc::clone(&cube_key), bid));
                     }
                     Ok(sweep_lse.map(|lse| shard_bytes(bricks, lse)))
                 });
@@ -896,11 +835,14 @@ impl Engine {
 
     /// Rolls an explicit transaction back and physically reclaims its
     /// rows from every brick (Section III-C5: scan every partition,
-    /// rebuild, swap).
+    /// rebuild, swap). The rows go while the epoch is still pending,
+    /// so the LCE cannot pass it first: no snapshot at or below the
+    /// LCE — and so no memoized answer — ever sees an aborted row.
     pub fn rollback(&self, txn: &Txn) -> Result<u64, CubrickError> {
         self.ops.rollbacks.inc();
-        self.manager.rollback(txn)?;
+        self.manager.begin_rollback(txn)?;
         let removed = self.reclaim_epoch(txn.epoch());
+        self.manager.rollback(txn)?;
         self.manager.clear_rolled_back(&[txn.epoch()]);
         Ok(removed)
     }
@@ -922,18 +864,12 @@ impl Engine {
             }
             let mut removed = 0u64;
             for (shard, bids) in by_shard {
-                let agg_cache = self.agg_cache.clone();
                 removed += self.shards.submit_and_wait(shard, move |bricks| {
                     let mut removed = 0u64;
-                    for (cube_name, cube_bricks) in bricks.iter_mut() {
+                    for cube_bricks in bricks.values_mut() {
                         for bid in &bids {
                             if let Some(brick) = cube_bricks.get_mut(bid) {
                                 removed += brick.rollback(epoch);
-                                // Mutation class: rollback.
-                                invalidate_brick(
-                                    &agg_cache,
-                                    &(Arc::from(cube_name.as_str()), *bid),
-                                );
                             }
                         }
                     }
@@ -943,15 +879,10 @@ impl Engine {
             return removed;
         }
         let removed = self.shards.map_shards(|_| {
-            let agg_cache = self.agg_cache.clone();
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut removed = 0u64;
-                for (cube_name, cube_bricks) in bricks.iter_mut() {
-                    for (&bid, brick) in cube_bricks.iter_mut() {
-                        removed += brick.rollback(epoch);
-                        // Mutation class: rollback.
-                        invalidate_brick(&agg_cache, &(Arc::from(cube_name.as_str()), bid));
-                    }
+                for brick in bricks.values_mut().flat_map(HashMap::values_mut) {
+                    removed += brick.rollback(epoch);
                 }
                 removed
             })
@@ -1044,9 +975,9 @@ impl Engine {
     /// Differential-testing reference: the same result as
     /// [`Engine::query_at`], but forced down the sequential scan path
     /// with the row-at-a-time kernel (over visibility bitmaps) and
-    /// the aggregate cache bypassed, regardless of the engine's
+    /// the snapshot memo bypassed, regardless of the engine's
     /// configuration. The scan-oracle layer compares the default
-    /// (parallel + cached, vectorized over visible ranges) path
+    /// (parallel + memoized, vectorized over visible ranges) path
     /// against this byte-for-byte.
     pub fn query_at_reference(
         &self,
@@ -1142,7 +1073,14 @@ impl Engine {
         let cube = self.cube(cube)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
         let config = self.scan_config;
-        let scan = self.shard_scan(&cube, &resolved, Some(snapshot.clone()), config, None);
+        let scan = self.shard_scan(
+            &cube,
+            &resolved,
+            Some(snapshot.clone()),
+            config,
+            None,
+            false,
+        );
         let mut out = Vec::new();
         self.scan_shards(
             scan,
@@ -1236,7 +1174,7 @@ impl Engine {
         allowed: Option<BrickFilter>,
         mut progress: Option<&mut dyn FnMut(&PartialResult)>,
     ) -> Result<PartialResult, CubrickError> {
-        let scan = self.shard_scan(cube, resolved, snapshot, config, allowed);
+        let scan = self.shard_scan(cube, resolved, snapshot, config, allowed, true);
         if config.sequential {
             self.metrics.sequential_queries.inc();
         } else {
@@ -1266,9 +1204,13 @@ impl Engine {
         Ok(merged)
     }
 
-    /// Builds the per-query scan request. The aggregate cache takes
-    /// part when `config` gives it capacity, so the reference
-    /// configuration bypasses it whatever the engine itself runs with.
+    /// Builds the per-query scan request. `folded` says the caller
+    /// merges each shard's bricks into one partial (every path but
+    /// [`Engine::query_brick_partials`]). Only such a scan may answer
+    /// from the snapshot memo, and only when its snapshot is settled —
+    /// at or below the LCE now — with no replica filter, no sequential
+    /// (reference) execution and no injected panic. RU scans and a
+    /// transaction's own snapshot (above the LCE) always read bricks.
     fn shard_scan(
         &self,
         cube: &Cube,
@@ -1276,21 +1218,32 @@ impl Engine {
         snapshot: Option<Snapshot>,
         config: ScanConfig,
         allowed: Option<BrickFilter>,
+        folded: bool,
     ) -> ShardScan {
+        let panic_bids = self.panic_bids.read().clone();
+        let memo = snapshot
+            .as_ref()
+            .filter(|snap| {
+                folded
+                    && !config.sequential
+                    && allowed.is_none()
+                    && panic_bids.is_empty()
+                    && snap.epoch() <= self.manager.lce()
+            })
+            .map(|snap| {
+                let shape = AggQueryShape::of(resolved, config.kernel);
+                let key = MemoKey::new(cube.name(), shape, snap);
+                (Arc::clone(&self.memos), key)
+            });
         ShardScan {
             cube: cube.clone(),
-            cube_key: Arc::from(cube.name()),
             resolved: resolved.clone(),
             snapshot,
-            shape: Arc::new(AggQueryShape::of(resolved, config.kernel)),
             kernel: config.kernel,
-            agg_cache: self
-                .agg_cache
-                .clone()
-                .filter(|_| config.agg_cache_capacity > 0),
+            memo,
             tier: self.tier.clone(),
             allowed,
-            panic_bids: self.panic_bids.read().clone(),
+            panic_bids,
             num_shards: self.shards.num_shards(),
         }
     }
@@ -1411,12 +1364,9 @@ impl Engine {
                 .collect();
             resolved.push((dim, coords));
         }
-        let cube_key: Arc<str> = Arc::from(cube.name());
         let marked = self.shards.map_shards(|_| {
             let cube = cube.clone();
             let resolved = resolved.clone();
-            let agg_cache = self.agg_cache.clone();
-            let cube_key = Arc::clone(&cube_key);
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut marked = 0u64;
                 let Some(cube_bricks) = bricks.get_mut(cube.name()) else {
@@ -1432,8 +1382,6 @@ impl Engine {
                     if contained {
                         brick.mark_delete(epoch);
                         marked += 1;
-                        // Mutation class: partition delete.
-                        invalidate_brick(&agg_cache, &(Arc::clone(&cube_key), bid));
                     }
                 }
                 marked
@@ -1443,27 +1391,25 @@ impl Engine {
     }
 
     /// Runs one purge cycle at the current LSE over every brick
-    /// (Section III-C4).
+    /// (Section III-C4), and drops the memoized answers no reader at
+    /// or above the LSE can ask for.
     pub fn purge(&self) -> PurgeStats {
         self.ops.purges.inc();
         let lse = self.manager.lse();
-        let stats = self.shards.map_shards(|_| {
-            let agg_cache = self.agg_cache.clone();
+        let stats = self.shards.map_shards(|shard| {
+            let memos = Arc::clone(&self.memos);
             Box::new(move |bricks: &mut crate::shard::ShardBricks| {
                 let mut stats = PurgeStats::default();
-                for (cube_name, cube_bricks) in bricks.iter_mut() {
-                    for (&bid, brick) in cube_bricks.iter_mut() {
-                        if !brick.needs_purge(lse) {
-                            continue;
-                        }
-                        let (rows, entries) = brick.purge(lse);
-                        stats.rows_purged += rows;
-                        stats.entries_reclaimed += entries as u64;
-                        stats.bricks_changed += 1;
-                        // Mutation class: purge / LSE advance.
-                        invalidate_brick(&agg_cache, &(Arc::from(cube_name.as_str()), bid));
+                for brick in bricks.values_mut().flat_map(HashMap::values_mut) {
+                    if !brick.needs_purge(lse) {
+                        continue;
                     }
+                    let (rows, entries) = brick.purge(lse);
+                    stats.rows_purged += rows;
+                    stats.entries_reclaimed += entries as u64;
+                    stats.bricks_changed += 1;
                 }
+                memos.shard(shard).expire_below(lse);
                 stats
             })
         });
@@ -1494,13 +1440,6 @@ impl Engine {
             self.enforce_tier_budget();
         }
         stats
-    }
-
-    /// Drops any cached aggregate partials for one brick
-    /// (crate-internal: the handoff install path mutates bricks
-    /// outside the flush machinery).
-    pub(crate) fn invalidate_brick_caches(&self, cube: &str, bid: u64) {
-        invalidate_brick(&self.agg_cache, &(Arc::from(cube), bid));
     }
 
     /// Brick ids this node currently stores for `cube`, ascending.
@@ -1547,29 +1486,25 @@ impl Engine {
     }
 
     /// Removes one brick from its shard (rebalance retire / failed
-    /// handoff cleanup), invalidating its cached partials. Returns
-    /// whether the brick existed. The caller owns read-safety: no
-    /// query may be routed here for this brick anymore.
+    /// handoff cleanup), clearing the shard's memoized answers for the
+    /// cube. Returns whether the brick existed. The caller owns
+    /// read-safety: no query may be routed here for this brick
+    /// anymore.
     pub(crate) fn remove_brick(&self, cube: &str, bid: u64) -> bool {
         let shard = self.shards.shard_of(bid);
         let name = cube.to_owned();
-        let removed = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = std::sync::Arc::clone(&removed);
-        self.shards.submit(shard, move |bricks| {
-            if let Some(cube_bricks) = bricks.get_mut(&name) {
-                flag.store(
-                    cube_bricks.remove(&bid).is_some(),
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-            }
+        let memos = Arc::clone(&self.memos);
+        let removed = self.shards.submit_and_wait(shard, move |bricks| {
+            memos.shard(shard).forget_cube(&name);
+            bricks
+                .get_mut(&name)
+                .is_some_and(|cube_bricks| cube_bricks.remove(&bid).is_some())
         });
-        self.shards.submit_and_wait(shard, |_| ());
-        invalidate_brick(&self.agg_cache, &(Arc::from(cube), bid));
         let spilled = self
             .tier
             .as_ref()
             .is_some_and(|tier| tier.forget(cube, bid));
-        removed.load(std::sync::atomic::Ordering::Relaxed) || spilled
+        removed || spilled
     }
 
     /// Memory accounting across all bricks of all cubes.
@@ -1622,16 +1557,6 @@ fn shard_bytes(bricks: &crate::shard::ShardBricks, lse: Epoch) -> ShardBytes {
         }
     }
     (resident, eligible)
-}
-
-/// Drops every cached aggregate partial for one brick after a
-/// mutation. The cache keys on the brick's generation counter, so
-/// anything left behind is unreachable anyway; this reclaims the
-/// memory eagerly, at every mutation site alike.
-fn invalidate_brick(agg: &Option<Arc<AggCache>>, key: &BrickKey) {
-    if let Some(cache) = agg {
-        cache.invalidate(key);
-    }
 }
 
 impl std::fmt::Debug for Engine {
@@ -2246,8 +2171,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_cached_path_matches_sequential_reference_byte_for_byte() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(1024));
+    fn memoized_path_matches_sequential_reference_byte_for_byte() {
+        let engine = engine();
         spread_load(&engine);
         let snapshot = Snapshot::committed(engine.manager().lce());
         let queries = vec![
@@ -2275,15 +2200,365 @@ mod tests {
             assert!(fast.stats.parallel_tasks > 0, "parallel path not taken");
             assert_eq!(reference.stats.parallel_tasks, 0);
             assert_rows_identical(&fast, &reference);
-            // Warm repeat: brick partials served straight from the
-            // aggregate cache, still identical.
+            // The second sighting stores each shard's answer; the
+            // third is served from the memo, still identical.
+            engine.query_at("events", query, &snapshot).unwrap();
             let warm = engine.query_at("events", query, &snapshot).unwrap();
             assert!(
                 warm.stats.agg_cache_hits > 0,
-                "warm run should hit the aggregate cache"
+                "third sighting should hit the memo"
             );
             assert_rows_identical(&warm, &reference);
         }
+    }
+
+    /// The engine-wide memo `(hits, misses)`, summed over the shards.
+    fn memo_lookups(engine: &Engine) -> (u64, u64) {
+        let stats = engine.agg_cache_stats().unwrap();
+        (stats.hits, stats.misses)
+    }
+
+    /// A key is stored on its shard's second sighting and served on
+    /// the third: no brick scanned, the data counters replayed exactly,
+    /// no wall time, one task per shard all the same.
+    #[test]
+    fn the_memo_admits_on_the_second_sighting_and_replays_the_data_counters() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
+            .filter(DimFilter::new("region", vec![Value::from("us")]))
+            .grouped_by("day");
+        let snapshot = Snapshot::committed(engine.manager().lce());
+        let first = engine.query_at("events", &query, &snapshot).unwrap();
+        assert_eq!(first.stats.agg_cache_hits, 0);
+        assert!(first.stats.agg_cache_misses > 0);
+        assert_eq!(engine.agg_cache_stats().unwrap().entries, 0, "one sighting");
+        let second = engine.query_at("events", &query, &snapshot).unwrap();
+        assert_eq!(second.stats.agg_cache_hits, 0);
+        assert_eq!(engine.agg_cache_stats().unwrap().entries, 4, "every shard");
+
+        let hit = engine.query_at("events", &query, &snapshot).unwrap();
+        assert_eq!(hit.stats.agg_cache_misses, 0);
+        assert_eq!(hit.stats.agg_cache_hits, first.stats.agg_cache_misses);
+        assert_rows_identical(&hit, &first);
+        let data = |s: &crate::query::QueryStats| {
+            (
+                s.bricks_scanned,
+                s.bricks_pruned,
+                s.rows_scanned,
+                s.rows_visible,
+                s.range_scans,
+                s.bitmap_scans,
+                s.parallel_tasks,
+            )
+        };
+        assert_eq!(data(&hit.stats), data(&first.stats));
+        assert_eq!(hit.stats.visibility_build_nanos + hit.stats.scan_nanos, 0);
+        assert_rows_identical(
+            &hit,
+            &engine
+                .query_at_reference("events", &query, &snapshot)
+                .unwrap(),
+        );
+    }
+
+    /// Only merged, overlapped, unrouted scans at a settled snapshot
+    /// use the memo: RU, a transaction's own snapshot, an epoch above
+    /// the LCE, the reference, the per-brick partials, a replica
+    /// filter and an injected panic all read bricks, however often
+    /// they repeat.
+    #[test]
+    fn ineligible_scans_never_consult_the_memo() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let lce = engine.manager().lce();
+        let settled = Snapshot::committed(lce);
+        let txn = engine.begin();
+        engine
+            .append("events", &[row("us", 0, 100, 0.0)], &txn)
+            .unwrap();
+        let cube = engine.cube("events").unwrap();
+        let resolved = ResolvedQuery::resolve(&cube, &query).unwrap();
+        let allow_all: BrickFilter = Arc::new(|_| true);
+        let before = memo_lookups(&engine);
+        for _ in 0..3 {
+            engine
+                .query("events", &query, IsolationMode::ReadUncommitted)
+                .unwrap();
+            let own = engine.query_in_txn("events", &query, &txn).unwrap();
+            assert_eq!(own.scalar(), Some(100.0 + 4.0 * 120.0));
+            engine
+                .query_at("events", &query, &Snapshot::committed(lce + 1))
+                .unwrap();
+            engine
+                .query_at_reference("events", &query, &settled)
+                .unwrap();
+            engine
+                .query_brick_partials("events", &query, &settled)
+                .unwrap();
+            engine
+                .execute_partial_filtered(
+                    &cube,
+                    &resolved,
+                    Some(settled.clone()),
+                    Arc::clone(&allow_all),
+                )
+                .unwrap();
+        }
+        engine.inject_scan_panic_for_test(u64::MAX);
+        for _ in 0..3 {
+            engine.query_at("events", &query, &settled).unwrap();
+        }
+        assert_eq!(memo_lookups(&engine), before, "no lookup at all");
+        engine.clear_scan_panics_for_test();
+
+        let sequential = Engine::new(4).with_scan_config(ScanConfig {
+            sequential: true,
+            ..ScanConfig::default()
+        });
+        sequential.create_cube(events_schema()).unwrap();
+        spread_load(&sequential);
+        let settled = Snapshot::committed(sequential.manager().lce());
+        for _ in 0..3 {
+            sequential.query_at("events", &query, &settled).unwrap();
+        }
+        assert_eq!(memo_lookups(&sequential), (0, 0));
+        engine.rollback(&txn).unwrap();
+    }
+
+    /// Large answers overflow the per-shard budget: FIFO eviction keeps
+    /// the charge under it, and the running charge always equals a
+    /// from-scratch walk of the entries.
+    #[test]
+    fn the_memo_stays_under_its_budget_and_its_charge_matches_a_walk() {
+        let engine = Engine::new(1);
+        engine
+            .create_cube(
+                CubeSchema::new(
+                    "wide",
+                    vec![Dimension::int("a", 1024, 1024), Dimension::int("b", 4, 4)],
+                    vec![Metric::int("m")],
+                )
+                .unwrap(),
+            )
+            .unwrap();
+        let rows: Vec<Row> = (0..4096i64)
+            .map(|i| vec![Value::from(i % 1024), Value::from(i / 1024), Value::from(i)])
+            .collect();
+        for _ in 0..8 {
+            engine.load("wide", &rows, 0).unwrap();
+        }
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "m")])
+            .grouped_by("a")
+            .grouped_by("b");
+        for epoch in 1..=engine.manager().lce() {
+            let snapshot = Snapshot::committed(epoch);
+            for _ in 0..2 {
+                let result = engine.query_at("wide", &query, &snapshot).unwrap();
+                assert_eq!(result.rows.len(), 4096);
+            }
+            let memo = engine.memos.shard(0);
+            assert!(memo.bytes() <= crate::memo::BUDGET_BYTES);
+            assert_eq!(memo.bytes(), memo.walked_bytes(), "at epoch {epoch}");
+        }
+        let stats = engine.agg_cache_stats().unwrap();
+        assert!(
+            stats.evictions > 0,
+            "8 answers of 4096 groups overflow 1 MiB"
+        );
+        assert!(stats.entries > 0);
+        // The newest answer survived eviction and still replays.
+        let newest = Snapshot::committed(engine.manager().lce());
+        let hit = engine.query_at("wide", &query, &newest).unwrap();
+        assert_eq!(hit.stats.agg_cache_hits, 1);
+        assert_rows_identical(
+            &hit,
+            &engine.query_at_reference("wide", &query, &newest).unwrap(),
+        );
+    }
+
+    /// Queries `query` at `snapshot` until the memo serves it, and
+    /// returns the served answer.
+    fn memoize(engine: &Engine, query: &Query, snapshot: &Snapshot) -> QueryResult {
+        for _ in 0..2 {
+            engine.query_at("events", query, snapshot).unwrap();
+        }
+        let hit = engine.query_at("events", query, snapshot).unwrap();
+        assert!(hit.stats.agg_cache_hits > 0, "third sighting hits");
+        hit
+    }
+
+    /// Every path that takes bricks away wholesale or writes rows under
+    /// old epochs clears the shard's entries for the cube, so the next
+    /// query at the same settled snapshot sees the change.
+    #[test]
+    fn wholesale_removals_and_old_epoch_writes_are_seen_by_the_next_query() {
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let sum_at = |engine: &Engine, snapshot: &Snapshot| {
+            let fresh = engine.query_at("events", &query, snapshot).unwrap();
+            let reference = engine
+                .query_at_reference("events", &query, snapshot)
+                .unwrap();
+            assert_rows_identical(&fresh, &reference);
+            fresh.scalar().unwrap_or(0.0)
+        };
+
+        // drop_cube, then create_cube under the same name.
+        let dropped = engine();
+        spread_load(&dropped);
+        let snapshot = Snapshot::committed(dropped.manager().lce());
+        assert_eq!(memoize(&dropped, &query, &snapshot).scalar(), Some(480.0));
+        dropped.drop_cube("events").unwrap();
+        dropped.create_cube(events_schema()).unwrap();
+        assert_eq!(sum_at(&dropped, &snapshot), 0.0, "the old rows are gone");
+
+        // remove_brick.
+        let removed = engine();
+        spread_load(&removed);
+        let snapshot = Snapshot::committed(removed.manager().lce());
+        memoize(&removed, &query, &snapshot);
+        assert!(removed.remove_brick("events", removed.brick_bids("events")[0]));
+        assert!(sum_at(&removed, &snapshot) < 480.0);
+
+        // A handoff install and a recovery import, each writing a run
+        // under an epoch the snapshot sees (epoch 5 touched only the
+        // brick holding day 15, so the install does not dedup it away).
+        let written = engine();
+        spread_load(&written);
+        written.load("events", &[row("de", 15, 0, 0.0)], 0).unwrap();
+        let snapshot = Snapshot::committed(written.manager().lce());
+        let cube = written.cube("events").unwrap();
+        let batch = parse_rows(
+            cube.schema(),
+            cube.layout(),
+            cube.dictionaries(),
+            &[row("us", 0, 1000, 0.0)],
+        );
+        let (&bid, chunk) = batch.by_bid.iter().next().unwrap();
+        let run = || crate::persist::DeltaRun::Insert {
+            epoch: snapshot.epoch(),
+            records: chunk.clone(),
+        };
+        assert_eq!(memoize(&written, &query, &snapshot).scalar(), Some(480.0));
+        written.install_brick_runs(&cube, bid, vec![run()]).unwrap();
+        assert_eq!(sum_at(&written, &snapshot), 1480.0);
+        assert_eq!(memoize(&written, &query, &snapshot).scalar(), Some(1480.0));
+        written.import_delta(vec![crate::persist::BrickDelta {
+            cube: "events".into(),
+            bid,
+            runs: vec![run()],
+        }]);
+        assert_eq!(sum_at(&written, &snapshot), 2480.0);
+        assert!(written.agg_cache_stats().unwrap().invalidations > 0);
+    }
+
+    /// Appends, partition deletes and commits leave settled answers in
+    /// place: the old snapshot keeps hitting, identically, and nothing
+    /// is invalidated.
+    #[test]
+    fn writes_under_new_epochs_leave_memoized_answers_in_place() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
+            .filter(DimFilter::new("region", vec![Value::from("us")]));
+        let snapshot = Snapshot::committed(engine.manager().lce());
+        let memoized = memoize(&engine, &query, &snapshot);
+        engine.load("events", &[row("us", 0, 1, 0.0)], 0).unwrap();
+        engine.delete_where("events", &[]).unwrap();
+        let replay = engine.query_at("events", &query, &snapshot).unwrap();
+        assert!(replay.stats.agg_cache_hits > 0);
+        assert_eq!(replay.stats.agg_cache_misses, 0);
+        assert_rows_identical(&replay, &memoized);
+        assert_eq!(engine.agg_cache_stats().unwrap().invalidations, 0);
+        // The new snapshot is a new key.
+        let fresh = Snapshot::committed(engine.manager().lce());
+        let now = engine.query_at("events", &query, &fresh).unwrap();
+        assert_eq!(now.stats.agg_cache_hits, 0);
+        assert_eq!(now.scalar(), None, "deleted everything");
+        let report = engine.metrics_report();
+        assert!(report.contains("[engine.memo]"), "{report}");
+    }
+
+    /// Purge drops exactly the entries no reader at or above the new
+    /// LSE can ask for.
+    #[test]
+    fn purge_expires_memoized_answers_below_the_lse() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")]);
+        let lce = engine.manager().lce();
+        for epoch in 1..=lce {
+            memoize(&engine, &query, &Snapshot::committed(epoch));
+        }
+        let before = engine.agg_cache_stats().unwrap();
+        assert_eq!(before.entries, 4 * lce as usize);
+        engine.manager().advance_lse(lce - 1).unwrap();
+        engine.purge();
+        let after = engine.agg_cache_stats().unwrap();
+        assert_eq!(after.entries, 4 * 2, "epochs lce - 1 and lce stay");
+        assert_eq!(after.evictions - before.evictions, 4 * (lce - 2));
+        assert_eq!(after.invalidations, 0);
+        for epoch in [lce - 1, lce] {
+            let kept = engine
+                .query_at("events", &query, &Snapshot::committed(epoch))
+                .unwrap();
+            assert!(kept.stats.agg_cache_hits > 0, "epoch {epoch} kept");
+        }
+    }
+
+    /// Rollback reclaims the aborted rows before the LCE may pass the
+    /// epoch: with one shard wedged mid-reclaim, a committed later
+    /// transaction stays parked, and once the LCE moves no snapshot at
+    /// it sees an aborted row.
+    #[test]
+    fn rollback_reclaims_before_the_lce_passes_the_epoch() {
+        let engine = Arc::new(engine());
+        spread_load(&engine);
+        let t1 = engine.begin();
+        let aborted: Vec<Row> = (0..16).map(|i| row("us", i, 1000, 0.0)).collect();
+        engine.append("events", &aborted, &t1).unwrap();
+        let t2 = engine.begin();
+        engine
+            .append("events", &[row("br", 1, 7, 0.0)], &t2)
+            .unwrap();
+        engine.commit(&t2).unwrap();
+        assert!(engine.manager().lce() < t2.epoch(), "T2 parks behind T1");
+
+        let shard0_tasks = || {
+            let report = engine.metrics_report();
+            let line = (report.lines()).find_map(|l| l.trim().strip_prefix("shard0.tasks = "));
+            line.expect("per-shard task count").parse::<u64>().unwrap()
+        };
+        let before = shard0_tasks();
+        let (release, wedged) = std::sync::mpsc::channel::<()>();
+        engine.shards.submit(3, move |_| {
+            let _ = wedged.recv();
+        });
+        let rollback = {
+            let engine = Arc::clone(&engine);
+            std::thread::spawn(move || engine.rollback(&t1).unwrap())
+        };
+        // Shard 0 has run its reclaim task; shard 3 has not.
+        while shard0_tasks() == before {
+            std::thread::yield_now();
+        }
+        assert!(
+            engine.manager().lce() < t2.epoch(),
+            "the LCE passed T1 before its rows were reclaimed"
+        );
+        release.send(()).unwrap();
+        assert_eq!(rollback.join().unwrap(), 16);
+        let lce = engine.manager().lce();
+        assert_eq!(lce, t2.epoch());
+        let sum = engine
+            .query_as_of(
+                "events",
+                &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]),
+                lce,
+            )
+            .unwrap();
+        assert_eq!(sum.scalar(), Some(480.0 + 7.0), "no row of T1");
     }
 
     #[test]
@@ -2307,7 +2582,7 @@ mod tests {
 
     #[test]
     fn panicking_scan_task_fails_the_query_with_a_typed_error() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(64));
+        let engine = engine();
         spread_load(&engine);
         // The bid space for this schema is tiny; poisoning every
         // possible bid guarantees at least one live brick's task
@@ -2373,102 +2648,19 @@ mod tests {
     }
 
     #[test]
-    fn cache_stats_trace_hits_and_mutation_invalidation() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
-        spread_load(&engine);
-        let filtered = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
-            .filter(DimFilter::new("region", vec![Value::from("us")]));
-        let snapshot = Snapshot::committed(engine.manager().lce());
-        let cold = engine.query_at("events", &filtered, &snapshot).unwrap();
-        assert!(cold.stats.agg_cache_misses > 0);
-        assert_eq!(cold.stats.agg_cache_hits, 0);
-        let warm = engine.query_at("events", &filtered, &snapshot).unwrap();
-        assert_eq!(warm.stats.agg_cache_misses, 0);
-        assert_eq!(warm.stats.agg_cache_hits, cold.stats.agg_cache_misses);
-        let before = engine.agg_cache_stats().unwrap();
-        assert!(before.hits > 0 && before.entries > 0);
-        // A load mutates bricks: their cached partials must go.
-        engine.load("events", &[row("us", 0, 1, 0.0)], 0).unwrap();
-        let after = engine.agg_cache_stats().unwrap();
-        assert!(
-            after.invalidations > before.invalidations,
-            "append must invalidate cached partials"
-        );
-        // Old snapshot still answers correctly after invalidation.
-        let replay = engine.query_at("events", &filtered, &snapshot).unwrap();
-        assert_rows_identical(&replay, &cold);
-        let report = engine.metrics_report();
-        assert!(report.contains("agg_cache"), "{report}");
-    }
-
-    #[test]
-    fn zero_capacity_scan_config_disables_the_cache() {
-        let engine = engine().with_scan_config(ScanConfig::sequential_uncached());
-        assert!(engine.agg_cache_stats().is_none());
-        spread_load(&engine);
-        let result = engine
-            .query(
-                "events",
-                &Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")])
-                    .filter(DimFilter::new("region", vec![Value::from("br")])),
-                IsolationMode::Snapshot,
-            )
-            .unwrap();
-        assert_eq!(result.stats.agg_cache_hits, 0);
-        assert_eq!(result.stats.agg_cache_misses, 0);
-        assert_eq!(result.rows[0].1[0], 16.0);
-    }
-
-    #[test]
-    fn agg_cache_heals_after_invalidation() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
-        spread_load(&engine);
-        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
-            .filter(DimFilter::new("region", vec![Value::from("us")]))
-            .grouped_by("day");
-        let snapshot = Snapshot::committed(engine.manager().lce());
-        let cold = engine.query_at("events", &query, &snapshot).unwrap();
-        assert!(cold.stats.agg_cache_misses > 0);
-        assert_eq!(cold.stats.agg_cache_hits, 0);
-        let warm = engine.query_at("events", &query, &snapshot).unwrap();
-        assert_eq!(warm.stats.agg_cache_misses, 0);
-        assert_eq!(warm.stats.agg_cache_hits, cold.stats.agg_cache_misses);
-        assert_rows_identical(&warm, &cold);
-        let before = engine.agg_cache_stats().unwrap();
-        assert!(before.hits > 0 && before.entries > 0);
-        // A load mutates bricks: cached partials must be dropped, and
-        // the rebuilt entries must serve the old snapshot correctly.
-        engine.load("events", &[row("us", 0, 1, 0.0)], 0).unwrap();
-        let after = engine.agg_cache_stats().unwrap();
-        assert!(
-            after.invalidations > before.invalidations,
-            "append must invalidate cached aggregate partials"
-        );
-        let healed = engine.query_at("events", &query, &snapshot).unwrap();
-        assert!(healed.stats.agg_cache_misses > 0, "rebuild, not stale hit");
-        assert_rows_identical(&healed, &cold);
-        // And the rebuilt entries are warm again.
-        let rewarmed = engine.query_at("events", &query, &snapshot).unwrap();
-        assert!(rewarmed.stats.agg_cache_hits > 0);
-        assert_rows_identical(&rewarmed, &cold);
-        let report = engine.metrics_report();
-        assert!(report.contains("agg_cache"), "{report}");
-    }
-
-    #[test]
-    fn corrupted_agg_cache_partial_is_observable() {
+    fn corrupted_memo_entry_is_observable() {
         // The corruption hook exists so the oracle can prove a stale
-        // or bit-flipped cached partial would be *caught* by the
+        // or bit-flipped memoized answer would be *caught* by the
         // reference diff — if corruption were invisible here, that
         // meta-test would be vacuous.
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
+        let engine = engine();
         spread_load(&engine);
         let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let snapshot = Snapshot::committed(engine.manager().lce());
-        let honest = engine.query_at("events", &query, &snapshot).unwrap();
-        engine.corrupt_agg_cache_for_test();
+        let honest = memoize(&engine, &query, &snapshot);
+        engine.corrupt_memo_for_test();
         let poisoned = engine.query_at("events", &query, &snapshot).unwrap();
-        assert!(poisoned.stats.agg_cache_hits > 0, "must replay the cache");
+        assert!(poisoned.stats.agg_cache_hits > 0, "must replay the memo");
         assert_ne!(
             poisoned.rows[0].1[0], honest.rows[0].1[0],
             "corrupted partial must change the answer"
@@ -2481,7 +2673,7 @@ mod tests {
 
     #[test]
     fn brick_partials_roundtrip_through_finalize() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
+        let engine = engine();
         spread_load(&engine);
         let query = Query::aggregate(vec![
             Aggregation::new(AggFn::Sum, "likes"),
@@ -2508,28 +2700,36 @@ mod tests {
 
     #[test]
     fn progressive_refinements_end_at_the_complete_result() {
-        let engine = engine().with_scan_config(ScanConfig::parallel_cached(256));
+        let engine = engine();
         spread_load(&engine);
         let query =
             Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]).grouped_by("region");
         let snapshot = Snapshot::committed(engine.manager().lce());
-        let mut refinements: Vec<QueryResult> = Vec::new();
-        let complete = engine
-            .query_at_with_progress("events", &query, &snapshot, |r| refinements.push(r))
-            .unwrap();
-        assert!(!refinements.is_empty(), "at least one refinement lands");
-        // Refinements only grow (each merge folds more bricks in) and
-        // the last one is exactly the complete result.
-        for pair in refinements.windows(2) {
-            assert!(pair[0].stats.bricks_scanned <= pair[1].stats.bricks_scanned);
-        }
-        let last = refinements.last().unwrap();
-        assert_rows_identical(last, &complete);
-        assert_eq!(last.stats.bricks_scanned, complete.stats.bricks_scanned);
         let reference = engine
             .query_at_reference("events", &query, &snapshot)
             .unwrap();
-        assert_rows_identical(&complete, &reference);
+        // Cold, admitted, then answered by the memo: one refinement per
+        // shard with bricks every time.
+        let mut counts = Vec::new();
+        for _ in 0..3 {
+            let mut refinements: Vec<QueryResult> = Vec::new();
+            let complete = engine
+                .query_at_with_progress("events", &query, &snapshot, |r| refinements.push(r))
+                .unwrap();
+            assert!(!refinements.is_empty(), "at least one refinement lands");
+            // Refinements only grow (each merge folds more bricks in)
+            // and the last one is exactly the complete result.
+            for pair in refinements.windows(2) {
+                assert!(pair[0].stats.bricks_scanned <= pair[1].stats.bricks_scanned);
+            }
+            let last = refinements.last().unwrap();
+            assert_rows_identical(last, &complete);
+            assert_eq!(last.stats.bricks_scanned, complete.stats.bricks_scanned);
+            assert_rows_identical(&complete, &reference);
+            counts.push((refinements.len(), complete.stats.agg_cache_hits));
+        }
+        assert_eq!(counts[2].0, counts[0].0);
+        assert_eq!(counts[2].1 as usize, counts[2].0, "every shard hit");
     }
 
     // ---------------------------------------------------------------
@@ -2629,38 +2829,32 @@ mod tests {
     }
 
     #[test]
-    fn warm_agg_cache_serves_a_spilled_brick_without_touching_the_store() {
-        let engine = Engine::new(4)
-            .with_scan_config(ScanConfig::parallel_cached(256))
-            .with_tiered_storage(Box::new(crate::tier::MemStore::new()), 1);
-        engine.create_cube(events_schema()).unwrap();
+    fn a_memo_hit_answers_for_spilled_bricks_without_touching_the_store() {
+        let engine = tiered_engine(1);
         spread_load(&engine);
         let query =
             Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]).grouped_by("region");
         let snapshot = Snapshot::committed(engine.manager().lce());
-        let warm = engine.query_at("events", &query, &snapshot).unwrap();
-        // Advance the LSE without purging: purge rewrites epochs
-        // vectors (a generation bump), which would invalidate the
-        // warm partials this test wants served.
-        engine
-            .manager()
-            .advance_lse(engine.manager().lce())
-            .unwrap();
-        engine.enforce_tier_budget();
+        let warm = memoize(&engine, &query, &snapshot);
+        // The purge at the new LSE keeps the answer: its snapshot is
+        // still readable.
+        engine.advance_lse_and_purge();
         let before = engine.tier_stats().unwrap();
         assert!(before.spilled_bricks > 0);
         let cold = engine.query_at("events", &query, &snapshot).unwrap();
         assert_rows_identical(&cold, &warm);
+        assert_eq!(cold.stats.agg_cache_misses, 0, "every shard hit");
+        assert_eq!(cold.stats.tier_reloads, 0);
         let after = engine.tier_stats().unwrap();
-        assert!(
-            after.cache_serves > before.cache_serves,
-            "the cached partials answered for the evicted bricks"
-        );
         assert_eq!(
-            after.reloads, before.reloads,
-            "a cache serve must not touch the store"
+            (after.reloads, after.reload_failures, after.spilled_bricks),
+            (
+                before.reloads,
+                before.reload_failures,
+                before.spilled_bricks
+            ),
+            "a memo hit must not read the store"
         );
-        assert!(cold.stats.tier_cache_serves > 0);
     }
 
     #[test]

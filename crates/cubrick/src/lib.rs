@@ -65,6 +65,7 @@ mod engine;
 mod error;
 mod ingest;
 mod maintenance;
+mod memo;
 mod persist;
 mod query;
 mod scan;

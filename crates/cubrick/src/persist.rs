@@ -8,6 +8,8 @@
 //! semantics — and [`Engine::import_delta`] replays them during
 //! recovery. Serialization itself lives in the `wal` crate.
 
+use std::sync::Arc;
+
 use aosi::Epoch;
 
 use crate::brick::Brick;
@@ -139,10 +141,12 @@ impl Engine {
         // empty brick would shadow the spilled rows.
         self.fault_in_brick(cube.name(), bid)?;
         let shard = self.shards().shard_of(bid);
-        let cube_name = cube.name().to_owned();
         let cube = cube.clone();
         let storage = self.dim_storage();
+        let memos = Arc::clone(self.memos());
         self.shards().submit(shard, move |bricks| {
+            // Runs land under old epochs: settled answers may change.
+            memos.shard(shard).forget_cube(cube.name());
             let brick = brick_mut(bricks, &cube, bid, storage);
             let existing: std::collections::HashSet<(Epoch, bool)> = brick
                 .epochs()
@@ -166,7 +170,6 @@ impl Engine {
             }
         });
         self.shards().submit_and_wait(shard, |_| ());
-        self.invalidate_brick_caches(&cube_name, bid);
         Ok(())
     }
 
@@ -193,7 +196,10 @@ impl Engine {
             let shard = self.shards().shard_of(delta.bid);
             let bid = delta.bid;
             let storage = self.dim_storage();
+            let memos = Arc::clone(self.memos());
             self.shards().submit(shard, move |bricks| {
+                // Recovered runs land under old epochs.
+                memos.shard(shard).forget_cube(cube.name());
                 let brick = brick_mut(bricks, &cube, bid, storage);
                 for run in delta.runs {
                     match run {

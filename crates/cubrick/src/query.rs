@@ -254,16 +254,13 @@ pub struct QueryStats {
     /// ran overlapped (0 on a sequential execution, such as the
     /// reference path).
     pub parallel_tasks: u64,
-    /// Brick partials served straight from the aggregate cache (the
-    /// scan and its visibility build were both skipped).
+    /// Shards that answered from their snapshot memo without touching
+    /// a brick.
     pub agg_cache_hits: u64,
-    /// Brick partials the aggregate cache had to scan for.
+    /// Shards that looked in their memo, missed, and scanned.
     pub agg_cache_misses: u64,
     /// Evicted bricks this query faulted back in from the cold tier.
     pub tier_reloads: u64,
-    /// Evicted bricks answered straight from a warm aggregate-cache
-    /// partial, without reloading them (the brick stayed on disk).
-    pub tier_cache_serves: u64,
 }
 
 impl QueryStats {
@@ -281,7 +278,6 @@ impl QueryStats {
         self.agg_cache_hits += other.agg_cache_hits;
         self.agg_cache_misses += other.agg_cache_misses;
         self.tier_reloads += other.tier_reloads;
-        self.tier_cache_serves += other.tier_cache_serves;
     }
 
     /// Total visibility-materialization time.
@@ -547,17 +543,17 @@ impl ResolvedQuery {
 }
 
 /// The structural identity of a resolved query's *brick-scan shape* —
-/// the aggregate cache's tag. Two resolved queries with equal shapes
-/// produce bit-identical per-brick partials for the same `(brick
-/// generation, snapshot)`, because the shape captures everything the
-/// scan consumes: the filter coordinate sets, the aggregation list,
-/// the packed group-key layout, and the kernel. HAVING / ORDER BY /
-/// LIMIT are deliberately absent — they act on *finalized* results at
-/// the coordinator and never change what a brick scan produces.
+/// part of the snapshot memo's key. Two resolved queries with equal
+/// shapes produce bit-identical shard partials at the same snapshot,
+/// because the shape captures everything the scan consumes: the
+/// filter coordinate sets, the aggregation list, the packed group-key
+/// layout, and the kernel. HAVING / ORDER BY / LIMIT are deliberately
+/// absent — they act on *finalized* results at the coordinator and
+/// never change what a brick scan produces.
 ///
 /// Compared structurally (full `Eq` on the coordinate vectors), never
-/// by hash fingerprint, per the `aosi::cache` contract: a fingerprint
-/// collision would silently serve one query's partial to another.
+/// by hash fingerprint: a fingerprint collision would silently serve
+/// one query's partial to another.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct AggQueryShape {
     /// `(dimension index, sorted deduplicated coordinate ids)` per
@@ -588,68 +584,16 @@ impl AggQueryShape {
             kernel,
         }
     }
-}
 
-/// One brick's scanned partial, as stored in the aggregate cache.
-/// The stats keep what describes the brick's data (rows scanned,
-/// visibility path taken) and drop what describes the *work* of the
-/// original miss (wall nanoseconds, cache probes): a hit replays the
-/// former and did none of the latter.
-#[derive(Clone, Debug)]
-pub(crate) struct CachedAgg {
-    groups: HashMap<u64, Vec<AggState>>,
-    stats: ScanStats,
-}
-
-impl CachedAgg {
-    /// Captures `partial` for caching, scrubbing the work counters.
-    pub(crate) fn capture(partial: &PartialResult) -> Self {
-        let mut stats = partial.stats;
-        stats.visibility_build_nanos = 0;
-        stats.scan_nanos = 0;
-        stats.agg_cache_hits = 0;
-        stats.agg_cache_misses = 0;
-        CachedAgg {
-            groups: partial.groups.clone(),
-            stats,
-        }
-    }
-
-    /// Replays the cached partial as a served result.
-    pub(crate) fn replay(&self) -> PartialResult {
-        let mut stats = self.stats;
-        stats.agg_cache_hits = 1;
-        PartialResult {
-            groups: self.groups.clone(),
-            stats,
-        }
-    }
-
-    /// Test-only corruption hook: nudges every cached aggregate state
-    /// without touching keys, simulating a stale cache serving wrong
-    /// bytes (what the generation token exists to prevent).
-    #[doc(hidden)]
-    pub(crate) fn corrupt_for_test(&mut self) {
-        for states in self.groups.values_mut() {
-            for state in states {
-                *state = match *state {
-                    AggState::Count { count } => AggState::Count { count: count + 1 },
-                    AggState::Sum { sum } => AggState::Sum { sum: sum + 1.0 },
-                    AggState::Min { min, seen } => AggState::Min {
-                        min: min - 1.0,
-                        seen,
-                    },
-                    AggState::Max { max, seen } => AggState::Max {
-                        max: max + 1.0,
-                        seen,
-                    },
-                    AggState::Avg { sum, count } => AggState::Avg {
-                        sum: sum + 1.0,
-                        count,
-                    },
-                };
-            }
-        }
+    /// Bytes the shape's vectors own on the heap.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&*self.filters)
+            + (self.filters.iter())
+                .map(|(_, ids)| size_of_val(&**ids))
+                .sum::<usize>()
+            + size_of_val(&*self.aggs)
+            + size_of_val(&*self.group_dims)
     }
 }
 

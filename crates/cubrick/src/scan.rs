@@ -6,8 +6,9 @@
 //! router gave to another node, prune by coordinate range, and scan
 //! the survivors in ascending bid order. Every query path — default,
 //! sequential reference, per-brick partials — runs this one body and
-//! differs only in what it does with the brick partials (`sink`) and
-//! in whether the coordinator overlaps the shards.
+//! differs only in what it does with the brick partials (`sink`), in
+//! whether the coordinator overlaps the shards, and in whether the
+//! shard may answer from its snapshot memo ([`crate::memo`]) instead.
 //!
 //! Bricks created *after* a shard enumerated are safe to miss: a
 //! brick can only appear via a flush whose transaction either
@@ -25,8 +26,8 @@ use aosi::Snapshot;
 
 use crate::brick::Brick;
 use crate::cube::Cube;
-use crate::engine::{AggCache, BrickKey};
-use crate::query::{AggQueryShape, CachedAgg, PartialResult, ResolvedQuery, ScanKernel};
+use crate::memo::{MemoKey, ShardMemos};
+use crate::query::{PartialResult, ResolvedQuery, ScanKernel};
 use crate::shard::{shard_of, ShardBricks};
 use crate::tier::TieredStore;
 
@@ -39,14 +40,14 @@ pub(crate) type BrickFilter = Arc<dyn Fn(u64) -> bool + Send + Sync>;
 /// Built once per query and shared by every shard's task.
 pub(crate) struct ShardScan {
     pub(crate) cube: Cube,
-    /// The cube's name as the caches key it.
-    pub(crate) cube_key: Arc<str>,
     pub(crate) resolved: ResolvedQuery,
     /// `None` scans every stored row (read-uncommitted).
     pub(crate) snapshot: Option<Snapshot>,
-    pub(crate) shape: Arc<AggQueryShape>,
     pub(crate) kernel: ScanKernel,
-    pub(crate) agg_cache: Option<Arc<AggCache>>,
+    /// Set when the snapshot is settled and the sink folds each
+    /// shard's bricks into one partial: each shard then answers from
+    /// its memo under this key when it can.
+    pub(crate) memo: Option<(Arc<ShardMemos>, MemoKey)>,
     pub(crate) tier: Option<Arc<TieredStore>>,
     /// Bricks the filter rejects are another replica's to scan.
     pub(crate) allowed: Option<BrickFilter>,
@@ -78,25 +79,37 @@ pub(crate) enum ScanFailure {
     TierReload(String),
 }
 
-/// What [`ShardScan::tier_prepare_brick`] decided about one brick.
-enum TierPrepared {
-    /// Nothing tiered to do: the brick is resident (or gone entirely,
-    /// which the caller's own map lookup handles).
-    Resident,
-    /// The brick was evicted and has been faulted back in; scan it.
-    Reloaded,
-    /// The brick stays on disk: a warm aggregate-cache partial — keyed
-    /// on the retained epochs vector, whose generation eviction
-    /// preserved — answered for it.
-    Served(PartialResult),
-}
-
 impl ShardScan {
     /// Answers the request for `shard`'s bricks. Must run on that
     /// shard's thread: owning the bricks is what makes enumeration,
-    /// tier fault-in and the aggregate-cache probe race-free. Brick
-    /// partials reach `sink` in ascending bid order.
+    /// tier fault-in and the memo race-free. Without a memo key, brick
+    /// partials reach `sink` in ascending bid order; with one, the
+    /// shard hands `sink` a single partial — memoized, or its bricks
+    /// folded in that same order.
     pub(crate) fn run(
+        &self,
+        shard: usize,
+        bricks: &mut ShardBricks,
+        mut sink: impl FnMut(PartialResult),
+    ) -> Result<ShardScanOutcome, (u64, ScanFailure)> {
+        let Some((memos, key)) = &self.memo else {
+            return self.scan_bricks(shard, bricks, sink);
+        };
+        let memoized = memos.shard(shard).get(key);
+        if let Some((partial, outcome)) = memoized {
+            sink(partial);
+            return Ok(outcome);
+        }
+        let mut folded = PartialResult::default();
+        let outcome = self.scan_bricks(shard, bricks, |partial| folded.merge(partial))?;
+        memos.shard(shard).offer(key, &folded, &outcome);
+        folded.stats.agg_cache_misses = 1;
+        sink(folded);
+        Ok(outcome)
+    }
+
+    /// Scans `shard`'s bricks, handing each partial to `sink`.
+    fn scan_bricks(
         &self,
         shard: usize,
         bricks: &mut ShardBricks,
@@ -108,7 +121,7 @@ impl ShardScan {
             .map(|m| m.keys().copied().collect())
             .unwrap_or_default();
         // Evicted bricks are still part of the cube: they are faulted
-        // in (or served from a warm aggregate partial) below.
+        // back in below.
         if let Some(tier) = &self.tier {
             let mine = |bid: &u64| shard_of(*bid, self.num_shards) == shard;
             bids.extend(tier.spilled_bids(name).into_iter().filter(mine));
@@ -125,18 +138,9 @@ impl ShardScan {
                 continue;
             }
             outcome.bricks += 1;
-            let key: BrickKey = (Arc::clone(&self.cube_key), bid);
-            let reloaded = match self
-                .tier_prepare_brick(bid, &key, bricks)
-                .map_err(|reason| (bid, ScanFailure::TierReload(reason)))?
-            {
-                TierPrepared::Served(served) => {
-                    sink(served);
-                    continue;
-                }
-                TierPrepared::Resident => false,
-                TierPrepared::Reloaded => true,
-            };
+            let reloaded = self
+                .tier_prepare_brick(bid, bricks)
+                .map_err(|reason| (bid, ScanFailure::TierReload(reason)))?;
             let Some(brick) = bricks.get(name).and_then(|m| m.get(&bid)) else {
                 // Dropped between enumeration and scan (DDL).
                 continue;
@@ -148,7 +152,7 @@ impl ShardScan {
                 if self.panic_bids.contains(&bid) {
                     panic!("injected scan panic for brick {bid}");
                 }
-                self.scan_one_brick(brick, &key)
+                self.scan_one_brick(brick)
             }))
             .map_err(|_| (bid, ScanFailure::Panicked))?;
             outcome
@@ -160,73 +164,23 @@ impl ShardScan {
         Ok(outcome)
     }
 
-    /// Tiered storage's say before a brick is scanned. Resident bricks
-    /// get a recency touch (feeding eviction ranking); evicted bricks
-    /// are either answered from the aggregate cache without touching
-    /// disk or faulted back in. `Err` carries the reload failure.
-    fn tier_prepare_brick(
-        &self,
-        bid: u64,
-        key: &BrickKey,
-        bricks: &mut ShardBricks,
-    ) -> Result<TierPrepared, String> {
+    /// Tiered storage's say before a brick is scanned: a resident
+    /// brick gets a recency touch (feeding eviction ranking), an
+    /// evicted one is faulted back in. `Ok(true)` means a reload
+    /// happened; `Err` carries the reload failure.
+    fn tier_prepare_brick(&self, bid: u64, bricks: &mut ShardBricks) -> Result<bool, String> {
         let Some(tier) = &self.tier else {
-            return Ok(TierPrepared::Resident);
+            return Ok(false);
         };
         let name = self.cube.name();
         if bricks.get(name).is_some_and(|m| m.contains_key(&bid)) {
             tier.touch(name, bid);
-            return Ok(TierPrepared::Resident);
+            return Ok(false);
         }
-        if !tier.is_spilled(name, bid) {
-            // Dropped between enumeration and scan (DDL): the caller's
-            // map lookup skips it.
-            return Ok(TierPrepared::Resident);
-        }
-        if let (Some(agg_cache), Some(snap)) = (&self.agg_cache, &self.snapshot) {
-            if let Some(epochs) = tier.spilled_epochs(name, bid) {
-                if let Some(cached) = agg_cache.peek(key, &epochs, snap, Arc::clone(&self.shape)) {
-                    tier.note_cache_serve();
-                    let mut partial = cached.replay();
-                    partial.stats.tier_cache_serves = 1;
-                    return Ok(TierPrepared::Served(partial));
-                }
-            }
-        }
+        // A brick dropped between enumeration and scan (DDL) is not
+        // spilled either: nothing reloads, and the caller's map lookup
+        // skips it.
         tier.reload_into(&self.cube, bid, bricks)
-            .map(|_| TierPrepared::Reloaded)
-    }
-
-    /// Scans one brick, consulting the aggregate cache first: a hit
-    /// replays the brick's grouped [`crate::AggState`] table without
-    /// touching the brick's columns (the visibility build is skipped
-    /// too — the cached partial was keyed on the same generation +
-    /// snapshot that a fresh build would use).
-    ///
-    /// RU scans (no snapshot) bypass the cache — there is no snapshot
-    /// to key on.
-    fn scan_one_brick(&self, brick: &Brick, key: &BrickKey) -> PartialResult {
-        let (Some(agg_cache), Some(snap)) = (&self.agg_cache, &self.snapshot) else {
-            return self.scan_one_brick_uncached(brick);
-        };
-        // On a miss the builder runs the real scan and hands the cache
-        // a scrubbed capture, keeping the full partial (live work
-        // counters included) for this query's own result.
-        let mut fresh: Option<PartialResult> = None;
-        let (cached, _hit) =
-            agg_cache.get_or_build(key, brick.epochs(), snap, Arc::clone(&self.shape), || {
-                let scanned = self.scan_one_brick_uncached(brick);
-                let captured = CachedAgg::capture(&scanned);
-                fresh = Some(scanned);
-                captured
-            });
-        match fresh {
-            Some(mut scanned) => {
-                scanned.stats.agg_cache_misses = 1;
-                scanned
-            }
-            None => cached.replay(),
-        }
     }
 
     /// Scans one brick under the request's snapshot. Each kernel has
@@ -236,7 +190,7 @@ impl ShardScan {
     /// reference walks the visibility bitmap — so every oracle
     /// comparison is also a ranges-vs-bitmap differential. RU scans
     /// (no snapshot) see every stored row.
-    fn scan_one_brick_uncached(&self, brick: &Brick) -> PartialResult {
+    fn scan_one_brick(&self, brick: &Brick) -> PartialResult {
         let resolved = &self.resolved;
         let snapshot = self.snapshot.as_ref();
         let vis_started = Instant::now();

@@ -26,16 +26,12 @@
 //!   power cut at any point during spill, eviction, or reload loses
 //!   nothing (`oracle::crash` pins this).
 //!
-//! ## Cached partials survive eviction
+//! ## The snapshot memo survives eviction
 //!
-//! The spill snapshot preserves the epochs vector's generation
-//! counter verbatim, and the registry retains a copy of the vector
-//! while the brick is cold. Aggregate cache entries are keyed on
-//! (generation, snapshot), so they remain *valid* across
-//! an evict/reload cycle — no invalidation happens on either edge —
-//! and a warm aggregate partial can even answer a query for a brick
-//! that is currently on disk, without faulting it in
-//! ([`TieredStore::cached_serve`] feeds that path).
+//! Spilling or reloading a brick changes where its rows live, not
+//! which rows any snapshot sees, so neither edge touches the per-shard
+//! snapshot memo ([`crate::memo`]). A memo hit answers for every brick
+//! of its shard — spilled ones included — without reading the store.
 
 use std::collections::HashMap;
 
@@ -98,8 +94,8 @@ pub trait BrickStore: Send + Sync {
 /// Registry entry for one evicted brick.
 struct SpilledBrick {
     /// The epochs vector as of eviction, generation included. Kept so
-    /// cache keys can still be formed (and cache hits served) while
-    /// the brick's columns are on disk.
+    /// export windows can be checked against the brick while its
+    /// columns are on disk.
     epochs: EpochsVector,
     /// Snapshot size on disk.
     file_bytes: u64,
@@ -127,9 +123,6 @@ pub struct TierStats {
     pub spills: u64,
     /// Successful reloads, cumulative.
     pub reloads: u64,
-    /// Queries for a spilled brick answered straight from the
-    /// aggregate cache, no reload.
-    pub cache_serves: u64,
     /// Spill attempts that failed (the brick stayed resident).
     pub spill_failures: u64,
     /// Reload attempts that failed (the query or mutation errored).
@@ -190,7 +183,6 @@ pub struct TieredStore {
     inner: Mutex<TierInner>,
     spills: Counter,
     reloads: Counter,
-    cache_serves: Counter,
     spill_failures: Counter,
     reload_failures: Counter,
     /// Resident bytes after the last enforcement sweep.
@@ -210,7 +202,6 @@ impl TieredStore {
             }),
             spills: Counter::default(),
             reloads: Counter::default(),
-            cache_serves: Counter::default(),
             spill_failures: Counter::default(),
             reload_failures: Counter::default(),
             resident_bytes: Gauge::default(),
@@ -230,15 +221,6 @@ impl TieredStore {
     /// Whether `bid` of `cube` is currently evicted.
     pub(crate) fn is_spilled(&self, cube: &str, bid: u64) -> bool {
         self.inner.lock().spilled(cube, bid).is_some()
-    }
-
-    /// The retained epochs vector of an evicted brick (cache-serve
-    /// path).
-    pub(crate) fn spilled_epochs(&self, cube: &str, bid: u64) -> Option<EpochsVector> {
-        self.inner
-            .lock()
-            .spilled(cube, bid)
-            .map(|s| s.epochs.clone())
     }
 
     /// Spilled bricks holding any run in `(lse, lse_prime]` — the
@@ -276,10 +258,7 @@ impl TieredStore {
 
     /// How recently `bid` was scanned, as a fraction of the touch
     /// clock (1.0 = the most recent touch in the engine, `None` =
-    /// never touched). Comparable against
-    /// [`aosi::SnapshotCache::partition_recency`], which uses the
-    /// same convention — the eviction ranking takes the max of the
-    /// two clocks.
+    /// never touched) — what eviction ranks by.
     pub(crate) fn touch_recency(&self, cube: &str, bid: u64) -> Option<f64> {
         let inner = self.inner.lock();
         if inner.tick == 0 {
@@ -290,12 +269,6 @@ impl TieredStore {
             .get(cube)?
             .get(&bid)
             .map(|&t| t as f64 / inner.tick as f64)
-    }
-
-    /// Counts a query for a spilled brick answered from the
-    /// aggregate cache.
-    pub(crate) fn note_cache_serve(&self) {
-        self.cache_serves.inc();
     }
 
     /// Counts a failed spill attempt (brick stays resident).
@@ -405,7 +378,6 @@ impl TieredStore {
             spilled_resident_bytes: spilled().map(|s| s.resident_bytes as u64).sum(),
             spills: self.spills.get(),
             reloads: self.reloads.get(),
-            cache_serves: self.cache_serves.get(),
             spill_failures: self.spill_failures.get(),
             reload_failures: self.reload_failures.get(),
         }
@@ -423,7 +395,6 @@ impl TieredStore {
             .metric("spilled_resident_bytes", stats.spilled_resident_bytes)
             .counter("spills", &self.spills)
             .counter("reloads", &self.reloads)
-            .counter("cache_serves", &self.cache_serves)
             .counter("spill_failures", &self.spill_failures)
             .counter("reload_failures", &self.reload_failures);
     }
@@ -537,10 +508,6 @@ mod tests {
         tier.note_spilled("t", 3, epochs, file_bytes, mem.data_bytes + mem.aosi_bytes);
         assert!(tier.is_spilled("t", 3));
         assert_eq!(tier.spilled_bids("t"), vec![3]);
-        assert_eq!(
-            tier.spilled_epochs("t", 3).unwrap().generation(),
-            b.epochs().generation()
-        );
 
         let mut bricks = ShardBricks::new();
         assert!(tier.reload_into(&cube, 3, &mut bricks).unwrap());
@@ -592,7 +559,6 @@ mod tests {
     #[test]
     fn report_renders_the_storage_tier_section() {
         let tier = TieredStore::new(Box::new(MemStore::new()), 4096);
-        tier.note_cache_serve();
         tier.note_spill_failure();
         tier.observe_resident_bytes(123);
         let mut report = ReportBuilder::new();
@@ -600,7 +566,6 @@ mod tests {
         let text = report.finish();
         assert!(text.contains("[storage.tier]"), "{text}");
         assert!(text.contains("budget_bytes = 4096"), "{text}");
-        assert!(text.contains("cache_serves = 1"), "{text}");
         assert!(text.contains("spill_failures = 1"), "{text}");
         assert!(text.contains("resident_bytes = 123"), "{text}");
     }

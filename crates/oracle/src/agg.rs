@@ -24,9 +24,9 @@
 //!
 //! The meta-tests in `tests/agg_oracle.rs` prove the teeth: a
 //! two-chunk AVG workload that a mean-of-means merge would get wrong,
-//! and a deliberately corrupted aggregate cache
-//! ([`Engine::corrupt_agg_cache_for_test`]) that the differential
-//! compare must catch and the next mutation must heal.
+//! and deliberately corrupted memo entries
+//! ([`Engine::corrupt_memo_for_test`]) that the differential compare
+//! must catch.
 
 use std::collections::BTreeSet;
 use std::fs;
@@ -244,12 +244,11 @@ impl AggState {
     }
 }
 
-/// Executes `schedule` against a parallel+cached engine, checking the
-/// merge algebra at every checkpoint, then sweeps the full readable
-/// window twice (the second pass re-merges partials the aggregate
-/// cache replays, so cached and freshly scanned partials prove
-/// interchangeable). Returns counters on agreement or the first
-/// [`Divergence`].
+/// Executes `schedule` against a parallel+memoized engine, checking
+/// the merge algebra at every checkpoint, then sweeps the full
+/// readable window twice (the second pass draws fresh re-merge plans
+/// over the same per-brick partials, which never come from the memo).
+/// Returns counters on agreement or the first [`Divergence`].
 pub fn run_agg_schedule(schedule: &Schedule) -> Result<AggReport, Divergence> {
     let max_slot = schedule
         .ops

@@ -1,20 +1,21 @@
-//! Scan-path differential oracle: the parallel, aggregate-cached
-//! scan executor against the sequential uncached reference — same
-//! engine, same snapshot, byte-identical answers.
+//! Scan-path differential oracle: the parallel, memoized scan
+//! executor against the sequential reference — same engine, same
+//! snapshot, byte-identical answers.
 //!
 //! The AOSI-vs-MVCC oracle ([`crate::harness`]) establishes that the
 //! engine's *answers* are right. This layer establishes that the
 //! engine's *fast path* computes the same answers as its slow path:
 //! [`Engine::query_at`] (shards scanned in parallel, vectorized
-//! kernel over `visible_ranges`, snapshot-keyed aggregate cache) is
-//! diffed against [`Engine::query_at_reference`] (the same executor
-//! one shard at a time, row-at-a-time kernel over `visible_bitmap`,
-//! cache bypassed) — two independent visibility derivations and two
+//! kernel over `visible_ranges`, per-shard snapshot memo) is diffed
+//! against [`Engine::query_at_reference`] (the same executor one
+//! shard at a time, row-at-a-time kernel over `visible_bitmap`, memo
+//! bypassed) — two independent visibility derivations and two
 //! independent kernels — at every committed
 //! checkpoint of a generated schedule,
 //! at every open transaction's snapshot, and — at quiescence — at
-//! every epoch in the readable window `[LSE, LCE]`, twice, so the
-//! second pass is served from a warm cache and must still agree.
+//! every epoch in the readable window `[LSE, LCE]`, three times: the
+//! memo stores a key on its second sighting, so the third pass is
+//! served from it and must still agree.
 //!
 //! Comparison is bitwise: group keys must match exactly and every
 //! aggregate is compared through `f64::to_bits`, so a NaN/−0.0 or a
@@ -23,13 +24,13 @@
 //! of merge order (see `crate::checks`); any byte difference is
 //! therefore a real visibility or merge bug, not float noise.
 //!
-//! The `tests/agg_oracle.rs` meta-tests prove [`compare_paths`]'
-//! teeth: they corrupt the aggregate cache through
-//! [`Engine::corrupt_agg_cache_for_test`] and assert the divergence
-//! is reported.
+//! The `tests/agg_oracle.rs` meta-test proves [`compare_paths`]'
+//! teeth: it corrupts the memo through
+//! [`Engine::corrupt_memo_for_test`] and asserts the divergence is
+//! reported.
 
 use aosi::Snapshot;
-use cubrick::{AggFn, Aggregation, DimStorage, Engine, OrderBy, Query, QueryResult, ScanConfig};
+use cubrick::{AggFn, Aggregation, DimStorage, Engine, OrderBy, Query, QueryResult};
 use workload::ops::{oracle_schema, LogicalOp, Schedule, DAY_CARD};
 
 use crate::checks::{build_query, NUM_QUERIES};
@@ -39,10 +40,6 @@ use cubrick::DimFilter;
 use std::collections::BTreeSet;
 use workload::ops::{bucket_days, ORACLE_CUBE};
 
-/// Aggregate-cache capacity for oracle engines: large enough that
-/// eviction never masks a staleness bug during a schedule.
-const CACHE_CAPACITY: usize = 4096;
-
 /// Counters from a clean scan-oracle run.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ScanReport {
@@ -50,16 +47,16 @@ pub struct ScanReport {
     pub ops_executed: usize,
     /// Fast-vs-reference query comparisons performed.
     pub comparisons: u64,
-    /// Aggregate-cache hits observed across the run (> 0 proves the
-    /// warm path was actually exercised, not just the cold path
-    /// twice).
+    /// Shard answers served from the snapshot memo across the run
+    /// (> 0 proves the memoized path was actually exercised, not just
+    /// the cold path three times).
     pub cache_hits: u64,
     /// Shards the default path scanned bricks on (overlapped).
     pub parallel_tasks: u64,
 }
 
 /// Builds the engine the scan oracle drives: oracle cube, the default
-/// (overlapped) executor, warm aggregate cache, plain dimension storage.
+/// (overlapped, memoized) executor, plain dimension storage.
 pub fn scan_engine() -> Engine {
     scan_engine_with(DimStorage::Plain)
 }
@@ -68,9 +65,7 @@ pub fn scan_engine() -> Engine {
 /// bricks route the kernels through the gather fallback instead of
 /// per-dimension slices.
 pub fn scan_engine_with(storage: DimStorage) -> Engine {
-    let engine = Engine::new(2)
-        .with_scan_config(ScanConfig::parallel_cached(CACHE_CAPACITY))
-        .with_dim_storage(storage);
+    let engine = Engine::new(2).with_dim_storage(storage);
     engine
         .create_cube(oracle_schema())
         .expect("oracle schema registers");
@@ -197,7 +192,7 @@ pub fn diff_bits(fast: &QueryResult, reference: &QueryResult) -> Option<String> 
 /// Runs the whole check battery at `snapshot` down both scan paths
 /// and diffs the results bitwise. Returns the comparison count on
 /// agreement. This is the primitive the meta-test points at a
-/// deliberately corrupted cache.
+/// deliberately corrupted memo.
 pub fn compare_paths(
     engine: &Engine,
     snapshot: &Snapshot,
@@ -218,7 +213,7 @@ pub fn compare_paths(
             return Err(fail(
                 op_index,
                 format!(
-                    "{label} q{idx} at epoch {}: parallel+cached differs from \
+                    "{label} q{idx} at epoch {}: parallel+memoized differs from \
                      sequential reference: {d}",
                     snapshot.epoch()
                 ),
@@ -307,8 +302,8 @@ impl ScanState {
             LogicalOp::CheckTxn { slot } => {
                 // An open transaction's snapshot (its own epoch plus
                 // the deps exclusion set) is just another snapshot to
-                // the scan paths — and the one that exercises cache
-                // keys with non-empty dependency sets.
+                // the scan paths — one above the LCE, so both read
+                // bricks.
                 if let Some(txn) = self.slots.get(*slot).and_then(Option::as_ref) {
                     let snapshot = txn.snapshot().clone();
                     self.check_at(i, "in-txn", &snapshot)?;
@@ -319,10 +314,11 @@ impl ScanState {
     }
 }
 
-/// Executes `schedule` against a parallel+cached engine, comparing
+/// Executes `schedule` against a parallel+memoized engine, comparing
 /// the fast and reference scan paths at every checkpoint, then
-/// sweeps the full readable window twice (cold, then warm cache).
-/// Returns counters on agreement or the first [`Divergence`].
+/// sweeps the full readable window three times (first sighting,
+/// admission, memo hit). Returns counters on agreement or the first
+/// [`Divergence`].
 pub fn run_scan_schedule(schedule: &Schedule) -> Result<ScanReport, Divergence> {
     run_scan_schedule_with(schedule, DimStorage::Plain)
 }
@@ -363,11 +359,11 @@ pub fn run_scan_schedule_with(
                 .map_err(|e| fail(None, format!("quiescence commit failed: {e}")))?;
         }
     }
-    // Full-window sweep, twice: pass 0 populates the cache at every
-    // epoch, pass 1 must be answered from it — and still agree with
-    // the uncached reference bit-for-bit.
+    // Full-window sweep, three times: pass 0 is every key's first
+    // sighting, pass 1 stores it, pass 2 must be answered from the
+    // memo — and still agree with the reference bit-for-bit.
     let (lse, lce) = (state.engine.manager().lse(), state.engine.manager().lce());
-    for pass in 0..2 {
+    for pass in 0..3 {
         for epoch in lse..=lce {
             let snapshot = Snapshot::committed(epoch);
             state.comparisons +=

@@ -147,10 +147,12 @@ struct Slot {
 /// Builds a fresh engine with tiered storage over `fs`: snapshot
 /// store in [`tier_dir`] (wiping stale snapshots), a single shard so
 /// spill ordering stays deterministic enough for boundary replay.
-/// The aggregate cache is disabled — it can (correctly) answer for a
-/// spilled brick without touching its snapshot, which would let the
-/// media probes pass without ever exercising the reload path; the
-/// cache-serve path has its own unit coverage in `cubrick::tier`.
+/// Scans run sequentially, which on one shard is the same execution
+/// with the snapshot memo bypassed — a memo hit (correctly) answers
+/// for spilled bricks without touching their snapshots, which would
+/// let the media probes pass without ever exercising the reload path;
+/// the memo-over-spilled-bricks path has its own unit coverage in
+/// `cubrick`'s engine tests.
 fn tiered_engine(fs: &Arc<SimFs>, budget_bytes: usize) -> Result<Engine, Stop> {
     let walfs: Arc<dyn WalFs> = fs.clone();
     let store = match WalBrickStore::open_with(walfs, tier_dir()) {
@@ -160,7 +162,7 @@ fn tiered_engine(fs: &Arc<SimFs>, budget_bytes: usize) -> Result<Engine, Stop> {
     };
     let engine = Engine::new(1)
         .with_scan_config(ScanConfig {
-            agg_cache_capacity: 0,
+            sequential: true,
             ..ScanConfig::default()
         })
         .with_tiered_storage(Box::new(store), budget_bytes);

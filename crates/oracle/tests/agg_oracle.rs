@@ -2,8 +2,8 @@
 //! [`cubrick::AggState`] merge algebra — any partition of the brick
 //! set, merged in any order and association, finalizes bit-identically
 //! to the single-pass reference — plus the meta-tests that give the
-//! oracle its teeth: the AVG mean-of-means trap and a deliberately
-//! corrupted aggregate cache.
+//! oracle its teeth: the AVG mean-of-means trap and deliberately
+//! corrupted snapshot-memo entries.
 //!
 //! Reproduce a failing seed with
 //! `AOSI_AGG_SEEDS=<seed> cargo test -p oracle --test agg_oracle`.
@@ -29,8 +29,7 @@ fn cfg() -> GenConfig {
 /// 44 pinned seeds — the per-push merge corpus. Every schedule's
 /// checkpoints re-merge the per-brick partials through forward,
 /// reversed, and three seeded partition/association plans, and the
-/// final sweep runs the window twice so cached partial replays are
-/// re-merged too.
+/// final sweep runs the window twice with fresh plans.
 #[test]
 fn agg_corpus_pinned_seeds() {
     let mut comparisons = 0u64;
@@ -163,13 +162,13 @@ fn avg_merge_combines_sum_count_not_means() {
     );
 }
 
-/// Meta-test: a corrupted cached aggregate partial MUST be caught by
-/// the differential compare. Warms the aggregate cache, nudges every
-/// cached state in place without touching keys — what a missed
-/// invalidation or a torn write would look like — and demands the
-/// fast-vs-reference diff notice.
+/// Meta-test: a corrupted memo entry MUST be caught by the
+/// differential compare. Sweeps the battery until every shard serves
+/// it from the snapshot memo, nudges every memoized state in place
+/// without touching keys — what a missed invalidation or a torn write
+/// would look like — and demands the fast-vs-reference diff notice.
 #[test]
-fn corrupted_agg_cache_is_caught_by_the_oracle() {
+fn corrupted_memo_is_caught_by_the_oracle() {
     let engine = scan_engine();
     let rows: Vec<Vec<Value>> = (0..24)
         .map(|i| {
@@ -183,44 +182,19 @@ fn corrupted_agg_cache_is_caught_by_the_oracle() {
         .collect();
     engine.load(ORACLE_CUBE, &rows, 0).unwrap();
     let snapshot = Snapshot::committed(engine.manager().lce());
-    compare_paths(&engine, &snapshot, None, "warm-up").expect("clean engine must agree");
+    for pass in ["first sighting", "admission", "memo hit"] {
+        compare_paths(&engine, &snapshot, None, pass).expect("clean engine must agree");
+    }
     let stats = engine.agg_cache_stats().unwrap();
-    assert!(stats.entries > 0, "warm-up left the aggregate cache empty");
-    engine.corrupt_agg_cache_for_test();
+    assert!(stats.hits > 0, "the third pass was not served by the memo");
+    engine.corrupt_memo_for_test();
     let divergence = compare_paths(&engine, &snapshot, None, "stale")
-        .expect_err("oracle failed to catch a corrupted aggregate partial");
+        .expect_err("oracle failed to catch a corrupted memo entry");
     assert!(
         divergence.detail.contains("differs from"),
         "unexpected divergence shape: {divergence}"
     );
-    // Sanity: the corruption really was replayed from the cache.
+    // Sanity: the corruption really was replayed from the memo.
     let after = engine.agg_cache_stats().unwrap();
-    assert!(after.hits > stats.hits, "corrupted partials were not read");
-}
-
-/// The meta-test's dual: after the same corruption, invalidation (a
-/// mutating load) must purge the poisoned partials so the engine
-/// returns to agreement — aggregate-cache staleness cannot outlive
-/// the next mutation of the brick.
-#[test]
-fn invalidation_heals_a_corrupted_agg_cache() {
-    let engine = scan_engine();
-    let rows: Vec<Vec<Value>> = (0..24)
-        .map(|i| {
-            vec![
-                Value::from(format!("r{}", i % 4).as_str()),
-                Value::from(i % 16),
-                Value::from(i),
-                Value::from(0.5),
-            ]
-        })
-        .collect();
-    engine.load(ORACLE_CUBE, &rows, 0).unwrap();
-    let snapshot = Snapshot::committed(engine.manager().lce());
-    compare_paths(&engine, &snapshot, None, "warm-up").unwrap();
-    engine.corrupt_agg_cache_for_test();
-    // Touch every loaded brick again: append invalidates their keys.
-    engine.load(ORACLE_CUBE, &rows, 0).unwrap();
-    compare_paths(&engine, &snapshot, None, "healed")
-        .expect("invalidation must evict corrupted partials");
+    assert!(after.hits > stats.hits, "corrupted entries were not read");
 }

@@ -1,12 +1,12 @@
 //! The scan-path oracle corpus: 100+ pinned seeded schedules, each
-//! proving the parallel + aggregate-cached scan executor (vectorized
-//! kernel over visible ranges) byte-identical to the sequential
-//! uncached reference (row-at-a-time kernel over visibility bitmaps)
-//! at every committed snapshot. The meta-tests that corrupt the cache
-//! and demand the comparator notice live in `agg_oracle.rs`.
+//! proving the parallel + memoized scan executor (vectorized kernel
+//! over visible ranges) byte-identical to the sequential reference
+//! (row-at-a-time kernel over visibility bitmaps) at every committed
+//! snapshot. The meta-test that corrupts the memo and demands the
+//! comparator notice lives in `agg_oracle.rs`.
 //!
 //! A red run here means the fast scan path (shard fan-out, the ranges
-//! kernel, or a cached brick partial) disagreed with the slow path on
+//! kernel, or a memoized shard answer) disagreed with the slow path on
 //! the same engine state. Reproduce a failing seed with
 //! `AOSI_SCAN_SEEDS=<seed> cargo test -p oracle --test scan_oracle`.
 
@@ -15,9 +15,9 @@ use oracle::scan::run_scan_schedule_with;
 use workload::ops::{GenConfig, Schedule};
 
 /// Shorter schedules than the MVCC oracle's default: each seed's
-/// work is doubled by the warm-cache sweep, and 100+ seeds must stay
+/// work is tripled by the memo sweep, and 100+ seeds must stay
 /// CI-friendly. Density of mutation/check interleavings matters more
-/// than schedule length for cache-staleness bugs.
+/// than schedule length for staleness bugs.
 fn cfg() -> GenConfig {
     GenConfig {
         ops: 40,
@@ -46,8 +46,9 @@ fn check_scan_seed(seed: u64) -> oracle::ScanReport {
 }
 
 /// 104 pinned seeds. Every schedule ends with a full-window sweep run
-/// cold and then warm, so each seed validates both the parallel merge
-/// order and cache coherence across its whole epoch history.
+/// until the memo answers it, so each seed validates both the
+/// parallel merge order and memo coherence across its whole epoch
+/// history.
 #[test]
 fn scan_corpus_pinned_seeds() {
     let mut comparisons = 0u64;
@@ -61,12 +62,12 @@ fn scan_corpus_pinned_seeds() {
         parallel_tasks += report.parallel_tasks;
     }
     // Aggregate proofs-of-exercise: the corpus as a whole must have
-    // hit the cache and fanned scans out, or the oracle is vacuous.
-    assert!(cache_hits > 0, "corpus never hit the aggregate cache");
+    // hit the memo and fanned scans out, or the oracle is vacuous.
+    assert!(cache_hits > 0, "corpus never hit the snapshot memo");
     assert!(parallel_tasks > 0, "corpus never took the parallel path");
     eprintln!(
         "scan oracle: 104 seeds, {comparisons} comparisons, \
-         {cache_hits} cache hits"
+         {cache_hits} memo hits"
     );
 }
 

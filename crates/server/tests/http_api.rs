@@ -327,6 +327,72 @@ fn session_pins_a_snapshot_across_requests() {
     assert_eq!(gone.status, 404, "{}", gone.body);
 }
 
+/// The per-shard snapshot memo behind the front door: the third
+/// identical pinned request is answered from every shard's memo, and
+/// its reply is byte-equal to the first — `stats` included — with rows
+/// matching the sequential reference executor.
+#[test]
+fn memoized_pinned_reply_is_byte_equal_to_a_fresh_one() {
+    let (engine, handle) = start_seeded(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let inserted = client
+        .query(
+            "INSERT INTO t VALUES ('mx', 5, 40, 4.5), ('de', 7, 50, 5.5), ('br', 6, 60, 6.5)",
+            None,
+        )
+        .unwrap();
+    assert_eq!(inserted.status, 200, "{}", inserted.body);
+    let session = client
+        .request("POST", "/session", None)
+        .unwrap()
+        .json()
+        .unwrap()
+        .get("session")
+        .and_then(Json::as_f64)
+        .unwrap() as u64;
+    let pin = client
+        .request(
+            "POST",
+            "/session/pin",
+            Some(&obj([("session", Json::num(session as f64))])),
+        )
+        .unwrap();
+    let epoch = pin
+        .json()
+        .unwrap()
+        .get("epoch")
+        .and_then(Json::as_f64)
+        .unwrap() as u64;
+    let statement =
+        "SELECT SUM(likes), MAX(score) FROM t WHERE day IN (0, 1, 5, 6) GROUP BY region";
+    let mut replies = Vec::new();
+    for sighting in 1..=3 {
+        let reply = client.query(statement, Some(session)).unwrap();
+        assert_eq!(reply.status, 200, "{}", reply.body);
+        let hits = engine.agg_cache_stats().unwrap().hits;
+        assert_eq!(hits > 0, sighting == 3, "sighting {sighting}: {hits} hits");
+        replies.push(reply.body);
+    }
+    assert_eq!(replies[2], replies[0], "memoized reply differs from fresh");
+
+    let Ok(cubrick::sql::Statement::Select { cube, query, .. }) = cubrick::sql::parse(statement)
+    else {
+        panic!("statement parses");
+    };
+    let reference = engine
+        .query_at_reference(&cube, &query, &aosi::Snapshot::committed(epoch))
+        .unwrap();
+    let expected: Vec<Json> = (reference.rows.iter())
+        .map(|(keys, values)| {
+            let mut cells: Vec<Json> = keys.iter().map(|k| Json::str(k.to_string())).collect();
+            cells.extend(values.iter().map(|&v| Json::num(v)));
+            Json::Arr(cells)
+        })
+        .collect();
+    let served = server::json::parse(&replies[2]).unwrap();
+    assert_eq!(served.get("rows"), Some(&Json::Arr(expected)));
+}
+
 #[test]
 fn unknown_session_is_a_404() {
     let (_engine, handle) = start_seeded(ServerConfig::default());

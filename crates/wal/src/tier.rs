@@ -33,10 +33,9 @@
 //! magic      "DONE"                        4 bytes
 //! ```
 //!
-//! The generation counter rides in the snapshot verbatim: aggregate
-//! cache entries are keyed on (generation, snapshot), so a brick that
-//! round-trips through the cold tier keeps its cache entries valid
-//! (see `cubrick::tier`). The dictionary slice makes a
+//! The generation counter rides in the snapshot verbatim, so a brick
+//! that round-trips through the cold tier is bit-identical to the one
+//! that left, epochs vector included. The dictionary slice makes a
 //! snapshot self-describing — its string coordinates can be decoded
 //! without the engine — and lets `reload` detect a snapshot that was
 //! produced against a different dictionary history.

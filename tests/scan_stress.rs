@@ -1,21 +1,21 @@
-//! Concurrency stress for the parallel + cached scan path: writers
+//! Concurrency stress for the parallel + memoized scan path: writers
 //! mutate (append / rollback / purge) while readers hammer repeated
-//! `query_as_of` epochs through the aggregate cache, with the online
-//! SI checker riding along.
+//! `query_as_of` epochs through the per-shard snapshot memo, with the
+//! online SI checker riding along.
 //!
 //! What this proves, beyond the single-threaded scan oracle:
 //!
-//! * **Read stability under concurrent invalidation** — two reads of
-//!   the same epoch must fingerprint identically even when writers
-//!   are invalidating and repopulating the cache between them (the
-//!   checker's `Read` events share a per-query key, so any
-//!   instability is a reported violation).
-//! * **The cache is actually exercised** — the run asserts a nonzero
-//!   hit count; a cache that invalidates everything forever would
-//!   pass equivalence checks vacuously.
+//! * **Read stability under concurrent writes** — two reads of the
+//!   same epoch must fingerprint identically even while writers
+//!   append, roll back and purge between them (the checker's `Read`
+//!   events share a per-query key, so any instability is a reported
+//!   violation).
 //! * **Quiescent equivalence** — after the threads join, every epoch
-//!   in `[LSE, LCE]` is compared against the sequential uncached
-//!   reference byte-for-byte.
+//!   in `[LSE, LCE]` is compared against the sequential reference
+//!   byte-for-byte, until the memo answers the sweep itself.
+//! * **The memo is actually exercised** — the run asserts a nonzero
+//!   hit count; a memo that never answers would pass equivalence
+//!   checks vacuously.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -51,7 +51,7 @@ fn gen_rows(writer: usize, round: usize) -> Vec<Row> {
 
 #[test]
 fn concurrent_writers_and_cached_readers_stay_si_consistent() {
-    let engine = Arc::new(Engine::new(4).with_scan_config(ScanConfig::parallel_cached(4096)));
+    let engine = Arc::new(Engine::new(4));
     engine.create_cube(oracle_schema()).unwrap();
     let checker = Arc::new(SiChecker::new(NODE));
     // Seed data so the first readers have something cacheable.
@@ -74,9 +74,8 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
                     let (accepted, rejected) = engine.append(ORACLE_CUBE, &rows, &txn).unwrap();
                     assert_eq!((accepted, rejected), (rows.len(), 0));
                     if round % 7 == 3 {
-                        // Rollback: physically reclaims the rows and
-                        // must invalidate their bricks' cached
-                        // visibility.
+                        // Rollback: physically reclaims the rows
+                        // before the LCE may pass their epoch.
                         engine.rollback(&txn).unwrap();
                         checker.record(TxnEvent::Rollback {
                             node: NODE,
@@ -108,9 +107,9 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
                         break;
                     }
                     // Re-reading a recent epoch (rather than always
-                    // the newest) is what produces cache hits: the
-                    // key (generation, epoch, deps) recurs until a
-                    // writer touches the brick.
+                    // the newest) is what repeats a memo key: the key
+                    // (shape, epoch, deps) recurs until purge passes
+                    // the epoch.
                     let lce = engine.manager().lce();
                     let epoch = lce.saturating_sub((round % 3) as u64).max(1);
                     let idx = (reader + round) % NUM_QUERIES;
@@ -156,25 +155,25 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
         violations[0]
     );
 
-    // The cache must have been genuinely exercised.
+    // Quiescent sweep: the fast path agrees with the sequential
+    // reference at every surviving epoch — three times, so the memo
+    // stores every key and then answers for it.
+    let (lse, lce) = (engine.manager().lse(), engine.manager().lce());
+    for _ in 0..3 {
+        for epoch in lse..=lce {
+            let snapshot = Snapshot::committed(epoch);
+            compare_paths(&engine, &snapshot, None, "quiescent sweep")
+                .unwrap_or_else(|d| panic!("scan paths diverged: {d}"));
+        }
+    }
+    // The memo must have been genuinely exercised. Appends, rollbacks
+    // and purges invalidate nothing.
     let stats = engine.agg_cache_stats().unwrap();
     assert!(
         stats.hits > 0,
-        "no cache hits across the whole run: {stats:?}"
+        "no memo hits across the whole run: {stats:?}"
     );
-    assert!(
-        stats.invalidations > 0,
-        "writers never invalidated: {stats:?}"
-    );
-
-    // Quiescent sweep: the fast path agrees with the sequential
-    // uncached reference at every surviving epoch.
-    let (lse, lce) = (engine.manager().lse(), engine.manager().lce());
-    for epoch in lse..=lce {
-        let snapshot = Snapshot::committed(epoch);
-        compare_paths(&engine, &snapshot, None, "quiescent sweep")
-            .unwrap_or_else(|d| panic!("scan paths diverged: {d}"));
-    }
+    assert_eq!(stats.invalidations, 0, "{stats:?}");
     // Total row count sanity: each writer rolls back rounds where
     // round % 7 == 3 (6 of its 40), commits the rest; plus the seed
     // batch; 4 rows per batch.
@@ -191,8 +190,8 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
 
 /// BESS-packed bricks through the full scan battery (which includes
 /// GROUP BY + ORDER BY + LIMIT and empty/full coordinate-set filter
-/// shapes via `oracle::compare_paths`), in both cold- and warm-cache
-/// configurations. Bess bricks have no per-dimension slices, so this
+/// shapes via `oracle::compare_paths`), with the memo bypassed
+/// (sequential) and in use. Bess bricks have no per-dimension slices, so this
 /// pins the kernels' gather fallback against the row-at-a-time
 /// reference at every epoch, including an open transaction's
 /// snapshot with a non-empty deps set.
@@ -202,12 +201,11 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         (
             "cold",
             ScanConfig {
-                agg_cache_capacity: 0,
+                sequential: true,
                 kernel: ScanKernel::Vectorized,
-                ..ScanConfig::default()
             },
         ),
-        ("warm", ScanConfig::parallel_cached(4096)),
+        ("warm", ScanConfig::default()),
     ];
     for (label, config) in configs {
         let engine = Engine::new(4)
@@ -224,7 +222,7 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         let txn = engine.begin();
         engine.append(ORACLE_CUBE, &gen_rows(50, 1), &txn).unwrap();
         let (lse, lce) = (engine.manager().lse(), engine.manager().lce());
-        for pass in 0..2 {
+        for pass in 0..3 {
             for epoch in lse..=lce {
                 let snapshot = Snapshot::committed(epoch);
                 compare_paths(
@@ -239,12 +237,10 @@ fn bess_bricks_agree_with_reference_cold_and_warm() {
         let in_txn = txn.snapshot().clone();
         compare_paths(&engine, &in_txn, None, &format!("bess {label} in-txn"))
             .unwrap_or_else(|d| panic!("bess {label} in-txn diverged: {d}"));
-        match engine.agg_cache_stats() {
-            Some(stats) => {
-                assert_eq!(label, "warm");
-                assert!(stats.hits > 0, "warm run never hit the cache: {stats:?}");
-            }
-            None => assert_eq!(label, "cold", "cold config must disable the cache"),
+        let stats = engine.agg_cache_stats().unwrap();
+        match label {
+            "warm" => assert!(stats.hits > 0, "warm run never hit the memo: {stats:?}"),
+            _ => assert_eq!(stats.hits + stats.misses, 0, "cold run used the memo"),
         }
         engine.commit(&txn).unwrap();
     }
