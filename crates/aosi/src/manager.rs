@@ -30,10 +30,10 @@
 //! cluster's in-flight transactions.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
+use obs::sync::unpoison;
 use obs::{Counter, ReportBuilder};
-use parking_lot::Mutex;
 
 use crate::clock::EpochClock;
 use crate::epoch::Epoch;
@@ -149,7 +149,7 @@ impl TxnManager {
     /// by the other cluster nodes in the initial broadcast
     /// (Section IV-C).
     pub fn begin_rw_with_remote(&self, remote_pending: impl IntoIterator<Item = Epoch>) -> Txn {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         // Epoch assignment happens under the same lock that snapshots
         // the pending set, so no concurrently-beginning transaction
         // can slip between "get epoch" and "record pending".
@@ -174,7 +174,7 @@ impl TxnManager {
     /// [`Snapshot`] itself. The transaction is already registered in
     /// `pendingTxs` when this returns.
     pub fn begin_rw_parts(&self) -> (Epoch, BTreeSet<Epoch>) {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         let epoch = self.inner.clock.next_epoch();
         let deps: BTreeSet<Epoch> = st.pending.iter().copied().filter(|&p| p < epoch).collect();
         if let Some(&min_dep) = deps.first() {
@@ -195,7 +195,7 @@ impl TxnManager {
         let Some(min_dep) = deps.into_iter().filter(|&d| d < epoch).min() else {
             return;
         };
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         if !st.pending.contains(&epoch) {
             return;
         }
@@ -205,14 +205,14 @@ impl TxnManager {
 
     /// Begins a read-only transaction at the Latest Committed Epoch.
     pub fn begin_ro(&self) -> Snapshot {
-        self.inner.state.lock().begun_ro += 1;
+        unpoison(self.inner.state.lock()).begun_ro += 1;
         Snapshot::committed(self.inner.clock.lce())
     }
 
     /// Begins a read-only transaction and registers it as an active
     /// reader so LSE (and therefore purge) cannot pass it.
     pub fn begin_read(&self) -> ReadGuard {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         st.begun_ro += 1;
         let epoch = self.inner.clock.lce();
         *st.active_reads.entry(epoch).or_insert(0) += 1;
@@ -242,7 +242,7 @@ impl TxnManager {
             .map(|&d| d.saturating_sub(1))
             .unwrap_or(snapshot.epoch())
             .min(snapshot.epoch());
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         *st.active_reads.entry(guard_epoch).or_insert(0) += 1;
         drop(st);
         self.inner.metrics.reads_guarded.inc();
@@ -278,7 +278,7 @@ impl TxnManager {
         if !txn.is_rw() {
             return Err(AosiError::ReadOnlyTxn(txn.epoch()));
         }
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         if !st.pending.contains(&txn.epoch()) || !st.rolling_back.insert(txn.epoch()) {
             return Err(AosiError::TxnFinished(txn.epoch()));
         }
@@ -288,7 +288,7 @@ impl TxnManager {
     /// Registers a transaction begun on another node (from its begin
     /// broadcast) into the local pending set.
     pub fn register_remote(&self, epoch: Epoch) {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         // A commit broadcast can never overtake its begin broadcast on
         // the same channel, so blind insertion is safe.
         st.pending.insert(epoch);
@@ -307,7 +307,7 @@ impl TxnManager {
     }
 
     fn commit_epoch(&self, epoch: Epoch) -> Result<(), AosiError> {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         if st.rolling_back.contains(&epoch) || !st.pending.remove(&epoch) {
             return Err(AosiError::TxnFinished(epoch));
         }
@@ -319,7 +319,7 @@ impl TxnManager {
     }
 
     fn rollback_epoch(&self, epoch: Epoch) -> Result<(), AosiError> {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         if !st.pending.remove(&epoch) {
             return Err(AosiError::TxnFinished(epoch));
         }
@@ -364,14 +364,16 @@ impl TxnManager {
     /// Current pending set (what a begin broadcast returns to a
     /// remote coordinator).
     pub fn pending_txs(&self) -> Vec<Epoch> {
-        self.inner.state.lock().pending.iter().copied().collect()
+        unpoison(self.inner.state.lock())
+            .pending
+            .iter()
+            .copied()
+            .collect()
     }
 
     /// Epochs rolled back since the last [`TxnManager::clear_rolled_back`].
     pub fn rolled_back_epochs(&self) -> Vec<Epoch> {
-        self.inner
-            .state
-            .lock()
+        unpoison(self.inner.state.lock())
             .rolled_back
             .iter()
             .copied()
@@ -381,7 +383,7 @@ impl TxnManager {
     /// Forgets rolled-back epochs once their rows have been reclaimed
     /// from every partition.
     pub fn clear_rolled_back(&self, epochs: &[Epoch]) {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         for e in epochs {
             st.rolled_back.remove(e);
         }
@@ -389,7 +391,7 @@ impl TxnManager {
 
     /// Lifecycle state of an epoch, if the manager still remembers it.
     pub fn state_of(&self, epoch: Epoch) -> Option<TxnState> {
-        let st = self.inner.state.lock();
+        let st = unpoison(self.inner.state.lock());
         if st.pending.contains(&epoch) {
             Some(TxnState::Pending)
         } else if st.rolled_back.contains(&epoch) {
@@ -414,7 +416,7 @@ impl TxnManager {
     /// is the caller's contract: the flush/replication machinery must
     /// verify it before calling.
     pub fn advance_lse(&self, candidate: Epoch) -> Result<(), AosiError> {
-        let st = self.inner.state.lock();
+        let st = unpoison(self.inner.state.lock());
         let lce = self.inner.clock.lce();
         let lse = self.inner.clock.lse();
         if candidate < lse || candidate > lce {
@@ -452,7 +454,7 @@ impl TxnManager {
 
     /// Instrumentation snapshot.
     pub fn stats(&self) -> ManagerStats {
-        let st = self.inner.state.lock();
+        let st = unpoison(self.inner.state.lock());
         ManagerStats {
             begun_rw: st.begun_rw,
             begun_ro: st.begun_ro,
@@ -480,7 +482,7 @@ impl TxnManager {
     pub fn report_as(&self, report: &mut ReportBuilder, section: &str) {
         let stats = self.stats();
         let active_readers: usize = {
-            let st = self.inner.state.lock();
+            let st = unpoison(self.inner.state.lock());
             st.active_reads.values().sum()
         };
         let m = &self.inner.metrics;
@@ -503,7 +505,7 @@ impl TxnManager {
     }
 
     fn release_read(&self, epoch: Epoch) {
-        let mut st = self.inner.state.lock();
+        let mut st = unpoison(self.inner.state.lock());
         if let Some(count) = st.active_reads.get_mut(&epoch) {
             *count -= 1;
             if *count == 0 {

@@ -16,6 +16,7 @@
 use crate::epoch::{Epoch, EpochEntry};
 use crate::epochs::EpochsVector;
 use columnar::Bitmap;
+use obs::sync::unpoison;
 
 /// The alternative rollback accelerator the paper describes and
 /// rejects (Section III-C5): "keep an auxiliary global hash map to
@@ -32,7 +33,7 @@ use columnar::Bitmap;
 /// configuration) leaves it off.
 #[derive(Debug, Default)]
 pub struct TxnPartitionIndex {
-    map: parking_lot::Mutex<std::collections::HashMap<Epoch, std::collections::HashSet<u64>>>,
+    map: std::sync::Mutex<std::collections::HashMap<Epoch, std::collections::HashSet<u64>>>,
 }
 
 impl TxnPartitionIndex {
@@ -43,13 +44,15 @@ impl TxnPartitionIndex {
 
     /// Records that `epoch` touched `partition`.
     pub fn record(&self, epoch: Epoch, partition: u64) {
-        self.map.lock().entry(epoch).or_default().insert(partition);
+        unpoison(self.map.lock())
+            .entry(epoch)
+            .or_default()
+            .insert(partition);
     }
 
     /// Partitions `epoch` touched (empty if unknown).
     pub fn partitions_of(&self, epoch: Epoch) -> Vec<u64> {
-        self.map
-            .lock()
+        unpoison(self.map.lock())
             .get(&epoch)
             .map(|set| set.iter().copied().collect())
             .unwrap_or_default()
@@ -57,22 +60,22 @@ impl TxnPartitionIndex {
 
     /// Drops the entry for a finished transaction.
     pub fn forget(&self, epoch: Epoch) {
-        self.map.lock().remove(&epoch);
+        unpoison(self.map.lock()).remove(&epoch);
     }
 
     /// Number of tracked transactions.
     pub fn len(&self) -> usize {
-        self.map.lock().len()
+        unpoison(self.map.lock()).len()
     }
 
     /// `true` when no transaction is tracked.
     pub fn is_empty(&self) -> bool {
-        self.map.lock().is_empty()
+        unpoison(self.map.lock()).is_empty()
     }
 
     /// Approximate heap bytes — the footprint the paper trades away.
     pub fn heap_bytes(&self) -> usize {
-        let map = self.map.lock();
+        let map = unpoison(self.map.lock());
         let entries: usize = map.values().map(|s| s.capacity() * 16 + 48).sum();
         map.capacity() * 16 + entries
     }

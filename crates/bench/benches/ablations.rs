@@ -2,14 +2,13 @@
 
 use std::collections::BTreeSet;
 use std::hint::black_box;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use aosi::{Snapshot, TxnManager};
 use columnar::Value;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use cubrick::{Brick, CubeSchema, Dimension, Metric, RecordChunk, ShardPool};
 use mvcc_baseline::{LockManager, LockMode};
-use parking_lot::Mutex;
 
 fn schema() -> CubeSchema {
     CubeSchema::new(
@@ -100,6 +99,7 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                                 for (bid, recs) in by_bid.drain() {
                                     bricks[bid as usize]
                                         .lock()
+                                        .unwrap()
                                         .append(1, &RecordChunk::from_rows(&recs));
                                 }
                             }
@@ -154,6 +154,7 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                             let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
                             bricks[bid as usize]
                                 .lock()
+                                .unwrap()
                                 .append(1, &RecordChunk::from_rows(&[rec]));
                         }
                     });

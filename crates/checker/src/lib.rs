@@ -31,9 +31,10 @@
 //! protocol implementation it is checking.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Mutex;
 
 use aosi::Epoch;
-use parking_lot::Mutex;
+use obs::sync::unpoison;
 
 /// 1-based node identifier.
 pub type NodeId = u64;
@@ -130,7 +131,7 @@ impl SiChecker {
 
     /// Feeds one event; any invariant it breaks is recorded.
     pub fn record(&self, event: TxnEvent) {
-        let mut s = self.state.lock();
+        let mut s = unpoison(self.state.lock());
         s.events += 1;
         match event {
             TxnEvent::Begin { node, epoch, deps } => {
@@ -318,17 +319,17 @@ impl SiChecker {
 
     /// All violations recorded so far.
     pub fn violations(&self) -> Vec<String> {
-        self.state.lock().violations.clone()
+        unpoison(self.state.lock()).violations.clone()
     }
 
     /// Events processed so far.
     pub fn events_checked(&self) -> u64 {
-        self.state.lock().events
+        unpoison(self.state.lock()).events
     }
 
     /// Epochs currently begun-but-unfinished, as seen by the checker.
     pub fn pending(&self) -> Vec<Epoch> {
-        let s = self.state.lock();
+        let s = unpoison(self.state.lock());
         s.begun
             .keys()
             .filter(|e| !s.committed.contains(e) && !s.rolled_back.contains(e))

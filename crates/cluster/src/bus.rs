@@ -22,11 +22,11 @@
 //! counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
+use obs::sync::unpoison;
 use obs::{Counter, ReportBuilder};
-use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 /// Latency model for one simulated hop.
@@ -246,7 +246,7 @@ impl FaultInjector {
 
     fn decide(&self, from: u64, to: u64, seq: u64) -> Fate {
         let down = {
-            let manual = self.manual_down.lock();
+            let manual = unpoison(self.manual_down.lock());
             manual.contains(&from) || manual.contains(&to)
         };
         if down || self.plan.crashed(from, seq) || self.plan.crashed(to, seq) {
@@ -257,7 +257,7 @@ impl FaultInjector {
         if link.is_noop() {
             return Fate::Deliver { copies: 1 };
         }
-        let mut rng = self.rng.lock();
+        let mut rng = unpoison(self.rng.lock());
         if link.drop_p > 0.0 && rng.gen_bool(link.drop_p) {
             self.counters.drops.inc();
             return Fate::Drop;
@@ -385,14 +385,14 @@ impl SimulatedNetwork {
     /// preserved (fail-stutter / partition model, not state loss).
     pub fn crash_node(&self, node: u64) {
         if let Some(f) = &self.faults {
-            f.manual_down.lock().insert(node);
+            unpoison(f.manual_down.lock()).insert(node);
         }
     }
 
     /// Brings a crashed node back.
     pub fn restart_node(&self, node: u64) {
         if let Some(f) = &self.faults {
-            f.manual_down.lock().remove(&node);
+            unpoison(f.manual_down.lock()).remove(&node);
         }
     }
 
@@ -410,7 +410,8 @@ impl SimulatedNetwork {
         match &self.faults {
             None => false,
             Some(f) => {
-                f.manual_down.lock().contains(&node) || f.plan.crashed(node, self.current_seq())
+                unpoison(f.manual_down.lock()).contains(&node)
+                    || f.plan.crashed(node, self.current_seq())
             }
         }
     }

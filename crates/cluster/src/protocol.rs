@@ -44,11 +44,12 @@
 //! original lossless protocol.
 
 use std::collections::BTreeSet;
+use std::sync::{Mutex, RwLock};
 use std::time::Duration;
 
 use aosi::{AosiError, Epoch, Snapshot, TxnManager};
+use obs::sync::unpoison;
 use obs::{Counter, ReportBuilder};
-use parking_lot::{Mutex, RwLock};
 
 use crate::bus::{Fate, MsgKind, SimulatedNetwork};
 
@@ -306,12 +307,12 @@ impl ProtocolCluster {
 
     /// Nodes currently participating in broadcasts, ascending.
     pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.active.read().iter().copied().collect()
+        unpoison(self.active.read()).iter().copied().collect()
     }
 
     /// Whether `node` currently participates in broadcasts.
     pub fn is_active(&self, node: NodeId) -> bool {
-        self.active.read().contains(&node)
+        unpoison(self.active.read()).contains(&node)
     }
 
     /// Activates a dormant slot (a node join). The joiner's clock is
@@ -325,7 +326,7 @@ impl ProtocolCluster {
             (1..=self.num_nodes()).contains(&node),
             "node {node} beyond provisioned capacity"
         );
-        let mut active = self.active.write();
+        let mut active = unpoison(self.active.write());
         if active.insert(node) {
             let max_ec = active
                 .iter()
@@ -344,7 +345,7 @@ impl ProtocolCluster {
     /// # Panics
     /// Panics when deactivating the last active node.
     pub fn deactivate(&self, node: NodeId) {
-        let mut active = self.active.write();
+        let mut active = unpoison(self.active.write());
         if active.remove(&node) {
             assert!(!active.is_empty(), "cannot deactivate the last active node");
         }
@@ -367,12 +368,12 @@ impl ProtocolCluster {
 
     /// Commit/rollback deliveries still awaiting a remote ack.
     pub fn unacked_len(&self) -> usize {
-        self.unacked.lock().len()
+        unpoison(self.unacked.lock()).len()
     }
 
     /// Messages currently held in flight by delay faults.
     pub fn delayed_len(&self) -> usize {
-        self.delayed.lock().len()
+        unpoison(self.delayed.lock()).len()
     }
 
     fn endpoint(&self, node: NodeId) -> &Endpoint {
@@ -384,7 +385,7 @@ impl ProtocolCluster {
         match *msg {
             WireMsg::Begin { epoch, origin_ec } => {
                 let ep = self.endpoint(to);
-                let mut applied = ep.applied.lock();
+                let mut applied = unpoison(ep.applied.lock());
                 // A begin after *any* prior message for this epoch is
                 // a duplicate or a reordered late delivery; applying
                 // it after a finish would resurrect the epoch in
@@ -419,7 +420,7 @@ impl ProtocolCluster {
                 rollback,
             } => {
                 let ep = self.endpoint(to);
-                let mut applied = ep.applied.lock();
+                let mut applied = unpoison(ep.applied.lock());
                 let class = if rollback {
                     CLASS_ROLLBACK
                 } else {
@@ -468,7 +469,7 @@ impl ProtocolCluster {
 
     fn flush_delayed_where(&self, pred: impl Fn(&DelayedMsg) -> bool) -> usize {
         let due: Vec<DelayedMsg> = {
-            let mut q = self.delayed.lock();
+            let mut q = unpoison(self.delayed.lock());
             let mut due = Vec::new();
             let mut rest = Vec::new();
             for m in q.drain(..) {
@@ -531,7 +532,7 @@ impl ProtocolCluster {
                     // The request is in flight somewhere; it will
                     // apply late. The sender can't tell that from a
                     // loss, so it still times out and retries.
-                    self.delayed.lock().push(DelayedMsg {
+                    unpoison(self.delayed.lock()).push(DelayedMsg {
                         due_seq,
                         to: target,
                         msg: req_msg.clone(),
@@ -559,7 +560,7 @@ impl ProtocolCluster {
                     self.metrics.timeouts.inc();
                 }
                 Fate::Delay { due_seq } => {
-                    self.delayed.lock().push(DelayedMsg {
+                    unpoison(self.delayed.lock()).push(DelayedMsg {
                         due_seq,
                         to: origin,
                         msg: WireMsg::Response { merge_ec },
@@ -585,7 +586,7 @@ impl ProtocolCluster {
             origin: node,
             epoch,
             deps,
-            broadcasted: self.active.read().len() == 1,
+            broadcasted: unpoison(self.active.read()).len() == 1,
             begun_on: BTreeSet::new(),
             failed_on: BTreeSet::new(),
         }
@@ -736,7 +737,7 @@ impl ProtocolCluster {
                         self.metrics.timeouts.inc();
                     }
                     Fate::Delay { due_seq } => {
-                        self.delayed.lock().push(DelayedMsg {
+                        unpoison(self.delayed.lock()).push(DelayedMsg {
                             due_seq,
                             to: node,
                             msg: WireMsg::Forward { origin_ec },
@@ -796,7 +797,7 @@ impl ProtocolCluster {
             // Block any delayed begin still in flight *to the origin
             // itself* — there are none today (begins go only to
             // remotes), but the invariant is cheap to keep total.
-            let mut applied = self.endpoint(txn.origin).applied.lock();
+            let mut applied = unpoison(self.endpoint(txn.origin).applied.lock());
             applied.insert((
                 txn.epoch,
                 if rollback {
@@ -858,7 +859,7 @@ impl ProtocolCluster {
                 true
             }
             None => {
-                self.unacked.lock().push(op.clone());
+                unpoison(self.unacked.lock()).push(op.clone());
                 false
             }
         }
@@ -867,12 +868,12 @@ impl ProtocolCluster {
     /// Re-attempts every unacked commit/rollback delivery once.
     /// Returns the number still unacked afterwards.
     pub fn redrive_unacked(&self) -> usize {
-        let ops: Vec<UnackedOp> = std::mem::take(&mut *self.unacked.lock());
+        let ops: Vec<UnackedOp> = std::mem::take(&mut *unpoison(self.unacked.lock()));
         for op in ops {
             self.metrics.redrives.inc();
             self.drive_finish(&op);
         }
-        self.unacked.lock().len()
+        unpoison(self.unacked.lock()).len()
     }
 
     /// Drains delayed messages and re-drives unacked finishes until
@@ -885,13 +886,13 @@ impl ProtocolCluster {
         // and the early-exit below fires.
         for _ in 0..32 {
             let flushed = self.flush_all_delayed();
-            let before = self.unacked.lock().len();
+            let before = unpoison(self.unacked.lock()).len();
             let after = if before > 0 {
                 self.redrive_unacked()
             } else {
                 before
             };
-            if after == 0 && self.delayed.lock().is_empty() {
+            if after == 0 && unpoison(self.delayed.lock()).is_empty() {
                 return true;
             }
             if flushed == 0 && after >= before {

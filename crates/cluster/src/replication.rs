@@ -18,10 +18,10 @@
 //! watermark reaches the snapshot epoch.
 
 use std::collections::{BTreeMap, BTreeSet};
-
-use parking_lot::RwLock;
+use std::sync::RwLock;
 
 use aosi::Epoch;
+use obs::sync::unpoison;
 
 use crate::protocol::NodeId;
 
@@ -60,7 +60,7 @@ impl ReplicationTracker {
     pub fn new(num_nodes: u64) -> Self {
         let tracker = ReplicationTracker::default();
         {
-            let mut st = tracker.state.write();
+            let mut st = unpoison(tracker.state.write());
             for node in 1..=num_nodes {
                 st.flushed.insert(node, 0);
             }
@@ -73,7 +73,7 @@ impl ReplicationTracker {
     /// state up to that epoch. Idempotent for an already-tracked node
     /// (acts as `mark_flushed`).
     pub fn add_node(&self, node: NodeId, epoch: Epoch) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         let slot = st.flushed.entry(node).or_insert(epoch);
         if epoch > *slot {
             *slot = epoch;
@@ -83,7 +83,7 @@ impl ReplicationTracker {
     /// Stops tracking `node` (a leaver): its watermark no longer caps
     /// the safe epoch and its holes are forgotten.
     pub fn remove_node(&self, node: NodeId) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         st.flushed.remove(&node);
         st.missed.remove(&node);
         st.offline.retain(|&n| n != node);
@@ -92,7 +92,7 @@ impl ReplicationTracker {
     /// Records that `node` has durably flushed everything up to
     /// `epoch`. Watermarks are monotonic; stale reports are ignored.
     pub fn mark_flushed(&self, node: NodeId, epoch: Epoch) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         let slot = st.flushed.entry(node).or_insert(0);
         if epoch > *slot {
             *slot = epoch;
@@ -103,7 +103,7 @@ impl ReplicationTracker {
     /// `node` (degraded write while the node was down). The node's
     /// effective watermark is capped below `epoch` until healed.
     pub fn mark_missed(&self, node: NodeId, epoch: Epoch) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         st.missed.entry(node).or_default().insert(epoch);
     }
 
@@ -111,7 +111,7 @@ impl ReplicationTracker {
     /// the heal path once the node has re-fetched that state — and
     /// raises its flushed mark to `up_to`.
     pub fn heal(&self, node: NodeId, up_to: Epoch) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         if let Some(holes) = st.missed.get_mut(&node) {
             holes.retain(|&e| e > up_to);
             if holes.is_empty() {
@@ -127,7 +127,7 @@ impl ReplicationTracker {
     /// Marks `node` unreachable: the safe epoch is withheld until it
     /// returns.
     pub fn mark_offline(&self, node: NodeId) {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         if !st.offline.contains(&node) {
             st.offline.push(node);
         }
@@ -135,12 +135,12 @@ impl ReplicationTracker {
 
     /// Marks `node` reachable again.
     pub fn mark_online(&self, node: NodeId) {
-        self.state.write().offline.retain(|&n| n != node);
+        unpoison(self.state.write()).offline.retain(|&n| n != node);
     }
 
     /// Whether `node` is currently marked unreachable.
     pub fn is_offline(&self, node: NodeId) -> bool {
-        self.state.read().offline.contains(&node)
+        unpoison(self.state.read()).offline.contains(&node)
     }
 
     /// The largest epoch durable on *every* tracked node, or `None`
@@ -148,7 +148,7 @@ impl ReplicationTracker {
     /// machinery may pass to
     /// [`TxnManager::advance_lse`](aosi::TxnManager::advance_lse).
     pub fn safe_epoch(&self) -> Option<Epoch> {
-        let st = self.state.read();
+        let st = unpoison(self.state.read());
         if !st.offline.is_empty() {
             return None;
         }
@@ -162,7 +162,7 @@ impl ReplicationTracker {
     /// it must be online, tracked, and its effective watermark must
     /// reach the snapshot — the §III-D gate applied per replica.
     pub fn covers(&self, node: NodeId, epoch: Epoch) -> bool {
-        let st = self.state.read();
+        let st = unpoison(self.state.read());
         if st.offline.contains(&node) {
             return false;
         }
@@ -181,7 +181,7 @@ impl ReplicationTracker {
 
     /// Per-node *effective* watermarks (instrumentation).
     pub fn watermarks(&self) -> Vec<(NodeId, Epoch)> {
-        let st = self.state.read();
+        let st = unpoison(self.state.read());
         st.flushed
             .keys()
             .map(|&n| (n, st.watermark(n).unwrap_or(0)))

@@ -13,8 +13,9 @@
 //! against `replicas()` and streams the difference).
 
 use std::collections::BTreeSet;
+use std::sync::RwLock;
 
-use parking_lot::RwLock;
+use obs::sync::unpoison;
 
 use crate::protocol::NodeId;
 use crate::ring::Ring;
@@ -66,24 +67,24 @@ impl Topology {
 
     /// Current membership, ascending.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.state.read().nodes.iter().copied().collect()
+        unpoison(self.state.read()).nodes.iter().copied().collect()
     }
 
     /// Whether `node` is a member.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.state.read().nodes.contains(&node)
+        unpoison(self.state.read()).nodes.contains(&node)
     }
 
     /// Membership version (bumped by every join/leave).
     pub fn version(&self) -> u64 {
-        self.state.read().version
+        unpoison(self.state.read()).version
     }
 
     /// Adds `node` to the membership, rebuilding the ring. Returns
     /// the new version; idempotent (re-adding is a no-op returning the
     /// current version).
     pub fn add_node(&self, node: NodeId) -> u64 {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         if st.nodes.insert(node) {
             let nodes: Vec<NodeId> = st.nodes.iter().copied().collect();
             st.ring = Ring::of_nodes(&nodes, self.vnodes);
@@ -99,7 +100,7 @@ impl Topology {
     /// Panics when removing the last member — an empty cluster has no
     /// placement function.
     pub fn remove_node(&self, node: NodeId) -> u64 {
-        let mut st = self.state.write();
+        let mut st = unpoison(self.state.write());
         if st.nodes.remove(&node) {
             assert!(!st.nodes.is_empty(), "cannot remove the last node");
             let nodes: Vec<NodeId> = st.nodes.iter().copied().collect();
@@ -113,12 +114,14 @@ impl Topology {
     /// then the next distinct nodes clockwise. Length is
     /// `min(replication, members)`.
     pub fn replicas(&self, key: u64) -> Vec<NodeId> {
-        self.state.read().ring.nodes_for(key, self.replication - 1)
+        unpoison(self.state.read())
+            .ring
+            .nodes_for(key, self.replication - 1)
     }
 
     /// The brick's primary (arc owner).
     pub fn primary(&self, key: u64) -> NodeId {
-        self.state.read().ring.node_for(key)
+        unpoison(self.state.read()).ring.node_for(key)
     }
 }
 

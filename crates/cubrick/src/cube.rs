@@ -10,10 +10,10 @@
 //! distributed at DDL time so that string coordinates are globally
 //! consistent (see DESIGN.md, substitutions).
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use columnar::Dictionary;
-use parking_lot::Mutex;
+use obs::sync::unpoison;
 
 use crate::bid::BidLayout;
 use crate::ddl::CubeSchema;
@@ -82,7 +82,7 @@ impl Cube {
     /// stored row.
     pub fn encode_filter_value(&self, dim: usize, value: &columnar::Value) -> Option<u32> {
         match (value, &self.dictionaries[dim]) {
-            (columnar::Value::Str(s), Some(dict)) => dict.lock().lookup(s),
+            (columnar::Value::Str(s), Some(dict)) => unpoison(dict.lock()).lookup(s),
             (columnar::Value::I64(v), None) => {
                 let card = self.schema.dimensions[dim].cardinality;
                 (*v >= 0 && *v < card as i64).then_some(*v as u32)
@@ -95,7 +95,7 @@ impl Cube {
     /// presentation.
     pub fn decode_coord(&self, dim: usize, coord: u32) -> columnar::Value {
         match &self.dictionaries[dim] {
-            Some(dict) => match dict.lock().decode(coord) {
+            Some(dict) => match unpoison(dict.lock()).decode(coord) {
                 Some(s) => columnar::Value::Str(s.to_owned()),
                 None => columnar::Value::I64(coord as i64),
             },
@@ -108,7 +108,7 @@ impl Cube {
         self.dictionaries
             .iter()
             .flatten()
-            .map(|d| d.lock().heap_bytes())
+            .map(|d| unpoison(d.lock()).heap_bytes())
             .sum()
     }
 }
@@ -147,7 +147,7 @@ mod tests {
     fn encode_filter_value_never_mints_ids() {
         let c = cube();
         assert_eq!(c.encode_filter_value(0, &Value::from("us")), None);
-        c.dictionaries()[0].as_ref().unwrap().lock().encode("us");
+        unpoison(c.dictionaries()[0].as_ref().unwrap().lock()).encode("us");
         assert_eq!(c.encode_filter_value(0, &Value::from("us")), Some(0));
         assert_eq!(c.encode_filter_value(0, &Value::from("br")), None);
     }
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn decode_roundtrips_strings() {
         let c = cube();
-        let id = c.dictionaries()[0].as_ref().unwrap().lock().encode("mx");
+        let id = unpoison(c.dictionaries()[0].as_ref().unwrap().lock()).encode("mx");
         assert_eq!(c.decode_coord(0, id), Value::Str("mx".into()));
         assert_eq!(c.decode_coord(1, 5), Value::I64(5));
     }
@@ -173,7 +173,7 @@ mod tests {
     fn clones_share_dictionaries() {
         let c = cube();
         let c2 = c.clone();
-        c.dictionaries()[0].as_ref().unwrap().lock().encode("us");
+        unpoison(c.dictionaries()[0].as_ref().unwrap().lock()).encode("us");
         assert_eq!(c2.encode_filter_value(0, &Value::from("us")), Some(0));
     }
 }

@@ -42,7 +42,7 @@
 //! [`DistributedEngine::leave_node`] / [`DistributedEngine::transfer_brick`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use aosi::{ReadGuard, Snapshot};
@@ -50,8 +50,8 @@ use cluster::{
     MsgKind, NodeId, ProtocolCluster, ReplicationTracker, RetryPolicy, SimulatedNetwork, Topology,
 };
 use columnar::Row;
+use obs::sync::unpoison;
 use obs::{Counter, ReportBuilder};
-use parking_lot::{Mutex, RwLock};
 
 use crate::cube::Cube;
 use crate::ddl::CubeSchema;
@@ -247,7 +247,7 @@ impl DistributedEngine {
     /// The nodes currently serving readable copies of `bid`, replica
     /// preference order. Empty for a brick the cluster has never seen.
     pub fn brick_hosts(&self, cube: &str, bid: u64) -> Vec<NodeId> {
-        let dir = self.directory.read();
+        let dir = unpoison(self.directory.read());
         match dir.get(&(cube.to_owned(), bid)) {
             Some(entry) => self.prefer(bid, &entry.readable),
             None => Vec::new(),
@@ -256,9 +256,7 @@ impl DistributedEngine {
 
     /// Every brick the directory tracks for `cube`, ascending.
     pub fn known_bricks(&self, cube: &str) -> Vec<u64> {
-        let mut bids: Vec<u64> = self
-            .directory
-            .read()
+        let mut bids: Vec<u64> = unpoison(self.directory.read())
             .keys()
             .filter(|(c, _)| c == cube)
             .map(|&(_, bid)| bid)
@@ -349,7 +347,7 @@ impl DistributedEngine {
         // atomic with respect to this load: either our runs are in
         // the captured brick state, or we saw the subscribed pending
         // host and fanned out to it.
-        let _wg = self.write_gate.read();
+        let _wg = unpoison(self.write_gate.read());
         let active = self.protocol.active_nodes();
         let down: BTreeSet<NodeId> = active
             .iter()
@@ -375,7 +373,7 @@ impl DistributedEngine {
         let mut per_node: HashMap<NodeId, ParsedBatch> = HashMap::new();
         let mut demoted: Vec<(String, u64, NodeId)> = Vec::new();
         {
-            let mut dir = self.directory.write();
+            let mut dir = unpoison(self.directory.write());
             for (bid, records) in batch.by_bid {
                 let key = (cube_name.to_owned(), bid);
                 let entry = dir.entry(key.clone()).or_insert_with(|| BrickHosts {
@@ -561,7 +559,7 @@ impl DistributedEngine {
     fn route_reads(&self, cube: &str) -> Result<ReadRouting, CubrickError> {
         let mut assigned: HashMap<NodeId, HashSet<u64>> = HashMap::new();
         let mut known: HashSet<u64> = HashSet::new();
-        let dir = self.directory.read();
+        let dir = unpoison(self.directory.read());
         for ((cube_name, bid), hosts) in dir.iter() {
             if cube_name != cube {
                 continue;
@@ -597,7 +595,7 @@ impl DistributedEngine {
         snapshot: Option<Snapshot>,
     ) -> Result<QueryResult, CubrickError> {
         // Shared scan gate: no brick retire may run mid-fan-out.
-        let _sg = self.scan_gate.read();
+        let _sg = unpoison(self.scan_gate.read());
         let (mut assigned, known) = self.route_reads(cube.name())?;
         let known = Arc::new(known);
         // Every live member participates: it scans its assigned
@@ -658,7 +656,7 @@ impl DistributedEngine {
         // transaction; the distributed version needs one shared
         // epoch, so it drives the brick marking directly.
         let cube = self.engine(origin).cube(cube_name)?;
-        let _wg = self.write_gate.read();
+        let _wg = unpoison(self.write_gate.read());
         let active = self.protocol.active_nodes();
         let down: BTreeSet<NodeId> = active
             .iter()

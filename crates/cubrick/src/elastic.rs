@@ -32,6 +32,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cluster::{Fate, MsgKind, NodeId};
+use obs::sync::unpoison;
 
 use crate::distributed::DistributedEngine;
 use crate::engine::IsolationMode;
@@ -66,11 +67,11 @@ impl DistributedEngine {
     /// has no other purpose.
     #[doc(hidden)]
     pub fn set_handoff_break(&self, b: Option<HandoffBreak>) {
-        *self.handoff_break.lock() = b;
+        *unpoison(self.handoff_break.lock()) = b;
     }
 
     fn armed_break(&self) -> Option<HandoffBreak> {
-        *self.handoff_break.lock()
+        *unpoison(self.handoff_break.lock())
     }
 
     /// **Copies** brick `bid` of `cube` from `from` onto `to`
@@ -98,8 +99,8 @@ impl DistributedEngine {
 
         // 1. Subscribe + capture, atomically w.r.t. writes.
         let runs = {
-            let _wg = self.write_gate.write();
-            let mut dir = self.directory.write();
+            let _wg = unpoison(self.write_gate.write());
+            let mut dir = unpoison(self.directory.write());
             let Some(entry) = dir.get_mut(&key) else {
                 return fail(self);
             };
@@ -125,7 +126,7 @@ impl DistributedEngine {
         let runs = match runs {
             Ok(runs) => runs,
             Err(_) => {
-                let mut dir = self.directory.write();
+                let mut dir = unpoison(self.directory.write());
                 if let Some(entry) = dir.get_mut(&key) {
                     entry.pending.retain(|&n| n != to);
                 }
@@ -157,7 +158,7 @@ impl DistributedEngine {
             if sabotage == Some(HandoffBreak::RetireDespiteFailure) {
                 // BROKEN ON PURPOSE: pretend it worked. The meta-test
                 // proves the suite notices the lost brick.
-                let mut dir = self.directory.write();
+                let mut dir = unpoison(self.directory.write());
                 if let Some(entry) = dir.get_mut(&key) {
                     entry.pending.retain(|&n| n != to);
                     entry.readable.push(to);
@@ -166,7 +167,7 @@ impl DistributedEngine {
             }
             // Clean failure: unsubscribe; nothing was installed, the
             // source copy is untouched.
-            let mut dir = self.directory.write();
+            let mut dir = unpoison(self.directory.write());
             if let Some(entry) = dir.get_mut(&key) {
                 entry.pending.retain(|&n| n != to);
             }
@@ -195,7 +196,7 @@ impl DistributedEngine {
             // The destination could not fault its spilled copy back
             // in: nothing was installed, so unsubscribe and fail —
             // the source keeps the brick.
-            let mut dir = self.directory.write();
+            let mut dir = unpoison(self.directory.write());
             if let Some(entry) = dir.get_mut(&key) {
                 entry.pending.retain(|&n| n != to);
             }
@@ -204,7 +205,7 @@ impl DistributedEngine {
 
         // Flip: pending → readable.
         {
-            let mut dir = self.directory.write();
+            let mut dir = unpoison(self.directory.write());
             if let Some(entry) = dir.get_mut(&key) {
                 entry.pending.retain(|&n| n != to);
                 if !entry.readable.contains(&to) {
@@ -222,7 +223,7 @@ impl DistributedEngine {
     pub fn retire_copy(&self, cube_name: &str, bid: u64, host: NodeId) -> bool {
         let key = (cube_name.to_owned(), bid);
         {
-            let mut dir = self.directory.write();
+            let mut dir = unpoison(self.directory.write());
             let Some(entry) = dir.get_mut(&key) else {
                 return false;
             };
@@ -233,7 +234,7 @@ impl DistributedEngine {
         }
         // Exclusive scan gate: every fan-out that might have routed a
         // read to this copy finishes before the rows vanish.
-        let _sg = self.scan_gate.write();
+        let _sg = unpoison(self.scan_gate.write());
         self.engine(host).remove_brick(cube_name, bid);
         true
     }
@@ -259,13 +260,13 @@ impl DistributedEngine {
     /// the number of brick copies created. Idempotent — a failed run
     /// (e.g. destination crashed mid-stream) can simply be retried.
     pub fn rebalance(&self) -> Result<usize, CubrickError> {
-        let keys: Vec<(String, u64)> = self.directory.read().keys().cloned().collect();
+        let keys: Vec<(String, u64)> = unpoison(self.directory.read()).keys().cloned().collect();
         let mut copies = 0usize;
         let mut first_err: Option<CubrickError> = None;
         for (cube_name, bid) in keys {
             let desired = self.topology.replicas(bid);
             let current: Vec<NodeId> = {
-                let dir = self.directory.read();
+                let dir = unpoison(self.directory.read());
                 match dir.get(&(cube_name.clone(), bid)) {
                     Some(entry) => entry.readable.clone(),
                     None => continue,
@@ -296,7 +297,7 @@ impl DistributedEngine {
             // Only shed extras once every desired replica has a copy:
             // a half-converged brick keeps all its old homes.
             let now: Vec<NodeId> = {
-                let dir = self.directory.read();
+                let dir = unpoison(self.directory.read());
                 dir.get(&(cube_name.clone(), bid))
                     .map(|e| e.readable.clone())
                     .unwrap_or_default()
@@ -350,16 +351,14 @@ impl DistributedEngine {
         self.restart_node(node);
         // Drop copies the directory demoted while the node was dark —
         // they are missing epochs and must be re-streamed whole.
-        let keys: Vec<(String, u64)> = self.directory.read().keys().cloned().collect();
+        let keys: Vec<(String, u64)> = unpoison(self.directory.read()).keys().cloned().collect();
         for (cube_name, bid) in keys {
-            let readable = self
-                .directory
-                .read()
+            let readable = unpoison(self.directory.read())
                 .get(&(cube_name.clone(), bid))
                 .map(|e| e.readable.clone())
                 .unwrap_or_default();
             if !readable.contains(&node) && self.engine(node).has_brick(&cube_name, bid) {
-                let _sg = self.scan_gate.write();
+                let _sg = unpoison(self.scan_gate.write());
                 self.engine(node).remove_brick(&cube_name, bid);
             }
         }
@@ -401,7 +400,7 @@ impl DistributedEngine {
         query: &Query,
         snapshot: Snapshot,
     ) -> Result<Vec<(u64, NodeId, String)>, CubrickError> {
-        let _sg = self.scan_gate.read();
+        let _sg = unpoison(self.scan_gate.read());
         let coordinator = self.protocol.active_nodes()[0];
         let cube = self.engine(coordinator).cube(cube_name)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
@@ -411,7 +410,7 @@ impl DistributedEngine {
             .map(|e| e.manager().guard_snapshot(snapshot.clone()))
             .collect();
         let pairs: Vec<(u64, NodeId)> = {
-            let dir = self.directory.read();
+            let dir = unpoison(self.directory.read());
             let mut pairs: Vec<(u64, NodeId)> = dir
                 .iter()
                 .filter(|((c, _), _)| c == cube_name)
@@ -480,7 +479,7 @@ impl DistributedEngine {
     /// Directory view of ownership: `(node, bid)` for every readable
     /// copy of `cube`'s bricks.
     pub fn directory_bricks(&self, cube: &str) -> BTreeSet<(NodeId, u64)> {
-        let dir = self.directory.read();
+        let dir = unpoison(self.directory.read());
         let mut out = BTreeSet::new();
         for ((c, bid), hosts) in dir.iter() {
             if c == cube {

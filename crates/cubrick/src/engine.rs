@@ -23,13 +23,13 @@
 
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use aosi::{CacheStats, Epoch, Snapshot, Txn, TxnManager, TxnPartitionIndex};
 use columnar::Row;
+use obs::sync::unpoison;
 use obs::{Counter, Histogram, ReportBuilder};
-use parking_lot::RwLock;
 
 use crate::brick::{Brick, DimStorage};
 use crate::cube::{Cube, CubeMemory};
@@ -297,19 +297,19 @@ impl Engine {
     /// panic-to-typed-error regression tests).
     #[doc(hidden)]
     pub fn inject_scan_panic_for_test(&self, bid: u64) {
-        self.panic_bids.write().insert(bid);
+        unpoison(self.panic_bids.write()).insert(bid);
     }
 
     /// Clears scan-panic injection.
     #[doc(hidden)]
     pub fn clear_scan_panics_for_test(&self) {
-        self.panic_bids.write().clear();
+        unpoison(self.panic_bids.write()).clear();
     }
 
     /// Whether panic injection targets `bid` (the export path shares
     /// the scan-panic injection set).
     pub(crate) fn export_panic_injected(&self, bid: u64) -> bool {
-        self.panic_bids.read().contains(&bid)
+        unpoison(self.panic_bids.read()).contains(&bid)
     }
 
     /// Faults one spilled brick back into its shard before a mutation
@@ -522,7 +522,7 @@ impl Engine {
         self.manager.report_as(report, &format!("{prefix}aosi"));
         report
             .section(&format!("{prefix}engine"))
-            .metric("cubes", self.cubes.read().len())
+            .metric("cubes", unpoison(self.cubes.read()).len())
             .counter("loads", &self.ops.loads)
             .counter("rows_loaded", &self.ops.rows_loaded)
             .counter("flushes", &self.ops.flushes)
@@ -601,7 +601,7 @@ impl Engine {
     /// Registers shared cube metadata (cluster DDL: every node holds
     /// the same `Cube`, including its dictionaries).
     pub fn register_cube(&self, cube: Cube) -> Result<Cube, CubrickError> {
-        let mut cubes = self.cubes.write();
+        let mut cubes = unpoison(self.cubes.write());
         if cubes.contains_key(cube.name()) {
             return Err(CubrickError::CubeExists(cube.name().to_owned()));
         }
@@ -615,7 +615,7 @@ impl Engine {
     /// — the paper's transactional path for data removal is the
     /// partition delete).
     pub fn drop_cube(&self, name: &str) -> Result<(), CubrickError> {
-        let removed = self.cubes.write().remove(name);
+        let removed = unpoison(self.cubes.write()).remove(name);
         if removed.is_none() {
             return Err(CubrickError::UnknownCube(name.to_owned()));
         }
@@ -639,15 +639,14 @@ impl Engine {
 
     /// Names of all registered cubes.
     pub fn cube_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self.cubes.read().keys().cloned().collect();
+        let mut names: Vec<String> = unpoison(self.cubes.read()).keys().cloned().collect();
         names.sort();
         names
     }
 
     /// Looks a cube up.
     pub fn cube(&self, name: &str) -> Result<Cube, CubrickError> {
-        self.cubes
-            .read()
+        unpoison(self.cubes.read())
             .get(name)
             .cloned()
             .ok_or_else(|| CubrickError::UnknownCube(name.to_owned()))
@@ -1220,7 +1219,7 @@ impl Engine {
         allowed: Option<BrickFilter>,
         folded: bool,
     ) -> ShardScan {
-        let panic_bids = self.panic_bids.read().clone();
+        let panic_bids = unpoison(self.panic_bids.read()).clone();
         let memo = snapshot
             .as_ref()
             .filter(|snap| {
@@ -1531,7 +1530,10 @@ impl Engine {
             total.rows += m.rows;
             total.bricks += m.bricks;
         }
-        total.dictionary_bytes = self.cubes.read().values().map(Cube::dictionary_bytes).sum();
+        total.dictionary_bytes = unpoison(self.cubes.read())
+            .values()
+            .map(Cube::dictionary_bytes)
+            .sum();
         total.mvcc_baseline_bytes = total.rows * 16;
         total
     }
@@ -1562,7 +1564,7 @@ fn shard_bytes(bricks: &crate::shard::ShardBricks, lse: Epoch) -> ShardBytes {
 impl std::fmt::Debug for Engine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Engine")
-            .field("cubes", &self.cubes.read().len())
+            .field("cubes", &unpoison(self.cubes.read()).len())
             .field("shards", &self.shards.num_shards())
             .field("manager", &self.manager)
             .finish()

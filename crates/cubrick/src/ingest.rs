@@ -13,10 +13,10 @@
 //! export/import, handoff, WAL codec).
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use columnar::{Column, Dictionary, Row, Value};
-use parking_lot::Mutex;
+use obs::sync::unpoison;
 
 use crate::bid::BidLayout;
 use crate::ddl::{CubeSchema, MetricType};
@@ -184,7 +184,7 @@ pub fn parse_rows(
                 (Value::Str(s), Some((dict, memo))) => match memo.slot(fnv1a(s)) {
                     Some((key, id)) if *key == s.as_str() => *id,
                     slot => {
-                        let dict = dict.lock();
+                        let dict = unpoison(dict.lock());
                         match dict.lookup(s) {
                             // Ids beyond the declared cardinality are
                             // rejected, matching the paper's
@@ -244,7 +244,7 @@ pub fn parse_rows(
             let (dict, memo) = memos[idx]
                 .as_mut()
                 .expect("pending dimensions have dictionaries");
-            let mut dict = dict.lock();
+            let mut dict = unpoison(dict.lock());
             let id = match dict.lookup(s) {
                 Some(id) => id,
                 None if (dict.len() as u64) < u64::from(dim.cardinality) => dict.encode(s),
@@ -376,7 +376,7 @@ mod tests {
         let batch = parse_rows(&schema, &layout, &dicts, &bad_rows);
         assert_eq!(batch.accepted, 0);
         assert_eq!(batch.rejected, 2);
-        let dict = dicts[0].as_ref().unwrap().lock();
+        let dict = unpoison(dicts[0].as_ref().unwrap().lock());
         assert!(
             dict.is_empty(),
             "rejected rows minted ids: {:?}",
@@ -392,7 +392,7 @@ mod tests {
         ];
         let batch = parse_rows(&schema, &layout, &dicts, &good_rows);
         assert_eq!(batch.accepted, 2);
-        let dict = dicts[0].as_ref().unwrap().lock();
+        let dict = unpoison(dicts[0].as_ref().unwrap().lock());
         assert_eq!(dict.lookup("us"), Some(0));
         assert_eq!(dict.lookup("br"), Some(1));
         assert_eq!(dict.len(), 2);
@@ -416,7 +416,7 @@ mod tests {
         let batch = parse_rows(&schema, &layout, &dicts, &rows);
         assert_eq!(batch.accepted, 5, "four distinct strings plus the reuse");
         assert_eq!(batch.rejected, 3);
-        let dict = dicts[0].as_ref().unwrap().lock();
+        let dict = unpoison(dicts[0].as_ref().unwrap().lock());
         assert_eq!(dict.len(), 4, "dictionary holds exactly the cap");
         assert_eq!(dict.lookup("e"), None);
         assert_eq!(dict.lookup("f"), None);

@@ -27,11 +27,11 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::mem::{size_of, size_of_val};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use aosi::{CacheStats, Epoch, Snapshot};
+use obs::sync::unpoison;
 use obs::ReportBuilder;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::agg::AggState;
 use crate::query::{AggQueryShape, PartialResult, QueryStats};
@@ -300,14 +300,14 @@ impl ShardMemos {
 
     /// Shard `shard`'s memo. Call only from that shard's tasks.
     pub(crate) fn shard(&self, shard: usize) -> MutexGuard<'_, ShardMemo> {
-        self.0[shard].lock()
+        unpoison(self.0[shard].lock())
     }
 
     /// Lookups, admissions and removals summed over every shard.
     pub(crate) fn stats(&self) -> CacheStats {
         let mut total = CacheStats::default();
         for memo in self.0.iter() {
-            let memo = memo.lock();
+            let memo = unpoison(memo.lock());
             total.hits += memo.counts.hits;
             total.misses += memo.counts.misses;
             total.invalidations += memo.counts.invalidations;
@@ -320,7 +320,11 @@ impl ShardMemos {
     /// Writes the memo's report section.
     pub(crate) fn report_as(&self, report: &mut ReportBuilder, section: &str) {
         let stats = self.stats();
-        let bytes: usize = self.0.iter().map(|memo| memo.lock().bytes()).sum();
+        let bytes: usize = self
+            .0
+            .iter()
+            .map(|memo| unpoison(memo.lock()).bytes())
+            .sum();
         report
             .section(section)
             .metric("hits", stats.hits)
@@ -335,7 +339,7 @@ impl ShardMemos {
     /// Applies [`ShardMemo::corrupt`] to every shard's memo.
     pub(crate) fn corrupt(&self) {
         for memo in self.0.iter() {
-            memo.lock().corrupt();
+            unpoison(memo.lock()).corrupt();
         }
     }
 }

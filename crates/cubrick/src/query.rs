@@ -1155,6 +1155,7 @@ mod tests {
     use crate::ingest::RecordChunk;
     use aosi::Snapshot;
     use columnar::Column;
+    use obs::sync::unpoison;
 
     fn cube() -> Cube {
         Cube::new(
@@ -1173,8 +1174,8 @@ mod tests {
     fn brick_with_data(cube: &Cube) -> Brick {
         // Encode us=0, br=1.
         let dict = cube.dictionaries()[0].as_ref().unwrap();
-        dict.lock().encode("us");
-        dict.lock().encode("br");
+        unpoison(dict.lock()).encode("us");
+        unpoison(dict.lock()).encode("br");
         let mut brick = Brick::new(cube.schema());
         let recs = vec![
             (vec![0, 0], vec![Value::I64(10), Value::F64(1.0)]),
@@ -1496,7 +1497,7 @@ mod tests {
     fn encode_regions(cube: &Cube) {
         let dict = cube.dictionaries()[0].as_ref().unwrap();
         for region in ["us", "br", "mx"] {
-            dict.lock().encode(region);
+            unpoison(dict.lock()).encode(region);
         }
     }
 
@@ -1733,7 +1734,7 @@ mod tests {
     fn order_by_agg_puts_nan_last_in_both_directions() {
         let cube = cube();
         let dict = cube.dictionaries()[0].as_ref().unwrap();
-        dict.lock().encode("us");
+        unpoison(dict.lock()).encode("us");
         let mut brick = Brick::new(cube.schema());
         // day=0 carries a literal NaN score (so its Avg is NaN) and
         // owns the smallest packed group key: pre-fix, the ascending
@@ -1777,7 +1778,7 @@ mod tests {
     fn desc_ties_break_by_ascending_group_key_under_limit() {
         let cube = cube();
         let dict = cube.dictionaries()[0].as_ref().unwrap();
-        dict.lock().encode("us");
+        unpoison(dict.lock()).encode("us");
         let mut brick = Brick::new(cube.schema());
         // Four day groups, all with sum(likes) == 7 (tied).
         let recs: Vec<(Vec<u32>, Vec<Value>)> = (0..4u32)

@@ -10,17 +10,20 @@
 //! by a single thread, no low-level locking is required."
 //!
 //! A [`ShardPool`] is exactly that: N worker threads, each owning the
-//! bricks whose `bid % N` equals its index, fed through an unbounded
-//! channel of boxed operations. Scans parallelize naturally across
-//! shards; appends to one brick serialize in queue order, which is
-//! also what gives the transaction manager its ordering assumption.
+//! bricks whose `bid % N` equals its index, fed through a
+//! `std::sync::mpsc` channel of boxed operations (its input queue).
+//! Waited tasks answer on a one-slot reply channel. Scans parallelize
+//! naturally across shards; appends to one brick serialize in queue
+//! order, which is also what gives the transaction manager its
+//! ordering assumption.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use obs::{Counter, ReportBuilder};
 
 use crate::brick::{Brick, DimStorage};
@@ -57,6 +60,12 @@ pub(crate) fn brick_mut<'a>(
 struct PoolMetrics {
     /// Tasks executed, per shard.
     tasks: Vec<Counter>,
+    /// Tasks queued but not yet taken, per shard: raised before each
+    /// send and lowered right after the matching receive (std's
+    /// `Sender` has no `len`). A statistic that publishes no other
+    /// data, hence `Relaxed`; the send/receive pair orders the raise
+    /// before its lowering, so it never underflows.
+    queued: Vec<AtomicUsize>,
     /// Task panics caught (the shard survives each one).
     panics: Counter,
 }
@@ -92,12 +101,13 @@ impl ShardPool {
         assert!(num_shards >= 1, "need at least one shard");
         let metrics = Arc::new(PoolMetrics {
             tasks: (0..num_shards).map(|_| Counter::new()).collect(),
+            queued: (0..num_shards).map(|_| AtomicUsize::new(0)).collect(),
             panics: Counter::new(),
         });
         let mut senders = Vec::with_capacity(num_shards);
         let mut handles = Vec::with_capacity(num_shards);
         for shard in 0..num_shards {
-            let (tx, rx) = unbounded::<Task>();
+            let (tx, rx) = channel::<Task>();
             senders.push(tx);
             let metrics = Arc::clone(&metrics);
             handles.push(
@@ -108,6 +118,7 @@ impl ShardPool {
                         // Channel closure (all senders dropped) ends
                         // the shard.
                         while let Ok(task) = rx.recv() {
+                            metrics.queued[shard].fetch_sub(1, Ordering::Relaxed);
                             metrics.tasks[shard].inc();
                             if catch_unwind(AssertUnwindSafe(|| task(&mut bricks))).is_err() {
                                 metrics.panics.inc();
@@ -137,6 +148,7 @@ impl ShardPool {
     /// Enqueues `task` on `shard` without waiting (recovery and
     /// handoff installs queue their imports this way, then barrier).
     pub fn submit(&self, shard: usize, task: impl FnOnce(&mut ShardBricks) + Send + 'static) {
+        self.metrics.queued[shard].fetch_add(1, Ordering::Relaxed);
         self.senders[shard]
             .send(Box::new(task))
             .expect("shard thread alive");
@@ -150,7 +162,7 @@ impl ShardPool {
         shard: usize,
         task: impl FnOnce(&mut ShardBricks) -> R + Send + 'static,
     ) -> R {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = sync_channel(1);
         self.submit(shard, move |bricks| {
             let _ = tx.send(catch_unwind(AssertUnwindSafe(|| task(bricks))));
         });
@@ -174,7 +186,7 @@ impl ShardPool {
         shard: usize,
         task: impl FnOnce(&mut ShardBricks) -> R + Send + 'static,
     ) -> TaskHandle<R> {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = sync_channel(1);
         let metrics = Arc::clone(&self.metrics);
         self.submit(shard, move |bricks| {
             let outcome = catch_unwind(AssertUnwindSafe(|| task(bricks)));
@@ -197,7 +209,7 @@ impl ShardPool {
         let mut receivers = Vec::with_capacity(self.senders.len());
         for shard in 0..self.senders.len() {
             let task = make_task(shard);
-            let (tx, rx) = unbounded();
+            let (tx, rx) = sync_channel(1);
             self.submit(shard, move |bricks| {
                 let _ = tx.send(catch_unwind(AssertUnwindSafe(|| task(bricks))));
             });
@@ -234,7 +246,8 @@ impl ShardPool {
     /// Writes the shard-pool report section: pool totals plus
     /// per-shard executed-task counts and instantaneous queue depths.
     pub(crate) fn report_as(&self, report: &mut ReportBuilder, section: &str) {
-        let queue_depth: usize = self.senders.iter().map(Sender::len).sum();
+        let depth = |shard: usize| self.metrics.queued[shard].load(Ordering::Relaxed);
+        let queue_depth: usize = (0..self.senders.len()).map(depth).sum();
         let tasks: u64 = self.metrics.tasks.iter().map(Counter::get).sum();
         report
             .section(section)
@@ -242,13 +255,13 @@ impl ShardPool {
             .metric("tasks", tasks)
             .metric("queue_depth", queue_depth)
             .counter("panics_caught", &self.metrics.panics);
-        for (shard, sender) in self.senders.iter().enumerate() {
+        for shard in 0..self.senders.len() {
             report
                 .metric(
                     &format!("shard{shard}.tasks"),
                     self.metrics.tasks[shard].get(),
                 )
-                .metric(&format!("shard{shard}.queue_depth"), sender.len());
+                .metric(&format!("shard{shard}.queue_depth"), depth(shard));
         }
     }
 
@@ -445,5 +458,87 @@ mod tests {
         assert!(text.contains("shard0.tasks = 1"), "report:\n{text}");
         assert!(text.contains("queue_depth = 0"), "report:\n{text}");
         assert!(text.contains("panics_caught = 0"), "report:\n{text}");
+    }
+
+    /// The queue-depth lines of the pool's report, as (total, shard 0,
+    /// shard 1).
+    fn queue_depths(pool: &ShardPool) -> (String, String, String) {
+        let mut report = ReportBuilder::new();
+        pool.report_as(&mut report, "shards");
+        let text = report.finish();
+        let line = |name: &str| {
+            text.lines()
+                .find(|l| l.starts_with(&format!("{name} = ")))
+                .unwrap_or_else(|| panic!("no {name} in report:\n{text}"))
+                .to_owned()
+        };
+        (
+            line("queue_depth"),
+            line("shard0.queue_depth"),
+            line("shard1.queue_depth"),
+        )
+    }
+
+    #[test]
+    fn queue_depth_counts_tasks_behind_a_wedged_shard() {
+        const QUEUED: usize = 5;
+        let pool = ShardPool::new(2);
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        pool.submit(0, move |_| {
+            started_tx.send(()).unwrap();
+            release_rx.recv().unwrap();
+        });
+        // The wedge is off the queue and running; only what follows
+        // it is queued.
+        started_rx.recv().unwrap();
+        for _ in 0..QUEUED {
+            pool.submit(0, |_| ());
+        }
+        assert_eq!(
+            queue_depths(&pool),
+            (
+                format!("queue_depth = {QUEUED}"),
+                format!("shard0.queue_depth = {QUEUED}"),
+                "shard1.queue_depth = 0".to_owned(),
+            )
+        );
+
+        release_tx.send(()).unwrap();
+        pool.drain();
+        assert_eq!(
+            queue_depths(&pool),
+            (
+                "queue_depth = 0".to_owned(),
+                "shard0.queue_depth = 0".to_owned(),
+                "shard1.queue_depth = 0".to_owned(),
+            )
+        );
+    }
+
+    /// A shard thread that acks its last task and loops back into
+    /// `recv` while the owner drops the pool must still see the
+    /// disconnect, or `drop` joins forever. Each drop runs on a helper
+    /// thread, so a lost wakeup fails the test instead of hanging it.
+    #[test]
+    fn drop_right_after_waited_tasks_always_joins() {
+        for round in 0..20_000 {
+            let pool = ShardPool::new(2);
+            for shard in 0..2 {
+                pool.submit_and_wait(shard, |_| ());
+            }
+            let (done_tx, done_rx) = std::sync::mpsc::channel();
+            let dropper = std::thread::spawn(move || {
+                drop(pool);
+                done_tx.send(()).unwrap();
+            });
+            assert!(
+                done_rx
+                    .recv_timeout(std::time::Duration::from_secs(10))
+                    .is_ok(),
+                "round {round}: dropping the pool did not join its shards"
+            );
+            dropper.join().unwrap();
+        }
     }
 }

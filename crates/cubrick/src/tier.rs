@@ -34,10 +34,11 @@
 //! of its shard — spilled ones included — without reading the store.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use aosi::EpochsVector;
+use obs::sync::unpoison;
 use obs::{Counter, Gauge, ReportBuilder};
-use parking_lot::Mutex;
 
 use crate::brick::Brick;
 use crate::cube::Cube;
@@ -220,13 +221,13 @@ impl TieredStore {
 
     /// Whether `bid` of `cube` is currently evicted.
     pub(crate) fn is_spilled(&self, cube: &str, bid: u64) -> bool {
-        self.inner.lock().spilled(cube, bid).is_some()
+        unpoison(self.inner.lock()).spilled(cube, bid).is_some()
     }
 
     /// Spilled bricks holding any run in `(lse, lse_prime]` — the
     /// retained epochs vectors answer this without touching disk.
     pub(crate) fn spilled_in_window(&self, lse: u64, lse_prime: u64) -> Vec<(String, u64)> {
-        let inner = self.inner.lock();
+        let inner = unpoison(self.inner.lock());
         (inner.spilled.iter())
             .flat_map(|(cube, bricks)| bricks.iter().map(move |(&bid, s)| (cube, bid, s)))
             .filter(|(_, _, s)| {
@@ -241,8 +242,7 @@ impl TieredStore {
 
     /// Bids of `cube` currently evicted, unsorted.
     pub(crate) fn spilled_bids(&self, cube: &str) -> Vec<u64> {
-        self.inner
-            .lock()
+        unpoison(self.inner.lock())
             .spilled
             .get(cube)
             .map(|spilled| spilled.keys().copied().collect())
@@ -253,14 +253,14 @@ impl TieredStore {
     /// paths so eviction can rank bricks by how recently queries
     /// touched them).
     pub(crate) fn touch(&self, cube: &str, bid: u64) {
-        self.inner.lock().touch(cube, bid);
+        unpoison(self.inner.lock()).touch(cube, bid);
     }
 
     /// How recently `bid` was scanned, as a fraction of the touch
     /// clock (1.0 = the most recent touch in the engine, `None` =
     /// never touched) — what eviction ranks by.
     pub(crate) fn touch_recency(&self, cube: &str, bid: u64) -> Option<f64> {
-        let inner = self.inner.lock();
+        let inner = unpoison(self.inner.lock());
         if inner.tick == 0 {
             return None;
         }
@@ -287,7 +287,7 @@ impl TieredStore {
         resident_bytes: usize,
     ) {
         self.spills.inc();
-        let mut inner = self.inner.lock();
+        let mut inner = unpoison(self.inner.lock());
         inner.forget(cube, bid);
         cube_entry(&mut inner.spilled, cube).insert(
             bid,
@@ -337,7 +337,7 @@ impl TieredStore {
                     .entry(cube.name().to_owned())
                     .or_default()
                     .insert(bid, brick);
-                let mut inner = self.inner.lock();
+                let mut inner = unpoison(self.inner.lock());
                 inner.forget(cube.name(), bid);
                 inner.touch(cube.name(), bid);
                 drop(inner);
@@ -354,7 +354,7 @@ impl TieredStore {
     /// Forgets an evicted brick and removes its snapshot (DDL drop /
     /// rebalance retire). Returns whether the registry held it.
     pub(crate) fn forget(&self, cube: &str, bid: u64) -> bool {
-        let existed = self.inner.lock().forget(cube, bid);
+        let existed = unpoison(self.inner.lock()).forget(cube, bid);
         if existed {
             let _ = self.store.discard(cube, bid);
         }
@@ -368,7 +368,7 @@ impl TieredStore {
 
     /// Point-in-time statistics.
     pub fn stats(&self) -> TierStats {
-        let inner = self.inner.lock();
+        let inner = unpoison(self.inner.lock());
         let spilled = || inner.spilled.values().flat_map(HashMap::values);
         TierStats {
             budget_bytes: self.budget_bytes,
@@ -420,14 +420,14 @@ pub struct TierEnforcement {
 /// integration tests): spills a deep copy into a map, no codec.
 #[cfg(test)]
 pub(crate) struct MemStore {
-    snapshots: parking_lot::Mutex<HashMap<(String, u64), Brick>>,
+    snapshots: std::sync::Mutex<HashMap<(String, u64), Brick>>,
 }
 
 #[cfg(test)]
 impl MemStore {
     pub(crate) fn new() -> Self {
         MemStore {
-            snapshots: parking_lot::Mutex::new(HashMap::new()),
+            snapshots: std::sync::Mutex::new(HashMap::new()),
         }
     }
 
@@ -452,14 +452,12 @@ impl MemStore {
 impl BrickStore for MemStore {
     fn spill(&self, cube: &Cube, bid: u64, brick: &Brick) -> Result<u64, TierError> {
         let clone = Self::copy(cube.schema(), brick);
-        self.snapshots
-            .lock()
-            .insert((cube.name().to_owned(), bid), clone);
+        unpoison(self.snapshots.lock()).insert((cube.name().to_owned(), bid), clone);
         Ok(64)
     }
 
     fn reload(&self, cube: &Cube, bid: u64) -> Result<Brick, TierError> {
-        let snapshots = self.snapshots.lock();
+        let snapshots = unpoison(self.snapshots.lock());
         let stored = snapshots
             .get(&(cube.name().to_owned(), bid))
             .ok_or(TierError::Missing)?;
@@ -467,7 +465,7 @@ impl BrickStore for MemStore {
     }
 
     fn discard(&self, cube: &str, bid: u64) -> Result<(), TierError> {
-        self.snapshots.lock().remove(&(cube.to_owned(), bid));
+        unpoison(self.snapshots.lock()).remove(&(cube.to_owned(), bid));
         Ok(())
     }
 }

@@ -19,6 +19,7 @@ use columnar::{Row, Value};
 use cubrick::{
     parse_rows, Brick, Cube, CubeSchema, DimStorage, Dimension, Metric, MetricType, RecordChunk,
 };
+use obs::sync::unpoison;
 use proptest::prelude::*;
 
 type Record = (Vec<u32>, Vec<Value>);
@@ -163,7 +164,7 @@ proptest! {
             // The model never renumbers, so equal dictionaries after
             // every batch mean every earlier id is unchanged.
             for (dict, model) in cube.dictionaries().iter().zip(&model_dicts) {
-                let entries = dict.as_ref().map(|d| d.lock().entries_from(0));
+                let entries = dict.as_ref().map(|d| unpoison(d.lock()).entries_from(0));
                 prop_assert_eq!(&entries, model);
             }
             let parsed: BTreeMap<u64, &RecordChunk> =
@@ -274,7 +275,8 @@ fn concurrent_parsers_mint_dense_unique_ids_without_phantoms() {
             .collect()
     });
 
-    let dicts = [0, 2].map(|dim| cube.dictionaries()[dim].as_ref().unwrap().lock().clone());
+    let dicts =
+        [0, 2].map(|dim| unpoison(cube.dictionaries()[dim].as_ref().unwrap().lock()).clone());
     let mut accepted: [BTreeSet<String>; 2] = Default::default();
     for (valid, batch) in &batches {
         assert_eq!(batch.accepted, *valid);

@@ -14,9 +14,9 @@
 //! the 2PL benchmarks report as aborts.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 
-use parking_lot::{Condvar, Mutex};
+use obs::sync::unpoison;
 
 /// Lock compatibility mode.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -99,7 +99,7 @@ impl LockManager {
     /// the request (a younger transaction would wait on an older
     /// holder): the caller must abort and retry.
     pub fn acquire(&self, txn: u64, resource: u64, mode: LockMode) -> bool {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         loop {
             let lock = st.resources.entry(resource).or_default();
             if lock.compatible(txn, mode) {
@@ -113,13 +113,13 @@ impl LockManager {
                     return false;
                 }
             }
-            self.released.wait(&mut st);
+            st = unpoison(self.released.wait(st));
         }
     }
 
     /// Non-blocking acquire.
     pub fn try_acquire(&self, txn: u64, resource: u64, mode: LockMode) -> bool {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         let lock = st.resources.entry(resource).or_default();
         if lock.compatible(txn, mode) {
             lock.grant(txn, mode);
@@ -133,7 +133,7 @@ impl LockManager {
     /// Releases every lock `txn` holds (the "shrinking phase" done in
     /// one shot at commit/abort, i.e. strict 2PL).
     pub fn release_all(&self, txn: u64) {
-        let mut st = self.state.lock();
+        let mut st = unpoison(self.state.lock());
         let Some(resources) = st.held.remove(&txn) else {
             return;
         };
@@ -154,7 +154,7 @@ impl LockManager {
 
     /// Number of resources currently locked (instrumentation).
     pub fn locked_resources(&self) -> usize {
-        self.state.lock().resources.len()
+        unpoison(self.state.lock()).resources.len()
     }
 }
 

@@ -20,6 +20,11 @@
 //! [`ReportBuilder`] renders metrics into the plain-text
 //! `[section]` / `name = value` format used by
 //! `Engine::metrics_report()`.
+//!
+//! [`sync::unpoison`] is the workspace's one lock helper, kept in
+//! this dependency-free leaf so every crate that locks can reach it.
+
+pub mod sync;
 
 use std::fmt::Display;
 use std::fmt::Write as _;

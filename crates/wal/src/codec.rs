@@ -36,7 +36,6 @@
 //! paper's "ignoring any subsequent partial flush executions".
 
 use aosi::Epoch;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use columnar::Column;
 use cubrick::{BrickDelta, DeltaRun, RecordChunk};
 
@@ -118,41 +117,41 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Serializes a flush round.
-pub fn encode(round: &FlushRound) -> Bytes {
-    let mut buf = BytesMut::with_capacity(1024);
-    buf.put_slice(HEADER_MAGIC);
-    buf.put_u64_le(round.lse);
-    buf.put_u64_le(round.lse_prime);
-    buf.put_u32_le(round.deltas.len() as u32);
+pub fn encode(round: &FlushRound) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(1024);
+    buf.extend_from_slice(HEADER_MAGIC);
+    buf.extend_from_slice(&round.lse.to_le_bytes());
+    buf.extend_from_slice(&round.lse_prime.to_le_bytes());
+    buf.extend_from_slice(&(round.deltas.len() as u32).to_le_bytes());
     for delta in &round.deltas {
-        buf.put_u16_le(delta.cube.len() as u16);
-        buf.put_slice(delta.cube.as_bytes());
-        buf.put_u64_le(delta.bid);
-        buf.put_u32_le(delta.runs.len() as u32);
+        buf.extend_from_slice(&(delta.cube.len() as u16).to_le_bytes());
+        buf.extend_from_slice(delta.cube.as_bytes());
+        buf.extend_from_slice(&delta.bid.to_le_bytes());
+        buf.extend_from_slice(&(delta.runs.len() as u32).to_le_bytes());
         for run in &delta.runs {
-            buf.put_u64_le(run.epoch());
+            buf.extend_from_slice(&run.epoch().to_le_bytes());
             match run {
-                DeltaRun::Delete { .. } => buf.put_u8(1),
+                DeltaRun::Delete { .. } => buf.push(1),
                 DeltaRun::Insert { records, .. } => {
-                    buf.put_u8(0);
+                    buf.push(0);
                     let (coords, metrics) = (&records.coords, &records.metrics);
-                    buf.put_u16_le(coords.len() as u16);
-                    buf.put_u16_le(metrics.len() as u16);
-                    buf.put_u32_le(records.len() as u32);
+                    buf.extend_from_slice(&(coords.len() as u16).to_le_bytes());
+                    buf.extend_from_slice(&(metrics.len() as u16).to_le_bytes());
+                    buf.extend_from_slice(&(records.len() as u32).to_le_bytes());
                     buf.reserve(records.len() * (coords.len() * 4 + metrics.len() * 9));
                     for row in 0..records.len() {
                         for dim in coords {
-                            buf.put_u32_le(dim[row]);
+                            buf.extend_from_slice(&dim[row].to_le_bytes());
                         }
                         for metric in metrics {
                             match metric {
                                 Column::I64(v) => {
-                                    buf.put_u8(0);
-                                    buf.put_i64_le(v[row]);
+                                    buf.push(0);
+                                    buf.extend_from_slice(&v[row].to_le_bytes());
                                 }
                                 Column::F64(v) => {
-                                    buf.put_u8(1);
-                                    buf.put_f64_le(v[row]);
+                                    buf.push(1);
+                                    buf.extend_from_slice(&v[row].to_le_bytes());
                                 }
                                 Column::Str(_) => {
                                     unreachable!("metrics are numeric after parsing")
@@ -164,22 +163,22 @@ pub fn encode(round: &FlushRound) -> Bytes {
             }
         }
     }
-    buf.put_u32_le(round.dictionaries.len() as u32);
+    buf.extend_from_slice(&(round.dictionaries.len() as u32).to_le_bytes());
     for dict in &round.dictionaries {
-        buf.put_u16_le(dict.cube.len() as u16);
-        buf.put_slice(dict.cube.as_bytes());
-        buf.put_u16_le(dict.dim);
-        buf.put_u32_le(dict.first_id);
-        buf.put_u32_le(dict.entries.len() as u32);
+        buf.extend_from_slice(&(dict.cube.len() as u16).to_le_bytes());
+        buf.extend_from_slice(dict.cube.as_bytes());
+        buf.extend_from_slice(&dict.dim.to_le_bytes());
+        buf.extend_from_slice(&dict.first_id.to_le_bytes());
+        buf.extend_from_slice(&(dict.entries.len() as u32).to_le_bytes());
         for entry in &dict.entries {
-            buf.put_u16_le(entry.len() as u16);
-            buf.put_slice(entry.as_bytes());
+            buf.extend_from_slice(&(entry.len() as u16).to_le_bytes());
+            buf.extend_from_slice(entry.as_bytes());
         }
     }
     let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.put_slice(FOOTER_MAGIC);
-    buf.freeze()
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf.extend_from_slice(FOOTER_MAGIC);
+    buf
 }
 
 /// Deserializes a flush round, verifying the completion footer and
@@ -203,7 +202,7 @@ pub fn decode(bytes: &[u8]) -> Result<FlushRound, WalError> {
     }
     impl<'a> Reader<'a> {
         fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-            if self.buf.remaining() < n {
+            if self.buf.len() < n {
                 return Err(WalError::Corrupt("truncated body".into()));
             }
             let (head, tail) = self.buf.split_at(n);
@@ -391,7 +390,7 @@ mod tests {
 
     #[test]
     fn flipped_bit_is_corrupt() {
-        let bytes = encode(&sample_round()).to_vec();
+        let bytes = encode(&sample_round());
         for idx in [10, 40, bytes.len() / 2] {
             let mut broken = bytes.clone();
             broken[idx] ^= 0x40;
@@ -407,7 +406,7 @@ mod tests {
     /// silently dropped.
     #[test]
     fn a_metric_tag_that_changes_within_a_run_is_corrupt() {
-        let mut bytes = encode(&sample_round()).to_vec();
+        let mut bytes = encode(&sample_round());
         // First record of the first run: header 8 + lse 8 + lse' 8 +
         // deltas 4 + cube 2+6 + bid 8 + runs 4 + epoch 8 + kind 1 +
         // dims 2 + metrics 2 + records 4, then 2 coords; its first
@@ -427,7 +426,7 @@ mod tests {
 
     #[test]
     fn bad_footer_magic_is_incomplete() {
-        let mut bytes = encode(&sample_round()).to_vec();
+        let mut bytes = encode(&sample_round());
         let n = bytes.len();
         bytes[n - 1] = b'X';
         assert!(matches!(decode(&bytes), Err(WalError::Incomplete)));

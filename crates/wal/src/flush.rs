@@ -23,6 +23,7 @@ use std::sync::Arc;
 use aosi::{AosiError, Epoch};
 use cluster::{NodeId, ReplicationTracker};
 use cubrick::Engine;
+use obs::sync::unpoison;
 use obs::{Counter, Gauge, ReportBuilder};
 
 use crate::chain;
@@ -263,7 +264,7 @@ impl FlushController {
             };
             for (dim, dict) in cube.dictionaries().iter().enumerate() {
                 let Some(dict) = dict else { continue };
-                let dict = dict.lock();
+                let dict = unpoison(dict.lock());
                 let key = (cube_name.clone(), dim as u16);
                 let from = self.dict_watermarks.get(&key).copied().unwrap_or(0);
                 let entries = dict.entries_from(from);

@@ -20,6 +20,7 @@ use std::path::Path;
 
 use aosi::Epoch;
 use cubrick::{DeltaRun, Engine};
+use obs::sync::unpoison;
 use obs::ReportBuilder;
 
 use crate::chain;
@@ -126,7 +127,7 @@ pub fn recover_into_with(
                 .get(dict_delta.dim as usize)
                 .and_then(|d| d.as_ref())
             {
-                let mut dict = dict.lock();
+                let mut dict = unpoison(dict.lock());
                 for (offset, entry) in dict_delta.entries.iter().enumerate() {
                     let id = dict.encode(entry);
                     debug_assert_eq!(

@@ -60,9 +60,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aosi::{EpochEntry, EpochsVector};
-use bytes::{BufMut, BytesMut};
 use columnar::Column;
 use cubrick::{Brick, BrickStore, Cube, DimStorage, MetricType, TierError};
+use obs::sync::unpoison;
 
 use crate::codec::fnv1a;
 use crate::fault::{RealFs, WalFs};
@@ -173,43 +173,43 @@ impl BrickStore for WalBrickStore {
 fn encode_snapshot(cube: &Cube, bid: u64, brick: &Brick) -> Vec<u8> {
     let schema = cube.schema();
     let rows = brick.row_count();
-    let mut buf = BytesMut::with_capacity(256 + rows as usize * 12);
-    buf.put_slice(SNAP_MAGIC);
-    buf.put_u16_le(schema.name.len() as u16);
-    buf.put_slice(schema.name.as_bytes());
-    buf.put_u64_le(bid);
-    buf.put_u8(match brick.storage_kind() {
+    let mut buf = Vec::with_capacity(256 + rows as usize * 12);
+    buf.extend_from_slice(SNAP_MAGIC);
+    buf.extend_from_slice(&(schema.name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(schema.name.as_bytes());
+    buf.extend_from_slice(&bid.to_le_bytes());
+    buf.push(match brick.storage_kind() {
         DimStorage::Plain => 0,
         DimStorage::Bess => 1,
     });
     let epochs = brick.epochs();
-    buf.put_u64_le(epochs.generation());
-    buf.put_u64_le(rows);
-    buf.put_u32_le(epochs.entries().len() as u32);
+    buf.extend_from_slice(&epochs.generation().to_le_bytes());
+    buf.extend_from_slice(&rows.to_le_bytes());
+    buf.extend_from_slice(&(epochs.entries().len() as u32).to_le_bytes());
     for entry in epochs.entries() {
-        buf.put_u64_le(entry.epoch());
-        buf.put_u64_le(entry.end());
-        buf.put_u8(entry.is_delete() as u8);
+        buf.extend_from_slice(&entry.epoch().to_le_bytes());
+        buf.extend_from_slice(&entry.end().to_le_bytes());
+        buf.push(entry.is_delete() as u8);
     }
-    buf.put_u16_le(schema.dimensions.len() as u16);
+    buf.extend_from_slice(&(schema.dimensions.len() as u16).to_le_bytes());
     for dim in 0..schema.dimensions.len() {
         for coord in brick.dim_coords(dim) {
-            buf.put_u32_le(coord);
+            buf.extend_from_slice(&coord.to_le_bytes());
         }
     }
-    buf.put_u16_le(schema.metrics.len() as u16);
+    buf.extend_from_slice(&(schema.metrics.len() as u16).to_le_bytes());
     for metric in 0..schema.metrics.len() {
         match brick.metric_column(metric) {
             Column::I64(values) => {
-                buf.put_u8(0);
+                buf.push(0);
                 for &v in values {
-                    buf.put_i64_le(v);
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
             }
             Column::F64(values) => {
-                buf.put_u8(1);
+                buf.push(1);
                 for &v in values {
-                    buf.put_f64_le(v);
+                    buf.extend_from_slice(&v.to_le_bytes());
                 }
             }
             Column::Str(_) => unreachable!("metrics are numeric after parsing"),
@@ -221,22 +221,22 @@ fn encode_snapshot(cube: &Cube, bid: u64, brick: &Brick) -> Vec<u8> {
         .enumerate()
         .filter_map(|(dim, dict)| {
             dict.as_ref()
-                .map(|d| (dim as u16, d.lock().entries_from(0)))
+                .map(|d| (dim as u16, unpoison(d.lock()).entries_from(0)))
         })
         .collect();
-    buf.put_u16_le(dicts.len() as u16);
+    buf.extend_from_slice(&(dicts.len() as u16).to_le_bytes());
     for (dim, entries) in &dicts {
-        buf.put_u16_le(*dim);
-        buf.put_u32_le(entries.len() as u32);
+        buf.extend_from_slice(&dim.to_le_bytes());
+        buf.extend_from_slice(&(entries.len() as u32).to_le_bytes());
         for entry in entries {
-            buf.put_u16_le(entry.len() as u16);
-            buf.put_slice(entry.as_bytes());
+            buf.extend_from_slice(&(entry.len() as u16).to_le_bytes());
+            buf.extend_from_slice(entry.as_bytes());
         }
     }
     let checksum = fnv1a(&buf);
-    buf.put_u64_le(checksum);
-    buf.put_slice(SNAP_FOOTER);
-    buf.to_vec()
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf.extend_from_slice(SNAP_FOOTER);
+    buf
 }
 
 /// Deserializes and validates a snapshot back into a brick. Every
@@ -397,7 +397,7 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
             .ok_or_else(|| {
                 TierError::Corrupt(format!("dimension {dim} is not a string dimension"))
             })?;
-        let dict = dict.lock();
+        let dict = unpoison(dict.lock());
         for id in 0..count {
             let len = reader.u16()? as usize;
             let entry = std::str::from_utf8(reader.take(len)?)
@@ -457,8 +457,8 @@ mod tests {
     fn sample_brick(cube: &Cube, storage: DimStorage) -> Brick {
         // Mint dictionary ids the way ingest would.
         let dict = cube.dictionaries()[0].as_ref().unwrap();
-        let us = dict.lock().encode("us");
-        let br = dict.lock().encode("br");
+        let us = unpoison(dict.lock()).encode("us");
+        let br = unpoison(dict.lock()).encode("br");
         let mut brick = Brick::with_storage(cube.schema(), storage);
         brick.append(
             3,
@@ -499,6 +499,23 @@ mod tests {
             let brick = sample_brick(&cube, storage);
             let bytes = encode_snapshot(&cube, 7, &brick);
             let restored = decode_snapshot(&cube, 7, &bytes).unwrap();
+            assert_bit_identical(&brick, &restored, 2, 2);
+        }
+    }
+
+    /// `encode_snapshot` of [`sample_brick`] as bid 7, plain layout
+    /// then bess, recorded before the encoder moved off its byte-buffer
+    /// crate: `CBTSNAP1` files stay byte-identical.
+    const RECORDED_SNAPSHOTS: &[u8] = include_bytes!("../tests/fixtures/recorded_snapshot.bin");
+
+    #[test]
+    fn encoding_is_byte_identical_to_the_recorded_snapshots() {
+        let cube = cube();
+        let (plain, bess) = RECORDED_SNAPSHOTS.split_at(RECORDED_SNAPSHOTS.len() / 2);
+        for (storage, recorded) in [(DimStorage::Plain, plain), (DimStorage::Bess, bess)] {
+            let brick = sample_brick(&cube, storage);
+            assert_eq!(encode_snapshot(&cube, 7, &brick), recorded, "{storage:?}");
+            let restored = decode_snapshot(&cube, 7, recorded).unwrap();
             assert_bit_identical(&brick, &restored, 2, 2);
         }
     }
@@ -580,8 +597,8 @@ mod tests {
         // different strings.
         let drifted = Cube::new(cube.schema().clone());
         let dict = drifted.dictionaries()[0].as_ref().unwrap();
-        dict.lock().encode("de");
-        dict.lock().encode("jp");
+        unpoison(dict.lock()).encode("de");
+        unpoison(dict.lock()).encode("jp");
         match decode_snapshot(&drifted, 7, &bytes) {
             Err(TierError::Corrupt(msg)) => assert!(msg.contains("drift"), "{msg}"),
             other => panic!("drift undetected: {other:?}"),

@@ -236,7 +236,7 @@ proptest! {
         position_fraction in 0.0f64..1.0,
         bit in 0u8..8,
     ) {
-        let mut bytes = encode(&round).to_vec();
+        let mut bytes = encode(&round);
         let position = ((bytes.len() as f64 * position_fraction) as usize).min(bytes.len() - 1);
         bytes[position] ^= 1 << bit;
         match decode(&bytes) {
@@ -255,7 +255,7 @@ proptest! {
     /// integrity).
     #[test]
     fn trailing_garbage_is_detected(round in round_strategy(), garbage in prop::collection::vec(any::<u8>(), 1..20)) {
-        let mut bytes = encode(&round).to_vec();
+        let mut bytes = encode(&round);
         bytes.extend(garbage);
         prop_assert!(decode(&bytes).is_err());
     }
