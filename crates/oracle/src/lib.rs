@@ -1,104 +1,53 @@
-//! Differential testing oracle: AOSI vs. MVCC, same schedule, same
-//! answers.
+//! Oracle harnesses: seeded schedules, executed and checked, shrunk to
+//! replayable artifacts when they fail.
 //!
 //! The paper's central claim is that AOSI provides Snapshot
 //! Isolation semantics equivalent to an MVCC design while storing
 //! one version per record and one epochs vector per partition. This
-//! crate turns that claim into an executable check: a seeded
-//! generator (`workload::ops`) produces a multi-transaction schedule
-//! — loads, explicit append transactions, partition deletes,
-//! rollbacks, flush/purge maintenance, and point-in-time reads — and
-//! the harness drives the AOSI [`cubrick::Engine`] through it while
-//! recording every committed operation. At each checkpoint the same
-//! state is derived on a disjoint code path (an epoch-ordered replay
-//! into `mvcc_baseline::MvccStore`) and a fixed battery of aggregate
-//! queries must agree exactly. The online SI checker
-//! (`checker::SiChecker`) rides along on the AOSI side throughout.
+//! crate turns that claim into executable checks: a seeded generator
+//! (`workload::ops`) produces a multi-transaction schedule — loads,
+//! explicit append transactions, partition deletes, rollbacks,
+//! flush/purge maintenance, and point-in-time reads — and a harness
+//! drives the AOSI [`cubrick::Engine`] through it and checks it.
 //!
-//! Three execution modes (see [`harness`]): single-threaded
-//! **deterministic**, thread-pooled **stress**, and WAL-replay
-//! **crash-recovery**. A failing schedule is shrunk by the
-//! [`minimize`] minimizer to a minimal reproduction and dumped as a
-//! replayable `.seed` artifact.
+//! Every harness plugs into one framework ([`framework`]): one
+//! [`Harness`] trait, one [`Failure`] type, one [`shrink`]er, one
+//! artifact format with [`check_seed`]/[`replay`], and one
+//! deterministic op executor (`exec`) whose per-harness differences
+//! are hooks. The harnesses:
 //!
-//! The [`crash`] module goes one layer below the crash-recovery
-//! mode: a crash-consistency torture harness that simulates a power
-//! cut at *every* write-syscall boundary of every flush round (via
-//! [`wal::SimFs`]) and asserts recovery restores exactly a complete
-//! flushed prefix — the paper's durability rule, checked mechanically.
+//! * [`Differential`] — AOSI against the MVCC reference
+//!   (`mvcc_baseline`), with the online SI checker attached, in three
+//!   modes: **deterministic**, thread-pooled **stress** (its own
+//!   executor), and WAL-replay **crash-recovery**.
+//! * [`Scan`] — the parallel, memoized scan path against the
+//!   sequential reference, bit for bit.
+//! * [`Agg`] — the brick-partial merge algebra under seeded
+//!   partitions, orders and associations.
+//! * [`Torture`] — a power cut at *every* write-syscall boundary of
+//!   every flush round (via [`wal::SimFs`]), recovery checked to
+//!   restore exactly a complete flushed prefix; on a tiered engine the
+//!   cuts also land inside spills and reloads.
 //!
-//! The test-suite entry points honor environment hooks, mirroring
-//! the chaos suite's `AOSI_CHAOS_SEEDS`:
-//!
-//! * `AOSI_ORACLE_SEEDS=7,99` — run extra seeds through all modes.
-//! * `AOSI_ORACLE_REPLAY=/path/a.seed,/path/b.seed` — replay dumped
-//!   artifacts.
-//! * `AOSI_ORACLE_ARTIFACT_DIR=dir` — where minimized artifacts are
-//!   written (defaults to `$TMPDIR/aosi-oracle-seeds`).
-//! * `AOSI_CRASH_SEEDS=7,99` — run extra seeds through the crash
-//!   torture (`cargo test -p oracle --test crash_torture`).
-//! * `AOSI_CRASH_REPLAY=/path/a.seed` — replay dumped crash-torture
-//!   artifacts.
-//! * `AOSI_AGG_SEEDS=7,99` — run extra seeds through the merge
-//!   oracle (`cargo test -p oracle --test agg_oracle`).
-//! * `AOSI_AGG_REPLAY=/path/a.seed` — replay dumped merge-oracle
-//!   artifacts.
-//! * `AOSI_TIER_SEEDS=7,99` — run extra seeds through the tiered-
-//!   storage torture (`cargo test -p oracle --test tier_torture`).
-//! * `AOSI_TIER_REPLAY=/path/a.seed` — replay dumped tier-torture
-//!   artifacts.
-//!
-//! See `TESTING.md` at the repo root for the full workflow.
+//! The suites read three environment variables ([`mod@seeds`]):
+//! `AOSI_SEEDS`, `AOSI_REPLAY` and `AOSI_ARTIFACT_DIR`. See
+//! `TESTING.md` at the repo root for the workflow.
 
 #![warn(missing_docs)]
 
 pub mod agg;
 pub mod checks;
-pub mod crash;
-pub mod harness;
-pub mod minimize;
+pub mod differential;
+mod exec;
+pub mod framework;
 pub mod reference;
 pub mod scan;
-pub mod tier;
+pub mod seeds;
+pub mod torture;
 
-pub use agg::{check_agg_seed, compare_merges, run_agg_schedule, AggReport};
-pub use crash::{
-    check_crash_seed, replay_crash_artifact, run_torture, BugHooks, TortureConfig, TortureFailure,
-    TortureReport,
-};
-pub use harness::{run, Divergence, Inject, Mode, RunReport};
-pub use minimize::{artifact_dir, minimize, replay_artifact, Minimized};
-pub use scan::{compare_paths, run_scan_schedule, ScanReport};
-pub use tier::{
-    check_tier_seed, replay_tier_artifact, run_tier_torture, TierTortureConfig, TierTortureReport,
-};
-use workload::ops::{GenConfig, Schedule};
-
-/// Generates the schedule for `seed`, runs it under `mode`, and — on
-/// divergence — minimizes, dumps a `.seed` artifact, and panics with
-/// the reproduction instructions. The corpus tests and the root
-/// smoke test are thin loops over this.
-pub fn check_seed(seed: u64, mode: Mode, cfg: &GenConfig) -> RunReport {
-    let schedule = Schedule::generate(seed, cfg);
-    match run(&schedule, mode, None) {
-        Ok(report) => report,
-        Err(divergence) => {
-            let where_to = match minimize(&schedule, mode, None) {
-                Some(min) => format!(
-                    "minimized to {} ops, artifact: {} ({})",
-                    min.schedule.ops.len(),
-                    min.artifact.display(),
-                    min.divergence
-                ),
-                // A flaky failure that did not reproduce under the
-                // minimizer still fails the run — report the original.
-                None => "failure did not reproduce under minimization".to_string(),
-            };
-            panic!(
-                "oracle divergence: seed {seed}, mode {}: {divergence}\n{where_to}\n\
-                 replay: AOSI_ORACLE_SEEDS={seed} cargo test -p oracle",
-                mode.to_line()
-            );
-        }
-    }
-}
+pub use agg::{compare_merges, Agg, AggReport};
+pub use differential::{Differential, Inject, Mode, RunReport};
+pub use framework::{check_seed, replay, shrink, Failure, Harness, Shrunk};
+pub use scan::{compare_paths, Scan, ScanReport};
+pub use seeds::{artifact_dir, for_each_seed, replay_paths, seeds};
+pub use torture::{BugHooks, Torture, TortureReport, CRASH_GEN, TIER_GEN};

@@ -2,7 +2,7 @@
 //! executor against the sequential reference — same engine, same
 //! snapshot, byte-identical answers.
 //!
-//! The AOSI-vs-MVCC oracle ([`crate::harness`]) establishes that the
+//! The AOSI-vs-MVCC oracle ([`crate::differential`]) establishes that the
 //! engine's *answers* are right. This layer establishes that the
 //! engine's *fast path* computes the same answers as its slow path:
 //! [`Engine::query_at`] (shards scanned in parallel, vectorized
@@ -30,15 +30,13 @@
 //! reported.
 
 use aosi::Snapshot;
-use cubrick::{AggFn, Aggregation, DimStorage, Engine, OrderBy, Query, QueryResult};
-use workload::ops::{oracle_schema, LogicalOp, Schedule, DAY_CARD};
+use columnar::Value;
+use cubrick::{AggFn, Aggregation, DimFilter, DimStorage, Engine, OrderBy, Query, QueryResult};
+use workload::ops::{oracle_schema, Schedule, DAY_CARD, ORACLE_CUBE};
 
 use crate::checks::{build_query, NUM_QUERIES};
-use crate::harness::Divergence;
-use columnar::Value;
-use cubrick::DimFilter;
-use std::collections::BTreeSet;
-use workload::ops::{bucket_days, ORACLE_CUBE};
+use crate::exec::{slot_count, Checkpoint, Exec, Hooks};
+use crate::framework::{Failure, Harness};
 
 /// Counters from a clean scan-oracle run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -156,13 +154,6 @@ pub fn build_scan_query(idx: usize) -> Query {
     }
 }
 
-fn fail(op_index: Option<usize>, detail: impl Into<String>) -> Divergence {
-    Divergence {
-        op_index,
-        detail: detail.into(),
-    }
-}
-
 /// Byte-level diff of two query results; `None` means identical.
 /// Group-key order is already deterministic (finalize sorts by packed
 /// key), so rows are compared positionally.
@@ -198,19 +189,19 @@ pub fn compare_paths(
     snapshot: &Snapshot,
     op_index: Option<usize>,
     label: &str,
-) -> Result<u64, Divergence> {
+) -> Result<u64, Failure> {
     let mut comparisons = 0;
     for idx in 0..NUM_SCAN_QUERIES {
         let query = build_scan_query(idx);
         let fast = engine
             .query_at(ORACLE_CUBE, &query, snapshot)
-            .map_err(|e| fail(op_index, format!("{label} q{idx} fast path failed: {e}")))?;
+            .map_err(|e| Failure::at(op_index, format!("{label} q{idx} fast path failed: {e}")))?;
         let reference = engine
             .query_at_reference(ORACLE_CUBE, &query, snapshot)
-            .map_err(|e| fail(op_index, format!("{label} q{idx} reference failed: {e}")))?;
+            .map_err(|e| Failure::at(op_index, format!("{label} q{idx} reference failed: {e}")))?;
         comparisons += 1;
         if let Some(d) = diff_bits(&fast, &reference) {
-            return Err(fail(
+            return Err(Failure::at(
                 op_index,
                 format!(
                     "{label} q{idx} at epoch {}: parallel+memoized differs from \
@@ -223,166 +214,117 @@ pub fn compare_paths(
     Ok(comparisons)
 }
 
-struct ScanState {
-    engine: Engine,
-    slots: Vec<Option<aosi::Txn>>,
-    comparisons: u64,
-    parallel_tasks: u64,
+/// Hooks for the harnesses that compare the engine with itself (scan
+/// and merge): `Load` is one bulk [`Engine::load`] and every
+/// checkpoint runs `compare` at its snapshot.
+pub(crate) struct SelfCheck<F> {
+    compare: F,
 }
 
-impl ScanState {
-    fn check_at(&mut self, i: usize, label: &str, snapshot: &Snapshot) -> Result<(), Divergence> {
-        self.comparisons += compare_paths(&self.engine, snapshot, Some(i), label)?;
-        Ok(())
+impl<F> Hooks for SelfCheck<F>
+where
+    F: FnMut(&Engine, &Snapshot, Option<usize>, &str) -> Result<u64, Failure>,
+{
+    fn bulk_load(&self) -> bool {
+        true
     }
 
-    fn apply(&mut self, i: usize, op: &LogicalOp) -> Result<(), Divergence> {
-        match op {
-            LogicalOp::Begin { slot } => {
-                if *slot < self.slots.len() && self.slots[*slot].is_none() {
-                    self.slots[*slot] = Some(self.engine.begin());
-                }
-            }
-            LogicalOp::Append { slot, rows } => {
-                if let Some(txn) = self.slots.get(*slot).and_then(Option::as_ref) {
-                    let (accepted, rejected) = self
-                        .engine
-                        .append(ORACLE_CUBE, rows, txn)
-                        .map_err(|e| fail(Some(i), format!("append failed: {e}")))?;
-                    if rejected != 0 || accepted != rows.len() {
-                        return Err(fail(Some(i), "generated rows rejected"));
-                    }
-                }
-            }
-            LogicalOp::Commit { slot } => {
-                if let Some(txn) = self.slots.get_mut(*slot).and_then(Option::take) {
-                    self.engine
-                        .commit(&txn)
-                        .map_err(|e| fail(Some(i), format!("commit failed: {e}")))?;
-                }
-            }
-            LogicalOp::Rollback { slot } => {
-                if let Some(txn) = self.slots.get_mut(*slot).and_then(Option::take) {
-                    self.engine
-                        .rollback(&txn)
-                        .map_err(|e| fail(Some(i), format!("rollback failed: {e}")))?;
-                }
-            }
-            LogicalOp::Load { rows } => {
-                self.engine
-                    .load(ORACLE_CUBE, rows, 0)
-                    .map_err(|e| fail(Some(i), format!("load failed: {e}")))?;
-            }
-            LogicalOp::DeleteDays { buckets } => {
-                let days: BTreeSet<i64> = buckets.iter().flat_map(|b| bucket_days(*b)).collect();
-                let filter =
-                    DimFilter::new("day", days.into_iter().map(Value::I64).collect::<Vec<_>>());
-                self.engine
-                    .delete_where(ORACLE_CUBE, &[filter])
-                    .map_err(|e| fail(Some(i), format!("delete failed: {e}")))?;
-            }
-            LogicalOp::Purge | LogicalOp::Flush => {
-                self.engine.advance_lse_and_purge();
-            }
-            LogicalOp::CheckNow => {
-                // Single-threaded executor: nothing purges while the
-                // guard is live, so the epoch it yields stays valid.
-                let snapshot = self.engine.manager().begin_read().snapshot().clone();
-                self.check_at(i, "check", &snapshot)?;
-            }
-            LogicalOp::CheckAsOf { frac } => {
-                let (lse, lce) = (self.engine.manager().lse(), self.engine.manager().lce());
-                if lce > 0 {
-                    let window = lce - lse + 1;
-                    let epoch = (lse + (u64::from(*frac) * window) / 256).min(lce);
-                    let snapshot = Snapshot::committed(epoch);
-                    self.check_at(i, "as-of", &snapshot)?;
-                }
-            }
-            LogicalOp::CheckTxn { slot } => {
-                // An open transaction's snapshot (its own epoch plus
-                // the deps exclusion set) is just another snapshot to
-                // the scan paths — one above the LCE, so both read
-                // bricks.
-                if let Some(txn) = self.slots.get(*slot).and_then(Option::as_ref) {
-                    let snapshot = txn.snapshot().clone();
-                    self.check_at(i, "in-txn", &snapshot)?;
-                }
-            }
-        }
+    fn check(&mut self, x: &mut Exec, i: usize, at: Checkpoint) -> Result<(), Failure> {
+        let snapshot = match at {
+            Checkpoint::Now(epoch) | Checkpoint::AsOf(epoch) => Snapshot::committed(epoch),
+            // An open transaction's snapshot (its own epoch plus the
+            // deps exclusion set) is just another snapshot to the scan
+            // paths — one above the LCE, so both read bricks.
+            Checkpoint::Txn(slot) => x.open(slot).expect("open slot").txn.snapshot().clone(),
+        };
+        x.comparisons += (self.compare)(&x.engine, &snapshot, Some(i), at.label())?;
         Ok(())
     }
 }
 
-/// Executes `schedule` against a parallel+memoized engine, comparing
-/// the fast and reference scan paths at every checkpoint, then
-/// sweeps the full readable window three times (first sighting,
-/// admission, memo hit). Returns counters on agreement or the first
-/// [`Divergence`].
-pub fn run_scan_schedule(schedule: &Schedule) -> Result<ScanReport, Divergence> {
-    run_scan_schedule_with(schedule, DimStorage::Plain)
-}
-
-/// [`run_scan_schedule`] with a chosen brick dimension layout.
-pub fn run_scan_schedule_with(
+/// Executes `schedule` on `engine`, running `compare` at every
+/// checkpoint, then commits leftover transactions and sweeps the full
+/// readable window `passes` times. Returns the executor for its
+/// engine and comparison count.
+pub(crate) fn run_self_check<F>(
     schedule: &Schedule,
-    storage: DimStorage,
-) -> Result<ScanReport, Divergence> {
-    let max_slot = schedule
-        .ops
-        .iter()
-        .filter_map(|op| match op {
-            LogicalOp::Begin { slot }
-            | LogicalOp::Append { slot, .. }
-            | LogicalOp::Commit { slot }
-            | LogicalOp::Rollback { slot }
-            | LogicalOp::CheckTxn { slot } => Some(*slot),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let mut state = ScanState {
-        engine: scan_engine_with(storage),
-        slots: (0..=max_slot).map(|_| None).collect(),
-        comparisons: 0,
-        parallel_tasks: 0,
-    };
-    for (i, op) in schedule.ops.iter().enumerate() {
-        state.apply(i, op)?;
-    }
-    // Quiesce: leftover transactions commit so the window is final.
-    for slot in 0..state.slots.len() {
-        if let Some(txn) = state.slots[slot].take() {
-            state
-                .engine
-                .commit(&txn)
-                .map_err(|e| fail(None, format!("quiescence commit failed: {e}")))?;
-        }
-    }
-    // Full-window sweep, three times: pass 0 is every key's first
-    // sighting, pass 1 stores it, pass 2 must be answered from the
-    // memo — and still agree with the reference bit-for-bit.
-    let (lse, lce) = (state.engine.manager().lse(), state.engine.manager().lce());
-    for pass in 0..3 {
+    engine: Engine,
+    passes: usize,
+    compare: F,
+) -> Result<Exec, Failure>
+where
+    F: FnMut(&Engine, &Snapshot, Option<usize>, &str) -> Result<u64, Failure>,
+{
+    let mut hooks = SelfCheck { compare };
+    let mut x = Exec::new(engine, slot_count(schedule), Vec::new(), false);
+    x.run(&mut hooks, &schedule.ops, 0)?;
+    x.quiesce()?;
+    let (lse, lce) = (x.engine.manager().lse(), x.engine.manager().lce());
+    for pass in 0..passes {
         for epoch in lse..=lce {
             let snapshot = Snapshot::committed(epoch);
-            state.comparisons +=
-                compare_paths(&state.engine, &snapshot, None, &format!("sweep#{pass}"))?;
+            x.comparisons += (hooks.compare)(&x.engine, &snapshot, None, &format!("sweep#{pass}"))?;
         }
     }
-    // Sample parallel-task usage so the report can prove the fast
-    // path actually fanned out (brick counts vary by schedule, so
-    // this is observed, not asserted, per run).
-    let probe = state
-        .engine
-        .query_at(ORACLE_CUBE, &build_query(0), &Snapshot::committed(lce))
-        .map_err(|e| fail(None, format!("probe query failed: {e}")))?;
-    state.parallel_tasks = probe.stats.parallel_tasks;
-    let cache_hits = state.engine.agg_cache_stats().map_or(0, |s| s.hits);
-    Ok(ScanReport {
-        ops_executed: schedule.ops.len(),
-        comparisons: state.comparisons,
-        cache_hits,
-        parallel_tasks: state.parallel_tasks,
-    })
+    Ok(x)
+}
+
+/// The scan-path harness (`harness scan`; header line
+/// `storage plain|bess`).
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Scan {
+    /// Brick dimension layout.
+    pub storage: DimStorage,
+}
+
+impl Harness for Scan {
+    type Report = ScanReport;
+
+    fn name(&self) -> &'static str {
+        "scan"
+    }
+
+    /// Executes `schedule` against a parallel+memoized engine,
+    /// comparing the fast and reference scan paths at every
+    /// checkpoint, then sweeps the full readable window three times:
+    /// pass 0 is every key's first sighting, pass 1 stores it, pass 2
+    /// must be answered from the memo — and still agree bit-for-bit.
+    fn run(&self, schedule: &Schedule) -> Result<ScanReport, Failure> {
+        let x = run_self_check(schedule, scan_engine_with(self.storage), 3, compare_paths)?;
+        // Sample parallel-task usage so the report can prove the fast
+        // path actually fanned out (brick counts vary by schedule, so
+        // this is observed, not asserted, per run).
+        let lce = x.engine.manager().lce();
+        let probe = x
+            .engine
+            .query_at(ORACLE_CUBE, &build_query(0), &Snapshot::committed(lce))
+            .map_err(|e| Failure::new(format!("probe query failed: {e}")))?;
+        Ok(ScanReport {
+            ops_executed: schedule.ops.len(),
+            comparisons: x.comparisons,
+            cache_hits: x.engine.agg_cache_stats().map_or(0, |s| s.hits),
+            parallel_tasks: probe.stats.parallel_tasks,
+        })
+    }
+
+    fn header(&self) -> Vec<String> {
+        let storage = match self.storage {
+            DimStorage::Plain => "plain",
+            DimStorage::Bess => "bess",
+        };
+        vec![format!("storage {storage}")]
+    }
+
+    fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        self.storage = match (key, value) {
+            ("storage", "plain") => DimStorage::Plain,
+            ("storage", "bess") => DimStorage::Bess,
+            _ => return Err(format!("harness scan takes no {key:?} {value:?} line")),
+        };
+        Ok(())
+    }
+
+    fn target(&self) -> &'static str {
+        "scan_oracle"
+    }
 }

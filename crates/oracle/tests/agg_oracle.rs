@@ -5,14 +5,16 @@
 //! oracle its teeth: the AVG mean-of-means trap and deliberately
 //! corrupted snapshot-memo entries.
 //!
-//! Reproduce a failing seed with
-//! `AOSI_AGG_SEEDS=<seed> cargo test -p oracle --test agg_oracle`.
+//! A failing seed is minimized and dumped automatically; rerun it with
+//! `AOSI_SEEDS=<seed> cargo test -p oracle --test agg_oracle env_seeds`
+//! or replay the artifact with
+//! `AOSI_REPLAY=<file> cargo test -p oracle --test corpus env_replay`.
 
 use aosi::Snapshot;
 use columnar::Value;
 use cubrick::{AggFn, Aggregation, Query};
-use oracle::agg::{check_agg_seed, replay_agg_artifact};
-use oracle::scan::{compare_paths, scan_engine};
+use oracle::scan::scan_engine;
+use oracle::{check_seed, compare_paths, seeds, Agg};
 use workload::ops::{GenConfig, ORACLE_CUBE};
 
 /// Shorter schedules than the scan oracle's: every checkpoint runs
@@ -35,7 +37,7 @@ fn agg_corpus_pinned_seeds() {
     let mut comparisons = 0u64;
     let mut partials = 0u64;
     for seed in 1..=44u64 {
-        let report = check_agg_seed(seed, &cfg());
+        let report = check_seed(&Agg, seed, &cfg());
         assert!(report.comparisons > 0, "seed {seed} compared nothing");
         comparisons += report.comparisons;
         partials += report.partials_folded;
@@ -49,39 +51,16 @@ fn agg_corpus_pinned_seeds() {
     eprintln!("merge oracle: 44 seeds, {comparisons} comparisons, {partials} partials folded");
 }
 
-/// `AOSI_AGG_SEEDS=7,99` replays extra seeds (the red-CI hook).
+/// `AOSI_SEEDS=7,99` runs extra seeds (the nightly sweep and the
+/// red-CI rerun path).
 #[test]
-fn env_agg_seeds_replay() {
-    let Ok(spec) = std::env::var("AOSI_AGG_SEEDS") else {
-        return;
-    };
-    for part in spec.split([',', ' ']).filter(|s| !s.is_empty()) {
-        let seed: u64 = part
-            .parse()
-            .unwrap_or_else(|e| panic!("bad seed {part:?} in AOSI_AGG_SEEDS: {e}"));
-        let report = check_agg_seed(seed, &cfg());
+fn env_seeds() {
+    for seed in seeds(&[]) {
+        let report = check_seed(&Agg, seed, &cfg());
         eprintln!(
             "merge oracle seed {seed}: clean ({} comparisons)",
             report.comparisons
         );
-    }
-}
-
-/// `AOSI_AGG_REPLAY=/path/a.seed,/path/b.seed` replays dumped
-/// artifacts byte-for-byte.
-#[test]
-fn env_agg_artifact_replay() {
-    let Ok(spec) = std::env::var("AOSI_AGG_REPLAY") else {
-        return;
-    };
-    for path in spec.split(',').filter(|s| !s.is_empty()) {
-        match replay_agg_artifact(std::path::Path::new(path)) {
-            Ok(report) => eprintln!(
-                "artifact {path}: clean ({} comparisons)",
-                report.comparisons
-            ),
-            Err(divergence) => panic!("artifact {path} still diverges: {divergence}"),
-        }
     }
 }
 

@@ -1,15 +1,17 @@
-//! The pinned oracle corpus: 40 seeds across the three execution
-//! modes, plus the env replay hooks and the injected-bug meta-test.
+//! The pinned differential corpus: 40 seeds across the three execution
+//! modes, plus the `AOSI_SEEDS`/`AOSI_REPLAY` hooks and the
+//! injected-bug meta-tests.
 //!
 //! A red run here means the AOSI engine and the MVCC reference
 //! disagreed (or the SI checker fired). The failing seed is
-//! minimized and dumped automatically; reproduce locally with
-//! `AOSI_ORACLE_SEEDS=<seed> cargo test -p oracle` or replay the
-//! dumped artifact with `AOSI_ORACLE_REPLAY=<file> cargo test -p oracle`.
+//! minimized and dumped automatically; rerun it with
+//! `AOSI_SEEDS=<seed> cargo test -p oracle --test corpus env_seeds` or
+//! replay the dumped artifact — from any harness — with
+//! `AOSI_REPLAY=<file> cargo test -p oracle --test corpus env_replay`.
 
-use std::path::PathBuf;
-
-use oracle::{check_seed, minimize, replay_artifact, run, Inject, Mode};
+use oracle::{
+    check_seed, replay, replay_paths, seeds, shrink, Differential, Harness, Inject, Mode,
+};
 use workload::ops::{GenConfig, LogicalOp, Schedule};
 
 fn cfg() -> GenConfig {
@@ -20,11 +22,18 @@ fn cfg() -> GenConfig {
 /// minimizable byte-for-byte.
 #[test]
 fn pinned_corpus_deterministic() {
+    let (mut comparisons, mut checker_events) = (0u64, 0u64);
     for seed in 1..=16u64 {
-        let report = check_seed(seed, Mode::Deterministic, &cfg());
+        let report = check_seed(&Differential::new(Mode::Deterministic), seed, &cfg());
         assert!(report.comparisons > 0, "seed {seed} compared nothing");
         assert!(report.checker_events > 0, "seed {seed} checked nothing");
+        comparisons += report.comparisons;
+        checker_events += report.checker_events;
     }
+    eprintln!(
+        "deterministic corpus: 16 seeds, {comparisons} comparisons, \
+         {checker_events} checker events"
+    );
 }
 
 /// 12 stress seeds: the same schedules as transaction-sized units on
@@ -32,7 +41,7 @@ fn pinned_corpus_deterministic() {
 #[test]
 fn pinned_corpus_stress() {
     for seed in 101..=112u64 {
-        let report = check_seed(seed, Mode::Stress, &cfg());
+        let report = check_seed(&Differential::new(Mode::Stress), seed, &cfg());
         assert!(report.comparisons > 0, "seed {seed} compared nothing");
     }
 }
@@ -42,50 +51,48 @@ fn pinned_corpus_stress() {
 /// re-checked against the pruned log, schedule continued.
 #[test]
 fn pinned_corpus_crash_recovery() {
+    let (mut comparisons, mut checker_events) = (0u64, 0u64);
     for seed in 201..=212u64 {
         let len = Schedule::generate(seed, &cfg()).ops.len();
         // Spread crash points across the middle of the schedule.
         let crash_at = len / 4 + (seed as usize * 7) % (len / 2);
-        let report = check_seed(seed, Mode::Crash { crash_at }, &cfg());
+        let report = check_seed(&Differential::new(Mode::Crash { crash_at }), seed, &cfg());
         assert!(report.comparisons > 0, "seed {seed} compared nothing");
+        comparisons += report.comparisons;
+        checker_events += report.checker_events;
     }
+    eprintln!(
+        "crash-recovery corpus: 12 seeds, {comparisons} comparisons, \
+         {checker_events} checker events"
+    );
 }
 
-/// `AOSI_ORACLE_SEEDS=7,99` runs extra seeds through all three modes
-/// (the replay path for a red CI run).
+/// `AOSI_SEEDS=7,99` runs extra seeds through all three modes (the
+/// nightly sweep and the red-CI rerun path).
 #[test]
-fn env_seeds_replay() {
-    let Ok(spec) = std::env::var("AOSI_ORACLE_SEEDS") else {
-        return;
-    };
-    for part in spec.split([',', ' ']).filter(|s| !s.is_empty()) {
-        let seed: u64 = part
-            .parse()
-            .unwrap_or_else(|e| panic!("bad seed {part:?} in AOSI_ORACLE_SEEDS: {e}"));
+fn env_seeds() {
+    for seed in seeds(&[]) {
         let len = Schedule::generate(seed, &cfg()).ops.len();
-        check_seed(seed, Mode::Deterministic, &cfg());
-        check_seed(seed, Mode::Stress, &cfg());
-        check_seed(seed, Mode::Crash { crash_at: len / 2 }, &cfg());
-        eprintln!("oracle seed {seed}: all three modes clean");
+        for mode in [
+            Mode::Deterministic,
+            Mode::Stress,
+            Mode::Crash { crash_at: len / 2 },
+        ] {
+            check_seed(&Differential::new(mode), seed, &cfg());
+        }
+        eprintln!("differential seed {seed}: all three modes clean");
     }
 }
 
-/// `AOSI_ORACLE_REPLAY=a.seed,b.seed` re-runs dumped artifacts; the
-/// test fails (reproducing the divergence) if any still diverges.
+/// `AOSI_REPLAY=a.seed,b.seed` re-runs dumped artifacts of any harness
+/// through the harness their `harness` line names; the test fails
+/// (reproducing the failure) if any still fails.
 #[test]
-fn env_artifact_replay() {
-    let Ok(spec) = std::env::var("AOSI_ORACLE_REPLAY") else {
-        return;
-    };
-    for path in spec.split(',').filter(|s| !s.is_empty()) {
-        let path = PathBuf::from(path);
-        match replay_artifact(&path) {
-            Ok(report) => eprintln!(
-                "replayed {} clean ({} comparisons)",
-                path.display(),
-                report.comparisons
-            ),
-            Err(d) => panic!("artifact {} reproduces: {d}", path.display()),
+fn env_replay() {
+    for path in replay_paths() {
+        match replay(&path) {
+            Ok(report) => eprintln!("replayed {} clean: {report}", path.display()),
+            Err(failure) => panic!("artifact {} reproduces: {failure}", path.display()),
         }
     }
 }
@@ -98,16 +105,19 @@ fn env_artifact_replay() {
 #[test]
 fn injected_visibility_bug_is_caught_and_minimized() {
     let schedule = Schedule::generate(7, &GenConfig::default());
-    let inject = Some(Inject::SnapshotBehind);
-    let divergence = run(&schedule, Mode::Deterministic, inject)
+    let harness = Differential {
+        mode: Mode::Deterministic,
+        inject: Some(Inject::SnapshotBehind),
+    };
+    let divergence = harness
+        .run(&schedule)
         .expect_err("a stale-snapshot read must diverge");
     assert!(
         divergence.detail.contains("epoch"),
         "divergence names the epoch: {divergence}"
     );
 
-    let min = minimize(&schedule, Mode::Deterministic, inject)
-        .expect("a deterministic failure minimizes");
+    let min = shrink(&harness, &schedule).expect("a deterministic failure minimizes");
     assert!(
         min.schedule.ops.len() < schedule.ops.len() / 2,
         "shrunk {} ops to {}",
@@ -126,7 +136,7 @@ fn injected_visibility_bug_is_caught_and_minimized() {
     );
 
     // The dumped artifact reproduces the failure standalone.
-    let replayed = replay_artifact(&min.artifact).expect_err("artifact still diverges");
+    let replayed = replay(&min.artifact).expect_err("artifact still diverges");
     assert!(
         replayed.detail.contains("epoch"),
         "replayed divergence: {replayed}"
@@ -138,9 +148,10 @@ fn injected_visibility_bug_is_caught_and_minimized() {
 /// trip; scheduling noise may hide it on any single one).
 #[test]
 fn injected_bug_caught_under_stress() {
-    let caught = (7..12u64).any(|seed| {
-        let schedule = Schedule::generate(seed, &cfg());
-        run(&schedule, Mode::Stress, Some(Inject::SnapshotBehind)).is_err()
-    });
+    let harness = Differential {
+        mode: Mode::Stress,
+        inject: Some(Inject::SnapshotBehind),
+    };
+    let caught = (7..12u64).any(|seed| harness.run(&Schedule::generate(seed, &cfg())).is_err());
     assert!(caught, "stale-snapshot reads survived the stress oracle");
 }

@@ -1,30 +1,24 @@
 //! The pinned crash-torture corpus: 40 seeds, each run through the
 //! full four-phase torture (boundary census, one power cut per write
-//! syscall, hole probe, bit-flip probes), plus the env replay hooks
+//! syscall, hole probe, bit-flip probes), plus the `AOSI_SEEDS` hook
 //! and the four injected-bug meta-tests.
 //!
 //! A red run here means a crash boundary exists from which recovery
 //! does not restore exactly a complete flushed prefix. The failing
-//! schedule is minimized and dumped automatically; reproduce with
-//! `AOSI_CRASH_SEEDS=<seed> cargo test -p oracle --test crash_torture`
-//! or `AOSI_CRASH_REPLAY=<file> cargo test -p oracle --test crash_torture`.
+//! schedule is minimized and dumped automatically; rerun it with
+//! `AOSI_SEEDS=<seed> cargo test -p oracle --test crash_torture env_seeds`
+//! or replay the artifact with
+//! `AOSI_REPLAY=<file> cargo test -p oracle --test corpus env_replay`.
 
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
 
-use oracle::{
-    artifact_dir, check_crash_seed, replay_crash_artifact, run_torture, BugHooks, TortureConfig,
-};
+use oracle::{artifact_dir, check_seed, replay, seeds, BugHooks, Harness, Torture, CRASH_GEN};
 use workload::ops::Schedule;
 
-fn cfg() -> TortureConfig {
-    TortureConfig::default()
-}
-
-fn with_bugs(bugs: BugHooks) -> TortureConfig {
-    TortureConfig {
+fn with_bugs(bugs: BugHooks) -> Torture {
+    Torture {
         bugs,
-        ..TortureConfig::default()
+        ..Torture::crash()
     }
 }
 
@@ -39,7 +33,7 @@ fn pinned_crash_corpus() {
     let mut bitflip_probes = 0usize;
     let mut crash_points = 0u64;
     for seed in 301..=340u64 {
-        let report = check_crash_seed(seed, &cfg());
+        let report = check_seed(&Torture::crash(), seed, &CRASH_GEN);
         assert!(
             report.crash_points >= 4,
             "seed {seed} enumerated only {} boundaries",
@@ -73,42 +67,16 @@ fn pinned_crash_corpus() {
     );
 }
 
-/// `AOSI_CRASH_SEEDS=7,99` runs extra seeds through the torture (the
-/// nightly sweep and the red-CI replay path).
+/// `AOSI_SEEDS=7,99` runs extra seeds through the torture (the
+/// nightly sweep and the red-CI rerun path).
 #[test]
-fn env_crash_seeds() {
-    let Ok(spec) = std::env::var("AOSI_CRASH_SEEDS") else {
-        return;
-    };
-    for part in spec.split([',', ' ']).filter(|s| !s.is_empty()) {
-        let seed: u64 = part
-            .parse()
-            .unwrap_or_else(|e| panic!("bad seed {part:?} in AOSI_CRASH_SEEDS: {e}"));
-        let report = check_crash_seed(seed, &cfg());
+fn env_seeds() {
+    for seed in seeds(&[]) {
+        let report = check_seed(&Torture::crash(), seed, &CRASH_GEN);
         eprintln!(
             "crash seed {seed}: {} boundaries clean ({} comparisons)",
             report.crash_points, report.comparisons
         );
-    }
-}
-
-/// `AOSI_CRASH_REPLAY=a.seed,b.seed` re-runs dumped artifacts; the
-/// test fails (reproducing the violation) if any still fails.
-#[test]
-fn env_crash_replay() {
-    let Ok(spec) = std::env::var("AOSI_CRASH_REPLAY") else {
-        return;
-    };
-    for path in spec.split(',').filter(|s| !s.is_empty()) {
-        let path = PathBuf::from(path);
-        match replay_crash_artifact(&path) {
-            Ok(report) => eprintln!(
-                "replayed {} clean ({} boundaries)",
-                path.display(),
-                report.crash_points
-            ),
-            Err(fail) => panic!("artifact {} reproduces: {fail}", path.display()),
-        }
     }
 }
 
@@ -133,8 +101,8 @@ fn injected_restart_clobber_is_caught() {
         ..Default::default()
     };
     let caught = (301..=308u64).any(|seed| {
-        let schedule = Schedule::generate(seed, &cfg().gen);
-        run_torture(&schedule, &with_bugs(bugs)).is_err()
+        let schedule = Schedule::generate(seed, &CRASH_GEN);
+        with_bugs(bugs).run(&schedule).is_err()
     });
     assert!(caught, "a clobbering restart survived the torture");
 }
@@ -152,8 +120,8 @@ fn injected_clobber_with_blind_recovery_is_caught() {
         ..Default::default()
     };
     let caught = (301..=308u64).any(|seed| {
-        let schedule = Schedule::generate(seed, &cfg().gen);
-        run_torture(&schedule, &with_bugs(bugs)).is_err()
+        let schedule = Schedule::generate(seed, &CRASH_GEN);
+        with_bugs(bugs).run(&schedule).is_err()
     });
     assert!(caught, "clobber + gap-blind recovery survived the torture");
 }
@@ -170,8 +138,8 @@ fn injected_gap_blind_recovery_is_caught() {
         ..Default::default()
     };
     let caught = (301..=312u64).any(|seed| {
-        let schedule = Schedule::generate(seed, &cfg().gen);
-        match run_torture(&schedule, &with_bugs(bugs)) {
+        let schedule = Schedule::generate(seed, &CRASH_GEN);
+        match with_bugs(bugs).run(&schedule) {
             Err(fail) => {
                 eprintln!("seed {seed} caught gap-blind recovery: {fail}");
                 true
@@ -191,8 +159,9 @@ fn injected_marker_failure_is_a_typed_error_not_a_panic() {
         fail_marker: true,
         ..Default::default()
     };
-    let schedule = Schedule::generate(301, &cfg().gen);
-    let fail = run_torture(&schedule, &with_bugs(bugs))
+    let schedule = Schedule::generate(301, &CRASH_GEN);
+    let fail = with_bugs(bugs)
+        .run(&schedule)
         .expect_err("a failing marker commit must fail recovery");
     assert!(
         fail.detail.contains("marker"),
@@ -210,8 +179,9 @@ fn injected_missing_dir_sync_is_caught() {
         skip_dir_sync: true,
         ..Default::default()
     };
-    let schedule = Schedule::generate(301, &cfg().gen);
-    let fail = run_torture(&schedule, &with_bugs(bugs))
+    let schedule = Schedule::generate(301, &CRASH_GEN);
+    let fail = with_bugs(bugs)
+        .run(&schedule)
         .expect_err("volatile directory entries must fail the power-safety probe");
     assert!(
         fail.detail.contains("power-safe"),
@@ -219,36 +189,37 @@ fn injected_missing_dir_sync_is_caught() {
     );
 }
 
-/// The full red-run pipeline on an injected bug: `check_crash_seed`
-/// panics with reproduction instructions, the minimized artifact is
-/// written with the bug tags in its header, and replaying the
-/// artifact reproduces the failure standalone.
+/// The full red-run pipeline on an injected bug: `check_seed` panics
+/// with reproduction instructions, the minimized artifact is written
+/// with the bug tags in its header, and replaying the artifact
+/// reproduces the failure standalone.
 #[test]
 fn injected_bug_minimizes_to_a_replayable_artifact() {
     let bugs = BugHooks {
         skip_dir_sync: true,
         ..Default::default()
     };
-    let cfg = with_bugs(bugs);
+    let torture = with_bugs(bugs);
     let seed = 301u64;
-    let panic_msg = std::panic::catch_unwind(AssertUnwindSafe(|| check_crash_seed(seed, &cfg)))
-        .expect_err("an injected bug must panic the seed check");
+    let panic_msg =
+        std::panic::catch_unwind(AssertUnwindSafe(|| check_seed(&torture, seed, &CRASH_GEN)))
+            .expect_err("an injected bug must panic the seed check");
     let panic_msg = panic_msg
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_default();
     assert!(
-        panic_msg.contains(&format!("AOSI_CRASH_SEEDS={seed}")),
+        panic_msg.contains(&format!("AOSI_SEEDS={seed}")),
         "panic carries reproduction instructions: {panic_msg}"
     );
 
-    let artifact = artifact_dir().join(format!("torture-seed{seed}-skip-dir-sync.seed"));
+    let artifact = artifact_dir().join(format!("crash-seed{seed}-skip-dir-sync.seed"));
     assert!(
         artifact.exists(),
         "minimized artifact written to {}",
         artifact.display()
     );
-    let fail = replay_crash_artifact(&artifact).expect_err("artifact still reproduces");
+    let fail = replay(&artifact).expect_err("artifact still reproduces");
     assert!(
         fail.detail.contains("power-safe"),
         "replayed failure: {fail}"

@@ -7,12 +7,15 @@
 //!
 //! A red run here means the fast scan path (shard fan-out, the ranges
 //! kernel, or a memoized shard answer) disagreed with the slow path on
-//! the same engine state. Reproduce a failing seed with
-//! `AOSI_SCAN_SEEDS=<seed> cargo test -p oracle --test scan_oracle`.
+//! the same engine state. The failing schedule is minimized and dumped
+//! automatically; rerun it with
+//! `AOSI_SEEDS=<seed> cargo test -p oracle --test scan_oracle env_seeds`
+//! or replay the artifact with
+//! `AOSI_REPLAY=<file> cargo test -p oracle --test corpus env_replay`.
 
 use cubrick::DimStorage;
-use oracle::scan::run_scan_schedule_with;
-use workload::ops::{GenConfig, Schedule};
+use oracle::{check_seed, seeds, Scan, ScanReport};
+use workload::ops::GenConfig;
 
 /// Shorter schedules than the MVCC oracle's default: each seed's
 /// work is tripled by the memo sweep, and 100+ seeds must stay
@@ -26,8 +29,7 @@ fn cfg() -> GenConfig {
     }
 }
 
-fn check_scan_seed(seed: u64) -> oracle::ScanReport {
-    let schedule = Schedule::generate(seed, &cfg());
+fn check_scan_seed(seed: u64) -> ScanReport {
     // Every third seed runs on bess-packed bricks, so the corpus
     // exercises the kernels' gather fallback as well as the
     // per-dimension slice fast path.
@@ -36,13 +38,7 @@ fn check_scan_seed(seed: u64) -> oracle::ScanReport {
     } else {
         DimStorage::Plain
     };
-    match run_scan_schedule_with(&schedule, storage) {
-        Ok(report) => report,
-        Err(divergence) => panic!(
-            "scan oracle diverged on seed {seed} ({storage:?}): {divergence}\n\
-             reproduce: AOSI_SCAN_SEEDS={seed} cargo test -p oracle --test scan_oracle"
-        ),
-    }
+    check_seed(&Scan { storage }, seed, &cfg())
 }
 
 /// 104 pinned seeds. Every schedule ends with a full-window sweep run
@@ -71,16 +67,10 @@ fn scan_corpus_pinned_seeds() {
     );
 }
 
-/// `AOSI_SCAN_SEEDS=7,99` replays extra seeds (the red-CI hook).
+/// `AOSI_SEEDS=7,99` runs extra seeds (the red-CI rerun path).
 #[test]
-fn env_scan_seeds_replay() {
-    let Ok(spec) = std::env::var("AOSI_SCAN_SEEDS") else {
-        return;
-    };
-    for part in spec.split([',', ' ']).filter(|s| !s.is_empty()) {
-        let seed: u64 = part
-            .parse()
-            .unwrap_or_else(|e| panic!("bad seed {part:?} in AOSI_SCAN_SEEDS: {e}"));
+fn env_seeds() {
+    for seed in seeds(&[]) {
         let report = check_scan_seed(seed);
         eprintln!(
             "scan oracle seed {seed}: clean ({} comparisons)",

@@ -1,23 +1,18 @@
 //! The pinned tiered-storage torture corpus: each seed runs the full
 //! tier torture (census with forced evict/reload cycles, one power
 //! cut per mutating syscall — spill writes included — and the
-//! snapshot media probes), plus the env replay hooks.
+//! snapshot media probes), plus the `AOSI_SEEDS` hook.
 //!
 //! A red run here means a crash boundary exists from which recovery
 //! does not restore a complete flushed prefix without help from
 //! snapshot files, or that damaged snapshot media was served instead
 //! of failing typed. The failing schedule is minimized and dumped
-//! automatically; reproduce with
-//! `AOSI_TIER_SEEDS=<seed> cargo test -p oracle --test tier_torture`
-//! or `AOSI_TIER_REPLAY=<file> cargo test -p oracle --test tier_torture`.
+//! automatically; rerun it with
+//! `AOSI_SEEDS=<seed> cargo test -p oracle --test tier_torture env_seeds`
+//! or replay the artifact with
+//! `AOSI_REPLAY=<file> cargo test -p oracle --test corpus env_replay`.
 
-use std::path::PathBuf;
-
-use oracle::{check_tier_seed, replay_tier_artifact, TierTortureConfig};
-
-fn cfg() -> TierTortureConfig {
-    TierTortureConfig::default()
-}
+use oracle::{check_seed, seeds, Torture, TIER_GEN};
 
 /// 12 pinned seeds (the tier torture multiplies each schedule by a
 /// larger syscall count than the crash torture, so the corpus is
@@ -31,7 +26,7 @@ fn pinned_tier_corpus() {
     let mut media_probes = 0usize;
     let mut multi_round_seeds = 0u32;
     for seed in 501..=512u64 {
-        let report = check_tier_seed(seed, &cfg());
+        let report = check_seed(&Torture::tier(), seed, &TIER_GEN);
         assert!(
             report.crash_points >= 8,
             "seed {seed} enumerated only {} boundaries",
@@ -73,42 +68,16 @@ fn pinned_tier_corpus() {
     );
 }
 
-/// `AOSI_TIER_SEEDS=7,99` runs extra seeds through the tier torture
-/// (the nightly sweep and the red-CI replay path).
+/// `AOSI_SEEDS=7,99` runs extra seeds through the tier torture (the
+/// nightly sweep and the red-CI rerun path).
 #[test]
-fn env_tier_seeds() {
-    let Ok(spec) = std::env::var("AOSI_TIER_SEEDS") else {
-        return;
-    };
-    for part in spec.split([',', ' ']).filter(|s| !s.is_empty()) {
-        let seed: u64 = part
-            .parse()
-            .unwrap_or_else(|e| panic!("bad seed {part:?} in AOSI_TIER_SEEDS: {e}"));
-        let report = check_tier_seed(seed, &cfg());
+fn env_seeds() {
+    for seed in seeds(&[]) {
+        let report = check_seed(&Torture::tier(), seed, &TIER_GEN);
         eprintln!(
             "tier seed {seed}: {} boundaries clean ({} spills, {} reloads, \
              {} comparisons)",
             report.crash_points, report.spills, report.reloads, report.comparisons
         );
-    }
-}
-
-/// `AOSI_TIER_REPLAY=a.seed,b.seed` re-runs dumped artifacts; the
-/// test fails (reproducing the violation) if any still fails.
-#[test]
-fn env_tier_replay() {
-    let Ok(spec) = std::env::var("AOSI_TIER_REPLAY") else {
-        return;
-    };
-    for path in spec.split(',').filter(|s| !s.is_empty()) {
-        let path = PathBuf::from(path);
-        match replay_tier_artifact(&path) {
-            Ok(report) => eprintln!(
-                "replayed {} clean ({} boundaries)",
-                path.display(),
-                report.crash_points
-            ),
-            Err(fail) => panic!("artifact {} reproduces: {fail}", path.display()),
-        }
     }
 }

@@ -5,8 +5,13 @@
 //! Everything is deterministic: the fault plan's RNG and the
 //! workload's RNG both derive from the test seed, so any failure
 //! replays exactly. Override the seed list with a comma-separated
-//! `AOSI_CHAOS_SEEDS` environment variable (the CI chaos job pins
-//! it).
+//! `AOSI_SEEDS` environment variable (the CI `torture` job pins it);
+//! a failing seed writes a `harness chaos` artifact naming the command
+//! that reruns it:
+//!
+//! ```text
+//! AOSI_SEEDS=41 cargo test --test chaos_cluster chaos_drops
+//! ```
 
 use std::collections::BTreeSet;
 use std::time::Duration;
@@ -24,16 +29,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const NODES: u64 = 3;
 
-fn chaos_seeds() -> Vec<u64> {
-    std::env::var("AOSI_CHAOS_SEEDS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 3])
+/// Runs `f` once per seed (`AOSI_SEEDS`, default `1,2,3`); a
+/// panicking seed leaves a replayable artifact.
+fn for_each_seed(test: &str, f: impl Fn(u64)) {
+    oracle::for_each_seed("chaos", test, &[1, 2, 3], f);
 }
 
 /// Fast-retry policy for chaos runs (the backoff sleeps are real
@@ -260,7 +259,7 @@ fn run_protocol_chaos(label: &str, seed: u64, plan: FaultPlan, steps: usize) -> 
 
 #[test]
 fn chaos_drops() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_drops", |seed| {
         let plan = FaultPlan::seeded(seed).drop_p(0.10);
         let d = run_protocol_chaos("drops", seed, plan, 150);
         let (drops, _, _, _) = d.cluster.network().fault_stats();
@@ -269,12 +268,12 @@ fn chaos_drops() {
             d.cluster.metrics().retries.get() > 0,
             "seed {seed}: drops must force retries"
         );
-    }
+    });
 }
 
 #[test]
 fn chaos_duplicates() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_duplicates", |seed| {
         let plan = FaultPlan::seeded(seed).dup_p(0.25);
         let d = run_protocol_chaos("duplicates", seed, plan, 150);
         let (_, dups, _, _) = d.cluster.network().fault_stats();
@@ -283,12 +282,12 @@ fn chaos_duplicates() {
             d.cluster.metrics().dedup_hits.get() > 0,
             "seed {seed}: duplicates must hit the idempotency filter"
         );
-    }
+    });
 }
 
 #[test]
 fn chaos_delay_reorder() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_delay_reorder", |seed| {
         let plan = FaultPlan::seeded(seed).delay_p(0.20).delay_horizon(8);
         let d = run_protocol_chaos("delay", seed, plan, 150);
         let (_, _, delays, _) = d.cluster.network().fault_stats();
@@ -297,12 +296,12 @@ fn chaos_delay_reorder() {
             d.checker.events_checked() > 300,
             "seed {seed}: workload too small to mean anything"
         );
-    }
+    });
 }
 
 #[test]
 fn chaos_crash_restart() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_crash_restart", |seed| {
         // Two scheduled outages in message-sequence time plus one
         // scripted crash/restart mid-run.
         let plan = FaultPlan::seeded(seed).crash(2, 40, 80).crash(3, 200, 230);
@@ -322,12 +321,12 @@ fn chaos_crash_restart() {
             crash_drops > 0,
             "seed {seed}: no message ever hit an outage"
         );
-    }
+    });
 }
 
 #[test]
 fn chaos_combined() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_combined", |seed| {
         let plan = FaultPlan::seeded(seed)
             .drop_p(0.05)
             .dup_p(0.05)
@@ -344,7 +343,7 @@ fn chaos_combined() {
         assert!(text.contains("[cluster.faults]"), "report:\n{text}");
         assert!(text.contains("[cluster.protocol]"), "report:\n{text}");
         assert!(text.contains("retries"), "report:\n{text}");
-    }
+    });
 }
 
 /// The full engine under combined faults: loads, deletes, and
@@ -352,7 +351,7 @@ fn chaos_combined() {
 /// reads stay stable when replayed at an explicit snapshot.
 #[test]
 fn chaos_cubrick_cluster() {
-    for seed in chaos_seeds() {
+    for_each_seed("chaos_cubrick_cluster", |seed| {
         let plan = FaultPlan::seeded(seed)
             .drop_p(0.04)
             .dup_p(0.04)
@@ -492,5 +491,5 @@ fn chaos_cubrick_cluster() {
         let report = d.metrics_report();
         assert!(report.contains("[cluster.faults]"), "report:\n{report}");
         assert!(report.contains("[cluster.protocol]"), "report:\n{report}");
-    }
+    });
 }

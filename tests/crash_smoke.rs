@@ -6,15 +6,15 @@
 //! prefix — end to end. The full pinned corpus (40 seeds plus the
 //! injected-bug meta-tests) lives in
 //! `crates/oracle/tests/crash_torture.rs` and runs via
-//! `cargo test -p oracle --test crash_torture` (wired into CI's
-//! `crash-torture` job).
+//! `cargo test -p oracle --test crash_torture` (CI's `torture` matrix
+//! job).
 
-use oracle::{check_crash_seed, TortureConfig};
+use oracle::{check_seed, Torture, CRASH_GEN};
 
 #[test]
 fn crash_torture_smoke() {
     for seed in [301u64, 326] {
-        let report = check_crash_seed(seed, &TortureConfig::default());
+        let report = check_seed(&Torture::crash(), seed, &CRASH_GEN);
         assert!(
             report.crash_points >= 4,
             "seed {seed} enumerated only {} boundaries",

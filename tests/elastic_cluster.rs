@@ -4,12 +4,12 @@
 //! Everything is deterministic per seed: the fault plan's RNG and the
 //! workload's RNG both derive from the test seed, so any failure
 //! replays exactly. Override the seed list with a comma-separated
-//! `AOSI_ELASTIC_SEEDS` environment variable — the CI `elastic` job
-//! pins a ≥20-seed corpus, and on failure uploads the seed so the
-//! exact run can be replayed locally:
+//! `AOSI_SEEDS` environment variable — the CI `torture` job pins a
+//! ≥20-seed corpus, and on failure uploads the `harness elastic`
+//! artifact naming the command that reruns the exact run locally:
 //!
 //! ```text
-//! AOSI_ELASTIC_SEEDS=17 cargo test --test elastic_cluster
+//! AOSI_SEEDS=17 cargo test --test elastic_cluster kill_a_node_mid_workload
 //! ```
 
 use std::collections::BTreeSet;
@@ -22,37 +22,10 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const BATCH: usize = 15;
 
-fn elastic_seeds() -> Vec<u64> {
-    std::env::var("AOSI_ELASTIC_SEEDS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .filter_map(|t| t.trim().parse().ok())
-                .collect::<Vec<u64>>()
-        })
-        .filter(|v| !v.is_empty())
-        .unwrap_or_else(|| vec![1, 2, 3])
-}
-
-/// Runs `f` once per seed. A panicking seed is first dumped as a
-/// replayable `.seed` artifact into `AOSI_ORACLE_ARTIFACT_DIR` (the
-/// CI `elastic` job uploads that directory on failure), then the
-/// panic resumes so the test still goes red.
+/// Runs `f` once per seed (`AOSI_SEEDS`, default `1,2,3`); a
+/// panicking seed leaves a replayable artifact.
 fn for_each_seed(test: &str, f: impl Fn(u64)) {
-    for seed in elastic_seeds() {
-        if let Err(panic) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(seed))) {
-            if let Ok(dir) = std::env::var("AOSI_ORACLE_ARTIFACT_DIR") {
-                let _ = std::fs::create_dir_all(&dir);
-                let _ = std::fs::write(
-                    std::path::Path::new(&dir).join(format!("elastic-{test}-seed{seed}.seed")),
-                    format!(
-                        "# replay: AOSI_ELASTIC_SEEDS={seed} cargo test --test elastic_cluster {test}\nseed={seed}\ntest={test}\n"
-                    ),
-                );
-            }
-            std::panic::resume_unwind(panic);
-        }
-    }
+    oracle::for_each_seed("elastic", test, &[1, 2, 3], f);
 }
 
 fn fast_retry() -> RetryPolicy {

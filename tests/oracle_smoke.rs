@@ -2,21 +2,26 @@
 //! execution mode, so `cargo test -q` at the repo root exercises the
 //! AOSI-vs-MVCC equivalence machinery end to end. The full pinned
 //! corpus (40 seeds) lives in `crates/oracle/tests/corpus.rs` and
-//! runs via `cargo test -p oracle` (wired into CI's `oracle` job).
+//! runs via `cargo test -p oracle --test corpus` (CI's `torture`
+//! matrix job).
 
-use oracle::{check_seed, Mode};
+use oracle::{check_seed, Differential, Mode};
 use workload::ops::{GenConfig, Schedule};
 
 #[test]
 fn oracle_deterministic_smoke() {
-    let report = check_seed(1, Mode::Deterministic, &GenConfig::default());
+    let report = check_seed(
+        &Differential::new(Mode::Deterministic),
+        1,
+        &GenConfig::default(),
+    );
     assert!(report.comparisons > 0);
     assert!(report.checker_events > 0);
 }
 
 #[test]
 fn oracle_stress_smoke() {
-    let report = check_seed(101, Mode::Stress, &GenConfig::default());
+    let report = check_seed(&Differential::new(Mode::Stress), 101, &GenConfig::default());
     assert!(report.comparisons > 0);
 }
 
@@ -24,8 +29,8 @@ fn oracle_stress_smoke() {
 fn oracle_crash_recovery_smoke() {
     let len = Schedule::generate(201, &GenConfig::default()).ops.len();
     let report = check_seed(
+        &Differential::new(Mode::Crash { crash_at: len / 2 }),
         201,
-        Mode::Crash { crash_at: len / 2 },
         &GenConfig::default(),
     );
     assert!(report.comparisons > 0);
