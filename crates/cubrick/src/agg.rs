@@ -24,6 +24,8 @@
 //!
 //! [`merge`]: AggState::merge
 
+use std::collections::HashMap;
+
 use columnar::Column;
 
 use crate::brick::Brick;
@@ -282,100 +284,144 @@ pub(crate) fn init_states(aggs: &[(AggFn, usize)]) -> Vec<AggState> {
     aggs.iter().map(|&(func, _)| AggState::init(func)).collect()
 }
 
-/// Dense-table twin of [`AggState::accumulate_batch`]: folds the
-/// selected rows of one metric column into per-group states addressed
-/// as `dense[key * num_aggs + agg_idx]`. Row order within each group
-/// is ascending — the same f64 operation sequence as the reference
-/// kernel — because `sel`/`keys` are ascending and groups only ever
-/// take updates from their own rows. The per-row `if let` always hits
-/// its variant (the table is laid out by `agg_idx`), so the branch
-/// predicts perfectly.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn accumulate_batch_dense(
-    brick: &Brick,
-    func: AggFn,
-    metric: usize,
-    agg_idx: usize,
-    num_aggs: usize,
+/// The vectorized kernel's group table for a small packed-key space,
+/// indexed by the key itself. Each aggregate but `Count` folds into a
+/// typed `f64` column (SUM, AVG's sum, MIN, MAX), and one row count
+/// per key serves `Count`, AVG's count and MIN/MAX's `seen`, so the
+/// per-row loops never match on an [`AggState`] variant. The states
+/// are built once per touched key, in [`DenseGroups::finish`].
+///
+/// Row order within each group is ascending — the same f64 operation
+/// sequence as the reference kernel — because `sel`/`keys` are
+/// ascending and a key's slot only ever takes its own rows.
+pub(crate) struct DenseGroups {
+    /// Rows folded in per key.
+    rows: Vec<u64>,
+    /// Per aggregate, the running value of every key; empty for
+    /// `Count`, which `rows` answers.
+    values: Vec<Vec<f64>>,
+    /// Keys in first-seen order: only these become groups.
+    touched: Vec<u64>,
+}
+
+impl DenseGroups {
+    /// An empty table of `num_keys` slots for `aggs`.
+    pub(crate) fn new(aggs: &[(AggFn, usize)], num_keys: usize) -> Self {
+        let values = aggs
+            .iter()
+            .map(|&(func, _)| match func {
+                AggFn::Count => Vec::new(),
+                AggFn::Sum | AggFn::Avg => vec![0.0; num_keys],
+                AggFn::Min => vec![f64::INFINITY; num_keys],
+                AggFn::Max => vec![f64::NEG_INFINITY; num_keys],
+            })
+            .collect();
+        DenseGroups {
+            rows: vec![0; num_keys],
+            values,
+            touched: Vec::new(),
+        }
+    }
+
+    /// Folds the selected rows, whose packed keys are `keys`, into the
+    /// table. Non-numeric metric cells are skipped, mirroring the
+    /// reference's `get_numeric` miss.
+    pub(crate) fn accumulate(
+        &mut self,
+        brick: &Brick,
+        aggs: &[(AggFn, usize)],
+        sel: &[u32],
+        keys: &[u64],
+    ) {
+        for &key in keys {
+            let rows = &mut self.rows[key as usize];
+            if *rows == 0 {
+                self.touched.push(key);
+            }
+            *rows += 1;
+        }
+        for (table, &(func, metric)) in self.values.iter_mut().zip(aggs) {
+            // `Count` never dereferences the metric column (`COUNT(*)`
+            // resolves with a placeholder index).
+            if func == AggFn::Count {
+                continue;
+            }
+            match (func, brick.metric_column(metric)) {
+                (AggFn::Sum | AggFn::Avg, Column::I64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row] as f64, |acc, x| acc + x);
+                }
+                (AggFn::Sum | AggFn::Avg, Column::F64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row], |acc, x| acc + x);
+                }
+                (AggFn::Min, Column::I64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row] as f64, f64::min);
+                }
+                (AggFn::Min, Column::F64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row], f64::min)
+                }
+                (AggFn::Max, Column::I64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row] as f64, f64::max);
+                }
+                (AggFn::Max, Column::F64(v)) => {
+                    fold_dense(table, sel, keys, |row| v[row], f64::max)
+                }
+                (_, Column::Str(_)) | (AggFn::Count, _) => {}
+            }
+        }
+    }
+
+    /// Turns every touched key into its group's states.
+    pub(crate) fn finish(
+        self,
+        brick: &Brick,
+        aggs: &[(AggFn, usize)],
+        groups: &mut HashMap<u64, Vec<AggState>>,
+    ) {
+        for key in self.touched {
+            let k = key as usize;
+            let rows = self.rows[k];
+            // An aggregate observed every row of the key, unless its
+            // metric column is non-numeric: then it observed none.
+            let observed = |metric| match brick.metric_column(metric) {
+                Column::Str(_) => 0,
+                _ => rows,
+            };
+            let states = (aggs.iter().zip(&self.values))
+                .map(|(&(func, metric), values)| match func {
+                    AggFn::Count => AggState::Count { count: rows },
+                    AggFn::Sum => AggState::Sum { sum: values[k] },
+                    AggFn::Avg => AggState::Avg {
+                        sum: values[k],
+                        count: observed(metric),
+                    },
+                    AggFn::Min => AggState::Min {
+                        min: values[k],
+                        seen: observed(metric) > 0,
+                    },
+                    AggFn::Max => AggState::Max {
+                        max: values[k],
+                        seen: observed(metric) > 0,
+                    },
+                })
+                .collect();
+            groups.insert(key, states);
+        }
+    }
+}
+
+/// `table[key] = op(table[key], value(row))` for every selected row,
+/// in order.
+#[inline]
+fn fold_dense(
+    table: &mut [f64],
     sel: &[u32],
     keys: &[u64],
-    dense: &mut [AggState],
+    value: impl Fn(usize) -> f64,
+    op: impl Fn(f64, f64) -> f64,
 ) {
-    let slot = |key: u64| key as usize * num_aggs + agg_idx;
-    if func == AggFn::Count {
-        for &key in keys {
-            if let AggState::Count { count } = &mut dense[slot(key)] {
-                *count += 1;
-            }
-        }
-        return;
-    }
-    match (func, brick.metric_column(metric)) {
-        (AggFn::Sum, Column::I64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Sum { sum } = &mut dense[slot(key)] {
-                    *sum += v[row as usize] as f64;
-                }
-            }
-        }
-        (AggFn::Sum, Column::F64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Sum { sum } = &mut dense[slot(key)] {
-                    *sum += v[row as usize];
-                }
-            }
-        }
-        (AggFn::Avg, Column::I64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Avg { sum, count } = &mut dense[slot(key)] {
-                    *sum += v[row as usize] as f64;
-                    *count += 1;
-                }
-            }
-        }
-        (AggFn::Avg, Column::F64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Avg { sum, count } = &mut dense[slot(key)] {
-                    *sum += v[row as usize];
-                    *count += 1;
-                }
-            }
-        }
-        (AggFn::Min, Column::I64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Min { min, seen } = &mut dense[slot(key)] {
-                    *min = min.min(v[row as usize] as f64);
-                    *seen = true;
-                }
-            }
-        }
-        (AggFn::Min, Column::F64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Min { min, seen } = &mut dense[slot(key)] {
-                    *min = min.min(v[row as usize]);
-                    *seen = true;
-                }
-            }
-        }
-        (AggFn::Max, Column::I64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Max { max, seen } = &mut dense[slot(key)] {
-                    *max = max.max(v[row as usize] as f64);
-                    *seen = true;
-                }
-            }
-        }
-        (AggFn::Max, Column::F64(v)) => {
-            for (&row, &key) in sel.iter().zip(keys) {
-                if let AggState::Max { max, seen } = &mut dense[slot(key)] {
-                    *max = max.max(v[row as usize]);
-                    *seen = true;
-                }
-            }
-        }
-        // Non-numeric cells are skipped (Count above still counted).
-        (_, Column::Str(_)) => {}
-        (AggFn::Count, _) => unreachable!("handled above"),
+    for (&row, &key) in sel.iter().zip(keys) {
+        let slot = &mut table[key as usize];
+        *slot = op(*slot, value(row as usize));
     }
 }
 

@@ -67,10 +67,12 @@ impl BidLayout {
     }
 
     /// The coordinate interval `[lo, hi)` covered by `range_idx` of
-    /// dimension `dim`.
+    /// dimension `dim`. The last range can reach past the dimension's
+    /// cardinality (and `hi` saturates at `u32::MAX`); callers that
+    /// count coordinates clamp `hi` to the cardinality.
     pub fn range_bounds(&self, dim: usize, range_idx: u32) -> (u32, u32) {
         let size = self.dims[dim].2;
-        (range_idx * size, (range_idx + 1) * size)
+        (range_idx * size, (range_idx + 1).saturating_mul(size))
     }
 }
 

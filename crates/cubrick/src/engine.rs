@@ -354,10 +354,10 @@ impl Engine {
     /// Runs one eviction sweep: while resident brick bytes exceed the
     /// tier budget, spill the coldest *clean* bricks — newest epoch at
     /// or below the LSE, which makes them immutable and fully durable
-    /// in the WAL (see [`crate::tier`]) — until the budget holds or
-    /// candidates run out. Ranking follows the tier's scan clock, so a
-    /// brick queries keep reading stays resident longer than one
-    /// nobody asks about.
+    /// in the WAL (see the `tier` module docs) — until the budget
+    /// holds or candidates run out. Ranking follows the tier's scan
+    /// clock, so a brick queries keep reading stays resident longer
+    /// than one nobody asks about.
     ///
     /// Runs automatically after loads, commits, and LSE advances; a
     /// no-op without tiered storage. A failed spill leaves its brick

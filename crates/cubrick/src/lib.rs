@@ -17,7 +17,7 @@
 //! * [`bid`] — bid packing/unpacking and range-index pruning.
 //! * [`Brick`] — columnar partition + epochs vector.
 //! * [`Cube`] — the brick map plus per-string-dimension dictionaries.
-//! * [`ingest`] — the three-step pipeline: parse, validate/forward,
+//! * `ingest` — the three-step pipeline: parse, validate/forward,
 //!   flush (Section V-B), with `max_rejected` semantics.
 //! * [`ShardPool`] — bid-sharded single-writer executors: every brick
 //!   is owned by exactly one shard thread, so brick operations need

@@ -291,10 +291,6 @@ impl QueryStats {
     }
 }
 
-/// Former name of [`QueryStats`], kept for readability where only the
-/// scan-side counters are meant.
-pub type ScanStats = QueryStats;
-
 /// The packed group-key layout: every group dimension contributes
 /// `ceil(log2(cardinality))` bits of a single `u64` key, exactly like
 /// a bid. Grouping by up to ~64 bits of combined cardinality needs no
@@ -337,9 +333,9 @@ const FILTER_BITSET_MAX: u32 = 1 << 16;
 
 /// A resolved IN-list filter over one dimension's encoded
 /// coordinates: a sorted, deduplicated id list (for range reasoning
-/// during brick pruning and large-id membership via binary search)
-/// plus, when every id is small, a dense bitset the kernels probe per
-/// row.
+/// against a brick's bounds and large-id membership via binary
+/// search) plus, when every id is small, a dense bitset the kernels
+/// probe per row.
 #[derive(Clone, Debug)]
 pub(crate) struct FilterSet {
     sorted: Vec<u32>,
@@ -367,18 +363,18 @@ impl FilterSet {
     #[inline]
     pub(crate) fn contains(&self, coord: u32) -> bool {
         match &self.bitset {
-            Some(words) => words
-                .get(coord as usize / 64)
-                .is_some_and(|&w| w & (1u64 << (coord % 64)) != 0),
+            Some(words) => bit_set(words, coord),
             None => self.sorted.binary_search(&coord).is_ok(),
         }
     }
 
-    /// Does any accepted coordinate fall in `[lo, hi)`? (Brick
-    /// pruning against a dimension's range bounds.)
-    pub(crate) fn intersects_range(&self, lo: u32, hi: u32) -> bool {
+    /// How many accepted coordinates fall in `[lo, hi)`? (A brick's
+    /// range bounds on the filtered dimension; see
+    /// [`ResolvedQuery::brick_filters`].)
+    pub(crate) fn count_in_range(&self, lo: u32, hi: u32) -> u32 {
         let start = self.sorted.partition_point(|&c| c < lo);
-        self.sorted.get(start).is_some_and(|&c| c < hi)
+        let end = self.sorted.partition_point(|&c| c < hi);
+        end.saturating_sub(start) as u32
     }
 
     /// Does the set accept every storable coordinate `[0,
@@ -393,6 +389,14 @@ impl FilterSet {
                 .last()
                 .is_some_and(|&max| u64::from(max) == u64::from(cardinality) - 1)
     }
+}
+
+/// Is bit `coord` of `words` set? A coordinate past the bitset reads
+/// as a clear bit, without a branch.
+#[inline]
+fn bit_set(words: &[u64], coord: u32) -> bool {
+    let word = words.get(coord as usize / 64).copied().unwrap_or(0);
+    (word >> (coord % 64)) & 1 != 0
 }
 
 /// A query resolved against a cube's schema: names replaced by column
@@ -524,21 +528,32 @@ impl ResolvedQuery {
         })
     }
 
-    /// Can a brick whose dimension `dim` covers range `range_idx`
-    /// (coordinates `[lo, hi)`) contain any filter match?
-    pub(crate) fn brick_can_match(&self, cube: &Cube, bid: u64) -> bool {
+    /// The filters the vectorized kernel must still probe on brick
+    /// `bid`, read off the coordinate range `[lo, min(hi,
+    /// cardinality))` the bid gives each filtered dimension (Granular
+    /// Partitioning, Section V-A). `None` when a filter accepts no
+    /// coordinate of its range: the brick cannot match and is pruned.
+    /// Otherwise the filters that accept only part of their range; a
+    /// filter accepting all of it cannot reject a row of this brick.
+    pub(crate) fn brick_filters(&self, cube: &Cube, bid: u64) -> Option<Vec<&(usize, FilterSet)>> {
+        let mut partial = Vec::new();
         if self.filters.is_empty() {
-            return true;
+            return Some(partial);
         }
         let layout = cube.layout();
         let ranges = layout.range_indexes_of_bid(bid);
-        for (dim, coords) in &self.filters {
+        let dims = &cube.schema().dimensions;
+        for filter in &self.filters {
+            let (dim, coords) = filter;
             let (lo, hi) = layout.range_bounds(*dim, ranges[*dim]);
-            if !coords.intersects_range(lo, hi) {
-                return false;
+            let hi = hi.min(dims[*dim].cardinality);
+            match coords.count_in_range(lo, hi) {
+                0 => return None,
+                accepted if accepted == hi - lo => {}
+                _ => partial.push(filter),
             }
         }
-        true
+        Some(partial)
     }
 }
 
@@ -607,7 +622,7 @@ pub struct PartialResult {
     /// ungrouped).
     pub(crate) groups: HashMap<u64, Vec<AggState>>,
     /// Scan counters.
-    pub stats: ScanStats,
+    pub stats: QueryStats,
 }
 
 impl PartialResult {
@@ -783,26 +798,43 @@ struct ScanScratch {
     keys: Vec<u64>,
 }
 
+/// Compacts `sel` in place to the rows `keep` accepts, without a
+/// branch per row: every row id is written back and the write index
+/// advances by the predicate bit, so a filter that accepts rows in no
+/// particular order costs no mispredictions. `keep` gets each row's
+/// position in the uncompacted chunk and its id.
+#[inline]
+fn compact(sel: &mut Vec<u32>, mut keep: impl FnMut(usize, u32) -> bool) {
+    let mut kept = 0;
+    for i in 0..sel.len() {
+        let row = sel[i];
+        sel[kept] = row;
+        kept += usize::from(keep(i, row));
+    }
+    sel.truncate(kept);
+}
+
 /// Compacts `sel` in place to the rows every filter accepts.
 /// Plain-layout dimensions are probed directly through their `u32`
 /// column slice; bess-packed dimensions gather the chunk's
 /// coordinates into scratch first.
 fn apply_filters(
     brick: &Brick,
-    filters: &[(usize, FilterSet)],
+    filters: &[&(usize, FilterSet)],
     sel: &mut Vec<u32>,
     gathered: &mut Vec<u32>,
 ) {
-    for (dim, coords) in filters {
+    for (dim, coords) in filters.iter().copied() {
         if sel.is_empty() {
             return;
         }
-        match brick.dim_slice(*dim) {
-            Some(col) => sel.retain(|&row| coords.contains(col[row as usize])),
-            None => {
+        // The bitset probe is picked once per filter, not per row.
+        match (brick.dim_slice(*dim), coords.bitset.as_deref()) {
+            (Some(col), Some(words)) => compact(sel, |_, row| bit_set(words, col[row as usize])),
+            (Some(col), None) => compact(sel, |_, row| coords.contains(col[row as usize])),
+            (None, _) => {
                 brick.gather_dim(*dim, sel, gathered);
-                let mut keep = gathered.iter().map(|&c| coords.contains(c));
-                sel.retain(|_| keep.next().expect("gathered is parallel to sel"));
+                compact(sel, |i, _| coords.contains(gathered[i]));
             }
         }
     }
@@ -847,15 +879,18 @@ fn pack_keys(
 const DENSE_GROUP_BITS: u32 = 12;
 
 /// The vectorized brick scan over a snapshot's visible `ranges` (no
-/// bitmap is ever materialized): chunked selection vectors, predicate
-/// compaction, fused per-column aggregation, and batch-packed group
-/// keys feeding a dense group table (small key spaces) or the
-/// run-cached hash probe (wide keys). Bit-identical to
-/// [`scan_brick_shared`] over the equivalent bitmap.
+/// bitmap is ever materialized): chunked selection vectors, branch-free
+/// predicate compaction, fused per-column aggregation, and
+/// batch-packed group keys feeding a typed dense group table (small
+/// key spaces) or the run-cached hash probe (wide keys). `filters` is
+/// the part of the query's filters this brick still needs
+/// ([`ResolvedQuery::brick_filters`]). Bit-identical to
+/// [`scan_brick_shared`] over the equivalent bitmap and every filter.
 pub(crate) fn scan_brick_ranges_vectorized(
     brick: &Brick,
     ranges: &[std::ops::Range<u64>],
     resolved: &ResolvedQuery,
+    filters: &[&(usize, FilterSet)],
 ) -> PartialResult {
     let mut selection = Selection {
         ranges,
@@ -871,18 +906,12 @@ pub(crate) fn scan_brick_ranges_vectorized(
         },
         ..Default::default()
     };
-    let num_aggs = resolved.aggs.len();
     let mut scratch = ScanScratch::default();
     match &resolved.group_by {
         None => {
             let mut states = agg::init_states(&resolved.aggs);
             while selection.next_chunk(&mut scratch.sel) {
-                apply_filters(
-                    brick,
-                    &resolved.filters,
-                    &mut scratch.sel,
-                    &mut scratch.gathered,
-                );
+                apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                 if scratch.sel.is_empty() {
                     continue;
                 }
@@ -904,24 +933,10 @@ pub(crate) fn scan_brick_ranges_vectorized(
                 .unwrap_or(0);
             if total_bits <= DENSE_GROUP_BITS {
                 // Small packed-key space: skip hashing entirely and
-                // index a flat per-key accumulator table with the key
-                // itself. `touched` remembers first-seen keys so
-                // untouched slots never materialize as groups.
-                let num_keys = 1usize << total_bits;
-                let proto = agg::init_states(&resolved.aggs);
-                let mut dense = Vec::with_capacity(num_keys * num_aggs);
-                for _ in 0..num_keys {
-                    dense.extend_from_slice(&proto);
-                }
-                let mut seen = vec![false; num_keys];
-                let mut touched: Vec<u64> = Vec::new();
+                // index typed per-aggregate columns with the key itself.
+                let mut dense = agg::DenseGroups::new(&resolved.aggs, 1 << total_bits);
                 while selection.next_chunk(&mut scratch.sel) {
-                    apply_filters(
-                        brick,
-                        &resolved.filters,
-                        &mut scratch.sel,
-                        &mut scratch.gathered,
-                    );
+                    apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                     if scratch.sel.is_empty() {
                         continue;
                     }
@@ -933,32 +948,9 @@ pub(crate) fn scan_brick_ranges_vectorized(
                         &mut scratch.gathered,
                         &mut scratch.keys,
                     );
-                    for &key in &scratch.keys {
-                        let k = key as usize;
-                        if !seen[k] {
-                            seen[k] = true;
-                            touched.push(key);
-                        }
-                    }
-                    for (agg_idx, &(func, metric)) in resolved.aggs.iter().enumerate() {
-                        agg::accumulate_batch_dense(
-                            brick,
-                            func,
-                            metric,
-                            agg_idx,
-                            num_aggs,
-                            &scratch.sel,
-                            &scratch.keys,
-                            &mut dense,
-                        );
-                    }
+                    dense.accumulate(brick, &resolved.aggs, &scratch.sel, &scratch.keys);
                 }
-                for key in touched {
-                    let base = key as usize * num_aggs;
-                    result
-                        .groups
-                        .insert(key, dense[base..base + num_aggs].to_vec());
-                }
+                dense.finish(brick, &resolved.aggs, &mut result.groups);
                 return result;
             }
             // Wide keys: keep the reference kernel's one-entry run
@@ -968,12 +960,7 @@ pub(crate) fn scan_brick_ranges_vectorized(
             // one slice.
             let mut cached: Option<(u64, Vec<AggState>)> = None;
             while selection.next_chunk(&mut scratch.sel) {
-                apply_filters(
-                    brick,
-                    &resolved.filters,
-                    &mut scratch.sel,
-                    &mut scratch.gathered,
-                );
+                apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                 if scratch.sel.is_empty() {
                     continue;
                 }
@@ -1074,7 +1061,7 @@ pub struct QueryResult {
     /// aggregation values in request order.
     pub rows: Vec<(Vec<Value>, Vec<f64>)>,
     /// Scan counters.
-    pub stats: ScanStats,
+    pub stats: QueryStats,
 }
 
 impl QueryResult {
@@ -1188,6 +1175,17 @@ mod tests {
 
     fn resolved(cube: &Cube, q: &Query) -> ResolvedQuery {
         ResolvedQuery::resolve(cube, q).unwrap()
+    }
+
+    /// The vectorized kernel probing every filter of the query (no
+    /// per-brick elision).
+    fn vectorized(
+        brick: &Brick,
+        ranges: &[std::ops::Range<u64>],
+        r: &ResolvedQuery,
+    ) -> PartialResult {
+        let filters: Vec<_> = r.filters.iter().collect();
+        scan_brick_ranges_vectorized(brick, ranges, r, &filters)
     }
 
     #[test]
@@ -1409,7 +1407,7 @@ mod tests {
         assert_eq!(via_bitmap.stats.bitmap_scans, 1);
         assert_eq!(via_bitmap.stats.range_scans, 0);
         let ranges = brick.epochs().visible_ranges(&snap);
-        let mut via_ranges = scan_brick_ranges_vectorized(&brick, &ranges, &r);
+        let mut via_ranges = vectorized(&brick, &ranges, &r);
         assert_eq!(via_ranges.stats.range_scans, 1);
         assert_eq!(via_ranges.stats.bitmap_scans, 0);
         via_ranges.merge(via_bitmap);
@@ -1429,8 +1427,8 @@ mod tests {
         let r = resolved(&cube, &q);
         let bid_day0 = cube.layout().bid_for_coords(&[0, 1]);
         let bid_day1 = cube.layout().bid_for_coords(&[0, 5]);
-        assert!(r.brick_can_match(&cube, bid_day0));
-        assert!(!r.brick_can_match(&cube, bid_day1));
+        assert_eq!(r.brick_filters(&cube, bid_day0).map(|f| f.len()), Some(1));
+        assert!(r.brick_filters(&cube, bid_day1).is_none());
     }
 
     #[test]
@@ -1612,7 +1610,7 @@ mod tests {
                     let context = format!("query {qi} ({storage:?}, {snap:?})");
                     let r = resolved(&cube, q);
                     let reference = scan_brick_shared(&brick, &vis, &r);
-                    let fast = scan_brick_ranges_vectorized(&brick, &ranges, &r);
+                    let fast = vectorized(&brick, &ranges, &r);
                     assert_eq!(
                         reference.stats.rows_scanned, fast.stats.rows_scanned,
                         "{context}: rows_scanned"
@@ -1662,7 +1660,7 @@ mod tests {
             vis.set_range(range.start as usize, range.end as usize);
         }
         let reference = scan_brick_shared(&brick, &vis, &r);
-        let fast = scan_brick_ranges_vectorized(&brick, &ranges, &r);
+        let fast = vectorized(&brick, &ranges, &r);
         assert_eq!(reference.stats.rows_scanned, expected_rows);
         assert_eq!(fast.stats.rows_scanned, expected_rows);
         assert_bits_identical(
@@ -1675,7 +1673,10 @@ mod tests {
     /// Regression (bug 2): rows whose metric cell is not numeric must
     /// be skipped by Sum/Min/Max/Avg — not coerced to `0.0` — while
     /// Count still counts the row. Before the fix `get_numeric(row)
-    /// .unwrap_or(0.0)` fed phantom zeros into every accumulator.
+    /// .unwrap_or(0.0)` fed phantom zeros into every accumulator. The
+    /// grouped query pins the vectorized kernel's dense group table,
+    /// whose per-key row count must not leak into AVG's count or
+    /// MIN/MAX's `seen` of a non-numeric column.
     #[test]
     fn non_numeric_metric_cells_are_skipped_not_zeroed() {
         let cube = cube();
@@ -1683,43 +1684,57 @@ mod tests {
         // The schema cannot produce a non-numeric metric cell, so
         // inject one: replace "score" with a dictionary-id column.
         brick.replace_metric_for_test(1, Column::Str(vec![0, 1, 2]));
-        let q = Query::aggregate(vec![
+        let ungrouped = Query::aggregate(vec![
             Aggregation::new(AggFn::Count, "score"),
             Aggregation::new(AggFn::Sum, "score"),
             Aggregation::new(AggFn::Min, "score"),
             Aggregation::new(AggFn::Max, "score"),
             Aggregation::new(AggFn::Avg, "score"),
+            Aggregation::new(AggFn::Avg, "likes"),
         ]);
-        let r = resolved(&cube, &q);
+        // Rows: (us, 10), (br, 20), (us, 30).
+        let grouped = ungrouped.clone().grouped_by("region");
         let snap = Snapshot::committed(1);
         let ranges = brick.epochs().visible_ranges(&snap);
-        let partials = [
-            (
-                "reference",
-                scan_brick_shared(&brick, &brick.visibility(&snap), &r),
-            ),
-            (
-                "vectorized",
-                scan_brick_ranges_vectorized(&brick, &ranges, &r),
-            ),
-        ];
-        for (kernel, partial) in partials {
-            let result = QueryResult::finalize(&cube, &r, partial);
-            let v = &result.rows[0].1;
-            assert_eq!(v[0], 3.0, "{kernel}: Count counts rows");
-            assert_eq!(v[1], 0.0, "{kernel}: Sum over no numeric cells");
-            // Min/Max over zero numeric observations finalize to NaN
-            // (SQL NULL) like Avg — the `±INFINITY` fold identities
-            // must never leak to the result surface (they are not
-            // representable in JSON and are indistinguishable from a
-            // genuinely infinite metric).
-            assert!(v[2].is_nan(), "{kernel}: Min saw no value, got {}", v[2]);
-            assert!(v[3].is_nan(), "{kernel}: Max saw no value, got {}", v[3]);
-            assert!(
-                v[4].is_nan(),
-                "{kernel}: Avg of nothing is NaN, got {}",
-                v[4]
-            );
+        for (q, counts) in [(ungrouped, vec![3.0]), (grouped, vec![2.0, 1.0])] {
+            let r = resolved(&cube, &q);
+            let partials = [
+                (
+                    "reference",
+                    scan_brick_shared(&brick, &brick.visibility(&snap), &r),
+                ),
+                ("vectorized", vectorized(&brick, &ranges, &r)),
+            ];
+            for (kernel, partial) in partials {
+                let kernel = format!("{kernel}, {} groups", counts.len());
+                for states in partial.groups.values() {
+                    assert!(
+                        matches!(states[4], AggState::Avg { count: 0, .. }),
+                        "{kernel}: Avg observed a non-numeric cell: {:?}",
+                        states[4]
+                    );
+                }
+                let result = QueryResult::finalize(&cube, &r, partial);
+                assert_eq!(result.rows.len(), counts.len(), "{kernel}: groups");
+                for ((_, v), &count) in result.rows.iter().zip(&counts) {
+                    assert_eq!(v[0], count, "{kernel}: Count counts rows");
+                    assert_eq!(v[1], 0.0, "{kernel}: Sum over no numeric cells");
+                    // Min/Max over zero numeric observations finalize
+                    // to NaN (SQL NULL) like Avg — the `±INFINITY` fold
+                    // identities must never leak to the result surface
+                    // (they are not representable in JSON and are
+                    // indistinguishable from a genuinely infinite
+                    // metric).
+                    assert!(v[2].is_nan(), "{kernel}: Min saw no value, got {}", v[2]);
+                    assert!(v[3].is_nan(), "{kernel}: Max saw no value, got {}", v[3]);
+                    assert!(
+                        v[4].is_nan(),
+                        "{kernel}: Avg of nothing is NaN, got {}",
+                        v[4]
+                    );
+                    assert_eq!(v[5], 20.0, "{kernel}: Avg of the numeric column");
+                }
+            }
         }
     }
 
@@ -1818,12 +1833,7 @@ mod tests {
         let vis = brick.visibility(&snap);
         let ranges = brick.epochs().visible_ranges(&snap);
         assert_eq!(scan_brick_shared(&brick, &vis, &r).stats.rows_scanned, 3);
-        assert_eq!(
-            scan_brick_ranges_vectorized(&brick, &ranges, &r)
-                .stats
-                .rows_scanned,
-            3
-        );
+        assert_eq!(vectorized(&brick, &ranges, &r).stats.rows_scanned, 3);
     }
 
     #[test]
@@ -1833,8 +1843,9 @@ mod tests {
         assert!(small.contains(1) && small.contains(3) && small.contains(5));
         assert!(!small.contains(0) && !small.contains(2) && !small.contains(4));
         assert!(!small.contains(1_000_000), "probe past the bitset");
-        assert!(small.intersects_range(4, 6));
-        assert!(!small.intersects_range(6, u32::MAX));
+        assert_eq!(small.count_in_range(4, 6), 1);
+        assert_eq!(small.count_in_range(1, 6), 3);
+        assert_eq!(small.count_in_range(6, u32::MAX), 0);
         assert!(!small.covers_all(6));
 
         let big = FilterSet::from_coords([FILTER_BITSET_MAX + 7, 2]);
@@ -1848,7 +1859,7 @@ mod tests {
 
         let empty = FilterSet::from_coords(std::iter::empty::<u32>());
         assert!(!empty.contains(0));
-        assert!(!empty.intersects_range(0, u32::MAX));
+        assert_eq!(empty.count_in_range(0, u32::MAX), 0);
     }
 
     /// A naive row-model reference for GROUP BY + HAVING: walks the
@@ -1971,10 +1982,7 @@ mod tests {
                     let naive = naive_group_having(&cube, &brick, &vis, &r);
                     for (kernel, partial) in [
                         ("reference", scan_brick_shared(&brick, &vis, &r)),
-                        (
-                            "vectorized",
-                            scan_brick_ranges_vectorized(&brick, &ranges, &r),
-                        ),
+                        ("vectorized", vectorized(&brick, &ranges, &r)),
                     ] {
                         let result = QueryResult::finalize(&cube, &r, partial);
                         let context =
@@ -2023,10 +2031,7 @@ mod tests {
             let r = resolved(&cube, &q);
             for (kernel, partial) in [
                 ("reference", scan_brick_shared(&brick, &vis, &r)),
-                (
-                    "vectorized",
-                    scan_brick_ranges_vectorized(&brick, &ranges, &r),
-                ),
+                ("vectorized", vectorized(&brick, &ranges, &r)),
             ] {
                 let result = QueryResult::finalize(&cube, &r, partial);
                 assert!(

@@ -3,7 +3,7 @@
 use super::parser::Statement;
 use super::SqlError;
 use crate::engine::{Engine, IsolationMode};
-use crate::query::{Query, ScanStats};
+use crate::query::{Query, QueryStats};
 use columnar::Value;
 
 /// The result of executing one statement.
@@ -80,7 +80,7 @@ pub struct SelectOutcome {
     /// `Min`/`Max`/`Avg`).
     pub rows: Vec<(Vec<Value>, Vec<f64>)>,
     /// Scan counters from the underlying query.
-    pub stats: ScanStats,
+    pub stats: QueryStats,
 }
 
 /// Executes one SELECT and returns typed rows.

@@ -24,7 +24,7 @@
 //! * **Crash recovery** replays the full WAL chain, which still holds
 //!   every spilled row — spill files are a redundant cold copy, and a
 //!   power cut at any point during spill, eviction, or reload loses
-//!   nothing (`oracle::crash` pins this).
+//!   nothing (`oracle::torture` pins this).
 //!
 //! ## The snapshot memo survives eviction
 //!

@@ -81,7 +81,7 @@ fn remerge(partials: &[PartialResult], rng: &mut StdRng) -> PartialResult {
 /// Runs the whole scan battery at `snapshot`, and for each query
 /// checks that the per-brick partials finalize to the reference
 /// answer under: the documented forward fold, the reversed fold
-/// (commutativity), and [`PLANS_PER_QUERY`] seeded
+/// (commutativity), and `PLANS_PER_QUERY` seeded
 /// partition/shuffle/association draws. Returns (comparisons,
 /// partials folded) on agreement.
 pub fn compare_merges(

@@ -8,7 +8,7 @@
 //! * [`RealFs`] — the passthrough to `std::fs` used in production.
 //! * [`SimFs`] — a fully in-memory filesystem with *deterministic
 //!   power-cut simulation*, the substrate of the crash-consistency
-//!   torture harness (`oracle::crash`).
+//!   torture harness (`oracle::torture`).
 //!
 //! `SimFs` models the durability semantics POSIX actually guarantees,
 //! not the ones programs like to assume:

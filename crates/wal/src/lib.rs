@@ -22,7 +22,7 @@
 //! * [`fault`] — the filesystem shim every durability syscall goes
 //!   through: [`fault::RealFs`] in production, [`fault::SimFs`] (a
 //!   deterministic in-memory filesystem with power-cut simulation)
-//!   under the crash torture harness in `oracle::crash`.
+//!   under the crash torture harness in `oracle::torture`.
 //! * [`ClusterFlush`] — per-node controllers sharing one tracker:
 //!   cluster-wide flush rounds, crash/freeze/recover/rejoin.
 

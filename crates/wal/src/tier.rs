@@ -5,7 +5,7 @@
 //! evicts a clean-cold brick, the brick is serialized into one
 //! self-certifying snapshot file written through the same [`WalFs`]
 //! trait the flush controller uses — so the crash torture harness
-//! (`oracle::crash`) enumerates power cuts at every mutating syscall
+//! (`oracle::torture`) enumerates power cuts at every mutating syscall
 //! of the spill path exactly like it does for flush rounds.
 //!
 //! ## Format
