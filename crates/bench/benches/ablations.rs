@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex};
 use aosi::{Snapshot, TxnManager};
 use columnar::Value;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use cubrick::{Brick, CubeSchema, Dimension, Metric, RecordChunk, ShardPool};
+use cubrick::{Brick, Cube, CubeSchema, DimStorage, Dimension, Metric, RecordChunk, ShardPool};
 use mvcc_baseline::{LockManager, LockMode};
 
 fn schema() -> CubeSchema {
@@ -45,11 +45,11 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
     group.bench_function("sharded_single_writer_batched", |b| {
         b.iter(|| {
             let pool = ShardPool::new(4);
-            let schema = schema();
+            let cube = Cube::new(schema());
             std::thread::scope(|scope| {
                 for t in 0..THREADS {
                     let pool = &pool;
-                    let schema = schema.clone();
+                    let cube = cube.clone();
                     scope.spawn(move || {
                         // Group 100 records per brick op, like the
                         // engine's per-bid flush batches.
@@ -60,13 +60,11 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
                             by_bid.entry(bid).or_default().push(rec);
                             if i % 100 == 99 {
                                 for (bid, recs) in by_bid.drain() {
-                                    let schema = schema.clone();
+                                    let cube = cube.clone();
                                     pool.submit(pool.shard_of(bid), move |bricks| {
                                         bricks
-                                            .entry("t".into())
-                                            .or_default()
-                                            .entry(bid)
-                                            .or_insert_with(|| Brick::new(&schema))
+                                            .brick_mut(&cube, bid, DimStorage::Plain)
+                                            .expect("untiered")
                                             .append(1, &RecordChunk::from_rows(&recs));
                                     });
                                 }
@@ -114,21 +112,19 @@ fn bench_shard_vs_mutex(c: &mut Criterion) {
     group.bench_function("sharded_single_writer_per_record", |b| {
         b.iter(|| {
             let pool = ShardPool::new(4);
-            let schema = schema();
+            let cube = Cube::new(schema());
             std::thread::scope(|scope| {
                 for t in 0..THREADS {
                     let pool = &pool;
-                    let schema = schema.clone();
+                    let cube = cube.clone();
                     scope.spawn(move || {
                         for i in 0..APPENDS_PER_THREAD {
                             let (bid, rec) = record(t * APPENDS_PER_THREAD + i);
-                            let schema = schema.clone();
+                            let cube = cube.clone();
                             pool.submit(pool.shard_of(bid), move |bricks| {
                                 bricks
-                                    .entry("t".into())
-                                    .or_default()
-                                    .entry(bid)
-                                    .or_insert_with(|| Brick::new(&schema))
+                                    .brick_mut(&cube, bid, DimStorage::Plain)
+                                    .expect("untiered")
                                     .append(1, &RecordChunk::from_rows(&[rec]));
                             });
                         }

@@ -375,11 +375,6 @@ impl SimulatedNetwork {
         net
     }
 
-    /// The fault plan in effect, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_deref().map(|f| &f.plan)
-    }
-
     /// Marks `node` unreachable: every message to or from it is
     /// dropped until [`SimulatedNetwork::restart_node`]. State is
     /// preserved (fail-stutter / partition model, not state loss).

@@ -345,13 +345,6 @@ impl Brick {
         }
     }
 
-    /// Metric-column bytes only (test support for layout
-    /// comparisons).
-    #[doc(hidden)]
-    pub fn metric_bytes_for_test(&self) -> usize {
-        self.metrics.iter().map(Column::heap_bytes).sum()
-    }
-
     /// Swaps in a raw metric column (test support: the schema cannot
     /// produce non-numeric metric cells, so kernel tests pinning the
     /// skip-non-numeric semantics inject a `Column::Str` here).
@@ -359,8 +352,8 @@ impl Brick {
     /// # Panics
     /// Panics if the replacement's length differs from the brick's
     /// row count.
-    #[doc(hidden)]
-    pub fn replace_metric_for_test(&mut self, metric: usize, column: Column) {
+    #[cfg(test)]
+    pub(crate) fn replace_metric_for_test(&mut self, metric: usize, column: Column) {
         assert_eq!(
             column.len() as u64,
             self.row_count(),
@@ -411,6 +404,11 @@ mod tests {
     use super::*;
     use crate::ddl::{CubeSchema, Dimension, Metric};
     use columnar::Value;
+
+    /// Metric-column bytes only, for layout comparisons.
+    fn metric_bytes(brick: &Brick) -> usize {
+        brick.metrics.iter().map(Column::heap_bytes).sum()
+    }
 
     fn schema() -> CubeSchema {
         CubeSchema::new(
@@ -707,8 +705,8 @@ mod tests {
         let recs: Vec<Rec> = (0..10_000).map(|i| rec(i % 8, 0, 0.0)).collect();
         plain.append(1, &chunk(&recs));
         bess.append(1, &chunk(&recs));
-        let plain_dims = plain.memory().data_bytes - plain.metric_bytes_for_test();
-        let bess_dims = bess.memory().data_bytes - bess.metric_bytes_for_test();
+        let plain_dims = plain.memory().data_bytes - metric_bytes(&plain);
+        let bess_dims = bess.memory().data_bytes - metric_bytes(&bess);
         assert!(
             bess_dims * 5 < plain_dims,
             "bess {bess_dims} B vs plain {plain_dims} B"

@@ -31,7 +31,7 @@ use columnar::Row;
 use obs::sync::unpoison;
 use obs::{Counter, Histogram, ReportBuilder};
 
-use crate::brick::{Brick, DimStorage};
+use crate::brick::DimStorage;
 use crate::cube::{Cube, CubeMemory};
 use crate::ddl::CubeSchema;
 use crate::error::CubrickError;
@@ -39,12 +39,8 @@ use crate::ingest::{parse_rows, ParsedBatch, RecordChunk};
 use crate::memo::{MemoKey, ShardMemos};
 use crate::query::{AggQueryShape, PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel};
 use crate::scan::{BrickFilter, ScanFailure, ShardScan, ShardScanOutcome};
-use crate::shard::{ShardPool, TaskHandle};
-use crate::tier::{BrickStore, TierEnforcement, TierStats, TieredStore};
-
-/// A shard's `(resident, clean-cold)` brick bytes: what phase 1 of
-/// the tier sweep sums.
-type ShardBytes = (u64, u64);
+use crate::shard::{ShardBricks, ShardPool, TaskHandle};
+use crate::tier::{shard_bytes, BrickStore, ShardBytes, TierEnforcement, TierStats, TieredStore};
 
 /// How the engine runs brick scans (see [`Engine::with_scan_config`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -241,19 +237,18 @@ impl Engine {
     /// runs after every load/commit and on demand via
     /// [`Engine::enforce_tier_budget`].
     pub fn with_tiered_storage(mut self, store: Box<dyn BrickStore>, budget_bytes: usize) -> Self {
-        self.tier = Some(Arc::new(TieredStore::new(store, budget_bytes)));
+        let tier = Arc::new(TieredStore::new(store, budget_bytes));
+        self.shards.map_shards(|_| {
+            let tier = Arc::clone(&tier);
+            Box::new(move |bricks: &mut ShardBricks| bricks.set_tier(tier))
+        });
+        self.tier = Some(tier);
         self
     }
 
     /// Cold-tier statistics, when tiered storage is enabled.
     pub fn tier_stats(&self) -> Option<TierStats> {
         self.tier.as_ref().map(|tier| tier.stats())
-    }
-
-    /// The tier manager (crate-internal: persistence consults the
-    /// spilled registry).
-    pub(crate) fn tier(&self) -> Option<&Arc<TieredStore>> {
-        self.tier.as_ref()
     }
 
     /// Reconfigures how scans run (sequential mode, kernel).
@@ -312,45 +307,6 @@ impl Engine {
         unpoison(self.panic_bids.read()).contains(&bid)
     }
 
-    /// Faults one spilled brick back into its shard before a mutation
-    /// or export touches it. Appending into a fresh empty brick while
-    /// a spill snapshot exists would shadow the spilled rows, so every
-    /// write path that targets a brick by id goes through here first.
-    /// A no-op when tiering is off or the brick is resident.
-    pub(crate) fn fault_in_brick(&self, cube: &str, bid: u64) -> Result<(), CubrickError> {
-        let Some(tier) = &self.tier else {
-            return Ok(());
-        };
-        if !tier.is_spilled(cube, bid) {
-            return Ok(());
-        }
-        let cube = self.cube(cube)?;
-        let tier = Arc::clone(tier);
-        let shard = self.shards.shard_of(bid);
-        let task_cube = cube.clone();
-        self.shards
-            .submit_and_wait(shard, move |bricks| {
-                tier.reload_into(&task_cube, bid, bricks).map(|_| ())
-            })
-            .map_err(|reason| CubrickError::TierReloadFailed {
-                cube: cube.name().to_owned(),
-                bid,
-                reason,
-            })
-    }
-
-    /// Faults every spilled brick of `cube` back in (cube-wide
-    /// mutations: partition deletes walk all bricks of the cube).
-    pub(crate) fn fault_in_cube(&self, cube: &str) -> Result<(), CubrickError> {
-        let Some(tier) = &self.tier else {
-            return Ok(());
-        };
-        for bid in tier.spilled_bids(cube) {
-            self.fault_in_brick(cube, bid)?;
-        }
-        Ok(())
-    }
-
     /// Runs one eviction sweep: while resident brick bytes exceed the
     /// tier budget, spill the coldest *clean* bricks — newest epoch at
     /// or below the LSE, which makes them immutable and fully durable
@@ -363,133 +319,8 @@ impl Engine {
     /// no-op without tiered storage. A failed spill leaves its brick
     /// resident and is counted, never silent.
     pub fn enforce_tier_budget(&self) -> TierEnforcement {
-        self.sweep_tier(self.manager.lse(), &[])
-    }
-
-    /// [`Engine::enforce_tier_budget`] judged at `lse`, with phase 1
-    /// seeded by shard totals the caller already measured at that
-    /// same `lse` (a load's append tasks). A load reads `lse` before
-    /// its flush, so a brick that turns clean-cold meanwhile waits
-    /// for the next sweep; an older LSE never makes a brick eligible.
-    fn sweep_tier(&self, lse: Epoch, measured: &[Option<ShardBytes>]) -> TierEnforcement {
-        let Some(tier) = &self.tier else {
-            return TierEnforcement::default();
-        };
-        // Phase 1, after every load: two integers per shard — bytes
-        // resident, and bytes of clean-cold bricks — with no
-        // allocation, lock or sort, asked only of unmeasured shards.
-        let pending: Vec<_> = (0..self.shards.num_shards())
-            .map(|shard| match measured.get(shard).copied().flatten() {
-                Some(bytes) => Ok(bytes),
-                None => Err(self
-                    .shards
-                    .submit_handle(shard, move |b| shard_bytes(b, lse))),
-            })
-            .collect();
-        let totals: Vec<ShardBytes> = (pending.into_iter())
-            .map(|p| {
-                p.or_else(TaskHandle::join)
-                    .unwrap_or_else(|e| resume_unwind(e))
-            })
-            .collect();
-        let resident_bytes: u64 = totals.iter().map(|t| t.0).sum();
-        let mut outcome = TierEnforcement {
-            resident_bytes_before: resident_bytes,
-            resident_bytes_after: resident_bytes,
-            eligible_bytes: totals.iter().map(|t| t.1).sum(),
-            ..TierEnforcement::default()
-        };
-        if resident_bytes <= tier.budget_bytes() as u64 || outcome.eligible_bytes == 0 {
-            tier.observe_resident_bytes(resident_bytes);
-            return outcome;
-        }
-        // Phase 2, only over budget: name the clean-cold candidates
-        // and rank them coldest-first.
-        let per_shard: Vec<Vec<(String, u64)>> = self.shards.map_shards(|_| {
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                let mut out = Vec::new();
-                for (cube_name, cube_bricks) in bricks.iter() {
-                    for (&bid, brick) in cube_bricks {
-                        if is_clean_cold(brick, lse) {
-                            out.push((cube_name.clone(), bid));
-                        }
-                    }
-                }
-                out
-            })
-        });
-        let mut candidates: Vec<(f64, String, u64)> = per_shard
-            .into_iter()
-            .flatten()
-            .map(|(cube, bid)| (tier.touch_recency(&cube, bid).unwrap_or(0.0), cube, bid))
-            .collect();
-        candidates.sort_by(|a, b| {
-            a.0.partial_cmp(&b.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.1.cmp(&b.1))
-                .then_with(|| a.2.cmp(&b.2))
-        });
-        for (_, cube_name, bid) in candidates {
-            if outcome.resident_bytes_after <= tier.budget_bytes() as u64 {
-                break;
-            }
-            match self.spill_brick(tier, &cube_name, bid, lse) {
-                Ok(Some(freed)) => {
-                    outcome.evicted += 1;
-                    outcome.resident_bytes_after =
-                        outcome.resident_bytes_after.saturating_sub(freed as u64);
-                }
-                Ok(None) => {}
-                Err(()) => outcome.failed += 1,
-            }
-        }
-        tier.observe_resident_bytes(outcome.resident_bytes_after);
-        outcome
-    }
-
-    /// Spills one brick on its owning shard thread. Eligibility is
-    /// re-checked there — a write may have landed between the sweep's
-    /// enumeration and this task running. Returns the bytes freed
-    /// (`Ok(None)` when the brick vanished or turned ineligible,
-    /// `Err` when the durable write failed and the brick stayed
-    /// resident). The snapshot memo is left alone: a spill changes
-    /// where rows live, not which rows any snapshot sees.
-    fn spill_brick(
-        &self,
-        tier: &Arc<TieredStore>,
-        cube_name: &str,
-        bid: u64,
-        lse: Epoch,
-    ) -> Result<Option<usize>, ()> {
-        let Ok(cube) = self.cube(cube_name) else {
-            return Ok(None);
-        };
-        let shard = self.shards.shard_of(bid);
-        let tier = Arc::clone(tier);
-        self.shards.submit_and_wait(shard, move |bricks| {
-            let Some(cube_bricks) = bricks.get_mut(cube.name()) else {
-                return Ok(None);
-            };
-            let Some(brick) = cube_bricks.get(&bid) else {
-                return Ok(None);
-            };
-            if !is_clean_cold(brick, lse) {
-                return Ok(None);
-            }
-            match tier.store().spill(&cube, bid, brick) {
-                Ok(file_bytes) => {
-                    let epochs = brick.epochs().clone();
-                    let m = brick.memory();
-                    let freed = m.data_bytes + m.aosi_bytes;
-                    cube_bricks.remove(&bid);
-                    tier.note_spilled(cube.name(), bid, epochs, file_bytes, freed);
-                    Ok(Some(freed))
-                }
-                Err(_) => {
-                    tier.note_spill_failure();
-                    Err(())
-                }
-            }
+        (self.tier.as_ref()).map_or_else(TierEnforcement::default, |tier| {
+            tier.sweep(&self.shards, self.manager.lse(), &[])
         })
     }
 
@@ -619,18 +450,11 @@ impl Engine {
         if removed.is_none() {
             return Err(CubrickError::UnknownCube(name.to_owned()));
         }
-        // Evicted bricks first, so no scan can fault one back in after
-        // its shard let go of the cube.
-        if let Some(tier) = &self.tier {
-            for bid in tier.spilled_bids(name) {
-                tier.forget(name, bid);
-            }
-        }
         self.shards.map_shards(|shard| {
             let name = name.to_owned();
             let memos = Arc::clone(&self.memos);
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                bricks.remove(&name);
+            Box::new(move |bricks: &mut ShardBricks| {
+                bricks.remove_cube(&name);
                 memos.shard(shard).forget_cube(&name);
             })
         });
@@ -715,8 +539,8 @@ impl Engine {
         };
         let flush = flush_started.elapsed();
         self.manager.commit(&txn)?;
-        if let Some(lse) = sweep_lse {
-            self.sweep_tier(lse, &measured);
+        if let (Some(tier), Some(lse)) = (&self.tier, sweep_lse) {
+            tier.sweep(&self.shards, lse, &measured);
         }
         if let Some(index) = &self.rollback_index {
             index.forget(txn.epoch());
@@ -727,12 +551,13 @@ impl Engine {
     /// Applies a parsed batch under `epoch`: one joined task per
     /// touched shard appends its chunks in ascending bid order.
     ///
-    /// Spilled targets are faulted back in first (appending into a
-    /// fresh brick would shadow the spilled rows), so a failed reload
-    /// fails the batch before any row lands. A panicking append fails
-    /// it with [`CubrickError::AppendFailed`] once every task is
-    /// joined; the caller rolls back what landed. Given `sweep_lse`,
-    /// the result holds each touched shard's sweep totals at it.
+    /// Each task faults its spilled targets back in before its first
+    /// append, so a failed reload fails it with nothing written. A
+    /// failed reload ([`CubrickError::TierReloadFailed`]) or a
+    /// panicking append ([`CubrickError::AppendFailed`]) fails the
+    /// batch once every task is joined; the caller rolls back what
+    /// other shards landed. Given `sweep_lse`, the result holds each
+    /// touched shard's sweep totals at it.
     pub(crate) fn flush_batch(
         &self,
         cube: &Cube,
@@ -740,11 +565,6 @@ impl Engine {
         batch: ParsedBatch,
         sweep_lse: Option<Epoch>,
     ) -> Result<Vec<Option<ShardBytes>>, CubrickError> {
-        if self.tier.is_some() {
-            for &bid in batch.by_bid.keys() {
-                self.fault_in_brick(cube.name(), bid)?;
-            }
-        }
         self.ops.flushes.inc();
         let num_shards = self.shards.num_shards();
         let mut per_shard: Vec<Vec<(u64, RecordChunk)>> = vec![Vec::new(); num_shards];
@@ -763,15 +583,25 @@ impl Engine {
                 let cube = cube.clone();
                 let storage = self.dim_storage;
                 let task = self.shards.submit_handle(shard, move |bricks| {
+                    let name = || cube.name().to_owned();
+                    for &(bid, _) in &chunks {
+                        bricks.fault_in(cube.name(), bid).map_err(|reason| {
+                            CubrickError::TierReloadFailed {
+                                cube: name(),
+                                bid,
+                                reason,
+                            }
+                        })?;
+                    }
                     // By value, freeing each chunk after its append:
                     // holding all to the task's end measured ~5 MiB
                     // more peak RSS under `realtime_mixed`'s INSERTs.
                     for (bid, chunk) in chunks {
                         catch_unwind(AssertUnwindSafe(|| {
-                            crate::shard::brick_mut(bricks, &cube, bid, storage)
-                                .append(epoch, &chunk);
+                            let brick = bricks.brick_mut(&cube, bid, storage);
+                            brick.expect("faulted in above").append(epoch, &chunk);
                         }))
-                        .map_err(|_| bid)?;
+                        .map_err(|_| CubrickError::AppendFailed { cube: name(), bid })?;
                     }
                     Ok(sweep_lse.map(|lse| shard_bytes(bricks, lse)))
                 });
@@ -783,19 +613,15 @@ impl Engine {
         for (shard, task) in tasks {
             match task.join().unwrap_or_else(|panic| resume_unwind(panic)) {
                 Ok(bytes) => measured[shard] = bytes,
-                Err(bid) => {
-                    self.shards.count_panic();
-                    failed.get_or_insert(bid);
+                Err(e) => {
+                    if matches!(e, CubrickError::AppendFailed { .. }) {
+                        self.shards.count_panic();
+                    }
+                    failed.get_or_insert(e);
                 }
             }
         }
-        match failed {
-            None => Ok(measured),
-            Some(bid) => Err(CubrickError::AppendFailed {
-                cube: cube.name().into(),
-                bid,
-            }),
-        }
+        failed.map_or(Ok(measured), Err)
     }
 
     /// Begins an explicit RW transaction.
@@ -805,8 +631,9 @@ impl Engine {
 
     /// Appends rows within an explicit transaction. Rejected rows are
     /// returned (the transaction stays usable). On
-    /// [`CubrickError::AppendFailed`] part of the batch may be stored
-    /// under the transaction: roll it back.
+    /// [`CubrickError::AppendFailed`] or
+    /// [`CubrickError::TierReloadFailed`] part of the batch may be
+    /// stored under the transaction: roll it back.
     pub fn append(
         &self,
         cube: &str,
@@ -865,11 +692,9 @@ impl Engine {
             for (shard, bids) in by_shard {
                 removed += self.shards.submit_and_wait(shard, move |bricks| {
                     let mut removed = 0u64;
-                    for cube_bricks in bricks.values_mut() {
-                        for bid in &bids {
-                            if let Some(brick) = cube_bricks.get_mut(bid) {
-                                removed += brick.rollback(epoch);
-                            }
+                    for &bid in &bids {
+                        for brick in bricks.resident_at(bid) {
+                            removed += brick.rollback(epoch);
                         }
                     }
                     removed
@@ -878,12 +703,11 @@ impl Engine {
             return removed;
         }
         let removed = self.shards.map_shards(|_| {
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                let mut removed = 0u64;
-                for brick in bricks.values_mut().flat_map(HashMap::values_mut) {
-                    removed += brick.rollback(epoch);
-                }
-                removed
+            Box::new(move |bricks: &mut ShardBricks| {
+                bricks
+                    .resident_mut()
+                    .map(|brick| brick.rollback(epoch))
+                    .sum::<u64>()
             })
         });
         removed.into_iter().sum()
@@ -1240,10 +1064,8 @@ impl Engine {
             snapshot,
             kernel: config.kernel,
             memo,
-            tier: self.tier.clone(),
             allowed,
             panic_bids,
-            num_shards: self.shards.num_shards(),
         }
     }
 
@@ -1330,7 +1152,13 @@ impl Engine {
     ) -> Result<(Epoch, u64), CubrickError> {
         let cube = self.cube(cube)?;
         let txn = self.manager.begin_rw();
-        let marked = self.mark_delete_where(&cube, filters, txn.epoch())?;
+        let marked = match self.mark_delete_where(&cube, filters, txn.epoch()) {
+            Ok(marked) => marked,
+            Err(e) => {
+                let _ = self.rollback(&txn);
+                return Err(e);
+            }
+        };
         self.manager.commit(&txn)?;
         self.ops.deletes.inc();
         Ok((txn.epoch(), marked))
@@ -1345,10 +1173,6 @@ impl Engine {
         filters: &[crate::query::DimFilter],
         epoch: Epoch,
     ) -> Result<u64, CubrickError> {
-        // A partition delete walks every brick of the cube, so every
-        // spilled brick must be resident first — an evicted brick the
-        // walk misses would silently keep its rows.
-        self.fault_in_cube(cube.name())?;
         // Resolve filter values to coordinate sets.
         let mut resolved: Vec<(usize, std::collections::HashSet<u32>)> = Vec::new();
         for f in filters {
@@ -1366,27 +1190,38 @@ impl Engine {
         let marked = self.shards.map_shards(|_| {
             let cube = cube.clone();
             let resolved = resolved.clone();
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                let mut marked = 0u64;
-                let Some(cube_bricks) = bricks.get_mut(cube.name()) else {
-                    return marked;
-                };
+            Box::new(move |bricks: &mut ShardBricks| {
+                // The walk below must see every brick of the cube: an
+                // evicted one it skipped would silently keep its rows.
+                for mut slot in bricks.walk(cube.name()) {
+                    slot.fault_in().map_err(|reason| (slot.bid, reason))?;
+                }
                 let layout = cube.layout();
-                for (&bid, brick) in cube_bricks.iter_mut() {
-                    let ranges = layout.range_indexes_of_bid(bid);
+                let mut marked = 0u64;
+                for slot in bricks.walk(cube.name()) {
+                    let ranges = layout.range_indexes_of_bid(slot.bid);
                     let contained = resolved.iter().all(|(dim, coords)| {
                         let (lo, hi) = layout.range_bounds(*dim, ranges[*dim]);
                         (lo..hi).all(|c| coords.contains(&c))
                     });
                     if contained {
+                        let bid = slot.bid;
+                        let (brick, _) = slot.load().map_err(|reason| (bid, reason))?;
                         brick.mark_delete(epoch);
                         marked += 1;
                     }
                 }
-                marked
+                Ok(marked)
             })
         });
-        Ok(marked.into_iter().sum())
+        let marked: Result<Vec<u64>, _> = marked.into_iter().collect();
+        marked
+            .map(|marked| marked.into_iter().sum())
+            .map_err(|(bid, reason)| CubrickError::TierReloadFailed {
+                cube: cube.name().to_owned(),
+                bid,
+                reason,
+            })
     }
 
     /// Runs one purge cycle at the current LSE over every brick
@@ -1397,9 +1232,9 @@ impl Engine {
         let lse = self.manager.lse();
         let stats = self.shards.map_shards(|shard| {
             let memos = Arc::clone(&self.memos);
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
+            Box::new(move |bricks: &mut ShardBricks| {
                 let mut stats = PurgeStats::default();
-                for brick in bricks.values_mut().flat_map(HashMap::values_mut) {
+                for brick in bricks.resident_mut() {
                     if !brick.needs_purge(lse) {
                         continue;
                     }
@@ -1446,21 +1281,9 @@ impl Engine {
         let name = cube.to_owned();
         let per_shard: Vec<Vec<u64>> = self.shards.map_shards(|_| {
             let name = name.clone();
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                bricks
-                    .get(&name)
-                    .map(|m| m.keys().copied().collect())
-                    .unwrap_or_default()
-            })
+            Box::new(move |bricks: &mut ShardBricks| bricks.bids(&name))
         });
         let mut bids: Vec<u64> = per_shard.into_iter().flatten().collect();
-        if let Some(tier) = &self.tier {
-            for bid in tier.spilled_bids(cube) {
-                if !bids.contains(&bid) {
-                    bids.push(bid);
-                }
-            }
-        }
         bids.sort_unstable();
         bids
     }
@@ -1469,19 +1292,9 @@ impl Engine {
     pub(crate) fn has_brick(&self, cube: &str, bid: u64) -> bool {
         let name = cube.to_owned();
         self.shards
-            .map_shards(|shard| {
-                let name = name.clone();
-                let here = shard == self.shards.shard_of(bid);
-                Box::new(move |bricks: &mut crate::shard::ShardBricks| {
-                    here && bricks.get(&name).is_some_and(|m| m.contains_key(&bid))
-                })
+            .submit_and_wait(self.shards.shard_of(bid), move |bricks| {
+                bricks.contains(&name, bid)
             })
-            .into_iter()
-            .any(|b| b)
-            || self
-                .tier
-                .as_ref()
-                .is_some_and(|tier| tier.is_spilled(cube, bid))
     }
 
     /// Removes one brick from its shard (rebalance retire / failed
@@ -1493,32 +1306,23 @@ impl Engine {
         let shard = self.shards.shard_of(bid);
         let name = cube.to_owned();
         let memos = Arc::clone(&self.memos);
-        let removed = self.shards.submit_and_wait(shard, move |bricks| {
+        self.shards.submit_and_wait(shard, move |bricks| {
             memos.shard(shard).forget_cube(&name);
-            bricks
-                .get_mut(&name)
-                .is_some_and(|cube_bricks| cube_bricks.remove(&bid).is_some())
-        });
-        let spilled = self
-            .tier
-            .as_ref()
-            .is_some_and(|tier| tier.forget(cube, bid));
-        removed || spilled
+            bricks.remove(&name, bid)
+        })
     }
 
     /// Memory accounting across all bricks of all cubes.
     pub fn memory(&self) -> EngineMemory {
         let per_shard: Vec<CubeMemory> = self.shards.map_shards(|_| {
-            Box::new(|bricks: &mut crate::shard::ShardBricks| {
+            Box::new(|bricks: &mut ShardBricks| {
                 let mut memory = CubeMemory::default();
-                for cube_bricks in bricks.values() {
-                    for brick in cube_bricks.values() {
-                        let m = brick.memory();
-                        memory.data_bytes += m.data_bytes;
-                        memory.aosi_bytes += m.aosi_bytes;
-                        memory.rows += m.rows;
-                        memory.bricks += 1;
-                    }
+                for brick in bricks.resident() {
+                    let m = brick.memory();
+                    memory.data_bytes += m.data_bytes;
+                    memory.aosi_bytes += m.aosi_bytes;
+                    memory.rows += m.rows;
+                    memory.bricks += 1;
                 }
                 memory
             })
@@ -1537,28 +1341,6 @@ impl Engine {
         total.mvcc_baseline_bytes = total.rows * 16;
         total
     }
-}
-
-/// Whether a brick may be spilled: its newest epoch is at or below
-/// the LSE, so it is immutable and fully durable in the WAL. Empty
-/// bricks (newest epoch 0) are never worth a file.
-fn is_clean_cold(brick: &Brick, lse: Epoch) -> bool {
-    let newest = brick.epochs().entries().last().map_or(0, |e| e.epoch());
-    newest != 0 && newest <= lse
-}
-
-/// One shard's `(resident, clean-cold)` brick bytes at `lse`.
-fn shard_bytes(bricks: &crate::shard::ShardBricks, lse: Epoch) -> ShardBytes {
-    let (mut resident, mut eligible) = (0u64, 0u64);
-    for brick in bricks.values().flat_map(HashMap::values) {
-        let m = brick.memory();
-        let bytes = (m.data_bytes + m.aosi_bytes) as u64;
-        resident += bytes;
-        if is_clean_cold(brick, lse) {
-            eligible += bytes;
-        }
-    }
-    (resident, eligible)
 }
 
 impl std::fmt::Debug for Engine {
@@ -2735,7 +2517,7 @@ mod tests {
     }
 
     // ---------------------------------------------------------------
-    // Cold-tier integration (the tier's own registry mechanics are
+    // Cold-tier integration (the residency transitions are
     // unit-tested in `crate::tier`; these drive eviction and reload
     // through the engine's public surface).
     // ---------------------------------------------------------------
@@ -2816,18 +2598,116 @@ mod tests {
         assert_rows_identical(&finalized, &direct);
     }
 
+    /// One path that reads or writes brick `bid` of `events` by id
+    /// (or the whole cube), returning what it hands back to its caller.
+    type WritePath = fn(&Engine, u64) -> String;
+
+    /// The paths a spilled target must be faulted in for. Each is run
+    /// on a tiered engine whose every brick is spilled and on an
+    /// untiered twin.
+    const WRITE_PATHS: [(&str, WritePath); 7] = [
+        ("load", |e, _| {
+            format!(
+                "{:?}",
+                e.load("events", &[row("us", 0, 5, 1.0)], 0)
+                    .map(|o| o.accepted)
+            )
+        }),
+        ("append then commit", |e, _| {
+            let txn = e.begin();
+            let appended = e.append("events", &[row("us", 0, 5, 1.0)], &txn);
+            e.commit(&txn).unwrap();
+            format!("{appended:?}")
+        }),
+        ("delete_where", |e, _| {
+            let days = (0..4).map(Value::from).collect();
+            format!(
+                "{:?}",
+                e.delete_where("events", &[DimFilter::new("day", days)])
+            )
+        }),
+        ("import_delta", |e, bid| {
+            let delta = crate::persist::BrickDelta {
+                cube: "events".into(),
+                bid,
+                runs: vec![write_run(e)],
+            };
+            format!("{:?}", e.import_delta(vec![delta]))
+        }),
+        ("install_brick_runs", |e, bid| {
+            let cube = e.cube("events").unwrap();
+            format!("{:?}", e.install_brick_runs(&cube, bid, vec![write_run(e)]))
+        }),
+        ("export_brick", |e, bid| {
+            format!("{:?}", e.export_brick("events", bid))
+        }),
+        ("export_delta past the LSE", |e, _| {
+            format!("{:?}", e.export_delta(0, e.manager().lce()))
+        }),
+    ];
+
+    /// An insert of `("us", 0)` under an epoch above every committed
+    /// one, so no install dedups it away.
+    fn write_run(engine: &Engine) -> crate::persist::DeltaRun {
+        let cube = engine.cube("events").unwrap();
+        let rows = [row("us", 0, 1000, 0.5)];
+        let batch = parse_rows(cube.schema(), cube.layout(), cube.dictionaries(), &rows);
+        let chunk = batch.by_bid.into_values().next().unwrap();
+        crate::persist::DeltaRun::Insert {
+            epoch: engine.manager().lce() + 1,
+            records: chunk,
+        }
+    }
+
+    /// Every path that writes or exports a brick by id reloads a
+    /// spilled target first — a write into a fresh empty brick would
+    /// shadow the spilled rows — and leaves the engine bit for bit
+    /// where an untiered twin ends up.
     #[test]
     fn a_write_faults_the_spilled_brick_back_in() {
-        let engine = tiered_engine(1);
-        engine.load("events", &[row("us", 0, 10, 1.0)], 0).unwrap();
-        engine.advance_lse_and_purge();
-        assert!(engine.tier_stats().unwrap().spilled_bricks >= 1);
-        // Appending into a fresh empty brick would shadow the spilled
-        // rows: the load must reload first, then land on top.
-        engine.load("events", &[row("us", 0, 5, 1.0)], 0).unwrap();
-        let stats = engine.tier_stats().unwrap();
-        assert!(stats.reloads >= 1, "the append faulted the brick in");
-        assert_eq!(sum_likes(&engine, IsolationMode::Snapshot), 15.0);
+        for (path, run) in WRITE_PATHS {
+            let tiered = tiered_engine(1);
+            let plain = engine();
+            for e in [&tiered, &plain] {
+                spread_load(e);
+                e.advance_lse_and_purge();
+            }
+            let cube = tiered.cube("events").unwrap();
+            let coords = [cube.encode_filter_value(0, &Value::from("us")).unwrap(), 0];
+            let bid = cube.layout().bid_for_coords(&coords);
+            let before = tiered.tier_stats().unwrap();
+            assert_eq!(before.spilled_bricks, tiered.brick_bids("events").len());
+
+            assert_eq!(
+                run(&tiered, bid),
+                run(&plain, bid),
+                "{path}: what it returns"
+            );
+            let after = tiered.tier_stats().unwrap();
+            assert!(after.reloads > before.reloads, "{path} reloaded nothing");
+            assert_eq!(after.reload_failures, 0, "{path}");
+            // Everything either engine stores, epochs vectors included.
+            let everything = |e: &Engine| {
+                let lce = e.manager().lce();
+                e.manager().clock().observe(lce + 1);
+                format!("{:?}", e.export_delta(0, lce + 1))
+            };
+            assert_eq!(
+                everything(&tiered),
+                everything(&plain),
+                "{path}: stored bricks"
+            );
+            let snapshot = Snapshot::committed(plain.manager().lce());
+            let query = Query::aggregate(vec![
+                Aggregation::new(AggFn::Sum, "likes"),
+                Aggregation::new(AggFn::Avg, "score"),
+            ])
+            .grouped_by("region");
+            assert_rows_identical(
+                &tiered.query_at("events", &query, &snapshot).unwrap(),
+                &plain.query_at("events", &query, &snapshot).unwrap(),
+            );
+        }
     }
 
     #[test]

@@ -93,4 +93,4 @@ pub use query::{
     QueryStats, ScanKernel,
 };
 pub use shard::{ShardPool, TaskHandle};
-pub use tier::{BrickStore, TierEnforcement, TierError, TierStats, TieredStore};
+pub use tier::{BrickStore, TierEnforcement, TierError, TierStats};

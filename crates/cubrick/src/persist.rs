@@ -14,8 +14,9 @@ use aosi::Epoch;
 
 use crate::brick::Brick;
 use crate::engine::Engine;
+use crate::error::CubrickError;
 use crate::ingest::RecordChunk;
-use crate::shard::brick_mut;
+use crate::shard::ShardBricks;
 
 /// One run of a brick's epochs vector, with its row payload.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,38 +59,42 @@ impl Engine {
     /// Extracts every run whose epoch lies in `(lse, lse_prime]`,
     /// across all bricks of all cubes, preserving epochs-vector order
     /// within each brick.
+    ///
+    /// A brick with no run in the window is skipped before it is read.
+    /// An evicted brick never overlaps a *flush* window — eviction
+    /// requires every epoch at or below the LSE, and the LSE only
+    /// advances — but a caller asking for a wider window (recovery
+    /// verification, tests) must see its rows, so an overlapping one
+    /// is faulted back in; its retained epochs vector answers the
+    /// overlap check without touching disk.
+    ///
+    /// # Panics
+    /// Panics if such a brick cannot be reloaded.
     pub fn export_delta(&self, lse: Epoch, lse_prime: Epoch) -> Vec<BrickDelta> {
-        // Evicted bricks never overlap a *flush* window — eviction
-        // requires every epoch at or below the LSE, and the LSE only
-        // advances. A caller asking for a wider window (recovery
-        // verification, tests) must see those rows, so fault any
-        // overlapping brick back in; the retained epochs vectors
-        // answer the overlap check without touching disk.
-        if let Some(tier) = self.tier() {
-            for (cube, bid) in tier.spilled_in_window(lse, lse_prime) {
-                self.fault_in_brick(&cube, bid)
-                    .expect("spilled brick overlapping an export window failed to reload");
-            }
-        }
         let per_shard = self.shards().map_shards(|_| {
-            Box::new(move |bricks: &mut crate::shard::ShardBricks| {
+            Box::new(move |bricks: &mut ShardBricks| {
+                let wanted = |epoch: Epoch| epoch > lse && epoch <= lse_prime;
                 let mut deltas = Vec::new();
-                for (cube_name, cube_bricks) in bricks.iter() {
-                    for (&bid, brick) in cube_bricks {
-                        let runs = brick_runs(brick, |epoch| epoch > lse && epoch <= lse_prime);
-                        if !runs.is_empty() {
-                            deltas.push(BrickDelta {
-                                cube: cube_name.clone(),
-                                bid,
-                                runs,
-                            });
-                        }
+                for slot in bricks.walk_all() {
+                    if !slot.epochs().entries().iter().any(|e| wanted(e.epoch())) {
+                        continue;
                     }
+                    let (cube, bid) = (slot.cube.name().to_owned(), slot.bid);
+                    let (brick, _) = slot.load().map_err(|e| (cube.clone(), bid, e))?;
+                    let runs = brick_runs(brick, wanted);
+                    deltas.push(BrickDelta { cube, bid, runs });
                 }
-                deltas
+                Ok(deltas)
             })
         });
-        per_shard.into_iter().flatten().collect()
+        let deltas: Result<Vec<_>, _> = per_shard.into_iter().collect();
+        deltas
+            .unwrap_or_else(|(cube, bid, reason)| {
+                panic!("spilled brick {bid} of {cube:?} in an export window failed to reload: {reason}")
+            })
+            .into_iter()
+            .flatten()
+            .collect()
     }
 
     /// Extracts **every** run of one brick, in epochs-vector order —
@@ -98,13 +103,8 @@ impl Engine {
     /// here (the legitimate empty-brick handoff edge); a shard task
     /// that panics mid-capture is a typed error, never an empty
     /// capture — streaming one would retire the source copy and lose
-    /// the brick.
-    pub(crate) fn export_brick(
-        &self,
-        cube: &str,
-        bid: u64,
-    ) -> Result<Vec<DeltaRun>, crate::error::CubrickError> {
-        self.fault_in_brick(cube, bid)?;
+    /// the brick. So is a spilled brick that cannot be reloaded.
+    pub(crate) fn export_brick(&self, cube: &str, bid: u64) -> Result<Vec<DeltaRun>, CubrickError> {
         let shard = self.shards().shard_of(bid);
         let name = cube.to_owned();
         let panic_injected = self.export_panic_injected(bid);
@@ -112,12 +112,19 @@ impl Engine {
             if panic_injected {
                 panic!("injected export panic for brick {bid}");
             }
-            let brick = bricks.get(&name).and_then(|m| m.get(&bid))?;
-            Some(brick_runs(brick, |_| true))
+            let Some(slot) = bricks.slot(&name, bid) else {
+                return Ok(Vec::new());
+            };
+            slot.load().map(|(brick, _)| brick_runs(brick, |_| true))
         });
         match handle.join() {
-            Ok(runs) => Ok(runs.unwrap_or_default()),
-            Err(_) => Err(crate::error::CubrickError::BrickExportFailed {
+            Ok(Ok(runs)) => Ok(runs),
+            Ok(Err(reason)) => Err(CubrickError::TierReloadFailed {
+                cube: cube.to_owned(),
+                bid,
+                reason,
+            }),
+            Err(_) => Err(CubrickError::BrickExportFailed {
                 cube: cube.to_owned(),
                 bid,
             }),
@@ -135,42 +142,43 @@ impl Engine {
         cube: &crate::cube::Cube,
         bid: u64,
         runs: Vec<DeltaRun>,
-    ) -> Result<(), crate::error::CubrickError> {
-        // A spilled destination brick must be resident before runs
-        // dedup against its epochs vector — installing into a fresh
-        // empty brick would shadow the spilled rows.
-        self.fault_in_brick(cube.name(), bid)?;
+    ) -> Result<(), CubrickError> {
         let shard = self.shards().shard_of(bid);
-        let cube = cube.clone();
+        let task_cube = cube.clone();
         let storage = self.dim_storage();
         let memos = Arc::clone(self.memos());
-        self.shards().submit(shard, move |bricks| {
-            // Runs land under old epochs: settled answers may change.
-            memos.shard(shard).forget_cube(cube.name());
-            let brick = brick_mut(bricks, &cube, bid, storage);
-            let existing: std::collections::HashSet<(Epoch, bool)> = brick
-                .epochs()
-                .entries()
-                .iter()
-                .map(|e| (e.epoch(), e.is_delete()))
-                .collect();
-            for run in runs {
-                match run {
-                    DeltaRun::Insert { epoch, records } => {
-                        if !existing.contains(&(epoch, false)) {
-                            brick.append(epoch, &records);
+        self.shards()
+            .submit_and_wait(shard, move |bricks| {
+                let brick = bricks.brick_mut(&task_cube, bid, storage)?;
+                // Runs land under old epochs: settled answers may change.
+                memos.shard(shard).forget_cube(task_cube.name());
+                let existing: std::collections::HashSet<(Epoch, bool)> = brick
+                    .epochs()
+                    .entries()
+                    .iter()
+                    .map(|e| (e.epoch(), e.is_delete()))
+                    .collect();
+                for run in runs {
+                    match run {
+                        DeltaRun::Insert { epoch, records } => {
+                            if !existing.contains(&(epoch, false)) {
+                                brick.append(epoch, &records);
+                            }
                         }
-                    }
-                    DeltaRun::Delete { epoch } => {
-                        if !existing.contains(&(epoch, true)) {
-                            brick.mark_delete(epoch);
+                        DeltaRun::Delete { epoch } => {
+                            if !existing.contains(&(epoch, true)) {
+                                brick.mark_delete(epoch);
+                            }
                         }
                     }
                 }
-            }
-        });
-        self.shards().submit_and_wait(shard, |_| ());
-        Ok(())
+                Ok(())
+            })
+            .map_err(|reason| CubrickError::TierReloadFailed {
+                cube: cube.name().to_owned(),
+                bid,
+                reason,
+            })
     }
 
     /// Replays exported deltas (recovery). Rounds must be imported in
@@ -181,35 +189,44 @@ impl Engine {
     /// their cube is not registered — flushed rows a caller with
     /// incomplete DDL replay would otherwise lose without a trace.
     /// Recovery surfaces this count in its report.
+    ///
+    /// # Panics
+    /// Panics if a target brick was evicted by an enforcement sweep
+    /// earlier in the replay and cannot be reloaded.
     pub fn import_delta(&self, deltas: Vec<BrickDelta>) -> usize {
         let mut unknown_cube_deltas = 0;
+        let mut pending = Vec::with_capacity(deltas.len());
         for delta in deltas {
             let Ok(cube) = self.cube(&delta.cube) else {
                 unknown_cube_deltas += 1;
                 continue;
             };
-            // Recovery into a tiered engine: the target brick may
-            // already have been evicted by an earlier enforcement
-            // sweep mid-replay.
-            self.fault_in_brick(&delta.cube, delta.bid)
-                .expect("spilled brick failed to reload during delta import");
             let shard = self.shards().shard_of(delta.bid);
             let bid = delta.bid;
             let storage = self.dim_storage();
             let memos = Arc::clone(self.memos());
-            self.shards().submit(shard, move |bricks| {
+            let handle = self.shards().submit_handle(shard, move |bricks| {
+                let brick = bricks.brick_mut(&cube, bid, storage)?;
                 // Recovered runs land under old epochs.
                 memos.shard(shard).forget_cube(cube.name());
-                let brick = brick_mut(bricks, &cube, bid, storage);
                 for run in delta.runs {
                     match run {
                         DeltaRun::Insert { epoch, records } => brick.append(epoch, &records),
                         DeltaRun::Delete { epoch } => brick.mark_delete(epoch),
                     }
                 }
+                Ok::<(), String>(())
             });
+            pending.push((delta.cube, bid, handle));
         }
-        self.shards().drain();
+        for (cube, bid, handle) in pending {
+            // A panicking append stays the shard's (counted there), as
+            // for any fire-and-forget write; a failed reload is the
+            // caller's.
+            if let Ok(Err(reason)) = handle.join() {
+                panic!("spilled brick {bid} of {cube:?} failed to reload during delta import: {reason}");
+            }
+        }
         unknown_cube_deltas
     }
 }

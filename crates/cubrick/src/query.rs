@@ -127,18 +127,6 @@ impl CmpOp {
             CmpOp::Ge => lhs >= rhs,
         }
     }
-
-    /// The SQL spelling.
-    pub fn symbol(self) -> &'static str {
-        match self {
-            CmpOp::Eq => "=",
-            CmpOp::Ne => "<>",
-            CmpOp::Lt => "<",
-            CmpOp::Le => "<=",
-            CmpOp::Gt => ">",
-            CmpOp::Ge => ">=",
-        }
-    }
 }
 
 /// A HAVING predicate: compares the `agg`-th requested aggregation's
@@ -634,11 +622,6 @@ impl PartialResult {
             merge_states(&mut self.groups, key, states);
         }
         self.stats.absorb(&other.stats);
-    }
-
-    /// Number of groups accumulated so far.
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
     }
 }
 

@@ -2,17 +2,18 @@
 //! on every shard thread.
 //!
 //! A shard owns its bricks, so it answers the whole request itself:
-//! enumerate its bids (resident plus evicted), drop what the replica
-//! router gave to another node, read each filter against the brick's
-//! coordinate range (prune the brick, or drop the filters it cannot
-//! fail), and scan the survivors in ascending bid order. Every query
+//! walk the cube's bricks in ascending bid order (resident and
+//! evicted alike), drop what the replica router gave to another node,
+//! read each filter against the brick's coordinate range (prune the
+//! brick, or drop the filters it cannot fail), and scan the survivors,
+//! faulting an evicted one back in first. Every query
 //! path — default, sequential reference, per-brick partials — runs
 //! this one body and differs only in what it does with the brick
 //! partials (`sink`), in whether the coordinator overlaps the shards,
 //! and in whether the shard may answer from its snapshot memo
 //! ([`crate::memo`]) instead.
 //!
-//! Bricks created *after* a shard enumerated are safe to miss: a
+//! Bricks created *after* a shard walked its map are safe to miss: a
 //! brick can only appear via a flush whose transaction either
 //! committed before the snapshot was taken (its bricks already
 //! existed) or is excluded by the snapshot's epoch/deps, so the rows
@@ -30,8 +31,7 @@ use crate::brick::Brick;
 use crate::cube::Cube;
 use crate::memo::{MemoKey, ShardMemos};
 use crate::query::{FilterSet, PartialResult, ResolvedQuery, ScanKernel};
-use crate::shard::{shard_of, ShardBricks};
-use crate::tier::TieredStore;
+use crate::shard::ShardBricks;
 
 /// Replica routing: which bricks this node scans (see
 /// [`crate::Engine::execute_partial_filtered`]). Owned and shareable
@@ -50,12 +50,10 @@ pub(crate) struct ShardScan {
     /// shard's bricks into one partial: each shard then answers from
     /// its memo under this key when it can.
     pub(crate) memo: Option<(Arc<ShardMemos>, MemoKey)>,
-    pub(crate) tier: Option<Arc<TieredStore>>,
     /// Bricks the filter rejects are another replica's to scan.
     pub(crate) allowed: Option<BrickFilter>,
     /// Bids whose scan panics on purpose (test injection).
     pub(crate) panic_bids: HashSet<u64>,
-    pub(crate) num_shards: usize,
 }
 
 /// What one shard did for a [`ShardScan`], besides the brick partials
@@ -83,8 +81,8 @@ pub(crate) enum ScanFailure {
 
 impl ShardScan {
     /// Answers the request for `shard`'s bricks. Must run on that
-    /// shard's thread: owning the bricks is what makes enumeration,
-    /// tier fault-in and the memo race-free. Without a memo key, brick
+    /// shard's thread: owning the bricks is what makes the walk, tier
+    /// fault-in and the memo race-free. Without a memo key, brick
     /// partials reach `sink` in ascending bid order; with one, the
     /// shard hands `sink` a single partial — memoized, or its bricks
     /// folded in that same order.
@@ -95,7 +93,7 @@ impl ShardScan {
         mut sink: impl FnMut(PartialResult),
     ) -> Result<ShardScanOutcome, (u64, ScanFailure)> {
         let Some((memos, key)) = &self.memo else {
-            return self.scan_bricks(shard, bricks, sink);
+            return self.scan_bricks(bricks, sink);
         };
         let memoized = memos.shard(shard).get(key);
         if let Some((partial, outcome)) = memoized {
@@ -103,7 +101,7 @@ impl ShardScan {
             return Ok(outcome);
         }
         let mut folded = PartialResult::default();
-        let outcome = self.scan_bricks(shard, bricks, |partial| folded.merge(partial))?;
+        let outcome = self.scan_bricks(bricks, |partial| folded.merge(partial))?;
         memos.shard(shard).offer(key, &folded, &outcome);
         folded.stats.agg_cache_misses = 1;
         sink(folded);
@@ -113,25 +111,12 @@ impl ShardScan {
     /// Scans `shard`'s bricks, handing each partial to `sink`.
     fn scan_bricks(
         &self,
-        shard: usize,
         bricks: &mut ShardBricks,
         mut sink: impl FnMut(PartialResult),
     ) -> Result<ShardScanOutcome, (u64, ScanFailure)> {
-        let name = self.cube.name();
-        let mut bids: Vec<u64> = bricks
-            .get(name)
-            .map(|m| m.keys().copied().collect())
-            .unwrap_or_default();
-        // Evicted bricks are still part of the cube: they are faulted
-        // back in below.
-        if let Some(tier) = &self.tier {
-            let mine = |bid: &u64| shard_of(*bid, self.num_shards) == shard;
-            bids.extend(tier.spilled_bids(name).into_iter().filter(mine));
-        }
-        bids.sort_unstable();
-        bids.dedup();
         let mut outcome = ShardScanOutcome::default();
-        for bid in bids {
+        for slot in bricks.walk(self.cube.name()) {
+            let bid = slot.bid;
             if self.allowed.as_ref().is_some_and(|allowed| !allowed(bid)) {
                 continue;
             }
@@ -140,13 +125,9 @@ impl ShardScan {
                 continue;
             };
             outcome.bricks += 1;
-            let reloaded = self
-                .tier_prepare_brick(bid, bricks)
+            let (brick, reloaded) = slot
+                .read()
                 .map_err(|reason| (bid, ScanFailure::TierReload(reason)))?;
-            let Some(brick) = bricks.get(name).and_then(|m| m.get(&bid)) else {
-                // Dropped between enumeration and scan (DDL).
-                continue;
-            };
             let started = Instant::now();
             // Per-brick `catch_unwind` keeps panic attribution exact:
             // the shard reports which brick blew up and keeps running.
@@ -164,25 +145,6 @@ impl ShardScan {
             sink(scanned);
         }
         Ok(outcome)
-    }
-
-    /// Tiered storage's say before a brick is scanned: a resident
-    /// brick gets a recency touch (feeding eviction ranking), an
-    /// evicted one is faulted back in. `Ok(true)` means a reload
-    /// happened; `Err` carries the reload failure.
-    fn tier_prepare_brick(&self, bid: u64, bricks: &mut ShardBricks) -> Result<bool, String> {
-        let Some(tier) = &self.tier else {
-            return Ok(false);
-        };
-        let name = self.cube.name();
-        if bricks.get(name).is_some_and(|m| m.contains_key(&bid)) {
-            tier.touch(name, bid);
-            return Ok(false);
-        }
-        // A brick dropped between enumeration and scan (DDL) is not
-        // spilled either: nothing reloads, and the caller's map lookup
-        // skips it.
-        tier.reload_into(&self.cube, bid, bricks)
     }
 
     /// Scans one brick under the request's snapshot. Each kernel has
@@ -232,7 +194,6 @@ mod tests {
     use crate::query::{AggFn, Aggregation, DimFilter, Query, QueryResult};
     use crate::shard::ShardBricks;
     use columnar::Value;
-    use std::collections::HashMap;
 
     /// `a` is `DIM(10, 4)`: its ranges are `[0, 4)`, `[4, 8)` and
     /// `[8, 10)`, the last cut short by the cardinality.
@@ -251,7 +212,7 @@ mod tests {
     /// that interleaves the groups; each row is appended to the brick
     /// its coordinates name.
     fn bricks(cube: &Cube, storage: DimStorage) -> ShardBricks {
-        let mut by_bid: HashMap<u64, Brick> = HashMap::new();
+        let mut bricks = ShardBricks::default();
         for epoch in 1..=2u64 {
             for i in 0..120u32 {
                 let coords = vec![(i * 7) % 10, (i * 3 + epoch as u32) % 8];
@@ -260,13 +221,13 @@ mod tests {
                     Value::I64(i64::from(i) * 5 - 300),
                     Value::F64(f64::from(i) * 0.1 + epoch as f64 / 3.0),
                 ];
-                by_bid
-                    .entry(bid)
-                    .or_insert_with(|| Brick::with_storage(cube.schema(), storage))
+                bricks
+                    .brick_mut(cube, bid, storage)
+                    .unwrap()
                     .append(epoch, &RecordChunk::from_rows(&[(coords, metrics)]));
             }
         }
-        [(cube.name().to_owned(), by_bid)].into_iter().collect()
+        bricks
     }
 
     /// `query` with an IN-list filter per `(dimension, values)`.
@@ -294,10 +255,8 @@ mod tests {
             snapshot,
             kernel,
             memo: None,
-            tier: None,
             allowed: None,
             panic_bids: HashSet::new(),
-            num_shards: 1,
         };
         let mut folded = PartialResult::default();
         let outcome = scan

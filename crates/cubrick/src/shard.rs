@@ -10,50 +10,258 @@
 //! by a single thread, no low-level locking is required."
 //!
 //! A [`ShardPool`] is exactly that: N worker threads, each owning the
-//! bricks whose `bid % N` equals its index, fed through a
-//! `std::sync::mpsc` channel of boxed operations (its input queue).
+//! bricks whose `bid % N` equals its index — resident or spilled to
+//! the cold tier, in one bid-ordered map per cube ([`ShardBricks`]) —
+//! fed through a `std::sync::mpsc` channel of boxed operations (its
+//! input queue).
 //! Waited tasks answer on a one-slot reply channel. Scans parallelize
 //! naturally across shards; appends to one brick serialize in queue
 //! order, which is also what gives the transaction manager its
 //! ordering assumption.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use aosi::EpochsVector;
 use obs::{Counter, ReportBuilder};
 
 use crate::brick::{Brick, DimStorage};
 use crate::cube::Cube;
+use crate::tier::{SpilledBrick, TieredStore};
 
-/// The bricks owned by one shard thread: `cube name -> bid -> brick`.
-pub type ShardBricks = HashMap<String, HashMap<u64, Brick>>;
+/// Where one brick of a shard lives (see [`crate::tier`]).
+pub(crate) enum Slot {
+    /// In memory. `touched` is the tier clock's reading at the brick's
+    /// last scan or reload (0: never read), what eviction ranks by.
+    Resident { brick: Brick, touched: u64 },
+    /// Evicted to the cold tier.
+    Spilled(SpilledBrick),
+}
+
+impl Slot {
+    fn brick(&self) -> Option<&Brick> {
+        match self {
+            Slot::Resident { brick, .. } => Some(brick),
+            Slot::Spilled(_) => None,
+        }
+    }
+
+    fn brick_mut(&mut self) -> Option<&mut Brick> {
+        match self {
+            Slot::Resident { brick, .. } => Some(brick),
+            Slot::Spilled(_) => None,
+        }
+    }
+}
+
+/// One cube's bricks on a shard, ascending by bid.
+struct CubeBricks {
+    /// The cube the bricks belong to: what a reload decodes against.
+    cube: Cube,
+    slots: BTreeMap<u64, Slot>,
+}
+
+impl CubeBricks {
+    fn walk<'a>(&'a mut self, tier: Option<&'a TieredStore>) -> impl Iterator<Item = SlotMut<'a>> {
+        let cube = &self.cube;
+        (self.slots.iter_mut()).map(move |(&bid, slot)| SlotMut {
+            bid,
+            cube,
+            slot,
+            tier,
+        })
+    }
+}
+
+/// The bricks owned by one shard thread: per cube, every brick the
+/// shard holds in ascending bid order, resident or spilled. Residency
+/// is the shard's own state, so the thread that owns a brick is the
+/// only one that spills or reloads it — no lock involved.
+#[derive(Default)]
+pub struct ShardBricks {
+    cubes: HashMap<String, CubeBricks>,
+    /// The engine's cold tier, when tiered storage is enabled.
+    tier: Option<Arc<TieredStore>>,
+}
+
+/// One brick's place in its shard's map, with what a residency change
+/// needs: the brick's cube and the shard's tier.
+pub(crate) struct SlotMut<'a> {
+    pub(crate) bid: u64,
+    pub(crate) cube: &'a Cube,
+    pub(crate) slot: &'a mut Slot,
+    pub(crate) tier: Option<&'a TieredStore>,
+}
+
+impl<'a> SlotMut<'a> {
+    /// The brick's epochs vector, whether it is resident or spilled.
+    pub(crate) fn epochs(&self) -> &EpochsVector {
+        match &*self.slot {
+            Slot::Resident { brick, .. } => brick.epochs(),
+            Slot::Spilled(stub) => stub.epochs(),
+        }
+    }
+
+    /// The brick, reloaded first if spilled; `true` when it was.
+    pub(crate) fn load(mut self) -> Result<(&'a mut Brick, bool), String> {
+        let reloaded = self.fault_in()?;
+        let brick = self.slot.brick_mut().expect("resident after fault-in");
+        Ok((brick, reloaded))
+    }
+
+    /// [`SlotMut::load`] for a scan: a brick that was already
+    /// resident is touched, so eviction keeps the bricks queries read.
+    pub(crate) fn read(mut self) -> Result<(&'a Brick, bool), String> {
+        let reloaded = self.fault_in()?;
+        if !reloaded {
+            self.touch();
+        }
+        let brick = self.slot.brick().expect("resident after fault-in");
+        Ok((brick, reloaded))
+    }
+}
+
+impl ShardBricks {
+    /// Puts this shard's bricks under the engine's cold tier.
+    pub(crate) fn set_tier(&mut self, tier: Arc<TieredStore>) {
+        self.tier = Some(tier);
+    }
+
+    /// `cube`'s bricks on this shard, ascending by bid.
+    pub(crate) fn walk(&mut self, cube: &str) -> impl Iterator<Item = SlotMut<'_>> {
+        let tier = self.tier.as_deref();
+        (self.cubes.get_mut(cube).into_iter()).flat_map(move |bricks| bricks.walk(tier))
+    }
+
+    /// Every cube's bricks on this shard, each cube's ascending by bid.
+    pub(crate) fn walk_all(&mut self) -> impl Iterator<Item = SlotMut<'_>> {
+        let tier = self.tier.as_deref();
+        (self.cubes.values_mut()).flat_map(move |bricks| bricks.walk(tier))
+    }
+
+    /// Brick `bid` of `cube`, if this shard holds it.
+    pub(crate) fn slot(&mut self, cube: &str, bid: u64) -> Option<SlotMut<'_>> {
+        let tier = self.tier.as_deref();
+        let CubeBricks { cube, slots } = self.cubes.get_mut(cube)?;
+        let slot = slots.get_mut(&bid)?;
+        Some(SlotMut {
+            bid,
+            cube,
+            slot,
+            tier,
+        })
+    }
+
+    /// Every brick with its cube and bid (each cube's ascending by bid).
+    pub(crate) fn slots(&self) -> impl Iterator<Item = (&str, u64, &Slot)> {
+        (self.cubes.iter()).flat_map(|(name, bricks)| {
+            (bricks.slots.iter()).map(move |(&bid, slot)| (name.as_str(), bid, slot))
+        })
+    }
+
+    /// Every resident brick.
+    pub(crate) fn resident(&self) -> impl Iterator<Item = &Brick> {
+        self.slots().filter_map(|(_, _, slot)| slot.brick())
+    }
+
+    /// Every resident brick, mutably.
+    pub(crate) fn resident_mut(&mut self) -> impl Iterator<Item = &mut Brick> {
+        (self.cubes.values_mut())
+            .flat_map(|bricks| bricks.slots.values_mut())
+            .filter_map(Slot::brick_mut)
+    }
+
+    /// The resident brick `bid` of every cube.
+    pub(crate) fn resident_at(&mut self, bid: u64) -> impl Iterator<Item = &mut Brick> {
+        (self.cubes.values_mut()).filter_map(move |bricks| bricks.slots.get_mut(&bid)?.brick_mut())
+    }
+
+    /// Whether this shard holds brick `bid` of `cube`, spilled or not.
+    pub(crate) fn contains(&self, cube: &str, bid: u64) -> bool {
+        (self.cubes.get(cube)).is_some_and(|bricks| bricks.slots.contains_key(&bid))
+    }
+
+    /// The bids of `cube` this shard holds, ascending.
+    pub(crate) fn bids(&self, cube: &str) -> Vec<u64> {
+        (self.cubes.get(cube))
+            .map_or_else(Vec::new, |bricks| bricks.slots.keys().copied().collect())
+    }
+
+    /// Reloads brick `bid` of `cube` if it is spilled; `true` when it
+    /// was. A task that writes to several bricks faults every target
+    /// in first, so a failed reload fails it before anything lands.
+    pub(crate) fn fault_in(&mut self, cube: &str, bid: u64) -> Result<bool, String> {
+        self.slot(cube, bid)
+            .map_or(Ok(false), |mut slot| slot.fault_in())
+    }
+
+    /// Brick `bid` of `cube` — reloaded if spilled, materialized empty
+    /// on first use. The one way to a mutable brick by id: how every
+    /// append path (load, recovery, handoff) finds its target, so no
+    /// write can land in a fresh brick beside spilled rows.
+    pub fn brick_mut(
+        &mut self,
+        cube: &Cube,
+        bid: u64,
+        storage: DimStorage,
+    ) -> Result<&mut Brick, String> {
+        // `entry` would allocate the cube's name on every call; only a
+        // cube's first brick on a shard inserts.
+        if !self.cubes.contains_key(cube.name()) {
+            let bricks = CubeBricks {
+                cube: cube.clone(),
+                slots: BTreeMap::new(),
+            };
+            self.cubes.insert(cube.name().to_owned(), bricks);
+        }
+        let tier = self.tier.as_deref();
+        let bricks = self.cubes.get_mut(cube.name()).expect("inserted above");
+        let slot = bricks.slots.entry(bid).or_insert_with(|| Slot::Resident {
+            brick: Brick::with_storage(cube.schema(), storage),
+            touched: 0,
+        });
+        let slot = SlotMut {
+            bid,
+            cube: &bricks.cube,
+            slot,
+            tier,
+        };
+        slot.load().map(|(brick, _)| brick)
+    }
+
+    /// Removes brick `bid` of `cube`, discarding its snapshot if it is
+    /// spilled. Returns whether the shard held it.
+    pub(crate) fn remove(&mut self, cube: &str, bid: u64) -> bool {
+        let Some(slot) = (self.cubes.get_mut(cube)).and_then(|bricks| bricks.slots.remove(&bid))
+        else {
+            return false;
+        };
+        self.forget(cube, bid, &slot);
+        true
+    }
+
+    /// Removes every brick of `cube`, discarding the spilled ones'
+    /// snapshots.
+    pub(crate) fn remove_cube(&mut self, cube: &str) {
+        if let Some(bricks) = self.cubes.remove(cube) {
+            for (bid, slot) in &bricks.slots {
+                self.forget(cube, *bid, slot);
+            }
+        }
+    }
+
+    fn forget(&self, cube: &str, bid: u64, slot: &Slot) {
+        if let (Some(tier), Slot::Spilled(stub)) = (&self.tier, slot) {
+            tier.forget(cube, bid, stub);
+        }
+    }
+}
 
 type Task = Box<dyn FnOnce(&mut ShardBricks) + Send>;
-
-/// Brick `bid` of `cube` on this shard, materialized empty on first
-/// use — how every append path (load, recovery, handoff) finds its
-/// target.
-pub(crate) fn brick_mut<'a>(
-    bricks: &'a mut ShardBricks,
-    cube: &Cube,
-    bid: u64,
-    storage: DimStorage,
-) -> &'a mut Brick {
-    // `entry` would allocate the cube's name on every call; only a
-    // cube's first brick on a shard inserts.
-    if !bricks.contains_key(cube.name()) {
-        bricks.insert(cube.name().to_owned(), HashMap::new());
-    }
-    bricks
-        .get_mut(cube.name())
-        .expect("inserted above")
-        .entry(bid)
-        .or_insert_with(|| Brick::with_storage(cube.schema(), storage))
-}
 
 /// Per-pool lock-free counters (shared with the worker threads).
 #[derive(Debug)]
@@ -68,12 +276,6 @@ struct PoolMetrics {
     queued: Vec<AtomicUsize>,
     /// Task panics caught (the shard survives each one).
     panics: Counter,
-}
-
-/// The shard owning `bid` in a pool of `num_shards` (callable from a
-/// shard thread, which must not hold the pool itself).
-pub(crate) fn shard_of(bid: u64, num_shards: usize) -> usize {
-    (bid % num_shards as u64) as usize
 }
 
 /// A pool of single-writer shard threads.
@@ -114,7 +316,7 @@ impl ShardPool {
                 std::thread::Builder::new()
                     .name(format!("cubrick-shard-{shard}"))
                     .spawn(move || {
-                        let mut bricks = ShardBricks::new();
+                        let mut bricks = ShardBricks::default();
                         // Channel closure (all senders dropped) ends
                         // the shard.
                         while let Ok(task) = rx.recv() {
@@ -142,7 +344,7 @@ impl ShardPool {
 
     /// The shard owning `bid`.
     pub fn shard_of(&self, bid: u64) -> usize {
-        shard_of(bid, self.senders.len())
+        (bid % self.senders.len() as u64) as usize
     }
 
     /// Enqueues `task` on `shard` without waiting (recovery and
@@ -331,15 +533,11 @@ mod tests {
     #[test]
     fn operations_on_one_shard_apply_in_order() {
         let pool = ShardPool::new(1);
-        let schema = schema();
+        let cube = Cube::new(schema());
         for i in 0..100i64 {
-            let schema = schema.clone();
+            let cube = cube.clone();
             pool.submit(0, move |bricks| {
-                let brick = bricks
-                    .entry("t".into())
-                    .or_default()
-                    .entry(0)
-                    .or_insert_with(|| Brick::new(&schema));
+                let brick = bricks.brick_mut(&cube, 0, DimStorage::Plain).unwrap();
                 brick.append(
                     1,
                     &RecordChunk::from_rows(&[(vec![(i % 16) as u32], vec![Value::I64(i)])]),
@@ -347,7 +545,7 @@ mod tests {
             });
         }
         let values = pool.submit_and_wait(0, |bricks| {
-            let brick = &bricks["t"][&0];
+            let brick = bricks.resident().next().unwrap();
             (0..brick.row_count() as usize)
                 .map(|r| brick.metric_column(0).get_i64(r).unwrap())
                 .collect::<Vec<_>>()

@@ -1,10 +1,17 @@
-//! Tiered brick storage: the residency manager that evicts cold
-//! bricks to a durable store and faults them back in on demand.
+//! Tiered brick storage: cold bricks evicted to a durable store under
+//! a memory budget and faulted back in on demand.
 //!
-//! The engine side of the spill machinery lives here; the durable
-//! format and the `WalFs`-backed store implementation live in the
-//! `wal` crate (`wal::tier`), which depends on this crate — the
-//! [`BrickStore`] trait is the seam between them.
+//! Residency is shard state. Each shard's map ([`ShardBricks`]) holds,
+//! per cube and in ascending bid order, either a resident brick or a
+//! [`SpilledBrick`] stub, and only the shard thread owning a brick
+//! spills, reloads or forgets it — so no lock guards residency, and
+//! [`ShardBricks::brick_mut`], the one way to a mutable brick, reloads
+//! a spilled target before anything is written to it. This module
+//! holds the transitions ([`SlotMut::fault_in`], [`SlotMut::spill`]),
+//! the counters and gauges behind [`TierStats`], the eviction sweep,
+//! and the seam to durable storage: the [`BrickStore`] trait, whose
+//! production implementation (`wal::tier`, over the `WalFs` trait)
+//! lives in the `wal` crate, which depends on this one.
 //!
 //! ## Eligibility: only clean-cold bricks spill
 //!
@@ -33,16 +40,15 @@
 //! snapshot memo ([`crate::memo`]). A memo hit answers for every brick
 //! of its shard — spilled ones included — without reading the store.
 
-use std::collections::HashMap;
-use std::sync::Mutex;
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use aosi::EpochsVector;
-use obs::sync::unpoison;
+use aosi::{Epoch, EpochsVector};
 use obs::{Counter, Gauge, ReportBuilder};
 
 use crate::brick::Brick;
 use crate::cube::Cube;
-use crate::shard::ShardBricks;
+use crate::shard::{ShardBricks, ShardPool, Slot, SlotMut, TaskHandle};
 
 /// Errors from a [`BrickStore`] implementation.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -92,16 +98,23 @@ pub trait BrickStore: Send + Sync {
     fn discard(&self, cube: &str, bid: u64) -> Result<(), TierError>;
 }
 
-/// Registry entry for one evicted brick.
-struct SpilledBrick {
-    /// The epochs vector as of eviction, generation included. Kept so
-    /// export windows can be checked against the brick while its
+/// What a shard keeps of a brick it spilled.
+pub(crate) struct SpilledBrick {
+    /// The epochs vector as of eviction, generation included, so an
+    /// export window can be checked against the brick while its
     /// columns are on disk.
     epochs: EpochsVector,
     /// Snapshot size on disk.
     file_bytes: u64,
     /// What the brick occupied in memory (the bytes eviction freed).
     resident_bytes: usize,
+}
+
+impl SpilledBrick {
+    /// The epochs vector the brick had when it left memory.
+    pub(crate) fn epochs(&self) -> &EpochsVector {
+        &self.epochs
+    }
 }
 
 /// Point-in-time counters for the cold tier (see
@@ -130,252 +143,79 @@ pub struct TierStats {
     pub reload_failures: u64,
 }
 
-/// A per-brick registry map, `cube -> bid -> V`: keyed by cube name
-/// first so a `(&str, u64)` lookup borrows instead of allocating.
-type ByBrick<V> = HashMap<String, HashMap<u64, V>>;
-
-/// `map`'s bricks of `cube`, created empty on first use (the name is
-/// allocated once per cube, not per call).
-fn cube_entry<'a, V>(map: &'a mut ByBrick<V>, cube: &str) -> &'a mut HashMap<u64, V> {
-    if !map.contains_key(cube) {
-        map.insert(cube.to_owned(), HashMap::new());
-    }
-    map.get_mut(cube).expect("inserted above")
-}
-
-struct TierInner {
-    /// Evicted bricks.
-    spilled: ByBrick<SpilledBrick>,
-    /// Last-scan tick per resident brick, for eviction ranking.
-    touches: ByBrick<u64>,
-    /// The touch clock.
-    tick: u64,
-}
-
-impl TierInner {
-    fn spilled(&self, cube: &str, bid: u64) -> Option<&SpilledBrick> {
-        self.spilled.get(cube)?.get(&bid)
-    }
-
-    fn touch(&mut self, cube: &str, bid: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        cube_entry(&mut self.touches, cube).insert(bid, tick);
-    }
-
-    /// Drops `bid` of `cube` from both maps; returns whether it was
-    /// spilled.
-    fn forget(&mut self, cube: &str, bid: u64) -> bool {
-        if let Some(touches) = self.touches.get_mut(cube) {
-            touches.remove(&bid);
-        }
-        self.spilled
-            .get_mut(cube)
-            .is_some_and(|spilled| spilled.remove(&bid).is_some())
-    }
-}
-
-/// The engine's cold-tier state: one durable [`BrickStore`], the
-/// memory budget, the spilled-brick registry, and the recency clock
-/// eviction ranks by.
-pub struct TieredStore {
+/// The engine's cold tier, shared by every shard: the durable
+/// [`BrickStore`], the memory budget, the touch clock eviction ranks
+/// by, and the counters and gauges kept on spill, reload and forget.
+pub(crate) struct TieredStore {
     store: Box<dyn BrickStore>,
     budget_bytes: usize,
-    inner: Mutex<TierInner>,
+    /// One clock for every shard, so eviction ranks bricks across
+    /// shards by when they were last read.
+    clock: AtomicU64,
     spills: Counter,
     reloads: Counter,
     spill_failures: Counter,
     reload_failures: Counter,
     /// Resident bytes after the last enforcement sweep.
     resident_bytes: Gauge,
+    spilled_bricks: Gauge,
+    spilled_file_bytes: Gauge,
+    spilled_resident_bytes: Gauge,
 }
 
 impl TieredStore {
     /// Wraps a durable store under a memory budget.
-    pub fn new(store: Box<dyn BrickStore>, budget_bytes: usize) -> Self {
+    pub(crate) fn new(store: Box<dyn BrickStore>, budget_bytes: usize) -> Self {
         TieredStore {
             store,
             budget_bytes,
-            inner: Mutex::new(TierInner {
-                spilled: HashMap::new(),
-                touches: HashMap::new(),
-                tick: 0,
-            }),
+            clock: AtomicU64::new(0),
             spills: Counter::default(),
             reloads: Counter::default(),
             spill_failures: Counter::default(),
             reload_failures: Counter::default(),
             resident_bytes: Gauge::default(),
+            spilled_bricks: Gauge::default(),
+            spilled_file_bytes: Gauge::default(),
+            spilled_resident_bytes: Gauge::default(),
         }
     }
 
-    /// The configured budget.
-    pub fn budget_bytes(&self) -> usize {
-        self.budget_bytes
+    /// The next reading of the touch clock (never 0, which marks a
+    /// brick no scan has read).
+    fn tick(&self) -> u64 {
+        self.clock.fetch_add(1, Ordering::Relaxed) + 1
     }
 
-    /// The durable store (spill/reload run on shard threads).
-    pub(crate) fn store(&self) -> &dyn BrickStore {
-        &*self.store
+    /// Puts a new stub on the spilled gauges.
+    fn track(&self, stub: &SpilledBrick) {
+        self.spilled_bricks.add(1);
+        self.spilled_file_bytes.add(stub.file_bytes);
+        self.spilled_resident_bytes.add(stub.resident_bytes as u64);
     }
 
-    /// Whether `bid` of `cube` is currently evicted.
-    pub(crate) fn is_spilled(&self, cube: &str, bid: u64) -> bool {
-        unpoison(self.inner.lock()).spilled(cube, bid).is_some()
+    /// Takes a stub off the spilled gauges (reload or forget).
+    fn untrack(&self, stub: &SpilledBrick) {
+        self.spilled_bricks.sub(1);
+        self.spilled_file_bytes.sub(stub.file_bytes);
+        self.spilled_resident_bytes.sub(stub.resident_bytes as u64);
     }
 
-    /// Spilled bricks holding any run in `(lse, lse_prime]` — the
-    /// retained epochs vectors answer this without touching disk.
-    pub(crate) fn spilled_in_window(&self, lse: u64, lse_prime: u64) -> Vec<(String, u64)> {
-        let inner = unpoison(self.inner.lock());
-        (inner.spilled.iter())
-            .flat_map(|(cube, bricks)| bricks.iter().map(move |(&bid, s)| (cube, bid, s)))
-            .filter(|(_, _, s)| {
-                s.epochs
-                    .entries()
-                    .iter()
-                    .any(|e| e.epoch() > lse && e.epoch() <= lse_prime)
-            })
-            .map(|(cube, bid, _)| (cube.clone(), bid))
-            .collect()
-    }
-
-    /// Bids of `cube` currently evicted, unsorted.
-    pub(crate) fn spilled_bids(&self, cube: &str) -> Vec<u64> {
-        unpoison(self.inner.lock())
-            .spilled
-            .get(cube)
-            .map(|spilled| spilled.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Bumps the touch clock for a resident brick (called from scan
-    /// paths so eviction can rank bricks by how recently queries
-    /// touched them).
-    pub(crate) fn touch(&self, cube: &str, bid: u64) {
-        unpoison(self.inner.lock()).touch(cube, bid);
-    }
-
-    /// How recently `bid` was scanned, as a fraction of the touch
-    /// clock (1.0 = the most recent touch in the engine, `None` =
-    /// never touched) — what eviction ranks by.
-    pub(crate) fn touch_recency(&self, cube: &str, bid: u64) -> Option<f64> {
-        let inner = unpoison(self.inner.lock());
-        if inner.tick == 0 {
-            return None;
-        }
-        inner
-            .touches
-            .get(cube)?
-            .get(&bid)
-            .map(|&t| t as f64 / inner.tick as f64)
-    }
-
-    /// Counts a failed spill attempt (brick stays resident).
-    pub(crate) fn note_spill_failure(&self) {
-        self.spill_failures.inc();
-    }
-
-    /// Records a successful spill. Runs on the owning shard thread,
-    /// after the durable write succeeded and the brick left the map.
-    pub(crate) fn note_spilled(
-        &self,
-        cube: &str,
-        bid: u64,
-        epochs: EpochsVector,
-        file_bytes: u64,
-        resident_bytes: usize,
-    ) {
-        self.spills.inc();
-        let mut inner = unpoison(self.inner.lock());
-        inner.forget(cube, bid);
-        cube_entry(&mut inner.spilled, cube).insert(
-            bid,
-            SpilledBrick {
-                epochs,
-                file_bytes,
-                resident_bytes,
-            },
-        );
-    }
-
-    /// Faults one brick back into its shard map. Must run on the
-    /// owning shard thread — that is what makes the
-    /// check-reload-insert sequence race-free (a concurrent task on
-    /// the same shard either ran before us, in which case the brick
-    /// is already back and we return `Ok(false)`, or runs after and
-    /// sees it resident).
-    ///
-    /// Returns `Ok(true)` if a reload happened, `Ok(false)` if the
-    /// brick was already resident (or never spilled). On success the
-    /// snapshot file is discarded best-effort; a leftover file is
-    /// harmless (startup cleanup removes strays, and the registry —
-    /// not the directory — defines what is spilled).
-    pub(crate) fn reload_into(
-        &self,
-        cube: &Cube,
-        bid: u64,
-        bricks: &mut ShardBricks,
-    ) -> Result<bool, String> {
-        if !self.is_spilled(cube.name(), bid) {
-            return Ok(false);
-        }
-        if bricks
-            .get(cube.name())
-            .is_some_and(|m| m.contains_key(&bid))
-        {
-            // Registry says spilled but the brick is in the map:
-            // another task on this shard reloaded it between our
-            // registry check and now — impossible on the owning
-            // thread, but cheap to tolerate.
-            return Ok(false);
-        }
-        match self.store.reload(cube, bid) {
-            Ok(brick) => {
-                self.reloads.inc();
-                bricks
-                    .entry(cube.name().to_owned())
-                    .or_default()
-                    .insert(bid, brick);
-                let mut inner = unpoison(self.inner.lock());
-                inner.forget(cube.name(), bid);
-                inner.touch(cube.name(), bid);
-                drop(inner);
-                let _ = self.store.discard(cube.name(), bid);
-                Ok(true)
-            }
-            Err(e) => {
-                self.reload_failures.inc();
-                Err(e.to_string())
-            }
-        }
-    }
-
-    /// Forgets an evicted brick and removes its snapshot (DDL drop /
-    /// rebalance retire). Returns whether the registry held it.
-    pub(crate) fn forget(&self, cube: &str, bid: u64) -> bool {
-        let existed = unpoison(self.inner.lock()).forget(cube, bid);
-        if existed {
-            let _ = self.store.discard(cube, bid);
-        }
-        existed
-    }
-
-    /// Updates the resident-bytes gauge after an enforcement sweep.
-    pub(crate) fn observe_resident_bytes(&self, bytes: u64) {
-        self.resident_bytes.set(bytes);
+    /// Forgets a spilled brick that leaves its shard (DDL drop,
+    /// rebalance retire) and removes its snapshot.
+    pub(crate) fn forget(&self, cube: &str, bid: u64, stub: &SpilledBrick) {
+        self.untrack(stub);
+        let _ = self.store.discard(cube, bid);
     }
 
     /// Point-in-time statistics.
-    pub fn stats(&self) -> TierStats {
-        let inner = unpoison(self.inner.lock());
-        let spilled = || inner.spilled.values().flat_map(HashMap::values);
+    pub(crate) fn stats(&self) -> TierStats {
         TierStats {
             budget_bytes: self.budget_bytes,
             resident_bytes: self.resident_bytes.get(),
-            spilled_bricks: spilled().count(),
-            spilled_file_bytes: spilled().map(|s| s.file_bytes).sum(),
-            spilled_resident_bytes: spilled().map(|s| s.resident_bytes as u64).sum(),
+            spilled_bricks: self.spilled_bricks.get() as usize,
+            spilled_file_bytes: self.spilled_file_bytes.get(),
+            spilled_resident_bytes: self.spilled_resident_bytes.get(),
             spills: self.spills.get(),
             reloads: self.reloads.get(),
             spill_failures: self.spill_failures.get(),
@@ -385,19 +225,200 @@ impl TieredStore {
 
     /// Writes the `[<prefix>storage.tier]` report section.
     pub(crate) fn report_as(&self, report: &mut ReportBuilder, section: &str) {
-        let stats = self.stats();
         report
             .section(section)
             .metric("budget_bytes", self.budget_bytes)
             .gauge("resident_bytes", &self.resident_bytes)
-            .metric("spilled_bricks", stats.spilled_bricks)
-            .metric("spilled_file_bytes", stats.spilled_file_bytes)
-            .metric("spilled_resident_bytes", stats.spilled_resident_bytes)
+            .gauge("spilled_bricks", &self.spilled_bricks)
+            .gauge("spilled_file_bytes", &self.spilled_file_bytes)
+            .gauge("spilled_resident_bytes", &self.spilled_resident_bytes)
             .counter("spills", &self.spills)
             .counter("reloads", &self.reloads)
             .counter("spill_failures", &self.spill_failures)
             .counter("reload_failures", &self.reload_failures);
     }
+
+    /// One eviction sweep judged at `lse`: while resident brick bytes
+    /// exceed the budget, spill the coldest clean-cold bricks until
+    /// the budget holds or candidates run out. Phase 1 is seeded by
+    /// shard totals the caller already measured at that same `lse` (a
+    /// load's append tasks); an older LSE never makes a brick
+    /// eligible, so a brick that turns clean-cold meanwhile waits for
+    /// the next sweep. A failed spill leaves its brick resident and is
+    /// counted, never silent.
+    pub(crate) fn sweep(
+        &self,
+        shards: &ShardPool,
+        lse: Epoch,
+        measured: &[Option<ShardBytes>],
+    ) -> TierEnforcement {
+        // Phase 1, after every load: two integers per shard — bytes
+        // resident, and bytes of clean-cold bricks — with no
+        // allocation, lock or sort, asked only of unmeasured shards.
+        let pending: Vec<_> = (0..shards.num_shards())
+            .map(|shard| match measured.get(shard).copied().flatten() {
+                Some(bytes) => Ok(bytes),
+                None => Err(shards.submit_handle(shard, move |b| shard_bytes(b, lse))),
+            })
+            .collect();
+        let totals: Vec<ShardBytes> = (pending.into_iter())
+            .map(|p| {
+                p.or_else(TaskHandle::join)
+                    .unwrap_or_else(|e| resume_unwind(e))
+            })
+            .collect();
+        let resident_bytes: u64 = totals.iter().map(|t| t.0).sum();
+        let mut outcome = TierEnforcement {
+            resident_bytes_before: resident_bytes,
+            resident_bytes_after: resident_bytes,
+            eligible_bytes: totals.iter().map(|t| t.1).sum(),
+            ..TierEnforcement::default()
+        };
+        if resident_bytes <= self.budget_bytes as u64 || outcome.eligible_bytes == 0 {
+            self.resident_bytes.set(resident_bytes);
+            return outcome;
+        }
+        // Phase 2, only over budget: each shard names its clean-cold
+        // bricks with their last touch; rank coldest-first (never
+        // touched, then oldest touch; ties by cube and bid).
+        let mut candidates: Vec<(u64, String, u64)> = shards
+            .map_shards(|_| Box::new(move |bricks: &mut ShardBricks| clean_cold(bricks, lse)))
+            .into_iter()
+            .flatten()
+            .collect();
+        candidates.sort_unstable();
+        for (_, cube, bid) in candidates {
+            if outcome.resident_bytes_after <= self.budget_bytes as u64 {
+                break;
+            }
+            let spilled = shards.submit_and_wait(shards.shard_of(bid), move |bricks| {
+                bricks
+                    .slot(&cube, bid)
+                    .map_or(Ok(None), |slot| slot.spill(lse))
+            });
+            match spilled {
+                Ok(Some(freed)) => {
+                    outcome.evicted += 1;
+                    outcome.resident_bytes_after =
+                        outcome.resident_bytes_after.saturating_sub(freed as u64);
+                }
+                Ok(None) => {}
+                Err(()) => outcome.failed += 1,
+            }
+        }
+        self.resident_bytes.set(outcome.resident_bytes_after);
+        outcome
+    }
+}
+
+impl SlotMut<'_> {
+    /// Reloads a spilled brick in place and stamps it with a fresh
+    /// touch: `Ok(true)`. A resident brick is left alone: `Ok(false)`.
+    /// Runs on the owning shard thread, which is what makes the
+    /// check-reload-replace sequence race-free. Once the brick is
+    /// back its snapshot is discarded best-effort; a leftover file is
+    /// harmless (recovery never reads one, and the store's next open
+    /// deletes it). A failed reload is counted and leaves the stub.
+    pub(crate) fn fault_in(&mut self) -> Result<bool, String> {
+        let Slot::Spilled(stub) = &*self.slot else {
+            return Ok(false);
+        };
+        let tier = self.tier.expect("only a tiered shard holds spilled bricks");
+        let brick = tier.store.reload(self.cube, self.bid).map_err(|e| {
+            tier.reload_failures.inc();
+            e.to_string()
+        })?;
+        tier.reloads.inc();
+        tier.untrack(stub);
+        let _ = tier.store.discard(self.cube.name(), self.bid);
+        *self.slot = Slot::Resident {
+            brick,
+            touched: tier.tick(),
+        };
+        Ok(true)
+    }
+
+    /// Stamps a resident brick with the touch clock (the scan path:
+    /// eviction ranks bricks by how recently queries read them). A
+    /// no-op on an untiered shard.
+    pub(crate) fn touch(&mut self) {
+        if let (Some(tier), Slot::Resident { touched, .. }) = (self.tier, &mut *self.slot) {
+            *touched = tier.tick();
+        }
+    }
+
+    /// Spills the brick if it is still resident and clean-cold at
+    /// `lse` — a write may have landed since the sweep named it. The
+    /// snapshot is written first and the stub replaces the brick only
+    /// once it is durable. Returns the bytes freed (`Ok(None)` when
+    /// the brick is no longer eligible, `Err` when the durable write
+    /// failed and the brick stayed resident). The snapshot memo is
+    /// left alone: a spill changes where rows live, not which rows any
+    /// snapshot sees.
+    pub(crate) fn spill(self, lse: Epoch) -> Result<Option<usize>, ()> {
+        let Slot::Resident { brick, .. } = &*self.slot else {
+            return Ok(None);
+        };
+        if !is_clean_cold(brick, lse) {
+            return Ok(None);
+        }
+        let tier = self.tier.expect("only a tiered shard spills");
+        let Ok(file_bytes) = tier.store.spill(self.cube, self.bid, brick) else {
+            tier.spill_failures.inc();
+            return Err(());
+        };
+        let m = brick.memory();
+        let stub = SpilledBrick {
+            epochs: brick.epochs().clone(),
+            file_bytes,
+            resident_bytes: m.data_bytes + m.aosi_bytes,
+        };
+        tier.spills.inc();
+        tier.track(&stub);
+        let freed = stub.resident_bytes;
+        *self.slot = Slot::Spilled(stub);
+        Ok(Some(freed))
+    }
+}
+
+/// A shard's `(resident, clean-cold)` brick bytes: what phase 1 of
+/// the sweep sums.
+pub(crate) type ShardBytes = (u64, u64);
+
+/// Whether a brick may be spilled: its newest epoch is at or below
+/// the LSE, so it is immutable and fully durable in the WAL. Empty
+/// bricks (newest epoch 0) are never worth a file.
+fn is_clean_cold(brick: &Brick, lse: Epoch) -> bool {
+    let newest = brick.epochs().entries().last().map_or(0, |e| e.epoch());
+    newest != 0 && newest <= lse
+}
+
+/// One shard's `(resident, clean-cold)` brick bytes at `lse`.
+pub(crate) fn shard_bytes(bricks: &ShardBricks, lse: Epoch) -> ShardBytes {
+    let (mut resident, mut eligible) = (0u64, 0u64);
+    for brick in bricks.resident() {
+        let m = brick.memory();
+        let bytes = (m.data_bytes + m.aosi_bytes) as u64;
+        resident += bytes;
+        if is_clean_cold(brick, lse) {
+            eligible += bytes;
+        }
+    }
+    (resident, eligible)
+}
+
+/// One shard's clean-cold bricks at `lse` as `(last touch, cube,
+/// bid)` — the sweep's ranking key.
+fn clean_cold(bricks: &ShardBricks, lse: Epoch) -> Vec<(u64, String, u64)> {
+    bricks
+        .slots()
+        .filter_map(|(cube, bid, slot)| match slot {
+            Slot::Resident { brick, touched } if is_clean_cold(brick, lse) => {
+                Some((*touched, cube.to_owned(), bid))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 /// What one [`crate::Engine::enforce_tier_budget`] sweep did.
@@ -420,14 +441,14 @@ pub struct TierEnforcement {
 /// integration tests): spills a deep copy into a map, no codec.
 #[cfg(test)]
 pub(crate) struct MemStore {
-    snapshots: std::sync::Mutex<HashMap<(String, u64), Brick>>,
+    snapshots: std::sync::Mutex<std::collections::HashMap<(String, u64), Brick>>,
 }
 
 #[cfg(test)]
 impl MemStore {
     pub(crate) fn new() -> Self {
         MemStore {
-            snapshots: std::sync::Mutex::new(HashMap::new()),
+            snapshots: std::sync::Mutex::default(),
         }
     }
 
@@ -452,12 +473,13 @@ impl MemStore {
 impl BrickStore for MemStore {
     fn spill(&self, cube: &Cube, bid: u64, brick: &Brick) -> Result<u64, TierError> {
         let clone = Self::copy(cube.schema(), brick);
-        unpoison(self.snapshots.lock()).insert((cube.name().to_owned(), bid), clone);
+        let mut snapshots = obs::sync::unpoison(self.snapshots.lock());
+        snapshots.insert((cube.name().to_owned(), bid), clone);
         Ok(64)
     }
 
     fn reload(&self, cube: &Cube, bid: u64) -> Result<Brick, TierError> {
-        let snapshots = unpoison(self.snapshots.lock());
+        let snapshots = obs::sync::unpoison(self.snapshots.lock());
         let stored = snapshots
             .get(&(cube.name().to_owned(), bid))
             .ok_or(TierError::Missing)?;
@@ -465,14 +487,17 @@ impl BrickStore for MemStore {
     }
 
     fn discard(&self, cube: &str, bid: u64) -> Result<(), TierError> {
-        unpoison(self.snapshots.lock()).remove(&(cube.to_owned(), bid));
+        obs::sync::unpoison(self.snapshots.lock()).remove(&(cube.to_owned(), bid));
         Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::brick::DimStorage;
 
     fn cube() -> Cube {
         let schema = crate::ddl::CubeSchema::new(
@@ -484,87 +509,123 @@ mod tests {
         Cube::new(schema)
     }
 
-    fn brick(cube: &Cube, rows: usize) -> Brick {
-        let mut b = Brick::new(cube.schema());
-        let records: Vec<(Vec<u32>, Vec<columnar::Value>)> = (0..rows)
-            .map(|i| (vec![(i % 16) as u32], vec![columnar::Value::F64(i as f64)]))
-            .collect();
-        b.append(1, &crate::ingest::RecordChunk::from_rows(&records));
-        b
+    /// A shard on a tier of budget `budget_bytes`, holding brick `bid`
+    /// of `t` for each `(bid, rows)` — every row appended at epoch 1.
+    fn shard(budget_bytes: usize, bricks: &[(u64, usize)]) -> (Arc<TieredStore>, ShardBricks) {
+        let tier = Arc::new(TieredStore::new(Box::new(MemStore::new()), budget_bytes));
+        let mut shard = ShardBricks::default();
+        shard.set_tier(Arc::clone(&tier));
+        let cube = cube();
+        for &(bid, rows) in bricks {
+            let records: Vec<(Vec<u32>, Vec<columnar::Value>)> = (0..rows)
+                .map(|i| (vec![(i % 16) as u32], vec![columnar::Value::F64(i as f64)]))
+                .collect();
+            let brick = shard.brick_mut(&cube, bid, DimStorage::Plain).unwrap();
+            brick.append(1, &crate::ingest::RecordChunk::from_rows(&records));
+        }
+        (tier, shard)
     }
 
     #[test]
-    fn registry_tracks_spill_reload_and_forget() {
-        let tier = TieredStore::new(Box::new(MemStore::new()), 1024);
-        let cube = cube();
-        let b = brick(&cube, 8);
-        let epochs = b.epochs().clone();
-        let mem = b.memory();
+    fn a_slot_spills_reloads_and_forgets() {
+        let (tier, mut shard) = shard(1024, &[(3, 8)]);
+        let generation = shard.resident().next().unwrap().epochs().generation();
 
-        assert!(!tier.is_spilled("t", 3));
-        let file_bytes = tier.store().spill(&cube, 3, &b).unwrap();
-        tier.note_spilled("t", 3, epochs, file_bytes, mem.data_bytes + mem.aosi_bytes);
-        assert!(tier.is_spilled("t", 3));
-        assert_eq!(tier.spilled_bids("t"), vec![3]);
-
-        let mut bricks = ShardBricks::new();
-        assert!(tier.reload_into(&cube, 3, &mut bricks).unwrap());
-        assert!(!tier.is_spilled("t", 3));
-        let reloaded = bricks.get("t").unwrap().get(&3).unwrap();
-        assert_eq!(reloaded.row_count(), 8);
-        assert_eq!(reloaded.epochs().generation(), b.epochs().generation());
-        // Second call is a no-op: resident already.
-        assert!(!tier.reload_into(&cube, 3, &mut bricks).unwrap());
-
+        // Dirty at LSE 0: nothing to do.
+        assert_eq!(shard.slot("t", 3).unwrap().spill(0), Ok(None));
+        let freed = shard.slot("t", 3).unwrap().spill(1).unwrap().unwrap();
         let stats = tier.stats();
-        assert_eq!(stats.spills, 1);
-        assert_eq!(stats.reloads, 1);
-        assert_eq!(stats.spilled_bricks, 0);
+        assert_eq!(
+            (stats.spills, stats.spilled_bricks, stats.spilled_file_bytes),
+            (1, 1, 64)
+        );
+        assert_eq!(stats.spilled_resident_bytes, freed as u64);
+        assert_eq!(shard.resident().count(), 0);
+        assert!(
+            shard.contains("t", 3),
+            "a spilled brick is still the shard's"
+        );
 
-        tier.note_spilled("t", 4, b.epochs().clone(), 10, 100);
-        assert!(tier.forget("t", 4));
-        assert!(!tier.forget("t", 4));
+        assert_eq!(shard.fault_in("t", 3), Ok(true));
+        let reloaded = shard.resident().next().unwrap();
+        assert_eq!(reloaded.row_count(), 8);
+        assert_eq!(reloaded.epochs().generation(), generation);
+        // Second call is a no-op: resident already.
+        assert_eq!(shard.fault_in("t", 3), Ok(false));
+        let stats = tier.stats();
+        assert_eq!((stats.reloads, stats.spilled_bricks), (1, 0));
+        assert_eq!(
+            (stats.spilled_file_bytes, stats.spilled_resident_bytes),
+            (0, 0)
+        );
+
+        // Forgetting a spilled brick removes its snapshot too.
+        shard.slot("t", 3).unwrap().spill(1).unwrap();
+        assert!(shard.remove("t", 3));
+        assert!(!shard.remove("t", 3));
+        assert_eq!(tier.stats().spilled_bricks, 0);
+        assert_eq!(
+            tier.store.reload(&cube(), 3).unwrap_err(),
+            TierError::Missing
+        );
     }
 
     #[test]
     fn reload_of_a_missing_snapshot_is_a_counted_failure() {
-        let tier = TieredStore::new(Box::new(MemStore::new()), 1024);
-        let cube = cube();
-        let b = brick(&cube, 4);
-        // Registered as spilled, but the store never saw it.
-        tier.note_spilled("t", 9, b.epochs().clone(), 0, 0);
-        let mut bricks = ShardBricks::new();
-        let err = tier.reload_into(&cube, 9, &mut bricks).unwrap_err();
+        let (tier, mut shard) = shard(1024, &[(9, 4)]);
+        shard.slot("t", 9).unwrap().spill(1).unwrap();
+        // Spilled, but the store lost the snapshot.
+        tier.store.discard("t", 9).unwrap();
+        let err = shard.fault_in("t", 9).unwrap_err();
         assert!(err.contains("missing"), "{err}");
         assert_eq!(tier.stats().reload_failures, 1);
-        // Still registered — the brick is not silently forgotten.
-        assert!(tier.is_spilled("t", 9));
+        // Still spilled — the brick is not silently forgotten, and no
+        // empty brick took its place.
+        assert_eq!(tier.stats().spilled_bricks, 1);
+        assert_eq!(shard.resident().count(), 0);
+        assert!(shard.contains("t", 9));
     }
 
     #[test]
-    fn touch_recency_ranks_hotter_bricks_higher() {
-        let tier = TieredStore::new(Box::new(MemStore::new()), 1024);
-        assert_eq!(tier.touch_recency("t", 1), None);
-        tier.touch("t", 1);
-        tier.touch("t", 2);
-        let r1 = tier.touch_recency("t", 1).unwrap();
-        let r2 = tier.touch_recency("t", 2).unwrap();
-        assert!(r2 > r1);
-        assert!(r2 <= 1.0);
-        assert_eq!(tier.touch_recency("t", 3), None);
+    fn eviction_ranks_untouched_then_least_recently_read_bricks_first() {
+        let (_, mut shard) = shard(1024, &[(1, 2), (2, 2), (5, 2)]);
+        shard.slot("t", 2).unwrap().touch();
+        shard.slot("t", 1).unwrap().touch();
+        let order: Vec<u64> = {
+            let mut ranked = clean_cold(&shard, 1);
+            ranked.sort_unstable();
+            ranked.into_iter().map(|(_, _, bid)| bid).collect()
+        };
+        assert_eq!(order, vec![5, 2, 1]);
+        // A reload counts as a read.
+        shard.slot("t", 2).unwrap().spill(1).unwrap();
+        shard.fault_in("t", 2).unwrap();
+        let mut ranked = clean_cold(&shard, 1);
+        ranked.sort_unstable();
+        assert_eq!(ranked.last().map(|c| c.2), Some(2));
+        // Dirty at LSE 0: nothing is a candidate.
+        assert!(clean_cold(&shard, 0).is_empty());
     }
 
     #[test]
     fn report_renders_the_storage_tier_section() {
-        let tier = TieredStore::new(Box::new(MemStore::new()), 4096);
-        tier.note_spill_failure();
-        tier.observe_resident_bytes(123);
+        let (tier, mut shard) = shard(4096, &[(1, 4)]);
+        shard.slot("t", 1).unwrap().spill(1).unwrap();
+        tier.spill_failures.inc();
+        tier.resident_bytes.set(123);
         let mut report = ReportBuilder::new();
         tier.report_as(&mut report, "storage.tier");
         let text = report.finish();
-        assert!(text.contains("[storage.tier]"), "{text}");
-        assert!(text.contains("budget_bytes = 4096"), "{text}");
-        assert!(text.contains("spill_failures = 1"), "{text}");
-        assert!(text.contains("resident_bytes = 123"), "{text}");
+        for line in [
+            "[storage.tier]",
+            "budget_bytes = 4096",
+            "spill_failures = 1",
+            "resident_bytes = 123",
+            "spilled_bricks = 1",
+            "spilled_file_bytes = 64",
+            "spills = 1",
+        ] {
+            assert!(text.contains(line), "{line} missing from:\n{text}");
+        }
     }
 }

@@ -88,6 +88,19 @@ impl Gauge {
         self.value.store(v, Ordering::Relaxed);
     }
 
+    /// Raises the value by `n`.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.value.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lowers the value by `n`. Callers pair each `sub` with an
+    /// earlier `add` of at least `n`, so it never wraps.
+    #[inline]
+    pub fn sub(&self, n: u64) {
+        self.value.fetch_sub(n, Ordering::Relaxed);
+    }
+
     /// Raises the gauge to `v` if `v` is larger (high-water marks).
     #[inline]
     pub fn set_max(&self, v: u64) {

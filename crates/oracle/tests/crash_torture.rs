@@ -65,6 +65,14 @@ fn pinned_crash_corpus() {
         "crash corpus: 40 seeds, {crash_points} boundaries cut, \
          {hole_probes} hole probes, {bitflip_probes} bit-flip probes"
     );
+    // Parity: a refactor of the engine or WAL leaves the corpus
+    // exactly this shape. A change that moves it on purpose states the
+    // new totals here.
+    assert_eq!(
+        (crash_points, hole_probes, bitflip_probes),
+        (424, 18, 160),
+        "crash corpus totals (boundaries, hole probes, bit-flip probes)"
+    );
 }
 
 /// `AOSI_SEEDS=7,99` runs extra seeds through the torture (the

@@ -66,6 +66,14 @@ fn pinned_tier_corpus() {
         "tier corpus: 12 seeds, {crash_points} boundaries cut, \
          {spills} spills, {reloads} reloads, {media_probes} media probes"
     );
+    // Parity: a refactor of the engine, WAL or tier leaves the corpus
+    // exactly this shape. A change that moves it on purpose states the
+    // new totals here.
+    assert_eq!(
+        (crash_points, spills, reloads, media_probes),
+        (1326, 233, 147, 24),
+        "tier corpus totals (boundaries, spills, reloads, media probes)"
+    );
 }
 
 /// `AOSI_SEEDS=7,99` runs extra seeds through the tier torture (the

@@ -1,8 +1,8 @@
 //! Cold-tier brick snapshots over [`WalFs`].
 //!
 //! [`WalBrickStore`] is the production implementation of
-//! [`cubrick::BrickStore`]: when the engine's residency manager
-//! evicts a clean-cold brick, the brick is serialized into one
+//! [`cubrick::BrickStore`]: when a shard of the engine evicts a
+//! clean-cold brick, the brick is serialized into one
 //! self-certifying snapshot file written through the same [`WalFs`]
 //! trait the flush controller uses — so the crash torture harness
 //! (`oracle::torture`) enumerates power cuts at every mutating syscall
@@ -51,7 +51,10 @@
 //! any spill/discard boundary loses nothing. For the same reason,
 //! every snapshot found at store-open time is *stale* — recovery
 //! has already rebuilt all bricks resident from the chain — and
-//! [`WalBrickStore::open`] deletes them. Keep the snapshot directory
+//! [`WalBrickStore::open`] deletes them. Which bricks are spilled is
+//! the engine's own state — each shard's brick map holds a stub per
+//! spilled brick — and is never read back from this directory, so a
+//! leftover file is harmless. Keep the snapshot directory
 //! separate from the round-chain directory: the flush controller
 //! clears unknown files in its own directory, and this store clears
 //! everything in its.

@@ -315,10 +315,16 @@ fn a_sweep_over_budget_still_ranks_and_spills() {
         4 + 4 + 32,
         "totals, candidates, one spill per brick"
     );
+    // A load onto the spilled bricks reloads each inside its own
+    // append task: still one task per touched shard.
+    let before = shard_tasks(&engine);
+    engine.load("events", &grid_rows(), 0).unwrap();
+    assert_eq!(shard_tasks(&engine) - before, 4);
+    assert_eq!(engine.tier_stats().unwrap().reloads, 32);
     let total = engine
         .query("events", &sum_query(), IsolationMode::Snapshot)
         .unwrap();
-    assert_eq!(total.scalar(), Some(256.0), "spilled bricks reload");
+    assert_eq!(total.scalar(), Some(512.0), "spilled bricks reload");
     std::fs::remove_dir_all(dir).unwrap();
 }
 
