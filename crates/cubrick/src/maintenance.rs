@@ -88,9 +88,11 @@ impl PurgeDaemon {
         self.cycles.load(Ordering::Relaxed)
     }
 
-    /// Stops the loop and joins the thread.
-    pub fn stop(mut self) {
+    /// Stops the loop, joins the thread and returns the final totals
+    /// and cycle count: every cycle has finished adding to them.
+    pub fn stop(mut self) -> (PurgeStats, u64) {
         self.shutdown();
+        (self.stats(), self.cycles())
     }
 
     fn shutdown(&mut self) {
@@ -162,9 +164,11 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         assert_eq!(count(&engine), 0);
-        assert!(daemon.cycles() >= 1);
-        assert_eq!(daemon.stats().rows_purged, 200);
-        daemon.stop();
+        // The daemon adds to its totals after the purge returns, so
+        // read them once its thread has joined.
+        let (stats, cycles) = daemon.stop();
+        assert!(cycles >= 1);
+        assert_eq!(stats.rows_purged, 200);
         // The engine keeps working after the daemon is gone.
         engine.load("t", &rows[..10], 0).unwrap();
         assert_eq!(count(&engine), 10);

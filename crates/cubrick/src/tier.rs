@@ -42,9 +42,10 @@
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use aosi::{Epoch, EpochsVector};
-use obs::{Counter, Gauge, ReportBuilder};
+use obs::{Counter, Gauge, Histogram, ReportBuilder};
 
 use crate::brick::Brick;
 use crate::cube::Cube;
@@ -156,6 +157,10 @@ pub(crate) struct TieredStore {
     reloads: Counter,
     spill_failures: Counter,
     reload_failures: Counter,
+    /// Wall time of each [`BrickStore::spill`] call, failed ones too.
+    spill_nanos: Histogram,
+    /// Wall time of each [`BrickStore::reload`] call, failed ones too.
+    reload_nanos: Histogram,
     /// Resident bytes after the last enforcement sweep.
     resident_bytes: Gauge,
     spilled_bricks: Gauge,
@@ -174,6 +179,8 @@ impl TieredStore {
             reloads: Counter::default(),
             spill_failures: Counter::default(),
             reload_failures: Counter::default(),
+            spill_nanos: Histogram::new(),
+            reload_nanos: Histogram::new(),
             resident_bytes: Gauge::default(),
             spilled_bricks: Gauge::default(),
             spilled_file_bytes: Gauge::default(),
@@ -235,7 +242,9 @@ impl TieredStore {
             .counter("spills", &self.spills)
             .counter("reloads", &self.reloads)
             .counter("spill_failures", &self.spill_failures)
-            .counter("reload_failures", &self.reload_failures);
+            .counter("reload_failures", &self.reload_failures)
+            .histogram("spill_nanos", &self.spill_nanos)
+            .histogram("reload_nanos", &self.reload_nanos);
     }
 
     /// One eviction sweep judged at `lse`: while resident brick bytes
@@ -324,7 +333,10 @@ impl SlotMut<'_> {
             return Ok(false);
         };
         let tier = self.tier.expect("only a tiered shard holds spilled bricks");
-        let brick = tier.store.reload(self.cube, self.bid).map_err(|e| {
+        let started = Instant::now();
+        let reloaded = tier.store.reload(self.cube, self.bid);
+        tier.reload_nanos.record_duration(started.elapsed());
+        let brick = reloaded.map_err(|e| {
             tier.reload_failures.inc();
             e.to_string()
         })?;
@@ -363,7 +375,10 @@ impl SlotMut<'_> {
             return Ok(None);
         }
         let tier = self.tier.expect("only a tiered shard spills");
-        let Ok(file_bytes) = tier.store.spill(self.cube, self.bid, brick) else {
+        let started = Instant::now();
+        let spilled = tier.store.spill(self.cube, self.bid, brick);
+        tier.spill_nanos.record_duration(started.elapsed());
+        let Ok(file_bytes) = spilled else {
             tier.spill_failures.inc();
             return Err(());
         };
@@ -609,8 +624,10 @@ mod tests {
 
     #[test]
     fn report_renders_the_storage_tier_section() {
-        let (tier, mut shard) = shard(4096, &[(1, 4)]);
+        let (tier, mut shard) = shard(4096, &[(1, 4), (2, 4)]);
         shard.slot("t", 1).unwrap().spill(1).unwrap();
+        shard.slot("t", 2).unwrap().spill(1).unwrap();
+        shard.fault_in("t", 2).unwrap();
         tier.spill_failures.inc();
         tier.resident_bytes.set(123);
         let mut report = ReportBuilder::new();
@@ -623,7 +640,10 @@ mod tests {
             "resident_bytes = 123",
             "spilled_bricks = 1",
             "spilled_file_bytes = 64",
-            "spills = 1",
+            "spills = 2",
+            "reloads = 1",
+            "spill_nanos.count = 2",
+            "reload_nanos.count = 1",
         ] {
             assert!(text.contains(line), "{line} missing from:\n{text}");
         }

@@ -19,12 +19,13 @@
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Instant;
 
 use aosi::{AosiError, Epoch};
 use cluster::{NodeId, ReplicationTracker};
 use cubrick::Engine;
 use obs::sync::unpoison;
-use obs::{Counter, Gauge, ReportBuilder};
+use obs::{Counter, Gauge, Histogram, ReportBuilder};
 
 use crate::chain;
 use crate::codec::{self, DictDelta, FlushRound, WalError};
@@ -52,6 +53,8 @@ struct FlushMetrics {
     file_syncs: Counter,
     dir_syncs: Counter,
     renames: Counter,
+    /// Wall time of each round's [`codec::encode`].
+    encode_nanos: Histogram,
     /// Rounds found on disk and resumed at controller open.
     resumed_rounds: Gauge,
 }
@@ -180,7 +183,9 @@ impl FlushController {
                 dictionaries,
             };
             outcome.deltas = round.deltas.len();
+            let started = Instant::now();
             let bytes = codec::encode(&round);
+            self.metrics.encode_nanos.record_duration(started.elapsed());
             let path = self.dir.join(format!("round-{:08}.cbk", self.next_seq));
             let tmp = self.dir.join(format!("round-{:08}.tmp", self.next_seq));
             self.fs.write_file(&tmp, &bytes)?;
@@ -238,6 +243,7 @@ impl FlushController {
             .counter("file_syncs", &self.metrics.file_syncs)
             .counter("dir_syncs", &self.metrics.dir_syncs)
             .counter("renames", &self.metrics.renames)
+            .histogram("encode_nanos", &self.metrics.encode_nanos)
             .gauge("resumed_rounds", &self.metrics.resumed_rounds)
             .metric("flushed_through", self.flushed_through)
             .metric("next_seq", self.next_seq);
@@ -587,6 +593,7 @@ mod tests {
         assert!(text.contains("file_syncs = 1\n"), "{text}");
         assert!(text.contains("dir_syncs = 1\n"), "{text}");
         assert!(text.contains("renames = 1\n"), "{text}");
+        assert!(text.contains("encode_nanos.count = 1\n"), "{text}");
         assert!(text.contains("flushed_through = 1\n"), "{text}");
         fs::remove_dir_all(&dir).unwrap();
     }

@@ -14,7 +14,7 @@
 //! integers little-endian):
 //!
 //! ```text
-//! magic      "CBTSNAP1"                    8 bytes
+//! magic      "CBTSNAP2"                    8 bytes
 //! cube       u16 length + utf-8 bytes
 //! bid        u64
 //! storage    u8    0 = plain, 1 = bess
@@ -29,9 +29,15 @@
 //! dicts      u16   string dimensions with a dictionary slice
 //!   per dict: dim u16, entries u32,
 //!             per entry u16 length + utf-8 bytes
-//! checksum   u64   FNV-1a of everything above
+//! checksum   u64   XXH64 (seed 0) of everything above
 //! magic      "DONE"                        4 bytes
 //! ```
+//!
+//! `CBTSNAP1` snapshots — the same bytes between magic and checksum,
+//! sealed with FNV-1a — still decode; only v2 is written (see
+//! [`crate::codec`]'s "Versions"). Encode reserves the exact size once
+//! and writes each column in one pass; decode converts each column in
+//! one pass, and reserves for a count no more than the file can hold.
 //!
 //! The generation counter rides in the snapshot verbatim, so a brick
 //! that round-trips through the cold tier is bit-identical to the one
@@ -67,11 +73,12 @@ use columnar::Column;
 use cubrick::{Brick, BrickStore, Cube, DimStorage, MetricType, TierError};
 use obs::sync::unpoison;
 
-use crate::codec::fnv1a;
+use crate::codec::{append_column, get_column, seal, unseal, Reader, SealError, FOOTER_LEN};
 use crate::fault::{RealFs, WalFs};
 
-const SNAP_MAGIC: &[u8; 8] = b"CBTSNAP1";
-const SNAP_FOOTER: &[u8; 4] = b"DONE";
+const SNAP_MAGIC: &[u8; 8] = b"CBTSNAP2";
+/// Snapshots written before v2; read, never written.
+const SNAP_MAGIC_V1: &[u8; 8] = b"CBTSNAP1";
 const SNAP_EXT: &str = "cbt";
 
 /// [`cubrick::BrickStore`] over a [`WalFs`] directory. See the
@@ -172,52 +179,12 @@ impl BrickStore for WalBrickStore {
     }
 }
 
-/// Serializes `brick` into a self-certifying snapshot.
+/// Serializes `brick` into a self-certifying snapshot, reserving its
+/// exact size once and writing each column in one pass.
 fn encode_snapshot(cube: &Cube, bid: u64, brick: &Brick) -> Vec<u8> {
     let schema = cube.schema();
     let rows = brick.row_count();
-    let mut buf = Vec::with_capacity(256 + rows as usize * 12);
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&(schema.name.len() as u16).to_le_bytes());
-    buf.extend_from_slice(schema.name.as_bytes());
-    buf.extend_from_slice(&bid.to_le_bytes());
-    buf.push(match brick.storage_kind() {
-        DimStorage::Plain => 0,
-        DimStorage::Bess => 1,
-    });
     let epochs = brick.epochs();
-    buf.extend_from_slice(&epochs.generation().to_le_bytes());
-    buf.extend_from_slice(&rows.to_le_bytes());
-    buf.extend_from_slice(&(epochs.entries().len() as u32).to_le_bytes());
-    for entry in epochs.entries() {
-        buf.extend_from_slice(&entry.epoch().to_le_bytes());
-        buf.extend_from_slice(&entry.end().to_le_bytes());
-        buf.push(entry.is_delete() as u8);
-    }
-    buf.extend_from_slice(&(schema.dimensions.len() as u16).to_le_bytes());
-    for dim in 0..schema.dimensions.len() {
-        for coord in brick.dim_coords(dim) {
-            buf.extend_from_slice(&coord.to_le_bytes());
-        }
-    }
-    buf.extend_from_slice(&(schema.metrics.len() as u16).to_le_bytes());
-    for metric in 0..schema.metrics.len() {
-        match brick.metric_column(metric) {
-            Column::I64(values) => {
-                buf.push(0);
-                for &v in values {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Column::F64(values) => {
-                buf.push(1);
-                for &v in values {
-                    buf.extend_from_slice(&v.to_le_bytes());
-                }
-            }
-            Column::Str(_) => unreachable!("metrics are numeric after parsing"),
-        }
-    }
     let dicts: Vec<(u16, Vec<String>)> = cube
         .dictionaries()
         .iter()
@@ -227,6 +194,64 @@ fn encode_snapshot(cube: &Cube, bid: u64, brick: &Brick) -> Vec<u8> {
                 .map(|d| (dim as u16, unpoison(d.lock()).entries_from(0)))
         })
         .collect();
+    let (dims, metrics) = (schema.dimensions.len(), schema.metrics.len());
+    let size = SNAP_MAGIC.len()
+        + 2
+        + schema.name.len()
+        + 8 // bid
+        + 1 // storage
+        + 8 // generation
+        + 8 // rows
+        + 4
+        + epochs.entries().len() * 17
+        + 2
+        + dims * rows as usize * 4
+        + 2
+        + metrics * (1 + rows as usize * 8)
+        + 2
+        + dicts
+            .iter()
+            .map(|(_, entries)| 2 + 4 + entries.iter().map(|e| 2 + e.len()).sum::<usize>())
+            .sum::<usize>()
+        + FOOTER_LEN;
+    let mut buf = Vec::with_capacity(size);
+    buf.extend_from_slice(SNAP_MAGIC);
+    buf.extend_from_slice(&(schema.name.len() as u16).to_le_bytes());
+    buf.extend_from_slice(schema.name.as_bytes());
+    buf.extend_from_slice(&bid.to_le_bytes());
+    buf.push(match brick.storage_kind() {
+        DimStorage::Plain => 0,
+        DimStorage::Bess => 1,
+    });
+    buf.extend_from_slice(&epochs.generation().to_le_bytes());
+    buf.extend_from_slice(&rows.to_le_bytes());
+    buf.extend_from_slice(&(epochs.entries().len() as u32).to_le_bytes());
+    for entry in epochs.entries() {
+        buf.extend_from_slice(&entry.epoch().to_le_bytes());
+        buf.extend_from_slice(&entry.end().to_le_bytes());
+        buf.push(entry.is_delete() as u8);
+    }
+    buf.extend_from_slice(&(dims as u16).to_le_bytes());
+    for dim in 0..dims {
+        match brick.dim_slice(dim) {
+            Some(coords) => append_column(&mut buf, coords, u32::to_le_bytes),
+            None => append_column(&mut buf, &brick.dim_coords(dim), u32::to_le_bytes),
+        }
+    }
+    buf.extend_from_slice(&(metrics as u16).to_le_bytes());
+    for metric in 0..metrics {
+        match brick.metric_column(metric) {
+            Column::I64(values) => {
+                buf.push(0);
+                append_column(&mut buf, values, i64::to_le_bytes);
+            }
+            Column::F64(values) => {
+                buf.push(1);
+                append_column(&mut buf, values, f64::to_le_bytes);
+            }
+            Column::Str(_) => unreachable!("metrics are numeric after parsing"),
+        }
+    }
     buf.extend_from_slice(&(dicts.len() as u16).to_le_bytes());
     for (dim, entries) in &dicts {
         buf.extend_from_slice(&dim.to_le_bytes());
@@ -236,61 +261,30 @@ fn encode_snapshot(cube: &Cube, bid: u64, brick: &Brick) -> Vec<u8> {
             buf.extend_from_slice(entry.as_bytes());
         }
     }
-    let checksum = fnv1a(&buf);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-    buf.extend_from_slice(SNAP_FOOTER);
+    seal(&mut buf);
+    debug_assert_eq!(buf.len(), size, "snapshot size reserved exactly");
     buf
 }
 
-/// Deserializes and validates a snapshot back into a brick. Every
-/// structural check runs before [`Brick::restore`] is called, so a
-/// snapshot that lies about itself surfaces as
-/// [`TierError::Corrupt`], never as an installed-then-wrong brick.
+/// Deserializes and validates a snapshot of either version back into
+/// a brick, converting each column in one pass. Every structural check
+/// runs before [`Brick::restore`] is called, so a snapshot that lies
+/// about itself surfaces as [`TierError::Corrupt`], never as an
+/// installed-then-wrong brick.
 fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, TierError> {
-    const FOOTER_LEN: usize = 8 + 4;
     let corrupt = |msg: &str| TierError::Corrupt(msg.to_owned());
-    if bytes.len() < SNAP_MAGIC.len() + FOOTER_LEN {
-        return Err(corrupt("snapshot shorter than header + footer"));
-    }
-    let (body, footer) = bytes.split_at(bytes.len() - FOOTER_LEN);
-    if &footer[8..] != SNAP_FOOTER {
-        return Err(corrupt("torn snapshot (bad footer magic)"));
-    }
-    let stored = u64::from_le_bytes(footer[..8].try_into().expect("8 bytes"));
-    if stored != fnv1a(body) {
-        return Err(corrupt("checksum mismatch"));
-    }
+    let body = unseal(bytes, SNAP_MAGIC_V1, SNAP_MAGIC).map_err(|e| {
+        corrupt(match e {
+            SealError::Short => "snapshot shorter than header + footer",
+            SealError::Torn => "torn snapshot (bad footer magic)",
+            SealError::UnknownMagic => "bad snapshot magic",
+            SealError::Mismatch => "checksum mismatch",
+        })
+    })?;
+    let mut reader = Reader::new(body, || {
+        TierError::Corrupt("truncated snapshot body".into())
+    });
 
-    struct Reader<'a> {
-        buf: &'a [u8],
-    }
-    impl<'a> Reader<'a> {
-        fn take(&mut self, n: usize) -> Result<&'a [u8], TierError> {
-            if self.buf.len() < n {
-                return Err(TierError::Corrupt("truncated snapshot body".into()));
-            }
-            let (head, tail) = self.buf.split_at(n);
-            self.buf = tail;
-            Ok(head)
-        }
-        fn u8(&mut self) -> Result<u8, TierError> {
-            Ok(self.take(1)?[0])
-        }
-        fn u16(&mut self) -> Result<u16, TierError> {
-            Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-        }
-        fn u32(&mut self) -> Result<u32, TierError> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-        }
-        fn u64(&mut self) -> Result<u64, TierError> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-        }
-    }
-    let mut reader = Reader { buf: body };
-
-    if reader.take(8)? != SNAP_MAGIC {
-        return Err(corrupt("bad snapshot magic"));
-    }
     let schema = cube.schema();
     let name_len = reader.u16()? as usize;
     let name =
@@ -315,7 +309,7 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     let generation = reader.u64()?;
     let rows = reader.u64()?;
     let num_entries = reader.u32()? as usize;
-    let mut entries = Vec::with_capacity(num_entries);
+    let mut entries = Vec::with_capacity(reader.fits(num_entries, 17));
     let mut last_insert_end = 0u64;
     for _ in 0..num_entries {
         let epoch = reader.u64()?;
@@ -335,6 +329,9 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     if last_insert_end != rows || (num_entries == 0 && rows != 0) {
         return Err(corrupt("row count disagrees with epochs vector"));
     }
+    // Every column below is `rows` values long; `take_items` refuses a
+    // count the body cannot hold before anything is reserved for it.
+    let rows_usize = usize::try_from(rows).map_err(|_| corrupt("row count overflows"))?;
 
     let num_dims = reader.u16()? as usize;
     if num_dims != schema.dimensions.len() {
@@ -345,11 +342,8 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     }
     let mut dim_columns = Vec::with_capacity(num_dims);
     for _ in 0..num_dims {
-        let mut coords = Vec::with_capacity(rows as usize);
-        for _ in 0..rows {
-            coords.push(reader.u32()?);
-        }
-        dim_columns.push(coords);
+        let coords = reader.take_items(rows_usize, 4)?;
+        dim_columns.push(get_column(coords, 4, 0, u32::from_le_bytes));
     }
 
     let num_metrics = reader.u16()? as usize;
@@ -362,28 +356,27 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
     let mut metrics = Vec::with_capacity(num_metrics);
     for metric in &schema.metrics {
         let tag = reader.u8()?;
-        match (tag, metric.metric_type) {
-            (0, MetricType::I64) => {
-                let mut values = Vec::with_capacity(rows as usize);
-                for _ in 0..rows {
-                    values.push(reader.u64()? as i64);
-                }
-                metrics.push(Column::I64(values));
-            }
-            (1, MetricType::F64) => {
-                let mut values = Vec::with_capacity(rows as usize);
-                for _ in 0..rows {
-                    values.push(f64::from_bits(reader.u64()?));
-                }
-                metrics.push(Column::F64(values));
-            }
+        let column = match (tag, metric.metric_type) {
+            (0, MetricType::I64) => Column::I64(get_column(
+                reader.take_items(rows_usize, 8)?,
+                8,
+                0,
+                i64::from_le_bytes,
+            )),
+            (1, MetricType::F64) => Column::F64(get_column(
+                reader.take_items(rows_usize, 8)?,
+                8,
+                0,
+                f64::from_le_bytes,
+            )),
             (tag, _) => {
                 return Err(TierError::Corrupt(format!(
                     "metric {:?}: snapshot tag {tag} disagrees with schema",
                     metric.name
                 )))
             }
-        }
+        };
+        metrics.push(column);
     }
 
     // The dictionary slice: the snapshot's string coordinates were
@@ -422,7 +415,7 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
             }
         }
     }
-    if !reader.buf.is_empty() {
+    if !reader.is_empty() {
         return Err(corrupt("trailing bytes in snapshot body"));
     }
 
@@ -439,6 +432,7 @@ fn decode_snapshot(cube: &Cube, want_bid: u64, bytes: &[u8]) -> Result<Brick, Ti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::tests::both_versions;
     use crate::fault::SimFs;
     use columnar::Value;
     use cubrick::{CubeSchema, Dimension, Metric, RecordChunk};
@@ -508,18 +502,113 @@ mod tests {
 
     /// `encode_snapshot` of [`sample_brick`] as bid 7, plain layout
     /// then bess, recorded before the encoder moved off its byte-buffer
-    /// crate: `CBTSNAP1` files stay byte-identical.
+    /// crate: `CBTSNAP1` files still decode.
     const RECORDED_SNAPSHOTS: &[u8] = include_bytes!("../tests/fixtures/recorded_snapshot.bin");
+    /// The same two snapshots as `CBTSNAP2`, recorded from the v2
+    /// encoder: the v1 bytes under a new magic and an XXH64 checksum.
+    const RECORDED_SNAPSHOTS_V2: &[u8] =
+        include_bytes!("../tests/fixtures/recorded_snapshot_v2.bin");
+
+    /// A recorded pair of snapshots, split into plain and bess.
+    fn halves(recorded: &[u8]) -> [(DimStorage, &[u8]); 2] {
+        let (plain, bess) = recorded.split_at(recorded.len() / 2);
+        [(DimStorage::Plain, plain), (DimStorage::Bess, bess)]
+    }
 
     #[test]
     fn encoding_is_byte_identical_to_the_recorded_snapshots() {
         let cube = cube();
-        let (plain, bess) = RECORDED_SNAPSHOTS.split_at(RECORDED_SNAPSHOTS.len() / 2);
-        for (storage, recorded) in [(DimStorage::Plain, plain), (DimStorage::Bess, bess)] {
+        for (storage, recorded) in halves(RECORDED_SNAPSHOTS_V2) {
             let brick = sample_brick(&cube, storage);
             assert_eq!(encode_snapshot(&cube, 7, &brick), recorded, "{storage:?}");
             let restored = decode_snapshot(&cube, 7, recorded).unwrap();
             assert_bit_identical(&brick, &restored, 2, 2);
+        }
+        for (storage, recorded) in halves(RECORDED_SNAPSHOTS) {
+            let brick = sample_brick(&cube, storage);
+            let restored = decode_snapshot(&cube, 7, recorded).unwrap();
+            assert_bit_identical(&brick, &restored, 2, 2);
+        }
+    }
+
+    /// v2 changed the magic and the checksum, and no byte between them.
+    #[test]
+    fn the_v2_snapshots_differ_from_v1_only_in_magic_and_checksum() {
+        assert_eq!(RECORDED_SNAPSHOTS.len(), RECORDED_SNAPSHOTS_V2.len());
+        for ((_, v1), (_, v2)) in halves(RECORDED_SNAPSHOTS)
+            .into_iter()
+            .zip(halves(RECORDED_SNAPSHOTS_V2))
+        {
+            let body = v1.len() - FOOTER_LEN;
+            assert_eq!(&v1[..8], SNAP_MAGIC_V1);
+            assert_eq!(&v2[..8], SNAP_MAGIC);
+            assert_eq!(v1[8..body], v2[8..body]);
+            assert_ne!(v1[body..body + 8], v2[body..body + 8]);
+            assert_eq!(v1[body + 8..], v2[body + 8..]);
+        }
+    }
+
+    #[test]
+    fn every_bit_flip_of_the_v2_snapshots_is_an_error() {
+        let cube = cube();
+        let mut flips = 0;
+        for (_, recorded) in halves(RECORDED_SNAPSHOTS_V2) {
+            for bit in 0..recorded.len() * 8 {
+                let mut broken = recorded.to_vec();
+                broken[bit / 8] ^= 1 << (bit % 8);
+                assert!(
+                    decode_snapshot(&cube, 7, &broken).is_err(),
+                    "flip of bit {bit} decoded"
+                );
+                flips += 1;
+            }
+        }
+        assert_eq!(flips, RECORDED_SNAPSHOTS_V2.len() * 8);
+    }
+
+    /// A snapshot body of [`cube`]'s brick 7 up to and including its
+    /// epochs vector, claiming `rows` rows and `entries` entries, of
+    /// which it holds `held` — sealed as v1 and as v2.
+    fn lying_snapshots(rows: u64, entries: u32, held: &[(u64, u64)]) -> [Vec<u8>; 2] {
+        let mut bytes = SNAP_MAGIC.to_vec();
+        bytes.extend_from_slice(&6u16.to_le_bytes());
+        bytes.extend_from_slice(b"events");
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        bytes.push(0);
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&rows.to_le_bytes());
+        bytes.extend_from_slice(&entries.to_le_bytes());
+        for &(epoch, end) in held {
+            bytes.extend_from_slice(&epoch.to_le_bytes());
+            bytes.extend_from_slice(&end.to_le_bytes());
+            bytes.push(0);
+        }
+        bytes.extend_from_slice(&2u16.to_le_bytes());
+        seal(&mut bytes);
+        both_versions(&bytes, SNAP_MAGIC_V1, SNAP_MAGIC)
+    }
+
+    /// Correctly sealed snapshots whose counts claim more than the file
+    /// holds: the decoder reserves only what the bytes can hold.
+    #[test]
+    fn counts_beyond_the_file_are_corrupt_not_reserved() {
+        let cube = cube();
+        let cases = [
+            ("u32::MAX epochs entries", lying_snapshots(0, u32::MAX, &[])),
+            (
+                "an entry ending at row 2^40",
+                lying_snapshots(1 << 40, 1, &[(1, 1 << 40)]),
+            ),
+        ];
+        for (what, sealed) in cases {
+            for bytes in sealed {
+                match decode_snapshot(&cube, 7, &bytes) {
+                    Err(TierError::Corrupt(msg)) => {
+                        assert!(msg.contains("truncated"), "{what}: {msg}")
+                    }
+                    other => panic!("{what}: expected Corrupt, got {other:?}"),
+                }
+            }
         }
     }
 

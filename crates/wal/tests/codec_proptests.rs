@@ -87,6 +87,9 @@ fn round_strategy() -> impl Strategy<Value = FlushRound> {
 /// The bytes the commit before column-major chunks wrote for
 /// [`recorded_round`] (`CBRKWAL1`, 364 bytes).
 const RECORDED_ROUND: &[u8] = include_bytes!("fixtures/recorded_round.bin");
+/// The same round as the v2 encoder writes it (`CBRKWAL2`): the v1
+/// bytes under a new magic and an XXH64 checksum.
+const RECORDED_ROUND_V2: &[u8] = include_bytes!("fixtures/recorded_round_v2.bin");
 
 fn rows(rows: &[(&[u32], i64, Option<f64>)]) -> RecordChunk {
     let rows: Vec<(Vec<u32>, Vec<Value>)> = rows
@@ -153,13 +156,85 @@ fn recorded_round() -> FlushRound {
     }
 }
 
-/// The on-disk layout is pinned, not assumed: the chunk-carrying
-/// encoder writes the recorded round byte for byte, and the decoder
-/// reads the recorded bytes back into the same chunks.
+/// The on-disk layout is pinned, not assumed: the encoder writes the
+/// recorded v2 round byte for byte, and the decoder reads both
+/// recorded versions back into the same chunks.
 #[test]
 fn encoding_is_byte_identical_to_the_recorded_round() {
-    assert_eq!(&encode(&recorded_round())[..], RECORDED_ROUND);
+    assert_eq!(&encode(&recorded_round())[..], RECORDED_ROUND_V2);
+    assert_eq!(decode(RECORDED_ROUND_V2).unwrap(), recorded_round());
     assert_eq!(decode(RECORDED_ROUND).unwrap(), recorded_round());
+}
+
+/// v2 changed the magic and the checksum, and no byte between them.
+#[test]
+fn the_v2_round_differs_from_v1_only_in_magic_and_checksum() {
+    assert_eq!(RECORDED_ROUND.len(), RECORDED_ROUND_V2.len());
+    let body = RECORDED_ROUND.len() - 12;
+    assert_eq!(&RECORDED_ROUND[..8], b"CBRKWAL1");
+    assert_eq!(&RECORDED_ROUND_V2[..8], b"CBRKWAL2");
+    assert_eq!(RECORDED_ROUND[8..body], RECORDED_ROUND_V2[8..body]);
+    assert_ne!(
+        RECORDED_ROUND[body..body + 8],
+        RECORDED_ROUND_V2[body..body + 8]
+    );
+    assert_eq!(RECORDED_ROUND[body + 8..], RECORDED_ROUND_V2[body + 8..]);
+}
+
+/// Every single-bit flip of the v2 round, all 2,912 of them, is an
+/// error: never a decoded round, never a panic.
+#[test]
+fn every_bit_flip_of_the_v2_round_is_an_error() {
+    let mut flips = 0;
+    for bit in 0..RECORDED_ROUND_V2.len() * 8 {
+        let mut broken = RECORDED_ROUND_V2.to_vec();
+        broken[bit / 8] ^= 1 << (bit % 8);
+        assert!(decode(&broken).is_err(), "flip of bit {bit} decoded");
+        flips += 1;
+    }
+    assert_eq!(flips, 2912);
+}
+
+/// The engine [`recorded_round`] was written from: its two cubes,
+/// empty.
+fn recorded_engine() -> Engine {
+    let engine = Engine::new(2);
+    let events = CubeSchema::new(
+        "events",
+        vec![
+            Dimension::string("region", 4, 2),
+            Dimension::int("day", 8, 4),
+        ],
+        vec![Metric::int("likes"), Metric::float("score")],
+    );
+    let other = CubeSchema::new(
+        "other",
+        vec![Dimension::int("d", 8, 2)],
+        vec![Metric::int("m")],
+    );
+    engine.create_cube(events.unwrap()).unwrap();
+    engine.create_cube(other.unwrap()).unwrap();
+    engine
+}
+
+/// A directory holding `rounds`, in order, as round files.
+fn round_dir(tag: &str, rounds: &[&[u8]]) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("wal-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    for (seq, bytes) in rounds.iter().enumerate() {
+        std::fs::write(dir.join(format!("round-{seq:08}.cbk")), bytes).unwrap();
+    }
+    dir
+}
+
+fn sum(engine: &Engine, cube: &str, metric: &str) -> f64 {
+    let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, metric)]);
+    engine
+        .query(cube, &query, IsolationMode::Snapshot)
+        .unwrap()
+        .scalar()
+        .unwrap_or(0.0)
 }
 
 /// A WAL directory written before the change recovers under it.
@@ -203,6 +278,51 @@ fn a_directory_holding_the_recorded_round_recovers() {
     assert_eq!(sum("other", "m"), 0.0);
     let cube = engine.cube("events").unwrap();
     assert_eq!(cube.decode_coord(0, 1), Value::from("it's"));
+}
+
+/// A chain begun by a v1 process and continued by a v2 one recovers
+/// both rounds, in order: the v2 round's delete hides what the v1
+/// round wrote into brick 3, and its insert and dictionary entry land
+/// after it.
+#[test]
+fn a_directory_holding_a_v1_round_then_a_v2_round_recovers_both() {
+    let next = FlushRound {
+        lse: 7,
+        lse_prime: 9,
+        deltas: vec![BrickDelta {
+            cube: "events".into(),
+            bid: 3,
+            runs: vec![
+                DeltaRun::Delete { epoch: 8 },
+                DeltaRun::Insert {
+                    epoch: 9,
+                    records: rows(&[(&[3, 5], 2, Some(0.25))]),
+                },
+            ],
+        }],
+        dictionaries: vec![DictDelta {
+            cube: "events".into(),
+            dim: 0,
+            first_id: 3,
+            entries: vec!["mx".into()],
+        }],
+    };
+    let v2 = encode(&next);
+    assert_eq!(&v2[..8], b"CBRKWAL2");
+    let dir = round_dir("v1-then-v2", &[RECORDED_ROUND, &v2]);
+    let engine = recorded_engine();
+    let report = recover_into(&dir, &engine).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(report.rounds_applied, 2);
+    assert_eq!(report.rows_recovered, 8);
+    assert_eq!(report.recovered_epoch, 9);
+    // Brick 0 keeps epoch 7's 40; brick 3's i64::MIN is deleted at
+    // epoch 8 and replaced by epoch 9's 2.
+    assert_eq!(sum(&engine, "events", "likes"), 42.0);
+    assert_eq!(sum(&engine, "other", "m"), 0.0);
+    let cube = engine.cube("events").unwrap();
+    assert_eq!(cube.decode_coord(0, 1), Value::from("it's"));
+    assert_eq!(cube.decode_coord(0, 3), Value::from("mx"));
 }
 
 proptest! {
