@@ -72,6 +72,7 @@ mod scan;
 mod shard;
 pub mod sql;
 mod tier;
+mod write;
 
 pub use agg::AggState;
 pub use brick::{Brick, BrickMemory, DimStorage};

@@ -17,6 +17,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::engine::{Engine, PurgeStats};
+use crate::shard::ShardBricks;
+use crate::tier::TierEnforcement;
 
 /// Handle to a running background purge loop. Dropping it stops the
 /// loop and joins the thread.
@@ -109,6 +111,77 @@ impl Drop for PurgeDaemon {
     }
 }
 
+impl Engine {
+    /// Runs one eviction sweep: while resident brick bytes exceed the
+    /// tier budget, spill the coldest *clean* bricks — newest epoch at
+    /// or below the LSE, which makes them immutable and fully durable
+    /// in the WAL (see the `tier` module docs) — until the budget
+    /// holds or candidates run out. Ranking follows the tier's scan
+    /// clock, so a brick queries keep reading stays resident longer
+    /// than one nobody asks about.
+    ///
+    /// Runs automatically after loads, commits, and LSE advances; a
+    /// no-op without tiered storage. A failed spill leaves its brick
+    /// resident and is counted, never silent.
+    pub fn enforce_tier_budget(&self) -> TierEnforcement {
+        (self.tier.as_ref()).map_or_else(TierEnforcement::default, |tier| {
+            tier.sweep(&self.shards, self.manager.lse(), &[])
+        })
+    }
+
+    /// Runs one purge cycle at the current LSE over every brick
+    /// (Section III-C4), and drops the memoized answers no reader at
+    /// or above the LSE can ask for.
+    pub fn purge(&self) -> PurgeStats {
+        self.ops.purges.inc();
+        let lse = self.manager.lse();
+        let stats = self.shards.map_shards(|shard| {
+            let memos = Arc::clone(&self.memos);
+            Box::new(move |bricks: &mut ShardBricks| {
+                let mut stats = PurgeStats::default();
+                for brick in bricks.resident_mut() {
+                    if !brick.needs_purge(lse) {
+                        continue;
+                    }
+                    let (rows, entries) = brick.purge(lse);
+                    stats.rows_purged += rows;
+                    stats.entries_reclaimed += entries as u64;
+                    stats.bricks_changed += 1;
+                }
+                memos.shard(shard).expire_below(lse);
+                stats
+            })
+        });
+        let total = stats.into_iter().fold(PurgeStats::default(), |mut a, s| {
+            a.rows_purged += s.rows_purged;
+            a.entries_reclaimed += s.entries_reclaimed;
+            a.bricks_changed += s.bricks_changed;
+            a
+        });
+        self.ops.rows_purged.add(total.rows_purged);
+        self.ops.entries_reclaimed.add(total.entries_reclaimed);
+        total
+    }
+
+    /// Convenience used by the flush machinery and the benches:
+    /// advance LSE as far as the manager allows (up to LCE), then
+    /// purge. Durability gating belongs to the `wal` crate.
+    pub fn advance_lse_and_purge(&self) -> PurgeStats {
+        let lce = self.manager.lce();
+        let stats = if self.manager.advance_lse(lce).is_ok() {
+            self.purge()
+        } else {
+            PurgeStats::default()
+        };
+        // An LSE advance is what turns bricks clean-cold, so this is
+        // the natural eviction point.
+        if self.tier.is_some() {
+            self.enforce_tier_budget();
+        }
+        stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +270,94 @@ mod tests {
             std::thread::sleep(Duration::from_millis(5));
         }
         drop(daemon);
+    }
+}
+
+#[cfg(test)]
+mod engine_tests {
+    use crate::engine::tests::{engine, row, spread_load, sum_likes, tiered_engine};
+    use crate::engine::IsolationMode;
+
+    #[test]
+    fn delete_everything_then_purge_reclaims() {
+        let engine = engine();
+        engine
+            .load(
+                "events",
+                &(0..100)
+                    .map(|i| row("us", i % 16, i, 0.0))
+                    .collect::<Vec<_>>(),
+                0,
+            )
+            .unwrap();
+        let (_, marked) = engine.delete_where("events", &[]).unwrap();
+        assert!(marked >= 1);
+        assert_eq!(sum_likes(&engine, IsolationMode::Snapshot), 0.0);
+        let before = engine.memory();
+        assert_eq!(before.rows, 100);
+        let stats = engine.advance_lse_and_purge();
+        assert_eq!(stats.rows_purged, 100);
+        let after = engine.memory();
+        assert_eq!(after.rows, 0);
+    }
+
+    #[test]
+    fn purge_compacts_epoch_history() {
+        let engine = engine();
+        for i in 0..50 {
+            engine
+                .load("events", &[row("us", i % 16, i, 0.0)], 0)
+                .unwrap();
+        }
+        let before = engine.memory();
+        let stats = engine.advance_lse_and_purge();
+        assert!(stats.entries_reclaimed > 0);
+        let after = engine.memory();
+        assert!(after.aosi_bytes <= before.aosi_bytes);
+        assert_eq!(after.rows, 50);
+        assert_eq!(
+            sum_likes(&engine, IsolationMode::Snapshot),
+            (0..50).sum::<i64>() as f64
+        );
+    }
+
+    #[test]
+    fn dirty_bricks_stay_resident_until_the_lse_catches_up() {
+        let engine = tiered_engine(1);
+        spread_load(&engine);
+        // Everything committed is newer than the LSE (0): nothing is
+        // clean-cold, nothing may spill — the WAL does not hold these
+        // rows yet.
+        let sweep = engine.enforce_tier_budget();
+        assert_eq!(sweep.evicted, 0);
+        assert_eq!(engine.tier_stats().unwrap().spilled_bricks, 0);
+        engine.advance_lse_and_purge();
+        assert!(engine.tier_stats().unwrap().spilled_bricks > 0);
+    }
+
+    #[test]
+    fn enforcement_stops_at_the_budget() {
+        // Measure the workload's resident footprint on a throwaway
+        // engine, then give the real one half that.
+        let probe = tiered_engine(usize::MAX);
+        spread_load(&probe);
+        let total = probe.enforce_tier_budget().resident_bytes_before;
+        assert!(total > 0);
+
+        let engine = tiered_engine((total / 2) as usize);
+        spread_load(&engine);
+        engine.advance_lse_and_purge();
+        let stats = engine.tier_stats().unwrap();
+        assert!(stats.spilled_bricks > 0, "over budget: must evict");
+        assert!(
+            stats.resident_bytes <= total / 2,
+            "resident {} exceeds the budget {}",
+            stats.resident_bytes,
+            total / 2
+        );
+        assert!(
+            stats.resident_bytes > 0,
+            "half the footprint should keep the warmer half resident"
+        );
     }
 }
