@@ -136,7 +136,7 @@ fn run_cell(
     if cache == "cold" {
         // A scan with an injected panic never consults the memo; no
         // brick has this bid, so none panics.
-        engine.inject_scan_panic_for_test(u64::MAX);
+        engine.faults().inject_scan_panic(u64::MAX);
     }
     for id in 0..batches {
         engine

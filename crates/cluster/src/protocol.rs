@@ -506,14 +506,7 @@ impl ProtocolCluster {
         req_msg: WireMsg,
         respond: impl Fn() -> (usize, Option<Epoch>, R),
     ) -> Option<R> {
-        for attempt in 0..self.retry.max_attempts {
-            if attempt > 0 {
-                self.metrics.retries.inc();
-                let backoff = self.retry.backoff_for(attempt - 1);
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                }
-            }
+        self.retrying(|| {
             self.flush_due_delayed();
             let fate = self.network.transmit_checked(
                 req_kind,
@@ -526,7 +519,7 @@ impl ProtocolCluster {
             match fate {
                 Fate::Drop => {
                     self.metrics.timeouts.inc();
-                    continue;
+                    return None;
                 }
                 Fate::Delay { due_seq } => {
                     // The request is in flight somewhere; it will
@@ -538,7 +531,7 @@ impl ProtocolCluster {
                         msg: req_msg.clone(),
                     });
                     self.metrics.timeouts.inc();
-                    continue;
+                    return None;
                 }
                 Fate::Deliver { copies } => {
                     for _ in 0..copies {
@@ -567,11 +560,29 @@ impl ProtocolCluster {
                     });
                     self.metrics.timeouts.inc();
                 }
-                Fate::Deliver { .. } => {
-                    // Extra response copies are harmless: clock
-                    // merges and pending-set unions are idempotent.
-                    return Some(value);
+                // Extra response copies are harmless: clock merges
+                // and pending-set unions are idempotent.
+                Fate::Deliver { .. } => return Some(value),
+            }
+            None
+        })
+    }
+
+    /// Runs `attempt` until it returns `Some`, at most
+    /// `retry.max_attempts` times, counting each retry and sleeping
+    /// the policy's backoff before it. `None` once the budget is
+    /// exhausted.
+    fn retrying<R>(&self, mut attempt: impl FnMut() -> Option<R>) -> Option<R> {
+        for n in 0..self.retry.max_attempts {
+            if n > 0 {
+                self.metrics.retries.inc();
+                let backoff = self.retry.backoff_for(n - 1);
+                if !backoff.is_zero() {
+                    std::thread::sleep(backoff);
                 }
+            }
+            if let Some(value) = attempt() {
+                return Some(value);
             }
         }
         None
@@ -715,15 +726,7 @@ impl ProtocolCluster {
             if node == txn.origin {
                 continue;
             }
-            let mut delivered = false;
-            for attempt in 0..self.retry.max_attempts {
-                if attempt > 0 {
-                    self.metrics.retries.inc();
-                    let backoff = self.retry.backoff_for(attempt - 1);
-                    if !backoff.is_zero() {
-                        std::thread::sleep(backoff);
-                    }
-                }
+            let delivered = self.retrying(|| {
                 let fate = self.network.transmit_checked(
                     MsgKind::Forward,
                     txn.origin,
@@ -735,6 +738,7 @@ impl ProtocolCluster {
                 match fate {
                     Fate::Drop => {
                         self.metrics.timeouts.inc();
+                        return None;
                     }
                     Fate::Delay { due_seq } => {
                         unpoison(self.delayed.lock()).push(DelayedMsg {
@@ -742,17 +746,14 @@ impl ProtocolCluster {
                             to: node,
                             msg: WireMsg::Forward { origin_ec },
                         });
-                        delivered = true;
-                        break;
                     }
                     Fate::Deliver { .. } => {
                         self.manager(node).clock().observe(origin_ec);
-                        delivered = true;
-                        break;
                     }
                 }
-            }
-            if !delivered {
+                Some(())
+            });
+            if delivered.is_none() {
                 return Err(AosiError::NodeUnreachable {
                     epoch: txn.epoch,
                     node,

@@ -42,7 +42,7 @@
 //! [`DistributedEngine::leave_node`] / [`DistributedEngine::transfer_brick`]).
 
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
 use aosi::{ReadGuard, Snapshot};
@@ -55,7 +55,6 @@ use obs::{Counter, ReportBuilder};
 
 use crate::cube::Cube;
 use crate::ddl::CubeSchema;
-use crate::elastic::HandoffBreak;
 use crate::engine::{Engine, EngineMemory, IsolationMode, LoadStageTimings, PurgeStats};
 use crate::error::CubrickError;
 use crate::ingest::{parse_rows, ParsedBatch};
@@ -140,9 +139,8 @@ pub struct DistributedEngine {
     /// holds it exclusively so no in-flight scan loses a brick.
     pub(crate) scan_gate: RwLock<()>,
     pub(crate) rebal: RebalanceMetrics,
-    /// Deliberate handoff sabotage for meta-tests (see
-    /// [`DistributedEngine::set_handoff_break`]).
-    pub(crate) handoff_break: Mutex<Option<HandoffBreak>>,
+    #[cfg(any(test, feature = "fault-hooks"))]
+    pub(crate) faults: crate::fault::FaultHooks,
 }
 
 impl DistributedEngine {
@@ -187,7 +185,8 @@ impl DistributedEngine {
             write_gate: RwLock::new(()),
             scan_gate: RwLock::new(()),
             rebal: RebalanceMetrics::default(),
-            handoff_break: Mutex::new(None),
+            #[cfg(any(test, feature = "fault-hooks"))]
+            faults: Default::default(),
         }
     }
 
@@ -977,10 +976,13 @@ mod tests {
                 assert!(report.contains(&needle), "missing {needle}:\n{report}");
             }
         }
-        // The coordinator's load and everyone's scans show up.
+        // The coordinator's load and everyone's scans show up: the
+        // fan-out is one query on every node.
         assert!(report.contains("node1.engine]"), "report:\n{report}");
         assert!(report.contains("flushes = 1"), "report:\n{report}");
-        assert!(report.contains("queries = 0"), "report:\n{report}");
+        for node in 1..=3 {
+            assert_eq!(d.engine(node).op_stats().queries, 1, "node {node}");
+        }
     }
 
     #[test]

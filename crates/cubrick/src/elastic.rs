@@ -37,6 +37,8 @@ use obs::sync::unpoison;
 use crate::distributed::DistributedEngine;
 use crate::engine::IsolationMode;
 use crate::error::CubrickError;
+#[cfg(any(test, feature = "fault-hooks"))]
+use crate::fault::HandoffBreak;
 use crate::persist::DeltaRun;
 use crate::query::{Query, QueryResult, ResolvedQuery};
 use aosi::{ReadGuard, Snapshot};
@@ -46,34 +48,7 @@ const HANDOFF_RETRIES: u32 = 4;
 /// Runs per [`MsgKind::HandoffChunk`] message.
 const RUNS_PER_CHUNK: usize = 4;
 
-/// Deliberate handoff sabotage, enabled only by meta-tests that prove
-/// the chaos suite detects broken handoff implementations.
-#[doc(hidden)]
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HandoffBreak {
-    /// Drop the final insert run before installing at the
-    /// destination: the new copy silently misses rows.
-    InstallIncomplete,
-    /// Treat a failed stream as success: retire the source anyway and
-    /// mark the (empty) destination readable — the brick is lost.
-    RetireDespiteFailure,
-    /// Crash the receiving node after the first chunk lands.
-    CrashReceiverMidStream,
-}
-
 impl DistributedEngine {
-    /// Arms (or clears) a deliberate handoff defect. Meta-tests use
-    /// this to prove the elastic suite catches broken handoffs; it
-    /// has no other purpose.
-    #[doc(hidden)]
-    pub fn set_handoff_break(&self, b: Option<HandoffBreak>) {
-        *unpoison(self.handoff_break.lock()) = b;
-    }
-
-    fn armed_break(&self) -> Option<HandoffBreak> {
-        *unpoison(self.handoff_break.lock())
-    }
-
     /// **Copies** brick `bid` of `cube` from `from` onto `to`
     /// (replicate — the source keeps its copy). On success `to` is a
     /// readable host. On failure the directory is exactly as before.
@@ -135,16 +110,20 @@ impl DistributedEngine {
         };
 
         // 2. Stream the capture in chunks over the simulated wire.
-        let sabotage = self.armed_break();
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let sabotage = self.faults.handoff_break();
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let mut crash_receiver = sabotage == Some(HandoffBreak::CrashReceiverMidStream);
         let mut streamed = true;
-        for (i, chunk) in runs.chunks(RUNS_PER_CHUNK.max(1)).enumerate() {
+        for chunk in runs.chunks(RUNS_PER_CHUNK.max(1)) {
             let bytes: usize = 64 + chunk.iter().map(run_bytes).sum::<usize>();
             if !self.send_with_retry(MsgKind::HandoffChunk, from, to, bytes) {
                 streamed = false;
                 break;
             }
             self.rebal.handoff_chunks.inc();
-            if i == 0 && sabotage == Some(HandoffBreak::CrashReceiverMidStream) {
+            #[cfg(any(test, feature = "fault-hooks"))]
+            if std::mem::take(&mut crash_receiver) {
                 // The receiver dies with the stream half landed.
                 self.crash_node(to);
             }
@@ -155,6 +134,7 @@ impl DistributedEngine {
         let acked = streamed && self.send_with_retry(MsgKind::HandoffAck, to, from, 32);
 
         if !acked {
+            #[cfg(any(test, feature = "fault-hooks"))]
             if sabotage == Some(HandoffBreak::RetireDespiteFailure) {
                 // BROKEN ON PURPOSE: pretend it worked. The meta-test
                 // proves the suite notices the lost brick.
@@ -178,19 +158,15 @@ impl DistributedEngine {
         // the pending subscription while we streamed are already
         // there; install dedups by (epoch, kind) so the overlap
         // between capture and subscription applies once.
-        let mut install = runs;
-        if sabotage == Some(HandoffBreak::InstallIncomplete) {
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let runs = match sabotage {
             // BROKEN ON PURPOSE: drop the last insert run.
-            if let Some(pos) = install
-                .iter()
-                .rposition(|r| matches!(r, DeltaRun::Insert { .. }))
-            {
-                install.remove(pos);
-            }
-        }
+            Some(HandoffBreak::InstallIncomplete) => crate::fault::without_last_insert(runs),
+            _ => runs,
+        };
         if self
             .engine(to)
-            .install_brick_runs(&cube, bid, install)
+            .install_brick_runs(&cube, bid, runs)
             .is_err()
         {
             // The destination could not fault its spilled copy back

@@ -21,11 +21,11 @@
 //! * **Purge / rollback**: shard-local rebuilds driven by the
 //!   protocol-level `purge`/`rollback` results.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
-use aosi::{CacheStats, Epoch, Snapshot, Txn, TxnManager, TxnPartitionIndex};
+use aosi::{CacheStats, Epoch, ReadGuard, Snapshot, Txn, TxnManager, TxnPartitionIndex};
 use obs::sync::unpoison;
 use obs::{Counter, Histogram, ReportBuilder};
 
@@ -196,12 +196,12 @@ pub struct Engine {
     scan_config: ScanConfig,
     /// Each shard's settled-snapshot answers.
     pub(crate) memos: Arc<ShardMemos>,
-    /// Bids whose scan tasks panic on purpose (test injection only).
-    panic_bids: RwLock<HashSet<u64>>,
     /// Cold-tier residency manager, when tiered storage is enabled.
     pub(crate) tier: Option<Arc<TieredStore>>,
     pub(crate) ops: OpCounters,
     pub(crate) metrics: EngineMetrics,
+    #[cfg(any(test, feature = "fault-hooks"))]
+    pub(crate) faults: crate::fault::FaultHooks,
 }
 
 impl Engine {
@@ -221,10 +221,11 @@ impl Engine {
             rollback_index: None,
             scan_config: ScanConfig::default(),
             memos: Arc::new(ShardMemos::new(num_shards)),
-            panic_bids: RwLock::new(HashSet::new()),
             tier: None,
             ops: OpCounters::default(),
             metrics: EngineMetrics::default(),
+            #[cfg(any(test, feature = "fault-hooks"))]
+            faults: Default::default(),
         }
     }
 
@@ -274,34 +275,6 @@ impl Engine {
     /// name and shape predate the memo.
     pub fn agg_cache_stats(&self) -> Option<CacheStats> {
         Some(self.memos.stats())
-    }
-
-    /// Corrupts every memoized shard answer in place (counts and sums
-    /// nudged, keys untouched), simulating a memo serving wrong bytes.
-    /// Exists solely so the oracle meta-test can prove the
-    /// differential layer detects it.
-    #[doc(hidden)]
-    pub fn corrupt_memo_for_test(&self) {
-        self.memos.corrupt();
-    }
-
-    /// Makes every scan task for `bid` panic (test injection for the
-    /// panic-to-typed-error regression tests).
-    #[doc(hidden)]
-    pub fn inject_scan_panic_for_test(&self, bid: u64) {
-        unpoison(self.panic_bids.write()).insert(bid);
-    }
-
-    /// Clears scan-panic injection.
-    #[doc(hidden)]
-    pub fn clear_scan_panics_for_test(&self) {
-        unpoison(self.panic_bids.write()).clear();
-    }
-
-    /// Whether panic injection targets `bid` (the export path shares
-    /// the scan-panic injection set).
-    pub(crate) fn export_panic_injected(&self, bid: u64) -> bool {
-        unpoison(self.panic_bids.read()).contains(&bid)
     }
 
     /// Cumulative operation counters.
@@ -465,7 +438,6 @@ impl Engine {
     ) -> Result<QueryResult, CubrickError> {
         let cube = self.cube(cube)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        self.ops.queries.inc();
         match mode {
             IsolationMode::Snapshot => {
                 // Register the snapshot so LSE (and purge) cannot pass
@@ -505,12 +477,18 @@ impl Engine {
         query: &Query,
         epoch: Epoch,
     ) -> Result<QueryResult, CubrickError> {
-        // Register the read guard BEFORE validating the window:
-        // guard registration and the LSE advance share one lock, so
-        // an epoch that passes the check below cannot be purged for
-        // the lifetime of the guard. (Checking first and guarding
-        // after left a window where a concurrent advance_lse + purge
-        // could compact history under an already-validated epoch.)
+        let guard = self.guard_as_of(epoch)?;
+        self.query_at(cube, query, guard.snapshot())
+    }
+
+    /// Guards the committed snapshot at `epoch`, then checks it lies
+    /// in the readable window `[LSE, LCE]`. Guard registration and the
+    /// LSE advance share one lock, so an epoch that passes the check
+    /// cannot be purged for the lifetime of the guard. (Checking
+    /// first and guarding after left a window where a concurrent
+    /// advance_lse + purge could compact history under an
+    /// already-validated epoch.)
+    fn guard_as_of(&self, epoch: Epoch) -> Result<ReadGuard, CubrickError> {
         let guard = self.manager.guard_snapshot(Snapshot::committed(epoch));
         let (lse, lce) = (self.manager.lse(), self.manager.lce());
         if epoch < lse || epoch > lce {
@@ -520,8 +498,7 @@ impl Engine {
                 lce,
             });
         }
-        self.ops.queries.inc();
-        self.query_at(cube, query, guard.snapshot())
+        Ok(guard)
     }
 
     /// Runs a query against an externally supplied snapshot (the
@@ -606,19 +583,7 @@ impl Engine {
         epoch: Epoch,
         on_partial: impl FnMut(QueryResult),
     ) -> Result<QueryResult, CubrickError> {
-        // Guard before validating, exactly like `query_as_of`: the
-        // guard and the LSE advance share a lock, so a validated
-        // epoch cannot be purged mid-stream.
-        let guard = self.manager.guard_snapshot(Snapshot::committed(epoch));
-        let (lse, lce) = (self.manager.lse(), self.manager.lce());
-        if epoch < lse || epoch > lce {
-            return Err(CubrickError::EpochOutOfRange {
-                requested: epoch,
-                lse,
-                lce,
-            });
-        }
-        self.ops.queries.inc();
+        let guard = self.guard_as_of(epoch)?;
         self.query_at_with_progress(cube, query, guard.snapshot(), on_partial)
     }
 
@@ -684,11 +649,8 @@ impl Engine {
         resolved: &ResolvedQuery,
         snapshot: Option<Snapshot>,
     ) -> Result<QueryResult, CubrickError> {
-        let started = Instant::now();
         let merged = self.execute_partial(cube, resolved, snapshot)?;
-        let result = QueryResult::finalize(cube, resolved, merged);
-        self.metrics.query_nanos.record_duration(started.elapsed());
-        Ok(result)
+        Ok(QueryResult::finalize(cube, resolved, merged))
     }
 
     /// Shard fan-out producing mergeable partial aggregates; the
@@ -786,14 +748,16 @@ impl Engine {
         allowed: Option<BrickFilter>,
         folded: bool,
     ) -> ShardScan {
-        let panic_bids = unpoison(self.panic_bids.read()).clone();
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let panic_bids = self.faults.arm_scan(&self.memos);
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let folded = folded && panic_bids.is_empty();
         let memo = snapshot
             .as_ref()
             .filter(|snap| {
                 folded
                     && !config.sequential
                     && allowed.is_none()
-                    && panic_bids.is_empty()
                     && snap.epoch() <= self.manager.lce()
             })
             .map(|snap| {
@@ -808,6 +772,7 @@ impl Engine {
             kernel: config.kernel,
             memo,
             allowed,
+            #[cfg(any(test, feature = "fault-hooks"))]
             panic_bids,
         }
     }
@@ -818,6 +783,9 @@ impl Engine {
     /// each shard before submitting the next; otherwise all shards
     /// run at once. A panicking brick or a failed tier reload fails
     /// the whole query with a typed error — never a partial result.
+    ///
+    /// Every query path runs exactly one fan-out, so this is where a
+    /// query is counted (`queries`) and timed (`query_nanos`).
     fn scan_shards<A: Default + Send + 'static>(
         &self,
         scan: ShardScan,
@@ -854,21 +822,28 @@ impl Engine {
                 }),
             }
         };
-        let mut pending = Vec::new();
-        for shard in 0..self.shards.num_shards() {
-            let task = Arc::clone(&scan);
-            let handle = self.shards.submit_handle(shard, move |bricks| {
-                let mut acc = A::default();
-                let outcome = task.run(shard, bricks, |partial| absorb(&mut acc, partial))?;
-                Ok((acc, outcome))
-            });
-            if sequential {
-                join(handle)?;
-            } else {
-                pending.push(handle);
+        let started = Instant::now();
+        self.ops.queries.inc();
+        let mut fan_out = || {
+            let mut pending = Vec::new();
+            for shard in 0..self.shards.num_shards() {
+                let task = Arc::clone(&scan);
+                let handle = self.shards.submit_handle(shard, move |bricks| {
+                    let mut acc = A::default();
+                    let outcome = task.run(shard, bricks, |partial| absorb(&mut acc, partial))?;
+                    Ok((acc, outcome))
+                });
+                if sequential {
+                    join(handle)?;
+                } else {
+                    pending.push(handle);
+                }
             }
-        }
-        pending.into_iter().try_for_each(join)
+            pending.into_iter().try_for_each(&mut join)
+        };
+        let scanned = fan_out();
+        self.metrics.query_nanos.record_duration(started.elapsed());
+        scanned
     }
 
     /// Brick ids this node currently stores for `cube`, ascending.
@@ -1290,6 +1265,95 @@ pub(crate) mod tests {
         }
     }
 
+    /// Every query entry point counts and times exactly one query:
+    /// the coordinator's fan-out is the one place that does either.
+    #[test]
+    fn every_query_entry_point_counts_and_times_one_query() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let (lce, settled) = (
+            engine.manager().lce(),
+            &Snapshot::committed(engine.manager().lce()),
+        );
+        let txn = engine.begin();
+        let cube = engine.cube("events").unwrap();
+        let resolved = ResolvedQuery::resolve(&cube, &query).unwrap();
+        type Entry<'a> = (&'a str, Box<dyn Fn() -> Result<(), CubrickError> + 'a>);
+        let q = &query;
+        let entries: Vec<Entry> = vec![
+            (
+                "query",
+                Box::new(|| engine.query("events", q, IsolationMode::Snapshot).map(drop)),
+            ),
+            (
+                "query RU",
+                Box::new(|| {
+                    engine
+                        .query("events", q, IsolationMode::ReadUncommitted)
+                        .map(drop)
+                }),
+            ),
+            (
+                "query_in_txn",
+                Box::new(|| engine.query_in_txn("events", q, &txn).map(drop)),
+            ),
+            (
+                "query_as_of",
+                Box::new(|| engine.query_as_of("events", q, lce).map(drop)),
+            ),
+            (
+                "query_at",
+                Box::new(|| engine.query_at("events", q, settled).map(drop)),
+            ),
+            (
+                "query_at_reference",
+                Box::new(|| engine.query_at_reference("events", q, settled).map(drop)),
+            ),
+            (
+                "query_at_with_progress",
+                Box::new(|| {
+                    engine
+                        .query_at_with_progress("events", q, settled, drop)
+                        .map(drop)
+                }),
+            ),
+            (
+                "query_as_of_with_progress",
+                Box::new(|| {
+                    engine
+                        .query_as_of_with_progress("events", q, lce, drop)
+                        .map(drop)
+                }),
+            ),
+            (
+                "query_brick_partials",
+                Box::new(|| engine.query_brick_partials("events", q, settled).map(drop)),
+            ),
+            (
+                "distributed fan-out",
+                Box::new(|| {
+                    engine
+                        .execute_partial(&cube, &resolved, Some(settled.clone()))
+                        .map(drop)
+                }),
+            ),
+        ];
+        let counted = || {
+            let report = engine.metrics_report();
+            let timed = (report.lines())
+                .find_map(|l| l.trim().strip_prefix("query_nanos.count = "))
+                .map_or(0, |n| n.parse::<u64>().unwrap());
+            (engine.op_stats().queries, timed)
+        };
+        for (name, call) in &entries {
+            let (queries, timed) = counted();
+            call().unwrap();
+            assert_eq!(counted(), (queries + 1, timed + 1), "{name}");
+        }
+        engine.rollback(&txn).unwrap();
+    }
+
     #[test]
     fn concurrent_loads_and_queries() {
         use std::sync::Arc;
@@ -1481,12 +1545,12 @@ pub(crate) mod tests {
                 )
                 .unwrap();
         }
-        engine.inject_scan_panic_for_test(u64::MAX);
+        engine.faults().inject_scan_panic(u64::MAX);
         for _ in 0..3 {
             engine.query_at("events", &query, &settled).unwrap();
         }
         assert_eq!(memo_lookups(&engine), before, "no lookup at all");
-        engine.clear_scan_panics_for_test();
+        engine.faults().clear_scan_panics();
 
         let sequential = Engine::new(4).with_scan_config(ScanConfig {
             sequential: true,
@@ -1709,7 +1773,7 @@ pub(crate) mod tests {
         // possible bid guarantees at least one live brick's task
         // panics without reaching into brick-map internals.
         for bid in 0..64 {
-            engine.inject_scan_panic_for_test(bid);
+            engine.faults().inject_scan_panic(bid);
         }
         let err = engine
             .query(
@@ -1727,7 +1791,7 @@ pub(crate) mod tests {
         }
         // The shard threads survive the panic: clearing the injection
         // makes the very same engine answer correctly again.
-        engine.clear_scan_panics_for_test();
+        engine.faults().clear_scan_panics();
         let sum = sum_likes(&engine, IsolationMode::Snapshot);
         assert_eq!(sum, 4.0 * (0..16).sum::<i64>() as f64);
     }
@@ -1744,7 +1808,7 @@ pub(crate) mod tests {
         let snapshot = Snapshot::committed(engine.manager().lce());
         let bids = engine.brick_bids("events");
         let poisoned = *bids.last().unwrap();
-        engine.inject_scan_panic_for_test(poisoned);
+        engine.faults().inject_scan_panic(poisoned);
         let reference = engine.query_at_reference("events", &query, &snapshot);
         let partials = engine
             .query_brick_partials("events", &query, &snapshot)
@@ -1761,7 +1825,7 @@ pub(crate) mod tests {
         // The brick's panic never reached the pool: no shard task
         // unwound, and the same engine answers again once cleared.
         assert_eq!(engine.shards().panics_caught(), 0);
-        engine.clear_scan_panics_for_test();
+        engine.faults().clear_scan_panics();
         let healed = engine
             .query_at_reference("events", &query, &snapshot)
             .unwrap();
@@ -1779,7 +1843,7 @@ pub(crate) mod tests {
         let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let snapshot = Snapshot::committed(engine.manager().lce());
         let honest = memoize(&engine, &query, &snapshot);
-        engine.corrupt_memo_for_test();
+        engine.faults().corrupt_memo();
         let poisoned = engine.query_at("events", &query, &snapshot).unwrap();
         assert!(poisoned.stats.agg_cache_hits > 0, "must replay the memo");
         assert_ne!(

@@ -63,6 +63,8 @@ mod distributed;
 mod elastic;
 mod engine;
 mod error;
+#[cfg(any(test, feature = "fault-hooks"))]
+pub mod fault;
 mod ingest;
 mod maintenance;
 mod memo;
@@ -79,8 +81,6 @@ pub use brick::{Brick, BrickMemory, DimStorage};
 pub use cube::{Cube, CubeMemory};
 pub use ddl::{CubeSchema, Dimension, Metric, MetricType};
 pub use distributed::{DistributedEngine, DistributedLoadOutcome, ElasticConfig};
-#[doc(hidden)]
-pub use elastic::HandoffBreak;
 pub use engine::{
     Engine, EngineMemory, EngineOpStats, IsolationMode, LoadOutcome, LoadStageTimings, PurgeStats,
     ScanConfig,

@@ -244,7 +244,8 @@ impl ShardMemo {
     }
 
     /// Nudges every memoized aggregate state in place, keys untouched
-    /// (see [`crate::Engine::corrupt_memo_for_test`]).
+    /// (see [`crate::fault::FaultHooks::corrupt_memo`]).
+    #[cfg(any(test, feature = "fault-hooks"))]
     pub(crate) fn corrupt(&mut self) {
         for entry in self.entries.values_mut() {
             for (_, states) in entry.groups.iter_mut() {
@@ -337,6 +338,7 @@ impl ShardMemos {
     }
 
     /// Applies [`ShardMemo::corrupt`] to every shard's memo.
+    #[cfg(any(test, feature = "fault-hooks"))]
     pub(crate) fn corrupt(&self) {
         for memo in self.0.iter() {
             unpoison(memo.lock()).corrupt();

@@ -107,8 +107,10 @@ impl Engine {
     pub(crate) fn export_brick(&self, cube: &str, bid: u64) -> Result<Vec<DeltaRun>, CubrickError> {
         let shard = self.shards().shard_of(bid);
         let name = cube.to_owned();
-        let panic_injected = self.export_panic_injected(bid);
+        #[cfg(any(test, feature = "fault-hooks"))]
+        let panic_injected = self.faults().export_panics(bid);
         let handle = self.shards().submit_handle(shard, move |bricks| {
+            #[cfg(any(test, feature = "fault-hooks"))]
             if panic_injected {
                 panic!("injected export panic for brick {bid}");
             }
@@ -417,7 +419,7 @@ mod tests {
         // caller an empty run list — indistinguishable from a
         // legitimately empty brick, which a rebalance would then
         // happily stream, retire the source, and lose the rows.
-        engine.inject_scan_panic_for_test(bid);
+        engine.faults().inject_scan_panic(bid);
         let err = engine.export_brick("events", bid).unwrap_err();
         assert_eq!(
             err,
@@ -426,7 +428,7 @@ mod tests {
                 bid
             }
         );
-        engine.clear_scan_panics_for_test();
+        engine.faults().clear_scan_panics();
         let runs = engine.export_brick("events", bid).unwrap();
         assert!(!runs.is_empty(), "the real capture has the loaded run");
         // A brick that simply does not exist here is still the

@@ -20,6 +20,7 @@
 //! such a brick holds are invisible to the snapshot anyway. RU scans
 //! have no snapshot and are best-effort by definition.
 
+#[cfg(any(test, feature = "fault-hooks"))]
 use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -52,7 +53,8 @@ pub(crate) struct ShardScan {
     pub(crate) memo: Option<(Arc<ShardMemos>, MemoKey)>,
     /// Bricks the filter rejects are another replica's to scan.
     pub(crate) allowed: Option<BrickFilter>,
-    /// Bids whose scan panics on purpose (test injection).
+    /// Bids whose scan panics on purpose ([`crate::fault`]).
+    #[cfg(any(test, feature = "fault-hooks"))]
     pub(crate) panic_bids: HashSet<u64>,
 }
 
@@ -132,6 +134,7 @@ impl ShardScan {
             // Per-brick `catch_unwind` keeps panic attribution exact:
             // the shard reports which brick blew up and keeps running.
             let mut scanned = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(any(test, feature = "fault-hooks"))]
                 if self.panic_bids.contains(&bid) {
                     panic!("injected scan panic for brick {bid}");
                 }

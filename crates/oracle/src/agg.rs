@@ -23,7 +23,7 @@
 //! The meta-tests in `tests/agg_oracle.rs` prove the teeth: a
 //! two-chunk AVG workload that a mean-of-means merge would get wrong,
 //! and deliberately corrupted memo entries
-//! ([`Engine::corrupt_memo_for_test`]) that the differential compare
+//! ([`cubrick::fault::FaultHooks::corrupt_memo`]) that the differential compare
 //! must catch.
 
 use aosi::Snapshot;

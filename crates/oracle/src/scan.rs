@@ -26,7 +26,7 @@
 //!
 //! The `tests/agg_oracle.rs` meta-test proves [`compare_paths`]'
 //! teeth: it corrupts the memo through
-//! [`Engine::corrupt_memo_for_test`] and asserts the divergence is
+//! [`cubrick::fault::FaultHooks::corrupt_memo`] and asserts the divergence is
 //! reported.
 
 use aosi::Snapshot;

@@ -68,19 +68,20 @@
 //!    counted in [`cubrick::TierStats::reload_failures`].
 //!
 //! [`BugHooks`] re-introduces each of the four fixed durability bugs
-//! behind `#[doc(hidden)]` test hooks so the meta-tests can prove the
-//! harness actually catches what it claims to catch.
+//! so the meta-tests can prove the harness actually catches what it
+//! claims to catch: three through the `wal` crate's test seam
+//! ([`wal::fault::FaultHooks`]), the missing directory fsync through
+//! a filesystem wrapper whose `sync_dir` does nothing.
 
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use aosi::Snapshot;
 use cluster::ReplicationTracker;
 use cubrick::{Engine, ScanConfig};
-use wal::{
-    is_power_cut, recover_into_with, FlushController, RecoverOptions, SimFs, WalBrickStore,
-    WalError, WalFs,
-};
+use wal::fault::FaultHooks;
+use wal::{is_power_cut, FlushController, SimFs, WalBrickStore, WalError, WalFs};
 use workload::ops::{oracle_schema, GenConfig, LogicalOp, Schedule, ORACLE_CUBE};
 
 use crate::checks::{build_query, NUM_QUERIES};
@@ -122,6 +123,38 @@ fn sim_dir() -> PathBuf {
 /// snapshots must never live there.
 fn tier_dir() -> PathBuf {
     PathBuf::from("/sim/tier")
+}
+
+/// Bug 4's fake: a filesystem whose directory fsync does nothing, so
+/// a renamed round's directory entry stays volatile and evaporates at
+/// the next power cut.
+struct NoDirSync(Arc<dyn WalFs>);
+
+impl WalFs for NoDirSync {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        self.0.create_dir_all(dir)
+    }
+    fn write_file(&self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.0.write_file(path, bytes)
+    }
+    fn sync_file(&self, path: &Path) -> io::Result<()> {
+        self.0.sync_file(path)
+    }
+    fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+        self.0.rename(from, to)
+    }
+    fn sync_dir(&self, _dir: &Path) -> io::Result<()> {
+        Ok(())
+    }
+    fn remove_file(&self, path: &Path) -> io::Result<()> {
+        self.0.remove_file(path)
+    }
+    fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.0.read(path)
+    }
+    fn list(&self, dir: &Path) -> io::Result<Vec<PathBuf>> {
+        self.0.list(dir)
+    }
 }
 
 fn splitmix64(mut x: u64) -> u64 {
@@ -182,10 +215,13 @@ impl BugHooks {
         Ok(bugs)
     }
 
-    fn recover_options(&self) -> RecoverOptions {
-        RecoverOptions {
-            validate_chain: !self.skip_chain_validation,
-            fail_marker_commit_for_test: self.fail_marker,
+    /// The bugs the `wal` seam re-introduces (all but the missing
+    /// directory fsync).
+    fn faults(&self) -> FaultHooks {
+        FaultHooks {
+            restart_clobber: self.restart_clobber,
+            skip_chain_validation: self.skip_chain_validation,
+            fail_marker_commit: self.fail_marker,
         }
     }
 }
@@ -422,15 +458,15 @@ impl Torture {
         acked: u64,
         schedule: &Schedule,
     ) -> Result<(Exec, Disk), Stop> {
-        let walfs: Arc<dyn WalFs> = fs.clone();
-        let mut ctl = match FlushController::with_fs(walfs, sim_dir(), NODE) {
+        let mut walfs: Arc<dyn WalFs> = fs.clone();
+        if self.bugs.skip_dir_sync {
+            walfs = Arc::new(NoDirSync(walfs));
+        }
+        let ctl = match FlushController::with_fs(walfs, sim_dir(), NODE) {
             Ok(ctl) => ctl,
             Err(e) if is_power_cut(&e) => return Err(Stop::PowerCut),
             Err(e) => return Err(Failure::new(format!("controller open failed: {e}")).into()),
         };
-        if self.bugs.skip_dir_sync {
-            ctl.skip_dir_sync_for_test();
-        }
         let disk = Disk {
             fs: fs.clone(),
             tiered: self.tier_budget.is_some(),
@@ -490,7 +526,7 @@ impl Torture {
             FS_SEED_SALT
         };
         let fs_seed = schedule.seed ^ salt;
-        let opts = self.bugs.recover_options();
+        let faults = self.bugs.faults();
         let mut report = TortureReport::default();
 
         // ----- Phase 1: census ------------------------------------
@@ -544,7 +580,8 @@ impl Torture {
         // must restore exactly what the controller acknowledged, with
         // a pristine chain — spill snapshots are never a dependency.
         let live = engine_with_cube();
-        let rep = recover_into_with(census_fs.as_ref(), &sim_dir(), &live, &opts)
+        let rep = faults
+            .recover_into(census_fs.as_ref(), &sim_dir(), &live)
             .map_err(|e| Failure::new(format!("clean-shutdown recovery failed: {e}")))?;
         report.recoveries += 1;
         if rep.recovered_epoch != census_acked {
@@ -576,7 +613,8 @@ impl Torture {
         let dead = census_fs.fork();
         dead.crash_now();
         let durable = engine_with_cube();
-        let rep = recover_into_with(&dead, &sim_dir(), &durable, &opts)
+        let rep = faults
+            .recover_into(&dead, &sim_dir(), &durable)
             .map_err(|e| Failure::new(format!("power-safe recovery failed: {e}")))?;
         report.recoveries += 1;
         if rep.recovered_epoch < census_acked {
@@ -596,7 +634,7 @@ impl Torture {
 
         // ----- Phase 2: one power cut per boundary ----------------
         for cut in 0..report.crash_points {
-            self.boundary(schedule, fs_seed, cut, &opts, &mut report)
+            self.boundary(schedule, fs_seed, cut, &faults, &mut report)
                 .map_err(|failure| Failure {
                     crash_point: Some(cut),
                     ..failure
@@ -610,10 +648,11 @@ impl Torture {
             if holed.remove_everywhere(&victim) {
                 report.hole_probes += 1;
                 let engine = engine_with_cube();
-                let rep = recover_into_with(&holed, &sim_dir(), &engine, &opts)
+                let rep = faults
+                    .recover_into(&holed, &sim_dir(), &engine)
                     .map_err(|e| Failure::new(format!("hole-probe recovery failed: {e}")))?;
                 report.recoveries += 1;
-                if opts.validate_chain && rep.gaps_detected == 0 {
+                if !faults.skip_chain_validation && rep.gaps_detected == 0 {
                     return Err(Failure::new(format!(
                         "a missing middle round ({}) went undetected",
                         victim.display()
@@ -639,11 +678,13 @@ impl Torture {
             let engine = engine_with_cube();
             // Graceful degradation: corruption is skipped, never an
             // error, never a panic, never applied.
-            let rep = recover_into_with(&flipped, &sim_dir(), &engine, &opts).map_err(|e| {
-                Failure::new(format!(
-                    "recovery must degrade gracefully under media corruption: {e}"
-                ))
-            })?;
+            let rep = faults
+                .recover_into(&flipped, &sim_dir(), &engine)
+                .map_err(|e| {
+                    Failure::new(format!(
+                        "recovery must degrade gracefully under media corruption: {e}"
+                    ))
+                })?;
             report.recoveries += 1;
             if rep.rounds_skipped == 0 {
                 return Err(Failure::new(format!(
@@ -676,7 +717,7 @@ impl Torture {
         schedule: &Schedule,
         fs_seed: u64,
         cut: u64,
-        opts: &RecoverOptions,
+        faults: &FaultHooks,
         report: &mut TortureReport,
     ) -> Result<(), Failure> {
         let fs = Arc::new(SimFs::with_cut(fs_seed, cut));
@@ -722,7 +763,8 @@ impl Torture {
         // dead run's stale snapshots on open): exactly a complete
         // flushed prefix, nothing acknowledged missing.
         let engine = self.engine(&fs).map_err(stop_failure)?;
-        let rep = recover_into_with(fs.as_ref(), &sim_dir(), &engine, opts)
+        let rep = faults
+            .recover_into(fs.as_ref(), &sim_dir(), &engine)
             .map_err(|e| Failure::new(format!("recovery after the cut failed: {e}")))?;
         report.recoveries += 1;
         if rep.recovered_epoch < acked {
@@ -767,9 +809,7 @@ impl Torture {
                 rep.recovered_epoch
             )));
         }
-        if self.bugs.restart_clobber {
-            disk.ctl.reset_state_for_test();
-        }
+        faults.restart(&mut disk.ctl);
         // ... and the survivor finishes the workload.
         if let Some(i) = self.run_to_end(&mut x, &mut disk, &schedule.ops, resume_at)? {
             return Err(Failure::new(format!(
@@ -782,7 +822,8 @@ impl Torture {
         // history must read back as one seamless chain with no help
         // from snapshot files.
         let after = engine_with_cube();
-        let rep2 = recover_into_with(fs.as_ref(), &sim_dir(), &after, opts)
+        let rep2 = faults
+            .recover_into(fs.as_ref(), &sim_dir(), &after)
             .map_err(|e| Failure::new(format!("post-continuation recovery failed: {e}")))?;
         report.recoveries += 1;
         if rep2.recovered_epoch < disk.acked {

@@ -166,7 +166,7 @@ fn corrupted_memo_is_caught_by_the_oracle() {
     }
     let stats = engine.agg_cache_stats().unwrap();
     assert!(stats.hits > 0, "the third pass was not served by the memo");
-    engine.corrupt_memo_for_test();
+    engine.faults().corrupt_memo();
     let divergence = compare_paths(&engine, &snapshot, None, "stale")
         .expect_err("oracle failed to catch a corrupted memo entry");
     assert!(

@@ -350,69 +350,29 @@ fn handle_connection(state: &ServerState, stream: TcpStream, read_timeout: Durat
             }
         };
         let keep_alive = request.keep_alive;
-        // Progressive queries stream their own (chunked) response and
-        // cannot go through the buffered `route` path.
-        let progressive = request.method == "POST"
-            && request.path == "/query"
-            && parse_body(&request.body)
-                .ok()
-                .and_then(|b| b.get("progressive").and_then(Json::as_bool))
-                == Some(true);
-        if progressive {
-            let started = Instant::now();
-            state.metrics.query_requests.inc();
-            state.metrics.progressive_queries.inc();
-            let outcome =
-                handle_progressive_query(state, reader.get_mut(), &request.body, keep_alive);
-            state.metrics.query_nanos.record_duration(started.elapsed());
-            match outcome {
-                // Streamed to completion; the chunked terminator keeps
-                // keep-alive framing intact.
-                Ok(true) => {
-                    state.metrics.responses_2xx.inc();
-                    if !keep_alive {
+        let (status, content_type, extra, body) =
+            if request.method == "POST" && request.path == "/query" {
+                match handle_query_request(state, reader.get_mut(), &request.body, keep_alive) {
+                    // Streamed to completion; the chunked terminator
+                    // keeps keep-alive framing intact.
+                    Ok(true) => {
+                        state.metrics.responses_2xx.inc();
+                        if !keep_alive {
+                            return;
+                        }
+                        continue;
+                    }
+                    // Mid-stream I/O failure: the message is unframed,
+                    // so the connection must close.
+                    Ok(false) => {
+                        state.metrics.responses_5xx.inc();
                         return;
                     }
-                    continue;
+                    Err(routed) => routed,
                 }
-                // Mid-stream I/O failure: the message is unframed, so
-                // the connection must close.
-                Ok(false) => {
-                    state.metrics.responses_5xx.inc();
-                    return;
-                }
-                // Rejected before any bytes went out: fall through to
-                // the ordinary one-shot response writer below.
-                Err(routed) => {
-                    let (status, content_type, extra, body) = routed;
-                    match status {
-                        200 => state.metrics.responses_2xx.inc(),
-                        429 => state.metrics.responses_429.inc(),
-                        400..=499 => state.metrics.responses_4xx.inc(),
-                        _ => state.metrics.responses_5xx.inc(),
-                    }
-                    let extra_refs: Vec<(&str, &str)> = extra
-                        .iter()
-                        .map(|(n, v)| (n.as_str(), v.as_str()))
-                        .collect();
-                    if write_response(
-                        reader.get_mut(),
-                        status,
-                        content_type,
-                        &extra_refs,
-                        body.as_bytes(),
-                        keep_alive,
-                    )
-                    .is_err()
-                        || !keep_alive
-                    {
-                        return;
-                    }
-                    continue;
-                }
-            }
-        }
-        let (status, content_type, extra, body) = route(state, &request);
+            } else {
+                route(state, &request)
+            };
         match status {
             200 => state.metrics.responses_2xx.inc(),
             429 => state.metrics.responses_429.inc(),
@@ -439,6 +399,47 @@ fn handle_connection(state: &ServerState, stream: TcpStream, read_timeout: Durat
     }
 }
 
+/// `POST /query`, timed. `Ok` means a streamed response went out
+/// (`true`: completely, `false`: it broke mid-stream); `Err` is an
+/// ordinary response still to be written.
+fn handle_query_request(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    body: &[u8],
+    keep_alive: bool,
+) -> Result<bool, Routed> {
+    let started = Instant::now();
+    state.metrics.query_requests.inc();
+    let outcome = run_query(state, stream, body, keep_alive);
+    state.metrics.query_nanos.record_duration(started.elapsed());
+    outcome
+}
+
+/// Parses the body and its statement once, then runs it as a one-shot
+/// or, with `"progressive": true`, a streamed query.
+fn run_query(
+    state: &ServerState,
+    stream: &mut TcpStream,
+    body: &[u8],
+    keep_alive: bool,
+) -> Result<bool, Routed> {
+    let body = parse_body(body)?;
+    let progressive = body.get("progressive").and_then(Json::as_bool) == Some(true);
+    if progressive {
+        state.metrics.progressive_queries.inc();
+    }
+    let Some(sql) = body.get("sql").and_then(Json::as_str) else {
+        return Err(bad_request("body needs a string `sql`"));
+    };
+    let session = body.get("session").and_then(Json::as_f64).map(|s| s as u64);
+    let statement = sql::parse(sql).map_err(sql_error)?;
+    if progressive {
+        handle_progressive_query(state, stream, sql, session, statement, keep_alive)
+    } else {
+        Err(handle_query(state, sql, session, statement))
+    }
+}
+
 type Routed = (u16, &'static str, Vec<(String, String)>, String);
 
 fn route(state: &ServerState, request: &Request) -> Routed {
@@ -457,12 +458,6 @@ fn route(state: &ServerState, request: &Request) -> Routed {
         ("GET", "/metrics") => {
             state.metrics.metrics_requests.inc();
             (200, "text/plain", Vec::new(), state.metrics_report())
-        }
-        ("POST", "/query") => {
-            let started = Instant::now();
-            let routed = handle_query(state, &request.body);
-            state.metrics.query_nanos.record_duration(started.elapsed());
-            routed
         }
         ("POST", "/session") => {
             state.metrics.session_requests.inc();
@@ -518,23 +513,12 @@ fn route(state: &ServerState, request: &Request) -> Routed {
     }
 }
 
-fn handle_query(state: &ServerState, body: &[u8]) -> Routed {
-    state.metrics.query_requests.inc();
-    let parsed = match parse_body(body) {
-        Ok(parsed) => parsed,
-        Err(routed) => return routed,
-    };
-    let Some(sql) = parsed.get("sql").and_then(Json::as_str) else {
-        return bad_request("body needs a string `sql`");
-    };
-    let session = parsed
-        .get("session")
-        .and_then(Json::as_f64)
-        .map(|s| s as u64);
-    let statement = match sql::parse(sql) {
-        Ok(statement) => statement,
-        Err(e) => return sql_error(e),
-    };
+fn handle_query(
+    state: &ServerState,
+    sql: &str,
+    session: Option<u64>,
+    statement: Statement,
+) -> Routed {
     match statement {
         Statement::Select { cube, query, as_of } => {
             state.metrics.select_queries.inc();
@@ -705,18 +689,11 @@ impl ProgressiveSink<'_> {
 fn handle_progressive_query(
     state: &ServerState,
     stream: &mut TcpStream,
-    body: &[u8],
+    sql: &str,
+    session: Option<u64>,
+    statement: Statement,
     keep_alive: bool,
 ) -> Result<bool, Routed> {
-    let parsed = parse_body(body)?;
-    let Some(sql) = parsed.get("sql").and_then(Json::as_str) else {
-        return Err(bad_request("body needs a string `sql`"));
-    };
-    let session = parsed
-        .get("session")
-        .and_then(Json::as_f64)
-        .map(|s| s as u64);
-    let statement = sql::parse(sql).map_err(sql_error)?;
     let Statement::Select { cube, query, as_of } = statement else {
         return Err(bad_request("progressive mode requires a SELECT"));
     };

@@ -220,6 +220,28 @@ fn progressive_rejections_are_ordinary_statuses() {
     assert_eq!(ok.status, 200, "{}", ok.body);
 }
 
+/// A progressive request whose body is malformed is one ordinary 400,
+/// counted once as a 4xx response.
+#[test]
+fn malformed_progressive_body_is_one_bad_request() {
+    let (_engine, handle) = start_seeded(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let count_4xx = || {
+        let report = handle.state().metrics_report();
+        let line = report
+            .lines()
+            .find_map(|l| l.strip_prefix("responses.4xx = "));
+        line.unwrap().parse::<u64>().unwrap()
+    };
+    let before = count_4xx();
+    let body = obj([("progressive", Json::Bool(true)), ("sql", Json::num(7.0))]);
+    let response = client.request("POST", "/query", Some(&body)).unwrap();
+    assert_eq!(response.status, 400, "{}", response.body);
+    assert!(response.body.contains("string `sql`"), "{}", response.body);
+    assert!(response.header("transfer-encoding").is_none());
+    assert_eq!(count_4xx(), before + 1);
+}
+
 #[test]
 fn progressive_select_respects_admission_control() {
     let engine = Arc::new(Engine::new(2));

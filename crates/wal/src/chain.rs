@@ -55,15 +55,15 @@ impl ChainScan {
 }
 
 /// Scans `dir` through `fs`. A missing directory scans as empty.
-/// When `validate` is false the lse-chain and sequence-contiguity
-/// rules are not enforced (the pre-fix behavior, kept reachable so
-/// the torture harness can demonstrate the bug): the prefix then ends
-/// only at the first undecodable file.
-pub(crate) fn scan_chain(
-    fs: &dyn WalFs,
-    dir: &Path,
-    validate: bool,
-) -> Result<ChainScan, WalError> {
+pub(crate) fn scan_chain(fs: &dyn WalFs, dir: &Path) -> Result<ChainScan, WalError> {
+    scan(fs, dir, true)
+}
+
+/// [`scan_chain`], or with `validate` false (the pre-fix gap-blind
+/// behavior, reachable only through [`crate::fault::FaultHooks`])
+/// without the lse-chain and sequence-contiguity rules: the prefix
+/// then ends only at the first undecodable file.
+pub(crate) fn scan(fs: &dyn WalFs, dir: &Path, validate: bool) -> Result<ChainScan, WalError> {
     let mut scan = ChainScan::default();
     let entries = match fs.list(dir) {
         Ok(entries) => entries,
@@ -157,7 +157,7 @@ mod tests {
         write_round(&fs, &dir, 0, 0, 2);
         write_round(&fs, &dir, 1, 2, 5);
         write_round(&fs, &dir, 2, 5, 6);
-        let scan = scan_chain(&fs, &dir, true).unwrap();
+        let scan = scan_chain(&fs, &dir).unwrap();
         assert_eq!(scan.prefix.len(), 3);
         assert_eq!(scan.flushed_through(), 6);
         assert_eq!(scan.gaps, 0);
@@ -172,13 +172,13 @@ mod tests {
         write_round(&fs, &dir, 0, 0, 2);
         // seq 1 is missing.
         write_round(&fs, &dir, 2, 5, 6);
-        let scan = scan_chain(&fs, &dir, true).unwrap();
+        let scan = scan_chain(&fs, &dir).unwrap();
         assert_eq!(scan.prefix.len(), 1);
         assert_eq!(scan.gaps, 1);
         assert_eq!(scan.skipped, 1);
         // Without validation the stranded round is replayed — the
         // pre-fix bug.
-        let legacy = scan_chain(&fs, &dir, false).unwrap();
+        let legacy = super::scan(&fs, &dir, false).unwrap();
         assert_eq!(legacy.prefix.len(), 2);
         assert_eq!(legacy.gaps, 0);
     }
@@ -191,7 +191,7 @@ mod tests {
         write_round(&fs, &dir, 0, 0, 2);
         // A clobbering restart wrote seq 1 starting from lse 0.
         write_round(&fs, &dir, 1, 0, 4);
-        let scan = scan_chain(&fs, &dir, true).unwrap();
+        let scan = scan_chain(&fs, &dir).unwrap();
         assert_eq!(scan.prefix.len(), 1);
         assert_eq!(scan.gaps, 1);
     }
@@ -205,7 +205,7 @@ mod tests {
         fs.write_file(&dir.join("round-00000001.cbk"), b"partial")
             .unwrap();
         write_round(&fs, &dir, 2, 5, 6);
-        let scan = scan_chain(&fs, &dir, true).unwrap();
+        let scan = scan_chain(&fs, &dir).unwrap();
         assert_eq!(scan.prefix.len(), 1);
         assert_eq!(scan.gaps, 0, "a torn file is a partial flush, not a hole");
         assert_eq!(scan.skipped, 2);
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn missing_directory_scans_empty_under_realfs() {
-        let scan = scan_chain(&RealFs, Path::new("/definitely/not/here"), true).unwrap();
+        let scan = scan_chain(&RealFs, Path::new("/definitely/not/here")).unwrap();
         assert!(scan.prefix.is_empty());
         assert_eq!(scan.flushed_through(), 0);
     }

@@ -30,6 +30,10 @@
 //! error`](is_power_cut). The harness enumerates every boundary of a
 //! workload mechanically: run once with no cut to learn the count
 //! ([`SimFs::mutating_ops`]), then once per boundary.
+//!
+//! With the `fault-hooks` feature, this module also holds
+//! `FaultHooks`: the durability bugs the torture meta-tests
+//! re-introduce.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -488,6 +492,65 @@ impl WalFs for SimFs {
             .filter(|p| p.parent() == Some(dir))
             .cloned()
             .collect())
+    }
+}
+
+// ---------------------------------------------------------------
+// FaultHooks (the test seam)
+// ---------------------------------------------------------------
+
+/// Re-introductions of fixed durability bugs, for the crash-torture
+/// meta-tests that prove the harness catches them. Compiled only with
+/// the `fault-hooks` feature. A value arms only the controllers and
+/// recoveries it is handed; all hooks default to off.
+///
+/// The fourth fixed bug, the missing directory fsync after a rename,
+/// needs no hook: a [`WalFs`] wrapper whose `sync_dir` does nothing
+/// reproduces it.
+#[cfg(any(test, feature = "fault-hooks"))]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct FaultHooks {
+    /// A reopened controller forgets the chain on disk and restarts
+    /// at sequence 0, clobbering `round-00000000.cbk`
+    /// ([`FaultHooks::restart`]).
+    pub restart_clobber: bool,
+    /// Recovery does not validate the round chain and replays straight
+    /// across a hole.
+    pub skip_chain_validation: bool,
+    /// Recovery's final marker commit fails.
+    pub fail_marker_commit: bool,
+}
+
+#[cfg(any(test, feature = "fault-hooks"))]
+impl FaultHooks {
+    /// With `restart_clobber` armed, makes `ctl` forget everything it
+    /// resumed from disk, as a freshly opened controller did before
+    /// the fix.
+    pub fn restart(&self, ctl: &mut crate::FlushController) {
+        if self.restart_clobber {
+            ctl.next_seq = 0;
+            ctl.flushed_through = 0;
+            ctl.dict_watermarks.clear();
+        }
+    }
+
+    /// [`crate::recover_into_with`] with the armed recovery bugs.
+    pub fn recover_into(
+        &self,
+        fs: &dyn WalFs,
+        dir: &Path,
+        engine: &cubrick::Engine,
+    ) -> Result<crate::RecoveryReport, crate::WalError> {
+        use crate::{chain, recovery};
+        let scan = chain::scan(fs, dir, !self.skip_chain_validation)?;
+        let report = recovery::replay(scan, engine);
+        recovery::commit_marker(engine, report.recovered_epoch)?;
+        if self.fail_marker_commit && report.recovered_epoch > 0 {
+            return Err(crate::WalError::Recovery(
+                "marker transaction failed (injected for test)".into(),
+            ));
+        }
+        Ok(report)
     }
 }
 

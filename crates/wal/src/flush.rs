@@ -64,15 +64,14 @@ pub struct FlushController {
     fs: Arc<dyn WalFs>,
     dir: PathBuf,
     node: NodeId,
-    next_seq: u64,
+    pub(crate) next_seq: u64,
     /// Upper bound of the last persisted round (exclusive lower bound
     /// of the next).
-    flushed_through: Epoch,
+    pub(crate) flushed_through: Epoch,
     /// Dictionary lengths already persisted, per `(cube, dim)`: the
     /// next round only ships the new entries.
-    dict_watermarks: HashMap<(String, u16), u32>,
+    pub(crate) dict_watermarks: HashMap<(String, u16), u32>,
     metrics: FlushMetrics,
-    skip_dir_sync: bool,
 }
 
 impl FlushController {
@@ -92,7 +91,7 @@ impl FlushController {
     ) -> std::io::Result<Self> {
         let dir = dir.into();
         fs.create_dir_all(&dir)?;
-        let scan = chain::scan_chain(fs.as_ref(), &dir, true).map_err(wal_to_io)?;
+        let scan = chain::scan_chain(fs.as_ref(), &dir).map_err(wal_to_io)?;
         let mut dict_watermarks: HashMap<(String, u16), u32> = HashMap::new();
         for r in &scan.prefix {
             for d in &r.round.dictionaries {
@@ -120,7 +119,6 @@ impl FlushController {
             flushed_through: scan.flushed_through(),
             dict_watermarks,
             metrics,
-            skip_dir_sync: false,
             dir,
         })
     }
@@ -138,24 +136,6 @@ impl FlushController {
     /// Round files this controller resumed from disk when opened.
     pub fn resumed_rounds(&self) -> u64 {
         self.metrics.resumed_rounds.get()
-    }
-
-    /// Reintroduces the restart-clobber bug for the torture-harness
-    /// meta-tests: forgets everything resume learned from disk, as
-    /// `new` did before the fix.
-    #[doc(hidden)]
-    pub fn reset_state_for_test(&mut self) {
-        self.next_seq = 0;
-        self.flushed_through = 0;
-        self.dict_watermarks.clear();
-    }
-
-    /// Reintroduces the lost-rename bug for the torture-harness
-    /// meta-tests: skips the directory fsync after rename, so a
-    /// completed round's directory entry does not survive power loss.
-    #[doc(hidden)]
-    pub fn skip_dir_sync_for_test(&mut self) {
-        self.skip_dir_sync = true;
     }
 
     /// Runs one flush round against `engine` and reports it to
@@ -193,13 +173,11 @@ impl FlushController {
             self.metrics.file_syncs.inc();
             self.fs.rename(&tmp, &path)?;
             self.metrics.renames.inc();
-            if !self.skip_dir_sync {
-                // The rename made the round visible; this makes it
-                // durable. Without it a power cut can lose the
-                // directory entry of a fully synced round.
-                self.fs.sync_dir(&self.dir)?;
-                self.metrics.dir_syncs.inc();
-            }
+            // The rename made the round visible; this makes it
+            // durable. Without it a power cut can lose the directory
+            // entry of a fully synced round.
+            self.fs.sync_dir(&self.dir)?;
+            self.metrics.dir_syncs.inc();
             // Controller state only moves once the round is durable:
             // a failure above leaves the next attempt to rewrite the
             // same sequence number from the same watermarks.
@@ -534,7 +512,7 @@ mod tests {
     }
 
     /// Without the fix, a reopened controller restarts at sequence 0
-    /// and its next flush clobbers `round-00000000.cbk`. The test
+    /// and its next flush clobbers `round-00000000.cbk`. The fault
     /// hook reintroduces exactly that behavior.
     #[test]
     fn reset_hook_reproduces_the_clobber() {
@@ -546,7 +524,11 @@ mod tests {
         ctl.flush_round(&source, &tracker).unwrap();
         let original = fs::read(dir.join("round-00000000.cbk")).unwrap();
 
-        ctl.reset_state_for_test();
+        let clobber = crate::fault::FaultHooks {
+            restart_clobber: true,
+            ..Default::default()
+        };
+        clobber.restart(&mut ctl);
         load(&source, 1, 20);
         ctl.flush_round(&source, &tracker).unwrap();
         let clobbered = fs::read(dir.join("round-00000000.cbk")).unwrap();

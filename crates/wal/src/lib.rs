@@ -39,6 +39,6 @@ pub use codec::{DictDelta, FlushRound, WalError};
 pub use daemon::{ClusterFlush, TempWalDir};
 pub use fault::{is_power_cut, RealFs, SimFs, WalFs};
 pub use flush::{FlushController, FlushOutcome};
-pub use recovery::{recover_into, recover_into_with, RecoverOptions, RecoveryReport};
+pub use recovery::{recover_into, recover_into_with, RecoveryReport};
 pub use tier::WalBrickStore;
 pub use verify::{verify_dir, RoundReport, RoundStatus, VerifyReport};

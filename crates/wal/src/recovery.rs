@@ -23,7 +23,7 @@ use cubrick::{DeltaRun, Engine};
 use obs::sync::unpoison;
 use obs::ReportBuilder;
 
-use crate::chain;
+use crate::chain::{self, ChainScan};
 use crate::codec::WalError;
 use crate::fault::{RealFs, WalFs};
 
@@ -69,46 +69,26 @@ impl RecoveryReport {
     }
 }
 
-/// Knobs for [`recover_into_with`]. The defaults are the production
-/// behavior; the switches exist so the torture harness can
-/// demonstrate each fixed bug against its pre-fix behavior.
-#[derive(Clone, Copy, Debug)]
-pub struct RecoverOptions {
-    /// Enforce the round chain (sequence contiguity + lse
-    /// continuity). `false` restores the pre-fix behavior of
-    /// replaying straight across a hole.
-    pub validate_chain: bool,
-    /// Forces the final marker commit to fail, to exercise the typed
-    /// [`WalError::Recovery`] path.
-    #[doc(hidden)]
-    pub fail_marker_commit_for_test: bool,
-}
-
-impl Default for RecoverOptions {
-    fn default() -> Self {
-        RecoverOptions {
-            validate_chain: true,
-            fail_marker_commit_for_test: false,
-        }
-    }
-}
-
 /// Replays the rounds in `dir` into `engine` (whose cubes must
 /// already be registered — schemas are metadata, not WAL content).
 pub fn recover_into(dir: &Path, engine: &Engine) -> Result<RecoveryReport, WalError> {
-    recover_into_with(&RealFs, dir, engine, &RecoverOptions::default())
+    recover_into_with(&RealFs, dir, engine)
 }
 
 /// Like [`recover_into`], but reading through `fs` (the torture
-/// harness substitutes its simulated filesystem) and honoring
-/// `opts`.
+/// harness substitutes its simulated filesystem).
 pub fn recover_into_with(
     fs: &dyn WalFs,
     dir: &Path,
     engine: &Engine,
-    opts: &RecoverOptions,
 ) -> Result<RecoveryReport, WalError> {
-    let scan = chain::scan_chain(fs, dir, opts.validate_chain)?;
+    let report = replay(chain::scan_chain(fs, dir)?, engine);
+    commit_marker(engine, report.recovered_epoch)?;
+    Ok(report)
+}
+
+/// Imports every round of `scan`'s consistent prefix into `engine`.
+pub(crate) fn replay(scan: ChainScan, engine: &Engine) -> RecoveryReport {
     let mut report = RecoveryReport {
         rounds_skipped: scan.skipped,
         gaps_detected: scan.gaps,
@@ -150,30 +130,28 @@ pub fn recover_into_with(
         report.unknown_cube_deltas += engine.import_delta(round.deltas);
         report.rounds_applied += 1;
     }
+    report
+}
 
-    if report.recovered_epoch > 0 {
-        // Make the recovered (committed) history visible: push the
-        // clock past it and advance LCE over it with a marker commit.
-        engine.manager().clock().observe(report.recovered_epoch);
-        let marker = engine.manager().begin_rw();
-        if opts.fail_marker_commit_for_test {
-            let _ = engine.manager().commit(&marker);
-            return Err(WalError::Recovery(
-                "marker transaction failed (injected for test)".into(),
-            ));
-        }
-        engine.manager().commit(&marker).map_err(|e| {
-            WalError::Recovery(format!(
-                "marker transaction failed to pull LCE over the recovered history: {e}"
-            ))
-        })?;
+/// Makes the recovered (committed) history visible: pushes the clock
+/// past `recovered` and advances LCE over it with a marker commit.
+pub(crate) fn commit_marker(engine: &Engine, recovered: Epoch) -> Result<(), WalError> {
+    if recovered == 0 {
+        return Ok(());
     }
-    Ok(report)
+    engine.manager().clock().observe(recovered);
+    let marker = engine.manager().begin_rw();
+    engine.manager().commit(&marker).map_err(|e| {
+        WalError::Recovery(format!(
+            "marker transaction failed to pull LCE over the recovered history: {e}"
+        ))
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultHooks;
     use crate::flush::FlushController;
     use cluster::ReplicationTracker;
     use columnar::Value;
@@ -330,20 +308,15 @@ mod tests {
         assert_eq!(report.gaps_detected, 1);
         assert_eq!(sum(&restored), 10.0, "no phantom post-hole history");
 
-        // The pre-fix behavior is preserved behind the option for the
-        // torture harness's meta-test: the stranded round replays and
-        // recovery silently loses the middle of the history.
+        // The pre-fix behavior is preserved behind the fault hooks for
+        // the torture harness's meta-test: the stranded round replays
+        // and recovery silently loses the middle of the history.
         let legacy = engine();
-        let report = recover_into_with(
-            &RealFs,
-            &dir,
-            &legacy,
-            &RecoverOptions {
-                validate_chain: false,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let blind = FaultHooks {
+            skip_chain_validation: true,
+            ..Default::default()
+        };
+        let report = blind.recover_into(&RealFs, &dir, &legacy).unwrap();
         assert_eq!(report.rounds_applied, 2);
         assert_eq!(report.gaps_detected, 0, "pre-fix: the hole goes unnoticed");
         assert_eq!(sum(&legacy), 40.0, "pre-fix: a hole in the middle");
@@ -393,15 +366,11 @@ mod tests {
         ctl.flush_round(&source, &tracker).unwrap();
 
         let restored = engine();
-        let result = recover_into_with(
-            &RealFs,
-            &dir,
-            &restored,
-            &RecoverOptions {
-                fail_marker_commit_for_test: true,
-                ..Default::default()
-            },
-        );
+        let failing = FaultHooks {
+            fail_marker_commit: true,
+            ..Default::default()
+        };
+        let result = failing.recover_into(&RealFs, &dir, &restored);
         match result {
             Err(WalError::Recovery(msg)) => assert!(msg.contains("marker"), "{msg}"),
             other => panic!("expected WalError::Recovery, got {other:?}"),

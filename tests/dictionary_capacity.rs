@@ -17,7 +17,7 @@ use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
     AggFn, Aggregation, CubeSchema, DimFilter, Dimension, Engine, IsolationMode, Metric, Query,
 };
-use aosi_repro::wal::{recover_into_with, FlushController, RecoverOptions, SimFs, WalFs};
+use aosi_repro::wal::{recover_into_with, FlushController, SimFs, WalFs};
 
 /// Region cardinality 4: exactly four distinct strings fit.
 fn schema() -> CubeSchema {
@@ -80,7 +80,7 @@ fn rejected_strings_do_not_burn_dictionary_capacity_across_wal_round_trip() {
         .unwrap();
     let recovered = Engine::new(2);
     recovered.create_cube(schema()).unwrap();
-    recover_into_with(fs.as_ref(), &dir, &recovered, &RecoverOptions::default()).unwrap();
+    recover_into_with(fs.as_ref(), &dir, &recovered).unwrap();
     assert_eq!(count_for(&recovered, "ar"), 1.0);
     assert_eq!(count_for(&recovered, "br"), 1.0);
     assert_eq!(count_for(&recovered, "cl"), 1.0);
@@ -109,7 +109,7 @@ fn rejected_strings_do_not_burn_dictionary_capacity_across_wal_round_trip() {
         .unwrap();
     let twice = Engine::new(2);
     twice.create_cube(schema()).unwrap();
-    recover_into_with(fs2.as_ref(), &dir2, &twice, &RecoverOptions::default()).unwrap();
+    recover_into_with(fs2.as_ref(), &dir2, &twice).unwrap();
     for (region, expected) in [("ar", 1.0), ("br", 1.0), ("cl", 1.0), ("dk", 1.0)] {
         assert_eq!(count_for(&twice, region), expected, "region {region}");
     }

@@ -17,7 +17,8 @@ use std::time::Duration;
 
 use cluster::{FaultPlan, LatencyModel, NodeId, RetryPolicy, SimulatedNetwork};
 use columnar::{Row, Value};
-use cubrick::{CubeSchema, Dimension, DistributedEngine, ElasticConfig, HandoffBreak, Metric};
+use cubrick::fault::HandoffBreak;
+use cubrick::{CubeSchema, Dimension, DistributedEngine, ElasticConfig, Metric};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const BATCH: usize = 15;
@@ -339,13 +340,14 @@ fn crash_during_handoff_loses_nothing() {
             committed += BATCH as f64;
         }
         // The receiver dies after the first streamed chunk.
-        d.set_handoff_break(Some(HandoffBreak::CrashReceiverMidStream));
+        d.faults()
+            .break_handoff(Some(HandoffBreak::CrashReceiverMidStream));
         let joined = d.join_node(4);
         assert!(
             joined.is_err(),
             "seed {seed}: the interrupted join must report failure"
         );
-        d.set_handoff_break(None);
+        d.faults().break_handoff(None);
         // Nothing lost, nothing duplicated, node 4 holds nothing.
         assert!(
             d.physical_bricks("events").iter().all(|&(n, _)| n != 4),
@@ -401,9 +403,10 @@ fn meta_broken_handoff_incomplete_install_is_caught() {
     let bid = d.known_bricks("events")[0];
     let hosts = d.brick_hosts("events", bid);
     let spare = (1..=3).find(|n| !hosts.contains(n)).unwrap();
-    d.set_handoff_break(Some(HandoffBreak::InstallIncomplete));
+    d.faults()
+        .break_handoff(Some(HandoffBreak::InstallIncomplete));
     d.transfer_brick("events", bid, hosts[0], spare).unwrap();
-    d.set_handoff_break(None);
+    d.faults().break_handoff(None);
     // The broken copy diverges from the surviving honest replica.
     let snap = d.protocol().begin_ro(1);
     let err = d
@@ -431,9 +434,10 @@ fn meta_broken_handoff_lost_brick_is_caught() {
     // The receiver is dark, so the stream cannot land; the sabotage
     // "completes" the move anyway.
     d.crash_node(4);
-    d.set_handoff_break(Some(HandoffBreak::RetireDespiteFailure));
+    d.faults()
+        .break_handoff(Some(HandoffBreak::RetireDespiteFailure));
     d.transfer_brick("events", bid, source, 4).unwrap();
-    d.set_handoff_break(None);
+    d.faults().break_handoff(None);
     d.restart_node(4);
     // Count conservation — the suite's quiesce check — now fails:
     // the brick's rows are gone.

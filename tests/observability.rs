@@ -361,7 +361,7 @@ fn metrics_report_covers_every_single_node_subsystem() {
 #[test]
 fn metrics_report_covers_the_durability_path() {
     use aosi_repro::cluster::ReplicationTracker;
-    use aosi_repro::wal::{recover_into_with, FlushController, RecoverOptions, SimFs, WalFs};
+    use aosi_repro::wal::{recover_into_with, FlushController, SimFs, WalFs};
     use std::path::PathBuf;
     use std::sync::Arc;
 
@@ -388,7 +388,7 @@ fn metrics_report_covers_the_durability_path() {
 
     let recovered = Engine::new(2);
     recovered.create_cube(schema()).unwrap();
-    let rep = recover_into_with(fs.as_ref(), &dir, &recovered, &RecoverOptions::default()).unwrap();
+    let rep = recover_into_with(fs.as_ref(), &dir, &recovered).unwrap();
     let restored = recovered
         .query("events", &sum_query(), IsolationMode::Snapshot)
         .unwrap();
