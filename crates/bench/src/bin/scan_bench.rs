@@ -31,8 +31,8 @@ use std::time::Instant;
 use aosi::Snapshot;
 use columnar::{Row, Value};
 use cubrick::{
-    AggFn, Aggregation, CubeSchema, DimFilter, Dimension, Engine, Metric, Query, ScanConfig,
-    ScanKernel,
+    AggFn, Aggregation, At, CubeSchema, Deliver, DimFilter, Dimension, Engine, Metric, Query,
+    ScanConfig, ScanKernel,
 };
 
 const CUBE: &str = "scanbench";
@@ -190,7 +190,9 @@ fn run_cell(
     for _ in 0..2 {
         for snapshot in &snapshots {
             for query in &battery {
-                engine.query_at(CUBE, query, snapshot).expect("warm-up");
+                engine
+                    .read(CUBE, query, At::Snapshot(snapshot), Deliver::Final)
+                    .expect("warm-up");
             }
         }
     }
@@ -207,7 +209,9 @@ fn run_cell(
         for (si, snapshot) in snapshots.iter().enumerate() {
             for (qi, query) in battery.iter().enumerate() {
                 let started = Instant::now();
-                let result = engine.query_at(CUBE, query, snapshot).expect("query");
+                let result = engine
+                    .read(CUBE, query, At::Snapshot(snapshot), Deliver::Final)
+                    .expect("query");
                 latencies.push(started.elapsed().as_nanos());
                 scan_samples[si * battery.len() + qi].push(result.stats.scan_nanos);
                 agg_cache_hits += result.stats.agg_cache_hits;

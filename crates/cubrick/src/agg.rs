@@ -6,7 +6,7 @@
 //! finalize`. The states form a commutative monoid under [`merge`]:
 //! [`AggState::init`] is the identity, merging is associative, and —
 //! because the engine's workloads keep metric sums exact (see
-//! `Engine::execute_partial_with`) — any partition of the input rows
+//! `Engine::scan`) — any partition of the input rows
 //! into chunks, merged in any order and association, finalizes
 //! bit-identically to a single sequential pass. That algebra is what
 //! legalizes per-brick partial aggregation inside shard tasks, the

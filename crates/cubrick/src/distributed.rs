@@ -55,10 +55,11 @@ use obs::{Counter, ReportBuilder};
 
 use crate::cube::Cube;
 use crate::ddl::CubeSchema;
-use crate::engine::{Engine, EngineMemory, IsolationMode, LoadStageTimings, PurgeStats};
+use crate::engine::{Deliver, Engine, EngineMemory, IsolationMode, LoadStageTimings, PurgeStats};
 use crate::error::CubrickError;
 use crate::ingest::{parse_rows, ParsedBatch};
 use crate::query::{PartialResult, Query, QueryResult, ResolvedQuery};
+use crate::scan::BrickFilter;
 
 /// Read-routing plan: which bricks each node answers for, plus the
 /// set of directory-known bids (bricks outside the directory fall
@@ -507,23 +508,11 @@ impl DistributedEngine {
         query: &Query,
         mode: IsolationMode,
     ) -> Result<QueryResult, CubrickError> {
-        let cube = self.engine(origin).cube(cube_name)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let (snapshot, _guards): (Option<Snapshot>, Vec<ReadGuard>) = match mode {
-            IsolationMode::Snapshot => {
-                let snapshot = self.protocol.begin_ro(origin);
-                // Pin the snapshot on every node for the scan's
-                // lifetime: no purge anywhere may pass it.
-                let guards = self
-                    .engines
-                    .iter()
-                    .map(|e| e.manager().guard_snapshot(snapshot.clone()))
-                    .collect();
-                (Some(snapshot), guards)
-            }
-            IsolationMode::ReadUncommitted => (None, Vec::new()),
+        let snapshot = match mode {
+            IsolationMode::Snapshot => Some(self.protocol.begin_ro(origin)),
+            IsolationMode::ReadUncommitted => None,
         };
-        self.fan_out_query(origin, &cube, &resolved, snapshot)
+        self.read(origin, cube_name, query, snapshot)
     }
 
     /// Runs a query from coordinator `origin` at an **explicit**
@@ -539,15 +528,15 @@ impl DistributedEngine {
         query: &Query,
         snapshot: Snapshot,
     ) -> Result<QueryResult, CubrickError> {
-        let cube = self.engine(origin).cube(cube_name)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        // Pin the snapshot cluster-wide, exactly like a live query.
-        let _guards: Vec<ReadGuard> = self
-            .engines
-            .iter()
-            .map(|e| e.manager().guard_snapshot(snapshot.clone()))
-            .collect();
-        self.fan_out_query(origin, &cube, &resolved, Some(snapshot))
+        self.read(origin, cube_name, query, Some(snapshot))
+    }
+
+    /// Registers `snapshot` as an active read on every node until the
+    /// guards drop: no purge anywhere may pass it.
+    pub(crate) fn guard_everywhere(&self, snapshot: &Snapshot) -> Vec<ReadGuard> {
+        (self.engines.iter())
+            .map(|engine| engine.manager().guard_snapshot(snapshot.clone()))
+            .collect()
     }
 
     /// Assigns every directory brick of `cube` to the first live host
@@ -586,13 +575,20 @@ impl DistributedEngine {
         Ok((assigned, known))
     }
 
-    fn fan_out_query(
+    /// The distributed read path: guards `snapshot` (if any) on every
+    /// node, then has every live member scan its share of the bricks
+    /// and merges the partials before finalizing (so `Avg` stays
+    /// correct).
+    fn read(
         &self,
         origin: NodeId,
-        cube: &Cube,
-        resolved: &ResolvedQuery,
+        cube_name: &str,
+        query: &Query,
         snapshot: Option<Snapshot>,
     ) -> Result<QueryResult, CubrickError> {
+        let cube = &self.engine(origin).cube(cube_name)?;
+        let resolved = &ResolvedQuery::resolve(cube, query)?;
+        let _guards = snapshot.as_ref().map(|snap| self.guard_everywhere(snap));
         // Shared scan gate: no brick retire may run mid-fan-out.
         let _sg = unpoison(self.scan_gate.read());
         let (mut assigned, known) = self.route_reads(cube.name())?;
@@ -619,16 +615,23 @@ impl DistributedEngine {
                         self.network().transmit_typed(MsgKind::Forward, 128, 0, 0);
                     }
                     let engine = self.engine(node);
-                    let cube = cube.clone();
-                    let resolved = resolved.clone();
                     let snapshot = snapshot.clone();
                     let mine: HashSet<u64> = assigned.remove(&node).unwrap_or_default();
                     let known = Arc::clone(&known);
+                    // Evaluated on the engine's shard threads, so the
+                    // predicate owns its sets.
+                    let allow: BrickFilter =
+                        Arc::new(move |bid| mine.contains(&bid) || !known.contains(&bid));
+                    let config = engine.scan_config();
                     scope.spawn(move || {
-                        // Evaluated on the engine's shard threads, so
-                        // the predicate owns its sets.
-                        let allow = move |bid: u64| mine.contains(&bid) || !known.contains(&bid);
-                        engine.execute_partial_filtered(&cube, &resolved, snapshot, Arc::new(allow))
+                        engine.scan(
+                            cube,
+                            resolved,
+                            snapshot,
+                            config,
+                            Some(allow),
+                            Deliver::Final,
+                        )
                     })
                 })
                 .collect();

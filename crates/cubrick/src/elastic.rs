@@ -35,13 +35,14 @@ use cluster::{Fate, MsgKind, NodeId};
 use obs::sync::unpoison;
 
 use crate::distributed::DistributedEngine;
-use crate::engine::IsolationMode;
+use crate::engine::{Deliver, IsolationMode};
 use crate::error::CubrickError;
 #[cfg(any(test, feature = "fault-hooks"))]
 use crate::fault::HandoffBreak;
 use crate::persist::DeltaRun;
 use crate::query::{Query, QueryResult, ResolvedQuery};
-use aosi::{ReadGuard, Snapshot};
+use crate::scan::BrickFilter;
+use aosi::Snapshot;
 
 /// Per-chunk send attempts before a handoff gives up.
 const HANDOFF_RETRIES: u32 = 4;
@@ -380,11 +381,7 @@ impl DistributedEngine {
         let coordinator = self.protocol.active_nodes()[0];
         let cube = self.engine(coordinator).cube(cube_name)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let _guards: Vec<ReadGuard> = self
-            .engines
-            .iter()
-            .map(|e| e.manager().guard_snapshot(snapshot.clone()))
-            .collect();
+        let _guards = self.guard_everywhere(&snapshot);
         let pairs: Vec<(u64, NodeId)> = {
             let dir = unpoison(self.directory.read());
             let mut pairs: Vec<(u64, NodeId)> = dir
@@ -404,11 +401,16 @@ impl DistributedEngine {
         };
         let mut out = Vec::with_capacity(pairs.len());
         for (bid, node) in pairs {
-            let partial = self.engine(node).execute_partial_filtered(
+            let engine = self.engine(node);
+            let allow: BrickFilter = Arc::new(move |b| b == bid);
+            let (snapshot, config) = (Some(snapshot.clone()), engine.scan_config());
+            let partial = engine.scan(
                 &cube,
                 &resolved,
-                Some(snapshot.clone()),
-                Arc::new(move |b: u64| b == bid),
+                snapshot,
+                config,
+                Some(allow),
+                Deliver::Final,
             )?;
             let result = QueryResult::finalize(&cube, &resolved, partial);
             out.push((bid, node, fingerprint(&result)));

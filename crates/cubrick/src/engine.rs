@@ -8,10 +8,11 @@
 //!   touched shard, joined → commit. "At this point, all
 //!   deterministic reasons why a transaction could fail are already
 //!   discarded", so commit cannot fail.
-//! * **Query**: read-only snapshot at LCE (or the caller's RW
-//!   transaction snapshot), registered as an active reader so purge
-//!   cannot pull rows out from under the scan; fan-out over shards;
-//!   merge partial aggregates. [`IsolationMode::ReadUncommitted`]
+//! * **Query**: one path, [`Engine::read`]. Pick a snapshot ([`At`]:
+//!   the LCE, the caller's RW transaction, an epoch in the readable
+//!   window, or one the caller already guards), register it as an
+//!   active reader so purge cannot pull rows out from under the scan,
+//!   fan out over shards, merge partial aggregates. [`At::Uncommitted`]
 //!   skips the snapshot and scans every stored row — the paper's
 //!   Figure 8/9 comparison point.
 //! * **Delete**: partition-level only. A brick is deleted when its
@@ -40,6 +41,9 @@ use crate::shard::{ShardBricks, ShardPool, TaskHandle};
 use crate::tier::{BrickStore, TierStats, TieredStore};
 
 /// How the engine runs brick scans (see [`Engine::with_scan_config`]).
+/// Every read runs under the engine's configuration, except
+/// [`Engine::query_at_reference`], which always runs under
+/// [`ScanConfig::sequential_uncached`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanConfig {
     /// Join each shard's scan before submitting the next one, so at
@@ -56,8 +60,6 @@ pub struct ScanConfig {
 impl ScanConfig {
     /// The differential-testing reference configuration: every scan
     /// sequential (so no memo), row-at-a-time kernel.
-    /// [`Engine::query_at_reference`] uses this regardless of the
-    /// engine's own configuration.
     pub fn sequential_uncached() -> Self {
         ScanConfig {
             sequential: true,
@@ -74,6 +76,50 @@ pub enum IsolationMode {
     /// Best-effort: scan every stored row, committed or not
     /// (the paper's "RU" comparison mode, Section VI-B).
     ReadUncommitted,
+}
+
+/// Which snapshot an [`Engine::read`] sees, and whether the read
+/// guards it.
+#[derive(Clone, Copy, Debug)]
+pub enum At<'a> {
+    /// The freshest committed snapshot. The LCE is sampled under the
+    /// lock the LSE advance holds, so it is always readable.
+    Latest,
+    /// No snapshot: every stored row, committed or not (the paper's
+    /// "RU" comparison mode, Section VI-B).
+    Uncommitted,
+    /// An explicit transaction's own snapshot: the read sees the
+    /// transaction's uncommitted appends.
+    Txn(&'a Txn),
+    /// Time travel to the committed snapshot at this epoch, which must
+    /// lie in the readable window `[LSE, LCE]`
+    /// ([`CubrickError::EpochOutOfRange`] otherwise). AOSI gets this
+    /// almost for free: a committed epoch *is* a consistent snapshot
+    /// (the LCE rule guarantees everything at or below it finished),
+    /// and purge has not yet merged history above the LSE.
+    Epoch(Epoch),
+    /// A snapshot the caller guards, and the read does not: the
+    /// distributed engine pins one snapshot on every node, the server
+    /// holds its guard for a whole response.
+    Snapshot(&'a Snapshot),
+}
+
+/// What an [`Engine::read`] hands over besides its returned, complete
+/// result.
+pub enum Deliver<'a> {
+    /// Nothing.
+    Final,
+    /// Each refinement: the merged-so-far result, finalized, after
+    /// every shard that had bricks to scan lands at the coordinator,
+    /// in the deterministic merge order. The last one equals the
+    /// returned result. The server's progressive mode streams these.
+    Progress(&'a mut dyn FnMut(QueryResult)),
+    /// Every brick partial, ordered by shard then brick id ascending:
+    /// the order the merge folds in. [`Engine::finalize_partials`]
+    /// completes the query from any partitioning of this list; the
+    /// merge oracle checks every other association and order against
+    /// the reference.
+    BrickPartials(&'a mut Vec<PartialResult>),
 }
 
 /// Per-stage timings of one load request (Figure 5's breakdown).
@@ -429,56 +475,49 @@ impl Engine {
             .ok_or_else(|| CubrickError::UnknownCube(name.to_owned()))
     }
 
-    /// Runs a query under `mode`.
+    /// Runs a query under `mode`: [`Engine::read`] at [`At::Latest`]
+    /// or [`At::Uncommitted`], final result only.
     pub fn query(
         &self,
         cube: &str,
         query: &Query,
         mode: IsolationMode,
     ) -> Result<QueryResult, CubrickError> {
-        let cube = self.cube(cube)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        match mode {
-            IsolationMode::Snapshot => {
-                // Register the snapshot so LSE (and purge) cannot pass
-                // it mid-scan.
-                let guard = self.manager.begin_read();
-                let snapshot = guard.snapshot().clone();
-                self.execute(&cube, &resolved, Some(snapshot))
-            }
-            IsolationMode::ReadUncommitted => self.execute(&cube, &resolved, None),
-        }
+        let at = match mode {
+            IsolationMode::Snapshot => At::Latest,
+            IsolationMode::ReadUncommitted => At::Uncommitted,
+        };
+        self.read(cube, query, at, Deliver::Final)
     }
 
-    /// Runs a query inside an explicit transaction (sees its own
-    /// uncommitted appends).
-    pub fn query_in_txn(
+    /// The read path: resolves `query` against `cube`, takes the one
+    /// guard `at` asks for, runs the shard fan-out and hands the
+    /// answer over as `deliver` asks. The returned result is always
+    /// the complete one.
+    pub fn read(
         &self,
         cube: &str,
         query: &Query,
-        txn: &Txn,
+        at: At<'_>,
+        deliver: Deliver<'_>,
     ) -> Result<QueryResult, CubrickError> {
         let cube = self.cube(cube)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let guard = self.manager.guard_snapshot(txn.snapshot().clone());
-        self.execute(&cube, &resolved, Some(guard.snapshot().clone()))
-    }
-
-    /// Time travel: runs a query against the committed snapshot as of
-    /// `epoch` — any epoch still inside the readable window
-    /// `[LSE, LCE]`. AOSI gets this almost for free: a committed
-    /// epoch *is* a consistent snapshot (the LCE rule guarantees
-    /// everything at or below it finished), and purge has not yet
-    /// merged history above LSE. The read is guarded so LSE cannot
-    /// pass it mid-scan.
-    pub fn query_as_of(
-        &self,
-        cube: &str,
-        query: &Query,
-        epoch: Epoch,
-    ) -> Result<QueryResult, CubrickError> {
-        let guard = self.guard_as_of(epoch)?;
-        self.query_at(cube, query, guard.snapshot())
+        // Registered until the scan ends, so the LSE (and purge)
+        // cannot pass the snapshot mid-scan.
+        let guard = match at {
+            At::Latest => Some(self.manager.begin_read()),
+            At::Txn(txn) => Some(self.manager.guard_snapshot(txn.snapshot().clone())),
+            At::Epoch(epoch) => Some(self.guard_as_of(epoch)?),
+            At::Uncommitted | At::Snapshot(_) => None,
+        };
+        let snapshot = match at {
+            At::Snapshot(snapshot) => Some(snapshot.clone()),
+            _ => guard.as_ref().map(|guard| guard.snapshot().clone()),
+        };
+        let config = self.scan_config;
+        let merged = self.scan(&cube, &resolved, snapshot, config, None, deliver)?;
+        Ok(QueryResult::finalize(&cube, &resolved, merged))
     }
 
     /// Guards the committed snapshot at `epoch`, then checks it lies
@@ -501,27 +540,27 @@ impl Engine {
         Ok(guard)
     }
 
-    /// Runs a query against an externally supplied snapshot (the
-    /// distributed engine uses this: one consistent snapshot, many
-    /// nodes). The caller is responsible for guarding the snapshot.
+    /// `read(cube, query, At::Snapshot(snapshot), Deliver::Final)`,
+    /// kept only for `aosi_bench`, which cannot change in the same
+    /// change as the engine. ROADMAP item 1 deletes it.
+    #[doc(hidden)]
     pub fn query_at(
         &self,
         cube: &str,
         query: &Query,
         snapshot: &Snapshot,
     ) -> Result<QueryResult, CubrickError> {
-        let cube = self.cube(cube)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        self.execute(&cube, &resolved, Some(snapshot.clone()))
+        self.read(cube, query, At::Snapshot(snapshot), Deliver::Final)
     }
 
     /// Differential-testing reference: the same result as
-    /// [`Engine::query_at`], but forced down the sequential scan path
-    /// with the row-at-a-time kernel (over visibility bitmaps) and
-    /// the snapshot memo bypassed, regardless of the engine's
-    /// configuration. The scan-oracle layer compares the default
-    /// (parallel + memoized, vectorized over visible ranges) path
-    /// against this byte-for-byte.
+    /// [`Engine::read`] at [`At::Snapshot`], but forced down the
+    /// sequential scan path with the row-at-a-time kernel (over
+    /// visibility bitmaps) and the snapshot memo bypassed, regardless
+    /// of the engine's configuration. The scan-oracle layer compares
+    /// the default (parallel + memoized, vectorized over visible
+    /// ranges) path against this byte-for-byte. The caller guards
+    /// `snapshot`.
     pub fn query_at_reference(
         &self,
         cube: &str,
@@ -530,104 +569,18 @@ impl Engine {
     ) -> Result<QueryResult, CubrickError> {
         let cube = self.cube(cube)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let merged = self.execute_partial_with(
-            &cube,
-            &resolved,
-            Some(snapshot.clone()),
-            ScanConfig::sequential_uncached(),
-            None,
-            None,
-        )?;
+        let config = ScanConfig::sequential_uncached();
+        let snapshot = Some(snapshot.clone());
+        let merged = self.scan(&cube, &resolved, snapshot, config, None, Deliver::Final)?;
         Ok(QueryResult::finalize(&cube, &resolved, merged))
-    }
-
-    /// Runs a query like [`Engine::query_at`], additionally invoking
-    /// `on_partial` with a finalized snapshot of the merged-so-far
-    /// result each time a scan task's partial lands at the
-    /// coordinator. Refinements arrive in the executor's
-    /// deterministic merge order; the returned result is the complete
-    /// one (identical to what `query_at` would produce). The server's
-    /// progressive mode streams these refinements to the client.
-    pub fn query_at_with_progress(
-        &self,
-        cube: &str,
-        query: &Query,
-        snapshot: &Snapshot,
-        mut on_partial: impl FnMut(QueryResult),
-    ) -> Result<QueryResult, CubrickError> {
-        let cube = self.cube(cube)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let mut forward = |partial: &PartialResult| {
-            on_partial(QueryResult::finalize(&cube, &resolved, partial.clone()));
-        };
-        let merged = self.execute_partial_with(
-            &cube,
-            &resolved,
-            Some(snapshot.clone()),
-            self.scan_config,
-            None,
-            Some(&mut forward),
-        )?;
-        Ok(QueryResult::finalize(&cube, &resolved, merged))
-    }
-
-    /// [`Engine::query_as_of`] with progressive refinements: the
-    /// same guarded `[LSE, LCE]` window check, but `on_partial`
-    /// observes the merged-so-far result after each scan task lands.
-    /// The server's progressive `/query` mode is a thin wrapper over
-    /// this.
-    pub fn query_as_of_with_progress(
-        &self,
-        cube: &str,
-        query: &Query,
-        epoch: Epoch,
-        on_partial: impl FnMut(QueryResult),
-    ) -> Result<QueryResult, CubrickError> {
-        let guard = self.guard_as_of(epoch)?;
-        self.query_at_with_progress(cube, query, guard.snapshot(), on_partial)
-    }
-
-    /// Runs the scan fan-out but returns the *per-brick* partials
-    /// instead of merging them: one [`PartialResult`] per scanned
-    /// brick, ordered by shard then brick id ascending — the same
-    /// deterministic order the merge paths fold in.
-    /// [`Engine::finalize_partials`] completes the query from any
-    /// partitioning of this list; the merge oracle exercises every
-    /// other association and ordering against the single-pass
-    /// reference.
-    pub fn query_brick_partials(
-        &self,
-        cube: &str,
-        query: &Query,
-        snapshot: &Snapshot,
-    ) -> Result<Vec<PartialResult>, CubrickError> {
-        let cube = self.cube(cube)?;
-        let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let config = self.scan_config;
-        let scan = self.shard_scan(
-            &cube,
-            &resolved,
-            Some(snapshot.clone()),
-            config,
-            None,
-            false,
-        );
-        let mut out = Vec::new();
-        self.scan_shards(
-            scan,
-            config.sequential,
-            Vec::push,
-            |partials: Vec<PartialResult>, _| out.extend(partials),
-        )?;
-        Ok(out)
     }
 
     /// Merges externally produced brick partials (in the given order,
     /// folding from the identity) and finalizes the query — the other
-    /// half of [`Engine::query_brick_partials`]. The merge is
-    /// associative and commutative on the workload's exact
-    /// arithmetic, so any partitioning of the same brick set
-    /// finalizes identically; `oracle::agg` pins that property.
+    /// half of [`Deliver::BrickPartials`]. The merge is associative
+    /// and commutative on the workload's exact arithmetic, so any
+    /// partitioning of the same brick set finalizes identically;
+    /// `oracle::agg` pins that property.
     pub fn finalize_partials(
         &self,
         cube: &str,
@@ -643,88 +596,73 @@ impl Engine {
         Ok(QueryResult::finalize(&cube, &resolved, merged))
     }
 
-    fn execute(
-        &self,
-        cube: &Cube,
-        resolved: &ResolvedQuery,
-        snapshot: Option<Snapshot>,
-    ) -> Result<QueryResult, CubrickError> {
-        let merged = self.execute_partial(cube, resolved, snapshot)?;
-        Ok(QueryResult::finalize(cube, resolved, merged))
-    }
-
-    /// Shard fan-out producing mergeable partial aggregates; the
-    /// distributed engine merges partials across nodes before
-    /// finalizing (so `Avg` stays correct).
-    pub(crate) fn execute_partial(
-        &self,
-        cube: &Cube,
-        resolved: &ResolvedQuery,
-        snapshot: Option<Snapshot>,
-    ) -> Result<PartialResult, CubrickError> {
-        self.execute_partial_with(cube, resolved, snapshot, self.scan_config, None, None)
-    }
-
-    /// [`Engine::execute_partial`] restricted to bricks `allowed`
-    /// admits. The replica-routed distributed scan uses this: each
-    /// node scans only the bricks the read router assigned to it, so
-    /// a brick replicated on three hosts is counted exactly once.
-    pub(crate) fn execute_partial_filtered(
-        &self,
-        cube: &Cube,
-        resolved: &ResolvedQuery,
-        snapshot: Option<Snapshot>,
-        allowed: BrickFilter,
-    ) -> Result<PartialResult, CubrickError> {
-        let config = self.scan_config;
-        self.execute_partial_with(cube, resolved, snapshot, config, Some(allowed), None)
-    }
-
-    /// The coordinator behind every merged query path: one
-    /// [`ShardScan`] per shard, each shard folding its own bricks
-    /// (ascending bid) into a local partial, the shard partials merged
-    /// here in shard order. Every execution therefore folds the exact
-    /// same sequence of brick partials and is byte-identical
-    /// (aggregate sums over the workload's integer-valued floats are
-    /// exact and order-independent; the deterministic order removes
-    /// even the merge-order variable). `config.sequential` only
-    /// decides whether the shards overlap.
+    /// The coordinator behind every read: one [`ShardScan`] per shard,
+    /// each shard folding its own bricks (ascending bid) into a local
+    /// partial, the shard partials merged here in shard order. Every
+    /// execution therefore folds the exact same sequence of brick
+    /// partials and is byte-identical (aggregate sums over the
+    /// workload's integer-valued floats are exact and
+    /// order-independent; the deterministic order removes even the
+    /// merge-order variable). `config.sequential` only decides whether
+    /// the shards overlap. `allowed` restricts the scan to the bricks
+    /// the replica router gave this node, so the distributed engine
+    /// counts a brick replicated on three hosts exactly once.
     ///
-    /// `progress`, when supplied, observes the merged-so-far partial
-    /// after each shard that had bricks to scan — the progressive
-    /// query protocol's refinement stream.
-    fn execute_partial_with(
+    /// [`Deliver::BrickPartials`] has the shards hand over every brick
+    /// partial unfolded, so such a scan never answers from the memo;
+    /// the returned partial is still their fold.
+    pub(crate) fn scan(
         &self,
         cube: &Cube,
         resolved: &ResolvedQuery,
         snapshot: Option<Snapshot>,
         config: ScanConfig,
         allowed: Option<BrickFilter>,
-        mut progress: Option<&mut dyn FnMut(&PartialResult)>,
+        deliver: Deliver<'_>,
     ) -> Result<PartialResult, CubrickError> {
-        let scan = self.shard_scan(cube, resolved, snapshot, config, allowed, true);
-        if config.sequential {
+        let folded = !matches!(deliver, Deliver::BrickPartials(_));
+        let scan = self.shard_scan(cube, resolved, snapshot, config, allowed, folded);
+        let sequential = config.sequential;
+        if sequential {
             self.metrics.sequential_queries.inc();
         } else {
             self.metrics.parallel_queries.inc();
         }
         let mut merged = PartialResult::default();
-        self.scan_shards(
-            scan,
-            config.sequential,
-            PartialResult::merge,
-            |partial: PartialResult, outcome| {
-                merged.stats.bricks_pruned += outcome.pruned;
-                if outcome.bricks == 0 {
-                    return;
-                }
-                merged.stats.parallel_tasks += u64::from(!config.sequential);
+        // Folds one shard's answer in; says whether it had bricks.
+        let land = |merged: &mut PartialResult, partial, outcome: &ShardScanOutcome| {
+            merged.stats.bricks_pruned += outcome.pruned;
+            if outcome.bricks > 0 {
+                merged.stats.parallel_tasks += u64::from(!sequential);
                 merged.merge(partial);
-                if let Some(observe) = progress.as_mut() {
-                    observe(&merged);
-                }
-            },
-        )?;
+            }
+            outcome.bricks > 0
+        };
+        match deliver {
+            Deliver::Final => self.scan_shards(scan, sequential, PartialResult::merge, |p, o| {
+                land(&mut merged, p, o);
+            }),
+            Deliver::Progress(observe) => {
+                self.scan_shards(scan, sequential, PartialResult::merge, |p, o| {
+                    if land(&mut merged, p, o) {
+                        observe(QueryResult::finalize(cube, resolved, merged.clone()));
+                    }
+                })
+            }
+            Deliver::BrickPartials(out) => self.scan_shards(
+                scan,
+                sequential,
+                Vec::push,
+                |partials: Vec<PartialResult>, o| {
+                    let mut shard = PartialResult::default();
+                    for partial in partials {
+                        shard.merge(partial.clone());
+                        out.push(partial);
+                    }
+                    land(&mut merged, shard, o);
+                },
+            ),
+        }?;
         self.metrics
             .visibility_build_nanos
             .add(merged.stats.visibility_build_nanos);
@@ -733,8 +671,8 @@ impl Engine {
     }
 
     /// Builds the per-query scan request. `folded` says the caller
-    /// merges each shard's bricks into one partial (every path but
-    /// [`Engine::query_brick_partials`]). Only such a scan may answer
+    /// merges each shard's bricks into one partial (every read but
+    /// [`Deliver::BrickPartials`]). Only such a scan may answer
     /// from the snapshot memo, and only when its snapshot is settled —
     /// at or below the LCE now — with no replica filter, no sequential
     /// (reference) execution and no injected panic. RU scans and a
@@ -1003,10 +941,11 @@ pub(crate) mod tests {
         assert_eq!(sum_likes(&engine, IsolationMode::ReadUncommitted), 105.0);
         // The transaction itself sees its own append.
         let own = engine
-            .query_in_txn(
+            .read(
                 "events",
                 &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]),
-                &txn,
+                At::Txn(&txn),
+                Deliver::Final,
             )
             .unwrap();
         assert_eq!(own.scalar(), Some(105.0));
@@ -1101,7 +1040,7 @@ pub(crate) mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let at = |epoch| {
             engine
-                .query_as_of("events", &q, epoch)
+                .read("events", &q, At::Epoch(epoch), Deliver::Final)
                 .unwrap()
                 .scalar()
                 .unwrap_or(0.0)
@@ -1113,13 +1052,13 @@ pub(crate) mod tests {
 
         // Out of window: above LCE or below LSE.
         assert!(matches!(
-            engine.query_as_of("events", &q, 99),
+            engine.read("events", &q, At::Epoch(99), Deliver::Final),
             Err(CubrickError::EpochOutOfRange { .. })
         ));
         engine.manager().advance_lse(3).unwrap();
         engine.purge();
         assert!(matches!(
-            engine.query_as_of("events", &q, 2),
+            engine.read("events", &q, At::Epoch(2), Deliver::Final),
             Err(CubrickError::EpochOutOfRange { .. })
         ));
         assert_eq!(at(4), 40.0, "window floor moved, newest still readable");
@@ -1140,8 +1079,8 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn query_as_of_guards_before_validating() {
-        // Regression: query_as_of used to validate the epoch window
+    fn an_epoch_read_guards_before_validating() {
+        // Regression: an epoch read used to validate the epoch window
         // first and register the read guard after, leaving a window
         // where a concurrent advance_lse + purge could compact
         // history under an already-validated epoch. Race historical
@@ -1168,7 +1107,7 @@ pub(crate) mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let mut ok_reads = 0u32;
         for e in (1..=60u64).rev().chain(1..=60) {
-            match engine.query_as_of("events", &q, e) {
+            match engine.read("events", &q, At::Epoch(e), Deliver::Final) {
                 Ok(result) => {
                     ok_reads += 1;
                     assert_eq!(
@@ -1184,7 +1123,9 @@ pub(crate) mod tests {
         writer.join().unwrap();
         assert!(ok_reads > 0, "some historical reads must land");
         // The window floor moved, but the newest epoch stays readable.
-        let newest = engine.query_as_of("events", &q, 60).unwrap();
+        let newest = engine
+            .read("events", &q, At::Epoch(60), Deliver::Final)
+            .unwrap();
         assert_eq!(newest.scalar(), Some(60.0));
     }
 
@@ -1265,80 +1206,58 @@ pub(crate) mod tests {
         }
     }
 
-    /// Every query entry point counts and times exactly one query:
-    /// the coordinator's fan-out is the one place that does either.
+    /// Every read counts and times exactly one query: the
+    /// coordinator's fan-out is the one place that does either. A read
+    /// refused before its fan-out counts nothing.
     #[test]
     fn every_query_entry_point_counts_and_times_one_query() {
-        let engine = engine();
-        spread_load(&engine);
-        let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
-        let (lce, settled) = (
-            engine.manager().lce(),
-            &Snapshot::committed(engine.manager().lce()),
-        );
+        let engine = &engine();
+        spread_load(engine);
+        let q = &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let lce = engine.manager().lce();
+        let settled = &Snapshot::committed(lce);
         let txn = engine.begin();
-        let cube = engine.cube("events").unwrap();
-        let resolved = ResolvedQuery::resolve(&cube, &query).unwrap();
-        type Entry<'a> = (&'a str, Box<dyn Fn() -> Result<(), CubrickError> + 'a>);
-        let q = &query;
-        let entries: Vec<Entry> = vec![
-            (
-                "query",
-                Box::new(|| engine.query("events", q, IsolationMode::Snapshot).map(drop)),
-            ),
-            (
-                "query RU",
-                Box::new(|| {
-                    engine
-                        .query("events", q, IsolationMode::ReadUncommitted)
-                        .map(drop)
-                }),
-            ),
-            (
-                "query_in_txn",
-                Box::new(|| engine.query_in_txn("events", q, &txn).map(drop)),
-            ),
-            (
-                "query_as_of",
-                Box::new(|| engine.query_as_of("events", q, lce).map(drop)),
-            ),
-            (
-                "query_at",
-                Box::new(|| engine.query_at("events", q, settled).map(drop)),
-            ),
-            (
-                "query_at_reference",
-                Box::new(|| engine.query_at_reference("events", q, settled).map(drop)),
-            ),
-            (
-                "query_at_with_progress",
-                Box::new(|| {
-                    engine
-                        .query_at_with_progress("events", q, settled, drop)
-                        .map(drop)
-                }),
-            ),
-            (
-                "query_as_of_with_progress",
-                Box::new(|| {
-                    engine
-                        .query_as_of_with_progress("events", q, lce, drop)
-                        .map(drop)
-                }),
-            ),
-            (
-                "query_brick_partials",
-                Box::new(|| engine.query_brick_partials("events", q, settled).map(drop)),
-            ),
-            (
-                "distributed fan-out",
-                Box::new(|| {
-                    engine
-                        .execute_partial(&cube, &resolved, Some(settled.clone()))
-                        .map(drop)
-                }),
-            ),
-        ];
+        let cube = &engine.cube("events").unwrap();
+        let resolved = &ResolvedQuery::resolve(cube, q).unwrap();
+        type Row<'a> = (String, Box<dyn Fn() -> Result<(), CubrickError> + 'a>);
+        let mut table: Vec<Row> = Vec::new();
+        for (name, at) in [
+            ("Latest", At::Latest),
+            ("Uncommitted", At::Uncommitted),
+            ("Txn", At::Txn(&txn)),
+            ("Epoch", At::Epoch(lce)),
+            ("Snapshot", At::Snapshot(settled)),
+        ] {
+            let read = move |deliver: Deliver<'_>| engine.read("events", q, at, deliver).map(drop);
+            table.push((
+                format!("{name} Final"),
+                Box::new(move || read(Deliver::Final)),
+            ));
+            table.push((
+                format!("{name} Progress"),
+                Box::new(move || read(Deliver::Progress(&mut drop))),
+            ));
+            table.push((
+                format!("{name} BrickPartials"),
+                Box::new(move || read(Deliver::BrickPartials(&mut Vec::new()))),
+            ));
+        }
+        table.push((
+            "query".into(),
+            Box::new(|| engine.query("events", q, IsolationMode::Snapshot).map(drop)),
+        ));
+        table.push((
+            "query_at_reference".into(),
+            Box::new(|| engine.query_at_reference("events", q, settled).map(drop)),
+        ));
+        table.push((
+            "distributed node share".into(),
+            Box::new(|| {
+                let allow = Some(Arc::new(|_| true) as BrickFilter);
+                let (snapshot, config) = (Some(settled.clone()), engine.scan_config());
+                (engine.scan(cube, resolved, snapshot, config, allow, Deliver::Final)).map(drop)
+            }),
+        ));
         let counted = || {
             let report = engine.metrics_report();
             let timed = (report.lines())
@@ -1346,11 +1265,15 @@ pub(crate) mod tests {
                 .map_or(0, |n| n.parse::<u64>().unwrap());
             (engine.op_stats().queries, timed)
         };
-        for (name, call) in &entries {
+        for (name, call) in &table {
             let (queries, timed) = counted();
             call().unwrap();
             assert_eq!(counted(), (queries + 1, timed + 1), "{name}");
         }
+        let before = counted();
+        let refused = engine.read("events", q, At::Epoch(lce + 1), Deliver::Final);
+        assert!(matches!(refused, Err(CubrickError::EpochOutOfRange { .. })));
+        assert_eq!(counted(), before, "an epoch past the LCE scans nothing");
         engine.rollback(&txn).unwrap();
     }
 
@@ -1432,7 +1355,9 @@ pub(crate) mod tests {
             .grouped_by("day"),
         ];
         for query in &queries {
-            let fast = engine.query_at("events", query, &snapshot).unwrap();
+            let fast = engine
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
             let reference = engine
                 .query_at_reference("events", query, &snapshot)
                 .unwrap();
@@ -1441,8 +1366,12 @@ pub(crate) mod tests {
             assert_rows_identical(&fast, &reference);
             // The second sighting stores each shard's answer; the
             // third is served from the memo, still identical.
-            engine.query_at("events", query, &snapshot).unwrap();
-            let warm = engine.query_at("events", query, &snapshot).unwrap();
+            engine
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
+            let warm = engine
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
             assert!(
                 warm.stats.agg_cache_hits > 0,
                 "third sighting should hit the memo"
@@ -1468,15 +1397,21 @@ pub(crate) mod tests {
             .filter(DimFilter::new("region", vec![Value::from("us")]))
             .grouped_by("day");
         let snapshot = Snapshot::committed(engine.manager().lce());
-        let first = engine.query_at("events", &query, &snapshot).unwrap();
+        let first = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert_eq!(first.stats.agg_cache_hits, 0);
         assert!(first.stats.agg_cache_misses > 0);
         assert_eq!(engine.agg_cache_stats().unwrap().entries, 0, "one sighting");
-        let second = engine.query_at("events", &query, &snapshot).unwrap();
+        let second = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert_eq!(second.stats.agg_cache_hits, 0);
         assert_eq!(engine.agg_cache_stats().unwrap().entries, 4, "every shard");
 
-        let hit = engine.query_at("events", &query, &snapshot).unwrap();
+        let hit = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert_eq!(hit.stats.agg_cache_misses, 0);
         assert_eq!(hit.stats.agg_cache_hits, first.stats.agg_cache_misses);
         assert_rows_identical(&hit, &first);
@@ -1525,29 +1460,33 @@ pub(crate) mod tests {
             engine
                 .query("events", &query, IsolationMode::ReadUncommitted)
                 .unwrap();
-            let own = engine.query_in_txn("events", &query, &txn).unwrap();
+            let own = engine
+                .read("events", &query, At::Txn(&txn), Deliver::Final)
+                .unwrap();
             assert_eq!(own.scalar(), Some(100.0 + 4.0 * 120.0));
             engine
-                .query_at("events", &query, &Snapshot::committed(lce + 1))
+                .read(
+                    "events",
+                    &query,
+                    At::Snapshot(&Snapshot::committed(lce + 1)),
+                    Deliver::Final,
+                )
                 .unwrap();
             engine
                 .query_at_reference("events", &query, &settled)
                 .unwrap();
-            engine
-                .query_brick_partials("events", &query, &settled)
-                .unwrap();
-            engine
-                .execute_partial_filtered(
-                    &cube,
-                    &resolved,
-                    Some(settled.clone()),
-                    Arc::clone(&allow_all),
-                )
-                .unwrap();
+            let partials = Deliver::BrickPartials(&mut Vec::new());
+            (engine.read("events", &query, At::Snapshot(&settled), partials)).unwrap();
+            let snapshot = Some(settled.clone());
+            let allowed = Some(Arc::clone(&allow_all));
+            let config = engine.scan_config();
+            (engine.scan(&cube, &resolved, snapshot, config, allowed, Deliver::Final)).unwrap();
         }
         engine.faults().inject_scan_panic(u64::MAX);
         for _ in 0..3 {
-            engine.query_at("events", &query, &settled).unwrap();
+            engine
+                .read("events", &query, At::Snapshot(&settled), Deliver::Final)
+                .unwrap();
         }
         assert_eq!(memo_lookups(&engine), before, "no lookup at all");
         engine.faults().clear_scan_panics();
@@ -1560,7 +1499,9 @@ pub(crate) mod tests {
         spread_load(&sequential);
         let settled = Snapshot::committed(sequential.manager().lce());
         for _ in 0..3 {
-            sequential.query_at("events", &query, &settled).unwrap();
+            sequential
+                .read("events", &query, At::Snapshot(&settled), Deliver::Final)
+                .unwrap();
         }
         assert_eq!(memo_lookups(&sequential), (0, 0));
         engine.rollback(&txn).unwrap();
@@ -1594,7 +1535,9 @@ pub(crate) mod tests {
         for epoch in 1..=engine.manager().lce() {
             let snapshot = Snapshot::committed(epoch);
             for _ in 0..2 {
-                let result = engine.query_at("wide", &query, &snapshot).unwrap();
+                let result = engine
+                    .read("wide", &query, At::Snapshot(&snapshot), Deliver::Final)
+                    .unwrap();
                 assert_eq!(result.rows.len(), 4096);
             }
             let memo = engine.memos.shard(0);
@@ -1609,7 +1552,9 @@ pub(crate) mod tests {
         assert!(stats.entries > 0);
         // The newest answer survived eviction and still replays.
         let newest = Snapshot::committed(engine.manager().lce());
-        let hit = engine.query_at("wide", &query, &newest).unwrap();
+        let hit = engine
+            .read("wide", &query, At::Snapshot(&newest), Deliver::Final)
+            .unwrap();
         assert_eq!(hit.stats.agg_cache_hits, 1);
         assert_rows_identical(
             &hit,
@@ -1621,9 +1566,13 @@ pub(crate) mod tests {
     /// returns the served answer.
     fn memoize(engine: &Engine, query: &Query, snapshot: &Snapshot) -> QueryResult {
         for _ in 0..2 {
-            engine.query_at("events", query, snapshot).unwrap();
+            engine
+                .read("events", query, At::Snapshot(snapshot), Deliver::Final)
+                .unwrap();
         }
-        let hit = engine.query_at("events", query, snapshot).unwrap();
+        let hit = engine
+            .read("events", query, At::Snapshot(snapshot), Deliver::Final)
+            .unwrap();
         assert!(hit.stats.agg_cache_hits > 0, "third sighting hits");
         hit
     }
@@ -1635,7 +1584,9 @@ pub(crate) mod tests {
     fn wholesale_removals_and_old_epoch_writes_are_seen_by_the_next_query() {
         let query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let sum_at = |engine: &Engine, snapshot: &Snapshot| {
-            let fresh = engine.query_at("events", &query, snapshot).unwrap();
+            let fresh = engine
+                .read("events", &query, At::Snapshot(snapshot), Deliver::Final)
+                .unwrap();
             let reference = engine
                 .query_at_reference("events", &query, snapshot)
                 .unwrap();
@@ -1705,14 +1656,18 @@ pub(crate) mod tests {
         let memoized = memoize(&engine, &query, &snapshot);
         engine.load("events", &[row("us", 0, 1, 0.0)], 0).unwrap();
         engine.delete_where("events", &[]).unwrap();
-        let replay = engine.query_at("events", &query, &snapshot).unwrap();
+        let replay = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert!(replay.stats.agg_cache_hits > 0);
         assert_eq!(replay.stats.agg_cache_misses, 0);
         assert_rows_identical(&replay, &memoized);
         assert_eq!(engine.agg_cache_stats().unwrap().invalidations, 0);
         // The new snapshot is a new key.
         let fresh = Snapshot::committed(engine.manager().lce());
-        let now = engine.query_at("events", &query, &fresh).unwrap();
+        let now = engine
+            .read("events", &query, At::Snapshot(&fresh), Deliver::Final)
+            .unwrap();
         assert_eq!(now.stats.agg_cache_hits, 0);
         assert_eq!(now.scalar(), None, "deleted everything");
         let report = engine.metrics_report();
@@ -1740,7 +1695,12 @@ pub(crate) mod tests {
         assert_eq!(after.invalidations, 0);
         for epoch in [lce - 1, lce] {
             let kept = engine
-                .query_at("events", &query, &Snapshot::committed(epoch))
+                .read(
+                    "events",
+                    &query,
+                    At::Snapshot(&Snapshot::committed(epoch)),
+                    Deliver::Final,
+                )
                 .unwrap();
             assert!(kept.stats.agg_cache_hits > 0, "epoch {epoch} kept");
         }
@@ -1798,7 +1758,7 @@ pub(crate) mod tests {
 
     /// Regression: the reference path (and the per-brick-partials
     /// path) used to let a brick panic unwind the whole shard task,
-    /// reporting `bid: None` — or, for `query_brick_partials`, to
+    /// reporting `bid: None` — or, for the per-brick partials, to
     /// ignore the injection altogether.
     #[test]
     fn reference_path_attributes_the_panicking_brick() {
@@ -1810,9 +1770,8 @@ pub(crate) mod tests {
         let poisoned = *bids.last().unwrap();
         engine.faults().inject_scan_panic(poisoned);
         let reference = engine.query_at_reference("events", &query, &snapshot);
-        let partials = engine
-            .query_brick_partials("events", &query, &snapshot)
-            .map(|_| ());
+        let partials = Deliver::BrickPartials(&mut Vec::new());
+        let partials = engine.read("events", &query, At::Snapshot(&snapshot), partials);
         for err in [reference.map(|_| ()).unwrap_err(), partials.unwrap_err()] {
             match err {
                 CubrickError::ScanTaskPanicked { cube, bid } => {
@@ -1844,7 +1803,9 @@ pub(crate) mod tests {
         let snapshot = Snapshot::committed(engine.manager().lce());
         let honest = memoize(&engine, &query, &snapshot);
         engine.faults().corrupt_memo();
-        let poisoned = engine.query_at("events", &query, &snapshot).unwrap();
+        let poisoned = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert!(poisoned.stats.agg_cache_hits > 0, "must replay the memo");
         assert_ne!(
             poisoned.rows[0].1[0], honest.rows[0].1[0],
@@ -1866,10 +1827,19 @@ pub(crate) mod tests {
         ])
         .grouped_by("region");
         let snapshot = Snapshot::committed(engine.manager().lce());
-        let direct = engine.query_at("events", &query, &snapshot).unwrap();
-        let partials = engine
-            .query_brick_partials("events", &query, &snapshot)
+        let direct = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
             .unwrap();
+        let mut partials = Vec::new();
+        let folded = engine
+            .read(
+                "events",
+                &query,
+                At::Snapshot(&snapshot),
+                Deliver::BrickPartials(&mut partials),
+            )
+            .unwrap();
+        assert_rows_identical(&folded, &direct);
         assert!(partials.len() > 1, "load must spread across bricks");
         // Forward order reproduces the query; so does reverse — the
         // merge is commutative on this workload's exact arithmetic.
@@ -1898,8 +1868,10 @@ pub(crate) mod tests {
         let mut counts = Vec::new();
         for _ in 0..3 {
             let mut refinements: Vec<QueryResult> = Vec::new();
+            let mut observe = |r| refinements.push(r);
+            let progress = Deliver::Progress(&mut observe);
             let complete = engine
-                .query_at_with_progress("events", &query, &snapshot, |r| refinements.push(r))
+                .read("events", &query, At::Snapshot(&snapshot), progress)
                 .unwrap();
             assert!(!refinements.is_empty(), "at least one refinement lands");
             // Refinements only grow (each merge folds more bricks in)
@@ -1956,8 +1928,12 @@ pub(crate) mod tests {
             Query::aggregate(vec![Aggregation::new(AggFn::Max, "likes")]).grouped_by("day"),
         ];
         for query in &queries {
-            let cold = tiered.query_at("events", query, &snapshot).unwrap();
-            let warm = plain.query_at("events", query, &snapshot).unwrap();
+            let cold = tiered
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
+            let warm = plain
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
             assert_rows_identical(&cold, &warm);
         }
         assert!(
@@ -1966,8 +1942,8 @@ pub(crate) mod tests {
         );
     }
 
-    /// Regression: `query_brick_partials` used to discard the
-    /// fault-in accounting, so a reloaded brick reported 0 reloads.
+    /// Regression: the per-brick partials used to discard the fault-in
+    /// accounting, so a reloaded brick reported 0 reloads.
     #[test]
     fn brick_partials_account_for_tier_reloads() {
         let tiered = tiered_engine(1); // evict every clean brick
@@ -1987,15 +1963,17 @@ pub(crate) mod tests {
         ])
         .grouped_by("region");
         let snapshot = Snapshot::committed(tiered.manager().lce());
-        let partials = tiered
-            .query_brick_partials("events", &query, &snapshot)
-            .unwrap();
+        let mut partials = Vec::new();
+        let deliver = Deliver::BrickPartials(&mut partials);
+        (tiered.read("events", &query, At::Snapshot(&snapshot), deliver)).unwrap();
         let reloads: u64 = partials.iter().map(|p| p.stats.tier_reloads).sum();
         assert_eq!(reloads, evicted);
         let finalized = tiered
             .finalize_partials("events", &query, partials)
             .unwrap();
-        let direct = plain.query_at("events", &query, &snapshot).unwrap();
+        let direct = plain
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert_rows_identical(&finalized, &direct);
     }
 
@@ -2105,8 +2083,12 @@ pub(crate) mod tests {
             ])
             .grouped_by("region");
             assert_rows_identical(
-                &tiered.query_at("events", &query, &snapshot).unwrap(),
-                &plain.query_at("events", &query, &snapshot).unwrap(),
+                &tiered
+                    .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+                    .unwrap(),
+                &plain
+                    .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+                    .unwrap(),
             );
         }
     }
@@ -2124,7 +2106,9 @@ pub(crate) mod tests {
         engine.advance_lse_and_purge();
         let before = engine.tier_stats().unwrap();
         assert!(before.spilled_bricks > 0);
-        let cold = engine.query_at("events", &query, &snapshot).unwrap();
+        let cold = engine
+            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
         assert_rows_identical(&cold, &warm);
         assert_eq!(cold.stats.agg_cache_misses, 0, "every shard hit");
         assert_eq!(cold.stats.tier_reloads, 0);

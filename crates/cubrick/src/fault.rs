@@ -123,7 +123,7 @@ mod tests {
     use columnar::Value;
 
     use crate::ddl::{CubeSchema, Dimension, Metric};
-    use crate::engine::Engine;
+    use crate::engine::{At, Deliver, Engine};
     use crate::error::CubrickError;
     use crate::query::{AggFn, Aggregation, Query};
 
@@ -149,30 +149,33 @@ mod tests {
     fn a_hook_armed_on_one_engine_leaves_another_untouched() {
         let (armed, bystander) = (loaded(), loaded());
         let sum = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "m")]);
-        let at = |e: &Engine| Snapshot::committed(e.manager().lce());
+        let read = |e: &Engine| {
+            let at = Snapshot::committed(e.manager().lce());
+            e.read("t", &sum, At::Snapshot(&at), Deliver::Final)
+        };
         for e in [&armed, &bystander] {
             for _ in 0..3 {
-                e.query_at("t", &sum, &at(e)).unwrap();
+                read(e).unwrap();
             }
         }
         armed.faults().corrupt_memo();
-        let corrupted = armed.query_at("t", &sum, &at(&armed)).unwrap();
+        let corrupted = read(&armed).unwrap();
         assert_ne!(corrupted.scalar(), Some(16.0), "the armed memo lies");
-        let honest = bystander.query_at("t", &sum, &at(&bystander)).unwrap();
+        let honest = read(&bystander).unwrap();
         assert!(honest.stats.agg_cache_hits > 0, "served by its memo");
         assert_eq!(honest.scalar(), Some(16.0));
 
         for bid in armed.brick_bids("t") {
             armed.faults().inject_scan_panic(bid);
         }
-        let err = armed.query_at("t", &sum, &at(&armed)).unwrap_err();
+        let err = read(&armed).unwrap_err();
         assert!(
             matches!(err, CubrickError::ScanTaskPanicked { .. }),
             "{err}"
         );
         let bid = bystander.brick_bids("t")[0];
         assert!(bystander.export_brick("t", bid).is_ok());
-        let honest = bystander.query_at("t", &sum, &at(&bystander)).unwrap();
+        let honest = read(&bystander).unwrap();
         assert_eq!(honest.scalar(), Some(16.0));
     }
 }

@@ -23,8 +23,9 @@
 //!   is owned by exactly one shard thread, so brick operations need
 //!   no locks at all (Section V-B's flushing design).
 //! * [`Engine`] — a single node: transaction manager + cubes +
-//!   shards; loads, queries (snapshot-isolated or read-uncommitted),
-//!   partition deletes, purge, rollback.
+//!   shards; loads, reads through one path ([`Engine::read`]: at the
+//!   LCE, in a transaction, at an epoch, at a caller-guarded snapshot
+//!   or read-uncommitted), partition deletes, purge, rollback.
 //! * [`DistributedEngine`] — N engines behind a consistent-hashing
 //!   ring and the Section IV distributed transaction flow.
 //!
@@ -82,8 +83,8 @@ pub use cube::{Cube, CubeMemory};
 pub use ddl::{CubeSchema, Dimension, Metric, MetricType};
 pub use distributed::{DistributedEngine, DistributedLoadOutcome, ElasticConfig};
 pub use engine::{
-    Engine, EngineMemory, EngineOpStats, IsolationMode, LoadOutcome, LoadStageTimings, PurgeStats,
-    ScanConfig,
+    At, Deliver, Engine, EngineMemory, EngineOpStats, IsolationMode, LoadOutcome, LoadStageTimings,
+    PurgeStats, ScanConfig,
 };
 pub use error::CubrickError;
 pub use ingest::{parse_rows, ParsedBatch, RecordChunk};

@@ -34,9 +34,9 @@ use crate::memo::{MemoKey, ShardMemos};
 use crate::query::{FilterSet, PartialResult, ResolvedQuery, ScanKernel};
 use crate::shard::ShardBricks;
 
-/// Replica routing: which bricks this node scans (see
-/// [`crate::Engine::execute_partial_filtered`]). Owned and shareable
-/// because it is evaluated on the shard threads.
+/// Replica routing: which bricks this node scans (the `allowed`
+/// argument of the engine's coordinator, `Engine::scan`). Owned and
+/// shareable because it is evaluated on the shard threads.
 pub(crate) type BrickFilter = Arc<dyn Fn(u64) -> bool + Send + Sync>;
 
 /// Everything a shard needs to answer one query for its own bricks.

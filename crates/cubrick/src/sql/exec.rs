@@ -2,8 +2,8 @@
 
 use super::parser::Statement;
 use super::SqlError;
-use crate::engine::{Engine, IsolationMode};
-use crate::query::{Query, QueryStats};
+use crate::engine::{At, Deliver, Engine};
+use crate::query::{Query, QueryResult, QueryStats};
 use columnar::Value;
 
 /// The result of executing one statement.
@@ -83,51 +83,28 @@ pub struct SelectOutcome {
     pub stats: QueryStats,
 }
 
-/// Executes one SELECT and returns typed rows.
-///
-/// `as_of` pins the read to an explicit epoch via the guarded
-/// [`Engine::query_as_of`] window check; `None` reads the freshest
-/// committed snapshot. Result-shape conventions shared by every
-/// result surface:
+/// Executes one SELECT through [`Engine::read`] at `at`, handing the
+/// engine's results over as `deliver` asks, and returns typed rows
+/// ([`shape_outcome`], which shapes a refinement the same way).
+pub fn execute_select(
+    engine: &Engine,
+    cube: &str,
+    query: &Query,
+    at: At<'_>,
+    deliver: Deliver<'_>,
+) -> Result<SelectOutcome, SqlError> {
+    let result = engine.read(cube, query, at, deliver)?;
+    Ok(shape_outcome(query, result))
+}
+
+/// Shapes an engine result into the shared SELECT surface. Conventions
+/// shared by every result surface:
 ///
 /// * an aggregation-free SELECT yields one `rows` column holding the
 ///   visible row count;
 /// * an ungrouped aggregation over an empty set yields one row —
 ///   COUNT is `0.0`, every other aggregate is NaN (SQL NULL).
-pub fn execute_select(
-    engine: &Engine,
-    cube: &str,
-    query: &Query,
-    as_of: Option<u64>,
-) -> Result<SelectOutcome, SqlError> {
-    let result = match as_of {
-        Some(epoch) => engine.query_as_of(cube, query, epoch)?,
-        None => engine.query(cube, query, IsolationMode::Snapshot)?,
-    };
-    Ok(shape_outcome(query, result))
-}
-
-/// [`execute_select`] pinned to `epoch`, with every coordinator-side
-/// refinement shaped and forwarded through `on_partial` before the
-/// complete outcome is returned. The server's progressive `/query`
-/// mode streams the refinements as NDJSON lines.
-pub fn execute_select_with_progress(
-    engine: &Engine,
-    cube: &str,
-    query: &Query,
-    epoch: u64,
-    mut on_partial: impl FnMut(SelectOutcome),
-) -> Result<SelectOutcome, SqlError> {
-    let result = engine.query_as_of_with_progress(cube, query, epoch, |partial| {
-        on_partial(shape_outcome(query, partial));
-    })?;
-    Ok(shape_outcome(query, result))
-}
-
-/// Shapes an engine result into the shared SELECT surface: column
-/// headers, the aggregation-free row count, and the one-NULL-row
-/// convention for ungrouped aggregation over an empty set.
-fn shape_outcome(query: &Query, result: crate::query::QueryResult) -> SelectOutcome {
+pub fn shape_outcome(query: &Query, result: QueryResult) -> SelectOutcome {
     let mut columns = Vec::new();
     for group in &query.group_by {
         columns.push(group.clone());
@@ -203,7 +180,8 @@ pub fn execute_statement(engine: &Engine, statement: Statement) -> Result<SqlOut
             )))
         }
         Statement::Select { cube, query, as_of } => {
-            let outcome = execute_select(engine, &cube, &query, as_of)?;
+            let at = as_of.map_or(At::Latest, At::Epoch);
+            let outcome = execute_select(engine, &cube, &query, at, Deliver::Final)?;
             let rows_out = outcome
                 .rows
                 .iter()

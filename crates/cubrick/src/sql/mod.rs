@@ -46,8 +46,8 @@ mod lexer;
 mod parser;
 
 pub use exec::{
-    execute, execute_select, execute_select_with_progress, execute_statement, render_float,
-    SelectOutcome, SqlOutput,
+    execute, execute_select, execute_statement, render_float, shape_outcome, SelectOutcome,
+    SqlOutput,
 };
 pub use parser::{parse, Statement};
 

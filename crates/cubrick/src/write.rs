@@ -362,7 +362,7 @@ mod tests {
     use super::*;
     use crate::ddl::{CubeSchema, Dimension, Metric};
     use crate::engine::tests::{engine, row, spread_load, sum_likes};
-    use crate::engine::IsolationMode;
+    use crate::engine::{At, Deliver, IsolationMode};
     use crate::query::{AggFn, Aggregation, DimFilter, Query};
     use columnar::Value;
 
@@ -574,10 +574,11 @@ mod tests {
         let lce = engine.manager().lce();
         assert_eq!(lce, t2.epoch());
         let sum = engine
-            .query_as_of(
+            .read(
                 "events",
                 &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]),
-                lce,
+                At::Epoch(lce),
+                Deliver::Final,
             )
             .unwrap();
         assert_eq!(sum.scalar(), Some(480.0 + 7.0), "no row of T1");

@@ -253,10 +253,11 @@ impl MvccStore {
     }
 
     /// Decodes every row visible at snapshot `read_ts`, in storage
-    /// order. Snapshot-read parity with the AOSI engine's
-    /// `query_as_of`: the differential oracle replays a committed
-    /// schedule into the store and compares aggregate results computed
-    /// over these rows against the AOSI side at the matching epoch.
+    /// order. Snapshot-read parity with the AOSI engine's time-travel
+    /// read (`Engine::read` at `At::Epoch`): the differential oracle
+    /// replays a committed schedule into the store and compares
+    /// aggregate results computed over these rows against the AOSI side
+    /// at the matching epoch.
     pub fn rows_at(&self, read_ts: u64) -> Vec<Row> {
         let (bitmap, _) = self.scan_snapshot(read_ts);
         let arity = self.schema.fields().len();

@@ -11,7 +11,7 @@
 //! association — per-shard folds merged in shard order — against the
 //! reference; this layer pins **every other** association: for each
 //! checkpoint of a generated schedule it pulls the raw per-brick
-//! partials via [`Engine::query_brick_partials`], then re-merges them
+//! partials via [`Deliver::BrickPartials`], then re-merges them
 //! through seeded random partitions into chunks, shuffled chunk
 //! orders, random binary merge trees, and interleaved identity
 //! states, and demands each finalization agree with
@@ -27,7 +27,7 @@
 //! must catch.
 
 use aosi::Snapshot;
-use cubrick::{Engine, PartialResult};
+use cubrick::{At, Deliver, Engine, PartialResult};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use workload::ops::{Schedule, ORACLE_CUBE};
@@ -98,8 +98,10 @@ pub fn compare_merges(
         let reference = engine
             .query_at_reference(ORACLE_CUBE, &query, snapshot)
             .map_err(|e| Failure::at(op_index, format!("{label} q{idx} reference failed: {e}")))?;
-        let partials = engine
-            .query_brick_partials(ORACLE_CUBE, &query, snapshot)
+        let mut partials = Vec::new();
+        let deliver = Deliver::BrickPartials(&mut partials);
+        engine
+            .read(ORACLE_CUBE, &query, At::Snapshot(snapshot), deliver)
             .map_err(|e| Failure::at(op_index, format!("{label} q{idx} partials failed: {e}")))?;
         folded += partials.len() as u64;
         let mut check = |plan: &str, merged: PartialResult| -> Result<(), Failure> {

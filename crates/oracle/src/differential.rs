@@ -25,8 +25,8 @@
 //!   continues (dangling transaction slots become no-ops).
 //!
 //! Every mode ends with quiescence (leftover transactions are
-//! committed) and a full-window sweep: `query_as_of` at every epoch
-//! in `[LSE, LCE]` diffed against the reference, then a checker
+//! committed) and a full-window sweep: a read at every epoch
+//! (`At::Epoch`) in `[LSE, LCE]` diffed against the reference, then a checker
 //! violation scan.
 
 use std::collections::BTreeSet;
@@ -37,7 +37,7 @@ use aosi::Snapshot;
 use checker::{SiChecker, TxnEvent};
 use cluster::ReplicationTracker;
 use columnar::Row;
-use cubrick::Engine;
+use cubrick::{At, Deliver, Engine};
 use wal::{recover_into, FlushController, TempWalDir};
 use workload::ops::{LogicalOp, Schedule, ORACLE_CUBE};
 
@@ -262,7 +262,12 @@ fn check_txn(x: &mut Exec, i: usize, slot: usize) -> Result<(), Failure> {
     for idx in 0..NUM_QUERIES {
         let result = x
             .engine
-            .query_in_txn(ORACLE_CUBE, &build_query(idx), &open.txn)
+            .read(
+                ORACLE_CUBE,
+                &build_query(idx),
+                At::Txn(&open.txn),
+                Deliver::Final,
+            )
             .map_err(|e| Failure::at(Some(i), format!("txn q{idx} failed: {e}")))?;
         let aosi = normalize(&result);
         comparisons += 1;
@@ -530,10 +535,11 @@ impl StressShared {
                         },
                         TxnStep::Check => {
                             for idx in 0..NUM_QUERIES {
-                                let result = match self.engine.query_in_txn(
+                                let result = match self.engine.read(
                                     ORACLE_CUBE,
                                     &build_query(idx),
-                                    &txn,
+                                    At::Txn(&txn),
+                                    Deliver::Final,
                                 ) {
                                     Ok(r) => r,
                                     Err(e) => {
@@ -620,7 +626,12 @@ impl StressShared {
                     None => guard.snapshot().clone(),
                 };
                 for idx in 0..NUM_QUERIES {
-                    let result = match self.engine.query_at(ORACLE_CUBE, &build_query(idx), &snap) {
+                    let result = match self.engine.read(
+                        ORACLE_CUBE,
+                        &build_query(idx),
+                        At::Snapshot(&snap),
+                        Deliver::Final,
+                    ) {
                         Ok(r) => r,
                         Err(e) => return self.fail_once(format!("check failed: {e}")),
                     };
@@ -641,10 +652,12 @@ impl StressShared {
                 let window = lce - lse + 1;
                 let epoch = (lse + (u64::from(*frac) * window) / 256).min(lce);
                 for idx in 0..NUM_QUERIES {
-                    match self
-                        .engine
-                        .query_as_of(ORACLE_CUBE, &build_query(idx), epoch)
-                    {
+                    match self.engine.read(
+                        ORACLE_CUBE,
+                        &build_query(idx),
+                        At::Epoch(epoch),
+                        Deliver::Final,
+                    ) {
                         Ok(result) => {
                             let norm = normalize(&result);
                             self.checker.record(committed_read(epoch, idx, &norm));
@@ -655,7 +668,7 @@ impl StressShared {
                             });
                         }
                         // The window can move between reading LSE/LCE
-                        // and the guarded re-check inside query_as_of;
+                        // and the guarded re-check inside the read;
                         // a benign race, not a divergence.
                         Err(cubrick::CubrickError::EpochOutOfRange { .. }) => {}
                         Err(e) => return self.fail_once(format!("as-of check failed: {e}")),

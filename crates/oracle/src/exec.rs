@@ -27,7 +27,7 @@ use std::collections::BTreeSet;
 use aosi::{Snapshot, Txn};
 use checker::{SiChecker, TxnEvent};
 use columnar::{Row, Value};
-use cubrick::{DimFilter, Engine};
+use cubrick::{At, Deliver, DimFilter, Engine};
 use workload::ops::{bucket_days, oracle_schema, LogicalOp, Schedule, ORACLE_CUBE};
 
 use crate::checks::{build_query, diff, eval_rows, fingerprint, normalize, Norm, NUM_QUERIES};
@@ -401,7 +401,12 @@ impl Exec {
         for idx in 0..NUM_QUERIES {
             let result = self
                 .engine
-                .query_at(ORACLE_CUBE, &build_query(idx), &snap)
+                .read(
+                    ORACLE_CUBE,
+                    &build_query(idx),
+                    At::Snapshot(&snap),
+                    Deliver::Final,
+                )
                 .map_err(|e| Failure::at(Some(i), format!("{label} q{idx} failed: {e}")))?;
             let aosi = normalize(&result);
             let reference = eval_rows(&replay.rows_at_epoch(claimed), idx);
@@ -455,7 +460,12 @@ pub(crate) fn sweep(
     for epoch in engine.manager().lse()..=through {
         for idx in 0..NUM_QUERIES {
             let result = engine
-                .query_as_of(ORACLE_CUBE, &build_query(idx), epoch)
+                .read(
+                    ORACLE_CUBE,
+                    &build_query(idx),
+                    At::Epoch(epoch),
+                    Deliver::Final,
+                )
                 .map_err(|e| Failure::new(format!("{what}: q{idx} at {epoch} failed: {e}")))?;
             let aosi = normalize(&result);
             let reference = eval_rows(&replay.rows_at_epoch(epoch), idx);

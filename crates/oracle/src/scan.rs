@@ -31,7 +31,9 @@
 
 use aosi::Snapshot;
 use columnar::Value;
-use cubrick::{AggFn, Aggregation, DimFilter, DimStorage, Engine, OrderBy, Query, QueryResult};
+use cubrick::{
+    AggFn, Aggregation, At, Deliver, DimFilter, DimStorage, Engine, OrderBy, Query, QueryResult,
+};
 use workload::ops::{oracle_schema, Schedule, DAY_CARD, ORACLE_CUBE};
 
 use crate::checks::{build_query, NUM_QUERIES};
@@ -194,7 +196,7 @@ pub fn compare_paths(
     for idx in 0..NUM_SCAN_QUERIES {
         let query = build_scan_query(idx);
         let fast = engine
-            .query_at(ORACLE_CUBE, &query, snapshot)
+            .read(ORACLE_CUBE, &query, At::Snapshot(snapshot), Deliver::Final)
             .map_err(|e| Failure::at(op_index, format!("{label} q{idx} fast path failed: {e}")))?;
         let reference = engine
             .query_at_reference(ORACLE_CUBE, &query, snapshot)
@@ -297,7 +299,12 @@ impl Harness for Scan {
         let lce = x.engine.manager().lce();
         let probe = x
             .engine
-            .query_at(ORACLE_CUBE, &build_query(0), &Snapshot::committed(lce))
+            .read(
+                ORACLE_CUBE,
+                &build_query(0),
+                At::Snapshot(&Snapshot::committed(lce)),
+                Deliver::Final,
+            )
             .map_err(|e| Failure::new(format!("probe query failed: {e}")))?;
         Ok(ScanReport {
             ops_executed: schedule.ops.len(),

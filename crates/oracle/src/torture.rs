@@ -79,7 +79,7 @@ use std::sync::Arc;
 
 use aosi::Snapshot;
 use cluster::ReplicationTracker;
-use cubrick::{Engine, ScanConfig};
+use cubrick::{At, Deliver, Engine, ScanConfig};
 use wal::fault::FaultHooks;
 use wal::{is_power_cut, FlushController, SimFs, WalBrickStore, WalError, WalFs};
 use workload::ops::{oracle_schema, GenConfig, LogicalOp, Schedule, ORACLE_CUBE};
@@ -896,7 +896,12 @@ fn probe_queries_fail(engine: &Engine, what: &str) -> Result<(), Failure> {
     let snap = Snapshot::committed(claimed);
     let mut saw_reload_error = false;
     for idx in 0..NUM_QUERIES {
-        if let Err(e) = engine.query_at(ORACLE_CUBE, &build_query(idx), &snap) {
+        if let Err(e) = engine.read(
+            ORACLE_CUBE,
+            &build_query(idx),
+            At::Snapshot(&snap),
+            Deliver::Final,
+        ) {
             let msg = e.to_string();
             if !msg.contains("reload of spilled") {
                 return Err(Failure::new(format!(

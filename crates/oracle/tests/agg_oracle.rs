@@ -12,7 +12,7 @@
 
 use aosi::Snapshot;
 use columnar::Value;
-use cubrick::{AggFn, Aggregation, Query};
+use cubrick::{AggFn, Aggregation, At, Deliver, Query};
 use oracle::scan::scan_engine;
 use oracle::{check_seed, compare_paths, seeds, Agg};
 use workload::ops::{GenConfig, ORACLE_CUBE};
@@ -103,9 +103,9 @@ fn avg_merge_combines_sum_count_not_means() {
     engine.load(ORACLE_CUBE, &rows, 0).unwrap();
     let snapshot = Snapshot::committed(engine.manager().lce());
     let query = Query::aggregate(vec![Aggregation::new(AggFn::Avg, "score")]);
-    let partials = engine
-        .query_brick_partials(ORACLE_CUBE, &query, &snapshot)
-        .unwrap();
+    let mut partials = Vec::new();
+    let deliver = Deliver::BrickPartials(&mut partials);
+    (engine.read(ORACLE_CUBE, &query, At::Snapshot(&snapshot), deliver)).unwrap();
     assert!(
         partials.len() >= 2,
         "rows must spread across bricks for the two-chunk regression"

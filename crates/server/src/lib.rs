@@ -69,11 +69,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use aosi::{ReadGuard, Snapshot};
+use aosi::ReadGuard;
 use checker::{SiChecker, TxnEvent};
 use columnar::Value;
 use cubrick::sql::{self, SelectOutcome, SqlError, SqlOutput, Statement};
-use cubrick::Engine;
+use cubrick::{At, Deliver, Engine};
 use obs::{Counter, Histogram, ReportBuilder};
 
 use admission::{AdmissionGate, AdmitError};
@@ -564,10 +564,13 @@ fn handle_select(
     as_of: Option<u64>,
     session: Option<u64>,
 ) -> Routed {
-    let (epoch, _guard) = match resolve_read_epoch(state, as_of, session) {
+    let (epoch, guard) = match resolve_read(state, as_of, session) {
         Ok(resolved) => resolved,
         Err(routed) => return routed,
     };
+    let at = guard
+        .as_ref()
+        .map_or(At::Epoch(epoch), |g| At::Snapshot(g.snapshot()));
     let statement_key = sql.trim();
     match state.dedup.join(statement_key, epoch) {
         Some(Role::Follower(shared)) => {
@@ -580,64 +583,42 @@ fn handle_select(
             )
         }
         Some(Role::Leader(leader)) => {
-            let routed = execute_select_routed(state, cube, query, epoch, statement_key);
+            let routed = execute_select_routed(state, cube, query, epoch, at, statement_key);
             leader.publish(Arc::new((routed.0, routed.3.clone())));
             routed
         }
         // The previous leader died without publishing; run it solo.
-        None => execute_select_routed(state, cube, query, epoch, statement_key),
+        None => execute_select_routed(state, cube, query, epoch, at, statement_key),
     }
 }
 
 /// Resolves the effective read epoch for a SELECT — statement
-/// `AS OF` beats the session pin beats the freshest committed. The
-/// live case takes a guard *before* re-validating the window (the
-/// engine's own TOCTOU-safe order) so the resolved epoch stays
-/// readable for as long as the caller holds the guard — the dedup
-/// key for buffered responses, the whole refinement stream for
-/// progressive ones.
-fn resolve_read_epoch(
+/// `AS OF` beats the session pin beats the freshest committed. An
+/// explicit or pinned epoch comes back unguarded: the read guards it
+/// and checks the window itself ([`At::Epoch`]). The freshest one
+/// comes back with the guard [`aosi::TxnManager::begin_read`]
+/// registered, which samples the LCE under the lock the LSE advance
+/// holds, so it is always readable. The caller holds that guard for
+/// the whole response — the dedup key for buffered responses, the
+/// refinement stream for progressive ones — and reads through it
+/// ([`At::Snapshot`]). Either way a SELECT takes exactly one guard.
+fn resolve_read(
     state: &ServerState,
     as_of: Option<u64>,
     session: Option<u64>,
 ) -> Result<(u64, Option<ReadGuard>), Routed> {
-    let manager = state.engine.manager();
-    match as_of {
-        Some(epoch) => Ok((epoch, None)),
+    let pinned = match (as_of, session) {
+        (Some(epoch), _) => Some(epoch),
+        (None, Some(id)) => state.sessions.pinned_epoch(id).map_err(session_error)?,
+        (None, None) => None,
+    };
+    Ok(match pinned {
+        Some(epoch) => (epoch, None),
         None => {
-            let pinned = match session {
-                Some(id) => match state.sessions.pinned_epoch(id) {
-                    Ok(pinned) => pinned,
-                    Err(e) => return Err(session_error(e)),
-                },
-                None => None,
-            };
-            match pinned {
-                Some(epoch) => Ok((epoch, None)),
-                None => {
-                    // Freshest committed epoch; retry the sample if a
-                    // purge wins the race between sample and guard.
-                    let mut attempt = 0;
-                    loop {
-                        let epoch = manager.lce();
-                        let guard = manager.guard_snapshot(Snapshot::committed(epoch));
-                        if epoch >= manager.lse() {
-                            return Ok((epoch, Some(guard)));
-                        }
-                        attempt += 1;
-                        if attempt > 8 {
-                            return Err((
-                                500,
-                                "application/json",
-                                Vec::new(),
-                                error_body("cannot stabilize a read epoch", "internal").render(),
-                            ));
-                        }
-                    }
-                }
-            }
+            let guard = state.engine.manager().begin_read();
+            (guard.snapshot().epoch(), Some(guard))
         }
-    }
+    })
 }
 
 /// Writes the progressive NDJSON stream: lazily opens the chunked
@@ -698,7 +679,10 @@ fn handle_progressive_query(
         return Err(bad_request("progressive mode requires a SELECT"));
     };
     state.metrics.select_queries.inc();
-    let (epoch, _guard) = resolve_read_epoch(state, as_of, session)?;
+    let (epoch, guard) = resolve_read(state, as_of, session)?;
+    let at = guard
+        .as_ref()
+        .map_or(At::Epoch(epoch), |g| At::Snapshot(g.snapshot()));
     let _permit = state.gate.admit().map_err(|_| saturated())?;
     let mut sink = ProgressiveSink {
         stream,
@@ -706,10 +690,12 @@ fn handle_progressive_query(
         started: false,
         failed: false,
     };
-    let outcome =
-        sql::execute_select_with_progress(&state.engine, &cube, &query, epoch, |refinement| {
-            sink.send(&render_progressive(&refinement, epoch, true));
-        });
+    let mut refine = |refinement| {
+        let refinement = sql::shape_outcome(&query, refinement);
+        sink.send(&render_progressive(&refinement, epoch, true));
+    };
+    let progress = Deliver::Progress(&mut refine);
+    let outcome = sql::execute_select(&state.engine, &cube, &query, at, progress);
     match outcome {
         Ok(complete) => {
             if let Some((checker, node)) = &state.checker {
@@ -759,13 +745,14 @@ fn execute_select_routed(
     cube: &str,
     query: &cubrick::Query,
     epoch: u64,
+    at: At<'_>,
     statement_key: &str,
 ) -> Routed {
     let _permit = match state.gate.admit() {
         Ok(permit) => permit,
         Err(AdmitError::Saturated) => return saturated(),
     };
-    let outcome = match sql::execute_select(&state.engine, cube, query, Some(epoch)) {
+    let outcome = match sql::execute_select(&state.engine, cube, query, at, Deliver::Final) {
         Ok(outcome) => outcome,
         Err(e) => return sql_error(e),
     };

@@ -88,10 +88,12 @@ impl SessionRegistry {
     /// when `epoch` is `None`), replacing any previous pin. Returns
     /// the epoch actually pinned.
     ///
-    /// The guard is taken *before* the window check — the same
-    /// TOCTOU-safe order the engine itself uses — so a concurrent
-    /// purge between sample and registration cannot invalidate a pin
-    /// that validated.
+    /// The freshest epoch is sampled by
+    /// [`aosi::TxnManager::begin_read`], under the lock the LSE advance
+    /// holds, so it is always in the window. An explicit epoch is
+    /// guarded *before* the window check — the same TOCTOU-safe order
+    /// the engine itself uses — so a concurrent purge between check
+    /// and registration cannot invalidate a pin that validated.
     pub fn pin(
         &self,
         engine: &Engine,
@@ -99,16 +101,22 @@ impl SessionRegistry {
         epoch: Option<u64>,
     ) -> Result<u64, SessionError> {
         let manager = engine.manager();
-        let epoch = epoch.unwrap_or_else(|| manager.lce());
-        let guard = manager.guard_snapshot(Snapshot::committed(epoch));
-        let (lse, lce) = (manager.lse(), manager.lce());
-        if epoch < lse || epoch > lce {
-            return Err(SessionError::EpochOutOfRange {
-                requested: epoch,
-                lse,
-                lce,
-            });
-        }
+        let guard = match epoch {
+            None => manager.begin_read(),
+            Some(epoch) => {
+                let guard = manager.guard_snapshot(Snapshot::committed(epoch));
+                let (lse, lce) = (manager.lse(), manager.lce());
+                if epoch < lse || epoch > lce {
+                    return Err(SessionError::EpochOutOfRange {
+                        requested: epoch,
+                        lse,
+                        lce,
+                    });
+                }
+                guard
+            }
+        };
+        let epoch = guard.snapshot().epoch();
         let mut sessions = self.sessions.lock().unwrap();
         let entry = sessions
             .get_mut(&session)
@@ -151,6 +159,12 @@ impl SessionRegistry {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
+
+    use cubrick::{At, Deliver};
+
     use super::*;
 
     fn engine_with_rows(epochs: u64) -> Engine {
@@ -191,16 +205,55 @@ mod tests {
         // Purge may advance LSE up to — but not past — the pin.
         engine.advance_lse_and_purge();
         assert!(engine.manager().lse() <= 2, "pin must hold the LSE back");
-        let result = engine.query_as_of(
-            "s",
-            &cubrick::Query::aggregate(vec![cubrick::Aggregation::new(cubrick::AggFn::Count, "v")]),
-            2,
-        );
+        let count = cubrick::Aggregation::new(cubrick::AggFn::Count, "v");
+        let query = cubrick::Query::aggregate(vec![count]);
+        let result = engine.read("s", &query, At::Epoch(2), Deliver::Final);
         assert!(result.is_ok(), "pinned epoch stays readable: {result:?}");
         // Closing the session releases the pin; purge can proceed.
         reg.close(id).unwrap();
         engine.advance_lse_and_purge();
         assert_eq!(engine.manager().lse(), engine.manager().lce());
+    }
+
+    /// Regression: a fresh pin used to sample the LCE and guard it
+    /// after, so an LSE advance in between left the sample below the
+    /// window and the server answered a spurious 422. Each pin is on a
+    /// fresh session: a re-pinned session's old guard holds the LSE
+    /// back and hides the race.
+    #[test]
+    fn a_fresh_pin_is_never_out_of_range() {
+        let engine = Arc::new(engine_with_rows(1));
+        let stop = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (engine, stop) = (Arc::clone(&engine), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                while !stop.load(Ordering::Relaxed) {
+                    cubrick::sql::execute(&engine, "INSERT INTO s VALUES (1, 1)").unwrap();
+                    let _ = engine.manager().advance_lse(engine.manager().lce());
+                }
+            })
+        };
+        let reg = SessionRegistry::new(1);
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let (mut pinned, mut refused) = (0u64, 0u64);
+        while Instant::now() < deadline {
+            let id = reg.open().unwrap();
+            match reg.pin(&engine, id, None) {
+                Ok(_) => pinned += 1,
+                Err(SessionError::EpochOutOfRange { .. }) => refused += 1,
+                Err(other) => panic!("unexpected error: {other}"),
+            }
+            reg.close(id).unwrap();
+        }
+        stop.store(true, Ordering::Relaxed);
+        writer.join().unwrap();
+        assert!(pinned > 0);
+        assert_eq!(
+            refused,
+            0,
+            "{refused} of {} fresh pins refused",
+            pinned + refused
+        );
     }
 
     #[test]

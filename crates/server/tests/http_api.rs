@@ -415,6 +415,46 @@ fn memoized_pinned_reply_is_byte_equal_to_a_fresh_one() {
     assert_eq!(served.get("rows"), Some(&Json::Arr(expected)));
 }
 
+/// Every SELECT takes exactly one read guard: a fresh one reads
+/// through the guard that fixed its epoch, a pinned or `AS OF` one has
+/// the read guard its epoch and check the window.
+#[test]
+fn every_select_takes_exactly_one_read_guard() {
+    let (engine, handle) = start_seeded(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let session = client
+        .request("POST", "/session", None)
+        .unwrap()
+        .json()
+        .unwrap()
+        .get("session")
+        .and_then(Json::as_f64)
+        .unwrap() as u64;
+    let body = obj([("session", Json::num(session as f64))]);
+    let pin = client.request("POST", "/session/pin", Some(&body)).unwrap();
+    assert_eq!(pin.status, 200, "{}", pin.body);
+    let sql = "SELECT COUNT(*) FROM t";
+    let guards = || engine.manager().metrics().reads_guarded.get();
+    for round in 0..3 {
+        for (what, progressive, session, sql) in [
+            ("fresh buffered", false, None, sql),
+            ("fresh progressive", true, None, sql),
+            ("pinned buffered", false, Some(session), sql),
+            ("pinned progressive", true, Some(session), sql),
+            ("AS OF", false, None, "SELECT COUNT(*) FROM t AS OF 1"),
+        ] {
+            let before = guards();
+            let response = if progressive {
+                client.query_progressive(sql, session).unwrap()
+            } else {
+                client.query(sql, session).unwrap()
+            };
+            assert_eq!(response.status, 200, "{what}: {}", response.body);
+            assert_eq!(guards(), before + 1, "{what}, round {round}");
+        }
+    }
+}
+
 #[test]
 fn unknown_session_is_a_404() {
     let (_engine, handle) = start_seeded(ServerConfig::default());

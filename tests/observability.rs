@@ -6,8 +6,8 @@ use aosi_repro::aosi::Snapshot;
 use aosi_repro::cluster::SimulatedNetwork;
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
-    AggFn, Aggregation, CubeSchema, DimFilter, Dimension, DistributedEngine, Engine, IsolationMode,
-    Metric, Query,
+    AggFn, Aggregation, At, CubeSchema, Deliver, DimFilter, Dimension, DistributedEngine, Engine,
+    IsolationMode, Metric, Query,
 };
 
 fn schema() -> CubeSchema {
@@ -164,7 +164,9 @@ fn a_query_is_one_task_per_shard() {
         let mut result = None;
         for sighting in 1..=3 {
             let before = shard_tasks(&engine);
-            let answer = engine.query_at("events", query, &snapshot).unwrap();
+            let answer = engine
+                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+                .unwrap();
             assert_eq!(shard_tasks(&engine) - before, 4, "one task per shard");
             assert_eq!(answer.stats.agg_cache_hits > 0, sighting == 3);
             result = Some(answer);

@@ -1,6 +1,6 @@
 //! Concurrency stress for the parallel + memoized scan path: writers
 //! mutate (append / rollback / purge) while readers hammer repeated
-//! `query_as_of` epochs through the per-shard snapshot memo, with the
+//! `At::Epoch` reads through the per-shard snapshot memo, with the
 //! online SI checker riding along.
 //!
 //! What this proves, beyond the single-threaded scan oracle:
@@ -24,7 +24,7 @@ use std::sync::Arc;
 use aosi::Snapshot;
 use checker::{SiChecker, TxnEvent};
 use columnar::{Row, Value};
-use cubrick::{CubrickError, DimStorage, Engine, ScanConfig, ScanKernel};
+use cubrick::{At, CubrickError, Deliver, DimStorage, Engine, ScanConfig, ScanKernel};
 use oracle::checks::{build_query, fingerprint, normalize, NUM_QUERIES};
 use oracle::compare_paths;
 use workload::ops::{oracle_schema, ORACLE_CUBE};
@@ -113,7 +113,12 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
                     let lce = engine.manager().lce();
                     let epoch = lce.saturating_sub((round % 3) as u64).max(1);
                     let idx = (reader + round) % NUM_QUERIES;
-                    match engine.query_as_of(ORACLE_CUBE, &build_query(idx), epoch) {
+                    match engine.read(
+                        ORACLE_CUBE,
+                        &build_query(idx),
+                        At::Epoch(epoch),
+                        Deliver::Final,
+                    ) {
                         Ok(result) => {
                             let norm = normalize(&result);
                             checker.record(TxnEvent::Read {
@@ -128,7 +133,7 @@ fn concurrent_writers_and_cached_readers_stay_si_consistent() {
                         }
                         // The readable window can advance between
                         // sampling LCE and the guarded check inside
-                        // query_as_of; that is a benign race.
+                        // the read; that is a benign race.
                         Err(CubrickError::EpochOutOfRange { .. }) => {}
                         Err(e) => panic!("reader failed: {e}"),
                     }

@@ -17,7 +17,7 @@
 
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
-    AggFn, Aggregation, CubeSchema, Dimension, Engine, IsolationMode, Metric, Query,
+    AggFn, Aggregation, At, CubeSchema, Deliver, Dimension, Engine, IsolationMode, Metric, Query,
 };
 use proptest::prelude::*;
 
@@ -138,11 +138,7 @@ proptest! {
         );
         // The transaction itself sees both.
         let own = engine
-            .query_in_txn(
-                "t",
-                &Query::aggregate(vec![Aggregation::new(AggFn::Count, "m")]),
-                &txn,
-            )
+            .read("t", &Query::aggregate(vec![Aggregation::new(AggFn::Count, "m")]), At::Txn(&txn), Deliver::Final)
             .unwrap()
             .scalar()
             .unwrap_or(0.0) as u64;
@@ -166,12 +162,12 @@ proptest! {
         engine.load("t", &rows(&before), 0).unwrap();
         let observer = engine.begin();
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Count, "m")]);
-        let first = engine.query_in_txn("t", &q, &observer).unwrap().scalar().unwrap();
+        let first = engine.read("t", &q, At::Txn(&observer), Deliver::Final).unwrap().scalar().unwrap();
 
         engine.load("t", &rows(&after), 0).unwrap();
         engine.delete_where("t", &[]).unwrap();
 
-        let second = engine.query_in_txn("t", &q, &observer).unwrap().scalar().unwrap();
+        let second = engine.read("t", &q, At::Txn(&observer), Deliver::Final).unwrap().scalar().unwrap();
         prop_assert_eq!(first, second, "the observer's snapshot drifted");
         engine.commit(&observer).unwrap();
     }
