@@ -34,7 +34,7 @@ fn bench_distributed_txn(c: &mut Criterion) {
 fn bench_distributed_ro(c: &mut Criterion) {
     let cluster = ProtocolCluster::new(16, SimulatedNetwork::instant());
     c.bench_function("distributed_begin_ro_16_nodes", |b| {
-        b.iter(|| black_box(cluster.begin_ro(1).epoch()))
+        b.iter(|| black_box(cluster.manager(1).begin_ro().epoch()))
     });
 }
 

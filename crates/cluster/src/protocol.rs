@@ -903,13 +903,6 @@ impl ProtocolCluster {
         false
     }
 
-    /// Begins a read-only transaction on `node`: runs on the node's
-    /// LCE with no network traffic at all (Section IV-C: "RO
-    /// transactions do not require this step").
-    pub fn begin_ro(&self, node: NodeId) -> Snapshot {
-        self.manager(node).begin_ro()
-    }
-
     /// Writes the `[cluster.protocol]` section of a metrics report:
     /// retry/timeout/idempotency counters and the re-drive backlog.
     pub fn report(&self, report: &mut ReportBuilder) {
@@ -1032,7 +1025,7 @@ mod tests {
     fn ro_transactions_generate_no_traffic() {
         let c = cluster(3);
         let before = c.network().stats().messages;
-        let snap = c.begin_ro(2);
+        let snap = c.manager(2).begin_ro();
         assert_eq!(snap.epoch(), 0);
         assert_eq!(c.network().stats().messages, before);
     }

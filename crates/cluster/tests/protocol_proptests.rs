@@ -128,7 +128,7 @@ proptest! {
         // Final RO snapshots see every committed transaction on
         // every node.
         for node in 1..=num_nodes {
-            let snap = cluster.begin_ro(node);
+            let snap = cluster.manager(node).begin_ro();
             for (&epoch, &committed) in &finished {
                 if committed {
                     prop_assert!(snap.sees(epoch));
@@ -159,7 +159,7 @@ proptest! {
                 cluster.commit(&txn).unwrap();
             }
             for node in 1..=num_nodes {
-                let snap = cluster.begin_ro(node);
+                let snap = cluster.manager(node).begin_ro();
                 for t in &open {
                     prop_assert!(!snap.sees(t.epoch),
                         "RO snapshot at {} sees open T{}", snap.epoch(), t.epoch);

@@ -55,7 +55,7 @@ use obs::{Counter, ReportBuilder};
 
 use crate::cube::Cube;
 use crate::ddl::CubeSchema;
-use crate::engine::{Deliver, Engine, EngineMemory, IsolationMode, LoadStageTimings, PurgeStats};
+use crate::engine::{At, Deliver, Engine, EngineMemory, LoadStageTimings, PurgeStats};
 use crate::error::CubrickError;
 use crate::ingest::{parse_rows, ParsedBatch};
 use crate::query::{PartialResult, Query, QueryResult, ResolvedQuery};
@@ -64,7 +64,12 @@ use crate::scan::BrickFilter;
 /// Read-routing plan: which bricks each node answers for, plus the
 /// set of directory-known bids (bricks outside the directory fall
 /// back to whichever node stores them).
-type ReadRouting = (HashMap<NodeId, HashSet<u64>>, HashSet<u64>);
+type ReadRouting = (HashMap<NodeId, HashSet<u64>>, Arc<HashSet<u64>>);
+
+/// An admitted cluster read ([`DistributedEngine::admit`]): the nodes
+/// that scan, the snapshot they read (`None`: uncommitted rows too),
+/// and the guards that hold it on each of them until they drop.
+pub(crate) type Admission = (Vec<NodeId>, Option<Snapshot>, Vec<ReadGuard>);
 
 /// Result of a distributed load request.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -287,6 +292,27 @@ impl DistributedEngine {
         self.network().is_down(node) || self.tracker.is_offline(node)
     }
 
+    /// The active members, and those of them known to be down.
+    fn members(&self) -> (Vec<NodeId>, BTreeSet<NodeId>) {
+        let active = self.protocol.active_nodes();
+        let down = active.iter().filter(|&&n| self.is_node_down(n));
+        let down = down.copied().collect();
+        (active, down)
+    }
+
+    /// Durability acks for a committed write: every reachable member
+    /// acked `epoch`; the dark ones missed it, capping the purge floor
+    /// (§III-D).
+    fn ack_write(&self, active: &[NodeId], down: &BTreeSet<NodeId>, epoch: aosi::Epoch) {
+        for &node in active {
+            if down.contains(&node) {
+                self.tracker.mark_missed(node, epoch);
+            } else {
+                self.tracker.mark_flushed(node, epoch);
+            }
+        }
+    }
+
     /// Orders `hosts` by the brick's replica preference (ring order
     /// first, then any remaining hosts ascending — e.g. copies not
     /// yet rebalanced off after a membership change).
@@ -348,12 +374,7 @@ impl DistributedEngine {
         // the captured brick state, or we saw the subscribed pending
         // host and fanned out to it.
         let _wg = unpoison(self.write_gate.read());
-        let active = self.protocol.active_nodes();
-        let down: BTreeSet<NodeId> = active
-            .iter()
-            .copied()
-            .filter(|&n| self.is_node_down(n))
-            .collect();
+        let (active, down) = self.members();
 
         // 2. Validate & forward: transaction + routing.
         let mut txn = self.protocol.begin_rw(origin);
@@ -472,15 +493,7 @@ impl DistributedEngine {
         let flush = flush_started.elapsed();
 
         self.protocol.commit(&txn)?;
-        // Durability acks: every reachable member acked the epoch;
-        // the dark ones missed it, capping the purge floor (§III-D).
-        for &node in &active {
-            if down.contains(&node) {
-                self.tracker.mark_missed(node, txn.epoch);
-            } else {
-                self.tracker.mark_flushed(node, txn.epoch);
-            }
-        }
+        self.ack_write(&active, &down, txn.epoch);
         if !down.is_empty() || !demoted.is_empty() {
             self.rebal.degraded_writes.inc();
         }
@@ -498,45 +511,117 @@ impl DistributedEngine {
         })
     }
 
-    /// Runs a query from coordinator `origin` under `mode`, routing
-    /// every brick to one live replica and merging partial
-    /// aggregates.
-    pub fn query(
+    /// Runs `query` from coordinator `origin` at `at`, routing every
+    /// brick to one live replica and merging the partials before
+    /// finalizing (so `Avg` stays correct). Unlike [`Engine::read`], a
+    /// cluster read always guards its own snapshot, on every node that
+    /// scans: no caller can guard every node itself. An explicit
+    /// snapshot (`At::Epoch`, `At::Snapshot`, `At::Txn`) below some
+    /// node's LSE, or an `At::Epoch` above the origin's LCE, fails with
+    /// [`CubrickError::EpochOutOfRange`]; `At::Latest` never does.
+    pub fn read(
         &self,
         origin: NodeId,
         cube_name: &str,
         query: &Query,
-        mode: IsolationMode,
+        at: At<'_>,
     ) -> Result<QueryResult, CubrickError> {
-        let snapshot = match mode {
-            IsolationMode::Snapshot => Some(self.protocol.begin_ro(origin)),
-            IsolationMode::ReadUncommitted => None,
+        let cube = &self.engine(origin).cube(cube_name)?;
+        let resolved = &ResolvedQuery::resolve(cube, query)?;
+        let (participants, snapshot, _guards) = self.admit(origin, at)?;
+        // Shared scan gate: no brick retire may run mid-fan-out.
+        let _sg = unpoison(self.scan_gate.read());
+        let (mut assigned, known) = self.route_reads(cube.name())?;
+        let mut merged = PartialResult::default();
+        // Every participant scans its assigned bricks plus anything it
+        // stores that the directory has never heard of (legacy direct
+        // flushes). Partials are joined in node order so the merge is
+        // deterministic; a scan failure on any node fails the whole
+        // distributed query.
+        let partials: Vec<Result<PartialResult, CubrickError>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (participants.iter())
+                .map(|&node| {
+                    if node != origin {
+                        // Query shipping + result return.
+                        self.network().transmit_typed(MsgKind::Forward, 128, 0, 0);
+                    }
+                    let (engine, snapshot) = (self.engine(node), snapshot.clone());
+                    let mine: HashSet<u64> = assigned.remove(&node).unwrap_or_default();
+                    let known = Arc::clone(&known);
+                    // Evaluated on the engine's shard threads, so the
+                    // predicate owns its sets.
+                    let allow = move |bid| mine.contains(&bid) || !known.contains(&bid);
+                    let allow: Option<BrickFilter> = Some(Arc::new(allow));
+                    let config = engine.scan_config();
+                    scope.spawn(move || {
+                        engine.scan(cube, resolved, snapshot, config, allow, Deliver::Final)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for partial in partials {
+            merged.merge(partial?);
+        }
+        Ok(QueryResult::finalize(cube, resolved, merged))
+    }
+
+    /// Admits a cluster read: picks its participants (the active nodes
+    /// that are up) once, then guards, then validates, on exactly those
+    /// nodes — `Engine::guard_as_of`'s order applied across nodes. An
+    /// explicit snapshot is guarded everywhere and then checked against
+    /// every participant's LSE (and, for `At::Epoch`, the origin's LCE).
+    /// `At::Latest` guards the origin's LCE `E` everywhere; if some
+    /// participant's LSE `L` already passed `E`, it guards `L`
+    /// everywhere instead. Two rounds suffice: the first freezes every
+    /// participant's LSE at or below `max(L, E)`, and
+    /// [`DistributedEngine::purge_all`] keeps `L` at or below every LCE.
+    pub(crate) fn admit(&self, origin: NodeId, at: At<'_>) -> Result<Admission, CubrickError> {
+        let (active, down) = self.members();
+        let participants: Vec<NodeId> = active.into_iter().filter(|n| !down.contains(n)).collect();
+        let manager = |node: NodeId| self.engine(node).manager();
+        let guard = |skip: Option<NodeId>, snapshot: &Snapshot| -> Vec<ReadGuard> {
+            (participants.iter().filter(|&&n| Some(n) != skip))
+                .map(|&n| manager(n).guard_snapshot(snapshot.clone()))
+                .collect()
         };
-        self.read(origin, cube_name, query, snapshot)
-    }
-
-    /// Runs a query from coordinator `origin` at an **explicit**
-    /// snapshot instead of the node's current LCE. This is how a
-    /// reader replays a historical view — and how the chaos suite
-    /// probes that committed reads stay stable while faults are
-    /// being injected: the same `(query, snapshot)` pair must return
-    /// the same result no matter what the network does in between.
-    pub fn query_at(
-        &self,
-        origin: NodeId,
-        cube_name: &str,
-        query: &Query,
-        snapshot: Snapshot,
-    ) -> Result<QueryResult, CubrickError> {
-        self.read(origin, cube_name, query, Some(snapshot))
-    }
-
-    /// Registers `snapshot` as an active read on every node until the
-    /// guards drop: no purge anywhere may pass it.
-    pub(crate) fn guard_everywhere(&self, snapshot: &Snapshot) -> Vec<ReadGuard> {
-        (self.engines.iter())
-            .map(|engine| engine.manager().guard_snapshot(snapshot.clone()))
-            .collect()
+        let max_lse = || participants.iter().map(|&n| manager(n).lse()).max();
+        let explicit = match at {
+            At::Uncommitted | At::Latest => None,
+            At::Epoch(epoch) => Some(Snapshot::committed(epoch)),
+            At::Snapshot(snapshot) => Some(snapshot.clone()),
+            At::Txn(txn) => Some(txn.snapshot().clone()),
+        };
+        let (snapshot, guards) = match (at, explicit) {
+            (At::Uncommitted, _) => (None, Vec::new()),
+            (_, Some(snapshot)) => {
+                let guards = guard(None, &snapshot);
+                let (requested, lce) = (snapshot.epoch(), manager(origin).lce());
+                let lse = max_lse().unwrap_or(0);
+                if requested < lse || matches!(at, At::Epoch(_)) && requested > lce {
+                    return Err(CubrickError::EpochOutOfRange {
+                        requested,
+                        lse,
+                        lce,
+                    });
+                }
+                (Some(snapshot), guards)
+            }
+            (_, None) => {
+                let first = manager(origin).begin_read();
+                let sampled = first.snapshot().epoch();
+                let mut guards = guard(Some(origin), first.snapshot());
+                guards.push(first);
+                let epoch = sampled.max(max_lse().unwrap_or(0));
+                if epoch > sampled {
+                    // The assignment drops the round-one guards only
+                    // once these hold.
+                    guards = guard(None, &Snapshot::committed(epoch));
+                }
+                (Some(Snapshot::committed(epoch)), guards)
+            }
+        };
+        Ok((participants, snapshot, guards))
     }
 
     /// Assigns every directory brick of `cube` to the first live host
@@ -572,75 +657,7 @@ impl DistributedEngine {
                 }
             }
         }
-        Ok((assigned, known))
-    }
-
-    /// The distributed read path: guards `snapshot` (if any) on every
-    /// node, then has every live member scan its share of the bricks
-    /// and merges the partials before finalizing (so `Avg` stays
-    /// correct).
-    fn read(
-        &self,
-        origin: NodeId,
-        cube_name: &str,
-        query: &Query,
-        snapshot: Option<Snapshot>,
-    ) -> Result<QueryResult, CubrickError> {
-        let cube = &self.engine(origin).cube(cube_name)?;
-        let resolved = &ResolvedQuery::resolve(cube, query)?;
-        let _guards = snapshot.as_ref().map(|snap| self.guard_everywhere(snap));
-        // Shared scan gate: no brick retire may run mid-fan-out.
-        let _sg = unpoison(self.scan_gate.read());
-        let (mut assigned, known) = self.route_reads(cube.name())?;
-        let known = Arc::new(known);
-        // Every live member participates: it scans its assigned
-        // bricks plus anything it stores that the directory has never
-        // heard of (legacy direct flushes).
-        let participants: Vec<NodeId> = self
-            .protocol
-            .active_nodes()
-            .into_iter()
-            .filter(|&n| !self.is_node_down(n))
-            .collect();
-        let mut merged = PartialResult::default();
-        // Partials are joined in node order so the merge is
-        // deterministic; a scan failure on any node fails the whole
-        // distributed query.
-        let partials: Vec<Result<PartialResult, CubrickError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = participants
-                .iter()
-                .map(|&node| {
-                    if node != origin {
-                        // Query shipping + result return.
-                        self.network().transmit_typed(MsgKind::Forward, 128, 0, 0);
-                    }
-                    let engine = self.engine(node);
-                    let snapshot = snapshot.clone();
-                    let mine: HashSet<u64> = assigned.remove(&node).unwrap_or_default();
-                    let known = Arc::clone(&known);
-                    // Evaluated on the engine's shard threads, so the
-                    // predicate owns its sets.
-                    let allow: BrickFilter =
-                        Arc::new(move |bid| mine.contains(&bid) || !known.contains(&bid));
-                    let config = engine.scan_config();
-                    scope.spawn(move || {
-                        engine.scan(
-                            cube,
-                            resolved,
-                            snapshot,
-                            config,
-                            Some(allow),
-                            Deliver::Final,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for partial in partials {
-            merged.merge(partial?);
-        }
-        Ok(QueryResult::finalize(cube, resolved, merged))
+        Ok((assigned, Arc::new(known)))
     }
 
     /// Distributed partition delete from coordinator `origin`
@@ -659,12 +676,7 @@ impl DistributedEngine {
         // epoch, so it drives the brick marking directly.
         let cube = self.engine(origin).cube(cube_name)?;
         let _wg = unpoison(self.write_gate.read());
-        let active = self.protocol.active_nodes();
-        let down: BTreeSet<NodeId> = active
-            .iter()
-            .copied()
-            .filter(|&n| self.is_node_down(n))
-            .collect();
+        let (active, down) = self.members();
         let mut txn = self.protocol.begin_rw(origin);
         if let Err(e) = self.protocol.broadcast_begin_excluding(&mut txn, 64, &down) {
             let _ = self.protocol.rollback(&txn);
@@ -690,13 +702,7 @@ impl DistributedEngine {
             }
         }
         self.protocol.commit(&txn)?;
-        for &node in &active {
-            if down.contains(&node) {
-                self.tracker.mark_missed(node, txn.epoch);
-            } else {
-                self.tracker.mark_flushed(node, txn.epoch);
-            }
-        }
+        self.ack_write(&active, &down, txn.epoch);
         if !down.is_empty() {
             self.rebal.degraded_writes.inc();
         }
@@ -706,7 +712,11 @@ impl DistributedEngine {
     /// Advances LSE and purges on every member, **gated cluster-wide**
     /// by the replica durability floor: no node's LSE may pass the
     /// minimum acked watermark over all replicas, and nothing purges
-    /// at all while any replica is offline (§III-D). Returns the
+    /// at all while any replica is offline (§III-D). The target is one
+    /// epoch for the whole cluster, also at or below every member's
+    /// LCE, so no member's LSE ever passes another member's LCE: some
+    /// snapshot is always readable on every node
+    /// ([`DistributedEngine::read`] relies on it). Returns the
     /// aggregate stats.
     pub fn purge_all(&self) -> PurgeStats {
         let Some(floor) = self.tracker.safe_epoch() else {
@@ -714,12 +724,16 @@ impl DistributedEngine {
             // advance at all.
             return PurgeStats::default();
         };
+        let active = self.protocol.active_nodes();
+        let lces = active.iter().map(|&n| self.engine(n).manager().lce());
+        let target = lces.fold(floor, aosi::Epoch::min);
         let mut total = PurgeStats::default();
-        for node in self.protocol.active_nodes() {
+        for node in active {
             let engine = self.engine(node);
             let manager = engine.manager();
-            let target = floor.min(manager.lce()).max(manager.lse());
-            if manager.advance_lse(target).is_ok() {
+            #[cfg(any(test, feature = "fault-hooks"))]
+            let target = self.faults.purge_target(target, floor.min(manager.lce()));
+            if manager.advance_lse(target.max(manager.lse())).is_ok() {
                 let s = engine.purge();
                 total.rows_purged += s.rows_purged;
                 total.entries_reclaimed += s.entries_reclaimed;
@@ -797,7 +811,14 @@ mod tests {
     use columnar::Value;
 
     fn cluster(nodes: u64) -> DistributedEngine {
-        let d = DistributedEngine::new(nodes, 2, SimulatedNetwork::instant());
+        with_events(DistributedEngine::new(
+            nodes,
+            2,
+            SimulatedNetwork::instant(),
+        ))
+    }
+
+    fn with_events(d: DistributedEngine) -> DistributedEngine {
         d.create_cube(
             CubeSchema::new(
                 "events",
@@ -817,12 +838,12 @@ mod tests {
         vec![Value::from(region), Value::from(day), Value::from(likes)]
     }
 
-    fn total_likes(d: &DistributedEngine, origin: NodeId, mode: IsolationMode) -> f64 {
-        d.query(
+    fn total_likes(d: &DistributedEngine, origin: NodeId, at: At<'_>) -> f64 {
+        d.read(
             origin,
             "events",
             &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]),
-            mode,
+            at,
         )
         .unwrap()
         .scalar()
@@ -841,7 +862,7 @@ mod tests {
         // Every node's engine holds some subset; the union is all.
         let stored: u64 = (1..=4).map(|n| d.engine(n).memory().rows).sum();
         assert_eq!(stored, 256);
-        assert_eq!(total_likes(&d, 2, IsolationMode::Snapshot), 256.0);
+        assert_eq!(total_likes(&d, 2, At::Latest), 256.0);
     }
 
     #[test]
@@ -851,7 +872,7 @@ mod tests {
         d.load(2, "events", &[row("br", 1, 20)], 0).unwrap();
         for origin in 1..=3 {
             assert_eq!(
-                total_likes(&d, origin, IsolationMode::Snapshot),
+                total_likes(&d, origin, At::Latest),
                 30.0,
                 "coordinator {origin}"
             );
@@ -866,7 +887,7 @@ mod tests {
             .collect();
         d.load(1, "events", &rows, 0).unwrap();
         let result = d
-            .query(
+            .read(
                 2,
                 "events",
                 &Query::aggregate(vec![
@@ -874,7 +895,7 @@ mod tests {
                     Aggregation::new(AggFn::Avg, "likes"),
                 ])
                 .grouped_by("region"),
-                IsolationMode::Snapshot,
+                At::Latest,
             )
             .unwrap();
         assert_eq!(result.rows.len(), 2);
@@ -894,7 +915,7 @@ mod tests {
         d.load(1, "events", &rows, 0).unwrap();
         let (_, marked) = d.delete_where(2, "events", &[]).unwrap();
         assert!(marked >= 1);
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 0.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 0.0);
         let stats = d.purge_all();
         assert_eq!(stats.rows_purged, 64);
         assert_eq!(d.memory().rows, 0);
@@ -917,10 +938,10 @@ mod tests {
         d.engine(node)
             .flush_batch(&cube, txn.epoch, batch, None)
             .unwrap();
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 0.0);
-        assert_eq!(total_likes(&d, 1, IsolationMode::ReadUncommitted), 7.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 0.0);
+        assert_eq!(total_likes(&d, 1, At::Uncommitted), 7.0);
         d.protocol().commit(&txn).unwrap();
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 7.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 7.0);
     }
 
     #[test]
@@ -939,7 +960,7 @@ mod tests {
             )
             .unwrap();
         assert!(marked >= 1);
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 28.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 28.0);
     }
 
     #[test]
@@ -951,7 +972,7 @@ mod tests {
         let after_load = d.network().stats();
         assert!(after_load.messages > before.messages);
         assert!(after_load.bytes > before.bytes);
-        let _ = total_likes(&d, 1, IsolationMode::Snapshot);
+        let _ = total_likes(&d, 1, At::Latest);
         assert!(d.network().stats().messages > after_load.messages);
     }
 
@@ -960,7 +981,7 @@ mod tests {
         let d = cluster(3);
         let rows: Vec<Row> = (0..64).map(|i| row("us", (i % 32) as i64, 1)).collect();
         d.load(1, "events", &rows, 0).unwrap();
-        let _ = total_likes(&d, 2, IsolationMode::Snapshot);
+        let _ = total_likes(&d, 2, At::Latest);
         let report = d.metrics_report();
         assert!(report.contains("[cluster]"), "report:\n{report}");
         assert!(
@@ -1031,7 +1052,7 @@ mod tests {
             assert_eq!(d.brick_hosts("events", bid).len(), 2, "bid {bid}");
         }
         // ...but every read counts each brick exactly once.
-        assert_eq!(total_likes(&d, 2, IsolationMode::Snapshot), 128.0);
+        assert_eq!(total_likes(&d, 2, At::Latest), 128.0);
         assert!(d.rebal.replica_reads.get() > 0);
     }
 
@@ -1067,18 +1088,18 @@ mod tests {
             .map(|i| vec![Value::from((i % 32) as i64), Value::from(1i64)])
             .collect();
         d.load(1, "events", &rows, 0).unwrap();
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 64.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 64.0);
 
         d.crash_node(3);
         // Every brick still answers from a surviving replica.
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 64.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 64.0);
         assert!(
             d.tracker().safe_epoch().is_none(),
             "offline replica must freeze the purge floor"
         );
         // A delete while node 3 is dark commits degraded...
         let (epoch, _) = d.delete_where(1, "events", &[]).unwrap();
-        assert_eq!(total_likes(&d, 1, IsolationMode::Snapshot), 0.0);
+        assert_eq!(total_likes(&d, 1, At::Latest), 0.0);
         // ...and purging reclaims nothing: the floor is withheld.
         let stats = d.purge_all();
         assert_eq!(stats.rows_purged, 0, "LSE must not advance");
@@ -1088,5 +1109,121 @@ mod tests {
         assert!(d.tracker().safe_epoch().unwrap() < epoch);
         assert!(!d.tracker().covers(3, epoch));
         assert!(d.rebal.degraded_writes.get() >= 1);
+    }
+
+    /// Node 1 holds a write open, so its LCE stalls at the third
+    /// batch, while node 2 commits four more; then the cluster purges.
+    /// No node's LSE may pass node 1's LCE: a `Latest` read from any
+    /// origin sees whole batches, and origin 1 sees exactly its three.
+    fn purge_beside_a_stalled_lce(d: &DistributedEngine) -> Result<(), String> {
+        let batch: Vec<Row> = (0..32).map(|i| row("us", i, 1)).collect();
+        for origin in 1..=3 {
+            d.load(origin, "events", &batch, 0).unwrap();
+        }
+        let _held = d.protocol().begin_rw(1);
+        for _ in 0..4 {
+            d.load(2, "events", &batch, 0).unwrap();
+        }
+        d.purge_all();
+        let sums: Vec<f64> = (1..=3).map(|o| total_likes(d, o, At::Latest)).collect();
+        if sums.iter().any(|sum| sum % 32.0 != 0.0) || sums[0] != 96.0 {
+            return Err(format!("SUM from origins 1, 2, 3: {sums:?}"));
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn purge_keeps_one_window_readable_on_every_node() {
+        purge_beside_a_stalled_lce(&cluster(3)).unwrap();
+    }
+
+    #[test]
+    fn a_per_node_purge_target_is_caught() {
+        let d = cluster(3);
+        d.faults().purge_per_node(true);
+        let err = purge_beside_a_stalled_lce(&d).expect_err("disjoint windows must show");
+        println!("caught: {err}");
+    }
+
+    #[test]
+    fn a_latest_sum_never_goes_backwards_under_purge() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let d = cluster(3);
+        let done = AtomicBool::new(false);
+        let batch: Vec<Row> = (0..8).map(|i| row("us", i, 1)).collect();
+        let (reads, backwards) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for origin in (1..=3).cycle() {
+                    if done.load(Ordering::Relaxed) {
+                        break;
+                    }
+                    d.load(origin, "events", &batch, 0).unwrap();
+                    d.purge_all();
+                }
+            });
+            let deadline = Instant::now() + std::time::Duration::from_secs(3);
+            let (mut reads, mut backwards, mut last) = (0u64, Vec::new(), 0.0);
+            while Instant::now() < deadline {
+                let sum = total_likes(&d, 1, At::Latest);
+                if sum < last {
+                    backwards.push((last, sum));
+                }
+                (reads, last) = (reads + 1, sum);
+            }
+            done.store(true, Ordering::Relaxed);
+            (reads, backwards)
+        });
+        println!("{reads} reads from node 1 in 3 s");
+        assert!(backwards.is_empty(), "SUM went backwards: {backwards:?}");
+    }
+
+    /// Slots 1 to 3 active, slot 4 dormant.
+    fn three_of_four() -> DistributedEngine {
+        with_events(DistributedEngine::elastic(
+            ElasticConfig {
+                capacity: 4,
+                active: vec![1, 2, 3],
+                shards_per_node: 2,
+                replication: 1,
+                retry: RetryPolicy::default(),
+            },
+            SimulatedNetwork::instant(),
+        ))
+    }
+
+    #[test]
+    fn a_joiner_starts_with_no_member_lse_above_its_lce() {
+        let d = three_of_four();
+        let rows: Vec<Row> = (0..64).map(|i| row("us", i % 32, 1)).collect();
+        d.load(1, "events", &rows, 0).unwrap();
+        d.purge_all();
+        let lse = (1..=3).map(|n| d.engine(n).manager().lse()).max().unwrap();
+        assert!(lse > 0);
+        d.join_node(4).unwrap();
+        assert!(d.engine(4).manager().lce() >= lse);
+        assert_eq!(total_likes(&d, 4, At::Latest), 64.0);
+    }
+
+    #[test]
+    fn a_cluster_read_guards_each_participant_once() {
+        let d = three_of_four();
+        let rows: Vec<Row> = (0..64).map(|i| row("us", i % 32, 1)).collect();
+        d.load(1, "events", &rows, 0).unwrap();
+        let guarded = || -> Vec<u64> {
+            let metrics = |n: NodeId| d.engine(n).manager().metrics().reads_guarded.get();
+            (1..=4).map(metrics).collect()
+        };
+        let lce = d.engine(1).manager().lce();
+        for (at, step) in [(At::Latest, 1), (At::Epoch(lce), 1), (At::Uncommitted, 0)] {
+            let before = guarded();
+            assert_eq!(total_likes(&d, 1, at), 64.0, "{at:?}");
+            let want: Vec<u64> = (before.iter().zip([step, step, step, 0]))
+                .map(|(count, step)| count + step)
+                .collect();
+            assert_eq!(guarded(), want, "{at:?}: dormant slot 4 is never guarded");
+        }
+        let sum = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        let err = d.read(1, "events", &sum, At::Epoch(lce + 1)).unwrap_err();
+        assert!(matches!(err, CubrickError::EpochOutOfRange { .. }), "{err}");
     }
 }

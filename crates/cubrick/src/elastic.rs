@@ -35,14 +35,13 @@ use cluster::{Fate, MsgKind, NodeId};
 use obs::sync::unpoison;
 
 use crate::distributed::DistributedEngine;
-use crate::engine::{Deliver, IsolationMode};
+use crate::engine::{At, Deliver};
 use crate::error::CubrickError;
 #[cfg(any(test, feature = "fault-hooks"))]
 use crate::fault::HandoffBreak;
 use crate::persist::DeltaRun;
 use crate::query::{Query, QueryResult, ResolvedQuery};
 use crate::scan::BrickFilter;
-use aosi::Snapshot;
 
 /// Per-chunk send attempts before a handoff gives up.
 const HANDOFF_RETRIES: u32 = 4;
@@ -299,6 +298,20 @@ impl DistributedEngine {
     /// onto it. Returns the number of brick copies it received.
     pub fn join_node(&self, node: NodeId) -> Result<usize, CubrickError> {
         self.protocol.activate(node);
+        // `activate` raises only the joiner's EC, so its LCE could sit
+        // below a member's LSE. Every epoch up to the members' smallest
+        // LCE has finished on every member, and `purge_all` keeps each
+        // LSE at or below it: the joiner takes it as its LCE, so no
+        // member's LSE exceeds any member's LCE (DESIGN §17).
+        let members = self.protocol.active_nodes().into_iter();
+        let lces = members
+            .filter(|&n| n != node)
+            .map(|n| self.engine(n).manager().lce());
+        let manager = self.engine(node).manager();
+        if let Some(settled) = lces.min().filter(|&lce| lce > manager.lce()) {
+            manager.register_remote(settled);
+            manager.commit_remote(settled)?;
+        }
         self.tracker.add_node(node, 0);
         self.topology.add_node(node);
         let moves = self.rebalance()?;
@@ -366,22 +379,23 @@ impl DistributedEngine {
         false
     }
 
-    /// Every readable replica of every brick answers `query` at
-    /// `snapshot` **independently** and returns its fingerprinted
-    /// result: `(bid, node, fingerprint)` triples for the
-    /// replica-divergence checker. Two replicas of the same brick
-    /// disagreeing at the same snapshot is a replication bug.
+    /// Every readable replica of every brick answers `query` at `at`
+    /// **independently** and returns its fingerprinted result:
+    /// `(bid, node, fingerprint)` triples for the replica-divergence
+    /// checker. Two replicas of the same brick disagreeing at the same
+    /// snapshot is a replication bug. The snapshot is admitted like a
+    /// [`DistributedEngine::read`] from the first active node.
     pub fn replica_fingerprints(
         &self,
         cube_name: &str,
         query: &Query,
-        snapshot: Snapshot,
+        at: At<'_>,
     ) -> Result<Vec<(u64, NodeId, String)>, CubrickError> {
-        let _sg = unpoison(self.scan_gate.read());
         let coordinator = self.protocol.active_nodes()[0];
         let cube = self.engine(coordinator).cube(cube_name)?;
         let resolved = ResolvedQuery::resolve(&cube, query)?;
-        let _guards = self.guard_everywhere(&snapshot);
+        let (participants, snapshot, _guards) = self.admit(coordinator, at)?;
+        let _sg = unpoison(self.scan_gate.read());
         let pairs: Vec<(u64, NodeId)> = {
             let dir = unpoison(self.directory.read());
             let mut pairs: Vec<(u64, NodeId)> = dir
@@ -391,7 +405,7 @@ impl DistributedEngine {
                     hosts
                         .readable
                         .iter()
-                        .filter(|&&n| !self.is_node_down(n))
+                        .filter(|n| participants.contains(n))
                         .map(|&n| (*bid, n))
                         .collect::<Vec<_>>()
                 })
@@ -403,7 +417,7 @@ impl DistributedEngine {
         for (bid, node) in pairs {
             let engine = self.engine(node);
             let allow: BrickFilter = Arc::new(move |b| b == bid);
-            let (snapshot, config) = (Some(snapshot.clone()), engine.scan_config());
+            let (snapshot, config) = (snapshot.clone(), engine.scan_config());
             let partial = engine.scan(
                 &cube,
                 &resolved,
@@ -418,20 +432,20 @@ impl DistributedEngine {
         Ok(out)
     }
 
-    /// Sums a metric per brick copy and checks copies agree; a
+    /// Sums a metric per brick copy at `at` and checks copies agree; a
     /// convenience wrapper used by the chaos tests.
     pub fn check_replica_divergence(
         &self,
         cube_name: &str,
         metric: &str,
-        snapshot: Snapshot,
+        at: At<'_>,
     ) -> Result<(), String> {
         let query = Query::aggregate(vec![crate::query::Aggregation::new(
             crate::query::AggFn::Sum,
             metric,
         )]);
         let triples = self
-            .replica_fingerprints(cube_name, &query, snapshot)
+            .replica_fingerprints(cube_name, &query, at)
             .map_err(|e| e.to_string())?;
         let mut checker = checker::ReplicaDivergenceChecker::new();
         for (bid, node, fp) in triples {
@@ -482,7 +496,7 @@ impl DistributedEngine {
             metric,
         )]);
         Ok(self
-            .query(origin, cube, &query, IsolationMode::Snapshot)?
+            .read(origin, cube, &query, At::Latest)?
             .scalar()
             .unwrap_or(0.0))
     }

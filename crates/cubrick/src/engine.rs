@@ -98,9 +98,9 @@ pub enum At<'a> {
     /// (the LCE rule guarantees everything at or below it finished),
     /// and purge has not yet merged history above the LSE.
     Epoch(Epoch),
-    /// A snapshot the caller guards, and the read does not: the
-    /// distributed engine pins one snapshot on every node, the server
-    /// holds its guard for a whole response.
+    /// A snapshot the caller guards, and the read does not: the server
+    /// holds its guard for a whole response. (A cluster read guards it
+    /// anyway, on every node it scans.)
     Snapshot(&'a Snapshot),
 }
 

@@ -10,7 +10,7 @@
 //! [`DistributedEngine`] owns one [`FaultHooks`], so a fault armed on
 //! one never reaches another in the same process. Node engines use
 //! the scan and memo hooks; a cluster's own hooks hold its handoff
-//! break.
+//! break and its per-node purge target.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -43,6 +43,7 @@ pub struct FaultHooks {
     scan_panics: RwLock<HashSet<u64>>,
     corrupt_memo: AtomicBool,
     handoff_break: Mutex<Option<HandoffBreak>>,
+    per_node_purge: AtomicBool,
 }
 
 impl FaultHooks {
@@ -68,6 +69,24 @@ impl FaultHooks {
     /// Arms (or, with `None`, clears) a broken brick handoff.
     pub fn break_handoff(&self, b: Option<HandoffBreak>) {
         *unpoison(self.handoff_break.lock()) = b;
+    }
+
+    /// Makes [`DistributedEngine::purge_all`] move each node to its own
+    /// LCE instead of one cluster-wide target, so one node's LSE can
+    /// pass another's LCE and no snapshot stays readable everywhere.
+    pub fn purge_per_node(&self, on: bool) {
+        self.per_node_purge.store(on, Ordering::Relaxed);
+    }
+
+    /// The LSE target a cluster purge gives one node: the cluster-wide
+    /// `cluster`, or the node's `own` while
+    /// [`FaultHooks::purge_per_node`] is armed.
+    pub(crate) fn purge_target(&self, cluster: aosi::Epoch, own: aosi::Epoch) -> aosi::Epoch {
+        if self.per_node_purge.load(Ordering::Relaxed) {
+            own
+        } else {
+            cluster
+        }
     }
 
     /// Applies a pending memo corruption to `memos` and returns the
@@ -110,8 +129,9 @@ impl Engine {
 }
 
 impl DistributedEngine {
-    /// This cluster's fault hooks (the handoff break). Each node
-    /// engine has its own, reachable through its [`Engine::faults`].
+    /// This cluster's fault hooks (the handoff break and the per-node
+    /// purge target). Each node engine has its own, reachable through
+    /// its [`Engine::faults`].
     pub fn faults(&self) -> &FaultHooks {
         &self.faults
     }

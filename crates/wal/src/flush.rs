@@ -274,6 +274,32 @@ fn wal_to_io(e: WalError) -> std::io::Error {
     }
 }
 
+/// Convenience for tests/benches: a throwaway directory under the
+/// system temp dir, removed on drop.
+pub struct TempWalDir {
+    path: PathBuf,
+}
+
+impl TempWalDir {
+    /// Creates `aosi-wal-<tag>-<pid>` under the temp dir.
+    pub fn new(tag: &str) -> Self {
+        let path = std::env::temp_dir().join(format!("aosi-wal-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&path);
+        TempWalDir { path }
+    }
+
+    /// The directory path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl Drop for TempWalDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.path);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -23,12 +23,9 @@
 //!   through: [`fault::RealFs`] in production, [`fault::SimFs`] (a
 //!   deterministic in-memory filesystem with power-cut simulation)
 //!   under the crash torture harness in `oracle::torture`.
-//! * [`ClusterFlush`] — per-node controllers sharing one tracker:
-//!   cluster-wide flush rounds, crash/freeze/recover/rejoin.
 
 mod chain;
 pub mod codec;
-mod daemon;
 pub mod fault;
 mod flush;
 pub mod recovery;
@@ -36,9 +33,8 @@ pub mod tier;
 pub mod verify;
 
 pub use codec::{DictDelta, FlushRound, WalError};
-pub use daemon::{ClusterFlush, TempWalDir};
 pub use fault::{is_power_cut, RealFs, SimFs, WalFs};
-pub use flush::{FlushController, FlushOutcome};
+pub use flush::{FlushController, FlushOutcome, TempWalDir};
 pub use recovery::{recover_into, recover_into_with, RecoveryReport};
 pub use tier::WalBrickStore;
 pub use verify::{verify_dir, RoundReport, RoundStatus, VerifyReport};

@@ -150,8 +150,7 @@ pub fn verify_dir(dir: &Path) -> std::io::Result<VerifyReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::daemon::TempWalDir;
-    use crate::flush::FlushController;
+    use crate::flush::{FlushController, TempWalDir};
     use cluster::ReplicationTracker;
     use columnar::Value;
     use cubrick::{CubeSchema, Dimension, Engine, Metric};

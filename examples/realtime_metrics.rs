@@ -4,9 +4,9 @@
 //!   distributed engine (Section IV's transaction flow end to end);
 //! * dashboards query concurrently under snapshot isolation and must
 //!   always observe transactionally consistent totals;
-//! * a background flush loop persists rounds and advances LSE
-//!   (Section III-D), and at the end we crash one node and recover it
-//!   from its flush directory.
+//! * once the producers finish, every node flushes one round and the
+//!   cluster purges (Section III-D); then one node is crashed and
+//!   recovered from its flush directory.
 //!
 //! ```sh
 //! cargo run --release --example realtime_metrics
@@ -17,8 +17,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use aosi_repro::cluster::{ReplicationTracker, SimulatedNetwork};
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
-    AggFn, Aggregation, CubeSchema, Dimension, DistributedEngine, Engine, IsolationMode, Metric,
-    Query,
+    AggFn, Aggregation, At, CubeSchema, Dimension, DistributedEngine, Engine, Metric, Query,
 };
 use aosi_repro::wal::{recover_into, FlushController};
 
@@ -86,11 +85,11 @@ fn main() {
                 let mut observations = 0u64;
                 while !done.load(Ordering::Relaxed) {
                     let result = cluster
-                        .query(
+                        .read(
                             origin,
                             "metrics",
                             &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "requests")]),
-                            IsolationMode::Snapshot,
+                            At::Latest,
                         )
                         .expect("dashboard query");
                     let total = result.scalar().unwrap_or(0.0) as u64;
@@ -152,7 +151,7 @@ fn main() {
     assert_eq!(report.rows_recovered, node2_rows, "no data lost");
 
     let grand_total = cluster
-        .query(
+        .read(
             1,
             "metrics",
             &Query::aggregate(vec![
@@ -160,7 +159,7 @@ fn main() {
                 Aggregation::new(AggFn::Sum, "errors"),
             ])
             .grouped_by("service"),
-            IsolationMode::Snapshot,
+            At::Latest,
         )
         .expect("final query");
     println!("\nfinal per-service totals:");

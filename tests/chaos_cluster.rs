@@ -22,9 +22,7 @@ use cluster::{
     DistributedTxn, FaultPlan, LatencyModel, ProtocolCluster, RetryPolicy, SimulatedNetwork,
 };
 use columnar::{Row, Value};
-use cubrick::{
-    AggFn, Aggregation, CubeSchema, Dimension, DistributedEngine, IsolationMode, Metric, Query,
-};
+use cubrick::{AggFn, Aggregation, At, CubeSchema, Dimension, DistributedEngine, Metric, Query};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const NODES: u64 = 3;
@@ -151,7 +149,7 @@ impl Driver {
 
     fn ro_read(&mut self) {
         let node = self.rng.gen_range(1..=NODES);
-        let snap = self.cluster.begin_ro(node);
+        let snap = self.cluster.manager(node).begin_ro();
         let observed = self.visible(&snap);
         let fp = fingerprint_rows(observed.iter().copied());
         self.checker.record(TxnEvent::Read {
@@ -375,7 +373,7 @@ fn chaos_cubrick_cluster() {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xC0B1);
         let sum_query = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let total_from = |origin: u64| -> f64 {
-            d.query(origin, "events", &sum_query, IsolationMode::Snapshot)
+            d.read(origin, "events", &sum_query, At::Latest)
                 .unwrap()
                 .scalar()
                 .unwrap_or(0.0)
@@ -421,9 +419,9 @@ fn chaos_cubrick_cluster() {
             );
 
             // Pin a snapshot and fingerprint it now...
-            let snap = d.protocol().begin_ro(origin);
+            let snap = d.protocol().manager(origin).begin_ro();
             let fp = d
-                .query_at(origin, "events", &sum_query, snap.clone())
+                .read(origin, "events", &sum_query, At::Snapshot(&snap))
                 .unwrap()
                 .scalar()
                 .unwrap_or(0.0)
@@ -444,7 +442,7 @@ fn chaos_cubrick_cluster() {
             let (old_snap, old_fp) = probes[rng.gen_range(0..probes.len())].clone();
             let replay_origin = rng.gen_range(1..=NODES);
             let replay = d
-                .query_at(replay_origin, "events", &sum_query, old_snap.clone())
+                .read(replay_origin, "events", &sum_query, At::Snapshot(&old_snap))
                 .unwrap()
                 .scalar()
                 .unwrap_or(0.0)

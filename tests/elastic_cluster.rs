@@ -18,7 +18,7 @@ use std::time::Duration;
 use cluster::{FaultPlan, LatencyModel, NodeId, RetryPolicy, SimulatedNetwork};
 use columnar::{Row, Value};
 use cubrick::fault::HandoffBreak;
-use cubrick::{CubeSchema, Dimension, DistributedEngine, ElasticConfig, Metric};
+use cubrick::{At, CubeSchema, Dimension, DistributedEngine, ElasticConfig, Metric};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const BATCH: usize = 15;
@@ -94,8 +94,8 @@ fn assert_ownership_consistent(d: &DistributedEngine, label: &str) {
 /// Asserts every readable replica of every brick agrees at a pinned
 /// snapshot (the replica-divergence check).
 fn assert_no_divergence(d: &DistributedEngine, origin: NodeId, label: &str) {
-    let snap = d.protocol().begin_ro(origin);
-    if let Err(e) = d.check_replica_divergence("events", "likes", snap) {
+    let snap = d.protocol().manager(origin).begin_ro();
+    if let Err(e) = d.check_replica_divergence("events", "likes", At::Snapshot(&snap)) {
         panic!("{label}: {e}");
     }
 }
@@ -408,9 +408,9 @@ fn meta_broken_handoff_incomplete_install_is_caught() {
     d.transfer_brick("events", bid, hosts[0], spare).unwrap();
     d.faults().break_handoff(None);
     // The broken copy diverges from the surviving honest replica.
-    let snap = d.protocol().begin_ro(1);
+    let snap = d.protocol().manager(1).begin_ro();
     let err = d
-        .check_replica_divergence("events", "likes", snap)
+        .check_replica_divergence("events", "likes", At::Snapshot(&snap))
         .expect_err("the divergence check must catch the incomplete copy");
     assert!(err.contains(&format!("brick {bid}")), "{err}");
 }

@@ -4,8 +4,8 @@
 use aosi_repro::cluster::{ReplicationTracker, SimulatedNetwork};
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
-    AggFn, Aggregation, CubeSchema, DimFilter, Dimension, DistributedEngine, Engine, IsolationMode,
-    Metric, Query,
+    AggFn, Aggregation, At, CubeSchema, DimFilter, Dimension, DistributedEngine, Engine,
+    IsolationMode, Metric, Query,
 };
 use aosi_repro::wal::{recover_into, FlushController};
 use aosi_repro::workload::{Dataset, WideDataset};
@@ -28,11 +28,11 @@ fn row(region: &str, day: i64, likes: i64) -> Vec<Value> {
 
 fn sum(engine: &DistributedEngine, origin: u64) -> f64 {
     engine
-        .query(
+        .read(
             origin,
             "events",
             &Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]),
-            IsolationMode::Snapshot,
+            At::Latest,
         )
         .unwrap()
         .scalar()
@@ -195,11 +195,11 @@ fn workload_dataset_runs_through_the_distributed_stack() {
         .unwrap();
     assert_eq!(outcome.accepted, 2000);
     let result = cluster
-        .query(
+        .read(
             2,
             "wide",
             &Query::aggregate(vec![Aggregation::new(AggFn::Count, "m0")]).grouped_by("region"),
-            IsolationMode::Snapshot,
+            At::Latest,
         )
         .unwrap();
     let counted: f64 = result.rows.iter().map(|(_, v)| v[0]).sum();

@@ -413,9 +413,7 @@ fn metrics_report_covers_cluster_and_every_node() {
     cluster.create_cube(schema()).unwrap();
     let rows: Vec<_> = (0..80).map(|i| row("mx", i % 32, 1)).collect();
     cluster.load(1, "events", &rows, 0).unwrap();
-    let result = cluster
-        .query(2, "events", &sum_query(), IsolationMode::Snapshot)
-        .unwrap();
+    let result = cluster.read(2, "events", &sum_query(), At::Latest).unwrap();
     assert_eq!(result.scalar(), Some(80.0));
 
     let report = cluster.metrics_report();
