@@ -512,7 +512,9 @@ impl DistributedEngine {
     }
 
     /// Runs `query` from coordinator `origin` at `at`, routing every
-    /// brick to one live replica and merging the partials before
+    /// brick to one participant that holds a readable replica (a
+    /// brick with none fails the read with
+    /// [`CubrickError::NoReplicaAvailable`]) and merging the partials before
     /// finalizing (so `Avg` stays correct). Unlike [`Engine::read`], a
     /// cluster read always guards its own snapshot, on every node that
     /// scans: no caller can guard every node itself. An explicit
@@ -531,7 +533,7 @@ impl DistributedEngine {
         let (participants, snapshot, _guards) = self.admit(origin, at)?;
         // Shared scan gate: no brick retire may run mid-fan-out.
         let _sg = unpoison(self.scan_gate.read());
-        let (mut assigned, known) = self.route_reads(cube.name())?;
+        let (mut assigned, known) = self.route_reads(cube.name(), &participants)?;
         let mut merged = PartialResult::default();
         // Every participant scans its assigned bricks plus anything it
         // stores that the directory has never heard of (legacy direct
@@ -624,12 +626,19 @@ impl DistributedEngine {
         Ok((participants, snapshot, guards))
     }
 
-    /// Assigns every directory brick of `cube` to the first live host
-    /// in its replica preference order. Returns the per-node brick
-    /// assignment plus the set of directory-known bids (bricks *not*
-    /// in the directory — state planted directly on an engine — fall
-    /// back to scanning on whichever node stores them).
-    fn route_reads(&self, cube: &str) -> Result<ReadRouting, CubrickError> {
+    /// Assigns every directory brick of `cube` to the first of the
+    /// read's `participants` in its replica preference order; a brick
+    /// no participant can read fails the read with
+    /// [`CubrickError::NoReplicaAvailable`] rather than leaving its
+    /// rows out. Returns the per-node brick assignment plus the set of
+    /// directory-known bids (bricks *not* in the directory — state
+    /// planted directly on an engine — fall back to scanning on
+    /// whichever participant stores them).
+    fn route_reads(
+        &self,
+        cube: &str,
+        participants: &[NodeId],
+    ) -> Result<ReadRouting, CubrickError> {
         let mut assigned: HashMap<NodeId, HashSet<u64>> = HashMap::new();
         let mut known: HashSet<u64> = HashSet::new();
         let dir = unpoison(self.directory.read());
@@ -639,7 +648,7 @@ impl DistributedEngine {
             }
             known.insert(*bid);
             let pref = self.prefer(*bid, &hosts.readable);
-            match pref.iter().copied().find(|&n| !self.is_node_down(n)) {
+            match pref.iter().copied().find(|n| participants.contains(n)) {
                 Some(node) => {
                     if Some(&node) == pref.first() && Some(&node) == hosts.readable.first() {
                         self.rebal.replica_reads.inc();
@@ -1225,5 +1234,27 @@ mod tests {
         let sum = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let err = d.read(1, "events", &sum, At::Epoch(lce + 1)).unwrap_err();
         assert!(matches!(err, CubrickError::EpochOutOfRange { .. }), "{err}");
+    }
+
+    /// A brick moved onto dormant slot 4 has no readable host among
+    /// the read's participants (slots 1 to 3): the read fails typed
+    /// rather than leaving the brick's rows out of the total.
+    #[test]
+    fn a_brick_only_a_dormant_slot_can_read_fails_the_read() {
+        let d = three_of_four();
+        let rows: Vec<Row> = (0..64).map(|i| row("us", i % 32, 1)).collect();
+        d.load(1, "events", &rows, 0).unwrap();
+        assert_eq!(total_likes(&d, 1, At::Latest), 64.0);
+        let bid = d.known_bricks("events")[0];
+        let source = d.brick_hosts("events", bid)[0];
+        d.transfer_brick("events", bid, source, 4).unwrap();
+        assert_eq!(d.brick_hosts("events", bid), vec![4]);
+        let sum = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
+        for at in [At::Latest, At::Uncommitted] {
+            match d.read(1, "events", &sum, at) {
+                Err(CubrickError::NoReplicaAvailable { bid: lost, .. }) => assert_eq!(lost, bid),
+                other => panic!("{at:?}: the brick's rows are unreadable, got {other:?}"),
+            }
+        }
     }
 }

@@ -715,12 +715,16 @@ impl Engine {
         }
     }
 
-    /// Submits `scan` to every shard and joins in shard order, handing
-    /// `on_shard` each shard's accumulator (its brick partials folded
-    /// by `absorb`, ascending bid) and outcome. `sequential` joins
-    /// each shard before submitting the next; otherwise all shards
-    /// run at once. A panicking brick or a failed tier reload fails
-    /// the whole query with a typed error — never a partial result.
+    /// Answers `scan` on every shard and lands the answers in shard
+    /// order, handing `on_shard` each shard's accumulator (its brick
+    /// partials folded by `absorb`, ascending bid) and outcome. A
+    /// memo-eligible scan looks each shard's settled answer up here,
+    /// on the calling thread, and submits a task only to the shards
+    /// that miss; a hit is absorbed as that shard's one partial.
+    /// `sequential` lands each shard before submitting the next;
+    /// otherwise all missed shards run at once. A panicking brick or a
+    /// failed tier reload fails the whole query with a typed error —
+    /// never a partial result.
     ///
     /// Every query path runs exactly one fan-out, so this is where a
     /// query is counted (`queries`) and timed (`query_nanos`).
@@ -732,10 +736,18 @@ impl Engine {
         mut on_shard: impl FnMut(A, &ShardScanOutcome),
     ) -> Result<(), CubrickError> {
         type Joined<A> = Result<(A, ShardScanOutcome), (u64, ScanFailure)>;
+        enum Answer<A> {
+            Memoized(A, ShardScanOutcome),
+            Task(TaskHandle<Joined<A>>),
+        }
         let scan = Arc::new(scan);
-        let mut join = |handle: TaskHandle<Joined<A>>| {
+        let mut land = |answer: Answer<A>| {
+            let joined = match answer {
+                Answer::Memoized(acc, outcome) => Ok(Ok((acc, outcome))),
+                Answer::Task(handle) => handle.join(),
+            };
             let cube = || scan.cube.name().to_owned();
-            match handle.join() {
+            match joined {
                 Ok(Ok((acc, outcome))) => {
                     for &nanos in &outcome.scan_task_nanos {
                         self.metrics.scan_task_nanos.record(nanos);
@@ -763,21 +775,33 @@ impl Engine {
         let started = Instant::now();
         self.ops.queries.inc();
         let mut fan_out = || {
-            let mut pending = Vec::new();
+            let mut answers = Vec::new();
             for shard in 0..self.shards.num_shards() {
-                let task = Arc::clone(&scan);
-                let handle = self.shards.submit_handle(shard, move |bricks| {
-                    let mut acc = A::default();
-                    let outcome = task.run(shard, bricks, |partial| absorb(&mut acc, partial))?;
-                    Ok((acc, outcome))
-                });
+                let memoized =
+                    (scan.memo.as_ref()).and_then(|(memos, key)| memos.shard(shard).get(key));
+                let answer = match memoized {
+                    Some((partial, outcome)) => {
+                        let mut acc = A::default();
+                        absorb(&mut acc, partial);
+                        Answer::Memoized(acc, outcome)
+                    }
+                    None => {
+                        let task = Arc::clone(&scan);
+                        Answer::Task(self.shards.submit_handle(shard, move |bricks| {
+                            let mut acc = A::default();
+                            let outcome =
+                                task.run(shard, bricks, |partial| absorb(&mut acc, partial))?;
+                            Ok((acc, outcome))
+                        }))
+                    }
+                };
                 if sequential {
-                    join(handle)?;
+                    land(answer)?;
                 } else {
-                    pending.push(handle);
+                    answers.push(answer);
                 }
             }
-            pending.into_iter().try_for_each(&mut join)
+            answers.into_iter().try_for_each(&mut land)
         };
         let scanned = fan_out();
         self.metrics.query_nanos.record_duration(started.elapsed());
@@ -1388,7 +1412,7 @@ pub(crate) mod tests {
 
     /// A key is stored on its shard's second sighting and served on
     /// the third: no brick scanned, the data counters replayed exactly,
-    /// no wall time, one task per shard all the same.
+    /// no wall time.
     #[test]
     fn the_memo_admits_on_the_second_sighting_and_replays_the_data_counters() {
         let engine = engine();

@@ -15,6 +15,12 @@
 //! for the cube inside the shard task that does the write. Purge drops
 //! the entries no legal reader can ask for any more.
 //!
+//! A query's coordinator looks every shard's key up itself, so a hit
+//! costs no shard task. An answer is offered only by the shard task
+//! that scanned it, queued on the same thread as those writes: an
+//! answer scanned before such a write is offered before the write
+//! clears the memo, never after it, where it would stay for good.
+//!
 //! Keys compare structurally (cube name, [`AggQueryShape`], epoch,
 //! full deps set), never by fingerprint: a collision would serve one
 //! query's answer to another. A key is stored only on its shard's
@@ -118,7 +124,8 @@ fn entry_bytes(key: &MemoKey, groups: &[(u64, Box<[AggState]>)]) -> usize {
             .sum::<usize>()
 }
 
-/// One shard's memo. Only that shard's tasks touch it.
+/// One shard's memo. The coordinator of any query looks keys up in
+/// it; only that shard's tasks offer, clear and expire entries.
 pub(crate) struct ShardMemo {
     entries: HashMap<MemoKey, MemoEntry>,
     /// Keys in admission order, oldest first.
@@ -167,13 +174,18 @@ impl ShardMemo {
 
     /// Offers a freshly folded answer for a missed `key`. It is stored
     /// on the key's second sighting, if it fits the budget at all,
-    /// evicting the oldest entries until it does.
+    /// evicting the oldest entries until it does. Two identical queries
+    /// can both miss and both offer; the later offer finds the key
+    /// stored and leaves everything as it is.
     pub(crate) fn offer(
         &mut self,
         key: &MemoKey,
         folded: &PartialResult,
         outcome: &ShardScanOutcome,
     ) {
+        if self.entries.contains_key(key) {
+            return;
+        }
         let fingerprint = key.fingerprint();
         let seen = &mut self.doorkeeper[(fingerprint % DOORKEEPER_SLOTS as u64) as usize];
         if *seen != fingerprint {
@@ -214,8 +226,7 @@ impl ShardMemo {
         };
         self.bytes += bytes;
         self.order.push_back(key.clone());
-        let replaced = self.entries.insert(key.clone(), entry);
-        debug_assert!(replaced.is_none(), "offered only after a miss");
+        self.entries.insert(key.clone(), entry);
     }
 
     /// Clears every entry of `cube`: its bricks were dropped, removed,
@@ -285,9 +296,10 @@ impl ShardMemo {
     }
 }
 
-/// One [`ShardMemo`] per shard. Shard `i`'s memo is locked only by
-/// tasks running on shard `i` and by stats readers, so its lock is
-/// uncontended by construction.
+/// One [`ShardMemo`] per shard. Shard `i`'s memo is locked by query
+/// coordinators looking keys up (`Engine::scan_shards`), by tasks
+/// running on shard `i` — the only ones that change it, see the
+/// module docs — and by stats readers.
 pub(crate) struct ShardMemos(Box<[Mutex<ShardMemo>]>);
 
 impl ShardMemos {
@@ -299,7 +311,8 @@ impl ShardMemos {
         )
     }
 
-    /// Shard `shard`'s memo. Call only from that shard's tasks.
+    /// Shard `shard`'s memo. Look up from anywhere; change it only
+    /// from that shard's tasks.
     pub(crate) fn shard(&self, shard: usize) -> MutexGuard<'_, ShardMemo> {
         unpoison(self.0[shard].lock())
     }
@@ -343,5 +356,158 @@ impl ShardMemos {
         for memo in self.0.iter() {
             unpoison(memo.lock()).corrupt();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::SeqCst};
+    use std::time::{Duration, Instant};
+
+    use columnar::{Row, Value};
+
+    use super::*;
+    use crate::engine::tests::{engine, row};
+    use crate::engine::{At, Deliver};
+    use crate::query::{AggFn, Aggregation, Query, QueryResult, ResolvedQuery, ScanKernel};
+
+    fn sum_by_day() -> Query {
+        Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]).grouped_by("day")
+    }
+
+    /// A result's group keys and aggregate bits.
+    fn bits(result: &QueryResult) -> Vec<(Vec<Value>, Vec<u64>)> {
+        (result.rows.iter())
+            .map(|(keys, values)| (keys.clone(), values.iter().map(|v| v.to_bits()).collect()))
+            .collect()
+    }
+
+    /// Two concurrent identical queries can both miss on the
+    /// coordinator and both offer. Once the key is stored, further
+    /// offers — even ones the doorkeeper would admit — change nothing.
+    #[test]
+    fn offering_a_stored_key_again_changes_nothing() {
+        let cube = engine().cube("events").unwrap();
+        let resolved = ResolvedQuery::resolve(&cube, &sum_by_day()).unwrap();
+        let shape = AggQueryShape::of(&resolved, ScanKernel::Vectorized);
+        let key = MemoKey::new("events", shape, &Snapshot::committed(3));
+        let answer = |sum| PartialResult {
+            groups: HashMap::from([(1, vec![AggState::Sum { sum }])]),
+            stats: QueryStats::default(),
+        };
+        let outcome = ShardScanOutcome {
+            bricks: 2,
+            pruned: 1,
+            scan_task_nanos: Vec::new(),
+        };
+        let mut memo = ShardMemo::new();
+        memo.offer(&key, &answer(7.0), &outcome);
+        memo.offer(&key, &answer(7.0), &outcome);
+        assert_eq!(memo.entries.len(), 1, "stored on the second sighting");
+        let (bytes, order) = (memo.bytes(), memo.order.clone());
+        for _ in 0..2 {
+            memo.offer(&key, &answer(8.0), &outcome);
+        }
+        assert_eq!(memo.bytes(), bytes);
+        assert_eq!(memo.order, order);
+        assert_eq!(memo.walked_bytes(), bytes);
+        let (served, served_outcome) = memo.get(&key).unwrap();
+        assert_eq!(served.groups, answer(7.0).groups);
+        assert_eq!((served_outcome.bricks, served_outcome.pruned), (2, 1));
+    }
+
+    /// Readers re-read one settled snapshot while a writer takes
+    /// bricks away (two at a time on each shard), drops the cube and
+    /// re-creates it with other rows. Lookups run on the readers'
+    /// threads, offers on the shard threads: a read that starts after a
+    /// write returned and ends before the next one starts must equal
+    /// the reference at its snapshot, never a memoized answer scanned
+    /// before the write.
+    #[test]
+    fn settled_reads_racing_wholesale_writes_see_every_finished_write() {
+        const READERS: u64 = 3;
+        const ROUNDS: i64 = 24;
+        let engine = engine();
+        let schema = engine.cube("events").unwrap().schema().clone();
+        let query = sum_by_day();
+        // Every brick of the 4 x 4 grid; `round` changes the values.
+        let load = |round: i64| {
+            let rows: Vec<Row> = (0..128)
+                .map(|i| row(&format!("r{}", i % 8), i / 8, round * 1000 + i, 0.0))
+                .collect();
+            engine.load("events", &rows, 0).unwrap();
+        };
+        // Even while no write runs. A read that starts and ends on one
+        // even `phase` must equal `published[phase / 2]`.
+        let phase = AtomicU64::new(0);
+        type Answer = Option<Vec<(Vec<Value>, Vec<u64>)>>;
+        let published: Mutex<Vec<(Snapshot, Answer)>> = Mutex::new(Vec::new());
+        let (checked, stale, done) = (AtomicU64::new(0), AtomicU64::new(0), AtomicBool::new(false));
+        let reference = |snapshot: &Snapshot| {
+            let answer = engine.query_at_reference("events", &query, snapshot);
+            (snapshot.clone(), answer.ok().map(|r| bits(&r)))
+        };
+        // Runs `change` with `phase` odd, then publishes the reference.
+        let write = |change: &dyn Fn(), snapshot: &Snapshot| {
+            phase.fetch_add(1, SeqCst);
+            change();
+            unpoison(published.lock()).push(reference(snapshot));
+            phase.fetch_add(1, SeqCst);
+            // Let a few reads land on the new phase.
+            let (target, started) = (checked.load(SeqCst) + READERS, Instant::now());
+            while checked.load(SeqCst) < target && started.elapsed() < Duration::from_secs(2) {
+                std::thread::yield_now();
+            }
+        };
+        load(0);
+        let mut snapshot = Snapshot::committed(engine.manager().lce());
+        unpoison(published.lock()).push(reference(&snapshot));
+        std::thread::scope(|scope| {
+            for _ in 0..READERS {
+                scope.spawn(|| {
+                    while !done.load(SeqCst) {
+                        let before = phase.load(SeqCst);
+                        let (snapshot, expected) =
+                            unpoison(published.lock())[before as usize / 2].clone();
+                        let got = engine
+                            .read("events", &query, At::Snapshot(&snapshot), Deliver::Final)
+                            .ok()
+                            .map(|r| bits(&r));
+                        if before.is_multiple_of(2) && phase.load(SeqCst) == before {
+                            checked.fetch_add(1, SeqCst);
+                            stale.fetch_add(u64::from(got != expected), SeqCst);
+                        }
+                    }
+                });
+            }
+            for round in 1..=ROUNDS {
+                let bids = engine.brick_bids("events");
+                for shard in 0..4 {
+                    let pair: Vec<u64> = (bids.iter().copied())
+                        .filter(|&bid| engine.shards().shard_of(bid) == shard)
+                        .take(2)
+                        .collect();
+                    let remove = || {
+                        for &bid in &pair {
+                            assert!(engine.remove_brick("events", bid));
+                        }
+                    };
+                    write(&remove, &snapshot);
+                }
+                write(&|| engine.drop_cube("events").unwrap(), &snapshot);
+                let recreate = || {
+                    engine.create_cube(schema.clone()).unwrap();
+                    load(round);
+                };
+                write(&recreate, &snapshot);
+                // The next round reads a snapshot that sees the rows.
+                snapshot = Snapshot::committed(engine.manager().lce());
+                write(&|| (), &snapshot);
+            }
+            done.store(true, SeqCst);
+        });
+        let (checked, stale) = (checked.into_inner(), stale.into_inner());
+        assert!(checked >= 7 * ROUNDS as u64, "only {checked} reads checked");
+        assert_eq!(stale, 0, "{stale} of {checked} checked reads were stale");
     }
 }

@@ -10,8 +10,8 @@
 //! path — default, sequential reference, per-brick partials — runs
 //! this one body and differs only in what it does with the brick
 //! partials (`sink`), in whether the coordinator overlaps the shards,
-//! and in whether the shard may answer from its snapshot memo
-//! ([`crate::memo`]) instead.
+//! and in whether the coordinator may answer a shard from its
+//! snapshot memo ([`crate::memo`]) without submitting it at all.
 //!
 //! Bricks created *after* a shard walked its map are safe to miss: a
 //! brick can only appear via a flush whose transaction either
@@ -48,8 +48,9 @@ pub(crate) struct ShardScan {
     pub(crate) snapshot: Option<Snapshot>,
     pub(crate) kernel: ScanKernel,
     /// Set when the snapshot is settled and the sink folds each
-    /// shard's bricks into one partial: each shard then answers from
-    /// its memo under this key when it can.
+    /// shard's bricks into one partial: the coordinator then answers
+    /// each shard from its memo under this key when it can, and a
+    /// shard that missed offers its fold under it.
     pub(crate) memo: Option<(Arc<ShardMemos>, MemoKey)>,
     /// Bricks the filter rejects are another replica's to scan.
     pub(crate) allowed: Option<BrickFilter>,
@@ -83,11 +84,13 @@ pub(crate) enum ScanFailure {
 
 impl ShardScan {
     /// Answers the request for `shard`'s bricks. Must run on that
-    /// shard's thread: owning the bricks is what makes the walk, tier
-    /// fault-in and the memo race-free. Without a memo key, brick
+    /// shard's thread: owning the bricks is what makes the walk and
+    /// tier fault-in race-free, and what orders a memo offer with the
+    /// shard's writes that clear the memo. Without a memo key, brick
     /// partials reach `sink` in ascending bid order; with one, the
-    /// shard hands `sink` a single partial — memoized, or its bricks
-    /// folded in that same order.
+    /// coordinator already missed the key in this shard's memo, so the
+    /// shard folds its bricks in that same order, offers the fold to
+    /// its memo and hands `sink` the single partial.
     pub(crate) fn run(
         &self,
         shard: usize,
@@ -97,11 +100,6 @@ impl ShardScan {
         let Some((memos, key)) = &self.memo else {
             return self.scan_bricks(bricks, sink);
         };
-        let memoized = memos.shard(shard).get(key);
-        if let Some((partial, outcome)) = memoized {
-            sink(partial);
-            return Ok(outcome);
-        }
         let mut folded = PartialResult::default();
         let outcome = self.scan_bricks(bricks, |partial| folded.merge(partial))?;
         memos.shard(shard).offer(key, &folded, &outcome);

@@ -18,7 +18,7 @@ use std::time::Duration;
 use cluster::{FaultPlan, LatencyModel, NodeId, RetryPolicy, SimulatedNetwork};
 use columnar::{Row, Value};
 use cubrick::fault::HandoffBreak;
-use cubrick::{At, CubeSchema, Dimension, DistributedEngine, ElasticConfig, Metric};
+use cubrick::{At, CubeSchema, CubrickError, Dimension, DistributedEngine, ElasticConfig, Metric};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 const BATCH: usize = 15;
@@ -417,7 +417,8 @@ fn meta_broken_handoff_incomplete_install_is_caught() {
 
 /// Meta-test: the suite catches a handoff that retires the source
 /// even though the stream failed ([`HandoffBreak::RetireDespiteFailure`]):
-/// the brick's rows vanish and query-based count conservation fails.
+/// the brick's only readable host is then a node that stores nothing,
+/// so a read of it fails typed instead of conserving the count.
 #[test]
 fn meta_broken_handoff_lost_brick_is_caught() {
     // rf = 1 so the sabotaged move destroys the only copy.
@@ -439,13 +440,15 @@ fn meta_broken_handoff_lost_brick_is_caught() {
     d.transfer_brick("events", bid, source, 4).unwrap();
     d.faults().break_handoff(None);
     d.restart_node(4);
-    // Count conservation — the suite's quiesce check — now fails:
-    // the brick's rows are gone.
-    let seen = d.committed_total(1, "events", "likes").unwrap();
-    assert!(
-        seen < committed,
-        "the sabotaged handoff should have lost rows ({seen} vs {committed})"
-    );
+    // Count conservation — the suite's quiesce check — now fails: the
+    // brick's one readable host, dormant slot 4, takes no part in a
+    // read, so the read refuses to answer without the brick's rows.
+    match d.committed_total(1, "events", "likes") {
+        Err(CubrickError::NoReplicaAvailable { bid: lost, .. }) => assert_eq!(lost, bid),
+        other => {
+            panic!("the sabotaged handoff should have lost the brick ({other:?} of {committed})")
+        }
+    }
     // And the ownership views disagree: the directory claims node 4
     // serves the brick, but node 4 stores nothing.
     assert_ne!(

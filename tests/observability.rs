@@ -6,8 +6,8 @@ use aosi_repro::aosi::Snapshot;
 use aosi_repro::cluster::SimulatedNetwork;
 use aosi_repro::columnar::Value;
 use aosi_repro::cubrick::{
-    AggFn, Aggregation, At, CubeSchema, Deliver, DimFilter, Dimension, DistributedEngine, Engine,
-    IsolationMode, Metric, Query,
+    AggFn, Aggregation, At, BrickDelta, CubeSchema, Deliver, DimFilter, Dimension,
+    DistributedEngine, Engine, IsolationMode, Metric, Query,
 };
 
 fn schema() -> CubeSchema {
@@ -139,10 +139,11 @@ fn shard_tasks(engine: &Engine) -> u64 {
     line.parse().expect("task count")
 }
 
-/// One query is one round trip per shard — enumeration, pruning and
-/// the scan, or the snapshot-memo lookup that replaces them, all
-/// happen in the same shard task — however few bricks survive
-/// pruning.
+/// A query that misses the snapshot memo is one round trip per shard
+/// — enumeration, pruning and the scan happen in the same shard task —
+/// however few bricks survive pruning. A settled answer memoized on
+/// every shard is served by the coordinator with no shard task at all,
+/// and a partial hit submits only the shards that missed.
 #[test]
 fn a_query_is_one_task_per_shard() {
     let engine = Engine::new(4);
@@ -159,25 +160,48 @@ fn a_query_is_one_task_per_shard() {
         (one_day, 4, 28, None),
         (one_brick, 1, 31, Some(1)),
     ];
+    let read = |query: &Query| {
+        let before = shard_tasks(&engine);
+        let answer = engine
+            .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap();
+        (answer, shard_tasks(&engine) - before)
+    };
+    // A delta with no runs clears the memo of the one shard holding
+    // (r0, day 3) and changes no row.
+    let cube = engine.cube("events").unwrap();
+    let r0 = cube.encode_filter_value(0, &Value::from("r0")).unwrap();
+    let day3 = cube.encode_filter_value(1, &Value::I64(3)).unwrap();
+    let clear_one_shard = BrickDelta {
+        cube: "events".into(),
+        bid: cube.layout().bid_for_coords(&[r0, day3]),
+        runs: Vec::new(),
+    };
     for (query, scanned, pruned, busy_shards) in &cases {
-        // The third sighting of a settled snapshot is a memo hit.
-        let mut result = None;
-        for sighting in 1..=3 {
-            let before = shard_tasks(&engine);
-            let answer = engine
-                .read("events", query, At::Snapshot(&snapshot), Deliver::Final)
-                .unwrap();
-            assert_eq!(shard_tasks(&engine) - before, 4, "one task per shard");
-            assert_eq!(answer.stats.agg_cache_hits > 0, sighting == 3);
-            result = Some(answer);
+        // The first two sightings of a settled snapshot scan; the
+        // third is a memo hit on every shard.
+        for sighting in 1..=2 {
+            let (answer, tasks) = read(query);
+            assert_eq!(tasks, 4, "sighting {sighting}: one task per shard");
+            assert_eq!(answer.stats.agg_cache_hits, 0);
         }
-        let result = result.unwrap();
+        let (result, tasks) = read(query);
+        assert_eq!(tasks, 0, "an all-hit read submits no shard task");
+        assert!(result.stats.agg_cache_hits > 0);
         assert_eq!(result.stats.bricks_scanned, *scanned);
         assert_eq!(result.stats.bricks_pruned, *pruned);
         if let Some(busy) = busy_shards {
             assert_eq!(result.stats.parallel_tasks, *busy);
         }
         assert!(result.stats.parallel_tasks >= 1);
+
+        engine.import_delta(vec![clear_one_shard.clone()]);
+        let (partial, tasks) = read(query);
+        assert_eq!(tasks, 1, "a partial hit submits only the shard that missed");
+        assert_eq!(partial.stats.bricks_scanned, *scanned);
+        assert_eq!(partial.stats.bricks_pruned, *pruned);
+        assert_eq!(partial.stats.parallel_tasks, result.stats.parallel_tasks);
+        assert_eq!(partial.scalar(), result.scalar());
 
         let before = shard_tasks(&engine);
         let reference = engine
