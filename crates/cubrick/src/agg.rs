@@ -22,9 +22,19 @@
 //! order in every kernel, so the vectorized, dense-table, and
 //! row-at-a-time paths finalize bit-identically.
 //!
+//! A partial aggregate is always a `GroupTable`: keys sorted
+//! ascending, every group's states in one `Vec`. Kernels emit it,
+//! shards fold brick tables in one k-way pass, the memo keeps the
+//! folded table behind an `Arc` (charged in full against its budget,
+//! and shared with every hit), the coordinator merge-joins shard
+//! tables, and finalization walks the result in key order.
+//!
 //! [`merge`]: AggState::merge
 
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
+use std::collections::{BinaryHeap, HashMap};
+use std::mem::size_of;
 
 use columnar::Column;
 
@@ -284,12 +294,210 @@ pub(crate) fn init_states(aggs: &[(AggFn, usize)]) -> Vec<AggState> {
     aggs.iter().map(|&(func, _)| AggState::init(func)).collect()
 }
 
+/// The one form a partial aggregate takes, from a brick kernel's
+/// output through the shard fold, the memo entry and the coordinator
+/// merge to finalization: packed group keys in strictly ascending
+/// order, and `width` states per key (one per requested aggregation)
+/// in one `Vec`, group `i` at `states[i * width..(i + 1) * width]`.
+/// An ungrouped aggregate is the single key 0.
+///
+/// Merging two tables is a merge-join and folding many is one k-way
+/// pass. Both merge a key's states left to right in argument order,
+/// starting from the first table that has the key — the association
+/// a map-based fold over the same sequence would use — so the fold
+/// order, and with it every result bit, is fixed by the order the
+/// tables are passed in.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub(crate) struct GroupTable {
+    width: usize,
+    keys: Vec<u64>,
+    states: Vec<AggState>,
+}
+
+impl GroupTable {
+    /// An empty table with room for `groups` groups of `width` states.
+    pub(crate) fn with_capacity(width: usize, groups: usize) -> Self {
+        GroupTable {
+            width,
+            keys: Vec::with_capacity(groups),
+            states: Vec::with_capacity(groups * width),
+        }
+    }
+
+    /// The ungrouped aggregate `states`, under key 0.
+    pub(crate) fn ungrouped(states: Vec<AggState>) -> Self {
+        GroupTable {
+            width: states.len(),
+            keys: vec![0],
+            states,
+        }
+    }
+
+    /// Groups held.
+    pub(crate) fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// Group `i`'s packed key.
+    pub(crate) fn key(&self, i: usize) -> u64 {
+        self.keys[i]
+    }
+
+    /// Group `i`'s states.
+    pub(crate) fn states(&self, i: usize) -> &[AggState] {
+        &self.states[i * self.width..(i + 1) * self.width]
+    }
+
+    /// Every state, group after group.
+    #[cfg(any(test, feature = "fault-hooks"))]
+    pub(crate) fn states_mut(&mut self) -> &mut [AggState] {
+        &mut self.states
+    }
+
+    /// Appends group `key`, which must sort after every key held.
+    pub(crate) fn push(&mut self, key: u64, states: &[AggState]) {
+        debug_assert!(self.keys.last().is_none_or(|&last| last < key));
+        debug_assert_eq!(states.len(), self.width);
+        self.keys.push(key);
+        self.states.extend_from_slice(states);
+    }
+
+    /// Merges `states` into the last group if it is `key`, or appends
+    /// group `key`.
+    fn push_or_merge(&mut self, key: u64, states: &[AggState]) {
+        if self.keys.last() == Some(&key) {
+            let last = self.states.len() - self.width;
+            for (mine, theirs) in self.states[last..].iter_mut().zip(states) {
+                mine.merge(theirs);
+            }
+        } else {
+            self.push(key, states);
+        }
+    }
+
+    /// `self` and `other` merged: a linear merge-join in which a key
+    /// both hold merges `other`'s states into `self`'s.
+    pub(crate) fn merged(&self, other: &GroupTable) -> GroupTable {
+        let width = self.width.max(other.width);
+        let mut out = GroupTable::with_capacity(width, self.len() + other.len());
+        let (mut i, mut j) = (0, 0);
+        while i < self.len() || j < other.len() {
+            if j == other.len() || (i < self.len() && self.keys[i] <= other.keys[j]) {
+                out.push_or_merge(self.keys[i], self.states(i));
+                i += 1;
+            } else {
+                out.push_or_merge(other.keys[j], other.states(j));
+                j += 1;
+            }
+        }
+        out
+    }
+
+    /// `tables` folded left to right in one k-way pass, O(N log k)
+    /// for N groups in all: a heap yields the next `(key, table)` in
+    /// ascending order, so each key's states merge in table order.
+    /// The result holds no spare capacity, since a memo may keep it.
+    pub(crate) fn fold(tables: &[&GroupTable]) -> GroupTable {
+        let width = tables.iter().map(|t| t.width).max().unwrap_or(0);
+        let mut out = GroupTable::with_capacity(width, tables.iter().map(|t| t.len()).sum());
+        // `(key, table, group)`: one head per table, so `(key, table)`
+        // alone orders the heap.
+        let mut heads: BinaryHeap<Reverse<(u64, usize, usize)>> = (tables.iter().enumerate())
+            .filter(|(_, table)| !table.is_empty())
+            .map(|(t, table)| Reverse((table.keys[0], t, 0)))
+            .collect();
+        while let Some(mut head) = heads.peek_mut() {
+            let Reverse((key, t, i)) = *head;
+            out.push_or_merge(key, tables[t].states(i));
+            match tables[t].keys.get(i + 1) {
+                Some(&next) => *head = Reverse((next, t, i + 1)),
+                None => {
+                    PeekMut::pop(head);
+                }
+            }
+        }
+        out.keys.shrink_to_fit();
+        out.states.shrink_to_fit();
+        out
+    }
+
+    /// Heap bytes the table owns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.keys.capacity() * size_of::<u64>() + self.states.capacity() * size_of::<AggState>()
+    }
+}
+
+/// A brick's groups in first-seen order, for the kernels whose key
+/// space is too wide to index densely: a hash index from packed key to
+/// slot, with a one-entry cache for runs of identical keys (sorted or
+/// clustered data hits it constantly). [`GroupBuilder::finish`] sorts
+/// the groups once, into a [`GroupTable`].
+pub(crate) struct GroupBuilder<'a> {
+    aggs: &'a [(AggFn, usize)],
+    keys: Vec<u64>,
+    states: Vec<AggState>,
+    slots: HashMap<u64, usize>,
+    last: Option<(u64, usize)>,
+}
+
+impl<'a> GroupBuilder<'a> {
+    pub(crate) fn new(aggs: &'a [(AggFn, usize)]) -> Self {
+        GroupBuilder {
+            aggs,
+            keys: Vec::new(),
+            states: Vec::new(),
+            slots: HashMap::new(),
+            last: None,
+        }
+    }
+
+    /// Group `key`'s states, initialized on first sight.
+    #[inline]
+    pub(crate) fn states(&mut self, key: u64) -> &mut [AggState] {
+        let slot = match self.last {
+            Some((last, slot)) if last == key => slot,
+            _ => {
+                let next = self.keys.len();
+                let slot = *self.slots.entry(key).or_insert(next);
+                if slot == next {
+                    self.keys.push(key);
+                    (self.states).extend(self.aggs.iter().map(|&(func, _)| AggState::init(func)));
+                }
+                self.last = Some((key, slot));
+                slot
+            }
+        };
+        let width = self.aggs.len();
+        &mut self.states[slot * width..(slot + 1) * width]
+    }
+
+    /// The groups as a table, sorted by key.
+    pub(crate) fn finish(self) -> GroupTable {
+        let width = self.aggs.len();
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_unstable_by_key(|&slot| self.keys[slot]);
+        let mut table = GroupTable::with_capacity(width, order.len());
+        for slot in order {
+            table.push(
+                self.keys[slot],
+                &self.states[slot * width..(slot + 1) * width],
+            );
+        }
+        table
+    }
+}
+
 /// The vectorized kernel's group table for a small packed-key space,
 /// indexed by the key itself. Each aggregate but `Count` folds into a
 /// typed `f64` column (SUM, AVG's sum, MIN, MAX), and one row count
 /// per key serves `Count`, AVG's count and MIN/MAX's `seen`, so the
 /// per-row loops never match on an [`AggState`] variant. The states
-/// are built once per touched key, in [`DenseGroups::finish`].
+/// are built once per key that took a row, in ascending key order, in
+/// [`DenseGroups::finish`].
 ///
 /// Row order within each group is ascending — the same f64 operation
 /// sequence as the reference kernel — because `sel`/`keys` are
@@ -300,8 +508,6 @@ pub(crate) struct DenseGroups {
     /// Per aggregate, the running value of every key; empty for
     /// `Count`, which `rows` answers.
     values: Vec<Vec<f64>>,
-    /// Keys in first-seen order: only these become groups.
-    touched: Vec<u64>,
 }
 
 impl DenseGroups {
@@ -319,7 +525,6 @@ impl DenseGroups {
         DenseGroups {
             rows: vec![0; num_keys],
             values,
-            touched: Vec::new(),
         }
     }
 
@@ -334,11 +539,7 @@ impl DenseGroups {
         keys: &[u64],
     ) {
         for &key in keys {
-            let rows = &mut self.rows[key as usize];
-            if *rows == 0 {
-                self.touched.push(key);
-            }
-            *rows += 1;
+            self.rows[key as usize] += 1;
         }
         for (table, &(func, metric)) in self.values.iter_mut().zip(aggs) {
             // `Count` never dereferences the metric column (`COUNT(*)`
@@ -370,24 +571,25 @@ impl DenseGroups {
         }
     }
 
-    /// Turns every touched key into its group's states.
-    pub(crate) fn finish(
-        self,
-        brick: &Brick,
-        aggs: &[(AggFn, usize)],
-        groups: &mut HashMap<u64, Vec<AggState>>,
-    ) {
-        for key in self.touched {
-            let k = key as usize;
-            let rows = self.rows[k];
+    /// Turns every key that took a row into its group's states, in
+    /// ascending key order: a walk of the slots, which cost as much to
+    /// allocate.
+    pub(crate) fn finish(self, brick: &Brick, aggs: &[(AggFn, usize)]) -> GroupTable {
+        let groups = self.rows.iter().filter(|&&rows| rows > 0).count();
+        let mut table = GroupTable::with_capacity(aggs.len(), groups);
+        for (k, &rows) in self.rows.iter().enumerate() {
+            if rows == 0 {
+                continue;
+            }
             // An aggregate observed every row of the key, unless its
             // metric column is non-numeric: then it observed none.
             let observed = |metric| match brick.metric_column(metric) {
                 Column::Str(_) => 0,
                 _ => rows,
             };
-            let states = (aggs.iter().zip(&self.values))
-                .map(|(&(func, metric), values)| match func {
+            table.keys.push(k as u64);
+            let states =
+                (aggs.iter().zip(&self.values)).map(|(&(func, metric), values)| match func {
                     AggFn::Count => AggState::Count { count: rows },
                     AggFn::Sum => AggState::Sum { sum: values[k] },
                     AggFn::Avg => AggState::Avg {
@@ -402,10 +604,10 @@ impl DenseGroups {
                         max: values[k],
                         seen: observed(metric) > 0,
                     },
-                })
-                .collect();
-            groups.insert(key, states);
+                });
+            table.states.extend(states);
         }
+        table
     }
 }
 

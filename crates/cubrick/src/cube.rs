@@ -10,7 +10,7 @@
 //! distributed at DDL time so that string coordinates are globally
 //! consistent (see DESIGN.md, substitutions).
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use columnar::Dictionary;
 use obs::sync::unpoison;
@@ -94,13 +94,15 @@ impl Cube {
     /// Decodes coordinate `coord` of dimension `dim` for result
     /// presentation.
     pub fn decode_coord(&self, dim: usize, coord: u32) -> columnar::Value {
-        match &self.dictionaries[dim] {
-            Some(dict) => match unpoison(dict.lock()).decode(coord) {
-                Some(s) => columnar::Value::Str(s.to_owned()),
-                None => columnar::Value::I64(coord as i64),
-            },
-            None => columnar::Value::I64(coord as i64),
-        }
+        decode(self.lock_dictionary(dim).as_deref(), coord)
+    }
+
+    /// Dimension `dim`'s dictionary, locked, so that many coordinates
+    /// decode under one lock; `None` for an integer dimension.
+    pub(crate) fn lock_dictionary(&self, dim: usize) -> Option<MutexGuard<'_, Dictionary>> {
+        self.dictionaries[dim]
+            .as_ref()
+            .map(|dict| unpoison(dict.lock()))
     }
 
     /// Bytes held by this cube's dictionaries.
@@ -110,6 +112,16 @@ impl Cube {
             .flatten()
             .map(|d| unpoison(d.lock()).heap_bytes())
             .sum()
+    }
+}
+
+/// Decodes `coord` through `dict`, a dimension's locked dictionary
+/// ([`Cube::lock_dictionary`]): its string, or the coordinate itself
+/// for an integer dimension (`None`) or an id the dictionary lacks.
+pub(crate) fn decode(dict: Option<&Dictionary>, coord: u32) -> columnar::Value {
+    match dict.and_then(|dict| dict.decode(coord)) {
+        Some(s) => columnar::Value::Str(s.to_owned()),
+        None => columnar::Value::I64(coord as i64),
     }
 }
 

@@ -654,12 +654,8 @@ impl Engine {
                 sequential,
                 Vec::push,
                 |partials: Vec<PartialResult>, o| {
-                    let mut shard = PartialResult::default();
-                    for partial in partials {
-                        shard.merge(partial.clone());
-                        out.push(partial);
-                    }
-                    land(&mut merged, shard, o);
+                    land(&mut merged, PartialResult::fold(&partials), o);
+                    out.extend(partials);
                 },
             ),
         }?;
@@ -688,12 +684,13 @@ impl Engine {
     ) -> ShardScan {
         #[cfg(any(test, feature = "fault-hooks"))]
         let panic_bids = self.faults.arm_scan(&self.memos);
+        let memoizable = folded;
         #[cfg(any(test, feature = "fault-hooks"))]
-        let folded = folded && panic_bids.is_empty();
+        let memoizable = memoizable && panic_bids.is_empty();
         let memo = snapshot
             .as_ref()
             .filter(|snap| {
-                folded
+                memoizable
                     && !config.sequential
                     && allowed.is_none()
                     && snap.epoch() <= self.manager.lce()
@@ -708,6 +705,7 @@ impl Engine {
             resolved: resolved.clone(),
             snapshot,
             kernel: config.kernel,
+            fold: folded,
             memo,
             allowed,
             #[cfg(any(test, feature = "fault-hooks"))]

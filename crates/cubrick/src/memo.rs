@@ -26,20 +26,25 @@
 //! query's answer to another. A key is stored only on its shard's
 //! second sighting; the doorkeeper remembering first sightings is a
 //! fixed table of fingerprints, where a collision can only change
-//! admission. Entries live under a constant byte budget with FIFO
+//! admission. An entry holds its shard's folded [`GroupTable`] behind
+//! an `Arc`, and a hit hands the coordinator a clone of that `Arc`, so
+//! neither side copies a group. Entries live under a constant byte
+//! budget, which charges each entry's table in full, with FIFO
 //! eviction.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::hash::{Hash, Hasher};
-use std::mem::{size_of, size_of_val};
+use std::mem::size_of;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use aosi::{CacheStats, Epoch, Snapshot};
 use obs::sync::unpoison;
 use obs::ReportBuilder;
 
+#[cfg(any(test, feature = "fault-hooks"))]
 use crate::agg::AggState;
+use crate::agg::GroupTable;
 use crate::query::{AggQueryShape, PartialResult, QueryStats};
 use crate::scan::ShardScanOutcome;
 
@@ -86,7 +91,6 @@ impl MemoKey {
     /// Heap bytes behind the key's three shared handles, each counted
     /// in full (a handle shared with another entry is counted twice).
     fn heap_bytes(&self) -> usize {
-        const ARC_HEADER: usize = 2 * size_of::<usize>();
         // A B-tree leaf holds up to 11 keys plus a parent link and two
         // lengths; count one full leaf per started 11 deps.
         const DEPS_PER_NODE: usize = 11;
@@ -100,10 +104,14 @@ impl MemoKey {
     }
 }
 
-/// One shard's memoized answer: its folded groups, the counters that
-/// describe its data, and how many bricks it scanned and pruned.
+/// An `Arc`'s reference counts, allocated beside its value.
+const ARC_HEADER: usize = 2 * size_of::<usize>();
+
+/// One shard's memoized answer: its folded group table, shared with
+/// every hit on it, the counters that describe its data, and how many
+/// bricks it scanned and pruned.
 struct MemoEntry {
-    groups: Box<[(u64, Box<[AggState]>)]>,
+    groups: Arc<GroupTable>,
     stats: QueryStats,
     bricks: u64,
     pruned: u64,
@@ -111,17 +119,16 @@ struct MemoEntry {
     bytes: usize,
 }
 
-/// Bytes charged for one entry: its map and FIFO slots and every heap
-/// allocation it owns.
-fn entry_bytes(key: &MemoKey, groups: &[(u64, Box<[AggState]>)]) -> usize {
+/// Bytes charged for one entry: its map and FIFO slots, its key's
+/// heap, and the `Arc`'d table in full, though a hit in flight may
+/// share it.
+fn entry_bytes(key: &MemoKey, groups: &GroupTable) -> usize {
     size_of::<(MemoKey, MemoEntry)>()
         + size_of::<MemoKey>()
         + key.heap_bytes()
-        + size_of_val(groups)
-        + groups
-            .iter()
-            .map(|(_, states)| size_of_val(&**states))
-            .sum::<usize>()
+        + ARC_HEADER
+        + size_of::<GroupTable>()
+        + groups.heap_bytes()
 }
 
 /// One shard's memo. The coordinator of any query looks keys up in
@@ -148,7 +155,8 @@ impl ShardMemo {
     }
 
     /// The memoized answer for `key`, counted as a hit or a miss. A hit
-    /// replays the data counters and reports no wall time.
+    /// shares the entry's table, replays the data counters and reports
+    /// no wall time.
     pub(crate) fn get(&mut self, key: &MemoKey) -> Option<(PartialResult, ShardScanOutcome)> {
         let Some(entry) = self.entries.get(key) else {
             self.counts.misses += 1;
@@ -156,9 +164,7 @@ impl ShardMemo {
         };
         self.counts.hits += 1;
         let partial = PartialResult {
-            groups: (entry.groups.iter())
-                .map(|(group, states)| (*group, states.to_vec()))
-                .collect(),
+            groups: Arc::clone(&entry.groups),
             stats: QueryStats {
                 agg_cache_hits: 1,
                 ..entry.stats
@@ -172,11 +178,11 @@ impl ShardMemo {
         Some((partial, outcome))
     }
 
-    /// Offers a freshly folded answer for a missed `key`. It is stored
-    /// on the key's second sighting, if it fits the budget at all,
-    /// evicting the oldest entries until it does. Two identical queries
-    /// can both miss and both offer; the later offer finds the key
-    /// stored and leaves everything as it is.
+    /// Offers a freshly folded answer for a missed `key`; the entry
+    /// shares its table. It is stored on the key's second sighting, if
+    /// it fits the budget at all, evicting the oldest entries until it
+    /// does. Two identical queries can both miss and both offer; the
+    /// later offer finds the key stored and leaves everything as it is.
     pub(crate) fn offer(
         &mut self,
         key: &MemoKey,
@@ -193,10 +199,7 @@ impl ShardMemo {
             return;
         }
         *seen = 0;
-        let groups: Box<[_]> = (folded.groups.iter())
-            .map(|(&group, states)| (group, states.clone().into_boxed_slice()))
-            .collect();
-        let bytes = entry_bytes(key, &groups);
+        let bytes = entry_bytes(key, &folded.groups);
         if bytes > BUDGET_BYTES {
             return;
         }
@@ -211,7 +214,7 @@ impl ShardMemo {
         }
         let s = &folded.stats;
         let entry = MemoEntry {
-            groups,
+            groups: Arc::clone(&folded.groups),
             stats: QueryStats {
                 bricks_scanned: s.bricks_scanned,
                 rows_scanned: s.rows_scanned,
@@ -254,30 +257,29 @@ impl ShardMemo {
         (before - self.entries.len()) as u64
     }
 
-    /// Nudges every memoized aggregate state in place, keys untouched
-    /// (see [`crate::fault::FaultHooks::corrupt_memo`]).
+    /// Nudges every memoized aggregate state, keys untouched (see
+    /// [`crate::fault::FaultHooks::corrupt_memo`]). A table a hit in
+    /// flight still shares is copied first, so only later hits lie.
     #[cfg(any(test, feature = "fault-hooks"))]
     pub(crate) fn corrupt(&mut self) {
         for entry in self.entries.values_mut() {
-            for (_, states) in entry.groups.iter_mut() {
-                for state in states.iter_mut() {
-                    *state = match *state {
-                        AggState::Count { count } => AggState::Count { count: count + 1 },
-                        AggState::Sum { sum } => AggState::Sum { sum: sum + 1.0 },
-                        AggState::Min { min, seen } => AggState::Min {
-                            min: min - 1.0,
-                            seen,
-                        },
-                        AggState::Max { max, seen } => AggState::Max {
-                            max: max + 1.0,
-                            seen,
-                        },
-                        AggState::Avg { sum, count } => AggState::Avg {
-                            sum: sum + 1.0,
-                            count,
-                        },
-                    };
-                }
+            for state in Arc::make_mut(&mut entry.groups).states_mut() {
+                *state = match *state {
+                    AggState::Count { count } => AggState::Count { count: count + 1 },
+                    AggState::Sum { sum } => AggState::Sum { sum: sum + 1.0 },
+                    AggState::Min { min, seen } => AggState::Min {
+                        min: min - 1.0,
+                        seen,
+                    },
+                    AggState::Max { max, seen } => AggState::Max {
+                        max: max + 1.0,
+                        seen,
+                    },
+                    AggState::Avg { sum, count } => AggState::Avg {
+                        sum: sum + 1.0,
+                        count,
+                    },
+                };
             }
         }
     }
@@ -391,9 +393,13 @@ mod tests {
         let resolved = ResolvedQuery::resolve(&cube, &sum_by_day()).unwrap();
         let shape = AggQueryShape::of(&resolved, ScanKernel::Vectorized);
         let key = MemoKey::new("events", shape, &Snapshot::committed(3));
-        let answer = |sum| PartialResult {
-            groups: HashMap::from([(1, vec![AggState::Sum { sum }])]),
-            stats: QueryStats::default(),
+        let answer = |sum| {
+            let mut groups = GroupTable::with_capacity(1, 1);
+            groups.push(1, &[AggState::Sum { sum }]);
+            PartialResult {
+                groups: Arc::new(groups),
+                stats: QueryStats::default(),
+            }
         };
         let outcome = ShardScanOutcome {
             bricks: 2,

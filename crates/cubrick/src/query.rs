@@ -13,13 +13,14 @@
 //! brick's entire coordinate range — the Granular Partitioning
 //! benefit of Section V-A.
 
-use std::collections::{BTreeMap, HashMap};
+use std::cmp::Ordering;
+use std::sync::{Arc, LazyLock};
 
 use columnar::{Bitmap, Value};
 
-use crate::agg::{self, AggState};
+use crate::agg::{self, AggState, GroupBuilder, GroupTable};
 use crate::brick::Brick;
-use crate::cube::Cube;
+use crate::cube::{self, Cube};
 use crate::error::CubrickError;
 
 /// Which brick scan/aggregate kernel executes queries (see
@@ -299,18 +300,15 @@ impl GroupSpec {
         key
     }
 
-    pub(crate) fn unpack(&self, key: u64) -> Vec<(usize, u32)> {
-        self.dims
-            .iter()
-            .map(|&(dim, shift, width)| {
-                let mask = if width >= 64 {
-                    !0u64
-                } else {
-                    (1u64 << width) - 1
-                };
-                (dim, ((key >> shift) & mask) as u32)
-            })
-            .collect()
+    /// The coordinate of group dimension `pos` in packed `key`.
+    pub(crate) fn coord(&self, key: u64, pos: usize) -> u32 {
+        let (_, shift, width) = self.dims[pos];
+        let mask = if width >= 64 {
+            !0u64
+        } else {
+            (1u64 << width) - 1
+        };
+        ((key >> shift) & mask) as u32
     }
 }
 
@@ -332,7 +330,11 @@ pub(crate) struct FilterSet {
 
 impl FilterSet {
     pub(crate) fn from_coords(coords: impl IntoIterator<Item = u32>) -> Self {
-        let mut sorted: Vec<u32> = coords.into_iter().collect();
+        // Sized once from the upper bound, which a filter over a value
+        // list knows, rather than grown by doubling.
+        let coords = coords.into_iter();
+        let mut sorted = Vec::with_capacity(coords.size_hint().1.unwrap_or(0));
+        sorted.extend(coords);
         sorted.sort_unstable();
         sorted.dedup();
         let bitset = match sorted.last() {
@@ -601,27 +603,71 @@ impl AggQueryShape {
 }
 
 /// Per-group partial aggregates produced by one brick/shard/node and
-/// merged upward. `PartialResult::default()` is the merge identity:
-/// merging it into anything (or anything into it) is a no-op on the
-/// groups and adds zero to every counter.
-#[derive(Clone, Debug, Default)]
+/// merged upward: a key-sorted group table, shared rather than
+/// copied (a memo entry and every hit on it hold the same table), and
+/// the scan counters. `PartialResult::default()` is the merge
+/// identity: merging it into anything (or anything into it) is a
+/// no-op on the groups and adds zero to every counter.
+#[derive(Clone, Debug)]
 pub struct PartialResult {
     /// Packed group key -> mergeable aggregation states (key 0 for
     /// ungrouped).
-    pub(crate) groups: HashMap<u64, Vec<AggState>>,
+    pub(crate) groups: Arc<GroupTable>,
     /// Scan counters.
     pub stats: QueryStats,
 }
 
+impl Default for PartialResult {
+    fn default() -> Self {
+        // Every identity shares one empty table, so it allocates nothing.
+        static EMPTY: LazyLock<Arc<GroupTable>> = LazyLock::new(Arc::default);
+        PartialResult {
+            groups: Arc::clone(&EMPTY),
+            stats: QueryStats::default(),
+        }
+    }
+}
+
 impl PartialResult {
+    fn new(groups: GroupTable, stats: QueryStats) -> Self {
+        PartialResult {
+            groups: Arc::new(groups),
+            stats,
+        }
+    }
+
     /// Merges `other` into `self` — the coordinator-side half of the
-    /// [`AggState`] merge algebra: group tables union, colliding keys
-    /// merge state-by-state.
+    /// [`AggState`] merge algebra: a merge-join of the
+    /// two tables, in which a key both hold merges `other`'s states
+    /// into `self`'s. Merging into an empty partial takes `other`'s
+    /// table as it is.
     pub fn merge(&mut self, other: PartialResult) {
-        for (key, states) in other.groups {
-            merge_states(&mut self.groups, key, states);
+        if self.groups.is_empty() {
+            self.groups = other.groups;
+        } else if !other.groups.is_empty() {
+            self.groups = Arc::new(self.groups.merged(&other.groups));
         }
         self.stats.absorb(&other.stats);
+    }
+
+    /// `partials` merged left to right, in one k-way pass over their
+    /// tables ([`GroupTable::fold`]): the same result as merging them
+    /// one by one into the identity.
+    pub(crate) fn fold(partials: &[PartialResult]) -> PartialResult {
+        let mut stats = QueryStats::default();
+        for partial in partials {
+            stats.absorb(&partial.stats);
+        }
+        let mut grouped = partials.iter().filter(|p| !p.groups.is_empty());
+        let groups = match (grouped.next(), grouped.next()) {
+            (None, _) => PartialResult::default().groups,
+            (Some(only), None) => Arc::clone(&only.groups),
+            _ => {
+                let tables: Vec<&GroupTable> = partials.iter().map(|p| &*p.groups).collect();
+                Arc::new(GroupTable::fold(&tables))
+            }
+        };
+        PartialResult { groups, stats }
     }
 }
 
@@ -671,63 +717,48 @@ fn accumulate(
     resolved: &ResolvedQuery,
     traversed: u64,
 ) -> PartialResult {
-    let mut result = PartialResult {
-        stats: QueryStats {
-            bricks_scanned: 1,
-            rows_scanned: traversed,
-            ..Default::default()
-        },
+    let mut stats = QueryStats {
+        bricks_scanned: 1,
+        rows_scanned: traversed,
         ..Default::default()
     };
-    match &resolved.group_by {
+    let groups = match &resolved.group_by {
         // Ungrouped: accumulate into a flat local vector — no hash
         // lookup per row.
         None => {
             let mut states = agg::init_states(&resolved.aggs);
             for row in rows {
-                result.stats.rows_visible += 1;
+                stats.rows_visible += 1;
                 for (state, &(func, metric)) in states.iter_mut().zip(&resolved.aggs) {
                     observe_row(brick, func, metric, row, state);
                 }
             }
-            if result.stats.rows_visible > 0 {
-                result.groups.insert(0, states);
-            }
+            ungrouped(&stats, states)
         }
+        // Grouped: one packed-key lookup per row (a run of identical
+        // keys skips it), the groups sorted once at the end.
         Some(spec) => {
-            // Grouped: one packed-key hash lookup per row, with a
-            // one-entry cache for runs of identical keys (sorted or
-            // clustered data hits it constantly).
-            let mut cached: Option<(u64, Vec<AggState>)> = None;
+            let mut groups = GroupBuilder::new(&resolved.aggs);
             for row in rows {
-                result.stats.rows_visible += 1;
-                let key = spec.pack(brick, row);
-                let states = match &mut cached {
-                    Some((cached_key, states)) if *cached_key == key => states,
-                    _ => {
-                        if let Some((old_key, old_states)) = cached.take() {
-                            merge_states(&mut result.groups, old_key, old_states);
-                        }
-                        cached = Some((
-                            key,
-                            result
-                                .groups
-                                .remove(&key)
-                                .unwrap_or_else(|| agg::init_states(&resolved.aggs)),
-                        ));
-                        &mut cached.as_mut().expect("just set").1
-                    }
-                };
+                stats.rows_visible += 1;
+                let states = groups.states(spec.pack(brick, row));
                 for (state, &(func, metric)) in states.iter_mut().zip(&resolved.aggs) {
                     observe_row(brick, func, metric, row, state);
                 }
             }
-            if let Some((key, states)) = cached.take() {
-                merge_states(&mut result.groups, key, states);
-            }
+            groups.finish()
         }
+    };
+    PartialResult::new(groups, stats)
+}
+
+/// An ungrouped brick's table: its one group, if a row matched.
+fn ungrouped(stats: &QueryStats, states: Vec<AggState>) -> GroupTable {
+    if stats.rows_visible > 0 {
+        GroupTable::ungrouped(states)
+    } else {
+        GroupTable::default()
     }
-    result
 }
 
 /// Rows per selection-vector chunk. Small enough that the selection,
@@ -880,17 +911,14 @@ pub(crate) fn scan_brick_ranges_vectorized(
         idx: 0,
         next: 0,
     };
-    let mut result = PartialResult {
-        stats: QueryStats {
-            bricks_scanned: 1,
-            rows_scanned: ranges.iter().map(|r| r.end - r.start).sum(),
-            range_scans: 1,
-            ..Default::default()
-        },
+    let mut stats = QueryStats {
+        bricks_scanned: 1,
+        rows_scanned: ranges.iter().map(|r| r.end - r.start).sum(),
+        range_scans: 1,
         ..Default::default()
     };
     let mut scratch = ScanScratch::default();
-    match &resolved.group_by {
+    let groups = match &resolved.group_by {
         None => {
             let mut states = agg::init_states(&resolved.aggs);
             while selection.next_chunk(&mut scratch.sel) {
@@ -898,14 +926,12 @@ pub(crate) fn scan_brick_ranges_vectorized(
                 if scratch.sel.is_empty() {
                     continue;
                 }
-                result.stats.rows_visible += scratch.sel.len() as u64;
+                stats.rows_visible += scratch.sel.len() as u64;
                 for (state, &(_, metric)) in states.iter_mut().zip(&resolved.aggs) {
                     state.accumulate_batch(brick, metric, &scratch.sel);
                 }
             }
-            if result.stats.rows_visible > 0 {
-                result.groups.insert(0, states);
-            }
+            ungrouped(&stats, states)
         }
         Some(spec) => {
             let total_bits = spec
@@ -923,7 +949,7 @@ pub(crate) fn scan_brick_ranges_vectorized(
                     if scratch.sel.is_empty() {
                         continue;
                     }
-                    result.stats.rows_visible += scratch.sel.len() as u64;
+                    stats.rows_visible += scratch.sel.len() as u64;
                     pack_keys(
                         brick,
                         spec,
@@ -933,76 +959,45 @@ pub(crate) fn scan_brick_ranges_vectorized(
                     );
                     dense.accumulate(brick, &resolved.aggs, &scratch.sel, &scratch.keys);
                 }
-                dense.finish(brick, &resolved.aggs, &mut result.groups);
-                return result;
-            }
-            // Wide keys: keep the reference kernel's one-entry run
-            // cache, but feed it whole runs of identical packed keys:
-            // group boundaries are found over the batch-packed key
-            // vector, and each run goes through the fused kernels as
-            // one slice.
-            let mut cached: Option<(u64, Vec<AggState>)> = None;
-            while selection.next_chunk(&mut scratch.sel) {
-                apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
-                if scratch.sel.is_empty() {
-                    continue;
-                }
-                result.stats.rows_visible += scratch.sel.len() as u64;
-                pack_keys(
-                    brick,
-                    spec,
-                    &scratch.sel,
-                    &mut scratch.gathered,
-                    &mut scratch.keys,
-                );
-                let mut start = 0;
-                while start < scratch.sel.len() {
-                    let key = scratch.keys[start];
-                    let mut end = start + 1;
-                    while end < scratch.sel.len() && scratch.keys[end] == key {
-                        end += 1;
+                dense.finish(brick, &resolved.aggs)
+            } else {
+                // Wide keys: find group boundaries over the
+                // batch-packed key vector and feed each run of
+                // identical keys through the fused kernels as one
+                // slice.
+                let mut groups = GroupBuilder::new(&resolved.aggs);
+                while selection.next_chunk(&mut scratch.sel) {
+                    apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
+                    if scratch.sel.is_empty() {
+                        continue;
                     }
-                    let states = match &mut cached {
-                        Some((cached_key, states)) if *cached_key == key => states,
-                        _ => {
-                            if let Some((old_key, old_states)) = cached.take() {
-                                merge_states(&mut result.groups, old_key, old_states);
-                            }
-                            cached = Some((
-                                key,
-                                result
-                                    .groups
-                                    .remove(&key)
-                                    .unwrap_or_else(|| agg::init_states(&resolved.aggs)),
-                            ));
-                            &mut cached.as_mut().expect("just set").1
+                    stats.rows_visible += scratch.sel.len() as u64;
+                    pack_keys(
+                        brick,
+                        spec,
+                        &scratch.sel,
+                        &mut scratch.gathered,
+                        &mut scratch.keys,
+                    );
+                    let mut start = 0;
+                    while start < scratch.sel.len() {
+                        let key = scratch.keys[start];
+                        let mut end = start + 1;
+                        while end < scratch.sel.len() && scratch.keys[end] == key {
+                            end += 1;
                         }
-                    };
-                    for (state, &(_, metric)) in states.iter_mut().zip(&resolved.aggs) {
-                        state.accumulate_batch(brick, metric, &scratch.sel[start..end]);
+                        let states = groups.states(key);
+                        for (state, &(_, metric)) in states.iter_mut().zip(&resolved.aggs) {
+                            state.accumulate_batch(brick, metric, &scratch.sel[start..end]);
+                        }
+                        start = end;
                     }
-                    start = end;
                 }
-            }
-            if let Some((key, states)) = cached.take() {
-                merge_states(&mut result.groups, key, states);
+                groups.finish()
             }
         }
-    }
-    result
-}
-
-fn merge_states(groups: &mut HashMap<u64, Vec<AggState>>, key: u64, states: Vec<AggState>) {
-    match groups.entry(key) {
-        std::collections::hash_map::Entry::Occupied(mut e) => {
-            for (mine, theirs) in e.get_mut().iter_mut().zip(&states) {
-                mine.merge(theirs);
-            }
-        }
-        std::collections::hash_map::Entry::Vacant(e) => {
-            e.insert(states);
-        }
-    }
+    };
+    PartialResult::new(groups, stats)
 }
 
 /// Total ordering for `ORDER BY <agg>` values: NaN (the finalization
@@ -1026,14 +1021,26 @@ fn cmp_aggs_nan_last(a: f64, b: f64, desc: bool) -> std::cmp::Ordering {
     }
 }
 
-fn compare_values(a: &Value, b: &Value) -> std::cmp::Ordering {
-    match (a, b) {
-        (Value::Str(x), Value::Str(y)) => x.cmp(y),
-        _ => a
-            .as_numeric()
-            .partial_cmp(&b.as_numeric())
-            .unwrap_or(std::cmp::Ordering::Equal),
+/// A group coordinate in `ORDER BY` order: decoded strings by value,
+/// before every coordinate that has no string (an integer dimension's
+/// value, or an id its dictionary does not hold), by number.
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+enum SortCoord<'a> {
+    Str(&'a str),
+    Int(u32),
+}
+
+/// Orders `rows` by `cmp`, ties by ascending row — which is ascending
+/// packed key — and keeps the first `limit`. The order is total, so
+/// unstable sorting is deterministic, and a selection drops the rows
+/// past `limit` before the sort.
+fn order_rows(rows: &mut Vec<usize>, limit: usize, cmp: impl Fn(usize, usize) -> Ordering) {
+    let cmp = |a: &usize, b: &usize| cmp(*a, *b).then(a.cmp(b));
+    if limit < rows.len() {
+        rows.select_nth_unstable_by(limit, cmp);
+        rows.truncate(limit);
     }
+    rows.sort_unstable_by(cmp);
 }
 
 /// A finalized query result.
@@ -1048,63 +1055,81 @@ pub struct QueryResult {
 }
 
 impl QueryResult {
-    /// Finalizes partial aggregates, decoding group coordinates
-    /// through `cube`.
+    /// Finalizes partial aggregates. The merged table is already in
+    /// packed-key order, so HAVING, ORDER BY and LIMIT work on row
+    /// indexes into it, and only the rows emitted have their group
+    /// keys decoded, through `cube`, under one dictionary lock per
+    /// string dimension. `ORDER BY` an integer group key compares
+    /// coordinates; `ORDER BY` a string one decodes every group's
+    /// string under one lock.
     pub(crate) fn finalize(cube: &Cube, resolved: &ResolvedQuery, partial: PartialResult) -> Self {
-        // Deterministic output order: by packed group key.
-        let ordered: BTreeMap<u64, Vec<AggState>> = partial.groups.into_iter().collect();
-        let mut rows: Vec<(u64, Vec<Value>, Vec<f64>)> = ordered
-            .into_iter()
-            .map(|(key, states)| {
-                let decoded = match &resolved.group_by {
-                    Some(spec) => spec
-                        .unpack(key)
-                        .into_iter()
-                        .map(|(dim, coord)| cube.decode_coord(dim, coord))
-                        .collect(),
-                    None => Vec::new(),
-                };
-                let values = states.iter().map(|state| state.finalize()).collect();
-                (key, decoded, values)
-            })
-            .collect();
+        let table = &*partial.groups;
+        let value = |row: usize, agg: usize| table.states(row)[agg].finalize();
         // HAVING filters *finalized* aggregates — after the merge
         // tree collapses (so a group partially visible in several
         // bricks is judged on its total), before ORDER BY/LIMIT.
         // NaN aggregates (SQL NULL) fail every comparison.
-        if let Some(having) = &resolved.having {
-            rows.retain(|(_, _, values)| having.op.holds(values[having.agg], having.value));
-        }
-        if let Some((order, desc)) = &resolved.order_by {
-            // Ordering conventions: the comparator itself is reversed
-            // for DESC (never `rows.reverse()`, which would flip tie
-            // order and make `DESC LIMIT n` keep different tied groups
-            // than a descending comparator); ties always break by
-            // ascending packed group key; NaN aggregates (empty-group
-            // Min/Max/Avg) sort last in BOTH directions, via
-            // `f64::total_cmp` so the comparator stays total.
-            rows.sort_by(|a, b| {
-                let primary = match order {
-                    ResolvedOrder::Aggregation(idx) => {
-                        cmp_aggs_nan_last(a.2[*idx], b.2[*idx], *desc)
-                    }
-                    ResolvedOrder::GroupKey(pos) => {
-                        let ord = compare_values(&a.1[*pos], &b.1[*pos]);
-                        if *desc {
-                            ord.reverse()
-                        } else {
-                            ord
+        let mut rows = Vec::with_capacity(table.len());
+        rows.extend((0..table.len()).filter(|&row| {
+            (resolved.having.as_ref()).is_none_or(|h| h.op.holds(value(row, h.agg), h.value))
+        }));
+        let limit = resolved.limit.unwrap_or(usize::MAX);
+        // Ordering conventions: the comparator itself is reversed for
+        // DESC (never `rows.reverse()`, which would flip tie order and
+        // make `DESC LIMIT n` keep different tied groups than a
+        // descending comparator); ties always break by ascending
+        // packed group key; NaN aggregates (empty-group Min/Max/Avg)
+        // sort last in BOTH directions, via `f64::total_cmp` so the
+        // comparator stays total.
+        let spec = resolved.group_by.as_ref();
+        match resolved.order_by {
+            None => {}
+            Some((ResolvedOrder::Aggregation(agg), desc)) => {
+                order_rows(&mut rows, limit, |a, b| {
+                    cmp_aggs_nan_last(value(a, agg), value(b, agg), desc)
+                })
+            }
+            Some((ResolvedOrder::GroupKey(pos), desc)) => {
+                let spec = spec.expect("ORDER BY a group key resolves only with GROUP BY");
+                let dict = cube.lock_dictionary(spec.dims[pos].0);
+                let coords: Vec<SortCoord<'_>> = (0..table.len())
+                    .map(|row| {
+                        let coord = spec.coord(table.key(row), pos);
+                        match dict.as_ref().and_then(|dict| dict.decode(coord)) {
+                            Some(s) => SortCoord::Str(s),
+                            None => SortCoord::Int(coord),
                         }
+                    })
+                    .collect();
+                order_rows(&mut rows, limit, |a, b| {
+                    let ord = coords[a].cmp(&coords[b]);
+                    if desc {
+                        ord.reverse()
+                    } else {
+                        ord
                     }
-                };
-                primary.then(a.0.cmp(&b.0))
-            });
+                });
+            }
         }
-        if let Some(limit) = resolved.limit {
-            rows.truncate(limit);
+        rows.truncate(limit);
+        let dims = spec.map_or(0, |spec| spec.dims.len());
+        let mut emitted: Vec<(Vec<Value>, Vec<f64>)> = (rows.iter())
+            .map(|&row| {
+                let values = table.states(row).iter().map(AggState::finalize).collect();
+                (Vec::with_capacity(dims), values)
+            })
+            .collect();
+        if let Some(spec) = spec {
+            for (pos, &(dim, ..)) in spec.dims.iter().enumerate() {
+                let dict = cube.lock_dictionary(dim);
+                for ((keys, _), &row) in emitted.iter_mut().zip(&rows) {
+                    let coord = spec.coord(table.key(row), pos);
+                    keys.push(cube::decode(dict.as_deref(), coord));
+                }
+            }
         }
         QueryResult {
-            rows: rows.into_iter().map(|(_, k, v)| (k, v)).collect(),
+            rows: emitted,
             stats: partial.stats,
         }
     }
@@ -1126,6 +1151,7 @@ mod tests {
     use aosi::Snapshot;
     use columnar::Column;
     use obs::sync::unpoison;
+    use std::collections::BTreeMap;
 
     fn cube() -> Cube {
         Cube::new(
@@ -1377,6 +1403,74 @@ mod tests {
         assert_eq!(result.rows[0].1, vec![80.0, 10.0], "sums add, mins hold");
         assert_eq!(result.stats.bricks_scanned, 2);
         assert_eq!(result.stats.rows_visible, 6);
+    }
+
+    /// A shard folds each key's brick states left to right in bid
+    /// order, and the coordinator folds the shard tables left to right
+    /// in shard order, each starting from the first partial holding
+    /// the key. Sums of inexact doubles show any other association or
+    /// start in the bits: `(0.1 + 1e16) - 1e16` is 0 but
+    /// `0.1 + (1e16 - 1e16)` is 0.1, and `-0.0 + -0.0` is -0.0 but
+    /// `0.0 + -0.0` is 0.0. The merge oracle's exact arithmetic cannot
+    /// see the order.
+    #[test]
+    fn folds_merge_each_key_in_bid_then_shard_order() {
+        // Per shard, its bricks' `(key, sum)` groups in bid order.
+        let shards: [&[&[(u64, f64)]]; 3] = [
+            &[
+                &[(1, 0.1), (2, 1e16), (5, -0.0)],
+                &[(1, 1e16), (2, 0.1), (3, 0.3)],
+                &[(1, -1e16), (2, -1e16), (3, 1e16)],
+            ],
+            &[
+                &[(1, 0.2), (3, -1e16)],
+                &[(2, 0.7), (4, 1.0), (5, -0.0)],
+                &[],
+                &[(1, 1e16), (6, 0.1)],
+            ],
+            &[&[(1, -1e16), (3, 0.5), (6, 1e16)], &[(6, -1e16)]],
+        ];
+        let brick = |groups: &[(u64, f64)]| {
+            let mut table = GroupTable::with_capacity(1, groups.len());
+            for &(key, sum) in groups {
+                table.push(key, &[AggState::Sum { sum }]);
+            }
+            PartialResult {
+                groups: Arc::new(table),
+                stats: QueryStats::default(),
+            }
+        };
+        let mut merged = PartialResult::default();
+        for bricks in shards {
+            let bricks: Vec<PartialResult> = bricks.iter().map(|groups| brick(groups)).collect();
+            merged.merge(PartialResult::fold(&bricks));
+        }
+        // The same folds, written out per key.
+        let left_fold = |acc: Option<f64>, v: f64| Some(acc.map_or(v, |acc| acc + v));
+        let expected: Vec<(u64, u64)> = (1..=6)
+            .map(|key| {
+                let total = shards.iter().fold(None, |total, bricks| {
+                    let shard = (bricks.iter().flat_map(|groups| groups.iter()))
+                        .filter(|&&(k, _)| k == key)
+                        .fold(None, |acc, &(_, v)| left_fold(acc, v));
+                    shard.map_or(total, |shard| left_fold(total, shard))
+                });
+                (key, total.expect("every key is somewhere").to_bits())
+            })
+            .collect();
+        let got: Vec<(u64, u64)> = (0..merged.groups.len())
+            .map(|i| {
+                let AggState::Sum { sum } = merged.groups.states(i)[0] else {
+                    panic!("a sum");
+                };
+                (merged.groups.key(i), sum.to_bits())
+            })
+            .collect();
+        assert_eq!(got, expected);
+        // The pin bites: key 3 is 0.5 in this order, 0.0 in the
+        // reverse shard order, and key 5 keeps its sign.
+        assert_eq!(f64::from_bits(expected[2].1), 0.5);
+        assert_eq!(expected[4].1, (-0.0f64).to_bits());
     }
 
     #[test]
@@ -1690,7 +1784,7 @@ mod tests {
             ];
             for (kernel, partial) in partials {
                 let kernel = format!("{kernel}, {} groups", counts.len());
-                for states in partial.groups.values() {
+                for states in (0..partial.groups.len()).map(|i| partial.groups.states(i)) {
                     assert!(
                         matches!(states[4], AggState::Avg { count: 0, .. }),
                         "{kernel}: Avg observed a non-numeric cell: {:?}",
@@ -1915,10 +2009,8 @@ mod tests {
                     continue;
                 }
             }
-            let decoded = spec
-                .unpack(key)
-                .into_iter()
-                .map(|(dim, coord)| cube.decode_coord(dim, coord))
+            let decoded = (spec.dims.iter().enumerate())
+                .map(|(pos, &(dim, ..))| cube.decode_coord(dim, spec.coord(key, pos)))
                 .collect();
             rows.push((decoded, finalized));
         }

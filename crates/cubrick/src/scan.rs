@@ -47,10 +47,14 @@ pub(crate) struct ShardScan {
     /// `None` scans every stored row (read-uncommitted).
     pub(crate) snapshot: Option<Snapshot>,
     pub(crate) kernel: ScanKernel,
-    /// Set when the snapshot is settled and the sink folds each
-    /// shard's bricks into one partial: the coordinator then answers
-    /// each shard from its memo under this key when it can, and a
-    /// shard that missed offers its fold under it.
+    /// Each shard folds its brick partials into one partial, in one
+    /// k-way pass, and hands over only that (every read but
+    /// `Deliver::BrickPartials`).
+    pub(crate) fold: bool,
+    /// Set when the scan folds and the snapshot is settled: the
+    /// coordinator then answers each shard from its memo under this
+    /// key when it can, and a shard that missed offers its fold under
+    /// it.
     pub(crate) memo: Option<(Arc<ShardMemos>, MemoKey)>,
     /// Bricks the filter rejects are another replica's to scan.
     pub(crate) allowed: Option<BrickFilter>,
@@ -86,24 +90,27 @@ impl ShardScan {
     /// Answers the request for `shard`'s bricks. Must run on that
     /// shard's thread: owning the bricks is what makes the walk and
     /// tier fault-in race-free, and what orders a memo offer with the
-    /// shard's writes that clear the memo. Without a memo key, brick
-    /// partials reach `sink` in ascending bid order; with one, the
-    /// coordinator already missed the key in this shard's memo, so the
-    /// shard folds its bricks in that same order, offers the fold to
-    /// its memo and hands `sink` the single partial.
+    /// shard's writes that clear the memo. Unfolded, brick partials
+    /// reach `sink` in ascending bid order. Folded, the shard folds
+    /// them in that same order and hands `sink` the single partial;
+    /// with a memo key, the coordinator already missed it in this
+    /// shard's memo, so the shard offers its fold there first.
     pub(crate) fn run(
         &self,
         shard: usize,
         bricks: &mut ShardBricks,
         mut sink: impl FnMut(PartialResult),
     ) -> Result<ShardScanOutcome, (u64, ScanFailure)> {
-        let Some((memos, key)) = &self.memo else {
+        if !self.fold {
             return self.scan_bricks(bricks, sink);
-        };
-        let mut folded = PartialResult::default();
-        let outcome = self.scan_bricks(bricks, |partial| folded.merge(partial))?;
-        memos.shard(shard).offer(key, &folded, &outcome);
-        folded.stats.agg_cache_misses = 1;
+        }
+        let mut partials = Vec::new();
+        let outcome = self.scan_bricks(bricks, |partial| partials.push(partial))?;
+        let mut folded = PartialResult::fold(&partials);
+        if let Some((memos, key)) = &self.memo {
+            memos.shard(shard).offer(key, &folded, &outcome);
+            folded.stats.agg_cache_misses = 1;
+        }
         sink(folded);
         Ok(outcome)
     }
@@ -241,7 +248,7 @@ mod tests {
         })
     }
 
-    /// Runs `query` through one shard with `kernel`, folding the
+    /// Runs `query` through one shard with `kernel`, which folds the
     /// brick partials in bid order.
     fn run(
         cube: &Cube,
@@ -255,6 +262,7 @@ mod tests {
             resolved: ResolvedQuery::resolve(cube, query).unwrap(),
             snapshot,
             kernel,
+            fold: true,
             memo: None,
             allowed: None,
             panic_bids: HashSet::new(),

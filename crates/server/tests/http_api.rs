@@ -7,6 +7,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use checker::SiChecker;
+use columnar::Value;
 use cubrick::Engine;
 use server::client::Client;
 use server::json::{obj, Json};
@@ -352,7 +353,10 @@ fn session_pins_a_snapshot_across_requests() {
 /// The per-shard snapshot memo behind the front door: the third
 /// identical pinned request is answered from every shard's memo, and
 /// its reply is byte-equal to the first — `stats` included — with rows
-/// matching the sequential reference executor.
+/// matching the sequential reference executor. One statement per
+/// branch of finalization: a filtered group-by, `ORDER BY` an
+/// aggregate `DESC` with `LIMIT`, `ORDER BY` a `STRING` group key,
+/// `HAVING`, and an ungrouped aggregate.
 #[test]
 fn memoized_pinned_reply_is_byte_equal_to_a_fresh_one() {
     let (engine, handle) = start_seeded(ServerConfig::default());
@@ -385,34 +389,62 @@ fn memoized_pinned_reply_is_byte_equal_to_a_fresh_one() {
         .get("epoch")
         .and_then(Json::as_f64)
         .unwrap() as u64;
-    let statement =
-        "SELECT SUM(likes), MAX(score) FROM t WHERE day IN (0, 1, 5, 6) GROUP BY region";
-    let mut replies = Vec::new();
-    for sighting in 1..=3 {
-        let reply = client.query(statement, Some(session)).unwrap();
-        assert_eq!(reply.status, 200, "{}", reply.body);
-        let hits = engine.agg_cache_stats().unwrap().hits;
-        assert_eq!(hits > 0, sighting == 3, "sighting {sighting}: {hits} hits");
-        replies.push(reply.body);
-    }
-    assert_eq!(replies[2], replies[0], "memoized reply differs from fresh");
+    let statements = [
+        "SELECT SUM(likes), MAX(score) FROM t WHERE day IN (0, 1, 5, 6) GROUP BY region",
+        "SELECT SUM(likes), MIN(score) FROM t GROUP BY day ORDER BY SUM(likes) DESC LIMIT 3",
+        "SELECT COUNT(*), AVG(score) FROM t GROUP BY region ORDER BY region",
+        "SELECT SUM(likes) FROM t GROUP BY region HAVING SUM(likes) > 30",
+        "SELECT COUNT(*), SUM(likes), AVG(score) FROM t WHERE region IN ('us', 'br')",
+    ];
+    for statement in statements {
+        let mut replies = Vec::new();
+        for sighting in 1..=3 {
+            let before = engine.agg_cache_stats().unwrap().hits;
+            let reply = client.query(statement, Some(session)).unwrap();
+            assert_eq!(reply.status, 200, "{statement}: {}", reply.body);
+            let hits = engine.agg_cache_stats().unwrap().hits - before;
+            assert_eq!(
+                hits > 0,
+                sighting == 3,
+                "{statement}, sighting {sighting}: {hits} hits"
+            );
+            replies.push(reply.body);
+        }
+        assert_eq!(
+            replies[2], replies[0],
+            "{statement}: memoized reply differs from fresh"
+        );
 
-    let Ok(cubrick::sql::Statement::Select { cube, query, .. }) = cubrick::sql::parse(statement)
-    else {
-        panic!("statement parses");
-    };
-    let reference = engine
-        .query_at_reference(&cube, &query, &aosi::Snapshot::committed(epoch))
-        .unwrap();
-    let expected: Vec<Json> = (reference.rows.iter())
-        .map(|(keys, values)| {
-            let mut cells: Vec<Json> = keys.iter().map(|k| Json::str(k.to_string())).collect();
-            cells.extend(values.iter().map(|&v| Json::num(v)));
-            Json::Arr(cells)
-        })
-        .collect();
-    let served = server::json::parse(&replies[2]).unwrap();
-    assert_eq!(served.get("rows"), Some(&Json::Arr(expected)));
+        let Ok(cubrick::sql::Statement::Select { cube, query, .. }) =
+            cubrick::sql::parse(statement)
+        else {
+            panic!("{statement} parses");
+        };
+        let reference = engine
+            .query_at_reference(&cube, &query, &aosi::Snapshot::committed(epoch))
+            .unwrap();
+        assert!(!reference.rows.is_empty(), "{statement}: no rows");
+        let expected: Vec<Json> = (reference.rows.iter())
+            .map(|(keys, values)| {
+                let mut cells: Vec<Json> = (keys.iter())
+                    .map(|k| match k {
+                        Value::I64(i) => Json::num(*i as f64),
+                        _ => Json::str(k.to_string()),
+                    })
+                    .collect();
+                cells.extend(values.iter().map(|&v| Json::num(v)));
+                Json::Arr(cells)
+            })
+            .collect();
+        for reply in [&replies[0], &replies[2]] {
+            let served = server::json::parse(reply).unwrap();
+            assert_eq!(
+                served.get("rows"),
+                Some(&Json::Arr(expected.clone())),
+                "{statement}"
+            );
+        }
+    }
 }
 
 /// Every SELECT takes exactly one read guard: a fresh one reads

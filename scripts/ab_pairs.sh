@@ -11,10 +11,16 @@
 # seed 1, 15 s, `--trace 0`, BASE first in odd pairs and HEAD first in
 # even ones. Prints each run's correct/attempted/failed counts as it
 # finishes (on stderr), then per end-to-end metric
-# the median and quartiles (Q1–Q3) of each side, the median change and
+# the median and quartiles (Q1–Q3) of each side, the median change,
 # "better in k/N" (HEAD better than BASE in k of the N pairs, by the
-# metric's `better` direction; ties counted apart). Needs git, cargo,
-# awk and sed. Run it from anywhere inside the repository.
+# metric's `better` direction; ties counted apart) and two verdicts:
+#   gain          HEAD better in at least 9 of every 10 pairs, and its
+#                 median better than BASE's by more than BASE's
+#                 interquartile range;
+#   within bound  HEAD's median no further from BASE's in the worse
+#                 direction than the metric's `bound` (a fraction).
+# Needs git, cargo, awk and sed. Run it from anywhere inside the
+# repository.
 set -eu
 
 if [ $# -ne 4 ]; then
@@ -32,13 +38,14 @@ tmp=$(mktemp -d "${TMPDIR:-/tmp}/ab_pairs.XXXXXX")
 trap 'rm -rf "$tmp"' EXIT INT TERM
 
 # BENCHMARK.json's command, one word per line, and its end-to-end
-# metrics as "name better" lines.
+# metrics as "name better bound" lines.
 sed -n 's/.*"command": *\[\(.*\)\].*/\1/p' "$manifest" |
     tr ',' '\n' | sed 's/^ *"//; s/" *$//' >"$tmp/command"
 awk '/"end_to_end"/ { on = 1; next } on && /\]/ { exit }
     on { n = $0; sub(/.*"name": *"/, "", n); sub(/".*/, "", n)
          b = $0; sub(/.*"better": *"/, "", b); sub(/".*/, "", b)
-         print n, b }' "$manifest" >"$tmp/metrics"
+         d = $0; sub(/.*"bound": */, "", d); sub(/[^0-9.].*/, "", d)
+         print n, b, d }' "$manifest" >"$tmp/metrics"
 
 for side in base head; do
     eval "rev=\$$side"
@@ -88,10 +95,10 @@ done >"$tmp/values"
 echo "$workload: $pairs alternating pairs, seed 1, 15 s, --trace 0"
 echo "base $(git -C "$repo" rev-parse --short "$base"), head $(git -C "$repo" rev-parse --short "$head")"
 echo
-echo "| metric | base median (Q1–Q3) | head median (Q1–Q3) | change | head better |"
-echo "|---|---|---|---|---|"
-while read -r metric better; do
-    awk -v m="$metric" -v better="$better" '
+echo "| metric | base median (Q1–Q3) | head median (Q1–Q3) | change | head better | gain | within bound |"
+echo "|---|---|---|---|---|---|---|"
+while read -r metric better bound; do
+    awk -v m="$metric" -v better="$better" -v bound="$bound" '
         function quantile(v, n, q,   pos, lo) {
             pos = (n - 1) * q + 1; lo = int(pos)
             return lo >= n ? v[n] : v[lo] + (pos - lo) * (v[lo + 1] - v[lo])
@@ -111,10 +118,17 @@ while read -r metric better; do
             }
             isort(b, nb); isort(h, nh)
             mb = quantile(b, nb, 0.5); mh = quantile(h, nh, 0.5)
+            iqr = quantile(b, nb, 0.75) - quantile(b, nb, 0.25)
             change = mb == 0 ? "n/a" : sprintf("%+.1f%%", 100 * (mh - mb) / mb)
             tie = ties ? sprintf(" (%d ties)", ties) : ""
-            printf "| %s | %.4g (%.4g–%.4g) | %.4g (%.4g–%.4g) | %s | %d/%d%s |\n",
+            # How far the median moved in the better direction.
+            gained = better == "lower" ? mb - mh : mh - mb
+            gain = 10 * wins >= 9 * n && gained > iqr ? "yes" : "no"
+            if (mb == 0) within = "n/a"
+            else within = -gained <= bound * (mb < 0 ? -mb : mb) ? "yes" : "no"
+            printf "| %s | %.4g (%.4g–%.4g) | %.4g (%.4g–%.4g) | %s | %d/%d%s | %s | %s |\n",
                 m, mb, quantile(b, nb, 0.25), quantile(b, nb, 0.75),
-                mh, quantile(h, nh, 0.25), quantile(h, nh, 0.75), change, wins, n, tie
+                mh, quantile(h, nh, 0.25), quantile(h, nh, 0.75), change, wins, n, tie,
+                gain, within
         }' "$tmp/values"
 done <"$tmp/metrics"

@@ -5,10 +5,60 @@
 use aosi_repro::aosi::Snapshot;
 use aosi_repro::cluster::SimulatedNetwork;
 use aosi_repro::columnar::Value;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
 use aosi_repro::cubrick::{
     AggFn, Aggregation, At, BrickDelta, CubeSchema, Deliver, DimFilter, Dimension,
-    DistributedEngine, Engine, IsolationMode, Metric, Query,
+    DistributedEngine, Engine, IsolationMode, Metric, OrderBy, Query,
 };
+
+thread_local! {
+    /// Heap allocations and reallocations this thread has made.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting each thread's allocations: a gate
+/// on work that grows with its input, where a timing gate would be
+/// noise.
+struct CountingAlloc;
+
+fn count_allocation() {
+    // A thread being torn down has no counter left; its frees and
+    // allocations are nobody's measurement.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// `f`'s result and the heap allocations it made on this thread.
+fn allocations<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let result = f();
+    (result, ALLOCATIONS.with(Cell::get) - before)
+}
 
 fn schema() -> CubeSchema {
     CubeSchema::new(
@@ -212,6 +262,71 @@ fn a_query_is_one_task_per_shard() {
         assert_eq!(reference.stats.bricks_pruned, *pruned);
         assert_eq!(reference.scalar(), result.scalar());
     }
+}
+
+/// A settled read that every shard's memo answers runs wholly on the
+/// calling thread, shares each shard's memoized table, and decodes
+/// only the rows it emits: reading 64 memoized groups allocates
+/// exactly as often as reading 8.
+#[test]
+fn a_memo_hit_allocates_the_same_for_64_groups_as_for_8() {
+    let engine = Engine::new(2);
+    // Four days per brick, so days 0-3 and 4-7 land on different
+    // shards and both reads merge two shard tables.
+    let schema = CubeSchema::new(
+        "days",
+        vec![Dimension::int("day", 128, 4)],
+        vec![Metric::int("likes")],
+    )
+    .unwrap();
+    engine.create_cube(schema).unwrap();
+    let rows: Vec<_> = (0..256)
+        .map(|i| vec![Value::I64(i % 64), Value::I64(i)])
+        .collect();
+    engine.load("days", &rows, 0).unwrap();
+    let snapshot = Snapshot::committed(engine.manager().lce());
+    // `GROUP BY day ORDER BY day LIMIT 8` over the first `days` days.
+    let first_days = |days: i64| {
+        Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
+            .filter(DimFilter::new("day", (0..days).map(Value::I64).collect()))
+            .grouped_by("day")
+            .ordered_by(OrderBy::Dimension("day".into()), false)
+            .limited(8)
+    };
+    let read = |query: &Query| {
+        engine
+            .read("days", query, At::Snapshot(&snapshot), Deliver::Final)
+            .unwrap()
+    };
+    let hit_allocations = |query: &Query| {
+        read(query);
+        let fresh = read(query);
+        let tasks = shard_tasks(&engine);
+        let (hit, allocated) = allocations(|| read(query));
+        assert_eq!(
+            shard_tasks(&engine),
+            tasks,
+            "no shard task: all on this thread"
+        );
+        assert_eq!(hit.stats.agg_cache_hits, 2, "both shards hit");
+        assert_eq!(hit.stats.parallel_tasks, 2, "both shards hold groups");
+        assert_eq!(hit.rows, fresh.rows);
+        let days: Vec<Value> = (0..8).map(Value::I64).collect();
+        assert_eq!(
+            hit.rows
+                .iter()
+                .map(|(k, _)| k[0].clone())
+                .collect::<Vec<_>>(),
+            days
+        );
+        allocated
+    };
+    let wide = hit_allocations(&first_days(64));
+    let narrow = hit_allocations(&first_days(8));
+    assert_eq!(
+        wide, narrow,
+        "a hit on 64 groups made {wide} allocations, on 8 groups {narrow}"
+    );
 }
 
 /// A 4-shard engine spilling to a store in a fresh temp directory.
