@@ -172,13 +172,6 @@ impl ReplicationTracker {
         }
     }
 
-    /// Routes a read at snapshot `epoch` to the first candidate that
-    /// [`covers`](ReplicationTracker::covers) it; preference order is
-    /// the caller's (normally the ring's replica order).
-    pub fn route_read(&self, candidates: &[NodeId], epoch: Epoch) -> Option<NodeId> {
-        candidates.iter().copied().find(|&n| self.covers(n, epoch))
-    }
-
     /// Per-node *effective* watermarks (instrumentation).
     pub fn watermarks(&self) -> Vec<(NodeId, Epoch)> {
         let st = unpoison(self.state.read());
@@ -271,13 +264,10 @@ mod tests {
             !t.covers(2, snapshot),
             "a replica whose safe epoch trails the snapshot must not answer locally"
         );
-        // Routing falls through the lagging replica to a covering one.
-        assert_eq!(t.route_read(&[2, 3, 1], snapshot), Some(3));
-        // Offline replicas are skipped even when their watermark covers.
+        // An offline replica never answers, even when its watermark covers.
+        assert!(t.covers(3, snapshot));
         t.mark_offline(3);
-        assert_eq!(t.route_read(&[2, 3, 1], snapshot), Some(1));
-        // Nobody covers -> no local answer anywhere.
-        assert_eq!(t.route_read(&[2], snapshot), None);
+        assert!(!t.covers(3, snapshot));
     }
 
     #[test]

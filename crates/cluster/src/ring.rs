@@ -86,14 +86,6 @@ impl Ring {
         }
         out
     }
-
-    /// Number of distinct nodes on the ring.
-    pub fn node_count(&self) -> usize {
-        let mut nodes: Vec<NodeId> = self.points.iter().map(|&(_, n)| n).collect();
-        nodes.sort_unstable();
-        nodes.dedup();
-        nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -171,11 +163,6 @@ mod tests {
             }
         }
         assert!(moved > 0, "node 5 owned something");
-    }
-
-    #[test]
-    fn node_count_reports_distinct_nodes() {
-        assert_eq!(Ring::new(7, 16).node_count(), 7);
     }
 
     #[test]

@@ -61,11 +61,6 @@ impl BidLayout {
             .collect()
     }
 
-    /// The range index of `coord` on dimension `dim`.
-    pub fn range_index(&self, dim: usize, coord: u32) -> u32 {
-        coord / self.dims[dim].2
-    }
-
     /// The coordinate interval `[lo, hi)` covered by `range_idx` of
     /// dimension `dim`. The last range can reach past the dimension's
     /// cardinality (and `hi` saturates at `u32::MAX`); callers that
@@ -136,7 +131,6 @@ mod tests {
         assert_eq!(layout.range_bounds(0, 0), (0, 2));
         assert_eq!(layout.range_bounds(0, 1), (2, 4));
         assert_eq!(layout.range_bounds(1, 3), (3, 4));
-        assert_eq!(layout.range_index(0, 3), 1);
     }
 
     #[test]

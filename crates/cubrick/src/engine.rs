@@ -35,7 +35,7 @@ use crate::cube::{Cube, CubeMemory};
 use crate::ddl::CubeSchema;
 use crate::error::CubrickError;
 use crate::memo::{MemoKey, ShardMemos};
-use crate::query::{AggQueryShape, PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel};
+use crate::query::{PartialResult, Query, QueryResult, ResolvedQuery, ScanKernel};
 use crate::scan::{BrickFilter, ScanFailure, ShardScan, ShardScanOutcome};
 use crate::shard::{ShardBricks, ShardPool, TaskHandle};
 use crate::tier::{BrickStore, TierStats, TieredStore};
@@ -696,13 +696,12 @@ impl Engine {
                     && snap.epoch() <= self.manager.lce()
             })
             .map(|snap| {
-                let shape = AggQueryShape::of(resolved, config.kernel);
-                let key = MemoKey::new(cube.name(), shape, snap);
+                let key = MemoKey::new(cube.name(), &resolved.plan, snap);
                 (Arc::clone(&self.memos), key)
             });
         ShardScan {
             cube: cube.clone(),
-            resolved: resolved.clone(),
+            plan: Arc::clone(&resolved.plan),
             snapshot,
             kernel: config.kernel,
             fold: folded,
@@ -888,7 +887,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::ddl::{Dimension, Metric};
     use crate::ingest::parse_rows;
-    use crate::query::{AggFn, Aggregation, DimFilter};
+    use crate::query::{AggFn, Aggregation, CmpOp, DimFilter, OrderBy};
     use columnar::Row;
     use columnar::Value;
 
@@ -1456,6 +1455,56 @@ pub(crate) mod tests {
                 .query_at_reference("events", &query, &snapshot)
                 .unwrap(),
         );
+    }
+
+    /// The scan plan is the memo key. Variants of a memoized query
+    /// that differ only in HAVING, ORDER BY or LIMIT hit on every
+    /// shard and finalize like the reference; one more filter
+    /// coordinate, one more aggregation or one more group dimension
+    /// is another plan, and misses on every shard.
+    #[test]
+    fn the_scan_plan_is_the_memo_key() {
+        let engine = engine();
+        spread_load(&engine);
+        let query = |regions: &[&str]| {
+            let regions = regions.iter().map(|&r| Value::from(r)).collect();
+            Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
+                .filter(DimFilter::new("region", regions))
+                .grouped_by("day")
+        };
+        let base = || query(&["us", "br"]);
+        let snapshot = Snapshot::committed(engine.manager().lce());
+        let read = |query: &Query| {
+            (engine.read("events", query, At::Snapshot(&snapshot), Deliver::Final)).unwrap()
+        };
+        read(&base());
+        read(&base());
+        let finalize_only = [
+            base().having(0, CmpOp::Gt, 4.0),
+            base().ordered_by(OrderBy::Aggregation(0), true),
+            (base().ordered_by(OrderBy::Dimension("day".into()), false)).limited(3),
+        ];
+        for variant in &finalize_only {
+            let before = memo_lookups(&engine);
+            let hit = read(variant);
+            let (hits, misses) = memo_lookups(&engine);
+            assert_eq!((hits - before.0, misses - before.1), (4, 0), "{variant:?}");
+            let reference = engine.query_at_reference("events", variant, &snapshot);
+            assert_rows_identical(&hit, &reference.unwrap());
+        }
+        let mut more_aggregations = base();
+        (more_aggregations.aggregations).push(Aggregation::new(AggFn::Count, "likes"));
+        let other_plans = [
+            query(&["us", "br", "mx"]),
+            more_aggregations,
+            base().grouped_by("region"),
+        ];
+        for variant in &other_plans {
+            let before = memo_lookups(&engine);
+            read(variant);
+            let (hits, misses) = memo_lookups(&engine);
+            assert_eq!((hits - before.0, misses - before.1), (0, 4), "{variant:?}");
+        }
     }
 
     /// Only merged, overlapped, unrouted scans at a settled snapshot

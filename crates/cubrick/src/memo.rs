@@ -1,5 +1,5 @@
 //! The per-shard snapshot memo: a shard's folded answer to a repeated
-//! `(query shape, settled snapshot)`, served without touching a brick.
+//! `(scan plan, settled snapshot)`, served without touching a brick.
 //!
 //! A snapshot at or below the LCE is *settled*. Data is single-version
 //! and append-only, the LCE rule says every epoch at or below it has
@@ -21,16 +21,19 @@
 //! answer scanned before such a write is offered before the write
 //! clears the memo, never after it, where it would stay for good.
 //!
-//! Keys compare structurally (cube name, [`AggQueryShape`], epoch,
-//! full deps set), never by fingerprint: a collision would serve one
-//! query's answer to another. A key is stored only on its shard's
-//! second sighting; the doorkeeper remembering first sightings is a
-//! fixed table of fingerprints, where a collision can only change
-//! admission. An entry holds its shard's folded [`GroupTable`] behind
-//! an `Arc`, and a hit hands the coordinator a clone of that `Arc`, so
-//! neither side copies a group. Entries live under a constant byte
-//! budget, which charges each entry's table in full, with FIFO
-//! eviction.
+//! The key is `(cube, ScanPlan, E, deps)`: the read's own
+//! [`ScanPlan`], shared through its `Arc`, never a copy. Keys compare
+//! structurally, never by fingerprint: a collision would serve one
+//! query's answer to another. The kernel is not part of the key: the
+//! scan oracle holds both kernels byte-identical. A key is stored
+//! only on its shard's second sighting; the doorkeeper remembering
+//! first sightings is a fixed table of fingerprints, where a collision
+//! can only change admission. An entry holds its shard's folded
+//! [`GroupTable`] behind an `Arc`, and a hit hands the coordinator a
+//! clone of that `Arc`, so neither side copies a group. Entries live
+//! under a constant byte budget, which charges each entry's table and
+//! plan in full (the key keeps the plan's filter bitsets alive), with
+//! FIFO eviction.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeSet, HashMap, VecDeque};
@@ -45,7 +48,7 @@ use obs::ReportBuilder;
 #[cfg(any(test, feature = "fault-hooks"))]
 use crate::agg::AggState;
 use crate::agg::GroupTable;
-use crate::query::{AggQueryShape, PartialResult, QueryStats};
+use crate::query::{PartialResult, QueryStats, ScanPlan};
 use crate::scan::ShardScanOutcome;
 
 /// Bytes one shard's memo may hold.
@@ -58,16 +61,16 @@ const DOORKEEPER_SLOTS: usize = 1024;
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub(crate) struct MemoKey {
     cube: Arc<str>,
-    shape: Arc<AggQueryShape>,
+    plan: Arc<ScanPlan>,
     epoch: Epoch,
     deps: Arc<BTreeSet<Epoch>>,
 }
 
 impl MemoKey {
-    pub(crate) fn new(cube: &str, shape: AggQueryShape, snapshot: &Snapshot) -> Self {
+    pub(crate) fn new(cube: &str, plan: &Arc<ScanPlan>, snapshot: &Snapshot) -> Self {
         MemoKey {
             cube: Arc::from(cube),
-            shape: Arc::new(shape),
+            plan: Arc::clone(plan),
             epoch: snapshot.epoch(),
             deps: snapshot.shared_deps(),
         }
@@ -97,8 +100,8 @@ impl MemoKey {
         const NODE_BYTES: usize = (DEPS_PER_NODE + 1) * size_of::<Epoch>();
         3 * ARC_HEADER
             + self.cube.len()
-            + size_of::<AggQueryShape>()
-            + self.shape.heap_bytes()
+            + size_of::<ScanPlan>()
+            + self.plan.heap_bytes()
             + size_of::<BTreeSet<Epoch>>()
             + self.deps.len().div_ceil(DEPS_PER_NODE) * NODE_BYTES
     }
@@ -371,7 +374,7 @@ mod tests {
     use super::*;
     use crate::engine::tests::{engine, row};
     use crate::engine::{At, Deliver};
-    use crate::query::{AggFn, Aggregation, Query, QueryResult, ResolvedQuery, ScanKernel};
+    use crate::query::{AggFn, Aggregation, Query, QueryResult, ResolvedQuery};
 
     fn sum_by_day() -> Query {
         Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]).grouped_by("day")
@@ -391,8 +394,7 @@ mod tests {
     fn offering_a_stored_key_again_changes_nothing() {
         let cube = engine().cube("events").unwrap();
         let resolved = ResolvedQuery::resolve(&cube, &sum_by_day()).unwrap();
-        let shape = AggQueryShape::of(&resolved, ScanKernel::Vectorized);
-        let key = MemoKey::new("events", shape, &Snapshot::committed(3));
+        let key = MemoKey::new("events", &resolved.plan, &Snapshot::committed(3));
         let answer = |sum| {
             let mut groups = GroupTable::with_capacity(1, 1);
             groups.push(1, &[AggState::Sum { sum }]);

@@ -14,6 +14,8 @@
 //! benefit of Section V-A.
 
 use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::mem::size_of;
 use std::sync::{Arc, LazyLock};
 
 use columnar::{Bitmap, Value};
@@ -284,7 +286,7 @@ impl QueryStats {
 /// `ceil(log2(cardinality))` bits of a single `u64` key, exactly like
 /// a bid. Grouping by up to ~64 bits of combined cardinality needs no
 /// per-row allocation at all.
-#[derive(Clone, Debug)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub(crate) struct GroupSpec {
     /// `(dimension index, bit shift, bit width)` per group dimension.
     pub(crate) dims: Vec<(usize, u32, u32)>,
@@ -321,11 +323,26 @@ const FILTER_BITSET_MAX: u32 = 1 << 16;
 /// coordinates: a sorted, deduplicated id list (for range reasoning
 /// against a brick's bounds and large-id membership via binary
 /// search) plus, when every id is small, a dense bitset the kernels
-/// probe per row.
-#[derive(Clone, Debug)]
+/// probe per row. Its identity is the id list alone: the bitset is
+/// derived from it.
+#[derive(Debug)]
 pub(crate) struct FilterSet {
     sorted: Vec<u32>,
     bitset: Option<Vec<u64>>,
+}
+
+impl PartialEq for FilterSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.sorted == other.sorted
+    }
+}
+
+impl Eq for FilterSet {}
+
+impl Hash for FilterSet {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.sorted.hash(state);
+    }
 }
 
 impl FilterSet {
@@ -360,7 +377,7 @@ impl FilterSet {
 
     /// How many accepted coordinates fall in `[lo, hi)`? (A brick's
     /// range bounds on the filtered dimension; see
-    /// [`ResolvedQuery::brick_filters`].)
+    /// [`ScanPlan::brick_filters`].)
     pub(crate) fn count_in_range(&self, lo: u32, hi: u32) -> u32 {
         let start = self.sorted.partition_point(|&c| c < lo);
         let end = self.sorted.partition_point(|&c| c < hi);
@@ -389,14 +406,29 @@ fn bit_set(words: &[u64], coord: u32) -> bool {
     (word >> (coord % 64)) & 1 != 0
 }
 
-/// A query resolved against a cube's schema: names replaced by column
-/// indexes and filter values by coordinate sets. Cheap to clone into
-/// shard tasks.
-#[derive(Clone, Debug)]
-pub struct ResolvedQuery {
+/// The part of a resolved query a brick scan reads: the filters, the
+/// aggregations and the packed group layout. Built once per read and
+/// shared by every shard task through one `Arc`. Two equal plans
+/// produce bit-identical shard partials at one snapshot, whichever
+/// kernel runs them (the scan oracle holds the kernels byte-identical),
+/// so the plan is also the snapshot memo's key ([`crate::memo`]).
+/// Equality and hashing read each filter's sorted coordinate ids,
+/// never the bitset derived from them, and never a fingerprint: a
+/// collision would serve one query's answer to another.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) struct ScanPlan {
     pub(crate) filters: Vec<(usize, FilterSet)>,
     pub(crate) aggs: Vec<(AggFn, usize)>,
     pub(crate) group_by: Option<GroupSpec>,
+}
+
+/// A query resolved against a cube's schema: names replaced by column
+/// indexes and filter values by coordinate sets. The [`ScanPlan`] is
+/// what the shards run; HAVING, ORDER BY and LIMIT act only on the
+/// merged result, at the coordinator.
+#[derive(Debug)]
+pub struct ResolvedQuery {
+    pub(crate) plan: Arc<ScanPlan>,
     pub(crate) having: Option<Having>,
     /// `(key position or agg index, descending)` — key positions are
     /// offsets into the decoded group-key vector.
@@ -509,15 +541,19 @@ impl ResolvedQuery {
             }
         };
         Ok(ResolvedQuery {
-            filters,
-            aggs,
-            group_by,
+            plan: Arc::new(ScanPlan {
+                filters,
+                aggs,
+                group_by,
+            }),
             having,
             order_by,
             limit: query.limit,
         })
     }
+}
 
+impl ScanPlan {
     /// The filters the vectorized kernel must still probe on brick
     /// `bid`, read off the coordinate range `[lo, min(hi,
     /// cardinality))` the bid gives each filtered dimension (Granular
@@ -545,60 +581,20 @@ impl ResolvedQuery {
         }
         Some(partial)
     }
-}
 
-/// The structural identity of a resolved query's *brick-scan shape* —
-/// part of the snapshot memo's key. Two resolved queries with equal
-/// shapes produce bit-identical shard partials at the same snapshot,
-/// because the shape captures everything the scan consumes: the
-/// filter coordinate sets, the aggregation list, the packed group-key
-/// layout, and the kernel. HAVING / ORDER BY / LIMIT are deliberately
-/// absent — they act on *finalized* results at the coordinator and
-/// never change what a brick scan produces.
-///
-/// Compared structurally (full `Eq` on the coordinate vectors), never
-/// by hash fingerprint: a fingerprint collision would silently serve
-/// one query's partial to another.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub(crate) struct AggQueryShape {
-    /// `(dimension index, sorted deduplicated coordinate ids)` per
-    /// filter — the canonical form of [`FilterSet`].
-    filters: Vec<(usize, Vec<u32>)>,
-    aggs: Vec<(AggFn, usize)>,
-    /// `(dimension index, shift, width)` per group dimension; empty
-    /// for ungrouped queries (a zero-dimension GROUP BY does not
-    /// exist, so empty is unambiguous).
-    group_dims: Vec<(usize, u32, u32)>,
-    kernel: ScanKernel,
-}
-
-impl AggQueryShape {
-    pub(crate) fn of(resolved: &ResolvedQuery, kernel: ScanKernel) -> Self {
-        AggQueryShape {
-            filters: resolved
-                .filters
-                .iter()
-                .map(|(dim, set)| (*dim, set.sorted.clone()))
-                .collect(),
-            aggs: resolved.aggs.clone(),
-            group_dims: resolved
-                .group_by
-                .as_ref()
-                .map(|spec| spec.dims.clone())
-                .unwrap_or_default(),
-            kernel,
-        }
-    }
-
-    /// Bytes the shape's vectors own on the heap.
+    /// Bytes the plan's vectors own on the heap, filter bitsets
+    /// included.
     pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of_val;
-        size_of_val(&*self.filters)
-            + (self.filters.iter())
-                .map(|(_, ids)| size_of_val(&**ids))
-                .sum::<usize>()
-            + size_of_val(&*self.aggs)
-            + size_of_val(&*self.group_dims)
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * size_of::<T>()
+        }
+        let filters = (self.filters.iter())
+            .map(|(_, set)| bytes(&set.sorted) + set.bitset.as_ref().map_or(0, bytes))
+            .sum::<usize>();
+        bytes(&self.filters)
+            + filters
+            + bytes(&self.aggs)
+            + self.group_by.as_ref().map_or(0, |spec| bytes(&spec.dims))
     }
 }
 
@@ -678,16 +674,15 @@ impl PartialResult {
 pub(crate) fn scan_brick_shared(
     brick: &Brick,
     visibility: &Bitmap,
-    resolved: &ResolvedQuery,
+    plan: &ScanPlan,
 ) -> PartialResult {
     let traversed = visibility.count_ones() as u64;
     let rows = visibility.iter_ones().filter(|&row| {
-        resolved
-            .filters
+        plan.filters
             .iter()
             .all(|(dim, coords)| coords.contains(brick.dim_value(*dim, row)))
     });
-    let mut result = accumulate(brick, rows, resolved, traversed);
+    let mut result = accumulate(brick, rows, plan, traversed);
     result.stats.bitmap_scans = 1;
     result
 }
@@ -714,7 +709,7 @@ fn observe_row(brick: &Brick, func: AggFn, metric: usize, row: usize, state: &mu
 fn accumulate(
     brick: &Brick,
     rows: impl Iterator<Item = usize>,
-    resolved: &ResolvedQuery,
+    plan: &ScanPlan,
     traversed: u64,
 ) -> PartialResult {
     let mut stats = QueryStats {
@@ -722,14 +717,14 @@ fn accumulate(
         rows_scanned: traversed,
         ..Default::default()
     };
-    let groups = match &resolved.group_by {
+    let groups = match &plan.group_by {
         // Ungrouped: accumulate into a flat local vector — no hash
         // lookup per row.
         None => {
-            let mut states = agg::init_states(&resolved.aggs);
+            let mut states = agg::init_states(&plan.aggs);
             for row in rows {
                 stats.rows_visible += 1;
-                for (state, &(func, metric)) in states.iter_mut().zip(&resolved.aggs) {
+                for (state, &(func, metric)) in states.iter_mut().zip(&plan.aggs) {
                     observe_row(brick, func, metric, row, state);
                 }
             }
@@ -738,11 +733,11 @@ fn accumulate(
         // Grouped: one packed-key lookup per row (a run of identical
         // keys skips it), the groups sorted once at the end.
         Some(spec) => {
-            let mut groups = GroupBuilder::new(&resolved.aggs);
+            let mut groups = GroupBuilder::new(&plan.aggs);
             for row in rows {
                 stats.rows_visible += 1;
                 let states = groups.states(spec.pack(brick, row));
-                for (state, &(func, metric)) in states.iter_mut().zip(&resolved.aggs) {
+                for (state, &(func, metric)) in states.iter_mut().zip(&plan.aggs) {
                     observe_row(brick, func, metric, row, state);
                 }
             }
@@ -898,12 +893,12 @@ const DENSE_GROUP_BITS: u32 = 12;
 /// batch-packed group keys feeding a typed dense group table (small
 /// key spaces) or the run-cached hash probe (wide keys). `filters` is
 /// the part of the query's filters this brick still needs
-/// ([`ResolvedQuery::brick_filters`]). Bit-identical to
+/// ([`ScanPlan::brick_filters`]). Bit-identical to
 /// [`scan_brick_shared`] over the equivalent bitmap and every filter.
 pub(crate) fn scan_brick_ranges_vectorized(
     brick: &Brick,
     ranges: &[std::ops::Range<u64>],
-    resolved: &ResolvedQuery,
+    plan: &ScanPlan,
     filters: &[&(usize, FilterSet)],
 ) -> PartialResult {
     let mut selection = Selection {
@@ -918,16 +913,16 @@ pub(crate) fn scan_brick_ranges_vectorized(
         ..Default::default()
     };
     let mut scratch = ScanScratch::default();
-    let groups = match &resolved.group_by {
+    let groups = match &plan.group_by {
         None => {
-            let mut states = agg::init_states(&resolved.aggs);
+            let mut states = agg::init_states(&plan.aggs);
             while selection.next_chunk(&mut scratch.sel) {
                 apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                 if scratch.sel.is_empty() {
                     continue;
                 }
                 stats.rows_visible += scratch.sel.len() as u64;
-                for (state, &(_, metric)) in states.iter_mut().zip(&resolved.aggs) {
+                for (state, &(_, metric)) in states.iter_mut().zip(&plan.aggs) {
                     state.accumulate_batch(brick, metric, &scratch.sel);
                 }
             }
@@ -943,7 +938,7 @@ pub(crate) fn scan_brick_ranges_vectorized(
             if total_bits <= DENSE_GROUP_BITS {
                 // Small packed-key space: skip hashing entirely and
                 // index typed per-aggregate columns with the key itself.
-                let mut dense = agg::DenseGroups::new(&resolved.aggs, 1 << total_bits);
+                let mut dense = agg::DenseGroups::new(&plan.aggs, 1 << total_bits);
                 while selection.next_chunk(&mut scratch.sel) {
                     apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                     if scratch.sel.is_empty() {
@@ -957,15 +952,15 @@ pub(crate) fn scan_brick_ranges_vectorized(
                         &mut scratch.gathered,
                         &mut scratch.keys,
                     );
-                    dense.accumulate(brick, &resolved.aggs, &scratch.sel, &scratch.keys);
+                    dense.accumulate(brick, &plan.aggs, &scratch.sel, &scratch.keys);
                 }
-                dense.finish(brick, &resolved.aggs)
+                dense.finish(brick, &plan.aggs)
             } else {
                 // Wide keys: find group boundaries over the
                 // batch-packed key vector and feed each run of
                 // identical keys through the fused kernels as one
                 // slice.
-                let mut groups = GroupBuilder::new(&resolved.aggs);
+                let mut groups = GroupBuilder::new(&plan.aggs);
                 while selection.next_chunk(&mut scratch.sel) {
                     apply_filters(brick, filters, &mut scratch.sel, &mut scratch.gathered);
                     if scratch.sel.is_empty() {
@@ -987,7 +982,7 @@ pub(crate) fn scan_brick_ranges_vectorized(
                             end += 1;
                         }
                         let states = groups.states(key);
-                        for (state, &(_, metric)) in states.iter_mut().zip(&resolved.aggs) {
+                        for (state, &(_, metric)) in states.iter_mut().zip(&plan.aggs) {
                             state.accumulate_batch(brick, metric, &scratch.sel[start..end]);
                         }
                         start = end;
@@ -1081,7 +1076,7 @@ impl QueryResult {
         // packed group key; NaN aggregates (empty-group Min/Max/Avg)
         // sort last in BOTH directions, via `f64::total_cmp` so the
         // comparator stays total.
-        let spec = resolved.group_by.as_ref();
+        let spec = resolved.plan.group_by.as_ref();
         match resolved.order_by {
             None => {}
             Some((ResolvedOrder::Aggregation(agg), desc)) => {
@@ -1193,8 +1188,8 @@ mod tests {
         ranges: &[std::ops::Range<u64>],
         r: &ResolvedQuery,
     ) -> PartialResult {
-        let filters: Vec<_> = r.filters.iter().collect();
-        scan_brick_ranges_vectorized(brick, ranges, r, &filters)
+        let filters: Vec<_> = r.plan.filters.iter().collect();
+        scan_brick_ranges_vectorized(brick, ranges, &r.plan, &filters)
     }
 
     #[test]
@@ -1207,7 +1202,8 @@ mod tests {
             Aggregation::new(AggFn::Avg, "score"),
         ]);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         assert_eq!(result.rows.len(), 1);
         let (key, values) = &result.rows[0];
@@ -1225,7 +1221,8 @@ mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")])
             .filter(DimFilter::new("region", vec![Value::from("us")]));
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         assert_eq!(result.scalar(), Some(40.0));
         assert_eq!(result.stats.rows_visible, 2);
@@ -1238,7 +1235,8 @@ mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")])
             .filter(DimFilter::new("region", vec![Value::from("atlantis")]));
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         assert_eq!(partial.stats.rows_visible, 0);
     }
 
@@ -1253,7 +1251,8 @@ mod tests {
         ])
         .grouped_by("region");
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.rows[0].0, vec![Value::Str("us".into())]);
@@ -1270,7 +1269,8 @@ mod tests {
             .grouped_by("region")
             .grouped_by("day");
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         // Three rows, three distinct (region, day) pairs.
         assert_eq!(result.rows.len(), 3);
@@ -1326,7 +1326,8 @@ mod tests {
             .ordered_by(OrderBy::Aggregation(0), true)
             .limited(2);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         assert_eq!(result.rows.len(), 2);
         assert_eq!(result.rows[0].1[0], 30.0, "largest sum first");
@@ -1337,7 +1338,8 @@ mod tests {
             .grouped_by("day")
             .ordered_by(OrderBy::Dimension("day".into()), false);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         let days: Vec<String> = result.rows.iter().map(|(k, _)| k[0].to_string()).collect();
         assert_eq!(days, vec!["0", "1", "2"]);
@@ -1372,13 +1374,14 @@ mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let r = resolved(&cube, &q);
         // Snapshot at epoch 1 must not see T3's row...
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         assert_eq!(
             QueryResult::finalize(&cube, &r, partial).scalar(),
             Some(60.0)
         );
         // ...while read-uncommitted sees it.
-        let partial = scan_brick_shared(&brick, &brick.all_rows(), &r);
+        let partial = scan_brick_shared(&brick, &brick.all_rows(), &r.plan);
         assert_eq!(
             QueryResult::finalize(&cube, &r, partial).scalar(),
             Some(1060.0)
@@ -1396,8 +1399,8 @@ mod tests {
         .grouped_by("region");
         let r = resolved(&cube, &q);
         let snap = Snapshot::committed(1);
-        let mut a = scan_brick_shared(&brick, &brick.visibility(&snap), &r);
-        let b = scan_brick_shared(&brick, &brick.visibility(&snap), &r);
+        let mut a = scan_brick_shared(&brick, &brick.visibility(&snap), &r.plan);
+        let b = scan_brick_shared(&brick, &brick.visibility(&snap), &r.plan);
         a.merge(b);
         let result = QueryResult::finalize(&cube, &r, a);
         assert_eq!(result.rows[0].1, vec![80.0, 10.0], "sums add, mins hold");
@@ -1480,7 +1483,7 @@ mod tests {
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")]);
         let r = resolved(&cube, &q);
         let snap = Snapshot::committed(1);
-        let via_bitmap = scan_brick_shared(&brick, &brick.visibility(&snap), &r);
+        let via_bitmap = scan_brick_shared(&brick, &brick.visibility(&snap), &r.plan);
         assert_eq!(via_bitmap.stats.bitmap_scans, 1);
         assert_eq!(via_bitmap.stats.range_scans, 0);
         let ranges = brick.epochs().visible_ranges(&snap);
@@ -1504,8 +1507,11 @@ mod tests {
         let r = resolved(&cube, &q);
         let bid_day0 = cube.layout().bid_for_coords(&[0, 1]);
         let bid_day1 = cube.layout().bid_for_coords(&[0, 5]);
-        assert_eq!(r.brick_filters(&cube, bid_day0).map(|f| f.len()), Some(1));
-        assert!(r.brick_filters(&cube, bid_day1).is_none());
+        assert_eq!(
+            r.plan.brick_filters(&cube, bid_day0).map(|f| f.len()),
+            Some(1)
+        );
+        assert!(r.plan.brick_filters(&cube, bid_day1).is_none());
     }
 
     #[test]
@@ -1534,7 +1540,8 @@ mod tests {
         let brick = Brick::new(cube.schema());
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Sum, "likes")]);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         assert_eq!(result.scalar(), None);
     }
@@ -1686,7 +1693,7 @@ mod tests {
                 for (qi, q) in differential_battery().iter().enumerate() {
                     let context = format!("query {qi} ({storage:?}, {snap:?})");
                     let r = resolved(&cube, q);
-                    let reference = scan_brick_shared(&brick, &vis, &r);
+                    let reference = scan_brick_shared(&brick, &vis, &r.plan);
                     let fast = vectorized(&brick, &ranges, &r);
                     assert_eq!(
                         reference.stats.rows_scanned, fast.stats.rows_scanned,
@@ -1736,7 +1743,7 @@ mod tests {
         for range in &ranges {
             vis.set_range(range.start as usize, range.end as usize);
         }
-        let reference = scan_brick_shared(&brick, &vis, &r);
+        let reference = scan_brick_shared(&brick, &vis, &r.plan);
         let fast = vectorized(&brick, &ranges, &r);
         assert_eq!(reference.stats.rows_scanned, expected_rows);
         assert_eq!(fast.stats.rows_scanned, expected_rows);
@@ -1778,7 +1785,7 @@ mod tests {
             let partials = [
                 (
                     "reference",
-                    scan_brick_shared(&brick, &brick.visibility(&snap), &r),
+                    scan_brick_shared(&brick, &brick.visibility(&snap), &r.plan),
                 ),
                 ("vectorized", vectorized(&brick, &ranges, &r)),
             ];
@@ -1845,7 +1852,8 @@ mod tests {
                 .grouped_by("day")
                 .ordered_by(OrderBy::Aggregation(0), desc);
             let r = resolved(&cube, &q);
-            let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+            let partial =
+                scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
             let result = QueryResult::finalize(&cube, &r, partial);
             assert_eq!(result.rows.len(), 3);
             let aggs: Vec<f64> = result.rows.iter().map(|(_, v)| v[0]).collect();
@@ -1882,7 +1890,8 @@ mod tests {
             .ordered_by(OrderBy::Aggregation(0), true)
             .limited(2);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r);
+        let partial =
+            scan_brick_shared(&brick, &brick.visibility(&Snapshot::committed(1)), &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         let days: Vec<Value> = result.rows.iter().map(|(k, _)| k[0].clone()).collect();
         // Pre-fix: reverse() emitted days [3, 2]. The descending
@@ -1909,7 +1918,10 @@ mod tests {
         let r = resolved(&cube, &q);
         let vis = brick.visibility(&snap);
         let ranges = brick.epochs().visible_ranges(&snap);
-        assert_eq!(scan_brick_shared(&brick, &vis, &r).stats.rows_scanned, 3);
+        assert_eq!(
+            scan_brick_shared(&brick, &vis, &r.plan).stats.rows_scanned,
+            3
+        );
         assert_eq!(vectorized(&brick, &ranges, &r).stats.rows_scanned, 3);
     }
 
@@ -1951,13 +1963,11 @@ mod tests {
         vis: &Bitmap,
         resolved: &ResolvedQuery,
     ) -> Vec<(Vec<Value>, Vec<f64>)> {
-        let spec = resolved.group_by.as_ref().expect("grouped query");
+        let spec = resolved.plan.group_by.as_ref().expect("grouped query");
         let mut groups: BTreeMap<u64, Vec<Vec<f64>>> = BTreeMap::new();
         let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for row in vis.iter_ones() {
-            if !resolved
-                .filters
-                .iter()
+            if !(resolved.plan.filters.iter())
                 .all(|(dim, coords)| coords.contains(brick.dim_value(*dim, row)))
             {
                 continue;
@@ -1965,9 +1975,9 @@ mod tests {
             let key = spec.pack(brick, row);
             let observed = groups
                 .entry(key)
-                .or_insert_with(|| vec![Vec::new(); resolved.aggs.len()]);
+                .or_insert_with(|| vec![Vec::new(); resolved.plan.aggs.len()]);
             *counts.entry(key).or_insert(0) += 1;
-            for (values, &(_, metric)) in observed.iter_mut().zip(&resolved.aggs) {
+            for (values, &(_, metric)) in observed.iter_mut().zip(&resolved.plan.aggs) {
                 if let Some(v) = brick.metric_column(metric).get_numeric(row) {
                     values.push(v);
                 }
@@ -1977,7 +1987,7 @@ mod tests {
         for (key, observed) in groups {
             let finalized: Vec<f64> = observed
                 .iter()
-                .zip(&resolved.aggs)
+                .zip(&resolved.plan.aggs)
                 .map(|(values, &(func, _))| match func {
                     AggFn::Count => counts[&key] as f64,
                     AggFn::Sum => values.iter().fold(0.0, |s, &v| s + v),
@@ -2056,7 +2066,7 @@ mod tests {
                     let r = resolved(&cube, &q);
                     let naive = naive_group_having(&cube, &brick, &vis, &r);
                     for (kernel, partial) in [
-                        ("reference", scan_brick_shared(&brick, &vis, &r)),
+                        ("reference", scan_brick_shared(&brick, &vis, &r.plan)),
                         ("vectorized", vectorized(&brick, &ranges, &r)),
                     ] {
                         let result = QueryResult::finalize(&cube, &r, partial);
@@ -2105,7 +2115,7 @@ mod tests {
             .having(0, op, 0.0);
             let r = resolved(&cube, &q);
             for (kernel, partial) in [
-                ("reference", scan_brick_shared(&brick, &vis, &r)),
+                ("reference", scan_brick_shared(&brick, &vis, &r.plan)),
                 ("vectorized", vectorized(&brick, &ranges, &r)),
             ] {
                 let result = QueryResult::finalize(&cube, &r, partial);
@@ -2126,7 +2136,7 @@ mod tests {
         .grouped_by("region")
         .having(1, CmpOp::Ge, 1.0);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &vis, &r);
+        let partial = scan_brick_shared(&brick, &vis, &r.plan);
         assert_eq!(QueryResult::finalize(&cube, &r, partial).rows.len(), 2);
     }
 
@@ -2145,7 +2155,7 @@ mod tests {
             .ordered_by(OrderBy::Aggregation(0), false)
             .limited(2);
         let r = resolved(&cube, &q);
-        let partial = scan_brick_shared(&brick, &vis, &r);
+        let partial = scan_brick_shared(&brick, &vis, &r.plan);
         let result = QueryResult::finalize(&cube, &r, partial);
         let sums: Vec<f64> = result.rows.iter().map(|(_, v)| v[0]).collect();
         assert_eq!(sums, vec![20.0, 30.0]);
@@ -2172,10 +2182,10 @@ mod tests {
         let all_days: Vec<Value> = (0..8i64).map(Value::from).collect();
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")])
             .filter(DimFilter::new("day", all_days));
-        assert!(resolved(&cube, &q).filters.is_empty());
+        assert!(resolved(&cube, &q).plan.filters.is_empty());
         let most_days: Vec<Value> = (0..7i64).map(Value::from).collect();
         let q = Query::aggregate(vec![Aggregation::new(AggFn::Count, "likes")])
             .filter(DimFilter::new("day", most_days));
-        assert_eq!(resolved(&cube, &q).filters.len(), 1);
+        assert_eq!(resolved(&cube, &q).plan.filters.len(), 1);
     }
 }

@@ -31,7 +31,7 @@ use aosi::Snapshot;
 use crate::brick::Brick;
 use crate::cube::Cube;
 use crate::memo::{MemoKey, ShardMemos};
-use crate::query::{FilterSet, PartialResult, ResolvedQuery, ScanKernel};
+use crate::query::{FilterSet, PartialResult, ScanKernel, ScanPlan};
 use crate::shard::ShardBricks;
 
 /// Replica routing: which bricks this node scans (the `allowed`
@@ -43,7 +43,8 @@ pub(crate) type BrickFilter = Arc<dyn Fn(u64) -> bool + Send + Sync>;
 /// Built once per query and shared by every shard's task.
 pub(crate) struct ShardScan {
     pub(crate) cube: Cube,
-    pub(crate) resolved: ResolvedQuery,
+    /// The read's one plan, shared with its memo key.
+    pub(crate) plan: Arc<ScanPlan>,
     /// `None` scans every stored row (read-uncommitted).
     pub(crate) snapshot: Option<Snapshot>,
     pub(crate) kernel: ScanKernel,
@@ -127,7 +128,7 @@ impl ShardScan {
             if self.allowed.as_ref().is_some_and(|allowed| !allowed(bid)) {
                 continue;
             }
-            let Some(filters) = self.resolved.brick_filters(&self.cube, bid) else {
+            let Some(filters) = self.plan.brick_filters(&self.cube, bid) else {
                 outcome.pruned += 1;
                 continue;
             };
@@ -166,7 +167,7 @@ impl ShardScan {
     /// same comparison a differential of the elision. RU scans (no
     /// snapshot) see every stored row.
     fn scan_one_brick(&self, brick: &Brick, filters: &[&(usize, FilterSet)]) -> PartialResult {
-        let resolved = &self.resolved;
+        let plan = &self.plan;
         let snapshot = self.snapshot.as_ref();
         let vis_started = Instant::now();
         let scan_started;
@@ -178,13 +179,13 @@ impl ShardScan {
                     |snap| brick.epochs().visible_ranges(snap),
                 );
                 scan_started = Instant::now();
-                crate::query::scan_brick_ranges_vectorized(brick, &ranges, resolved, filters)
+                crate::query::scan_brick_ranges_vectorized(brick, &ranges, plan, filters)
             }
             ScanKernel::RowAtATime => {
                 let visibility =
                     snapshot.map_or_else(|| brick.all_rows(), |snap| brick.visibility(snap));
                 scan_started = Instant::now();
-                crate::query::scan_brick_shared(brick, &visibility, resolved)
+                crate::query::scan_brick_shared(brick, &visibility, plan)
             }
         };
         scanned.stats.visibility_build_nanos = (scan_started - vis_started).as_nanos() as u64;
@@ -199,7 +200,7 @@ mod tests {
     use crate::brick::DimStorage;
     use crate::ddl::{CubeSchema, Dimension, Metric};
     use crate::ingest::RecordChunk;
-    use crate::query::{AggFn, Aggregation, DimFilter, Query, QueryResult};
+    use crate::query::{AggFn, Aggregation, DimFilter, Query, QueryResult, ResolvedQuery};
     use crate::shard::ShardBricks;
     use columnar::Value;
 
@@ -257,9 +258,10 @@ mod tests {
         snapshot: Option<Snapshot>,
         kernel: ScanKernel,
     ) -> (QueryResult, ShardScanOutcome) {
+        let resolved = ResolvedQuery::resolve(cube, query).unwrap();
         let scan = ShardScan {
             cube: cube.clone(),
-            resolved: ResolvedQuery::resolve(cube, query).unwrap(),
+            plan: Arc::clone(&resolved.plan),
             snapshot,
             kernel,
             fold: true,
@@ -271,7 +273,7 @@ mod tests {
         let outcome = scan
             .run(0, bricks, |partial| folded.merge(partial))
             .unwrap_or_else(|(bid, failure)| panic!("brick {bid}: {failure:?}"));
-        (QueryResult::finalize(cube, &scan.resolved, folded), outcome)
+        (QueryResult::finalize(cube, &resolved, folded), outcome)
     }
 
     /// The vectorized kernel, fed each brick's reduced filter list,
@@ -344,7 +346,10 @@ mod tests {
         );
         let resolved = ResolvedQuery::resolve(&cube, &query).unwrap();
         let bid = cube.layout().bid_for_coords(&coords);
-        resolved.brick_filters(&cube, bid).map(|kept| kept.len())
+        resolved
+            .plan
+            .brick_filters(&cube, bid)
+            .map(|kept| kept.len())
     }
 
     #[test]

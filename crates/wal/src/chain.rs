@@ -28,6 +28,7 @@ pub(crate) fn round_seq(path: &Path) -> Option<u64> {
 /// One round of the consistent prefix.
 pub(crate) struct ChainRound {
     pub round: FlushRound,
+    pub path: PathBuf,
 }
 
 /// What a directory scan found.
@@ -107,7 +108,7 @@ pub(crate) fn scan(fs: &dyn WalFs, dir: &Path, validate: bool) -> Result<ChainSc
                 } else {
                     expected_seq = seq + 1;
                     expected_lse = round.lse_prime;
-                    scan.prefix.push(ChainRound { round });
+                    scan.prefix.push(ChainRound { round, path });
                 }
             }
             Err(WalError::Incomplete) | Err(WalError::Corrupt(_)) => {

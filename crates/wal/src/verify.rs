@@ -5,6 +5,13 @@
 //! from this directory would restore — without touching an engine.
 //! The `realtime_metrics` example and operators debugging a crashed
 //! node use this to answer "how much is safely on disk?".
+//!
+//! The prediction is recovery's own: [`verify_dir`] reads the
+//! directory through `chain::scan_chain`, whose consistent
+//! prefix is exactly what recovery replays, and then classifies each
+//! round file past the prefix as complete, incomplete or corrupt.
+//! Files whose names are not round names are ignored, as recovery
+//! ignores them.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -12,7 +19,9 @@ use std::path::{Path, PathBuf};
 use aosi::Epoch;
 use cubrick::DeltaRun;
 
-use crate::codec::{self, WalError};
+use crate::chain::{round_seq, scan_chain};
+use crate::codec::{self, FlushRound, WalError};
+use crate::fault::{RealFs, WalFs};
 
 /// Integrity status of one round file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,70 +82,31 @@ impl VerifyReport {
 /// what recovery would restore (recovery stops at the first bad
 /// round, so later complete rounds do not count).
 pub fn verify_dir(dir: &Path) -> std::io::Result<VerifyReport> {
-    let mut files: Vec<PathBuf> = match fs::read_dir(dir) {
-        Ok(entries) => entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.extension().is_some_and(|ext| ext == "cbk"))
-            .collect(),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
+    let scan = scan_chain(&RealFs, dir).map_err(io_error)?;
+    let mut report = VerifyReport {
+        recoverable_rows: scan.prefix.iter().map(|r| rows(&r.round)).sum(),
+        recoverable_epoch: scan.flushed_through(),
+        recoverable_rounds: scan.prefix.len(),
+        gaps_detected: scan.gaps,
+        ..VerifyReport::default()
     };
-    files.sort();
-
-    let mut report = VerifyReport::default();
-    let mut prefix_intact = true;
-    let mut expected_seq = 0u64;
-    let mut expected_lse: Epoch = 0;
-    for path in files {
-        let bytes = fs::read(&path)?;
+    for chained in scan.prefix {
+        report.rounds.push(RoundReport {
+            bytes: fs::metadata(&chained.path)?.len(),
+            path: chained.path,
+            status: complete(&chained.round),
+        });
+    }
+    for path in scan.dead_paths {
+        if round_seq(&path).is_none() {
+            continue;
+        }
+        let bytes = RealFs.read(&path)?;
         let status = match codec::decode(&bytes) {
-            Ok(round) => {
-                let rows: u64 = round
-                    .deltas
-                    .iter()
-                    .flat_map(|d| &d.runs)
-                    .map(|run| match run {
-                        DeltaRun::Insert { records, .. } => records.len() as u64,
-                        DeltaRun::Delete { .. } => 0,
-                    })
-                    .sum();
-                // Recovery replays a round only if it continues the
-                // chain (same rules as `chain::scan_chain`).
-                let continues_chain = crate::chain::round_seq(&path) == Some(expected_seq)
-                    && round.lse == expected_lse
-                    && round.lse_prime > round.lse;
-                if prefix_intact && !continues_chain {
-                    report.gaps_detected += 1;
-                    prefix_intact = false;
-                }
-                if prefix_intact {
-                    report.recoverable_rows += rows;
-                    report.recoverable_epoch = report.recoverable_epoch.max(round.lse_prime);
-                    report.recoverable_rounds += 1;
-                    expected_seq += 1;
-                    expected_lse = round.lse_prime;
-                }
-                RoundStatus::Complete {
-                    lse_prime: round.lse_prime,
-                    rows,
-                }
-            }
-            Err(WalError::Incomplete) => {
-                prefix_intact = false;
-                RoundStatus::Incomplete
-            }
-            Err(WalError::Corrupt(msg)) => {
-                prefix_intact = false;
-                RoundStatus::Corrupt(msg)
-            }
-            Err(WalError::Io(e)) => return Err(e),
-            Err(e @ WalError::Recovery(_)) => {
-                // decode never produces this variant.
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    e.to_string(),
-                ));
-            }
+            Ok(round) => complete(&round),
+            Err(WalError::Incomplete) => RoundStatus::Incomplete,
+            Err(WalError::Corrupt(msg)) => RoundStatus::Corrupt(msg),
+            Err(e) => return Err(io_error(e)),
         };
         report.rounds.push(RoundReport {
             path,
@@ -145,6 +115,33 @@ pub fn verify_dir(dir: &Path) -> std::io::Result<VerifyReport> {
         });
     }
     Ok(report)
+}
+
+/// Rows `round` carries.
+fn rows(round: &FlushRound) -> u64 {
+    (round.deltas.iter())
+        .flat_map(|d| &d.runs)
+        .map(|run| match run {
+            DeltaRun::Insert { records, .. } => records.len() as u64,
+            DeltaRun::Delete { .. } => 0,
+        })
+        .sum()
+}
+
+/// The status of a round that decodes.
+fn complete(round: &FlushRound) -> RoundStatus {
+    RoundStatus::Complete {
+        lse_prime: round.lse_prime,
+        rows: rows(round),
+    }
+}
+
+/// A scan failure as the I/O error `verify_dir` reports.
+fn io_error(e: WalError) -> std::io::Error {
+    match e {
+        WalError::Io(e) => e,
+        e => std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()),
+    }
 }
 
 #[cfg(test)]
